@@ -38,6 +38,7 @@ from .linear_estimator import (
     exact_moments_general,
     exact_moments_orthonormal,
     fit_targeted_ridge,
+    fit_targeted_ridge_grid,
     fit_targeted_ridge_mixture,
     update,
 )

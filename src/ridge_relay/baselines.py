@@ -15,7 +15,9 @@ The fixed effects solve the generalized least squares equations
 Each block satisfies X' Omega^{-1} = (I_p + xi X'X)^{-1} X', so all
 solves can run either in p-space (the Woodbury route, cheap when batches
 are tall) or on the n_tau-sized blocks directly; both paths are exposed
-and must agree. ``estimate_xi`` picks xi by maximizing the Gaussian
+and must agree. The Woodbury route diagonalizes each block's X'X once
+(through the block's SVD), after which every ratio costs only diagonal
+scalings. ``estimate_xi`` picks xi by maximizing the Gaussian
 likelihood profiled over the noise variance, using the determinant
 identity det(I_n + xi XX') = det(I_p + xi X'X).
 
@@ -157,38 +159,68 @@ def _check_ratio(xi: float) -> float:
     return xi
 
 
-def _gls_blocks(data: StackedData, xi: float, method: str):
-    """Per-block X'Omega^{-1}X and X'Omega^{-1}y, plus log det Omega."""
+def _resolve_method(data: StackedData, method: str) -> str:
     if method == "auto":
         method = "woodbury" if data.n_batches * data.p < data.n else "direct"
     if method not in ("woodbury", "direct"):
         raise ValidationError(f"unknown method {method!r}")
+    return method
+
+
+def _block_spectra(data: StackedData) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block, the eigenpairs of X'X on its row space and u = V'X'y.
+
+    They come from the thin SVD X = U diag(s) V' (d = s^2), so the null
+    directions of a block with fewer rows than covariates are left out
+    exactly instead of carrying rounding noise into every ratio.
+    """
+    out = []
+    for X, y in zip(data.blocks, data.y_blocks()):
+        U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        out.append((sv * sv, Vt.T, sv * (U.T @ y)))
+    return out
+
+
+def _woodbury_grid(spectra, xis: np.ndarray):
+    """Summed X'Omega^{-1}X and X'Omega^{-1}y, and log det Omega, for every ratio.
+
+    With (I + xi X'X)^{-1} = V diag(1 / (1 + xi d)) V' per block, every
+    ratio costs only diagonal scalings of the block's one eigenbasis:
+    X'Omega^{-1}X = V diag(d / (1 + xi d)) V', X'Omega^{-1}y =
+    V diag(1 / (1 + xi d)) u and log det Omega = sum log(1 + xi d). As
+    d >= 0 and xi >= 0, every 1 + xi d is at least 1. Returns (C, b,
+    logdet) stacked over ``xis``.
+    """
+    p = spectra[0][1].shape[0]
+    C = np.zeros((xis.shape[0], p, p))
+    b = np.zeros((xis.shape[0], p))
+    logdet = np.zeros(xis.shape[0])
+    for d, V, u in spectra:
+        inner = 1.0 + np.outer(xis, d)
+        logdet += np.log(inner).sum(axis=1)
+        C += (V * (d / inner)[:, None, :]) @ V.T
+        b += (u / inner) @ V.T
+    return C, b, logdet
+
+
+def _direct_blocks(data: StackedData, xi: float):
+    """X'Omega^{-1}X and X'Omega^{-1}y from each n_tau block, plus log det Omega."""
     C = np.zeros((data.p, data.p))
     b = np.zeros(data.p)
     logdet = 0.0
     for X, y in zip(data.blocks, data.y_blocks()):
-        gram = X.T @ X
-        inner = np.eye(data.p) + xi * gram
-        sign, ld = np.linalg.slogdet(inner)
+        sign, ld = np.linalg.slogdet(np.eye(data.p) + xi * (X.T @ X))
         if sign <= 0:
             raise SingularMatrixError("I + xi X'X has non-positive determinant")
         logdet += ld
-        if method == "woodbury":
-            try:
-                factor = cho_factor(inner, lower=True)
-            except LinAlgError as exc:
-                raise SingularMatrixError("I + xi X'X is numerically singular") from exc
-            C += cho_solve(factor, gram)
-            b += cho_solve(factor, X.T @ y)
-        else:
-            omega = np.eye(X.shape[0]) + xi * (X @ X.T)
-            try:
-                factor = cho_factor(omega, lower=True)
-            except LinAlgError as exc:
-                raise SingularMatrixError("a marginal covariance block is singular") from exc
-            S = cho_solve(factor, X)
-            C += X.T @ S
-            b += S.T @ y
+        omega = np.eye(X.shape[0]) + xi * (X @ X.T)
+        try:
+            factor = cho_factor(omega, lower=True)
+        except LinAlgError as exc:
+            raise SingularMatrixError("a marginal covariance block is singular") from exc
+        S = cho_solve(factor, X)
+        C += X.T @ S
+        b += S.T @ y
     return C, b, logdet
 
 
@@ -208,15 +240,20 @@ def mixed_fixed_effects(data: StackedData, xi: float,
     """GLS fixed effects at a known variance ratio ``xi``.
 
     ``method`` picks how the block systems are solved: ``"woodbury"``
-    works in p-space, ``"direct"`` factors each n_tau block, ``"auto"``
-    uses Woodbury when t*p < n. The two routes agree to solver precision.
+    works in p-space from each block's eigenpairs, ``"direct"``
+    factors each n_tau block, ``"auto"`` uses Woodbury when t*p < n. The
+    two routes agree to solver precision.
     """
     xi = _check_ratio(xi)
+    method = _resolve_method(data, method)
     if data.n < data.p:
         raise SingularMatrixError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")
-    C, b, _ = _gls_blocks(data, xi, method)
-    return _solve_spd(C, b, "the GLS normal matrix")
+    if method == "direct":
+        C, b, _ = _direct_blocks(data, xi)
+        return _solve_spd(C, b, "the GLS normal matrix")
+    C, b, _ = _woodbury_grid(_block_spectra(data), np.array([xi]))
+    return _solve_spd(C[0], b[0], "the GLS normal matrix")
 
 
 def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
@@ -264,41 +301,78 @@ def default_xi_grid(points: int = 25) -> tuple[float, ...]:
     return tuple(np.geomspace(1e-4, 1e4, points).tolist())
 
 
+def _woodbury_profile(data: StackedData, xis: np.ndarray) -> list:
+    """(fixed effects, GLS quadratic form, log det Omega) at every ratio, or None.
+
+    One eigendecomposition per block serves the whole grid; the GLS
+    normal matrix is still factored, with its pivot check, at each ratio.
+    """
+    spectra = _block_spectra(data)
+    C, b, logdet = _woodbury_grid(spectra, xis)
+    betas = np.zeros((xis.shape[0], data.p))
+    ok = np.ones(xis.shape[0], dtype=bool)
+    for i in range(xis.shape[0]):
+        try:
+            betas[i] = _solve_spd(C[i], b[i], "the GLS normal matrix")
+        except SingularMatrixError:
+            ok[i] = False
+    resid = data.y_stack[:, None] - data.x_stack @ betas.T
+    quad = np.einsum("ij,ij->j", resid, resid)
+    for d, V, u in spectra:
+        g = u[:, None] - d[:, None] * (V.T @ betas.T)
+        quad -= xis * (g * g / (1.0 + np.outer(d, xis))).sum(axis=0)
+    return [(betas[i], float(quad[i]), float(logdet[i])) if ok[i] else None
+            for i in range(xis.shape[0])]
+
+
+def _direct_profile_point(data: StackedData, xi: float):
+    """(fixed effects, GLS quadratic form, log det Omega) at one ratio, or None."""
+    try:
+        C, b, logdet = _direct_blocks(data, xi)
+        beta = _solve_spd(C, b, "the GLS normal matrix")
+        quad = 0.0
+        for X, y in zip(data.blocks, data.y_blocks()):
+            r = y - X @ beta
+            gram_r = X.T @ r
+            inner = np.eye(data.p) + xi * (X.T @ X)
+            quad += float(r @ r) - xi * float(gram_r @ cho_solve(
+                cho_factor(inner, lower=True), gram_r))
+    except (SingularMatrixError, LinAlgError):
+        return None
+    return beta, quad, logdet
+
+
 def estimate_xi(data: StackedData, grid: Sequence[float] | None = None,
                 method: str = "auto") -> MixedFit:
     """Choose the variance ratio by profiled Gaussian maximum likelihood.
 
     For each candidate xi the noise variance has the closed form
     q(xi)/n with q the GLS quadratic form of the residuals, leaving a
-    one-dimensional profile likelihood evaluated over the grid. Grid
-    points where the solve fails are skipped; if all fail this raises.
+    one-dimensional profile likelihood evaluated over the grid. The
+    Woodbury route evaluates the whole grid from one eigendecomposition
+    per block; ``"direct"`` factors every n_tau block at every ratio and
+    serves as its reference. Grid points where the solve fails are
+    skipped; if all fail this raises.
     """
     candidates = default_xi_grid() if grid is None else tuple(float(v) for v in grid)
     if not candidates:
         raise ValidationError("the ratio grid must be non-empty")
+    xis = np.array([_check_ratio(xi) for xi in candidates])
+    method = _resolve_method(data, method)
     if data.n < data.p:
         raise EstimationError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")
+    if method == "woodbury":
+        points = _woodbury_profile(data, xis)
+    else:
+        points = [_direct_profile_point(data, xi) for xi in xis]
     best: MixedFit | None = None
     failures = 0
-    for xi in candidates:
-        xi = _check_ratio(xi)
-        try:
-            C, b, logdet = _gls_blocks(data, xi, method)
-            beta = _solve_spd(C, b, "the GLS normal matrix")
-            quad = 0.0
-            for X, y in zip(data.blocks, data.y_blocks()):
-                r = y - X @ beta
-                gram_r = X.T @ r
-                inner = np.eye(data.p) + xi * (X.T @ X)
-                quad += float(r @ r) - xi * float(gram_r @ cho_solve(
-                    cho_factor(inner, lower=True), gram_r))
-        except (SingularMatrixError, LinAlgError):
+    for xi, point in zip(xis.tolist(), points):
+        if point is None or point[1] <= 0:
             failures += 1
             continue
-        if quad <= 0:
-            failures += 1
-            continue
+        beta, quad, logdet = point
         sigma_sq = quad / data.n
         loglik = -0.5 * (data.n * np.log(2.0 * np.pi * sigma_sq) + logdet + data.n)
         if best is None or loglik > best.profile_loglik:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -174,10 +175,17 @@ def read_state(path: str) -> EstimatorState:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` so that readers see the old or the new file.
+
+    The text is written verbatim (no newline translation) to a temporary
+    file in the same directory, which is fsynced and renamed over
+    ``path``; the directory is then fsynced so the rename itself survives
+    a crash.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-state-", suffix=".json")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
@@ -185,6 +193,11 @@ def _atomic_write_text(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def write_state(state: EstimatorState, path: str) -> None:
@@ -274,7 +287,7 @@ def read_batch_csv(path: str, response: str, t: int, family: str) -> Batch:
 
 def read_covariate_csv(path: str, registry: CovariateRegistry,
                        drop: str | None = None) -> np.ndarray:
-    """Covariate rows aligned to the registry; unknown columns are errors."""
+    """Covariate rows aligned to the registry; unknown columns and non-finite cells are errors."""
     header, rows = _read_csv_columns(path)
     if drop is not None and drop in header:
         keep = [i for i, h in enumerate(header) if h != drop]
@@ -284,6 +297,11 @@ def read_covariate_csv(path: str, registry: CovariateRegistry,
         if name not in registry:
             raise RegistryError(f"{path!r} column {name!r} is not a model covariate")
     data = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(
+            f"{path!r} data row {row + 1}: column {header[col]!r} is not finite")
     out = np.zeros((data.shape[0], registry.size))
     for j, name in enumerate(header):
         out[:, registry.index_of(name)] = data[:, j]
@@ -318,11 +336,12 @@ def write_plot_dataset(dataset: PlotDataset, out_dir: str) -> tuple[str, str]:
     meta_path = os.path.join(out_dir, dataset.name + ".meta.json")
     names = list(dataset.columns)
     cols = [dataset.columns[n] for n in names]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*cols):
-            writer.writerow(["" if _is_nan(v) else v for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    for row in zip(*cols):
+        writer.writerow(["" if _is_nan(v) else v for v in row])
+    _atomic_write_text(csv_path, buf.getvalue())
     _atomic_write_text(meta_path, _dump(dataset.metadata))
     return csv_path, meta_path
 

@@ -43,6 +43,7 @@ __all__ = [
     "LinearFit",
     "MomentReport",
     "fit_targeted_ridge",
+    "fit_targeted_ridge_grid",
     "fit_targeted_ridge_mixture",
     "update",
     "exact_moments_orthonormal",
@@ -113,6 +114,52 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
     coef = cho_solve(factor, X.T @ y + lam * target)
     resid = y - X @ coef
     return LinearFit(coef=coef, lam=lam, target=target, residual_sse=float(resid @ resid))
+
+
+def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
+                            targets) -> tuple[np.ndarray, np.ndarray]:
+    """Targeted ridge fits for every penalty and target from one decomposition.
+
+    ``targets`` holds one target per column (shape ``(p, W)``). With
+    ``X'X = V diag(d) V'`` each fit is, in offset form,
+
+        b(lam, t) = t + V diag(1 / (d + lam)) V' X'(y - X t),
+
+    so the whole ``p x L x W`` array of coefficients costs one
+    eigendecomposition and one batched product (Golub, Heath & Wahba
+    1979). The eigenpairs come from the thin SVD ``X = U diag(s) V'``
+    (``d = s^2``) rather than from forming ``X'X``, which keeps the error
+    of the near-null directions at the level of a Cholesky solve when
+    the penalty is small and the design is rank deficient.
+
+    Returns the coefficients, shape ``(p, L, W)``, and a boolean mask of
+    length L that is False where ``d_min + lam`` is not positive beyond
+    rounding (``p * eps * d_max``); with more columns than rows
+    ``d_min = 0``. There ``X'X + lam I`` is numerically singular: the
+    coefficients are left at the target and must not be used.
+    """
+    X = _as_float_matrix(X, "X")
+    y = _as_float_vector(y, "y")
+    if X.shape[0] != y.shape[0]:
+        raise ValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    T = _as_float_matrix(targets, "targets")
+    if T.shape[0] != X.shape[1]:
+        raise ValidationError(
+            f"targets have {T.shape[0]} rows for {X.shape[1]} design columns")
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams < 0):
+        raise ValidationError("penalties must be a sequence of finite values >= 0")
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    d = sv * sv
+    p, n_sv = X.shape[1], d.shape[0]
+    d_min = d.min(initial=np.inf) if n_sv == p else 0.0
+    solvable = d_min + lams > p * np.finfo(float).eps * d.max(initial=0.0)
+    z = sv[:, None] * (U.T @ (y[:, None] - X @ T))
+    shrink = np.zeros((n_sv, lams.shape[0]))
+    shrink[:, solvable] = 1.0 / (d[:, None] + lams[solvable])
+    steps = Vt.T @ (shrink[:, :, None] * z[:, None, :]).reshape(n_sv, -1)
+    coefs = T[:, None, :] + steps.reshape(p, lams.shape[0], T.shape[1])
+    return coefs, solvable
 
 
 def fit_targeted_ridge_mixture(X, y, lam: float, spec: TargetSpec,

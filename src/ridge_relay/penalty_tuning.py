@@ -17,9 +17,16 @@ left side to (1 - f) times the right, so the constraint is always
 satisfiable for large enough candidates; if no grid point is feasible
 the selector falls back to the largest one and flags it.
 
-Scores are compared on exactly the values ``cv_score`` returns, ties
-prefer the larger penalty (more stability at equal predictive loss), and
-all randomness comes from the fold seed, so selection is reproducible.
+For the linear family every fold is solved for the whole grid at once:
+one eigendecomposition of the fold's training Gram matrix (taken from
+the SVD of the fold's design) gives the fold fit at every penalty and
+target (``fit_targeted_ridge_grid``), and those same fits give both the
+held-out score and the constraint's left side.
+The logistic family scores each candidate with ``cv_score`` and
+``constraint_terms``, which also serve as the per-candidate Cholesky
+reference for the linear route. Ties prefer the larger penalty (more
+stability at equal predictive loss), and all randomness comes from the
+fold seed, so selection is reproducible.
 """
 
 from __future__ import annotations
@@ -34,13 +41,14 @@ from .errors import ConvergenceError, SelectionError, SingularMatrixError, Valid
 from .model_core import (
     Batch,
     CoefficientVector,
+    CovariateRegistry,
     EstimatorState,
     TargetSpec,
     align_batch,
     assemble_target,
     mixture_target,
 )
-from .linear_estimator import fit_targeted_ridge
+from .linear_estimator import fit_targeted_ridge, fit_targeted_ridge_grid
 from .logistic_estimator import irls_fit, logistic_loglik
 from .parallel import parallel_map
 
@@ -326,6 +334,98 @@ def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
     return sorted(set(combos), reverse=True)
 
 
+def _sum_squares(resid: np.ndarray) -> np.ndarray:
+    """Column-wise sum of squares."""
+    return np.einsum("ij,ij->j", resid, resid)
+
+
+def _linear_grid_terms(X: np.ndarray, y: np.ndarray, folds: FoldPlan,
+                       grid: Sequence[float], targets: np.ndarray,
+                       hist_X: np.ndarray | None = None,
+                       hist_y: np.ndarray | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Fold-averaged held-out and historic RSS of every linear fold fit.
+
+    ``targets`` holds one target per column over the columns of ``X``.
+    Each fold is solved once for the whole grid and every target; the
+    same fold fits give the held-out residual sum of squares (the CV
+    score) and, with a history, the residual sum of squares on
+    ``hist_X``/``hist_y`` (the constraint's left side before the
+    ``1 - f`` factor). Both arrays have shape ``(len(grid), W)``; a
+    penalty at which some fold is numerically singular is infinite in
+    both, as a failed Cholesky factorization makes it in ``cv_score``.
+    """
+    L, W = len(grid), targets.shape[1]
+    score = np.zeros((L, W))
+    hist = None if hist_X is None else np.zeros((L, W))
+    solvable = np.ones(L, dtype=bool)
+    for fold in range(1, folds.k + 1):
+        train, test = folds.split(fold)
+        coefs, ok = fit_targeted_ridge_grid(X[train], y[train], grid, targets)
+        solvable &= ok
+        flat = coefs.reshape(X.shape[1], L * W)
+        score += _sum_squares(y[test][:, None] - X[test] @ flat).reshape(L, W)
+        if hist is not None:
+            for w in range(W):
+                hist[:, w] += _sum_squares(hist_y[:, None] - hist_X @ coefs[:, :, w])
+    score /= folds.k
+    score[~solvable] = np.inf
+    if hist is not None:
+        hist /= folds.k
+        hist[~solvable] = np.inf
+    return score, hist
+
+
+def _linear_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
+                  grid: tuple[float, ...], weight_options: list, target_map: dict,
+                  folds: FoldPlan, constrain: bool) -> list[Candidate]:
+    """The selection curve of a linear batch from one grid solve per fold.
+
+    History is stacked, and the constraint's right side evaluated, once
+    per selection rather than once per candidate.
+    """
+    names = registry.names
+    X = align_batch(batch, registry)
+    targets = np.column_stack([target_map[w].as_array(names) for w in weight_options])
+    if not constrain:
+        score, _ = _linear_grid_terms(X, batch.y, folds, grid, targets)
+        return [Candidate(lam=lam, weights=w, score=float(score[i, j]), feasible=True)
+                for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
+    hist_X = np.vstack([align_batch(b, registry) for b in state.retained])
+    hist_y = np.concatenate([b.y for b in state.retained])
+    prev = assemble_target(state, names).as_array(names)
+    rhs = _heldout_criterion("linear", hist_X, hist_y, prev)
+    f_new = batch.n / (batch.n + hist_y.shape[0])
+    score, hist = _linear_grid_terms(X, batch.y, folds, grid, targets, hist_X, hist_y)
+    lhs = (1.0 - f_new) * hist
+    return [Candidate(lam=lam, weights=w, score=float(score[i, j]),
+                      feasible=bool(lhs[i, j] <= rhs), lhs=float(lhs[i, j]), rhs=rhs)
+            for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
+
+
+def _per_candidate_curve(state: EstimatorState, batch: Batch, grid: tuple[float, ...],
+                         weight_options: list, target_map: dict, folds: FoldPlan,
+                         constrain: bool) -> list[Candidate]:
+    """The selection curve from ``cv_score`` and ``constraint_terms``, one candidate at a time."""
+
+    def evaluate(lam: float) -> list[Candidate]:
+        rows = []
+        for w in weight_options:
+            target = target_map[w]
+            score = cv_score(state.family, batch, lam,
+                             target.as_array(batch.covariates), folds)
+            if constrain:
+                terms = constraint_terms(state, batch, lam, target, folds)
+                rows.append(Candidate(lam=lam, weights=w, score=score,
+                                      feasible=terms.feasible, lhs=terms.lhs,
+                                      rhs=terms.rhs))
+            else:
+                rows.append(Candidate(lam=lam, weights=w, score=score, feasible=True))
+        return rows
+
+    return [c for rows in parallel_map(evaluate, grid) for c in rows]
+
+
 def select_penalty(state: EstimatorState, batch: Batch,
                    config: PenaltySearchConfig | None = None,
                    targets: TargetSpec | None = None) -> SelectionReport:
@@ -365,23 +465,12 @@ def select_penalty(state: EstimatorState, batch: Batch,
 
     constrain = cfg.constrained and bool(state.retained)
     new_fraction: float | None = None
-
-    def evaluate(lam: float) -> list[Candidate]:
-        rows = []
-        for w in weight_options:
-            target = target_map[w]
-            score = cv_score(state.family, batch, lam,
-                             target.as_array(batch.covariates), folds)
-            if constrain:
-                terms = constraint_terms(state, batch, lam, target, folds)
-                rows.append(Candidate(lam=lam, weights=w, score=score,
-                                      feasible=terms.feasible, lhs=terms.lhs,
-                                      rhs=terms.rhs))
-            else:
-                rows.append(Candidate(lam=lam, weights=w, score=score, feasible=True))
-        return rows
-
-    curve: list[Candidate] = [c for rows in parallel_map(evaluate, cfg.grid) for c in rows]
+    if state.family == "linear":
+        curve = _linear_curve(state, batch, registry, cfg.grid, weight_options,
+                              target_map, folds, constrain)
+    else:
+        curve = _per_candidate_curve(state, batch, cfg.grid, weight_options,
+                                     target_map, folds, constrain)
     if constrain:
         new_fraction = batch.n / (batch.n + sum(b.n for b in state.retained))
 

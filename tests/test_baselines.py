@@ -4,11 +4,13 @@ exact moments, the variance-ratio profiler, and plain ridge.
 The GLS solver is checked against a fully dense construction of the
 weighting matrix, the moment formulas against Monte Carlo simulation of
 the generating mixed model, and the profiler against data simulated at
-known variance ratios.
+known variance ratios and, as a property over generated stacks, its
+Woodbury route against the direct block route.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import optimize
 
 from ridge_relay import (
@@ -288,6 +290,40 @@ class TestEstimateXi:
         assert len(grid) == 25
         np.testing.assert_allclose(grid[0], 1e-4)
         np.testing.assert_allclose(grid[-1], 1e4)
+
+
+@st.composite
+def stacked_studies(draw):
+    """Stacks of 1-5 batches with 1-5 covariates and uneven batch sizes,
+    including batches with fewer rows than covariates, at batch-effect
+    scales from none to dominant."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    if sum(sizes) < p + 2:
+        sizes[-1] += p + 2 - sum(sizes)
+    effect_sd = draw(st.sampled_from([0.0, 0.3, 1.0, 5.0]))
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{j}" for j in range(p))
+    coef = rng.standard_normal(p)
+    batches = []
+    for t, n in enumerate(sizes, start=1):
+        X = rng.standard_normal((n, p))
+        y = X @ (coef + effect_sd * rng.standard_normal(p)) + rng.standard_normal(n)
+        batches.append(Batch(t=t, X=X, y=y, covariates=names))
+    return stack_batches(batches)
+
+
+class TestEstimateXiRoutes:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(stacked_studies())
+    def test_woodbury_route_matches_direct_route(self, data):
+        woodbury = estimate_xi(data, method="woodbury")
+        direct = estimate_xi(data, method="direct")
+        assert woodbury.xi == direct.xi
+        scale = np.linalg.norm(direct.fixed_effects)
+        assert np.linalg.norm(woodbury.fixed_effects - direct.fixed_effects) <= 1e-10 * scale
 
 
 class TestPlainRidge:

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -153,6 +154,26 @@ class TestStateRoundTrip:
         assert open(path, "rb").read() == before
         assert cio.read_state(path).current.values == state.current.values
 
+    def test_completed_write_fsyncs_the_directory_after_the_rename(self, tmp_path,
+                                                                   monkeypatch):
+        """The rename only survives a crash once the directory entry is
+        on disk, so the last fsync of a write is of the directory, after
+        the new content is in place."""
+        path = str(tmp_path / "model.json")
+        synced = []
+        real_fsync = os.fsync
+
+        def record(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            content = open(path, encoding="utf-8").read() if os.path.exists(path) else None
+            synced.append((is_dir, content))
+            real_fsync(fd)
+
+        monkeypatch.setattr(cio.os, "fsync", record)
+        cio._atomic_write_text(path, "new contents\n")
+        assert synced[-1] == (True, "new contents\n")
+        assert (False, None) in synced[:-1]
+
     def test_lock_blocks_concurrent_writers_and_cleans_up(self, tmp_path):
         path = str(tmp_path / "model.json")
         with cio.state_lock(path):
@@ -230,6 +251,23 @@ class TestPlotDataset:
         assert lines[2] == "2,"
         assert lines[3] == "3,-1.5"
         assert json.load(open(meta_path)) == {"kind": "demo", "n": 3}
+
+    def test_both_files_are_written_atomically(self, tmp_path, monkeypatch):
+        """The CSV, like its sidecar, appears only by rename of a complete
+        temporary file, and no temporary file is left behind."""
+        renamed = []
+        real_replace = os.replace
+
+        def record(src, dst):
+            renamed.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cio.os, "replace", record)
+        dataset = cio.PlotDataset(name="demo", columns={"t": [1, 2]}, metadata={})
+        csv_path, _ = cio.write_plot_dataset(dataset, str(tmp_path))
+        assert sorted(renamed) == ["demo.csv", "demo.meta.json"]
+        assert sorted(os.listdir(tmp_path)) == ["demo.csv", "demo.meta.json"]
+        assert open(csv_path, "rb").read() == b"t\r\n1\r\n2\r\n"
 
 
 class TestCliInit:
@@ -496,6 +534,15 @@ class TestCliPredict:
         write_csv(data, ["zz"], [[1.0]])
         code, _, err = run_cli("predict", "--state", path, "--data", data)
         assert code == 2 and "zz" in err
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_covariates_exit_2(self, tmp_path, cell):
+        path = self.make_state(tmp_path, {"a": 2.0, "b": 1.0})
+        data = str(tmp_path / "d.csv")
+        write_csv(data, ["a", "b"], [[3.0, 1.0], [1.0, cell]])
+        code, out, err = run_cli("predict", "--state", path, "--data", data)
+        assert code == 2 and out == ""
+        assert "'b'" in err and "not finite" in err
 
 
 class TestCliSimulate:

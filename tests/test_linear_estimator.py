@@ -22,6 +22,7 @@ from ridge_relay import (
     exact_moments_general,
     exact_moments_orthonormal,
     fit_targeted_ridge,
+    fit_targeted_ridge_grid,
     fit_targeted_ridge_mixture,
     update,
 )
@@ -188,6 +189,59 @@ class TestFitTargetedRidge:
         fit_b = fit_targeted_ridge_mixture(X, y, 0.8, spec, weights=(0.2, 0.8),
                                            names=("a", "b"))
         np.testing.assert_allclose(fit_a.coef, fit_b.coef, atol=1e-12)
+
+
+class TestFitTargetedRidgeGrid:
+    def test_every_grid_fit_matches_the_single_fit(self):
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((9, 3))
+        y = rng.standard_normal(9)
+        targets = rng.standard_normal((3, 2))
+        lams = (1e-4, 0.3, 7.0, 1e6)
+        coefs, solvable = fit_targeted_ridge_grid(X, y, lams, targets)
+        assert coefs.shape == (3, 4, 2) and solvable.all()
+        for i, lam in enumerate(lams):
+            for w in range(2):
+                np.testing.assert_allclose(
+                    coefs[:, i, w], fit_targeted_ridge(X, y, lam, targets[:, w]).coef,
+                    rtol=1e-10, atol=1e-12)
+
+    def test_zero_penalty_is_least_squares_on_full_rank_designs(self):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((8, 2))
+        y = rng.standard_normal(8)
+        coefs, solvable = fit_targeted_ridge_grid(X, y, (0.0,), np.ones((2, 1)))
+        assert solvable.all()
+        np.testing.assert_allclose(coefs[:, 0, 0], np.linalg.lstsq(X, y, rcond=None)[0],
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("rows", [6, 2])
+    def test_singular_penalties_are_flagged_not_solved(self, rows):
+        """A duplicated column (6 rows) or more columns than rows (2 rows)
+        leaves X'X singular: a zero penalty is flagged unsolvable and its
+        coefficients stay finite at the target; positive ones solve."""
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((rows, 3))
+        X[:, 2] = X[:, 0]
+        y = rng.standard_normal(rows)
+        target = np.array([[0.5], [-1.0], [2.0]])
+        coefs, solvable = fit_targeted_ridge_grid(X, y, (0.0, 1e-300, 1.0), target)
+        np.testing.assert_array_equal(solvable, [False, False, True])
+        assert np.isfinite(coefs).all()
+        np.testing.assert_array_equal(coefs[:, 0, 0], target[:, 0])
+        np.testing.assert_allclose(coefs[:, 2, 0],
+                                   fit_targeted_ridge(X, y, 1.0, target[:, 0]).coef,
+                                   rtol=1e-10)
+
+    def test_input_validation(self):
+        X = np.ones((3, 2))
+        with pytest.raises(ValidationError):
+            fit_targeted_ridge_grid(X, np.ones(3), (-1.0,), np.zeros((2, 1)))
+        with pytest.raises(ValidationError):
+            fit_targeted_ridge_grid(X, np.ones(3), (1.0,), np.zeros((3, 1)))
+        with pytest.raises(ValidationError):
+            fit_targeted_ridge_grid(X, np.array([1.0, np.nan, 0.0]), (1.0,),
+                                    np.zeros((2, 1)))
 
 
 class TestSequentialUpdate:

@@ -4,10 +4,16 @@ feasibility constraint.
 Fold construction, the CV score, and both sides of the constraint are
 checked against hand-rolled enumerations; the selector's tie-breaking,
 fallback, and determinism rules are exercised on constructed instances.
+The linear route's grid-wide solve is checked, as a property over
+generated selections, against the per-candidate ``cv_score`` and
+``constraint_terms`` route.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ridge_relay import (
     Batch,
@@ -410,15 +416,64 @@ class TestSelectPenalty:
         assert len(report.cv_curve) == 2
 
     def test_all_candidates_disqualified_raises(self, monkeypatch):
-        monkeypatch.setattr(penalty_tuning, "cv_score",
-                            lambda *args, **kwargs: float("inf"))
+        """The linear route scores the grid in ``_linear_grid_terms``; when
+        it rates every candidate infinite, selection must refuse."""
+        def all_infinite(X, y, folds, grid, targets, hist_X=None, hist_y=None):
+            shape = (len(grid), targets.shape[1])
+            return np.full(shape, np.inf), None if hist_X is None else np.full(shape, np.inf)
+
+        monkeypatch.setattr(penalty_tuning, "_linear_grid_terms", all_infinite)
         rng = np.random.default_rng(98)
         state, names = state_with_history(rng, np.array([1.0, -1.0]))
         X = rng.standard_normal((10, 2))
         batch = Batch(t=3, X=X, y=rng.standard_normal(10), covariates=names)
+        for constrained in (False, True):
+            cfg = PenaltySearchConfig(k_folds=5, constrained=constrained, grid=(0.5, 5.0))
+            with pytest.raises(SelectionError):
+                select_penalty(state, batch, cfg)
+
+    def test_all_logistic_candidates_disqualified_raises(self, monkeypatch):
+        """The logistic route scores each candidate with ``cv_score``."""
+        monkeypatch.setattr(penalty_tuning, "cv_score",
+                            lambda *args, **kwargs: float("inf"))
+        rng = np.random.default_rng(98)
+        names = ("a", "b")
+        state = EstimatorState(family="logistic", registry=CovariateRegistry(names),
+                               init_target=CoefficientVector({n: 0.0 for n in names}))
+        X = rng.standard_normal((10, 2))
+        y = np.array([0.0, 1.0] * 5)
+        batch = Batch(t=1, X=X, y=y, covariates=names, family="logistic")
         cfg = PenaltySearchConfig(k_folds=5, constrained=False, grid=(0.5, 5.0))
         with pytest.raises(SelectionError):
             select_penalty(state, batch, cfg)
+
+    @pytest.mark.parametrize("design", ["duplicated-column", "more-columns-than-rows"])
+    def test_singular_candidates_score_infinite(self, design):
+        """A penalty too small to lift X'X + lam I off singularity in some
+        fold disqualifies that candidate, in the score and in the
+        constraint, with no NaN anywhere in the curve; the usable penalty
+        is chosen."""
+        rng = np.random.default_rng(99)
+        p = 3 if design == "duplicated-column" else 6
+        state, names = state_with_history(rng, rng.standard_normal(p), n_batches=1, n=12)
+        n = 10 if design == "duplicated-column" else 4
+        X = rng.standard_normal((n, p))
+        if design == "duplicated-column":
+            X[:, 2] = X[:, 0]
+        batch = Batch(t=2, X=X, y=rng.standard_normal(n), covariates=names)
+        for constrained in (False, True):
+            cfg = PenaltySearchConfig(k_folds=2, constrained=constrained, grid=(1e-300, 1.0))
+            report = select_penalty(state, batch, cfg)
+            tiny, usable = report.cv_curve
+            assert tiny.score == np.inf
+            assert np.isfinite(usable.score)
+            if constrained:
+                assert tiny.lhs == np.inf and not tiny.feasible
+                assert np.isfinite(usable.lhs)
+            assert report.chosen_lambda == 1.0
+            values = [v for c in report.cv_curve for v in (c.score, c.lhs, c.rhs)
+                      if v is not None]
+            assert not np.isnan(values).any()
 
     def test_fold_count_cannot_exceed_batch_size(self):
         state = linear_state(("a",))
@@ -433,3 +488,88 @@ class TestSelectPenalty:
         np.testing.assert_allclose(grid[0], 1e-4)
         np.testing.assert_allclose(grid[-1], 1e6)
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+@st.composite
+def linear_selections(draw):
+    """A linear state, an arriving batch and a search configuration.
+
+    Covers K-fold and leave-one-out, batches with more covariates than
+    rows, batches that add covariates or lack some registry covariates,
+    first updates and constrained ones, mixture weight lattices and fixed
+    weights, and grids that always hold both ends of the default grid.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    registry_size = draw(st.integers(1, 5))
+    n_hist = draw(st.sampled_from([2, 1, 3, 0]))
+    n = draw(st.integers(3, 10))
+    k_folds = draw(st.one_of(st.none(), st.integers(2, min(5, n))))
+    carried = draw(st.lists(st.booleans(), min_size=registry_size, max_size=registry_size))
+    n_added = draw(st.integers(0 if any(carried) else 1, 3))
+    mixture = draw(st.sampled_from([None, "lattice", "fixed"]))
+    weight_points = draw(st.integers(2, 4))
+    constrained = draw(st.sampled_from([True, False]))
+    full = default_grid()
+    interior = draw(st.lists(st.sampled_from(full[1:-1]), max_size=3, unique=True))
+    grid = tuple(sorted({full[0], full[-1], *interior}))
+
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{j}" for j in range(registry_size))
+    coef = rng.standard_normal(registry_size + n_added)
+    state = linear_state(names)
+    for t in range(1, n_hist + 1):
+        rows = int(rng.integers(2, 12))
+        X = rng.standard_normal((rows, registry_size))
+        y = X @ coef[:registry_size] + 0.5 * rng.standard_normal(rows)
+        state = update(state, Batch(t=t, X=X, y=y, covariates=names),
+                       float(rng.choice([0.1, 1.0, 10.0])))
+    batch_names = [name for name, keep in zip(names, carried) if keep]
+    batch_names += [f"new{j}" for j in range(n_added)]
+    order = rng.permutation(len(batch_names))
+    batch_names = tuple(batch_names[i] for i in order)
+    all_names = names + tuple(f"new{j}" for j in range(n_added))
+    beta = np.array([coef[all_names.index(c)] for c in batch_names])
+    X = rng.standard_normal((n, len(batch_names)))
+    batch = Batch(t=state.t + 1, X=X, y=X @ beta + 0.5 * rng.standard_normal(n),
+                  covariates=batch_names)
+
+    spec = None
+    if mixture is not None:
+        other = CoefficientVector({c: float(v) for c, v in
+                                   zip(names, rng.standard_normal(registry_size))})
+        weights = None
+        if mixture == "fixed":
+            w = float(rng.uniform())
+            weights = (w, 1.0 - w)
+        spec = TargetSpec(targets=(state.current, other), weights=weights)
+    cfg = PenaltySearchConfig(k_folds=k_folds, constrained=constrained, grid=grid,
+                              seed=int(rng.integers(1000)), weight_points=weight_points)
+    return state, batch, cfg, spec
+
+
+def per_candidate_curve(state, batch, registry, *rest):
+    return penalty_tuning._per_candidate_curve(state, batch, *rest)
+
+
+class TestLinearGridRouteProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(linear_selections())
+    def test_grid_route_matches_per_candidate_route(self, case):
+        state, batch, cfg, spec = case
+        report = select_penalty(state, batch, cfg, targets=spec)
+        with mock.patch.object(penalty_tuning, "_linear_curve", per_candidate_curve):
+            oracle = select_penalty(state, batch, cfg, targets=spec)
+        assert len(report.cv_curve) == len(oracle.cv_curve)
+        for got, want in zip(report.cv_curve, oracle.cv_curve):
+            assert (got.lam, got.weights) == (want.lam, want.weights)
+            np.testing.assert_allclose(got.score, want.score, rtol=1e-10)
+            assert got.feasible == want.feasible
+            for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_allclose(a, b, rtol=1e-10)
+        assert report.chosen_lambda == oracle.chosen_lambda
+        assert report.chosen_weights == oracle.chosen_weights
+        assert report.fallback_used == oracle.fallback_used
+        assert report.new_fraction == oracle.new_fraction
