@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
 from .model_core import Batch
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
@@ -214,22 +214,15 @@ def _direct_blocks(data: StackedData, xi: float):
             raise SingularMatrixError("I + xi X'X has non-positive determinant")
         logdet += ld
         omega = np.eye(X.shape[0]) + xi * (X @ X.T)
-        try:
-            factor = cho_factor(omega, lower=True)
-        except LinAlgError as exc:
-            raise SingularMatrixError("a marginal covariance block is singular") from exc
-        S = cho_solve(factor, X)
+        S = cho_solve(cho_factor(omega, "a marginal covariance block"), X)
         C += X.T @ S
         b += S.T @ y
     return C, b, logdet
 
 
 def _solve_spd(C: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    try:
-        factor = cho_factor(0.5 * (C + C.T), lower=True)
-    except LinAlgError as exc:
-        raise SingularMatrixError(f"{what} is numerically singular") from exc
-    pivots = np.abs(np.diag(factor[0]))
+    factor = cho_factor(0.5 * (C + C.T), what)
+    pivots = np.abs(np.diag(factor.lower))
     if pivots.size and pivots.min() <= 1e-10 * max(pivots.max(), 1e-300):
         raise SingularMatrixError(f"{what} is numerically singular")
     return cho_solve(factor, rhs)
@@ -281,11 +274,7 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     M = np.zeros((p, p))
     for X in data.blocks:
         gram = X.T @ X
-        inner = np.eye(p) + xi * gram
-        try:
-            factor = cho_factor(inner, lower=True)
-        except LinAlgError as exc:
-            raise SingularMatrixError("I + xi X'X is numerically singular") from exc
+        factor = cho_factor(np.eye(p) + xi * gram, "I + xi X'X")
         HG = cho_solve(factor, gram)
         C += HG
         M += sigma_eps_sq * cho_solve(factor, HG.T) + sigma_gamma_sq * HG @ HG
@@ -336,8 +325,8 @@ def _direct_profile_point(data: StackedData, xi: float):
             gram_r = X.T @ r
             inner = np.eye(data.p) + xi * (X.T @ X)
             quad += float(r @ r) - xi * float(gram_r @ cho_solve(
-                cho_factor(inner, lower=True), gram_r))
-    except (SingularMatrixError, LinAlgError):
+                cho_factor(inner, "I + xi X'X"), gram_r))
+    except SingularMatrixError:
         return None
     return beta, quad, logdet
 

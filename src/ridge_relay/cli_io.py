@@ -3,11 +3,13 @@
 The unit of persistence is the *state file*: one JSON document holding
 the covariate registry, the shrinkage target the model started from, the
 full update history, and the retained batches. Schema versioning is
-explicit (``ridge-relay-state/1``); floats are serialized through JSON's
-shortest round-trip representation, so a load immediately followed by a
-save reproduces the bytes exactly. Writes go to a temporary file in the
-target directory followed by an atomic rename, and an advisory lock file
-(``<state>.lock``) guards read-modify-write command runs.
+explicit (``ridge-relay-state/1``). The document is written as compact
+JSON with sorted keys, and floats through JSON's shortest round-trip
+representation, so a load immediately followed by a save reproduces the
+bytes exactly; indented files from earlier versions read the same.
+Writes go to a temporary file in the target directory followed by an
+atomic rename, and an advisory lock file (``<state>.lock``) guards
+read-modify-write command runs.
 
 Exit codes: 0 success; 2 invalid inputs (schema, CSV, configuration);
 3 numerical failure of a fit (non-convergence, singular system);
@@ -33,8 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from ._numerics import expit
 from .errors import (
     ConvergenceError,
     EstimationError,
@@ -160,7 +162,7 @@ def doc_to_state(doc: dict) -> EstimatorState:
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
 
 
 def read_state(path: str) -> EstimatorState:

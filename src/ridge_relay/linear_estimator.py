@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
 from .model_core import (
     Batch,
@@ -94,8 +94,8 @@ def _penalized_normal_factor(gram: np.ndarray, lam: float):
     """Cholesky factor of X'X + lam I, or a singularity error."""
     p = gram.shape[0]
     try:
-        return cho_factor(gram + lam * np.eye(p), lower=True)
-    except LinAlgError as exc:
+        return cho_factor(gram + lam * np.eye(p))
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"X'X + lam I is numerically singular at lam={lam!r}; "
             "a positive penalty or full-rank design is required") from exc
@@ -301,11 +301,16 @@ def estimate_noise_variance(X, y, fit: LinearFit) -> float:
     """Residual variance estimate for a targeted ridge fit.
 
     Divides the residual sum of squares by n minus the effective degrees
-    of freedom trace((X'X + lam I)^{-1} X'X) of the smoother.
+    of freedom trace((X'X + lam I)^{-1} X'X) of the smoother. With the
+    singular values s of X that trace is sum s^2 / (s^2 + lam), whose
+    terms are exactly 1 at lam = 0: a design with as many independent
+    columns as rows leaves exactly zero degrees of freedom, which is an
+    error, not a rounding residue divided into the fit's residual.
     """
     X, y, _ = _check_xy_target(X, y, fit.target)
-    gram = X.T @ X
-    edf = float(np.trace(cho_solve(_penalized_normal_factor(gram, fit.lam), gram)))
+    d = np.linalg.svd(X, compute_uv=False) ** 2
+    d = d[d > 0]
+    edf = float(np.sum(d / (d + fit.lam)))
     dof = X.shape[0] - edf
     if dof <= 0:
         raise EstimationError(

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import expit
 
-from .errors import ConvergenceError, SingularMatrixError, ValidationError
+from ._numerics import cho_factor, cho_solve, expit
+from .errors import ConvergenceError, ValidationError
 from .model_core import (
     Batch,
     CoefficientVector,
@@ -170,10 +169,7 @@ def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> Logi
         w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
         z = eta + (y - mu) / w
         xw = X.T * w
-        try:
-            factor = cho_factor(xw @ X + lam * eye, lower=True)
-        except LinAlgError as exc:
-            raise SingularMatrixError("weighted normal equations are singular") from exc
+        factor = cho_factor(xw @ X + lam * eye, "the weighted normal matrix")
         proposal = cho_solve(factor, xw @ z + lam * target)
         direction = proposal - coef
 

@@ -100,8 +100,10 @@ class FoldPlan:
             raise ValidationError("need at least 2 folds")
         if arr.size < self.k:
             raise ValidationError("more folds than observations")
-        present = np.unique(arr)
-        if present.min() < 1 or present.max() > self.k or present.size != self.k:
+        # bincount, not np.unique: NumPy's unique loads numpy.ma on first
+        # use, which costs every update process several milliseconds.
+        if (arr.min() < 1 or arr.max() > self.k
+                or np.count_nonzero(np.bincount(arr)) != self.k):
             raise ValidationError("every fold label in 1..k must occur")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -137,7 +139,7 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
         strata = np.asarray(strata)
         if strata.shape[0] != n:
             raise ValidationError("strata must have one label per observation")
-        for label in np.unique(strata):
+        for label in sorted(set(strata.tolist())):
             rows = np.flatnonzero(strata == label)
             for row in rows[rng.permutation(rows.size)]:
                 assignments[row] = counter % k + 1

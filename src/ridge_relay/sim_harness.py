@@ -39,9 +39,7 @@ from .logistic_estimator import update_logistic
 from .penalty_tuning import PenaltySearchConfig, default_grid, select_penalty
 from .baselines import default_xi_grid, estimate_xi, stack_batches
 from .parallel import parallel_map
-
-from scipy.linalg import cho_solve
-from scipy.special import expit
+from ._numerics import cho_solve, expit
 
 __all__ = [
     "ScenarioConfig",

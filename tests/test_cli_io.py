@@ -97,6 +97,29 @@ class TestStateRoundTrip:
         cio.write_state(cio.read_state(a), b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_state_file_is_compact_json(self, tmp_path):
+        state = seeded_state()
+        path = str(tmp_path / "model.json")
+        cio.write_state(state, path)
+        text = open(path, encoding="utf-8").read()
+        assert text == json.dumps(cio.state_to_doc(state), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    def test_indented_state_files_still_read(self, tmp_path):
+        state = seeded_state()
+        old = tmp_path / "indented.json"
+        old.write_text(json.dumps(cio.state_to_doc(state), indent=2,
+                                  sort_keys=True, allow_nan=False) + "\n")
+        loaded = cio.read_state(str(old))
+        assert cio.state_to_doc(loaded) == cio.state_to_doc(state)
+        np.testing.assert_array_equal(loaded.retained[0].X, state.retained[0].X)
+        np.testing.assert_array_equal(loaded.retained[0].y, state.retained[0].y)
+        new = str(tmp_path / "rewritten.json")
+        cio.write_state(loaded, new)
+        fresh = str(tmp_path / "fresh.json")
+        cio.write_state(state, fresh)
+        assert open(new, "rb").read() == open(fresh, "rb").read()
+
     def test_mixture_weights_survive_the_round_trip(self, tmp_path):
         state = seeded_state(with_history=False)
         record = UpdateRecord(t=1, lam=2.0,
