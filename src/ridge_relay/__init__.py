@@ -39,7 +39,6 @@ from .linear_estimator import (
     exact_moments_orthonormal,
     fit_targeted_ridge,
     fit_targeted_ridge_grid,
-    fit_targeted_ridge_mixture,
     update,
 )
 from .logistic_estimator import (
@@ -47,7 +46,6 @@ from .logistic_estimator import (
     LogisticFit,
     estimating_equation,
     irls_fit,
-    irls_fit_mixture,
     logistic_loglik,
     penalized_loglik,
     update_logistic,
@@ -55,12 +53,15 @@ from .logistic_estimator import (
 from .penalty_tuning import (
     Candidate,
     ConstraintTerms,
+    Family,
     FoldPlan,
     PenaltySearchConfig,
     SelectionReport,
     constraint_terms,
     cv_score,
     default_grid,
+    fit_first_batch,
+    get_family,
     make_folds,
     select_penalty,
 )

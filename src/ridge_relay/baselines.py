@@ -107,15 +107,6 @@ class StackedData:
     def y_blocks(self) -> list[np.ndarray]:
         return [self.y_stack[a:b] for a, b in self.batch_boundaries]
 
-    @property
-    def z_block(self) -> np.ndarray:
-        """Dense random-effect design: batch tau's rows hit coefficient block tau."""
-        t, p = self.n_batches, self.p
-        Z = np.zeros((self.n, t * p))
-        for tau, (a, b) in enumerate(self.batch_boundaries):
-            Z[a:b, tau * p:(tau + 1) * p] = self.x_stack[a:b]
-        return Z
-
 
 def stack_batches(batches: Sequence[Batch]) -> StackedData:
     """Stack linear batches that share one covariate layout."""

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import expit
 from .errors import (
     ConvergenceError,
     EstimationError,
@@ -57,14 +56,14 @@ from .model_core import (
     align_batch,
     assemble_target,
 )
-from .linear_estimator import fit_targeted_ridge, update
-from .logistic_estimator import irls_fit, update_logistic
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
     DEFAULT_GRID_POINTS,
     PenaltySearchConfig,
     default_grid,
+    fit_first_batch,
+    get_family,
     select_penalty,
 )
 from .sim_harness import (
@@ -409,13 +408,6 @@ def _selection_config(args, constrained_default: bool = True) -> PenaltySearchCo
                                seed=args.seed)
 
 
-def _fit_initial(batch: Batch, lam: float) -> np.ndarray:
-    zeros = np.zeros(batch.p)
-    if batch.family == "linear":
-        return fit_targeted_ridge(batch.X, batch.y, lam, zeros).coef
-    return irls_fit(batch.X, batch.y, lam, zeros).coef
-
-
 def cmd_init(args) -> int:
     if os.path.exists(args.state) and not args.force:
         raise ValidationError(
@@ -456,21 +448,7 @@ def cmd_init(args) -> int:
         if not args.response:
             raise ValidationError("--data requires --response")
         batch = read_batch_csv(args.data, args.response, t=0, family=args.family)
-        blank = EstimatorState(
-            family=args.family,
-            registry=CovariateRegistry(batch.covariates),
-            init_target=CoefficientVector({n: 0.0 for n in batch.covariates}),
-        )
-        sel = _selection_config(args, constrained_default=False)
-        chosen = select_penalty(blank, batch, sel)
-        coef = _fit_initial(batch, chosen.chosen_lambda)
-        state = EstimatorState(
-            family=args.family,
-            registry=CovariateRegistry(batch.covariates),
-            init_target=CoefficientVector.from_array(batch.covariates, coef),
-            init_note="fit-first-batch",
-            retained=(batch,),
-        )
+        state, chosen = fit_first_batch(batch, _selection_config(args, constrained_default=False))
         report["init"] = "fit-first-batch"
         report["lam"] = chosen.chosen_lambda
         report["score"] = chosen.score
@@ -482,18 +460,12 @@ def cmd_init(args) -> int:
     return 0
 
 
-def _run_selection(args, state: EstimatorState, batch: Batch):
-    sel = _selection_config(args)
-    report = select_penalty(state, batch, sel)
-    return sel, report
-
-
 def cmd_update(args) -> int:
     with state_lock(args.state):
         state = read_state(args.state)
         batch = read_batch_csv(args.data, args.response, t=state.t + 1,
                                family=state.family)
-        _, report = _run_selection(args, state, batch)
+        report = select_penalty(state, batch, _selection_config(args))
         diagnostics = {
             "lam": report.chosen_lambda,
             "score": report.score,
@@ -504,10 +476,8 @@ def cmd_update(args) -> int:
             "seed": report.seed,
             "n": batch.n,
         }
-        if state.family == "linear":
-            state = update(state, batch, report.chosen_lambda, diagnostics=diagnostics)
-        else:
-            state = update_logistic(state, batch, report.chosen_lambda, diagnostics=diagnostics)
+        state = get_family(state.family).update(state, batch, report.chosen_lambda,
+                                                diagnostics=diagnostics)
         write_state(state, args.state)
     out = dict(state.history[-1].diagnostics)
     out.update({"t": state.t, "state": args.state,
@@ -520,7 +490,7 @@ def cmd_select_lambda(args) -> int:
     state = read_state(args.state)
     batch = read_batch_csv(args.data, args.response, t=state.t + 1,
                            family=state.family)
-    _, report = _run_selection(args, state, batch)
+    report = select_penalty(state, batch, _selection_config(args))
     _print_json(report.to_dict())
     return 0
 
@@ -530,9 +500,7 @@ def cmd_predict(args) -> int:
     X = read_covariate_csv(args.data, state.registry, drop=args.response)
     names = state.registry.names
     coef = assemble_target(state, names).as_array(names)
-    eta = X @ coef
-    values = expit(eta) if state.family == "logistic" else eta
-    for v in values:
+    for v in get_family(state.family).mean(X @ coef):
         sys.stdout.write(f"{float(v)!r}\n")
     return 0
 

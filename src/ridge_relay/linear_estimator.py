@@ -44,7 +44,6 @@ __all__ = [
     "MomentReport",
     "fit_targeted_ridge",
     "fit_targeted_ridge_grid",
-    "fit_targeted_ridge_mixture",
     "update",
     "exact_moments_orthonormal",
     "exact_moments_general",
@@ -162,34 +161,42 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     return coefs, solvable
 
 
-def fit_targeted_ridge_mixture(X, y, lam: float, spec: TargetSpec,
-                               weights: Sequence[float] | None = None,
-                               names: Sequence[str] | None = None) -> LinearFit:
-    """Targeted ridge against a convex combination of candidate targets.
+def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, lam: float,
+                       fallback: "float | CoefficientVector | None",
+                       target_spec: TargetSpec | None, weights: Sequence[float] | None,
+                       diagnostics: dict | None) -> EstimatorState:
+    """The update step of both families.
 
-    ``names`` gives the covariate order of the columns of ``X``; when
-    omitted, the order of the first target's names is used.
+    ``fit(X, y, lam, target)`` returns the coefficients and the
+    diagnostics the fit adds to the record (given ``diagnostics`` win).
     """
-    if names is None:
-        names = spec.targets[0].names()
-    mixed = mixture_target(spec, weights)
-    return fit_targeted_ridge(X, y, lam, mixed.as_array(tuple(names)))
-
-
-def _resolve_target(state: EstimatorState, names: Sequence[str],
-                    fallback: "float | CoefficientVector | None",
-                    target_spec: TargetSpec | None,
-                    weights: Sequence[float] | None) -> tuple[np.ndarray, tuple[float, ...] | None]:
+    if state.family != family or batch.family != family:
+        raise ValidationError(f"this update handles the {family} family only")
+    lam = _check_penalty(lam)
+    if lam == 0:
+        raise ValidationError("sequential updates require a strictly positive penalty")
+    registry = state.registry.extended(batch.covariates)
+    names = registry.names
     if target_spec is None:
         if weights is not None:
             raise ValidationError("weights were given without a target spec")
-        return assemble_target(state, names, fallback).as_array(names), None
-    expanded = TargetSpec(tuple(assemble_target(t, names, fallback)
-                                for t in target_spec.targets),
-                          target_spec.weights)
-    mixed = mixture_target(expanded, weights)
-    used = tuple(weights) if weights is not None else expanded.weights
-    return mixed.as_array(names), used
+        target, used_weights = assemble_target(state, names, fallback), None
+    else:
+        expanded = TargetSpec(tuple(assemble_target(t, names, fallback)
+                                    for t in target_spec.targets),
+                              target_spec.weights)
+        target = mixture_target(expanded, weights)
+        used_weights = tuple(weights) if weights is not None else expanded.weights
+    coef, fit_diagnostics = fit(align_batch(batch, registry), batch.y, lam,
+                                target.as_array(names))
+    record = UpdateRecord(
+        t=state.t + 1,
+        lam=lam,
+        estimate=CoefficientVector.from_array(names, coef),
+        weights=used_weights,
+        diagnostics={**fit_diagnostics, **(diagnostics or {})},
+    )
+    return state.with_update(registry, record, batch)
 
 
 def update(state: EstimatorState, batch: Batch, lam: float, *,
@@ -205,23 +212,11 @@ def update(state: EstimatorState, batch: Batch, lam: float, *,
     target, then 0). With a ``target_spec`` the target is a weighted
     mixture of the spec's candidates instead.
     """
-    if state.family != "linear" or batch.family != "linear":
-        raise ValidationError("update handles the linear family only")
-    lam = _check_penalty(lam)
-    if lam == 0:
-        raise ValidationError("sequential updates require a strictly positive penalty")
-    registry = state.registry.extended(batch.covariates)
-    names = registry.names
-    target_arr, used_weights = _resolve_target(state, names, fallback, target_spec, weights)
-    fit = fit_targeted_ridge(align_batch(batch, registry), batch.y, lam, target_arr)
-    record = UpdateRecord(
-        t=state.t + 1,
-        lam=lam,
-        estimate=CoefficientVector.from_array(names, fit.coef),
-        weights=used_weights,
-        diagnostics=diagnostics or {},
-    )
-    return state.with_update(registry, record, batch)
+    def fit(X, y, lam, target):
+        return fit_targeted_ridge(X, y, lam, target).coef, {}
+
+    return _sequential_update("linear", fit, state, batch, lam, fallback, target_spec,
+                              weights, diagnostics)
 
 
 def exact_moments_orthonormal(coef, target, lam: float, steps: int,

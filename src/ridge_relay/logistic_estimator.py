@@ -24,15 +24,8 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve, expit
 from .errors import ConvergenceError, ValidationError
-from .model_core import (
-    Batch,
-    CoefficientVector,
-    EstimatorState,
-    TargetSpec,
-    UpdateRecord,
-    align_batch,
-)
-from .linear_estimator import _check_penalty, _check_xy_target, _resolve_target
+from .model_core import Batch, CoefficientVector, EstimatorState, TargetSpec
+from .linear_estimator import _check_penalty, _check_xy_target, _sequential_update
 
 __all__ = [
     "IrlsConfig",
@@ -41,7 +34,6 @@ __all__ = [
     "penalized_loglik",
     "estimating_equation",
     "irls_fit",
-    "irls_fit_mixture",
     "update_logistic",
 ]
 
@@ -200,19 +192,6 @@ def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> Logi
         last_coef=coef, gradient_norm=gnorm, iterations=cfg.max_iter)
 
 
-def irls_fit_mixture(X, y, lam: float, spec: TargetSpec,
-                     weights: Sequence[float] | None = None,
-                     names: Sequence[str] | None = None,
-                     config: IrlsConfig | None = None) -> LogisticFit:
-    """IRLS against a convex combination of candidate targets."""
-    from .model_core import mixture_target
-
-    if names is None:
-        names = spec.targets[0].names()
-    mixed = mixture_target(spec, weights)
-    return irls_fit(X, y, lam, mixed.as_array(tuple(names)), config)
-
-
 def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
                     fallback: "float | CoefficientVector | None" = None,
                     target_spec: TargetSpec | None = None,
@@ -225,23 +204,10 @@ def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
     covariate shrinks toward its most recent estimate and new covariates
     toward ``fallback`` (default: the initial target, then 0).
     """
-    if state.family != "logistic" or batch.family != "logistic":
-        raise ValidationError("update_logistic handles the logistic family only")
-    lam = _check_penalty(lam)
-    if lam == 0:
-        raise ValidationError("sequential updates require a strictly positive penalty")
-    registry = state.registry.extended(batch.covariates)
-    names = registry.names
-    target_arr, used_weights = _resolve_target(state, names, fallback, target_spec, weights)
-    fit = irls_fit(align_batch(batch, registry), batch.y, lam, target_arr, config)
-    diag = dict(diagnostics or {})
-    diag.setdefault("irls_iterations", fit.iterations)
-    diag.setdefault("irls_gradient_norm", fit.final_gradient_norm)
-    record = UpdateRecord(
-        t=state.t + 1,
-        lam=lam,
-        estimate=CoefficientVector.from_array(names, fit.coef),
-        weights=used_weights,
-        diagnostics=diag,
-    )
-    return state.with_update(registry, record, batch)
+    def fit(X, y, lam, target):
+        res = irls_fit(X, y, lam, target, config)
+        return res.coef, {"irls_iterations": res.iterations,
+                          "irls_gradient_norm": res.final_gradient_norm}
+
+    return _sequential_update("logistic", fit, state, batch, lam, fallback, target_spec,
+                              weights, diagnostics)

@@ -1,10 +1,15 @@
 """Small helper for optional thread-based parallelism.
 
-The environment variable ``RIDGE_RELAY_THREADS`` caps the number of worker
-threads used anywhere in the package. Unset means ``os.cpu_count()``; a
-value of ``1`` disables pools entirely and runs the plain sequential loop,
-which keeps profiling and debugging simple. Results always come back in
-input order, so parallel and sequential execution are interchangeable.
+The simulation studies run their replicates through ``parallel_map``;
+that is the only pool in the package. Penalty selection and the fits
+below it run on the calling thread, so pools never nest and a study
+holds at most one pool of ``worker_count()`` threads.
+
+The environment variable ``RIDGE_RELAY_THREADS`` caps the pool's worker
+threads. Unset means ``os.cpu_count()``; a value of ``1`` disables the
+pool and runs the plain sequential loop, which keeps profiling and
+debugging simple. Results always come back in input order, so parallel
+and sequential execution are interchangeable.
 """
 
 from __future__ import annotations

@@ -17,16 +17,16 @@ left side to (1 - f) times the right, so the constraint is always
 satisfiable for large enough candidates; if no grid point is feasible
 the selector falls back to the largest one and flags it.
 
-For the linear family every fold is solved for the whole grid at once:
-one eigendecomposition of the fold's training Gram matrix (taken from
-the SVD of the fold's design) gives the fold fit at every penalty and
-target (``fit_targeted_ridge_grid``), and those same fits give both the
-held-out score and the constraint's left side.
-The logistic family scores each candidate with ``cv_score`` and
-``constraint_terms``, which also serve as the per-candidate Cholesky
-reference for the linear route. Ties prefer the larger penalty (more
-stability at equal predictive loss), and all randomness comes from the
-fold seed, so selection is reproducible.
+Only the fit and the loss differ between families, so each family is one
+object (``get_family``) and every family takes one route: history is
+stacked once per selection, each fold is fitted once for the whole grid
+(``Family.fit_grid``: one decomposition per fold for the linear family,
+one IRLS fit per candidate for the logistic one), and the same fold fits
+give both the held-out score and the constraint's left side.
+``cv_score`` and ``constraint_terms`` evaluate one candidate at a time
+and are the reference for that route. Ties prefer the larger penalty
+(more stability at equal predictive loss), and all randomness comes from
+the fold seed, so selection is reproducible.
 """
 
 from __future__ import annotations
@@ -48,15 +48,17 @@ from .model_core import (
     assemble_target,
     mixture_target,
 )
-from .linear_estimator import fit_targeted_ridge, fit_targeted_ridge_grid
-from .logistic_estimator import irls_fit, logistic_loglik
-from .parallel import parallel_map
+from ._numerics import expit
+from .linear_estimator import fit_targeted_ridge, fit_targeted_ridge_grid, update
+from .logistic_estimator import irls_fit, logistic_loglik, update_logistic
 
 __all__ = [
     "DEFAULT_GRID_MIN",
     "DEFAULT_GRID_MAX",
     "DEFAULT_GRID_POINTS",
     "default_grid",
+    "Family",
+    "get_family",
     "FoldPlan",
     "make_folds",
     "cv_score",
@@ -66,6 +68,7 @@ __all__ = [
     "PenaltySearchConfig",
     "SelectionReport",
     "select_penalty",
+    "fit_first_batch",
 ]
 
 DEFAULT_GRID_MIN = 1e-4
@@ -83,6 +86,95 @@ def default_grid(grid_min: float = DEFAULT_GRID_MIN, grid_max: float = DEFAULT_G
     if points == 1:
         return (float(grid_max),)
     return tuple(np.geomspace(grid_min, grid_max, points).tolist())
+
+
+class Family:
+    """What selection and updating need to know about one response family.
+
+    ``fit(X, y, lam, target)`` returns the coefficients of one targeted
+    ridge fit. ``fit_grid(X, y, lams, targets)`` fits every penalty and
+    every target column: coefficients of shape ``(p, L, W)`` and a mask of
+    shape ``(L, W)`` that is False where a fit is unusable. ``loss(X, y,
+    coefs)`` is the criterion the selector minimizes, one value per
+    coefficient column. ``mean`` maps a linear predictor to the expected
+    response, ``sample`` draws responses around it, and ``update`` is the
+    family's sequential step. Methods look the estimators up by their
+    module-level names when they run, so a wrapper installed over those
+    names sees every fit.
+    """
+
+    name: str
+    stratified: bool
+
+
+class _Linear(Family):
+    name = "linear"
+    stratified = False
+
+    def fit(self, X, y, lam, target):
+        return fit_targeted_ridge(X, y, lam, target).coef
+
+    def fit_grid(self, X, y, lams, targets):
+        coefs, solvable = fit_targeted_ridge_grid(X, y, lams, targets)
+        return coefs, np.repeat(solvable[:, None], targets.shape[1], axis=1)
+
+    def loss(self, X, y, coefs):
+        resid = y[:, None] - X @ coefs
+        return np.einsum("ij,ij->j", resid, resid)
+
+    def mean(self, eta):
+        return eta
+
+    def sample(self, rng, eta, noise_var):
+        return eta + np.sqrt(noise_var) * rng.standard_normal(eta.shape[0])
+
+    def update(self, state, batch, lam, **options):
+        return update(state, batch, lam, **options)
+
+
+class _Logistic(Family):
+    name = "logistic"
+    stratified = True
+
+    def fit(self, X, y, lam, target):
+        return irls_fit(X, y, lam, target).coef
+
+    def fit_grid(self, X, y, lams, targets):
+        """One IRLS fit per candidate; a fit that fails to converge, or is
+        singular, leaves its candidate at the target and marks it unusable."""
+        columns = np.ascontiguousarray(targets.T)
+        coefs = np.repeat(targets[:, None, :], len(lams), axis=1)
+        ok = np.ones((len(lams), columns.shape[0]), dtype=bool)
+        for i, lam in enumerate(lams):
+            for j, target in enumerate(columns):
+                try:
+                    coefs[:, i, j] = self.fit(X, y, lam, target)
+                except (ConvergenceError, SingularMatrixError):
+                    ok[i, j] = False
+        return coefs, ok
+
+    def loss(self, X, y, coefs):
+        return np.array([-logistic_loglik(X, y, c) for c in np.ascontiguousarray(coefs.T)])
+
+    def mean(self, eta):
+        return expit(eta)
+
+    def sample(self, rng, eta, noise_var):
+        return (rng.random(eta.shape[0]) < expit(eta)).astype(float)
+
+    def update(self, state, batch, lam, **options):
+        return update_logistic(state, batch, lam, **options)
+
+
+_FAMILIES = {family.name: family for family in (_Linear(), _Logistic())}
+
+
+def get_family(name: str) -> Family:
+    """The family object for ``"linear"`` or ``"logistic"``."""
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValidationError(f"unknown family {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -147,21 +239,6 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     return FoldPlan(assignments=assignments, k=k)
 
 
-def _heldout_criterion(family: str, X_test: np.ndarray, y_test: np.ndarray,
-                       coef: np.ndarray) -> float:
-    if family == "linear":
-        resid = y_test - X_test @ coef
-        return float(resid @ resid)
-    return -logistic_loglik(X_test, y_test, coef)
-
-
-def _fit_coef(family: str, X: np.ndarray, y: np.ndarray, lam: float,
-              target: np.ndarray) -> np.ndarray:
-    if family == "linear":
-        return fit_targeted_ridge(X, y, lam, target).coef
-    return irls_fit(X, y, lam, target).coef
-
-
 def cv_score(family: str, batch: Batch, lam: float, target, folds: FoldPlan) -> float:
     """Mean over folds of the held-out criterion of the fold fits.
 
@@ -172,6 +249,7 @@ def cv_score(family: str, batch: Batch, lam: float, target, folds: FoldPlan) -> 
     raising: an unusable candidate should lose the comparison, not abort
     it.
     """
+    fam = get_family(family)
     target = np.asarray(target, dtype=float)
     if target.shape != (batch.p,):
         raise ValidationError(f"target must have length {batch.p}")
@@ -182,10 +260,10 @@ def cv_score(family: str, batch: Batch, lam: float, target, folds: FoldPlan) -> 
     for fold in range(1, folds.k + 1):
         train, test = folds.split(fold)
         try:
-            coef = _fit_coef(family, X[train], y[train], lam, target)
+            coef = fam.fit(X[train], y[train], lam, target)
         except (ConvergenceError, SingularMatrixError):
             return float("inf")
-        total += _heldout_criterion(family, X[test], y[test], coef)
+        total += float(fam.loss(X[test], y[test], coef[:, None])[0])
     return total / folds.k
 
 
@@ -222,17 +300,18 @@ def constraint_terms(state: EstimatorState, batch: Batch, lam: float,
     hist_X = np.vstack([align_batch(b, registry) for b in state.retained])
     hist_y = np.concatenate([b.y for b in state.retained])
     prev = assemble_target(state, names).as_array(names)
-    rhs = _heldout_criterion(state.family, hist_X, hist_y, prev)
+    fam = get_family(state.family)
+    rhs = float(fam.loss(hist_X, hist_y, prev[:, None])[0])
     f_new = batch.n / (batch.n + hist_y.shape[0])
     total = 0.0
     for fold in range(1, folds.k + 1):
         train, _ = folds.split(fold)
         try:
-            coef = _fit_coef(state.family, X_new[train], batch.y[train], lam, target_arr)
+            coef = fam.fit(X_new[train], batch.y[train], lam, target_arr)
         except (ConvergenceError, SingularMatrixError):
             total = float("inf")
             break
-        total += _heldout_criterion(state.family, hist_X, hist_y, coef)
+        total += float(fam.loss(hist_X, hist_y, coef[:, None])[0])
     lhs = (1.0 - f_new) * (total / folds.k if np.isfinite(total) else total)
     return ConstraintTerms(lhs=lhs, rhs=rhs, new_fraction=f_new)
 
@@ -336,96 +415,48 @@ def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
     return sorted(set(combos), reverse=True)
 
 
-def _sum_squares(resid: np.ndarray) -> np.ndarray:
-    """Column-wise sum of squares."""
-    return np.einsum("ij,ij->j", resid, resid)
+def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
+                     grid: tuple[float, ...], weight_options: list, target_map: dict,
+                     folds: FoldPlan, new_fraction: float | None) -> list[Candidate]:
+    """The selection curve from one ``fit_grid`` per fold.
 
-
-def _linear_grid_terms(X: np.ndarray, y: np.ndarray, folds: FoldPlan,
-                       grid: Sequence[float], targets: np.ndarray,
-                       hist_X: np.ndarray | None = None,
-                       hist_y: np.ndarray | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Fold-averaged held-out and historic RSS of every linear fold fit.
-
-    ``targets`` holds one target per column over the columns of ``X``.
-    Each fold is solved once for the whole grid and every target; the
-    same fold fits give the held-out residual sum of squares (the CV
-    score) and, with a history, the residual sum of squares on
-    ``hist_X``/``hist_y`` (the constraint's left side before the
-    ``1 - f`` factor). Both arrays have shape ``(len(grid), W)``; a
-    penalty at which some fold is numerically singular is infinite in
-    both, as a failed Cholesky factorization makes it in ``cv_score``.
+    The fold fits run over the registry's columns. Each gives its held-out
+    criterion (the CV score) and, with ``new_fraction`` set, its criterion
+    on the stacked history (the constraint's left side before the
+    ``1 - f`` factor); history is stacked, and the right side evaluated,
+    once per selection. A candidate whose fit is unusable in any fold is
+    infinite in both.
     """
-    L, W = len(grid), targets.shape[1]
+    fam = get_family(state.family)
+    names = registry.names
+    X, y = align_batch(batch, registry), batch.y
+    targets = np.column_stack([target_map[w].as_array(names) for w in weight_options])
+    L, W = len(grid), len(weight_options)
+    constrain = new_fraction is not None
+    if constrain:
+        hist_X = np.vstack([align_batch(b, registry) for b in state.retained])
+        hist_y = np.concatenate([b.y for b in state.retained])
+        prev = assemble_target(state, names).as_array(names)
+        rhs = float(fam.loss(hist_X, hist_y, prev[:, None])[0])
+        hist = np.zeros((L, W))
     score = np.zeros((L, W))
-    hist = None if hist_X is None else np.zeros((L, W))
-    solvable = np.ones(L, dtype=bool)
+    usable = np.ones((L, W), dtype=bool)
     for fold in range(1, folds.k + 1):
         train, test = folds.split(fold)
-        coefs, ok = fit_targeted_ridge_grid(X[train], y[train], grid, targets)
-        solvable &= ok
+        coefs, ok = fam.fit_grid(X[train], y[train], grid, targets)
+        usable &= ok
         flat = coefs.reshape(X.shape[1], L * W)
-        score += _sum_squares(y[test][:, None] - X[test] @ flat).reshape(L, W)
-        if hist is not None:
-            for w in range(W):
-                hist[:, w] += _sum_squares(hist_y[:, None] - hist_X @ coefs[:, :, w])
-    score /= folds.k
-    score[~solvable] = np.inf
-    if hist is not None:
-        hist /= folds.k
-        hist[~solvable] = np.inf
-    return score, hist
-
-
-def _linear_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
-                  grid: tuple[float, ...], weight_options: list, target_map: dict,
-                  folds: FoldPlan, constrain: bool) -> list[Candidate]:
-    """The selection curve of a linear batch from one grid solve per fold.
-
-    History is stacked, and the constraint's right side evaluated, once
-    per selection rather than once per candidate.
-    """
-    names = registry.names
-    X = align_batch(batch, registry)
-    targets = np.column_stack([target_map[w].as_array(names) for w in weight_options])
+        score += fam.loss(X[test], y[test], flat).reshape(L, W)
+        if constrain:
+            hist += fam.loss(hist_X, hist_y, flat).reshape(L, W)
+    score = np.where(usable, score / folds.k, np.inf)
     if not constrain:
-        score, _ = _linear_grid_terms(X, batch.y, folds, grid, targets)
         return [Candidate(lam=lam, weights=w, score=float(score[i, j]), feasible=True)
                 for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
-    hist_X = np.vstack([align_batch(b, registry) for b in state.retained])
-    hist_y = np.concatenate([b.y for b in state.retained])
-    prev = assemble_target(state, names).as_array(names)
-    rhs = _heldout_criterion("linear", hist_X, hist_y, prev)
-    f_new = batch.n / (batch.n + hist_y.shape[0])
-    score, hist = _linear_grid_terms(X, batch.y, folds, grid, targets, hist_X, hist_y)
-    lhs = (1.0 - f_new) * hist
+    lhs = np.where(usable, (1.0 - new_fraction) * (hist / folds.k), np.inf)
     return [Candidate(lam=lam, weights=w, score=float(score[i, j]),
                       feasible=bool(lhs[i, j] <= rhs), lhs=float(lhs[i, j]), rhs=rhs)
             for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
-
-
-def _per_candidate_curve(state: EstimatorState, batch: Batch, grid: tuple[float, ...],
-                         weight_options: list, target_map: dict, folds: FoldPlan,
-                         constrain: bool) -> list[Candidate]:
-    """The selection curve from ``cv_score`` and ``constraint_terms``, one candidate at a time."""
-
-    def evaluate(lam: float) -> list[Candidate]:
-        rows = []
-        for w in weight_options:
-            target = target_map[w]
-            score = cv_score(state.family, batch, lam,
-                             target.as_array(batch.covariates), folds)
-            if constrain:
-                terms = constraint_terms(state, batch, lam, target, folds)
-                rows.append(Candidate(lam=lam, weights=w, score=score,
-                                      feasible=terms.feasible, lhs=terms.lhs,
-                                      rhs=terms.rhs))
-            else:
-                rows.append(Candidate(lam=lam, weights=w, score=score, feasible=True))
-        return rows
-
-    return [c for rows in parallel_map(evaluate, grid) for c in rows]
 
 
 def select_penalty(state: EstimatorState, batch: Batch,
@@ -446,8 +477,7 @@ def select_penalty(state: EstimatorState, batch: Batch,
     k = n if cfg.k_folds is None else cfg.k_folds
     if k > n:
         raise ValidationError(f"k_folds={k} exceeds the batch size {n}")
-    strata = batch.y if state.family == "logistic" else None
-    folds = make_folds(n, k, cfg.seed, strata)
+    folds = make_folds(n, k, cfg.seed, batch.y if get_family(state.family).stratified else None)
 
     registry = state.registry.extended(batch.covariates)
     names = registry.names
@@ -466,15 +496,10 @@ def select_penalty(state: EstimatorState, batch: Batch,
         target_map = {w: mixture_target(expanded, w) for w in weight_options}
 
     constrain = cfg.constrained and bool(state.retained)
-    new_fraction: float | None = None
-    if state.family == "linear":
-        curve = _linear_curve(state, batch, registry, cfg.grid, weight_options,
-                              target_map, folds, constrain)
-    else:
-        curve = _per_candidate_curve(state, batch, cfg.grid, weight_options,
-                                     target_map, folds, constrain)
-    if constrain:
-        new_fraction = batch.n / (batch.n + sum(b.n for b in state.retained))
+    new_fraction = (batch.n / (batch.n + sum(b.n for b in state.retained))
+                    if constrain else None)
+    curve = _selection_curve(state, batch, registry, cfg.grid, weight_options,
+                             target_map, folds, new_fraction)
 
     def pick(cands: list[Candidate]) -> Candidate | None:
         best = None
@@ -505,3 +530,25 @@ def select_penalty(state: EstimatorState, batch: Batch,
         seed=cfg.seed,
         cv_curve=tuple(curve),
     )
+
+
+def fit_first_batch(batch: Batch,
+                    config: PenaltySearchConfig) -> tuple[EstimatorState, SelectionReport]:
+    """A state initialized from a zero-target fit of a sacrificed first batch.
+
+    The penalty comes from ``select_penalty`` on a zero-target state over
+    the batch's covariates; the family's fit at that penalty becomes the
+    initial target, and the batch is retained so later constraint
+    evaluations see it as history.
+    """
+    names = batch.covariates
+    registry = CovariateRegistry(names)
+    blank = EstimatorState(family=batch.family, registry=registry,
+                           init_target=CoefficientVector({n: 0.0 for n in names}))
+    report = select_penalty(blank, batch, config)
+    coef = get_family(batch.family).fit(batch.X, batch.y, report.chosen_lambda,
+                                        np.zeros(batch.p))
+    state = EstimatorState(family=batch.family, registry=registry,
+                           init_target=CoefficientVector.from_array(names, coef),
+                           init_note="fit-first-batch", retained=(batch,))
+    return state, report

@@ -28,18 +28,17 @@ import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
 from .model_core import Batch, CoefficientVector, CovariateRegistry, EstimatorState
-from .linear_estimator import (
-    MomentReport,
-    exact_moments_general,
-    fit_targeted_ridge,
-    update,
-    _penalized_normal_factor,
+from .linear_estimator import MomentReport, exact_moments_general, _penalized_normal_factor
+from .penalty_tuning import (
+    PenaltySearchConfig,
+    default_grid,
+    fit_first_batch,
+    get_family,
+    select_penalty,
 )
-from .logistic_estimator import update_logistic
-from .penalty_tuning import PenaltySearchConfig, default_grid, select_penalty
 from .baselines import default_xi_grid, estimate_xi, stack_batches
 from .parallel import parallel_map
-from ._numerics import cho_solve, expit
+from ._numerics import cho_solve
 
 __all__ = [
     "ScenarioConfig",
@@ -223,11 +222,7 @@ def generate_batch(config: ScenarioConfig, replicate: int, t: int) -> Batch:
         coef = coef + np.sqrt(config.batch_effect_var) * rng.standard_normal(config.p)
     if config.empty_every is not None and t >= 1 and t % config.empty_every == 0:
         coef = np.zeros(config.p)
-    eta = X @ coef
-    if config.family == "linear":
-        y = eta + np.sqrt(config.noise_var) * rng.standard_normal(config.n)
-    else:
-        y = (rng.random(config.n) < expit(eta)).astype(float)
+    y = get_family(config.family).sample(rng, X @ coef, config.noise_var)
     return Batch(t=t, X=X, y=y, covariates=covariate_names(config.p), family=config.family)
 
 
@@ -314,9 +309,10 @@ def initial_state(config: ScenarioConfig, replicate: int) -> EstimatorState:
     """Chain starting point for one replicate, per the scenario's init mode.
 
     ``ridge-on-first-batch`` sacrifices the replicate's t = 0 batch to a
-    zero-target ridge fit (penalty by leave-one-out cross-validation) and
-    uses that fit as the initial target; the sacrificed batch is retained
-    so later constraint evaluations see it as history.
+    zero-target fit of the scenario's family (penalty by leave-one-out
+    cross-validation) and uses that fit as the initial target; the
+    sacrificed batch is retained so later constraint evaluations see it
+    as history.
     """
     zero = _zero_state(config)
     if config.init_mode == "zero-target":
@@ -326,29 +322,14 @@ def initial_state(config: ScenarioConfig, replicate: int) -> EstimatorState:
         return replace(zero,
                        init_target=CoefficientVector.from_array(names, resolve_beta(config)),
                        init_note="truth")
-    batch0 = generate_batch(config, replicate, 0)
     sel0 = PenaltySearchConfig(k_folds=None, constrained=False, grid=config.grid(),
                                seed=config.seed)
-    rep0 = select_penalty(zero, batch0, sel0)
-    fit0 = fit_targeted_ridge(batch0.X, batch0.y, rep0.chosen_lambda, np.zeros(config.p))
-    return EstimatorState(
-        family=config.family,
-        registry=CovariateRegistry(batch0.covariates),
-        init_target=CoefficientVector.from_array(batch0.covariates, fit0.coef),
-        init_note="fit-first-batch",
-        retained=(batch0,),
-    )
+    return fit_first_batch(generate_batch(config, replicate, 0), sel0)[0]
 
 
 def _record(beta: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, float]:
     diff = coef - beta
     return coef[cols], float(diff @ diff)
-
-
-def _apply_update(state: EstimatorState, batch: Batch, lam: float) -> EstimatorState:
-    if state.family == "linear":
-        return update(state, batch, lam)
-    return update_logistic(state, batch, lam)
 
 
 def run_study_regular_vs_updated(config: ScenarioConfig):
@@ -357,9 +338,9 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
     Each replicate initializes the chain by a zero-target ridge fit of its
     own sacrificed t = 0 batch (leave-one-out penalty), then both
     strategies see the same batches t = 1..T. The regular strategy
-    re-selects a penalty and refits toward zero on every batch alone;
-    both selections are unconstrained unless the scenario forces
-    constraints on.
+    re-selects a penalty and refits the family's model toward zero on
+    every batch alone; both selections are unconstrained unless the
+    scenario forces constraints on.
     """
     beta = resolve_beta(config)
     cols = np.array(tracked_positions(config)) - 1
@@ -367,6 +348,7 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
     sel_plain = config.selection()
     sel_chain = config.selection()
     init_config = replace(config, init_mode="ridge-on-first-batch")
+    family = get_family(config.family)
 
     def one_replicate(r: int):
         est = np.full((2, T, C), np.nan)
@@ -375,12 +357,12 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
         state = initial_state(init_config, r)
         for i, batch in enumerate(generate_batches(config, r)):
             rep = select_penalty(_zero_state(config), batch, sel_plain)
-            refit = fit_targeted_ridge(batch.X, batch.y, rep.chosen_lambda, np.zeros(config.p))
-            est[0, i], loss[0, i] = _record(beta, cols, refit.coef)
+            refit = family.fit(batch.X, batch.y, rep.chosen_lambda, np.zeros(config.p))
+            est[0, i], loss[0, i] = _record(beta, cols, refit)
             lam[0, i] = rep.chosen_lambda
 
             rep = select_penalty(state, batch, sel_chain)
-            state = _apply_update(state, batch, rep.chosen_lambda)
+            state = family.update(state, batch, rep.chosen_lambda)
             coef = state.current.as_array(batch.covariates)
             est[1, i], loss[1, i] = _record(beta, cols, coef)
             lam[1, i] = rep.chosen_lambda
@@ -411,6 +393,7 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
     T, C = config.n_batches, cols.size
     sel_chain = config.selection(constrained_default=True)
     ratio_grid = default_xi_grid(config.mixed_ratio_grid_points)
+    family = get_family(config.family)
 
     def one_replicate(r: int):
         est = np.full((3, T, C), np.nan)
@@ -432,7 +415,7 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
                     est[0, i], loss[0, i] = _record(beta, cols, mfit.fixed_effects)
             for j in (0, 1):
                 rep = select_penalty(states[j], batch, sel_chain)
-                states[j] = _apply_update(states[j], batch, rep.chosen_lambda)
+                states[j] = family.update(states[j], batch, rep.chosen_lambda)
                 coef = states[j].current.as_array(names)
                 est[j + 1, i], loss[j + 1, i] = _record(beta, cols, coef)
                 lam[j + 1, i] = rep.chosen_lambda
@@ -488,7 +471,7 @@ def check_consistency_trajectory(config: ScenarioConfig,
         top = np.linalg.norm(batch.X, 2)
         if lam < 2.0 * top * top:
             condition_met = False
-        state = _apply_update(state, batch, lam)
+        state = get_family(config.family).update(state, batch, lam)
         coef = state.current.as_array(covariate_names(config.p))
         losses[i] = float(np.linalg.norm(coef - beta))
         lambdas[i] = lam

@@ -40,9 +40,18 @@ def random_batches(rng, t, n, p, coef, noise_sd=1.0, effect_sd=0.0):
     return batches
 
 
+def z_block(data):
+    """Dense random-effect design: batch tau's rows hit coefficient block tau."""
+    p = data.p
+    Z = np.zeros((data.n, data.n_batches * p))
+    for tau, (a, b) in enumerate(data.batch_boundaries):
+        Z[a:b, tau * p:(tau + 1) * p] = data.x_stack[a:b]
+    return Z
+
+
 def dense_gls(data, xi):
     """GLS fixed effects via an explicit dense weighting-matrix inverse."""
-    Z = data.z_block
+    Z = z_block(data)
     omega = xi * (Z @ Z.T) + np.eye(data.n)
     w = np.linalg.inv(omega)
     xtw = data.x_stack.T @ w
@@ -54,7 +63,7 @@ class TestStackedData:
         rng = np.random.default_rng(101)
         batches = random_batches(rng, 3, 4, 2, np.zeros(2))
         data = stack_batches(batches)
-        Z = data.z_block
+        Z = z_block(data)
         assert Z.shape == (12, 6)
         for tau, (start, stop) in enumerate(data.batch_boundaries):
             block = Z[start:stop, 2 * tau:2 * (tau + 1)]
@@ -187,7 +196,7 @@ class TestMixedMoments:
         data = stack_batches(random_batches(rng, t, n, p, coef))
         report = mixed_moments(data, xi, sigma_eps_sq, sigma_gamma_sq, coef)
 
-        Z = data.z_block
+        Z = z_block(data)
         omega = xi * (Z @ Z.T) + np.eye(data.n)
         w = np.linalg.inv(omega)
         xtw = data.x_stack.T @ w
@@ -218,7 +227,7 @@ class TestMixedMoments:
         data = stack_batches(random_batches(rng, t, n, p, coef))
         report = mixed_moments(data, xi, sigma_eps_sq, sigma_gamma_sq, coef)
 
-        Z = data.z_block
+        Z = z_block(data)
         omega = xi * (Z @ Z.T) + np.eye(data.n)
         w = np.linalg.inv(omega)
         xtw = data.x_stack.T @ w

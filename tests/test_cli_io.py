@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import ridge_relay.cli_io as cio
+import ridge_relay.penalty_tuning as penalty_tuning
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -465,7 +466,7 @@ class TestCliUpdate:
         def explode(*args, **kwargs):
             raise ConvergenceError("did not converge")
 
-        monkeypatch.setattr(cio, "update", explode)
+        monkeypatch.setattr(penalty_tuning, "update", explode)
         code, _, err = run_cli("update", "--state", path, "--data", data,
                                "--response", "y", "--k-folds", "4")
         assert code == 3 and "converge" in err

@@ -23,9 +23,17 @@ from ridge_relay import (
     exact_moments_orthonormal,
     fit_targeted_ridge,
     fit_targeted_ridge_grid,
-    fit_targeted_ridge_mixture,
     update,
 )
+
+
+def mixture_update_estimate(X, y, lam, spec, weights=None):
+    """The estimate of one update toward the spec's mixture, over columns a, b."""
+    state = EstimatorState(family="linear", registry=CovariateRegistry(("a", "b")),
+                           init_target=CoefficientVector({"a": 0.0, "b": 0.0}))
+    batch = Batch(t=1, X=X, y=y, covariates=("a", "b"))
+    advanced = update(state, batch, lam, target_spec=spec, weights=weights)
+    return advanced.current.as_array(("a", "b"))
 
 
 def brute_force_fit(X, y, lam, target):
@@ -163,10 +171,9 @@ class TestFitTargetedRidge:
         y = rng.standard_normal(9)
         spec = TargetSpec(targets=(CoefficientVector({"a": 1.0, "b": 0.0}),
                                    CoefficientVector({"a": 0.0, "b": 2.0})))
-        mixed = fit_targeted_ridge_mixture(X, y, 1.2, spec, weights=(0.25, 0.75),
-                                           names=("a", "b"))
+        mixed = mixture_update_estimate(X, y, 1.2, spec, weights=(0.25, 0.75))
         direct = fit_targeted_ridge(X, y, 1.2, np.array([0.25, 1.5]))
-        np.testing.assert_allclose(mixed.coef, direct.coef, atol=1e-12)
+        np.testing.assert_allclose(mixed, direct.coef, atol=1e-12)
 
     def test_single_target_mixture_reduces_to_plain_fit(self):
         rng = np.random.default_rng(10)
@@ -174,9 +181,9 @@ class TestFitTargetedRidge:
         y = rng.standard_normal(7)
         spec = TargetSpec(targets=(CoefficientVector({"a": 0.4, "b": -1.0}),),
                           weights=(1.0,))
-        mixed = fit_targeted_ridge_mixture(X, y, 0.8, spec, names=("a", "b"))
+        mixed = mixture_update_estimate(X, y, 0.8, spec)
         direct = fit_targeted_ridge(X, y, 0.8, np.array([0.4, -1.0]))
-        np.testing.assert_array_equal(mixed.coef, direct.coef)
+        np.testing.assert_array_equal(mixed, direct.coef)
 
     def test_identical_targets_make_weights_irrelevant(self):
         rng = np.random.default_rng(15)
@@ -184,11 +191,9 @@ class TestFitTargetedRidge:
         y = rng.standard_normal(7)
         same = CoefficientVector({"a": 1.0, "b": 2.0})
         spec = TargetSpec(targets=(same, CoefficientVector(dict(same.values))))
-        fit_a = fit_targeted_ridge_mixture(X, y, 0.8, spec, weights=(0.9, 0.1),
-                                           names=("a", "b"))
-        fit_b = fit_targeted_ridge_mixture(X, y, 0.8, spec, weights=(0.2, 0.8),
-                                           names=("a", "b"))
-        np.testing.assert_allclose(fit_a.coef, fit_b.coef, atol=1e-12)
+        fit_a = mixture_update_estimate(X, y, 0.8, spec, weights=(0.9, 0.1))
+        fit_b = mixture_update_estimate(X, y, 0.8, spec, weights=(0.2, 0.8))
+        np.testing.assert_allclose(fit_a, fit_b, atol=1e-12)
 
 
 class TestFitTargetedRidgeGrid:

@@ -21,7 +21,6 @@ from ridge_relay import (
     ValidationError,
     estimating_equation,
     irls_fit,
-    irls_fit_mixture,
     logistic_loglik,
     penalized_loglik,
     update_logistic,
@@ -201,10 +200,12 @@ class TestIrlsFit:
         X, y = make_data(rng, 22, 2, np.array([0.5, -0.5]))
         spec = TargetSpec(targets=(CoefficientVector({"a": 1.0, "b": 0.0}),
                                    CoefficientVector({"a": 0.0, "b": 1.0})))
-        mixed = irls_fit_mixture(X, y, 1.1, spec, weights=(0.4, 0.6),
-                                 names=("a", "b"))
+        batch = Batch(t=1, X=X, y=y, covariates=("a", "b"), family="logistic")
+        mixed = update_logistic(logistic_state(("a", "b")), batch, 1.1,
+                                target_spec=spec, weights=(0.4, 0.6))
         direct = irls_fit(X, y, 1.1, np.array([0.4, 0.6]))
-        np.testing.assert_allclose(mixed.coef, direct.coef, atol=1e-10)
+        np.testing.assert_allclose(mixed.current.as_array(("a", "b")), direct.coef,
+                                   atol=1e-10)
 
 
 class TestUpdateLogistic:

@@ -4,9 +4,9 @@ feasibility constraint.
 Fold construction, the CV score, and both sides of the constraint are
 checked against hand-rolled enumerations; the selector's tie-breaking,
 fallback, and determinism rules are exercised on constructed instances.
-The linear route's grid-wide solve is checked, as a property over
-generated selections, against the per-candidate ``cv_score`` and
-``constraint_terms`` route.
+The selection's fold loop is checked, as a property over generated
+linear and logistic selections, against a curve scored one candidate at
+a time with ``cv_score`` and ``constraint_terms``.
 """
 
 from unittest import mock
@@ -17,10 +17,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ridge_relay import (
     Batch,
+    Candidate,
     CoefficientVector,
     CovariateRegistry,
     EstimatorState,
     FoldPlan,
+    IrlsConfig,
     PenaltySearchConfig,
     SelectionError,
     ValidationError,
@@ -31,15 +33,21 @@ from ridge_relay import (
     make_folds,
     select_penalty,
     update,
+    update_logistic,
 )
 from ridge_relay import penalty_tuning
+from ridge_relay.errors import ConvergenceError
 from ridge_relay.model_core import TargetSpec
 
 
-def linear_state(names=("a", "b")):
-    return EstimatorState(family="linear",
+def linear_state(names=("a", "b"), family="linear"):
+    return EstimatorState(family=family,
                           registry=CovariateRegistry(tuple(names)),
                           init_target=CoefficientVector({n: 0.0 for n in names}))
+
+
+def binary_response(rng, eta):
+    return (rng.random(eta.shape[0]) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
 
 
 def state_with_history(rng, coef, n_batches=2, n=15, noise_sd=0.1, lam=1.0):
@@ -148,17 +156,45 @@ class TestCvScore:
         assert np.isfinite(score) and score > 0
 
     def test_failed_fold_fit_disqualifies_the_candidate(self, monkeypatch):
-        from ridge_relay.errors import ConvergenceError
-
-        def explode(family, X, y, lam, target):
+        """A fold fit that raises makes ``cv_score`` infinite; in the
+        selection's fold loop it makes its own candidate infinite, in the
+        score and in the constraint, and leaves the others usable."""
+        def explode(X, y, lam, target):
             raise ConvergenceError("forced failure")
 
-        monkeypatch.setattr(penalty_tuning, "_fit_coef", explode)
-        batch = Batch(t=1, X=np.eye(4), y=np.ones(4),
-                      covariates=("a", "b", "c", "d"))
-        folds = make_folds(4, 2, seed=0)
-        score = cv_score("linear", batch, 1.0, np.zeros(4), folds)
+        with monkeypatch.context() as patch:
+            patch.setattr(penalty_tuning, "fit_targeted_ridge", explode)
+            batch = Batch(t=1, X=np.eye(4), y=np.ones(4),
+                          covariates=("a", "b", "c", "d"))
+            folds = make_folds(4, 2, seed=0)
+            score = cv_score("linear", batch, 1.0, np.zeros(4), folds)
         assert score == np.inf
+
+        irls_fit = penalty_tuning.irls_fit
+        failed = []
+
+        def fail_once_at_five(X, y, lam, target, config=None):
+            if lam == 5.0 and not failed:
+                failed.append(lam)
+                raise ConvergenceError("forced failure")
+            return irls_fit(X, y, lam, target, config)
+
+        monkeypatch.setattr(penalty_tuning, "irls_fit", fail_once_at_five)
+        rng = np.random.default_rng(80)
+        names = ("a", "b")
+        X = rng.standard_normal((12, 2))
+        state = update_logistic(linear_state(names, "logistic"),
+                                Batch(t=1, X=X, y=binary_response(rng, X[:, 0]),
+                                      covariates=names, family="logistic"), 1.0)
+        X = rng.standard_normal((12, 2))
+        batch = Batch(t=2, X=X, y=binary_response(rng, X[:, 0]), covariates=names,
+                      family="logistic")
+        cfg = PenaltySearchConfig(k_folds=3, constrained=True, grid=(0.5, 5.0))
+        usable, unusable = select_penalty(state, batch, cfg).cv_curve
+        assert failed == [5.0]
+        assert unusable.score == np.inf and unusable.lhs == np.inf
+        assert not unusable.feasible
+        assert np.isfinite(usable.score) and np.isfinite(usable.lhs)
 
 
 class TestConstraintTerms:
@@ -416,13 +452,13 @@ class TestSelectPenalty:
         assert len(report.cv_curve) == 2
 
     def test_all_candidates_disqualified_raises(self, monkeypatch):
-        """The linear route scores the grid in ``_linear_grid_terms``; when
-        it rates every candidate infinite, selection must refuse."""
-        def all_infinite(X, y, folds, grid, targets, hist_X=None, hist_y=None):
-            shape = (len(grid), targets.shape[1])
-            return np.full(shape, np.inf), None if hist_X is None else np.full(shape, np.inf)
+        """The fold loop solves each linear fold with ``fit_targeted_ridge_grid``;
+        when it marks every candidate unusable, selection must refuse."""
+        def all_unusable(X, y, lams, targets):
+            coefs = np.repeat(np.asarray(targets)[:, None, :], len(lams), axis=1)
+            return coefs, np.zeros(len(lams), dtype=bool)
 
-        monkeypatch.setattr(penalty_tuning, "_linear_grid_terms", all_infinite)
+        monkeypatch.setattr(penalty_tuning, "fit_targeted_ridge_grid", all_unusable)
         rng = np.random.default_rng(98)
         state, names = state_with_history(rng, np.array([1.0, -1.0]))
         X = rng.standard_normal((10, 2))
@@ -433,13 +469,14 @@ class TestSelectPenalty:
                 select_penalty(state, batch, cfg)
 
     def test_all_logistic_candidates_disqualified_raises(self, monkeypatch):
-        """The logistic route scores each candidate with ``cv_score``."""
-        monkeypatch.setattr(penalty_tuning, "cv_score",
-                            lambda *args, **kwargs: float("inf"))
+        """The fold loop fits each logistic candidate with ``irls_fit``."""
+        def explode(X, y, lam, target, config=None):
+            raise ConvergenceError("forced failure")
+
+        monkeypatch.setattr(penalty_tuning, "irls_fit", explode)
         rng = np.random.default_rng(98)
         names = ("a", "b")
-        state = EstimatorState(family="logistic", registry=CovariateRegistry(names),
-                               init_target=CoefficientVector({n: 0.0 for n in names}))
+        state = linear_state(names, "logistic")
         X = rng.standard_normal((10, 2))
         y = np.array([0.0, 1.0] * 5)
         batch = Batch(t=1, X=X, y=y, covariates=names, family="logistic")
@@ -491,13 +528,15 @@ class TestSelectPenalty:
 
 
 @st.composite
-def linear_selections(draw):
-    """A linear state, an arriving batch and a search configuration.
+def selections(draw, family):
+    """A state, an arriving batch and a search configuration.
 
     Covers K-fold and leave-one-out, batches with more covariates than
     rows, batches that add covariates or lack some registry covariates,
     first updates and constrained ones, mixture weight lattices and fixed
     weights, and grids that always hold both ends of the default grid.
+    Logistic responses are 0/1 draws around the same linear predictor,
+    and logistic histories are folded in with the same penalties.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     registry_size = draw(st.integers(1, 5))
@@ -514,15 +553,23 @@ def linear_selections(draw):
     grid = tuple(sorted({full[0], full[-1], *interior}))
 
     rng = np.random.default_rng(seed)
+    linear = family == "linear"
+    step = update if linear else update_logistic
+
+    def response(X, beta):
+        eta = X @ beta
+        return eta + 0.5 * rng.standard_normal(eta.shape[0]) if linear \
+            else binary_response(rng, eta)
+
     names = tuple(f"x{j}" for j in range(registry_size))
     coef = rng.standard_normal(registry_size + n_added)
-    state = linear_state(names)
+    state = linear_state(names, family)
     for t in range(1, n_hist + 1):
         rows = int(rng.integers(2, 12))
         X = rng.standard_normal((rows, registry_size))
-        y = X @ coef[:registry_size] + 0.5 * rng.standard_normal(rows)
-        state = update(state, Batch(t=t, X=X, y=y, covariates=names),
-                       float(rng.choice([0.1, 1.0, 10.0])))
+        state = step(state, Batch(t=t, X=X, y=response(X, coef[:registry_size]),
+                                  covariates=names, family=family),
+                     float(rng.choice([0.1, 1.0, 10.0])))
     batch_names = [name for name, keep in zip(names, carried) if keep]
     batch_names += [f"new{j}" for j in range(n_added)]
     order = rng.permutation(len(batch_names))
@@ -530,8 +577,8 @@ def linear_selections(draw):
     all_names = names + tuple(f"new{j}" for j in range(n_added))
     beta = np.array([coef[all_names.index(c)] for c in batch_names])
     X = rng.standard_normal((n, len(batch_names)))
-    batch = Batch(t=state.t + 1, X=X, y=X @ beta + 0.5 * rng.standard_normal(n),
-                  covariates=batch_names)
+    batch = Batch(t=state.t + 1, X=X, y=response(X, beta), covariates=batch_names,
+                  family=family)
 
     spec = None
     if mixture is not None:
@@ -547,29 +594,122 @@ def linear_selections(draw):
     return state, batch, cfg, spec
 
 
-def per_candidate_curve(state, batch, registry, *rest):
-    return penalty_tuning._per_candidate_curve(state, batch, *rest)
+def per_candidate_curve(state, batch, registry, grid, weight_options, target_map,
+                        folds, new_fraction):
+    """The selection curve scored one candidate at a time: ``cv_score`` fits
+    the batch's own columns, ``constraint_terms`` the registry's."""
+    curve = []
+    for lam in grid:
+        for w in weight_options:
+            target = target_map[w]
+            score = cv_score(state.family, batch, lam,
+                             target.as_array(batch.covariates), folds)
+            if new_fraction is None:
+                curve.append(Candidate(lam=lam, weights=w, score=score, feasible=True))
+            else:
+                terms = constraint_terms(state, batch, lam, target, folds)
+                curve.append(Candidate(lam=lam, weights=w, score=score,
+                                       feasible=terms.feasible, lhs=terms.lhs,
+                                       rhs=terms.rhs))
+    return curve
+
+
+def oracle_report(state, batch, cfg, spec):
+    with mock.patch.object(penalty_tuning, "_selection_curve", per_candidate_curve):
+        return select_penalty(state, batch, cfg, targets=spec)
+
+
+def irls_score_tolerance(batch, registry, cand, folds, target):
+    """How far two IRLS scores of one candidate may lie apart.
+
+    ``irls_fit`` stops once the largest gradient entry is at most
+    ``g = tol + 8 eps lam S``, with S the larger of 1 and the largest
+    coefficient or target entry. The penalized log-likelihood is
+    lam-strongly concave, so such a fit lies within ``sqrt(p) g / lam`` of
+    the maximizer, and two fits of one fold within twice that of each
+    other. At the maximizer ``lam (b - t) = X'(y - mu)``, so no entry of b
+    exceeds ``|t|_inf + max_j sum_i |X_ij| / lam``. The held-out minus
+    log-likelihood has gradient ``X'(mu - y)`` with ``|mu - y| <= 1``, so it
+    moves by at most ``||X||_2 sqrt(n)`` per unit of coefficient distance.
+    The score averages the folds' held-out criteria, and so its bound.
+    """
+    cfg = IrlsConfig()
+    eps = np.finfo(float).eps
+    X = penalty_tuning.align_batch(batch, registry)
+    p, lam = X.shape[1], cand.lam
+    total = 0.0
+    for fold in range(1, folds.k + 1):
+        train, test = folds.split(fold)
+        size = np.abs(target).max(initial=0.0) + np.abs(X[train]).sum(axis=0).max() / lam
+        g = cfg.tol + 8.0 * eps * lam * max(1.0, size)
+        distance = 2.0 * np.sqrt(p) * g / lam
+        total += np.linalg.norm(X[test], 2) * np.sqrt(test.sum()) * distance
+    return total / folds.k
+
+
+def assert_curves_agree(report, oracle, score_tolerance):
+    assert len(report.cv_curve) == len(oracle.cv_curve)
+    for got, want in zip(report.cv_curve, oracle.cv_curve):
+        assert (got.lam, got.weights) == (want.lam, want.weights)
+        assert np.isfinite(got.score) == np.isfinite(want.score)
+        if np.isfinite(want.score):
+            np.testing.assert_allclose(got.score, want.score, rtol=1e-10,
+                                       atol=score_tolerance(got))
+        assert got.feasible == want.feasible
+        for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_allclose(a, b, rtol=1e-10)
+    assert report.new_fraction == oracle.new_fraction
 
 
 class TestLinearGridRouteProperties:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(linear_selections())
+    @given(selections("linear"))
     def test_grid_route_matches_per_candidate_route(self, case):
         state, batch, cfg, spec = case
         report = select_penalty(state, batch, cfg, targets=spec)
-        with mock.patch.object(penalty_tuning, "_linear_curve", per_candidate_curve):
-            oracle = select_penalty(state, batch, cfg, targets=spec)
-        assert len(report.cv_curve) == len(oracle.cv_curve)
-        for got, want in zip(report.cv_curve, oracle.cv_curve):
-            assert (got.lam, got.weights) == (want.lam, want.weights)
-            np.testing.assert_allclose(got.score, want.score, rtol=1e-10)
-            assert got.feasible == want.feasible
-            for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    np.testing.assert_allclose(a, b, rtol=1e-10)
+        oracle = oracle_report(state, batch, cfg, spec)
+        assert_curves_agree(report, oracle, lambda cand: 0.0)
         assert report.chosen_lambda == oracle.chosen_lambda
         assert report.chosen_weights == oracle.chosen_weights
         assert report.fallback_used == oracle.fallback_used
-        assert report.new_fraction == oracle.new_fraction
+
+
+class TestLogisticFoldLoopProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(selections("logistic"))
+    def test_fold_loop_matches_per_candidate_route(self, case):
+        """The constraint's fold fits are the fold loop's own, so its sides
+        agree to rounding. The score's fits see the batch's own columns,
+        which differ from the registry's when the batch reorders, lacks or
+        adds covariates; the score then agrees within the stopping rule's
+        bound, and the choice must match exactly only when the columns are
+        the registry's in order."""
+        state, batch, cfg, spec = case
+        report = select_penalty(state, batch, cfg, targets=spec)
+        oracle = oracle_report(state, batch, cfg, spec)
+        registry = state.registry.extended(batch.covariates)
+        k = batch.n if cfg.k_folds is None else cfg.k_folds
+        folds = make_folds(batch.n, k, cfg.seed, strata=batch.y)
+        same_columns = batch.covariates == registry.names
+
+        def tolerance(cand):
+            if same_columns:
+                return 0.0
+            if spec is None:
+                target = penalty_tuning.assemble_target(state, registry.names)
+            else:
+                expanded = TargetSpec(tuple(penalty_tuning.assemble_target(t, registry.names)
+                                            for t in spec.targets), spec.weights)
+                target = penalty_tuning.mixture_target(expanded, cand.weights)
+            return irls_score_tolerance(batch, registry, cand, folds,
+                                        target.as_array(registry.names))
+
+        assert_curves_agree(report, oracle, tolerance)
+        if same_columns:
+            assert report.chosen_lambda == oracle.chosen_lambda
+            assert report.chosen_weights == oracle.chosen_weights
+            assert report.fallback_used == oracle.fallback_used

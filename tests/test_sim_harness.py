@@ -5,10 +5,16 @@ Determinism is asserted bitwise; statistical behaviour (bias decay,
 band shrinkage, loss ordering) is asserted on small seeded scenarios.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ridge_relay import (
+    CoefficientVector,
+    CovariateRegistry,
+    EstimatorState,
+    PenaltySearchConfig,
     ScenarioConfig,
     TrajectoryResult,
     ValidationError,
@@ -18,12 +24,15 @@ from ridge_relay import (
     generate_batch,
     generate_batches,
     initial_state,
+    irls_fit,
     resolve_beta,
     run_study_mixed_vs_updated,
     run_study_regular_vs_updated,
+    select_penalty,
     tracked_positions,
     update,
 )
+from ridge_relay import parallel
 
 
 def small_config(**overrides):
@@ -269,6 +278,83 @@ class TestRunStudyRegularVsUpdated:
         regular, updated = run_study_regular_vs_updated(config)
         assert np.all(np.isfinite(regular.losses))
         assert np.all(np.isfinite(updated.losses))
+
+    def test_logistic_fits_are_penalized_logistic_fits(self):
+        """The initial target and every regular-arm refit of a logistic
+        study are ``irls_fit`` at the chosen penalty, not least-squares
+        ridge fits of the 0/1 responses."""
+        config = ScenarioConfig(p=3, n=30, n_batches=3, n_replicates=1,
+                                family="logistic", beta_rule=(0.5, -0.5, 0.0),
+                                k_folds=3, grid_points=6, seed=23, tracked=(1, 2, 3))
+        names = covariate_names(config.p)
+        zeros = np.zeros(config.p)
+        batch0 = generate_batch(config, 0, 0)
+        blank = EstimatorState(family="logistic", registry=CovariateRegistry(names),
+                               init_target=CoefficientVector({n: 0.0 for n in names}))
+        sel0 = PenaltySearchConfig(k_folds=None, constrained=False, grid=config.grid(),
+                                   seed=config.seed)
+        lam0 = select_penalty(blank, batch0, sel0).chosen_lambda
+        init = initial_state(replace(config, init_mode="ridge-on-first-batch"), 0)
+        np.testing.assert_array_equal(init.init_target.as_array(names),
+                                      irls_fit(batch0.X, batch0.y, lam0, zeros).coef)
+        regular, _ = run_study_regular_vs_updated(config)
+        for i, batch in enumerate(generate_batches(config, 0)):
+            refit = irls_fit(batch.X, batch.y, regular.lambdas[0, i], zeros)
+            np.testing.assert_array_equal(regular.estimates[0, i], refit.coef)
+
+
+class PoolRecorder:
+    """Stands in for ``ThreadPoolExecutor``: records each pool it is asked
+    for and runs the items in sequence, so no thread is started."""
+
+    def __init__(self):
+        self.pools = []
+        self.open = 0
+        self.most_open = 0
+
+    def __call__(self, max_workers):
+        recorder = self
+
+        class Pool:
+            def __enter__(self):
+                recorder.pools.append(max_workers)
+                recorder.open += 1
+                recorder.most_open = max(recorder.most_open, recorder.open)
+                return self
+
+            def __exit__(self, *exc):
+                recorder.open -= 1
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        return Pool()
+
+
+class TestThreadBound:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setenv("RIDGE_RELAY_THREADS", "4")
+        recorder = PoolRecorder()
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", recorder)
+        return recorder
+
+    def test_logistic_selection_opens_no_pool(self, pools):
+        config = ScenarioConfig(p=3, n=20, family="logistic", beta_rule=(0.5, -0.5, 0.0),
+                                grid_points=4, seed=3)
+        state = initial_state(config, 0)
+        select_penalty(state, generate_batch(config, 0, 1),
+                       PenaltySearchConfig(k_folds=3, grid=config.grid()))
+        assert pools.pools == []
+
+    def test_logistic_study_opens_one_flat_pool(self, pools):
+        config = ScenarioConfig(p=3, n=20, n_batches=2, n_replicates=3,
+                                family="logistic", beta_rule=(0.5, -0.5, 0.0),
+                                k_folds=3, grid_points=4, seed=3)
+        run_study_regular_vs_updated(config)
+        assert len(pools.pools) == 1
+        assert pools.pools[0] <= parallel.worker_count()
+        assert pools.most_open == 1
 
 
 class TestRunStudyMixedVsUpdated:
