@@ -12,14 +12,14 @@ The fixed effects solve the generalized least squares equations
 
     [sum_tau X_tau' Omega_tau^{-1} X_tau] b = sum_tau X_tau' Omega_tau^{-1} y_tau.
 
-Each block satisfies X' Omega^{-1} = (I_p + xi X'X)^{-1} X', so all
-solves can run either in p-space (the Woodbury route, cheap when batches
-are tall) or on the n_tau-sized blocks directly; both paths are exposed
-and must agree. The Woodbury route diagonalizes each block's X'X once
-(through the block's SVD), after which every ratio costs only diagonal
-scalings. ``estimate_xi`` picks xi by maximizing the Gaussian
-likelihood profiled over the noise variance, using the determinant
-identity det(I_n + xi XX') = det(I_p + xi X'X).
+Each block satisfies X' Omega^{-1} = (I_p + xi X'X)^{-1} X' (the
+Woodbury identity), so every solve runs in p-space. Each block's X'X is
+diagonalized once, through the block's thin SVD, after which every ratio
+costs only diagonal scalings; the fixed effects, their exact moments and
+the profile likelihood all come from these spectra. ``estimate_xi``
+picks xi by maximizing the Gaussian likelihood profiled over the noise
+variance, using the determinant identity det(I_n + xi XX') =
+det(I_p + xi X'X).
 
 A state-space variant in which the coefficients themselves drift from
 batch to batch by a random walk leads to the same maximum likelihood
@@ -150,14 +150,6 @@ def _check_ratio(xi: float) -> float:
     return xi
 
 
-def _resolve_method(data: StackedData, method: str) -> str:
-    if method == "auto":
-        method = "woodbury" if data.n_batches * data.p < data.n else "direct"
-    if method not in ("woodbury", "direct"):
-        raise ValidationError(f"unknown method {method!r}")
-    return method
-
-
 def _block_spectra(data: StackedData) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per block, the eigenpairs of X'X on its row space and u = V'X'y.
 
@@ -194,23 +186,6 @@ def _woodbury_grid(spectra, xis: np.ndarray):
     return C, b, logdet
 
 
-def _direct_blocks(data: StackedData, xi: float):
-    """X'Omega^{-1}X and X'Omega^{-1}y from each n_tau block, plus log det Omega."""
-    C = np.zeros((data.p, data.p))
-    b = np.zeros(data.p)
-    logdet = 0.0
-    for X, y in zip(data.blocks, data.y_blocks()):
-        sign, ld = np.linalg.slogdet(np.eye(data.p) + xi * (X.T @ X))
-        if sign <= 0:
-            raise SingularMatrixError("I + xi X'X has non-positive determinant")
-        logdet += ld
-        omega = np.eye(X.shape[0]) + xi * (X @ X.T)
-        S = cho_solve(cho_factor(omega, "a marginal covariance block"), X)
-        C += X.T @ S
-        b += S.T @ y
-    return C, b, logdet
-
-
 def _solve_spd(C: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     factor = cho_factor(0.5 * (C + C.T), what)
     pivots = np.abs(np.diag(factor.lower))
@@ -219,23 +194,16 @@ def _solve_spd(C: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return cho_solve(factor, rhs)
 
 
-def mixed_fixed_effects(data: StackedData, xi: float,
-                        method: str = "auto") -> np.ndarray:
+def mixed_fixed_effects(data: StackedData, xi: float) -> np.ndarray:
     """GLS fixed effects at a known variance ratio ``xi``.
 
-    ``method`` picks how the block systems are solved: ``"woodbury"``
-    works in p-space from each block's eigenpairs, ``"direct"``
-    factors each n_tau block, ``"auto"`` uses Woodbury when t*p < n. The
-    two routes agree to solver precision.
+    The block systems are solved in p-space from each block's
+    eigenpairs, the same route ``estimate_xi`` takes at every ratio.
     """
     xi = _check_ratio(xi)
-    method = _resolve_method(data, method)
     if data.n < data.p:
         raise SingularMatrixError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")
-    if method == "direct":
-        C, b, _ = _direct_blocks(data, xi)
-        return _solve_spd(C, b, "the GLS normal matrix")
     C, b, _ = _woodbury_grid(_block_spectra(data), np.array([xi]))
     return _solve_spd(C[0], b[0], "the GLS normal matrix")
 
@@ -251,6 +219,11 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     rather than the oracle form. The mean is evaluated from the
     unsimplified weighting-matrix product, which collapses to ``coef``
     whenever the normal matrix is invertible.
+
+    Per block, with H = (I + xi X'X)^{-1} and X'X = V diag(d) V', the
+    normal matrix gains H X'X = V diag(d / (1 + xi d)) V' and the middle
+    of the sandwich gains sigma_eps_sq H X'X H + sigma_gamma_sq (H X'X)^2
+    = V diag(d (sigma_eps_sq + sigma_gamma_sq d) / (1 + xi d)^2) V'.
     """
     xi = _check_ratio(xi)
     sigma_eps_sq = float(sigma_eps_sq)
@@ -263,12 +236,10 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     p = data.p
     C = np.zeros((p, p))
     M = np.zeros((p, p))
-    for X in data.blocks:
-        gram = X.T @ X
-        factor = cho_factor(np.eye(p) + xi * gram, "I + xi X'X")
-        HG = cho_solve(factor, gram)
-        C += HG
-        M += sigma_eps_sq * cho_solve(factor, HG.T) + sigma_gamma_sq * HG @ HG
+    for d, V, _ in _block_spectra(data):
+        inner = 1.0 + xi * d
+        C += (V * (d / inner)) @ V.T
+        M += (V * (d * (sigma_eps_sq + sigma_gamma_sq * d) / inner ** 2)) @ V.T
     mean = _solve_spd(C, C @ coef, "the GLS normal matrix")
     inv_C = _solve_spd(C, np.eye(p), "the GLS normal matrix")
     cov = inv_C @ M @ inv_C
@@ -305,47 +276,23 @@ def _woodbury_profile(data: StackedData, xis: np.ndarray) -> list:
             for i in range(xis.shape[0])]
 
 
-def _direct_profile_point(data: StackedData, xi: float):
-    """(fixed effects, GLS quadratic form, log det Omega) at one ratio, or None."""
-    try:
-        C, b, logdet = _direct_blocks(data, xi)
-        beta = _solve_spd(C, b, "the GLS normal matrix")
-        quad = 0.0
-        for X, y in zip(data.blocks, data.y_blocks()):
-            r = y - X @ beta
-            gram_r = X.T @ r
-            inner = np.eye(data.p) + xi * (X.T @ X)
-            quad += float(r @ r) - xi * float(gram_r @ cho_solve(
-                cho_factor(inner, "I + xi X'X"), gram_r))
-    except SingularMatrixError:
-        return None
-    return beta, quad, logdet
-
-
-def estimate_xi(data: StackedData, grid: Sequence[float] | None = None,
-                method: str = "auto") -> MixedFit:
+def estimate_xi(data: StackedData, grid: Sequence[float] | None = None) -> MixedFit:
     """Choose the variance ratio by profiled Gaussian maximum likelihood.
 
     For each candidate xi the noise variance has the closed form
     q(xi)/n with q the GLS quadratic form of the residuals, leaving a
-    one-dimensional profile likelihood evaluated over the grid. The
-    Woodbury route evaluates the whole grid from one eigendecomposition
-    per block; ``"direct"`` factors every n_tau block at every ratio and
-    serves as its reference. Grid points where the solve fails are
-    skipped; if all fail this raises.
+    one-dimensional profile likelihood evaluated over the grid, all of it
+    from one eigendecomposition per block. Grid points where the solve
+    fails are skipped; if all fail this raises.
     """
     candidates = default_xi_grid() if grid is None else tuple(float(v) for v in grid)
     if not candidates:
         raise ValidationError("the ratio grid must be non-empty")
     xis = np.array([_check_ratio(xi) for xi in candidates])
-    method = _resolve_method(data, method)
     if data.n < data.p:
         raise EstimationError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")
-    if method == "woodbury":
-        points = _woodbury_profile(data, xis)
-    else:
-        points = [_direct_profile_point(data, xi) for xi in xis]
+    points = _woodbury_profile(data, xis)
     best: MixedFit | None = None
     failures = 0
     for xi, point in zip(xis.tolist(), points):

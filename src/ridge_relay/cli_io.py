@@ -52,8 +52,8 @@ from .model_core import (
     CoefficientVector,
     CovariateRegistry,
     EstimatorState,
+    FAMILIES,
     UpdateRecord,
-    align_batch,
     assemble_target,
 )
 from .penalty_tuning import (
@@ -130,6 +130,8 @@ def doc_to_state(doc: dict) -> EstimatorState:
         raise StateFileError(f"unsupported state schema {schema!r}, expected {STATE_SCHEMA!r}")
     try:
         family = doc["family"]
+        if not isinstance(doc["covariates"], list):
+            raise StateFileError("state field 'covariates' must be a list of names")
         registry = CovariateRegistry(tuple(doc["covariates"]))
         init = doc["init"]
         history = tuple(
@@ -158,6 +160,8 @@ def doc_to_state(doc: dict) -> EstimatorState:
         )
     except KeyError as exc:
         raise StateFileError(f"state document is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateFileError(f"state document is malformed: {exc}") from None
 
 
 def _dump(doc: dict) -> str:
@@ -294,6 +298,8 @@ def read_covariate_csv(path: str, registry: CovariateRegistry,
         keep = [i for i, h in enumerate(header) if h != drop]
         header = [header[i] for i in keep]
         rows = [[r[i] for i in keep] for r in rows]
+    if not header:
+        raise ValidationError(f"{path!r} has no covariate columns")
     for name in header:
         if name not in registry:
             raise RegistryError(f"{path!r} column {name!r} is not a model covariate")
@@ -398,13 +404,10 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _selection_config(args, constrained_default: bool = True) -> PenaltySearchConfig:
+def _selection_config(args) -> PenaltySearchConfig:
     grid = default_grid(args.grid_min, args.grid_max, args.grid_points)
     k_folds = None if (args.loocv or args.k_folds is None) else args.k_folds
-    constrained = constrained_default
-    if getattr(args, "constrained", None) is not None:
-        constrained = args.constrained
-    return PenaltySearchConfig(k_folds=k_folds, constrained=constrained, grid=grid,
+    return PenaltySearchConfig(k_folds=k_folds, constrained=args.constrained, grid=grid,
                                seed=args.seed)
 
 
@@ -448,7 +451,7 @@ def cmd_init(args) -> int:
         if not args.response:
             raise ValidationError("--data requires --response")
         batch = read_batch_csv(args.data, args.response, t=0, family=args.family)
-        state, chosen = fit_first_batch(batch, _selection_config(args, constrained_default=False))
+        state, chosen = fit_first_batch(batch, _selection_config(args))
         report["init"] = "fit-first-batch"
         report["lam"] = chosen.chosen_lambda
         report["score"] = chosen.score
@@ -561,7 +564,7 @@ def _add_selection_flags(sub, with_constraint: bool = True,
     if with_constraint:
         group = sub.add_mutually_exclusive_group()
         group.add_argument("--constrained", dest="constrained",
-                           action="store_true", default=None,
+                           action="store_true", default=True,
                            help="require candidate penalties to preserve historic fit (default)")
         group.add_argument("--unconstrained", dest="constrained",
                            action="store_false",
@@ -583,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("init", help="create a new state file")
     p.add_argument("--state", required=True)
-    p.add_argument("--family", choices=("linear", "logistic"), default="linear")
+    p.add_argument("--family", choices=FAMILIES, default="linear")
     p.add_argument("--covariates", help="comma-separated names, zero init target")
     p.add_argument("--target-file", help="JSON object {covariate: value} init target")
     p.add_argument("--data", help="CSV batch to fit the init target from")

@@ -18,6 +18,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -166,11 +168,18 @@ class CoefficientVector:
     values: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        vals = {str(k): float(v) for k, v in dict(self.values).items()}
-        for k, v in vals.items():
+        vals = {}
+        for k, v in dict(self.values).items():
+            k = str(k)
             if not k:
                 raise ValidationError("coefficient names must be non-empty strings")
-            if not np.isfinite(v):
+            if not isinstance(v, numbers.Real):
+                raise ValidationError(f"coefficient {k!r} is not a number: {v!r}")
+            try:
+                vals[k] = float(v)
+            except OverflowError:  # an integer beyond the float range
+                vals[k] = float("inf")
+            if not math.isfinite(vals[k]):
                 raise ValidationError(f"coefficient {k!r} is not finite")
         object.__setattr__(self, "values", vals)
 

@@ -20,14 +20,15 @@ and a Monte Carlo cross-check of the exact moment formulas.
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import Batch, CoefficientVector, CovariateRegistry, EstimatorState
+from .model_core import FAMILIES, Batch, CoefficientVector, CovariateRegistry, EstimatorState
 from .linear_estimator import MomentReport, exact_moments_general, _penalized_normal_factor
 from .penalty_tuning import (
     PenaltySearchConfig,
@@ -58,6 +59,22 @@ __all__ = [
 ]
 
 _BASE_TRACKED = (1, 21, 51, 71, 101)
+
+
+_JSON_TYPES = {"None": type(None), "bool": bool, "int": numbers.Integral,
+               "float": numbers.Real, "str": str}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a parsed JSON value fits a field annotation such as ``tuple[int, ...] | None``."""
+    for kind in annotation.split(" | "):
+        if kind.startswith("tuple["):
+            item = kind[len("tuple["):-len(", ...]")]
+            if isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value):
+                return True
+        elif isinstance(value, _JSON_TYPES[kind]) and (kind == "bool") == isinstance(value, bool):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.study not in ("regular-vs-updated", "mixed-vs-updated"):
             raise ValidationError(f"unknown study {self.study!r}")
-        if self.family not in ("linear", "logistic"):
+        if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
         for name in ("p", "n", "n_batches", "n_replicates"):
             if getattr(self, name) < 1:
@@ -151,17 +168,17 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ScenarioConfig":
-        known = set(ScenarioConfig.__dataclass_fields__)
-        unknown = set(doc) - known
+        """Build a config from a parsed JSON object, checking each field's type."""
+        if not isinstance(doc, dict):
+            raise ValidationError("a scenario must be a JSON object")
+        types = {f.name: f.type for f in fields(ScenarioConfig)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if doc.get("beta_rule") is not None and not isinstance(doc["beta_rule"], str):
-            doc["beta_rule"] = tuple(doc["beta_rule"])
-        if doc.get("tracked") is not None:
-            doc["tracked"] = tuple(doc["tracked"])
-        if doc.get("empty_every") is not None:
-            doc["empty_every"] = int(doc["empty_every"])
+        for name, value in doc.items():
+            if not _fits(value, types[name]):
+                raise ValidationError(
+                    f"scenario field {name!r} must be {types[name]}, got {value!r}")
         return ScenarioConfig(**doc)
 
 

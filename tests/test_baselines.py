@@ -4,8 +4,9 @@ exact moments, the variance-ratio profiler, and plain ridge.
 The GLS solver is checked against a fully dense construction of the
 weighting matrix, the moment formulas against Monte Carlo simulation of
 the generating mixed model, and the profiler against data simulated at
-known variance ratios and, as a property over generated stacks, its
-Woodbury route against the direct block route.
+known variance ratios and, as a property over generated stacks, against
+a direct block oracle that factors every n_tau-sized block
+Omega = I + xi X X' at every ratio.
 """
 
 import numpy as np
@@ -27,6 +28,8 @@ from ridge_relay import (
     plain_ridge,
     stack_batches,
 )
+from ridge_relay._numerics import cho_factor, cho_solve
+from ridge_relay.baselines import _solve_spd
 
 
 def random_batches(rng, t, n, p, coef, noise_sd=1.0, effect_sd=0.0):
@@ -56,6 +59,61 @@ def dense_gls(data, xi):
     w = np.linalg.inv(omega)
     xtw = data.x_stack.T @ w
     return np.linalg.solve(xtw @ data.x_stack, xtw @ data.y_stack)
+
+
+def direct_blocks(data, xi):
+    """X'Omega^{-1}X and X'Omega^{-1}y from each n_tau block, plus log det Omega."""
+    C = np.zeros((data.p, data.p))
+    b = np.zeros(data.p)
+    logdet = 0.0
+    for X, y in zip(data.blocks, data.y_blocks()):
+        sign, ld = np.linalg.slogdet(np.eye(data.p) + xi * (X.T @ X))
+        if sign <= 0:
+            raise SingularMatrixError("I + xi X'X has non-positive determinant")
+        logdet += ld
+        omega = np.eye(X.shape[0]) + xi * (X @ X.T)
+        S = cho_solve(cho_factor(omega, "a marginal covariance block"), X)
+        C += X.T @ S
+        b += S.T @ y
+    return C, b, logdet
+
+
+def direct_fixed_effects(data, xi):
+    C, b, _ = direct_blocks(data, xi)
+    return _solve_spd(C, b, "the GLS normal matrix")
+
+
+def direct_profile_point(data, xi):
+    """(fixed effects, GLS quadratic form, log det Omega) at one ratio, or None."""
+    try:
+        C, b, logdet = direct_blocks(data, xi)
+        beta = _solve_spd(C, b, "the GLS normal matrix")
+        quad = 0.0
+        for X, y in zip(data.blocks, data.y_blocks()):
+            r = y - X @ beta
+            gram_r = X.T @ r
+            inner = np.eye(data.p) + xi * (X.T @ X)
+            quad += float(r @ r) - xi * float(gram_r @ cho_solve(
+                cho_factor(inner, "I + xi X'X"), gram_r))
+    except SingularMatrixError:
+        return None
+    return beta, quad, logdet
+
+
+def direct_estimate_xi(data, grid):
+    """(ratio, fixed effects) maximizing the profile likelihood over ``grid``,
+    every point evaluated by the direct block oracle; ties keep the first."""
+    best = None
+    for xi in grid:
+        point = direct_profile_point(data, xi)
+        if point is None or point[1] <= 0:
+            continue
+        beta, quad, logdet = point
+        sigma_sq = quad / data.n
+        loglik = -0.5 * (data.n * np.log(2.0 * np.pi * sigma_sq) + logdet + data.n)
+        if best is None or loglik > best[0]:
+            best = (loglik, xi, beta)
+    return best[1], best[2]
 
 
 class TestStackedData:
@@ -135,19 +193,15 @@ class TestMixedFixedEffects:
                                        atol=1e-8)
 
     def test_solver_paths_agree(self):
-        """The compressed per-batch path and the direct dense path give the
-        same estimator regardless of which side of the size rule the
-        instance falls on."""
+        """The per-block spectral solve and the direct block oracle give the
+        same estimator on tall, square and wide batches."""
         rng = np.random.default_rng(107)
         for t, n, p in ((2, 10, 2), (4, 3, 3), (3, 5, 4)):
             data = stack_batches(random_batches(rng, t, n, p,
                                                 rng.standard_normal(p),
                                                 effect_sd=1.0))
-            a = mixed_fixed_effects(data, 2.0, method="woodbury")
-            b = mixed_fixed_effects(data, 2.0, method="direct")
-            c = mixed_fixed_effects(data, 2.0)
-            np.testing.assert_allclose(a, b, atol=1e-8)
-            np.testing.assert_allclose(c, a, atol=1e-8)
+            np.testing.assert_allclose(mixed_fixed_effects(data, 2.0),
+                                       direct_fixed_effects(data, 2.0), atol=1e-8)
 
     def test_underdetermined_stack_raises(self):
         rng = np.random.default_rng(108)
@@ -244,6 +298,21 @@ class TestMixedMoments:
                          / (reps - 1))
         assert np.max(np.abs(sample_cov - cov) / se_cov) < 4.0
 
+    def test_covariance_matches_dense_sandwich(self):
+        """Exactly est_map Cov(y) est_map' with Cov(y) = s_eps I + s_gamma ZZ', on
+        tall, square and wide batches, at ratios other than the generating one."""
+        rng = np.random.default_rng(110)
+        for t, n, p in ((2, 10, 2), (4, 3, 3), (3, 2, 4)):
+            data = stack_batches(random_batches(rng, t, n, p, np.zeros(p)))
+            Z = z_block(data)
+            cov_y = 0.7 * np.eye(data.n) + 1.3 * (Z @ Z.T)
+            for xi in (0.1, 2.0):
+                xtw = data.x_stack.T @ np.linalg.inv(xi * (Z @ Z.T) + np.eye(data.n))
+                est_map = np.linalg.solve(xtw @ data.x_stack, xtw)
+                report = mixed_moments(data, xi, 0.7, 1.3, np.zeros(p))
+                np.testing.assert_allclose(report.covariance,
+                                           est_map @ cov_y @ est_map.T, atol=1e-9)
+
     def test_moment_validation(self):
         rng = np.random.default_rng(115)
         data = stack_batches(random_batches(rng, 2, 5, 2, np.zeros(2)))
@@ -328,11 +397,11 @@ class TestEstimateXiRoutes:
               suppress_health_check=[HealthCheck.too_slow])
     @given(stacked_studies())
     def test_woodbury_route_matches_direct_route(self, data):
-        woodbury = estimate_xi(data, method="woodbury")
-        direct = estimate_xi(data, method="direct")
-        assert woodbury.xi == direct.xi
-        scale = np.linalg.norm(direct.fixed_effects)
-        assert np.linalg.norm(woodbury.fixed_effects - direct.fixed_effects) <= 1e-10 * scale
+        fit = estimate_xi(data)
+        xi, fixed_effects = direct_estimate_xi(data, default_xi_grid())
+        assert fit.xi == xi
+        scale = np.linalg.norm(fixed_effects)
+        assert np.linalg.norm(fit.fixed_effects - fixed_effects) <= 1e-10 * scale
 
 
 class TestPlainRidge:

@@ -568,6 +568,15 @@ class TestCliPredict:
         assert code == 2 and out == ""
         assert "'b'" in err and "not finite" in err
 
+    def test_csv_without_covariate_columns_exit_2(self, tmp_path):
+        path = self.make_state(tmp_path, {"a": 2.0})
+        data = str(tmp_path / "d.csv")
+        write_csv(data, ["y"], [[1.0], [2.0]])
+        code, out, err = run_cli("predict", "--state", path, "--data", data,
+                                 "--response", "y")
+        assert code == 2 and out == ""
+        assert "no covariate columns" in err
+
 
 class TestCliSimulate:
     def scenario(self, tmp_path, doc, name="scenario.json"):
@@ -642,6 +651,58 @@ class TestCliSimulate:
         code, _, err = run_cli("simulate", "--scenario", scenario,
                                "--out", str(tmp_path / "out"))
         assert code == 2 and "mystery" in err
+
+
+def target_file_args(tmp_path, doc):
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps(doc))
+    return ["init", "--state", str(tmp_path / "m.json"), "--target-file", str(target)]
+
+
+def state_file_args(tmp_path, edit):
+    """``export`` of a one-update state file whose document ``edit`` changed."""
+    doc = cio.state_to_doc(seeded_state())
+    edit(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    return ["export", "--state", str(path)]
+
+
+def scenario_args(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]
+
+
+BAD_JSON_VALUES = {
+    "target-non-numeric": lambda tmp: target_file_args(tmp, {"a": "abc"}),
+    "target-null": lambda tmp: target_file_args(tmp, {"a": None}),
+    "target-past-float-range": lambda tmp: target_file_args(tmp, {"a": 10 ** 400}),
+    "history-non-object": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["history"].append(5)),
+    "covariates-number": lambda tmp: state_file_args(
+        tmp, lambda doc: doc.update(covariates=7)),
+    "covariates-string": lambda tmp: state_file_args(
+        tmp, lambda doc: doc.update(covariates="ab")),
+    "init-target-non-numeric": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["init"]["target"].update(a="abc")),
+    "ragged-batch-rows": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["batches"][0]["x"][0].pop()),
+    "batch-cell-past-float-range": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["batches"][0]["x"][0].__setitem__(0, 10 ** 400)),
+    "scenario-string-p": lambda tmp: scenario_args(
+        tmp, {"study": "regular-vs-updated", "p": "11"}),
+    "scenario-list": lambda tmp: scenario_args(tmp, [{"p": 3}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON_VALUES))
+def test_bad_json_values_exit_2(tmp_path, case):
+    """Well-formed JSON holding a value of the wrong type or shape is bad
+    input: exit 2 with an error line, never a traceback."""
+    code, out, err = run_cli(*BAD_JSON_VALUES[case](tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 class TestCliExport:
