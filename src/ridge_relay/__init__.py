@@ -42,7 +42,6 @@ from .linear_estimator import (
     update,
 )
 from .logistic_estimator import (
-    IrlsConfig,
     LogisticFit,
     estimating_equation,
     irls_fit,

@@ -48,6 +48,7 @@ __all__ = [
     "mixed_fixed_effects",
     "mixed_moments",
     "estimate_xi",
+    "DEFAULT_XI_GRID_POINTS",
     "default_xi_grid",
     "plain_ridge",
 ]
@@ -247,7 +248,10 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
                         noise_var=sigma_eps_sq)
 
 
-def default_xi_grid(points: int = 25) -> tuple[float, ...]:
+DEFAULT_XI_GRID_POINTS = 25
+
+
+def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
     """Log-spaced candidate variance ratios for ``estimate_xi``."""
     return tuple(np.geomspace(1e-4, 1e4, points).tolist())
 

@@ -11,9 +11,10 @@ Writes go to a temporary file in the target directory followed by an
 atomic rename, and an advisory lock file (``<state>.lock``) guards
 read-modify-write command runs.
 
-Exit codes: 0 success; 2 invalid inputs (schema, CSV, configuration);
-3 numerical failure of a fit (non-convergence, singular system);
-4 penalty-selection or locking failure.
+Exit codes, each error class's ``exit_code``: 0 success; 2 invalid
+inputs (schema, CSV, configuration); 3 numerical failure of a fit
+(non-convergence, singular system); 4 penalty-selection or locking
+failure.
 
 Data comes in as headed CSV, strictly numeric; anything unparsable is an
 error rather than a guess. Simulation output is written as small "plot
@@ -36,17 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    EstimationError,
-    LockError,
-    RegistryError,
-    RidgeRelayError,
-    SelectionError,
-    SingularMatrixError,
-    StateFileError,
-    ValidationError,
-)
+from .errors import LockError, RegistryError, RidgeRelayError, StateFileError, ValidationError
 from .model_core import (
     Batch,
     CoefficientVector,
@@ -113,8 +104,8 @@ def state_to_doc(state: EstimatorState) -> dict:
             {
                 "t": b.t,
                 "covariates": list(b.covariates),
-                "x": [[float(v) for v in row] for row in b.X],
-                "y": [float(v) for v in b.y],
+                "x": b.X.tolist(),
+                "y": b.y.tolist(),
             }
             for b in state.retained
         ],
@@ -632,18 +623,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, RegistryError, StateFileError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ConvergenceError, SingularMatrixError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (SelectionError, EstimationError, LockError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
     except RidgeRelayError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

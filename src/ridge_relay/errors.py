@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on a user-facing path derives from ``RidgeRelayError``
-so callers (and the command line driver) can map failures to exit codes
-without matching on message text.
+and carries as ``exit_code`` the status the ``ridge-relay`` command exits
+with for it: 2 for invalid input, 3 for a numerical failure of a fit, 4
+for a failed penalty selection, baseline estimate or lock.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ __all__ = [
 class RidgeRelayError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class ValidationError(RidgeRelayError):
     """An input violates a documented precondition (shape, finiteness, range)."""
@@ -35,27 +38,28 @@ class RegistryError(ValidationError):
 class SingularMatrixError(RidgeRelayError):
     """A linear system that must be positive definite is numerically singular."""
 
+    exit_code = 3
+
 
 class ConvergenceError(RidgeRelayError):
     """An iterative fit stopped without meeting its convergence criterion.
 
-    Carries the last iterate so callers can inspect how far the solver got.
+    The message says which limit was hit; the fit's state is not kept.
     """
 
-    def __init__(self, message: str, last_coef=None, gradient_norm: float | None = None,
-                 iterations: int | None = None):
-        super().__init__(message)
-        self.last_coef = last_coef
-        self.gradient_norm = gradient_norm
-        self.iterations = iterations
+    exit_code = 3
 
 
 class SelectionError(RidgeRelayError):
     """Penalty selection could not produce a usable choice (e.g. all scores infinite)."""
 
+    exit_code = 4
+
 
 class EstimationError(RidgeRelayError):
     """A baseline estimator failed at every configuration it was allowed to try."""
+
+    exit_code = 4
 
 
 class StateFileError(RidgeRelayError):
@@ -64,3 +68,5 @@ class StateFileError(RidgeRelayError):
 
 class LockError(RidgeRelayError):
     """Another process holds the advisory lock for a state file."""
+
+    exit_code = 4

@@ -162,7 +162,6 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
 
 
 def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, lam: float,
-                       fallback: "float | CoefficientVector | None",
                        target_spec: TargetSpec | None, weights: Sequence[float] | None,
                        diagnostics: dict | None) -> EstimatorState:
     """The update step of both families.
@@ -180,10 +179,9 @@ def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, la
     if target_spec is None:
         if weights is not None:
             raise ValidationError("weights were given without a target spec")
-        target, used_weights = assemble_target(state, names, fallback), None
+        target, used_weights = assemble_target(state, names), None
     else:
-        expanded = TargetSpec(tuple(assemble_target(t, names, fallback)
-                                    for t in target_spec.targets),
+        expanded = TargetSpec(tuple(assemble_target(t, names) for t in target_spec.targets),
                               target_spec.weights)
         target = mixture_target(expanded, weights)
         used_weights = tuple(weights) if weights is not None else expanded.weights
@@ -200,23 +198,23 @@ def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, la
 
 
 def update(state: EstimatorState, batch: Batch, lam: float, *,
-           fallback: "float | CoefficientVector | None" = None,
            target_spec: TargetSpec | None = None,
            weights: Sequence[float] | None = None,
            diagnostics: dict | None = None) -> EstimatorState:
     """One sequential step: shrink the new batch's fit toward the latest estimates.
 
     The target is assembled element-wise: each covariate shrinks toward
-    its most recent estimate, covariates new to this batch (appended to
-    the registry here) toward ``fallback`` (default: the state's initial
-    target, then 0). With a ``target_spec`` the target is a weighted
-    mixture of the spec's candidates instead.
+    its most recent estimate, and a covariate no estimate covers yet
+    (such as one new to this batch, appended to the registry here) toward
+    the state's initial target, else 0. With a ``target_spec`` the target
+    is a weighted mixture of the spec's candidates instead, each candidate
+    taking 0 for a covariate it lacks.
     """
     def fit(X, y, lam, target):
         return fit_targeted_ridge(X, y, lam, target).coef, {}
 
-    return _sequential_update("linear", fit, state, batch, lam, fallback, target_spec,
-                              weights, diagnostics)
+    return _sequential_update("linear", fit, state, batch, lam, target_spec, weights,
+                              diagnostics)
 
 
 def exact_moments_orthonormal(coef, target, lam: float, steps: int,

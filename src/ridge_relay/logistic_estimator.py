@@ -24,11 +24,10 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve, expit
 from .errors import ConvergenceError, ValidationError
-from .model_core import Batch, CoefficientVector, EstimatorState, TargetSpec
+from .model_core import Batch, EstimatorState, TargetSpec
 from .linear_estimator import _check_penalty, _check_xy_target, _sequential_update
 
 __all__ = [
-    "IrlsConfig",
     "LogisticFit",
     "logistic_loglik",
     "penalized_loglik",
@@ -38,25 +37,9 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-10
-
-
-@dataclass(frozen=True)
-class IrlsConfig:
-    """Tuning knobs for the IRLS solver.
-
-    ``step_halving`` bounds how often a proposed step may be halved
-    before the iteration gives up.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 100
-    step_halving: int = 20
-
-    def __post_init__(self) -> None:
-        if not (self.tol > 0):
-            raise ValidationError("tol must be positive")
-        if self.max_iter < 1 or self.step_halving < 1:
-            raise ValidationError("iteration limits must be >= 1")
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 100
+IRLS_STEP_HALVING = 20
 
 
 @dataclass(frozen=True)
@@ -114,15 +97,17 @@ def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     return X.T @ (y - mu) - lam * (coef - target)
 
 
-def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> LogisticFit:
+def irls_fit(X, y, lam: float, target) -> LogisticFit:
     """Maximize the penalized log-likelihood by IRLS with step-halving.
 
     The penalty must be strictly positive: it is what keeps the weighted
     normal equations well posed under separation, where the unpenalized
     likelihood has no maximizer. Iteration starts at the target, declares
     convergence when the estimating equation's largest entry is at most
-    ``tol`` in absolute value, and raises ``ConvergenceError`` (carrying
-    the last iterate) if the limits are exhausted first.
+    ``IRLS_TOL`` in absolute value, and raises ``ConvergenceError`` if
+    ``IRLS_MAX_ITER`` iterations pass first, or if ``IRLS_STEP_HALVING``
+    halvings of one step cannot keep the penalized log-likelihood from
+    falling.
 
     For extreme penalties the residual term lam * (coef - target) is
     quantized in steps of lam * ulp(target), so an absolute tolerance is
@@ -135,7 +120,6 @@ def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> Logi
     lam = _check_penalty(lam)
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
-    cfg = config or IrlsConfig()
     p = X.shape[1]
     eye = np.eye(p)
 
@@ -149,9 +133,9 @@ def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> Logi
     def tol_now() -> float:
         scale = max(1.0, float(np.max(np.abs(coef), initial=0.0)),
                     float(np.max(np.abs(target), initial=0.0)))
-        return cfg.tol + 8.0 * eps * lam * scale
+        return IRLS_TOL + 8.0 * eps * lam * scale
 
-    for iteration in range(1, cfg.max_iter + 1):
+    for iteration in range(1, IRLS_MAX_ITER + 1):
         if gnorm <= tol_now():
             return LogisticFit(coef=coef, lam=lam, target=target,
                                iterations=iteration - 1, final_gradient_norm=gnorm,
@@ -167,7 +151,7 @@ def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> Logi
 
         step = 1.0
         accepted = False
-        for _ in range(cfg.step_halving + 1):
+        for _ in range(IRLS_STEP_HALVING + 1):
             cand = coef + step * direction
             cand_ll = penalized_loglik(X, y, cand, lam, target)
             if cand_ll >= cur_ll - 1e-12 * (1.0 + abs(cur_ll)):
@@ -176,38 +160,35 @@ def irls_fit(X, y, lam: float, target, config: IrlsConfig | None = None) -> Logi
             step *= 0.5
         if not accepted:
             raise ConvergenceError(
-                "step-halving could not improve the penalized log-likelihood",
-                last_coef=coef, gradient_norm=gnorm, iterations=iteration)
+                "step-halving could not improve the penalized log-likelihood")
         path.append(cur_ll)
         grad = estimating_equation(X, y, coef, lam, target)
         gnorm = float(np.max(np.abs(grad))) if p else 0.0
 
     if gnorm <= tol_now():
         return LogisticFit(coef=coef, lam=lam, target=target,
-                           iterations=cfg.max_iter, final_gradient_norm=gnorm,
+                           iterations=IRLS_MAX_ITER, final_gradient_norm=gnorm,
                            loglik=cur_ll, loglik_path=tuple(path))
     raise ConvergenceError(
-        f"IRLS did not converge in {cfg.max_iter} iterations "
-        f"(gradient norm {gnorm:.3e} > tol {cfg.tol:.3e})",
-        last_coef=coef, gradient_norm=gnorm, iterations=cfg.max_iter)
+        f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
+        f"(gradient norm {gnorm:.3e} > tol {IRLS_TOL:.3e})")
 
 
 def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
-                    fallback: "float | CoefficientVector | None" = None,
                     target_spec: TargetSpec | None = None,
                     weights: Sequence[float] | None = None,
-                    config: IrlsConfig | None = None,
                     diagnostics: dict | None = None) -> EstimatorState:
     """Sequential logistic step: IRLS shrinking toward the latest estimates.
 
     Target assembly follows the linear update's element-wise rule: each
-    covariate shrinks toward its most recent estimate and new covariates
-    toward ``fallback`` (default: the initial target, then 0).
+    covariate shrinks toward its most recent estimate, and a covariate no
+    estimate covers yet toward the initial target, else 0. The IRLS fit
+    runs with the module's fixed limits (see ``irls_fit``).
     """
     def fit(X, y, lam, target):
-        res = irls_fit(X, y, lam, target, config)
+        res = irls_fit(X, y, lam, target)
         return res.coef, {"irls_iterations": res.iterations,
                           "irls_gradient_norm": res.final_gradient_norm}
 
-    return _sequential_update("logistic", fit, state, batch, lam, fallback, target_spec,
-                              weights, diagnostics)
+    return _sequential_update("logistic", fit, state, batch, lam, target_spec, weights,
+                              diagnostics)

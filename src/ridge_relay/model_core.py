@@ -198,20 +198,13 @@ class CoefficientVector:
     def names(self) -> tuple[str, ...]:
         return tuple(self.values)
 
-    def as_array(self, names: Sequence[str], fallback: float | None = None) -> np.ndarray:
-        """Dense layout in the order of ``names``.
-
-        Names absent from the vector take ``fallback``; with ``fallback=None``
-        an absent name is an error.
-        """
+    def as_array(self, names: Sequence[str]) -> np.ndarray:
+        """Dense layout in the order of ``names``; an absent name is an error."""
         out = np.empty(len(names))
         for i, name in enumerate(names):
-            if name in self.values:
-                out[i] = self.values[name]
-            elif fallback is None:
+            if name not in self.values:
                 raise ValidationError(f"coefficient vector has no entry for {name!r}")
-            else:
-                out[i] = fallback
+            out[i] = self.values[name]
         return out
 
     @staticmethod
@@ -365,44 +358,25 @@ def align_batch(batch: Batch, registry: CovariateRegistry) -> np.ndarray:
     return out
 
 
-def _fallback_value(name: str, fallback: "float | CoefficientVector | None",
-                    default: CoefficientVector | None) -> float:
-    if fallback is None:
-        return default.get(name, 0.0) if default is not None else 0.0
-    if isinstance(fallback, CoefficientVector):
-        if name not in fallback:
-            raise ValidationError(
-                f"covariate {name!r} appears in no history estimate and the fallback "
-                "vector does not cover it")
-        return fallback[name]
-    return float(fallback)
-
-
-def assemble_target(source: "EstimatorState | CoefficientVector", names: Sequence[str],
-                    fallback: "float | CoefficientVector | None" = None) -> CoefficientVector:
+def assemble_target(source: "EstimatorState | CoefficientVector",
+                    names: Sequence[str]) -> CoefficientVector:
     """Shrinkage target over ``names``, assembled element-wise.
 
     For an :class:`EstimatorState` source each covariate takes its value
     from the most recent history estimate that contains it, so covariates
     observed only in older batches keep their last known coefficient.
-    Covariates no history entry covers fall back, in order of precedence,
-    to an explicit ``fallback`` (a constant, or a vector looked up by
-    name), else to the state's initial target, else to 0. The initial
-    target backstop is what makes a state initialized from a sacrificed
-    first batch shrink its first update toward that fit.
+    Covariates no history entry covers take the state's initial target,
+    else 0. The initial target backstop is what makes a state initialized
+    from a sacrificed first batch shrink its first update toward that fit.
 
-    A bare :class:`CoefficientVector` source is used as-is, with the same
-    fallback handling for names it lacks (default 0). A vector ``fallback``
-    is strict: a covariate covered by neither the source nor the fallback
-    is a configuration error.
+    A bare :class:`CoefficientVector` source is used as-is, and names it
+    lacks get 0.
     """
     if isinstance(source, EstimatorState):
         layers: tuple[CoefficientVector, ...] = tuple(
-            rec.estimate for rec in reversed(source.history))
-        default = source.init_target
+            rec.estimate for rec in reversed(source.history)) + (source.init_target,)
     elif isinstance(source, CoefficientVector):
         layers = (source,)
-        default = None
     else:
         raise ValidationError("source must be an EstimatorState or CoefficientVector")
     out: dict[str, float] = {}
@@ -413,7 +387,7 @@ def assemble_target(source: "EstimatorState | CoefficientVector", names: Sequenc
                 out[name] = layer[name]
                 break
         else:
-            out[name] = _fallback_value(name, fallback, default)
+            out[name] = 0.0
     return CoefficientVector(out)
 
 

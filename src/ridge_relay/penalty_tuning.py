@@ -340,7 +340,6 @@ class PenaltySearchConfig:
     constrained: bool = True
     grid: tuple[float, ...] = field(default_factory=default_grid)
     seed: int = 0
-    fallback: "float | CoefficientVector | None" = None
     weight_points: int = 11
 
     def __post_init__(self) -> None:
@@ -356,6 +355,8 @@ class PenaltySearchConfig:
             raise ValidationError("k_folds must be >= 2 (or None for leave-one-out)")
         if self.weight_points < 2:
             raise ValidationError("weight_points must be >= 2")
+        if self.seed < 0:
+            raise ValidationError(f"the fold seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -484,11 +485,10 @@ def select_penalty(state: EstimatorState, batch: Batch,
 
     if targets is None:
         weight_options: list[tuple[float, ...] | None] = [None]
-        target_map = {None: assemble_target(state, names, cfg.fallback)}
+        target_map = {None: assemble_target(state, names)}
     else:
-        expanded = TargetSpec(
-            tuple(assemble_target(t, names, cfg.fallback) for t in targets.targets),
-            targets.weights)
+        expanded = TargetSpec(tuple(assemble_target(t, names) for t in targets.targets),
+                              targets.weights)
         if expanded.weights is not None:
             weight_options = [expanded.weights]
         else:

@@ -452,6 +452,20 @@ class TestCliUpdate:
                                "--response", "y")
         assert code == 2 and "error:" in err
 
+    def test_negative_seed_exits_2_and_leaves_the_state(self, tmp_path):
+        path, data, _ = self.init_and_first_batch(tmp_path)
+        before = open(path, "rb").read()
+        code, out, err = run_cli("update", "--state", path, "--data", data,
+                                 "--response", "y", "--seed", "-1")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert open(path, "rb").read() == before
+        assert not os.path.exists(path + ".lock")
+        fresh = str(tmp_path / "fresh.json")
+        code, _, err = run_cli("init", "--state", fresh, "--data", data,
+                               "--response", "y", "--seed", "-2")
+        assert code == 2 and err.startswith("error: ")
+        assert not os.path.exists(fresh) and not os.path.exists(fresh + ".lock")
+
     def test_stale_lock_exits_4(self, tmp_path):
         path, data, _ = self.init_and_first_batch(tmp_path)
         with open(path + ".lock", "w") as fh:
@@ -693,6 +707,8 @@ BAD_JSON_VALUES = {
     "scenario-string-p": lambda tmp: scenario_args(
         tmp, {"study": "regular-vs-updated", "p": "11"}),
     "scenario-list": lambda tmp: scenario_args(tmp, [{"p": 3}]),
+    "scenario-negative-seed": lambda tmp: scenario_args(
+        tmp, {"study": "regular-vs-updated", "p": 3, "seed": -1}),
 }
 
 

@@ -282,20 +282,6 @@ class TestSequentialUpdate:
         np.testing.assert_allclose(state.current.as_array(("a", "c")), expected,
                                    atol=1e-12)
 
-    def test_explicit_fallback_steers_new_covariates(self):
-        rng = np.random.default_rng(23)
-        state = fresh_state(names=("a",))
-        b1 = Batch(t=1, X=rng.standard_normal((5, 1)), y=rng.standard_normal(5),
-                   covariates=("a",))
-        state = update(state, b1, 1.0)
-        a_hat = state.current.values["a"]
-        X2 = rng.standard_normal((5, 2))
-        b2 = Batch(t=2, X=X2, y=rng.standard_normal(5), covariates=("a", "c"))
-        state = update(state, b2, 2.0, fallback=4.0)
-        expected = fit_targeted_ridge(X2, b2.y, 2.0, np.array([a_hat, 4.0])).coef
-        np.testing.assert_allclose(state.current.as_array(("a", "c")), expected,
-                                   atol=1e-12)
-
     def test_zero_penalty_rejected_for_updates(self):
         state = fresh_state()
         batch = Batch(t=1, X=np.eye(2), y=np.ones(2), covariates=("a", "b"))

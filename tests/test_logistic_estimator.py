@@ -16,7 +16,6 @@ from ridge_relay import (
     ConvergenceError,
     CovariateRegistry,
     EstimatorState,
-    IrlsConfig,
     TargetSpec,
     ValidationError,
     estimating_equation,
@@ -25,6 +24,7 @@ from ridge_relay import (
     penalized_loglik,
     update_logistic,
 )
+from ridge_relay import logistic_estimator
 
 
 def make_data(rng, n, p, coef):
@@ -175,21 +175,23 @@ class TestIrlsFit:
         rhs = X.T @ (w * z) + lam * target
         np.testing.assert_allclose(lhs @ fit.coef, rhs, atol=1e-6)
 
-    def test_reports_iterations_and_gradient_norm(self):
+    def test_reports_iterations_and_gradient_norm(self, monkeypatch):
         rng = np.random.default_rng(69)
         X, y = make_data(rng, 20, 2, np.array([1.0, -1.0]))
-        config = IrlsConfig(tol=1e-10, max_iter=50)
-        fit = irls_fit(X, y, 1.0, np.zeros(2), config)
+        monkeypatch.setattr(logistic_estimator, "IRLS_TOL", 1e-10)
+        monkeypatch.setattr(logistic_estimator, "IRLS_MAX_ITER", 50)
+        fit = irls_fit(X, y, 1.0, np.zeros(2))
         assert 1 <= fit.iterations <= 50
         assert fit.final_gradient_norm <= 1e-10
         residual = estimating_equation(X, y, fit.coef, 1.0, np.zeros(2))
         assert np.max(np.abs(residual)) <= 1e-10
 
-    def test_iteration_budget_exhaustion_raises(self):
+    def test_iteration_budget_exhaustion_raises(self, monkeypatch):
         rng = np.random.default_rng(70)
         X, y = make_data(rng, 30, 3, np.array([2.0, -2.0, 1.0]))
+        monkeypatch.setattr(logistic_estimator, "IRLS_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            irls_fit(X, y, 0.1, np.full(3, 10.0), IrlsConfig(max_iter=1))
+            irls_fit(X, y, 0.1, np.full(3, 10.0))
 
     def test_zero_penalty_rejected(self):
         with pytest.raises(ValidationError):

@@ -105,7 +105,6 @@ class TestCoefficientVector:
 
     def test_missing_name_with_fallback_and_without(self):
         vec = CoefficientVector({"a": 1.0})
-        np.testing.assert_array_equal(vec.as_array(("a", "c"), fallback=0.0), [1.0, 0.0])
         with pytest.raises(ValidationError):
             vec.as_array(("a", "c"))
 
@@ -180,14 +179,8 @@ class TestAssembleTarget:
         )
         state = make_state(names=("a", "b", "c"), init=CoefficientVector({}),
                            history=history)
-        zeros = CoefficientVector({"a": 0.0, "b": 0.0, "c": 0.0})
-        target = assemble_target(state, ("a", "b", "c"), zeros)
+        target = assemble_target(state, ("a", "b", "c"))
         assert dict(target.values) == {"a": 1.5, "b": 2.0, "c": 0.0}
-
-    def test_empty_history_uses_fallback_values(self):
-        state = make_state(names=("a",), init=CoefficientVector({}))
-        target = assemble_target(state, ("a",), CoefficientVector({"a": 0.7}))
-        assert dict(target.values) == {"a": 0.7}
 
     def test_coordinate_unobserved_in_latest_batch_keeps_older_value(self):
         """A covariate missing from the newest estimate falls back through
@@ -200,11 +193,6 @@ class TestAssembleTarget:
                            history=history)
         target = assemble_target(state, ("a", "b"))
         assert dict(target.values) == {"a": 2.0, "b": 3.0}
-
-    def test_no_history_and_no_fallback_coverage_is_an_error(self):
-        state = make_state(names=("a",), init=CoefficientVector({}))
-        with pytest.raises(ValidationError):
-            assemble_target(state, ("a",), CoefficientVector({}))
 
     def test_default_fallback_is_initial_target_then_zero(self):
         state = make_state(names=("a", "b"), init=CoefficientVector({"a": 9.0}))
@@ -223,8 +211,8 @@ class TestAssembleTarget:
 
     def test_plain_vector_source_with_constant_fallback(self):
         vec = CoefficientVector({"a": 4.0})
-        target = assemble_target(vec, ("a", "b"), 1.5)
-        assert dict(target.values) == {"a": 4.0, "b": 1.5}
+        target = assemble_target(vec, ("a", "b"))
+        assert dict(target.values) == {"a": 4.0, "b": 0.0}
 
 
 class TestMixtureTarget:

@@ -22,7 +22,6 @@ from ridge_relay import (
     CovariateRegistry,
     EstimatorState,
     FoldPlan,
-    IrlsConfig,
     PenaltySearchConfig,
     SelectionError,
     ValidationError,
@@ -35,7 +34,7 @@ from ridge_relay import (
     update,
     update_logistic,
 )
-from ridge_relay import penalty_tuning
+from ridge_relay import logistic_estimator, penalty_tuning
 from ridge_relay.errors import ConvergenceError
 from ridge_relay.model_core import TargetSpec
 
@@ -173,11 +172,11 @@ class TestCvScore:
         irls_fit = penalty_tuning.irls_fit
         failed = []
 
-        def fail_once_at_five(X, y, lam, target, config=None):
+        def fail_once_at_five(X, y, lam, target):
             if lam == 5.0 and not failed:
                 failed.append(lam)
                 raise ConvergenceError("forced failure")
-            return irls_fit(X, y, lam, target, config)
+            return irls_fit(X, y, lam, target)
 
         monkeypatch.setattr(penalty_tuning, "irls_fit", fail_once_at_five)
         rng = np.random.default_rng(80)
@@ -470,7 +469,7 @@ class TestSelectPenalty:
 
     def test_all_logistic_candidates_disqualified_raises(self, monkeypatch):
         """The fold loop fits each logistic candidate with ``irls_fit``."""
-        def explode(X, y, lam, target, config=None):
+        def explode(X, y, lam, target):
             raise ConvergenceError("forced failure")
 
         monkeypatch.setattr(penalty_tuning, "irls_fit", explode)
@@ -633,7 +632,6 @@ def irls_score_tolerance(batch, registry, cand, folds, target):
     moves by at most ``||X||_2 sqrt(n)`` per unit of coefficient distance.
     The score averages the folds' held-out criteria, and so its bound.
     """
-    cfg = IrlsConfig()
     eps = np.finfo(float).eps
     X = penalty_tuning.align_batch(batch, registry)
     p, lam = X.shape[1], cand.lam
@@ -641,7 +639,7 @@ def irls_score_tolerance(batch, registry, cand, folds, target):
     for fold in range(1, folds.k + 1):
         train, test = folds.split(fold)
         size = np.abs(target).max(initial=0.0) + np.abs(X[train]).sum(axis=0).max() / lam
-        g = cfg.tol + 8.0 * eps * lam * max(1.0, size)
+        g = logistic_estimator.IRLS_TOL + 8.0 * eps * lam * max(1.0, size)
         distance = 2.0 * np.sqrt(p) * g / lam
         total += np.linalg.norm(X[test], 2) * np.sqrt(test.sum()) * distance
     return total / folds.k

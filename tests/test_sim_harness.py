@@ -73,6 +73,21 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             ScenarioConfig(init_mode="oracle")
 
+    @pytest.mark.parametrize("field,value", [("p", "11"), ("seed", 1.5),
+                                             ("n_replicates", True), ("seed", -1)])
+    def test_constructor_checks_field_types_and_seed(self, field, value):
+        """Python callers get the same checks as scenario files."""
+        with pytest.raises(ValidationError):
+            ScenarioConfig(**{field: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        config = ScenarioConfig(p=np.int64(3), n=np.int32(6), noise_var=np.float64(0.5),
+                                grid_min=np.float32(0.01), seed=np.int64(4),
+                                orthonormal=np.bool_(False),
+                                beta_rule=np.array([0.5, -0.5, 1.0]))
+        assert config.p == 3 and config.noise_var == 0.5 and config.seed == 4
+        assert config.beta_rule == (0.5, -0.5, 1.0)
+
     def test_dict_round_trip(self):
         config = ScenarioConfig(p=3, n=6, beta_rule=(0.5, -0.5, 1.0),
                                 tracked=(1, 3), empty_every=4,
