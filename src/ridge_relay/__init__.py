@@ -45,6 +45,7 @@ from .logistic_estimator import (
     LogisticFit,
     estimating_equation,
     irls_fit,
+    irls_fit_grid,
     logistic_loglik,
     penalized_loglik,
     update_logistic,

@@ -89,6 +89,19 @@ def _check_xy_target(X, y, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X, y, t
 
 
+def _check_xy_targets(X, y, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A grid solve's design, response and targets (one per column)."""
+    X = _as_float_matrix(X, "X")
+    y = _as_float_vector(y, "y")
+    if X.shape[0] != y.shape[0]:
+        raise ValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    T = _as_float_matrix(targets, "targets")
+    if T.shape[0] != X.shape[1]:
+        raise ValidationError(
+            f"targets have {T.shape[0]} rows for {X.shape[1]} design columns")
+    return X, y, T
+
+
 def _penalized_normal_factor(gram: np.ndarray, lam: float):
     """Cholesky factor of X'X + lam I, or a singularity error."""
     p = gram.shape[0]
@@ -137,14 +150,7 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     ``d_min = 0``. There ``X'X + lam I`` is numerically singular: the
     coefficients are left at the target and must not be used.
     """
-    X = _as_float_matrix(X, "X")
-    y = _as_float_vector(y, "y")
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    T = _as_float_matrix(targets, "targets")
-    if T.shape[0] != X.shape[1]:
-        raise ValidationError(
-            f"targets have {T.shape[0]} rows for {X.shape[1]} design columns")
+    X, y, T = _check_xy_targets(X, y, targets)
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams < 0):
         raise ValidationError("penalties must be a sequence of finite values >= 0")

@@ -13,19 +13,31 @@ squares: each iteration solves a targeted ridge problem in the working
 response, which makes the sequential update literally a reweighted
 version of the linear one. Step-halving guards every iteration so the
 penalized log-likelihood never decreases along accepted iterates.
+
+Penalty selection needs a fit for every grid penalty and target in every
+fold. ``irls_fit_grid`` runs them as one batched IRLS: the candidates
+share the design, so each Newton step stacks their weighted normal
+matrices and solves them together, while convergence, step-halving and
+failure stay per candidate. ``irls_fit`` is the one-candidate call of the
+same solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._numerics import cho_factor, cho_solve, expit
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, RidgeRelayError, SingularMatrixError, ValidationError
 from .model_core import Batch, EstimatorState, TargetSpec
-from .linear_estimator import _check_penalty, _check_xy_target, _sequential_update
+from .linear_estimator import (
+    _check_penalty,
+    _check_xy_target,
+    _check_xy_targets,
+    _sequential_update,
+)
 
 __all__ = [
     "LogisticFit",
@@ -33,6 +45,7 @@ __all__ = [
     "penalized_loglik",
     "estimating_equation",
     "irls_fit",
+    "irls_fit_grid",
     "update_logistic",
 ]
 
@@ -40,6 +53,9 @@ WEIGHT_FLOOR = 1e-10
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
 IRLS_STEP_HALVING = 20
+_EPS = float(np.finfo(float).eps)
+# Largest (candidates x p x n) block of X'W one Newton step forms at once.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,7 @@ class LogisticFit:
 
 
 def _check_binary(y: np.ndarray) -> None:
-    if y.size and not np.all(np.isin(y, (0.0, 1.0))):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValidationError("logistic responses must be coded 0/1")
 
 
@@ -97,6 +113,158 @@ def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     return X.T @ (y - mu) - lam * (coef - target)
 
 
+class _IrlsRun(NamedTuple):
+    """One batched IRLS run over C candidates sharing a design.
+
+    Row ``c`` of ``coef``, ``gradient_norm`` and ``loglik`` belongs to
+    candidate ``c``; ``iterations[c]`` counts its accepted steps, and
+    ``path[:iterations[c] + 1, c]`` is its penalized log-likelihood at
+    every accepted iterate, starting from the target. ``failures`` maps
+    each candidate that did not converge to the error that stopped it.
+    """
+
+    coef: np.ndarray
+    iterations: np.ndarray
+    gradient_norm: np.ndarray
+    loglik: np.ndarray
+    path: np.ndarray
+    failures: dict[int, RidgeRelayError]
+
+
+def _penalized_rows(X, y, coefs, lams, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized log-likelihood of each row of ``coefs``, and its linear predictors.
+
+    The products are matmuls, not ``einsum``: for one row they then round
+    exactly as ``penalized_loglik`` does.
+    """
+    eta = coefs @ X.T
+    diff = (coefs - targets)[:, None, :]
+    ll = eta @ y - np.logaddexp(0.0, eta).sum(axis=1)
+    return ll - 0.5 * lams * (diff @ diff.transpose(0, 2, 1))[:, 0, 0], eta
+
+
+def _gradient_norms(X, y, eta, coefs, lams, targets) -> np.ndarray:
+    """Largest absolute entry of each row's estimating equation."""
+    grad = (y - expit(eta)) @ X - lams[:, None] * (coefs - targets)
+    return np.abs(grad).max(axis=1, initial=0.0)
+
+
+def _tolerances(coefs, lams, targets) -> np.ndarray:
+    """Each row's stopping tolerance (see ``irls_fit``)."""
+    scale = np.maximum(1.0, np.maximum(np.abs(coefs).max(axis=1, initial=0.0),
+                                       np.abs(targets).max(axis=1, initial=0.0)))
+    return IRLS_TOL + 8.0 * _EPS * lams * scale
+
+
+def _weighted_normal(X, w, z) -> tuple[np.ndarray, np.ndarray]:
+    """``X'WX`` and ``X'Wz`` for each row of the weights ``w`` and working
+    responses ``z``.
+
+    The ``(rows, p, n)`` product ``X'W`` is formed a block of rows at a
+    time, so it holds about ``_BLOCK_ELEMENTS`` floats whatever the number
+    of candidates and the batch size.
+    """
+    n, p = X.shape
+    normal = np.empty((w.shape[0], p, p))
+    xwz = np.empty((w.shape[0], p))
+    size = max(1, _BLOCK_ELEMENTS // max(1, n * p))
+    for lo in range(0, w.shape[0], size):
+        xw = X.T * w[lo:lo + size, None, :]
+        normal[lo:lo + size] = xw @ X
+        xwz[lo:lo + size] = (xw @ z[lo:lo + size, :, None])[:, :, 0]
+    return normal, xwz
+
+
+def _newton_proposals(normal, rhs, rows, failures) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each weighted normal system ``normal[k] x = rhs[k]``.
+
+    Returns the solutions and a mask of the systems that are usable. One
+    non-finite or indefinite matrix makes the stacked calls raise for the
+    whole stack, so then each system is factored alone and only its own
+    candidate (``rows[k]``) fails, with the error ``cho_factor`` gives it.
+    """
+    ok = np.ones(len(rows), dtype=bool)
+    if np.isfinite(normal).all():
+        try:
+            np.linalg.cholesky(normal)
+            return np.linalg.solve(normal, rhs[..., None])[..., 0], ok
+        except np.linalg.LinAlgError:
+            pass
+    proposal = np.zeros_like(rhs)
+    for k, row in enumerate(rows):
+        try:
+            proposal[k] = cho_solve(cho_factor(normal[k], "the weighted normal matrix"), rhs[k])
+        except SingularMatrixError as exc:
+            failures[int(row)] = exc
+            ok[k] = False
+    return proposal, ok
+
+
+def _irls_stack(X, y, lams, targets) -> _IrlsRun:
+    """IRLS with step-halving for every candidate ``(lams[c], targets[c])`` at once.
+
+    Inputs are checked by the caller. Each Newton step builds one
+    ``(A, p, p)`` stack of weighted normal matrices for the A candidates
+    still running and solves it at once. Convergence, step-halving and
+    failure are tracked per candidate, with the rules ``irls_fit``
+    documents, so a candidate's iterates do not depend on its neighbours.
+    """
+    n_cand, p = targets.shape
+    eye = np.eye(p)
+    coef = targets.copy()
+    loglik, eta = _penalized_rows(X, y, coef, lams, targets)
+    gnorm = _gradient_norms(X, y, eta, coef, lams, targets)
+    path = [loglik.copy()]
+    iterations = np.zeros(n_cand, dtype=int)
+    running = np.ones(n_cand, dtype=bool)
+    failures: dict[int, RidgeRelayError] = {}
+    for iteration in range(1, IRLS_MAX_ITER + 2):
+        running &= ~(gnorm <= _tolerances(coef, lams, targets))
+        rows = np.flatnonzero(running)
+        if not rows.size:
+            break
+        if iteration > IRLS_MAX_ITER:
+            for row in rows:
+                failures[int(row)] = ConvergenceError(
+                    f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
+                    f"(gradient norm {gnorm[row]:.3e} > tol {IRLS_TOL:.3e})")
+            break
+        lam, start, start_eta = lams[rows], coef[rows], eta[rows]
+        mu = expit(start_eta)
+        w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
+        z = start_eta + (y - mu) / w
+        normal, rhs = _weighted_normal(X, w, z)
+        normal += lam[:, None, None] * eye
+        rhs += lam[:, None] * targets[rows]
+        proposal, solved = _newton_proposals(normal, rhs, rows, failures)
+        direction = proposal - start
+        pending = solved.copy()
+        step = np.ones(rows.size)
+        for _ in range(IRLS_STEP_HALVING + 1):
+            k = np.flatnonzero(pending)
+            if not k.size:
+                break
+            cand = start[k] + step[k, None] * direction[k]
+            cand_ll, cand_eta = _penalized_rows(X, y, cand, lam[k], targets[rows[k]])
+            cur = loglik[rows[k]]
+            take = cand_ll >= cur - 1e-12 * (1.0 + np.abs(cur))
+            moved = rows[k[take]]
+            coef[moved], loglik[moved], eta[moved] = cand[take], cand_ll[take], cand_eta[take]
+            iterations[moved] = iteration
+            pending[k[take]] = False
+            step[k[~take]] *= 0.5
+        for row in rows[pending]:
+            failures[int(row)] = ConvergenceError(
+                "step-halving could not improve the penalized log-likelihood")
+        running[rows[~solved | pending]] = False
+        moved = rows[iterations[rows] == iteration]
+        gnorm[moved] = _gradient_norms(X, y, eta[moved], coef[moved], lams[moved],
+                                       targets[moved])
+        path.append(loglik.copy())
+    return _IrlsRun(coef=coef, iterations=iterations, gradient_norm=gnorm, loglik=loglik,
+                    path=np.array(path), failures=failures)
+
+
 def irls_fit(X, y, lam: float, target) -> LogisticFit:
     """Maximize the penalized log-likelihood by IRLS with step-halving.
 
@@ -107,71 +275,61 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
     ``IRLS_TOL`` in absolute value, and raises ``ConvergenceError`` if
     ``IRLS_MAX_ITER`` iterations pass first, or if ``IRLS_STEP_HALVING``
     halvings of one step cannot keep the penalized log-likelihood from
-    falling.
+    falling. A weighted normal matrix that is not numerically positive
+    definite raises ``SingularMatrixError``.
 
     For extreme penalties the residual term lam * (coef - target) is
     quantized in steps of lam * ulp(target), so an absolute tolerance is
     unattainable in float64; the stopping rule therefore adds a floor of
     a few ulps at that scale. The floor is below 1e-9 for lam up to 1e6
     and only matters for the deliberately absurd probe penalties.
+
+    This is the one-candidate call of ``irls_fit_grid``'s solver.
     """
     X, y, target = _check_xy_target(X, y, target)
     _check_binary(y)
     lam = _check_penalty(lam)
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
-    p = X.shape[1]
-    eye = np.eye(p)
+    run = _irls_stack(X, y, np.array([lam]), target[None, :])
+    if run.failures:
+        raise run.failures[0]
+    iterations = int(run.iterations[0])
+    return LogisticFit(coef=run.coef[0], lam=lam, target=target, iterations=iterations,
+                       final_gradient_norm=float(run.gradient_norm[0]),
+                       loglik=float(run.loglik[0]),
+                       loglik_path=tuple(run.path[:iterations + 1, 0].tolist()))
 
-    coef = target.copy()
-    cur_ll = penalized_loglik(X, y, coef, lam, target)
-    path = [cur_ll]
-    grad = estimating_equation(X, y, coef, lam, target)
-    gnorm = float(np.max(np.abs(grad))) if p else 0.0
-    eps = float(np.finfo(float).eps)
 
-    def tol_now() -> float:
-        scale = max(1.0, float(np.max(np.abs(coef), initial=0.0)),
-                    float(np.max(np.abs(target), initial=0.0)))
-        return IRLS_TOL + 8.0 * eps * lam * scale
+def irls_fit_grid(X, y, lams: Sequence[float],
+                  targets) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized logistic fits for every penalty and target in one batched IRLS.
 
-    for iteration in range(1, IRLS_MAX_ITER + 1):
-        if gnorm <= tol_now():
-            return LogisticFit(coef=coef, lam=lam, target=target,
-                               iterations=iteration - 1, final_gradient_norm=gnorm,
-                               loglik=cur_ll, loglik_path=tuple(path))
-        eta = X @ coef
-        mu = expit(eta)
-        w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
-        z = eta + (y - mu) / w
-        xw = X.T * w
-        factor = cho_factor(xw @ X + lam * eye, "the weighted normal matrix")
-        proposal = cho_solve(factor, xw @ z + lam * target)
-        direction = proposal - coef
+    ``targets`` holds one target per column (shape ``(p, W)``). The inputs
+    are checked once; every ``(lam, target)`` pair then runs the IRLS of
+    ``irls_fit`` as one stack, so the L * W fits share each Newton step's
+    products and factorizations.
 
-        step = 1.0
-        accepted = False
-        for _ in range(IRLS_STEP_HALVING + 1):
-            cand = coef + step * direction
-            cand_ll = penalized_loglik(X, y, cand, lam, target)
-            if cand_ll >= cur_ll - 1e-12 * (1.0 + abs(cur_ll)):
-                coef, cur_ll, accepted = cand, cand_ll, True
-                break
-            step *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                "step-halving could not improve the penalized log-likelihood")
-        path.append(cur_ll)
-        grad = estimating_equation(X, y, coef, lam, target)
-        gnorm = float(np.max(np.abs(grad))) if p else 0.0
-
-    if gnorm <= tol_now():
-        return LogisticFit(coef=coef, lam=lam, target=target,
-                           iterations=IRLS_MAX_ITER, final_gradient_norm=gnorm,
-                           loglik=cur_ll, loglik_path=tuple(path))
-    raise ConvergenceError(
-        f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
-        f"(gradient norm {gnorm:.3e} > tol {IRLS_TOL:.3e})")
+    Returns the coefficients, shape ``(p, L, W)``, and a boolean mask of
+    shape ``(L, W)`` that is False where a fit failed: a weighted normal
+    matrix that is not positive definite, a step that halving could not
+    rescue, or an exhausted iteration budget. A failed fit is left at its
+    target and must not be used; it never affects the other fits.
+    """
+    X, y, T = _check_xy_targets(X, y, targets)
+    _check_binary(y)
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams <= 0):
+        raise ValidationError("penalties must be a sequence of finite values > 0")
+    p, L, W = X.shape[1], lams.shape[0], T.shape[1]
+    cand_targets = np.tile(T.T, (L, 1))
+    run = _irls_stack(X, y, np.repeat(lams, W), cand_targets)
+    failed = np.fromiter(run.failures, dtype=int, count=len(run.failures))
+    coef = run.coef
+    coef[failed] = cand_targets[failed]
+    ok = np.ones(L * W, dtype=bool)
+    ok[failed] = False
+    return coef.T.reshape(p, L, W), ok.reshape(L, W)
 
 
 def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,

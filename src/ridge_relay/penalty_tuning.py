@@ -21,8 +21,8 @@ Only the fit and the loss differ between families, so each family is one
 object (``get_family``) and every family takes one route: history is
 stacked once per selection, each fold is fitted once for the whole grid
 (``Family.fit_grid``: one decomposition per fold for the linear family,
-one IRLS fit per candidate for the logistic one), and the same fold fits
-give both the held-out score and the constraint's left side.
+one batched IRLS over every candidate for the logistic one), and the same
+fold fits give both the held-out score and the constraint's left side.
 ``cv_score`` and ``constraint_terms`` evaluate one candidate at a time
 and are the reference for that route. Ties prefer the larger penalty
 (more stability at equal predictive loss), and all randomness comes from
@@ -50,7 +50,7 @@ from .model_core import (
 )
 from ._numerics import expit
 from .linear_estimator import fit_targeted_ridge, fit_targeted_ridge_grid, update
-from .logistic_estimator import irls_fit, logistic_loglik, update_logistic
+from .logistic_estimator import irls_fit, irls_fit_grid, update_logistic
 
 __all__ = [
     "DEFAULT_GRID_MIN",
@@ -93,7 +93,8 @@ class Family:
 
     ``fit(X, y, lam, target)`` returns the coefficients of one targeted
     ridge fit. ``fit_grid(X, y, lams, targets)`` fits every penalty and
-    every target column: coefficients of shape ``(p, L, W)`` and a mask of
+    every target column in one solve (``fit_targeted_ridge_grid`` or
+    ``irls_fit_grid``): coefficients of shape ``(p, L, W)`` and a mask of
     shape ``(L, W)`` that is False where a fit is unusable. ``loss(X, y,
     coefs)`` is the criterion the selector minimizes, one value per
     coefficient column. ``mean`` maps a linear predictor to the expected
@@ -140,21 +141,11 @@ class _Logistic(Family):
         return irls_fit(X, y, lam, target).coef
 
     def fit_grid(self, X, y, lams, targets):
-        """One IRLS fit per candidate; a fit that fails to converge, or is
-        singular, leaves its candidate at the target and marks it unusable."""
-        columns = np.ascontiguousarray(targets.T)
-        coefs = np.repeat(targets[:, None, :], len(lams), axis=1)
-        ok = np.ones((len(lams), columns.shape[0]), dtype=bool)
-        for i, lam in enumerate(lams):
-            for j, target in enumerate(columns):
-                try:
-                    coefs[:, i, j] = self.fit(X, y, lam, target)
-                except (ConvergenceError, SingularMatrixError):
-                    ok[i, j] = False
-        return coefs, ok
+        return irls_fit_grid(X, y, lams, targets)
 
     def loss(self, X, y, coefs):
-        return np.array([-logistic_loglik(X, y, c) for c in np.ascontiguousarray(coefs.T)])
+        eta = X @ coefs
+        return np.logaddexp(0.0, eta).sum(axis=0) - y @ eta
 
     def mean(self, eta):
         return expit(eta)

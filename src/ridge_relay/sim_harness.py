@@ -124,6 +124,10 @@ class ScenarioConfig:
             if not _fits(value, f.type):
                 raise ValidationError(
                     f"scenario field {f.name!r} must be {f.type}, got {value!r}")
+            if isinstance(value, np.generic):
+                # NumPy scalars pass the type check; store the Python value so
+                # the config serializes as JSON.
+                object.__setattr__(self, f.name, value.item())
         if self.study not in ("regular-vs-updated", "mixed-vs-updated"):
             raise ValidationError(f"unknown study {self.study!r}")
         if self.family not in FAMILIES:

@@ -3,10 +3,16 @@
 The analytic gradient is checked against central finite differences, and the
 solver against independent numerical optimizers (multivariate quasi-Newton and
 one-dimensional golden-section search) of the same penalized log-likelihood.
+The batched solver behind ``irls_fit_grid`` is checked, as a property over
+generated problems, against its one-candidate call and against the scalar
+reference IRLS in ``irls_reference.py``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import optimize
 from scipy.special import expit
 
@@ -16,15 +22,20 @@ from ridge_relay import (
     ConvergenceError,
     CovariateRegistry,
     EstimatorState,
+    SingularMatrixError,
     TargetSpec,
     ValidationError,
+    default_grid,
     estimating_equation,
     irls_fit,
+    irls_fit_grid,
     logistic_loglik,
     penalized_loglik,
     update_logistic,
 )
 from ridge_relay import logistic_estimator
+
+from irls_reference import reference_irls_fit
 
 
 def make_data(rng, n, p, coef):
@@ -61,6 +72,26 @@ class TestLogisticLoglik:
     def test_non_binary_response_rejected(self):
         with pytest.raises(ValidationError):
             logistic_loglik(np.ones((2, 1)), np.array([0.0, 0.4]), np.zeros(1))
+
+
+class TestCheckBinary:
+    @pytest.mark.parametrize("values, accepted", [
+        ([0.0, 1.0, 1.0], True),
+        ([-0.0, 1.0], True),
+        ([], True),
+        ([0.0, 0.5], False),
+        ([1.0, np.nan], False),
+    ])
+    def test_accepts_exactly_zero_and_one(self, values, accepted):
+        """Equality with 0 and 1 accepts the same responses as ``np.isin``
+        against (0, 1): -0.0 passes, 0.5 and NaN do not."""
+        y = np.array(values, dtype=float)
+        assert bool(np.all(np.isin(y, (0.0, 1.0)))) == accepted
+        if accepted:
+            logistic_estimator._check_binary(y)
+        else:
+            with pytest.raises(ValidationError):
+                logistic_estimator._check_binary(y)
 
 
 class TestEstimatingEquation:
@@ -193,6 +224,20 @@ class TestIrlsFit:
         with pytest.raises(ConvergenceError):
             irls_fit(X, y, 0.1, np.full(3, 10.0))
 
+    def test_irls_fit_keeps_its_errors(self, monkeypatch):
+        """The one-candidate call raises what the scalar solver raised, with
+        the same messages."""
+        rng = np.random.default_rng(70)
+        X, y = make_data(rng, 30, 3, np.array([2.0, -2.0, 1.0]))
+        monkeypatch.setattr(logistic_estimator, "IRLS_MAX_ITER", 1)
+        messages = []
+        for solver in (irls_fit, reference_irls_fit):
+            with pytest.raises(ConvergenceError) as info:
+                solver(X, y, 0.1, np.full(3, 10.0))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("IRLS did not converge in 1 iterations")
+
     def test_zero_penalty_rejected(self):
         with pytest.raises(ValidationError):
             irls_fit(np.ones((2, 1)), np.array([0.0, 1.0]), 0.0, np.zeros(1))
@@ -267,3 +312,189 @@ class TestUpdateLogistic:
                 state.current.as_array(("a", "b", "c")) - coef)
             wins += final_err < first_err
         assert wins >= 95
+
+
+@st.composite
+def irls_problems(draw):
+    """A design, 0/1 responses, ascending grid penalties and targets (p, W).
+
+    Covers designs from well scaled to badly scaled, separable responses
+    (no unpenalized maximizer), penalties across the default grid, and
+    targets from zero to far from the data's optimum.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 0.3, 4.0]))
+    separable = draw(st.booleans())
+    lams = sorted(set(draw(st.lists(st.sampled_from(default_grid()), min_size=1,
+                                    max_size=6))))
+    n_targets = draw(st.integers(1, 3))
+    target_scale = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    rng = np.random.default_rng(seed)
+    X = scale * rng.standard_normal((n, p))
+    eta = X @ rng.standard_normal(p)
+    y = eta > 0 if separable else rng.random(n) < expit(eta)
+    targets = target_scale * rng.standard_normal((p, n_targets))
+    return X, y.astype(float), np.array(lams), targets
+
+
+def stopping_distance(p, lam, *vectors):
+    """The stopping rule's bound on the distance between two fits of one
+    candidate: each lies within ``sqrt(p) g / lam`` of the maximizer (the
+    objective is lam-strongly concave), with g the rule's gradient
+    tolerance at the larger coefficient or target scale."""
+    size = max(1.0, *(np.abs(v).max(initial=0.0) for v in vectors))
+    g = logistic_estimator.IRLS_TOL + 8.0 * np.finfo(float).eps * lam * size
+    return 2.0 * np.sqrt(p) * g / lam
+
+
+def stacked(lams, targets):
+    """Per-candidate penalties and targets in ``irls_fit_grid``'s order."""
+    return np.repeat(lams, targets.shape[1]), np.tile(targets.T, (len(lams), 1))
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBatchedIrlsProperties:
+    @PROPERTY_SETTINGS
+    @given(irls_problems())
+    def test_accepted_iterates_never_decrease_the_objective(self, problem):
+        """Along every candidate's accepted iterates the penalized
+        log-likelihood passes the acceptance test, and the recorded path
+        ends at the reported value."""
+        X, y, lams, targets = problem
+        run = logistic_estimator._irls_stack(X, y, *stacked(lams, targets))
+        for c, steps in enumerate(run.iterations):
+            path = run.path[:steps + 1, c]
+            assert np.all(np.diff(path) >= -1e-12 * (1.0 + np.abs(path[:-1])))
+            assert path[-1] == run.loglik[c]
+
+    @PROPERTY_SETTINGS
+    @given(irls_problems())
+    def test_grid_fits_match_one_candidate_fits(self, problem):
+        """Each stacked fit fails exactly when its one-candidate fit and the
+        reference fit fail, and otherwise lies within the stopping rule's
+        bound of both."""
+        X, y, lams, targets = problem
+        coefs, ok = irls_fit_grid(X, y, lams, targets)
+        p = X.shape[1]
+        for i, lam in enumerate(lams):
+            for j in range(targets.shape[1]):
+                got = coefs[:, i, j]
+                for solver in (irls_fit, reference_irls_fit):
+                    try:
+                        want = solver(X, y, lam, targets[:, j]).coef
+                    except (ConvergenceError, SingularMatrixError):
+                        assert not ok[i, j]
+                        np.testing.assert_array_equal(got, targets[:, j])
+                        continue
+                    assert ok[i, j]
+                    bound = stopping_distance(p, lam, got, want, targets[:, j])
+                    assert np.linalg.norm(got - want) <= bound
+
+    @PROPERTY_SETTINGS
+    @given(irls_problems(), st.data())
+    def test_forced_failure_leaves_other_candidates_alone(self, problem, data):
+        """One candidate made to fail, by a step no halving can rescue or by
+        a tolerance it can never meet, fails alone with its own error; every
+        other candidate keeps its status and its fit."""
+        X, y, lams, targets = problem
+        cand_lams, cand_targets = stacked(lams, targets)
+        victim = data.draw(st.integers(0, len(cand_lams) - 1))
+        mode = data.draw(st.sampled_from(["step-halving", "budget"]))
+        base = logistic_estimator._irls_stack(X, y, cand_lams, cand_targets)
+
+        tolerances = logistic_estimator._tolerances
+        proposals = logistic_estimator._newton_proposals
+
+        def unreachable_for_victim(coefs, lams, targets):
+            tol = tolerances(coefs, lams, targets)
+            tol[victim] = -1.0
+            return tol
+
+        def unusable_for_victim(normal, rhs, rows, failures):
+            proposal, solved = proposals(normal, rhs, rows, failures)
+            if mode == "step-halving":
+                proposal[rows == victim] = np.nan
+            return proposal, solved
+
+        with mock.patch.object(logistic_estimator, "_tolerances", unreachable_for_victim), \
+                mock.patch.object(logistic_estimator, "_newton_proposals",
+                                  unusable_for_victim), np.errstate(invalid="ignore"):
+            forced = logistic_estimator._irls_stack(X, y, cand_lams, cand_targets)
+            coefs, ok = irls_fit_grid(X, y, lams, targets)
+
+        assert set(forced.failures) == set(base.failures) | {victim}
+        error = forced.failures[victim]
+        assert isinstance(error, ConvergenceError)
+        expected = "step-halving could not" if mode == "step-halving" else "IRLS did not converge"
+        assert str(error).startswith(expected)
+        i, j = divmod(victim, targets.shape[1])
+        assert not ok[i, j]
+        np.testing.assert_array_equal(coefs[:, i, j], targets[:, j])
+        p = X.shape[1]
+        for c in set(range(len(cand_lams))) - set(forced.failures):
+            bound = stopping_distance(p, cand_lams[c], forced.coef[c], base.coef[c],
+                                      cand_targets[c])
+            assert np.linalg.norm(forced.coef[c] - base.coef[c]) <= bound
+            assert ok[divmod(c, targets.shape[1])]
+
+
+class TestIrlsFitGridInputs:
+    @pytest.mark.parametrize("change", ["zero penalty", "nan penalty", "half response",
+                                        "nan design", "nan target", "short target"])
+    def test_bad_inputs_rejected(self, change):
+        """The fold's inputs are checked once, for every candidate."""
+        X, y = np.eye(3), np.array([0.0, 1.0, 1.0])
+        lams, targets = np.array([0.5, 2.0]), np.zeros((3, 2))
+        if change == "zero penalty":
+            lams[0] = 0.0
+        elif change == "nan penalty":
+            lams[1] = np.nan
+        elif change == "half response":
+            y[0] = 0.5
+        elif change == "nan design":
+            X[1, 1] = np.nan
+        elif change == "nan target":
+            targets[2, 1] = np.nan
+        else:
+            targets = targets[:2]
+        with pytest.raises(ValidationError):
+            irls_fit_grid(X, y, lams, targets)
+
+
+class TestNewtonStep:
+    def test_blocked_normal_build_changes_no_fit(self, monkeypatch):
+        """Forming X'W three candidates at a time, as a large grid or batch
+        does, gives the same bits as forming it for all at once."""
+        rng = np.random.default_rng(75)
+        X, y = make_data(rng, 40, 3, np.array([1.0, -1.0, 0.5]))
+        lams, targets = np.geomspace(0.01, 100.0, 7), rng.standard_normal((3, 2))
+        whole = irls_fit_grid(X, y, lams, targets)
+        monkeypatch.setattr(logistic_estimator, "_BLOCK_ELEMENTS", 3 * X.size)
+        blocked = irls_fit_grid(X, y, lams, targets)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a, b)
+
+    def test_an_unusable_matrix_fails_only_its_own_candidate(self):
+        """A stacked Cholesky raises for the whole stack; the solver narrows
+        the failure to the indefinite and the non-finite matrix and solves
+        the others."""
+        good = np.array([[2.0, 0.5], [0.5, 1.0]])
+        normal = np.stack([good, np.array([[1.0, 2.0], [2.0, 1.0]]),
+                           np.array([[np.nan, 0.0], [0.0, 1.0]]), 3.0 * good])
+        rhs = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
+        failures = {}
+        proposal, solved = logistic_estimator._newton_proposals(
+            normal, rhs, np.array([7, 8, 9, 10]), failures)
+        assert solved.tolist() == [True, False, False, True]
+        assert sorted(failures) == [8, 9]
+        assert all(isinstance(e, SingularMatrixError) for e in failures.values())
+        assert "not positive definite" in str(failures[8])
+        assert "non-finite" in str(failures[9])
+        for k in (0, 3):
+            np.testing.assert_allclose(proposal[k], np.linalg.solve(normal[k], rhs[k]),
+                                       rtol=1e-14)

@@ -6,7 +6,8 @@ checked against hand-rolled enumerations; the selector's tie-breaking,
 fallback, and determinism rules are exercised on constructed instances.
 The selection's fold loop is checked, as a property over generated
 linear and logistic selections, against a curve scored one candidate at
-a time with ``cv_score`` and ``constraint_terms``.
+a time with ``cv_score`` and ``constraint_terms``, whose logistic fits
+come from the scalar reference IRLS in ``irls_reference.py``.
 """
 
 from unittest import mock
@@ -37,6 +38,8 @@ from ridge_relay import (
 from ridge_relay import logistic_estimator, penalty_tuning
 from ridge_relay.errors import ConvergenceError
 from ridge_relay.model_core import TargetSpec
+
+from irls_reference import reference_irls_fit
 
 
 def linear_state(names=("a", "b"), family="linear"):
@@ -169,16 +172,18 @@ class TestCvScore:
             score = cv_score("linear", batch, 1.0, np.zeros(4), folds)
         assert score == np.inf
 
-        irls_fit = penalty_tuning.irls_fit
+        irls_fit_grid = penalty_tuning.irls_fit_grid
         failed = []
 
-        def fail_once_at_five(X, y, lam, target):
-            if lam == 5.0 and not failed:
-                failed.append(lam)
-                raise ConvergenceError("forced failure")
-            return irls_fit(X, y, lam, target)
+        def fail_once_at_five(X, y, lams, targets):
+            coefs, ok = irls_fit_grid(X, y, lams, targets)
+            if not failed:
+                at_five = np.asarray(lams) == 5.0
+                failed.extend(np.asarray(lams)[at_five].tolist())
+                ok[at_five] = False
+            return coefs, ok
 
-        monkeypatch.setattr(penalty_tuning, "irls_fit", fail_once_at_five)
+        monkeypatch.setattr(penalty_tuning, "irls_fit_grid", fail_once_at_five)
         rng = np.random.default_rng(80)
         names = ("a", "b")
         X = rng.standard_normal((12, 2))
@@ -468,11 +473,14 @@ class TestSelectPenalty:
                 select_penalty(state, batch, cfg)
 
     def test_all_logistic_candidates_disqualified_raises(self, monkeypatch):
-        """The fold loop fits each logistic candidate with ``irls_fit``."""
-        def explode(X, y, lam, target):
-            raise ConvergenceError("forced failure")
+        """The fold loop fits every logistic candidate of a fold with one
+        ``irls_fit_grid``; when it marks them all unusable, selection must
+        refuse."""
+        def all_unusable(X, y, lams, targets):
+            coefs = np.repeat(np.asarray(targets)[:, None, :], len(lams), axis=1)
+            return coefs, np.zeros((len(lams), np.shape(targets)[1]), dtype=bool)
 
-        monkeypatch.setattr(penalty_tuning, "irls_fit", explode)
+        monkeypatch.setattr(penalty_tuning, "irls_fit_grid", all_unusable)
         rng = np.random.default_rng(98)
         names = ("a", "b")
         state = linear_state(names, "logistic")
@@ -596,20 +604,24 @@ def selections(draw, family):
 def per_candidate_curve(state, batch, registry, grid, weight_options, target_map,
                         folds, new_fraction):
     """The selection curve scored one candidate at a time: ``cv_score`` fits
-    the batch's own columns, ``constraint_terms`` the registry's."""
+    the batch's own columns, ``constraint_terms`` the registry's. Logistic
+    fits come from the scalar reference IRLS, not the package's batched
+    solver, so the comparison is between two independent solvers."""
     curve = []
-    for lam in grid:
-        for w in weight_options:
-            target = target_map[w]
-            score = cv_score(state.family, batch, lam,
-                             target.as_array(batch.covariates), folds)
-            if new_fraction is None:
-                curve.append(Candidate(lam=lam, weights=w, score=score, feasible=True))
-            else:
-                terms = constraint_terms(state, batch, lam, target, folds)
-                curve.append(Candidate(lam=lam, weights=w, score=score,
-                                       feasible=terms.feasible, lhs=terms.lhs,
-                                       rhs=terms.rhs))
+    with mock.patch.object(penalty_tuning, "irls_fit", reference_irls_fit):
+        for lam in grid:
+            for w in weight_options:
+                target = target_map[w]
+                score = cv_score(state.family, batch, lam,
+                                 target.as_array(batch.covariates), folds)
+                if new_fraction is None:
+                    curve.append(Candidate(lam=lam, weights=w, score=score,
+                                           feasible=True))
+                else:
+                    terms = constraint_terms(state, batch, lam, target, folds)
+                    curve.append(Candidate(lam=lam, weights=w, score=score,
+                                           feasible=terms.feasible, lhs=terms.lhs,
+                                           rhs=terms.rhs))
     return curve
 
 
@@ -621,7 +633,7 @@ def oracle_report(state, batch, cfg, spec):
 def irls_score_tolerance(batch, registry, cand, folds, target):
     """How far two IRLS scores of one candidate may lie apart.
 
-    ``irls_fit`` stops once the largest gradient entry is at most
+    Both IRLS solvers stop once the largest gradient entry is at most
     ``g = tol + 8 eps lam S``, with S the larger of 1 and the largest
     coefficient or target entry. The penalized log-likelihood is
     lam-strongly concave, so such a fit lies within ``sqrt(p) g / lam`` of
@@ -680,8 +692,10 @@ class TestLogisticFoldLoopProperties:
               suppress_health_check=[HealthCheck.too_slow])
     @given(selections("logistic"))
     def test_fold_loop_matches_per_candidate_route(self, case):
-        """The constraint's fold fits are the fold loop's own, so its sides
-        agree to rounding. The score's fits see the batch's own columns,
+        """The constraint's fold fits see the registry's columns in both
+        routes, and the batched and the reference solver take the same
+        Newton steps, so its sides agree to rounding. The score's fits see
+        the batch's own columns,
         which differ from the registry's when the batch reorders, lacks or
         adds covariates; the score then agrees within the stopping rule's
         bound, and the choice must match exactly only when the columns are

@@ -5,6 +5,7 @@ Determinism is asserted bitwise; statistical behaviour (bias decay,
 band shrinkage, loss ordering) is asserted on small seeded scenarios.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,20 @@ class TestScenarioConfig:
                                 beta_rule=np.array([0.5, -0.5, 1.0]))
         assert config.p == 3 and config.noise_var == 0.5 and config.seed == 4
         assert config.beta_rule == (0.5, -0.5, 1.0)
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        """A config built from NumPy values writes as JSON, like any other."""
+        config = ScenarioConfig(p=np.int64(3), n=np.int32(6), noise_var=np.float64(0.5),
+                                grid_min=np.float32(0.25), seed=np.int64(4),
+                                orthonormal=np.bool_(False), k_folds=np.int16(3),
+                                tracked=(np.int64(1), np.int64(3)),
+                                beta_rule=np.array([0.5, -0.5, 1.0]))
+        doc = json.loads(json.dumps(config.to_dict()))
+        assert ScenarioConfig.from_dict(doc) == config
+        for name in ("p", "n", "seed", "k_folds", "noise_var", "grid_min", "orthonormal"):
+            assert type(getattr(config, name)) in (int, float, bool)
+        assert type(config.orthonormal) is bool and type(config.p) is int
+        assert config.grid_min == 0.25
 
     def test_dict_round_trip(self):
         config = ScenarioConfig(p=3, n=6, beta_rule=(0.5, -0.5, 1.0),
