@@ -25,10 +25,14 @@ from .model_core import (
     CoefficientVector,
     CovariateRegistry,
     EstimatorState,
+    StackedHistory,
     TargetSpec,
+    TriangularHistory,
     UpdateRecord,
     align_batch,
     assemble_target,
+    fold_stacked,
+    fold_triangular,
     mixture_target,
 )
 from .linear_estimator import (

@@ -2,17 +2,29 @@
 
 The unit of persistence is the *state file*: one JSON document holding
 the covariate registry, the shrinkage target the model started from, the
-full update history, and the retained batches. Schema versioning is
-explicit (``ridge-relay-state/1``). The document is written as compact
-JSON with sorted keys, and floats through JSON's shortest round-trip
-representation, so a load immediately followed by a save reproduces the
-bytes exactly; indented files from earlier versions read the same.
-Writes go to a temporary file in the target directory followed by an
-atomic rename, and an advisory lock file (``<state>.lock``) guards
-read-modify-write command runs.
+full update history, and the past data of every batch folded in so far.
+Schema versioning is explicit (``ridge-relay-state/2``). The past data
+takes the form its family needs: for the linear family the
+upper-triangular factor of the stacked ``[X | y]`` and the row count,
+which stay the same size however many batches arrive; for the logistic
+family every past row and response. Each such array is stored as its
+shape plus base64 of its little-endian float64 bytes, an exact round
+trip. The document is written as compact JSON with sorted keys, and the
+remaining floats through JSON's shortest round-trip representation, so a
+load immediately followed by a save reproduces the bytes exactly;
+indented files read the same. A ``ridge-relay-state/1`` file, which kept
+the raw batches, is migrated on read by folding its batches in order
+through the function ``update`` folds with, so it selects exactly as the
+state ``update`` would have built; the next write stores it as ``/2``.
+Writes go to a temporary file ``.tmp-<state basename>-<random>.tmp`` in
+the target directory followed by an atomic rename, and an advisory lock
+file (``<state>.lock``) guards read-modify-write command runs; a run that
+holds the lock first removes the temporary files a crashed write of its
+own state left behind.
 
 Exit codes, each error class's ``exit_code``: 0 success; 2 invalid
-inputs (schema, CSV, configuration); 3 numerical failure of a fit
+inputs (schema, CSV, configuration, a file that cannot be read or is not
+UTF-8 text); 3 numerical failure of a fit
 (non-convergence, singular system); 4 penalty-selection or locking
 failure.
 
@@ -26,14 +38,17 @@ worker threads package-wide.
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +59,9 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     FAMILIES,
+    PAST_FORMS,
     UpdateRecord,
+    align_batch,
     assemble_target,
 )
 from .penalty_tuning import (
@@ -77,14 +94,41 @@ __all__ = [
     "main",
 ]
 
-STATE_SCHEMA = "ridge-relay-state/1"
+STATE_SCHEMA = "ridge-relay-state/2"
+_SCHEMA_1 = "ridge-relay-state/1"
+# Temporary files of an atomic write: ".tmp-<target basename>-<random>.tmp".
+# The random part has no "-", so the name gives its target back.
+_TEMP_NAME = re.compile(r"\.tmp-(.+)-[a-z0-9_]+\.tmp")
 
 
 # ---------------------------------------------------------------------------
 # state file round trip
 
+def _encode_array(arr: np.ndarray) -> dict:
+    """Shape plus base64 of the little-endian float64 bytes: an exact round trip."""
+    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "base64": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_array(doc: dict) -> np.ndarray:
+    shape = tuple(doc["shape"])
+    if any(not isinstance(n, int) or isinstance(n, bool) or n < 0 for n in shape):
+        raise StateFileError(f"state array shape {list(shape)!r} is not a list of sizes")
+    flat = np.frombuffer(base64.b64decode(doc["base64"], validate=True), dtype="<f8")
+    if flat.size != math.prod(shape):
+        raise StateFileError(
+            f"state array holds {flat.size} values for shape {list(shape)!r}")
+    return flat.astype(float).reshape(shape)
+
+
 def state_to_doc(state: EstimatorState) -> dict:
-    """Plain-JSON document for a state, floats untouched."""
+    """Plain-JSON document for a state; past-data arrays as base64 float64."""
+    past = None
+    if state.past is not None:
+        past = {}
+        for f in fields(state.past):
+            value = getattr(state.past, f.name)
+            past[f.name] = _encode_array(value) if isinstance(value, np.ndarray) else value
     return {
         "schema": STATE_SCHEMA,
         "family": state.family,
@@ -100,27 +144,49 @@ def state_to_doc(state: EstimatorState) -> dict:
             }
             for rec in state.history
         ],
-        "batches": [
-            {
-                "t": b.t,
-                "covariates": list(b.covariates),
-                "x": b.X.tolist(),
-                "y": b.y.tolist(),
-            }
-            for b in state.retained
-        ],
+        "past": past,
     }
 
 
+def _past_from_batches(family: str, registry: CovariateRegistry,
+                       history: tuple[UpdateRecord, ...], batches: list):
+    """Past data of a ``/1`` document's retained batches.
+
+    The batches are folded in order by the family's ``fold``, the function
+    ``update`` folds with, each over the registry as it stood when it was
+    folded: the covariates the estimate of its update names (registries
+    only grow at the end), and at least its own. A migrated state
+    therefore holds the same past data, to the bit, as the state
+    ``update`` built.
+    """
+    fam = get_family(family)
+    past = None
+    for raw in batches:
+        batch = Batch(t=int(raw["t"]), X=np.asarray(raw["x"], dtype=float),
+                      y=np.asarray(raw["y"], dtype=float),
+                      covariates=tuple(raw["covariates"]), family=family)
+        width = 1 + max((registry.index_of(n) for n in batch.covariates), default=-1)
+        if 1 <= batch.t <= len(history):
+            width = max(width, len(history[batch.t - 1].estimate))
+        past = fam.fold(past, align_batch(batch, registry)[:, :width], batch.y)
+    return past
+
+
 def doc_to_state(doc: dict) -> EstimatorState:
-    """Rebuild a state from its document, validating the schema tag."""
+    """Rebuild a state from its document, validating the schema tag.
+
+    A ``/1`` document, which retained raw batches, is migrated on read
+    (see ``_past_from_batches``).
+    """
     if not isinstance(doc, dict):
         raise StateFileError("state document must be a JSON object")
     schema = doc.get("schema")
-    if schema != STATE_SCHEMA:
+    if schema not in (STATE_SCHEMA, _SCHEMA_1):
         raise StateFileError(f"unsupported state schema {schema!r}, expected {STATE_SCHEMA!r}")
     try:
         family = doc["family"]
+        if family not in FAMILIES:
+            raise StateFileError(f"state family must be one of {FAMILIES}, got {family!r}")
         if not isinstance(doc["covariates"], list):
             raise StateFileError("state field 'covariates' must be a list of names")
         registry = CovariateRegistry(tuple(doc["covariates"]))
@@ -135,23 +201,25 @@ def doc_to_state(doc: dict) -> EstimatorState:
             )
             for rec in doc["history"]
         )
-        retained = tuple(
-            Batch(t=int(b["t"]), X=np.asarray(b["x"], dtype=float),
-                  y=np.asarray(b["y"], dtype=float),
-                  covariates=tuple(b["covariates"]), family=family)
-            for b in doc["batches"]
-        )
+        if schema == _SCHEMA_1:
+            past = _past_from_batches(family, registry, history, doc["batches"])
+        elif doc["past"] is None:
+            past = None
+        else:
+            past = PAST_FORMS[family](**{
+                key: _decode_array(value) if isinstance(value, dict) else value
+                for key, value in doc["past"].items()})
         return EstimatorState(
             family=family,
             registry=registry,
             init_target=CoefficientVector(init["target"]),
             init_note=str(init.get("note", "zeros")),
             history=history,
-            retained=retained,
+            past=past,
         )
     except KeyError as exc:
         raise StateFileError(f"state document is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise StateFileError(f"state document is malformed: {exc}") from None
 
 
@@ -159,27 +227,37 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
 
 
-def read_state(path: str) -> EstimatorState:
+def _load_json(path: str, what: str, error: type[RidgeRelayError]):
+    """The JSON document in ``path``; any failure to read it raises ``error``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise StateFileError(f"state file {path!r} does not exist") from None
+        raise error(f"{what} {path!r} does not exist") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path!r} is not UTF-8 text "
+                    f"(byte {exc.start}: {exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise StateFileError(f"state file {path!r} is not valid JSON: {exc}") from None
-    return doc_to_state(doc)
+        raise error(f"{what} {path!r} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
+
+
+def read_state(path: str) -> EstimatorState:
+    return doc_to_state(_load_json(path, "state file", StateFileError))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` so that readers see the old or the new file.
 
     The text is written verbatim (no newline translation) to a temporary
-    file in the same directory, which is fsynced and renamed over
-    ``path``; the directory is then fsynced so the rename itself survives
-    a crash.
+    file ``.tmp-<basename>-<random>.tmp`` in the same directory, which is
+    fsynced and renamed over ``path``; the directory is then fsynced so
+    the rename itself survives a crash.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-state-", suffix=".json")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".tmp-{os.path.basename(path)}-",
+                               suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -198,7 +276,28 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def write_state(state: EstimatorState, path: str) -> None:
     """Serialize and atomically replace ``path``; readers never see partial writes."""
-    _atomic_write_text(path, _dump(state_to_doc(state)))
+    text = _dump(state_to_doc(state))
+    try:
+        _atomic_write_text(path, text)
+    except OSError as exc:
+        raise StateFileError(f"cannot write state file {path!r}: {exc.strerror or exc}") from None
+
+
+def _remove_leftovers(path: str) -> None:
+    """Delete the temporary files that interrupted writes of ``path`` left behind.
+
+    Only names ``_atomic_write_text`` gives to writes of ``path`` itself
+    match; temporary files of other targets in the directory stay.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    base = os.path.basename(path)
+    for name in os.listdir(directory):
+        match = _TEMP_NAME.fullmatch(name)
+        if match is not None and match.group(1) == base:
+            try:
+                os.unlink(os.path.join(directory, name))
+            except FileNotFoundError:
+                pass
 
 
 @contextmanager
@@ -207,7 +306,8 @@ def state_lock(path: str):
 
     Purely cooperative: a crash can leave the lock file behind, in which
     case the operator removes ``<state>.lock`` after checking no run is
-    active.
+    active. Once the lock is held, temporary files a crashed write of this
+    state left behind are removed.
     """
     lock_path = path + ".lock"
     try:
@@ -216,9 +316,13 @@ def state_lock(path: str):
         raise LockError(
             f"lock file {lock_path!r} exists; another run may be active "
             "(remove it if that run is dead)") from None
+    except OSError as exc:
+        raise StateFileError(
+            f"cannot create lock file {lock_path!r}: {exc.strerror or exc}") from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
+        _remove_leftovers(path)
         yield
     finally:
         try:
@@ -232,37 +336,42 @@ def state_lock(path: str):
 
 def _read_csv_columns(path: str) -> tuple[list[str], list[list[float]]]:
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ValidationError(f"data file {path!r} does not exist") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path!r} is empty; expected a header row") from None
-        header = [h.strip() for h in header]
-        if any(not h for h in header):
-            raise ValidationError(f"{path!r} has an empty column name")
-        if len(set(header)) != len(header):
-            raise ValidationError(f"{path!r} has duplicate column names")
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(header):
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"data file {path!r} is not UTF-8 text "
+                              f"(byte {exc.start}: {exc.reason})") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read data file {path!r}: {exc.strerror or exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path!r} is empty; expected a header row") from None
+    header = [h.strip() for h in header]
+    if any(not h for h in header):
+        raise ValidationError(f"{path!r} has an empty column name")
+    if len(set(header)) != len(header):
+        raise ValidationError(f"{path!r} has duplicate column names")
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw or (len(raw) == 1 and not raw[0].strip()):
+            continue
+        if len(raw) != len(header):
+            raise ValidationError(
+                f"{path!r} line {lineno}: {len(raw)} fields for "
+                f"{len(header)} columns")
+        parsed = []
+        for name, cell in zip(header, raw):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise ValidationError(
-                    f"{path!r} line {lineno}: {len(raw)} fields for "
-                    f"{len(header)} columns")
-            parsed = []
-            for name, cell in zip(header, raw):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path!r} line {lineno}: column {name!r} has "
-                        f"non-numeric value {cell.strip()!r}") from None
-            rows.append(parsed)
+                    f"{path!r} line {lineno}: column {name!r} has "
+                    f"non-numeric value {cell.strip()!r}") from None
+        rows.append(parsed)
     if not rows:
         raise ValidationError(f"{path!r} contains no data rows")
     return header, rows
@@ -421,13 +530,7 @@ def cmd_init(args) -> int:
         )
         report["init"] = "zeros"
     elif args.target_file:
-        try:
-            with open(args.target_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"target file {args.target_file!r} does not exist") from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"target file is not valid JSON: {exc}") from None
+        doc = _load_json(args.target_file, "target file", ValidationError)
         if not isinstance(doc, dict) or not doc:
             raise ValidationError("target file must be a non-empty JSON object")
         target = CoefficientVector(doc)
@@ -500,13 +603,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"scenario file {args.scenario!r} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario file is not valid JSON: {exc}") from None
+    doc = _load_json(args.scenario, "scenario file", ValidationError)
     config = ScenarioConfig.from_dict(doc)
     if config.study == "regular-vs-updated":
         results = run_study_regular_vs_updated(config)

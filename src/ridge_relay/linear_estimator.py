@@ -34,6 +34,7 @@ from .model_core import (
     UpdateRecord,
     align_batch,
     assemble_target,
+    fold_triangular,
     mixture_target,
     _as_float_matrix,
     _as_float_vector,
@@ -167,13 +168,15 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     return coefs, solvable
 
 
-def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, lam: float,
-                       target_spec: TargetSpec | None, weights: Sequence[float] | None,
+def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Batch,
+                       lam: float, target_spec: TargetSpec | None,
+                       weights: Sequence[float] | None,
                        diagnostics: dict | None) -> EstimatorState:
     """The update step of both families.
 
     ``fit(X, y, lam, target)`` returns the coefficients and the
-    diagnostics the fit adds to the record (given ``diagnostics`` win).
+    diagnostics the fit adds to the record (given ``diagnostics`` win);
+    ``fold(past, X, y)`` folds the batch into the state's past data.
     """
     if state.family != family or batch.family != family:
         raise ValidationError(f"this update handles the {family} family only")
@@ -191,8 +194,8 @@ def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, la
                               target_spec.weights)
         target = mixture_target(expanded, weights)
         used_weights = tuple(weights) if weights is not None else expanded.weights
-    coef, fit_diagnostics = fit(align_batch(batch, registry), batch.y, lam,
-                                target.as_array(names))
+    X = align_batch(batch, registry)
+    coef, fit_diagnostics = fit(X, batch.y, lam, target.as_array(names))
     record = UpdateRecord(
         t=state.t + 1,
         lam=lam,
@@ -200,7 +203,7 @@ def _sequential_update(family: str, fit, state: EstimatorState, batch: Batch, la
         weights=used_weights,
         diagnostics={**fit_diagnostics, **(diagnostics or {})},
     )
-    return state.with_update(registry, record, batch)
+    return state.with_update(registry, record, fold(state.past, X, batch.y))
 
 
 def update(state: EstimatorState, batch: Batch, lam: float, *,
@@ -214,13 +217,14 @@ def update(state: EstimatorState, batch: Batch, lam: float, *,
     (such as one new to this batch, appended to the registry here) toward
     the state's initial target, else 0. With a ``target_spec`` the target
     is a weighted mixture of the spec's candidates instead, each candidate
-    taking 0 for a covariate it lacks.
+    taking 0 for a covariate it lacks. The batch is folded into the
+    state's triangular history factor (``fold_triangular``).
     """
     def fit(X, y, lam, target):
         return fit_targeted_ridge(X, y, lam, target).coef, {}
 
-    return _sequential_update("linear", fit, state, batch, lam, target_spec, weights,
-                              diagnostics)
+    return _sequential_update("linear", fit, fold_triangular, state, batch, lam,
+                              target_spec, weights, diagnostics)
 
 
 def exact_moments_orthonormal(coef, target, lam: float, steps: int,

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve, expit
 from .errors import ConvergenceError, RidgeRelayError, SingularMatrixError, ValidationError
-from .model_core import Batch, EstimatorState, TargetSpec
+from .model_core import Batch, EstimatorState, TargetSpec, fold_stacked
 from .linear_estimator import (
     _check_penalty,
     _check_xy_target,
@@ -341,12 +341,13 @@ def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
     Target assembly follows the linear update's element-wise rule: each
     covariate shrinks toward its most recent estimate, and a covariate no
     estimate covers yet toward the initial target, else 0. The IRLS fit
-    runs with the module's fixed limits (see ``irls_fit``).
+    runs with the module's fixed limits (see ``irls_fit``). The batch's
+    rows join the state's stacked history (``fold_stacked``).
     """
     def fit(X, y, lam, target):
         res = irls_fit(X, y, lam, target)
         return res.coef, {"irls_iterations": res.iterations,
                           "irls_gradient_norm": res.final_gradient_norm}
 
-    return _sequential_update("logistic", fit, state, batch, lam, target_spec, weights,
-                              diagnostics)
+    return _sequential_update("logistic", fit, fold_stacked, state, batch, lam,
+                              target_spec, weights, diagnostics)

@@ -34,7 +34,12 @@ __all__ = [
     "CoefficientVector",
     "TargetSpec",
     "UpdateRecord",
+    "TriangularHistory",
+    "StackedHistory",
+    "PAST_FORMS",
     "EstimatorState",
+    "fold_triangular",
+    "fold_stacked",
     "align_batch",
     "assemble_target",
     "mixture_target",
@@ -112,7 +117,7 @@ class Batch:
 
     ``covariates`` names the columns of ``X``. For the logistic family the
     response must be strictly 0/1. Arrays are copied and frozen so a batch
-    can be shared and retained inside states without aliasing surprises.
+    can be shared without aliasing surprises.
     """
 
     t: int
@@ -284,13 +289,143 @@ class UpdateRecord:
 
 
 @dataclass(frozen=True)
+class TriangularHistory:
+    """Past linear data as the upper-triangular factor of the stacked ``[X | y]``.
+
+    ``factor`` is ``(k + 1, k + 1)``: the first k columns belong to the
+    first k registry covariates, the last to the response. ``factor'
+    factor`` equals ``[X | y]'[X | y]`` over the ``rows`` rows folded in,
+    so the residual sum of squares of coefficients ``b`` on them is
+    ``||factor @ [b; -1]||^2`` whatever the number of rows (Gentleman
+    1973; Miller 1992, AS 274).
+    """
+
+    factor: np.ndarray
+    rows: int
+
+    def __post_init__(self) -> None:
+        factor = _as_float_matrix(self.factor, "history factor").copy()
+        if factor.shape[0] != factor.shape[1] or factor.shape[0] < 1:
+            raise ValidationError(f"history factor must be square, got shape {factor.shape}")
+        if np.any(np.tril(factor, -1)):
+            raise ValidationError("history factor must be upper triangular")
+        if (not isinstance(self.rows, (int, np.integer)) or isinstance(self.rows, bool)
+                or self.rows < 1):
+            raise ValidationError(f"history row count must be a positive integer, got {self.rows!r}")
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "rows", int(self.rows))
+
+    @property
+    def covariates(self) -> int:
+        """How many leading registry covariates the factor covers."""
+        return self.factor.shape[0] - 1
+
+
+@dataclass(frozen=True)
+class StackedHistory:
+    """Past logistic data as every row, laid out over the first k registry covariates.
+
+    No finite statistic gives the logistic log-likelihood exactly, so the
+    rows themselves are kept.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        X = _as_float_matrix(self.X, "history X").copy()
+        y = _as_float_vector(self.y, "history y").copy()
+        if X.shape[0] != y.shape[0] or X.shape[0] == 0:
+            raise ValidationError(
+                f"history X has {X.shape[0]} rows and y {y.shape[0]} entries; "
+                "both must match and be positive")
+        if not ((y == 0.0) | (y == 1.0)).all():
+            raise ValidationError("logistic responses must be coded 0/1")
+        X.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def rows(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def covariates(self) -> int:
+        """How many leading registry covariates the rows cover."""
+        return self.X.shape[1]
+
+
+def _check_fold(past, X, y) -> tuple[np.ndarray, np.ndarray]:
+    X = _as_float_matrix(X, "X")
+    y = _as_float_vector(y, "y")
+    if X.shape[0] != y.shape[0] or X.shape[0] == 0:
+        raise ValidationError(f"X has {X.shape[0]} rows and y {y.shape[0]} entries; "
+                              "both must match and be positive")
+    if past is not None and X.shape[1] < past.covariates:
+        raise ValidationError(
+            f"X has {X.shape[1]} columns but the history covers {past.covariates}; "
+            "align the batch over the registry first")
+    return X, y
+
+
+def fold_triangular(past: TriangularHistory | None, X, y) -> TriangularHistory:
+    """``past`` with the rows ``[X | y]`` folded in (``None``: no rows yet).
+
+    ``X`` is laid out over the first p registry covariates, p at least the
+    history's k. The factor first grows to p covariates: each new
+    covariate adds a zero column before the response column and a zero
+    row, which keeps it upper triangular and adds nothing to ``factor'
+    factor``. One QR of the grown factor stacked on ``[X | y]`` then gives
+    the new factor, so a fold costs O((p + n) p^2) whatever the number of
+    rows already folded.
+    """
+    X, y = _check_fold(past, X, y)
+    p = X.shape[1]
+    grown = np.zeros((p + 1, p + 1))
+    rows = X.shape[0]
+    if past is not None:
+        k, old = past.covariates, past.factor
+        grown[:k, :k] = old[:k, :k]
+        grown[:k, p] = old[:k, k]
+        grown[p, p] = old[k, k]
+        rows += past.rows
+    factor = np.linalg.qr(np.vstack([grown, np.column_stack([X, y])]), mode="r")
+    return TriangularHistory(factor=factor, rows=rows)
+
+
+def fold_stacked(past: StackedHistory | None, X, y) -> StackedHistory:
+    """``past`` with the rows of ``(X, y)`` appended (``None``: no rows yet).
+
+    ``X`` is laid out over the first p registry covariates, p at least the
+    history's k; earlier rows take zeros for the covariates they lack.
+    """
+    X, y = _check_fold(past, X, y)
+    if past is None:
+        return StackedHistory(X=X, y=y)
+    old = past.X
+    if X.shape[1] > old.shape[1]:
+        old = np.hstack([old, np.zeros((old.shape[0], X.shape[1] - old.shape[1]))])
+    return StackedHistory(X=np.vstack([old, X]), y=np.concatenate([past.y, y]))
+
+
+# The form of the past data each family keeps.
+PAST_FORMS = {"linear": TriangularHistory, "logistic": StackedHistory}
+
+
+@dataclass(frozen=True)
 class EstimatorState:
     """Full description of a sequentially updated model.
 
     ``history`` holds one record per update, with consecutive indices
-    1..T. ``retained`` keeps the raw batches seen so far so later updates
-    can evaluate candidate penalties against historic data. The current
-    estimate is the last record's, or ``init_target`` before any update.
+    1..T. ``past`` holds the data of every batch folded in so far, in the
+    form the family's historic-fit constraint needs: a
+    ``TriangularHistory`` for the linear family, whose size does not grow
+    with the number of batches, and a ``StackedHistory`` of raw rows for
+    the logistic one. It is ``None`` before any batch, where the
+    constraint is vacuous. The current estimate is the last record's, or
+    ``init_target`` before any update.
     """
 
     family: str
@@ -298,13 +433,12 @@ class EstimatorState:
     init_target: CoefficientVector
     init_note: str = "zeros"
     history: tuple[UpdateRecord, ...] = ()
-    retained: tuple[Batch, ...] = ()
+    past: TriangularHistory | StackedHistory | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "history", tuple(self.history))
-        object.__setattr__(self, "retained", tuple(self.retained))
         for name in self.init_target.names():
             if name not in self.registry:
                 raise RegistryError(f"init target names unknown covariate {name!r}")
@@ -315,12 +449,16 @@ class EstimatorState:
             for name in rec.estimate.names():
                 if name not in self.registry:
                     raise RegistryError(f"estimate at t={rec.t} names unknown covariate {name!r}")
-        for batch in self.retained:
-            if batch.family != self.family:
-                raise ValidationError("retained batch family differs from state family")
-            for name in batch.covariates:
-                if name not in self.registry:
-                    raise RegistryError(f"retained batch names unknown covariate {name!r}")
+        if self.past is not None:
+            form = PAST_FORMS[self.family]
+            if not isinstance(self.past, form):
+                raise ValidationError(
+                    f"a {self.family} state keeps its past data as {form.__name__}, "
+                    f"got {type(self.past).__name__}")
+            if self.past.covariates > self.registry.size:
+                raise RegistryError(
+                    f"past data covers {self.past.covariates} covariates, "
+                    f"the registry has {self.registry.size}")
 
     @property
     def t(self) -> int:
@@ -332,12 +470,11 @@ class EstimatorState:
         return self.history[-1].estimate if self.history else self.init_target
 
     def with_update(self, registry: CovariateRegistry, record: UpdateRecord,
-                    batch: Batch) -> "EstimatorState":
-        """State after one more update; the batch joins the retained history."""
+                    past: TriangularHistory | StackedHistory) -> "EstimatorState":
+        """State after one more update, with ``past`` its batch folded in."""
         if record.t != self.t + 1:
             raise ValidationError(f"expected update index {self.t + 1}, got {record.t}")
-        return replace(self, registry=registry, history=self.history + (record,),
-                       retained=self.retained + (batch,))
+        return replace(self, registry=registry, history=self.history + (record,), past=past)
 
 
 def align_batch(batch: Batch, registry: CovariateRegistry) -> np.ndarray:

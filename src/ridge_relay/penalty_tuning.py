@@ -11,18 +11,23 @@ penalty is feasible when
     (1 - f) * mean_k crit_hist(fold-fit_k)  <=  crit_hist(previous estimate)
 
 where crit_hist is the residual sum of squares (linear) or minus the
-log-likelihood (logistic) summed over all retained batches. Very large
+log-likelihood (logistic) summed over every batch seen so far. Very large
 penalties pin the fold fits to the previous estimate, which drives the
 left side to (1 - f) times the right, so the constraint is always
 satisfiable for large enough candidates; if no grid point is feasible
 the selector falls back to the largest one and flags it.
 
-Only the fit and the loss differ between families, so each family is one
-object (``get_family``) and every family takes one route: history is
-stacked once per selection, each fold is fitted once for the whole grid
+Only the fit, the loss and the form of the past data differ between
+families, so each family is one object (``get_family``) and every family
+takes one route: each fold is fitted once for the whole grid
 (``Family.fit_grid``: one decomposition per fold for the linear family,
 one batched IRLS over every candidate for the logistic one), and the same
 fold fits give both the held-out score and the constraint's left side.
+The historic criterion comes from the state's past data
+(``Family.history_loss``): for the linear family a product with the
+triangular factor of the stacked history, whose cost does not grow with
+the number of batches; for the logistic family the stacked rows,
+evaluated a block of candidates at a time.
 ``cv_score`` and ``constraint_terms`` evaluate one candidate at a time
 and are the reference for that route. Ties prefer the larger penalty
 (more stability at equal predictive loss), and all randomness comes from
@@ -46,11 +51,13 @@ from .model_core import (
     TargetSpec,
     align_batch,
     assemble_target,
+    fold_stacked,
+    fold_triangular,
     mixture_target,
 )
 from ._numerics import expit
 from .linear_estimator import fit_targeted_ridge, fit_targeted_ridge_grid, update
-from .logistic_estimator import irls_fit, irls_fit_grid, update_logistic
+from .logistic_estimator import _BLOCK_ELEMENTS, irls_fit, irls_fit_grid, update_logistic
 
 __all__ = [
     "DEFAULT_GRID_MIN",
@@ -97,11 +104,16 @@ class Family:
     ``irls_fit_grid``): coefficients of shape ``(p, L, W)`` and a mask of
     shape ``(L, W)`` that is False where a fit is unusable. ``loss(X, y,
     coefs)`` is the criterion the selector minimizes, one value per
-    coefficient column. ``mean`` maps a linear predictor to the expected
-    response, ``sample`` draws responses around it, and ``update`` is the
-    family's sequential step. Methods look the estimators up by their
-    module-level names when they run, so a wrapper installed over those
-    names sees every fit.
+    coefficient column. ``fold(past, X, y)`` folds a batch, aligned over
+    the registry, into a state's past data (``None`` before any batch),
+    and ``history_loss(past, coefs)`` is the criterion summed over every
+    row of that past data, one value per coefficient column; ``coefs``
+    may cover more registry covariates than the past data, which then
+    count as zero columns. ``mean`` maps a linear predictor to the
+    expected response, ``sample`` draws responses around it, and
+    ``update`` is the family's sequential step. Methods look the
+    estimators up by their module-level names when they run, so a wrapper
+    installed over those names sees every fit.
     """
 
     name: str
@@ -121,6 +133,14 @@ class _Linear(Family):
 
     def loss(self, X, y, coefs):
         resid = y[:, None] - X @ coefs
+        return np.einsum("ij,ij->j", resid, resid)
+
+    def fold(self, past, X, y):
+        return fold_triangular(past, X, y)
+
+    def history_loss(self, past, coefs):
+        k = past.covariates
+        resid = past.factor[:, :k] @ coefs[:k] - past.factor[:, k:]
         return np.einsum("ij,ij->j", resid, resid)
 
     def mean(self, eta):
@@ -146,6 +166,20 @@ class _Logistic(Family):
     def loss(self, X, y, coefs):
         eta = X @ coefs
         return np.logaddexp(0.0, eta).sum(axis=0) - y @ eta
+
+    def fold(self, past, X, y):
+        return fold_stacked(past, X, y)
+
+    def history_loss(self, past, coefs):
+        """``loss`` on the stacked rows, a block of columns at a time, so the
+        ``(rows, columns)`` predictor holds about ``_BLOCK_ELEMENTS`` floats
+        whatever the number of candidates and of past rows."""
+        k = past.covariates
+        out = np.empty(coefs.shape[1])
+        size = max(1, _BLOCK_ELEMENTS // past.rows)
+        for lo in range(0, coefs.shape[1], size):
+            out[lo:lo + size] = self.loss(past.X, past.y, coefs[:k, lo:lo + size])
+        return out
 
     def mean(self, eta):
         return expit(eta)
@@ -275,25 +309,22 @@ def constraint_terms(state: EstimatorState, batch: Batch, lam: float,
                      target: CoefficientVector, folds: FoldPlan) -> ConstraintTerms:
     """Evaluate the historic-fit constraint for one candidate penalty.
 
-    The fold fits run over the full registry (historic designs are
-    zero-filled for covariates they never carried) and reuse the same
-    fold plan as scoring, so the two views of a candidate describe the
-    same estimators. Raises if the state retains no batches: the
-    constraint is vacuous at the first update and the selector simply
-    skips it there.
+    The fold fits run over the full registry (past data counts zero for
+    covariates it never carried) and reuse the same fold plan as scoring,
+    so the two views of a candidate describe the same estimators. Raises
+    if the state has no past data: the constraint is vacuous at the first
+    update and the selector simply skips it there.
     """
-    if not state.retained:
-        raise ValidationError("no retained batches: the constraint is vacuous at t=1")
+    if state.past is None:
+        raise ValidationError("no past data: the constraint is vacuous at t=1")
     registry = state.registry.extended(batch.covariates)
     names = registry.names
     target_arr = target.as_array(names)
     X_new = align_batch(batch, registry)
-    hist_X = np.vstack([align_batch(b, registry) for b in state.retained])
-    hist_y = np.concatenate([b.y for b in state.retained])
     prev = assemble_target(state, names).as_array(names)
     fam = get_family(state.family)
-    rhs = float(fam.loss(hist_X, hist_y, prev[:, None])[0])
-    f_new = batch.n / (batch.n + hist_y.shape[0])
+    rhs = float(fam.history_loss(state.past, prev[:, None])[0])
+    f_new = batch.n / (batch.n + state.past.rows)
     total = 0.0
     for fold in range(1, folds.k + 1):
         train, _ = folds.split(fold)
@@ -302,7 +333,7 @@ def constraint_terms(state: EstimatorState, batch: Batch, lam: float,
         except (ConvergenceError, SingularMatrixError):
             total = float("inf")
             break
-        total += float(fam.loss(hist_X, hist_y, coef[:, None])[0])
+        total += float(fam.history_loss(state.past, coef[:, None])[0])
     lhs = (1.0 - f_new) * (total / folds.k if np.isfinite(total) else total)
     return ConstraintTerms(lhs=lhs, rhs=rhs, new_fraction=f_new)
 
@@ -414,10 +445,9 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
 
     The fold fits run over the registry's columns. Each gives its held-out
     criterion (the CV score) and, with ``new_fraction`` set, its criterion
-    on the stacked history (the constraint's left side before the
-    ``1 - f`` factor); history is stacked, and the right side evaluated,
-    once per selection. A candidate whose fit is unusable in any fold is
-    infinite in both.
+    on the state's past data (the constraint's left side before the
+    ``1 - f`` factor); the right side is evaluated once per selection. A
+    candidate whose fit is unusable in any fold is infinite in both.
     """
     fam = get_family(state.family)
     names = registry.names
@@ -426,10 +456,8 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
     L, W = len(grid), len(weight_options)
     constrain = new_fraction is not None
     if constrain:
-        hist_X = np.vstack([align_batch(b, registry) for b in state.retained])
-        hist_y = np.concatenate([b.y for b in state.retained])
         prev = assemble_target(state, names).as_array(names)
-        rhs = float(fam.loss(hist_X, hist_y, prev[:, None])[0])
+        rhs = float(fam.history_loss(state.past, prev[:, None])[0])
         hist = np.zeros((L, W))
     score = np.zeros((L, W))
     usable = np.ones((L, W), dtype=bool)
@@ -440,7 +468,7 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
         flat = coefs.reshape(X.shape[1], L * W)
         score += fam.loss(X[test], y[test], flat).reshape(L, W)
         if constrain:
-            hist += fam.loss(hist_X, hist_y, flat).reshape(L, W)
+            hist += fam.history_loss(state.past, flat).reshape(L, W)
     score = np.where(usable, score / folds.k, np.inf)
     if not constrain:
         return [Candidate(lam=lam, weights=w, score=float(score[i, j]), feasible=True)
@@ -486,9 +514,8 @@ def select_penalty(state: EstimatorState, batch: Batch,
             weight_options = _weight_lattice(expanded.size, cfg.weight_points)
         target_map = {w: mixture_target(expanded, w) for w in weight_options}
 
-    constrain = cfg.constrained and bool(state.retained)
-    new_fraction = (batch.n / (batch.n + sum(b.n for b in state.retained))
-                    if constrain else None)
+    constrain = cfg.constrained and state.past is not None
+    new_fraction = batch.n / (batch.n + state.past.rows) if constrain else None
     curve = _selection_curve(state, batch, registry, cfg.grid, weight_options,
                              target_map, folds, new_fraction)
 
@@ -529,17 +556,18 @@ def fit_first_batch(batch: Batch,
 
     The penalty comes from ``select_penalty`` on a zero-target state over
     the batch's covariates; the family's fit at that penalty becomes the
-    initial target, and the batch is retained so later constraint
-    evaluations see it as history.
+    initial target, and the batch is folded into the state's past data so
+    later constraint evaluations see it as history.
     """
     names = batch.covariates
     registry = CovariateRegistry(names)
     blank = EstimatorState(family=batch.family, registry=registry,
                            init_target=CoefficientVector({n: 0.0 for n in names}))
     report = select_penalty(blank, batch, config)
-    coef = get_family(batch.family).fit(batch.X, batch.y, report.chosen_lambda,
-                                        np.zeros(batch.p))
+    fam = get_family(batch.family)
+    coef = fam.fit(batch.X, batch.y, report.chosen_lambda, np.zeros(batch.p))
     state = EstimatorState(family=batch.family, registry=registry,
                            init_target=CoefficientVector.from_array(names, coef),
-                           init_note="fit-first-batch", retained=(batch,))
+                           init_note="fit-first-batch",
+                           past=fam.fold(None, batch.X, batch.y))
     return state, report

@@ -339,8 +339,8 @@ def initial_state(config: ScenarioConfig, replicate: int) -> EstimatorState:
     ``ridge-on-first-batch`` sacrifices the replicate's t = 0 batch to a
     zero-target fit of the scenario's family (penalty by leave-one-out
     cross-validation) and uses that fit as the initial target; the
-    sacrificed batch is retained so later constraint evaluations see it
-    as history.
+    sacrificed batch is folded into the state's past data so later
+    constraint evaluations see it as history.
     """
     zero = _zero_state(config)
     if config.init_mode == "zero-target":

@@ -6,6 +6,7 @@ streams; crash safety of the state writer is exercised with a real
 subprocess that dies mid-write.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ridge_relay.cli_io as cio
 import ridge_relay.penalty_tuning as penalty_tuning
@@ -33,7 +35,10 @@ from ridge_relay import (
     UpdateRecord,
     ValidationError,
     default_grid,
+    fit_first_batch,
     fit_targeted_ridge,
+    fold_triangular,
+    get_family,
     select_penalty,
     update,
 )
@@ -63,9 +68,15 @@ def batch_csv(path, rng, n, coef, response="y", t_shift=0.0):
     return X, y
 
 
+def seeded_batch():
+    rng = np.random.default_rng(88)
+    X = rng.standard_normal((12, 2))
+    y = X @ np.array([1.0, 2.0]) + 0.1 * rng.standard_normal(12)
+    return Batch(t=1, X=X, y=y, covariates=("a", "b"), family="linear")
+
+
 def seeded_state(with_history=True):
     """A small linear state, optionally with one real update on record."""
-    rng = np.random.default_rng(88)
     names = ("a", "b")
     state = EstimatorState(
         family="linear",
@@ -74,11 +85,19 @@ def seeded_state(with_history=True):
         init_note="handmade",
     )
     if with_history:
-        X = rng.standard_normal((12, 2))
-        y = X @ np.array([1.0, 2.0]) + 0.1 * rng.standard_normal(12)
-        state = update(state, Batch(t=1, X=X, y=y, covariates=names,
-                                    family="linear"), 0.5)
+        state = update(state, seeded_batch(), 0.5)
     return state
+
+
+def schema_1_document(state, batches):
+    """The ``ridge-relay-state/1`` document of ``state``, which kept its
+    batches raw instead of its past data."""
+    doc = cio.state_to_doc(state)
+    del doc["past"]
+    doc["schema"] = "ridge-relay-state/1"
+    doc["batches"] = [{"t": b.t, "covariates": list(b.covariates), "x": b.X.tolist(),
+                       "y": b.y.tolist()} for b in batches]
+    return doc
 
 
 class TestStateRoundTrip:
@@ -88,7 +107,8 @@ class TestStateRoundTrip:
         cio.write_state(state, path)
         loaded = cio.read_state(path)
         assert cio.state_to_doc(loaded) == cio.state_to_doc(state)
-        np.testing.assert_array_equal(loaded.retained[0].X, state.retained[0].X)
+        np.testing.assert_array_equal(loaded.past.factor, state.past.factor)
+        assert loaded.past.rows == state.past.rows == 12
         assert loaded.current.values == state.current.values
 
     def test_serialization_is_deterministic(self, tmp_path):
@@ -113,8 +133,8 @@ class TestStateRoundTrip:
                                   sort_keys=True, allow_nan=False) + "\n")
         loaded = cio.read_state(str(old))
         assert cio.state_to_doc(loaded) == cio.state_to_doc(state)
-        np.testing.assert_array_equal(loaded.retained[0].X, state.retained[0].X)
-        np.testing.assert_array_equal(loaded.retained[0].y, state.retained[0].y)
+        np.testing.assert_array_equal(loaded.past.factor, state.past.factor)
+        assert loaded.past.rows == state.past.rows
         new = str(tmp_path / "rewritten.json")
         cio.write_state(loaded, new)
         fresh = str(tmp_path / "fresh.json")
@@ -127,9 +147,8 @@ class TestStateRoundTrip:
                               estimate=CoefficientVector({"a": 1.0, "b": 0.0}),
                               weights=(0.3, 0.7),
                               diagnostics={"note": "manual"})
-        batch = Batch(t=1, X=np.eye(2), y=np.ones(2),
-                      covariates=("a", "b"), family="linear")
-        state = state.with_update(state.registry, record, batch)
+        state = state.with_update(state.registry, record,
+                                  fold_triangular(None, np.eye(2), np.ones(2)))
         path = str(tmp_path / "mix.json")
         cio.write_state(state, path)
         loaded = cio.read_state(path)
@@ -208,6 +227,161 @@ class TestStateRoundTrip:
         assert not os.path.exists(path + ".lock")
 
 
+    def test_past_arrays_are_stored_as_base64_float64(self, tmp_path):
+        state = seeded_state()
+        past = cio.state_to_doc(state)["past"]
+        assert set(past) == {"factor", "rows"} and past["rows"] == 12
+        assert past["factor"]["shape"] == [3, 3]
+        raw = base64.b64decode(past["factor"]["base64"])
+        assert raw == state.past.factor.astype("<f8").tobytes()
+
+    def test_linear_state_size_does_not_grow_with_the_rows(self, tmp_path):
+        """The past data of a linear state is one (p + 1)^2 factor, so its
+        stored size is the same after 2 batches and after 30."""
+        rng = np.random.default_rng(7)
+        state = seeded_state(with_history=False)
+        sizes = {}
+        for t in range(1, 31):
+            X = rng.standard_normal((40, 2))
+            batch = Batch(t=t, X=X, y=X @ np.array([1.0, -1.0]), covariates=("a", "b"))
+            state = update(state, batch, 1.0)
+            sizes[t] = len(cio.state_to_doc(state)["past"]["factor"]["base64"])
+        assert state.past.rows == 1200
+        assert sizes[2] == sizes[30] == len(base64.b64encode(bytes(8 * 3 * 3)))
+
+    def test_schema_1_files_are_migrated_on_read(self, tmp_path):
+        state = seeded_state()
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(schema_1_document(state, [seeded_batch()])))
+        loaded = cio.read_state(str(path))
+        assert cio.state_to_doc(loaded) == cio.state_to_doc(state)
+        cio.write_state(loaded, str(path))
+        assert json.loads(path.read_text())["schema"] == "ridge-relay-state/2"
+
+    def test_undecodable_or_unreadable_state_files_are_reported(self, tmp_path):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"schema": "caf\xe9"}')
+        for path in (str(latin), str(tmp_path)):
+            with pytest.raises(StateFileError):
+                cio.read_state(path)
+        with pytest.raises(StateFileError):
+            cio.write_state(seeded_state(), str(tmp_path))
+
+    def test_lock_holder_removes_its_own_leftover_temporary_files(self, tmp_path):
+        """A write killed before its rename leaves ``.tmp-<name>-*.tmp``;
+        the next lock holder of that state removes it, and nothing of a
+        neighbouring state or plot dataset."""
+        path = str(tmp_path / "model.json")
+        cio.write_state(seeded_state(), path)
+        own = tmp_path / ".tmp-model.json-a1b2c3d4.tmp"
+        kept = [tmp_path / ".tmp-model.json-old-a1b2c3d4.tmp",
+                tmp_path / ".tmp-model-a1b2c3d4.tmp",
+                tmp_path / ".tmp-curves.csv-a1b2c3d4.tmp",
+                tmp_path / ".tmp-model.json.lock-a1b2c3d4.tmp"]
+        for leftover in [own] + kept:
+            leftover.write_text("partial")
+        with cio.state_lock(path):
+            assert not own.exists()
+            assert all(leftover.exists() for leftover in kept)
+
+    def test_crashed_write_leftover_is_gone_after_the_next_update(self, tmp_path):
+        state = seeded_state()
+        path = str(tmp_path / "model.json")
+        cio.write_state(state, path)
+        script = textwrap.dedent("""
+            import os, sys
+            import ridge_relay.cli_io as cio
+            os.replace = lambda src, dst: os._exit(9)
+            cio._atomic_write_text(sys.argv[1], "GARBAGE")
+        """)
+        for target in (path, str(tmp_path / "neighbour.json")):
+            proc = subprocess.run([sys.executable, "-c", script, target],
+                                  capture_output=True)
+            assert proc.returncode == 9
+        leftovers = sorted(n for n in os.listdir(tmp_path) if n.startswith(".tmp-"))
+        assert [n.split("-")[1] for n in leftovers] == ["model.json", "neighbour.json"]
+        data = str(tmp_path / "b.csv")
+        batch_csv(data, np.random.default_rng(3), n=12, coef=[1.0, 2.0])
+        code, _, err = run_cli("update", "--state", path, "--data", data,
+                               "--response", "y", "--k-folds", "3")
+        assert code == 0, err
+        remaining = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+        assert remaining == [leftovers[1]]
+
+
+@st.composite
+def chains(draw):
+    """A family, the batches an update chain folded in, the state it built,
+    and an arriving batch.
+
+    The chain may start from a fit-first batch (t = 0) or from a zero
+    target. Batches may add covariates, lack some, list them in another
+    order than the registry, or have more covariates than rows.
+    """
+    family = draw(st.sampled_from(["linear", "logistic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_updates = draw(st.integers(1, 4))
+    fit_first = draw(st.booleans())
+    pool = [f"x{j}" for j in range(6)]
+    coef = rng.standard_normal(len(pool))
+    known = pool[:int(rng.integers(1, 3))]
+
+    def make_batch(t):
+        names = [n for n in known if rng.random() < 0.7] or known[:1]
+        new = pool[len(known):len(known) + int(rng.integers(0, 2))]
+        names = [names[i] for i in rng.permutation(len(names))] + new
+        known.extend(new)
+        rows = int(rng.integers(2, 9))
+        X = rng.standard_normal((rows, len(names)))
+        eta = X @ coef[[pool.index(n) for n in names]]
+        y = eta + 0.3 * rng.standard_normal(rows) if family == "linear" \
+            else (rng.random(rows) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        return Batch(t=t, X=X, y=y, covariates=tuple(names), family=family)
+
+    sel = PenaltySearchConfig(k_folds=2, constrained=False, grid=(0.1, 1.0, 10.0))
+    if fit_first:
+        first = make_batch(0)
+        state = fit_first_batch(first, sel)[0]
+        batches = [first]
+    else:
+        state = EstimatorState(family=family, registry=CovariateRegistry(tuple(known)),
+                               init_target=CoefficientVector({n: 0.0 for n in known}))
+        batches = []
+    for t in range(1, n_updates + 1):
+        batch = make_batch(t)
+        state = get_family(family).update(state, batch, float(rng.choice([0.1, 1.0, 10.0])))
+        batches.append(batch)
+    return state, batches, make_batch(n_updates + 1)
+
+
+class TestStateFileProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(chains())
+    def test_schema_1_file_migrates_to_the_state_update_built(self, chain):
+        """The migrated state holds the same past data to the bit, so its
+        selection report is the same to the bit."""
+        state, batches, arriving = chain
+        text = json.dumps(schema_1_document(state, batches))
+        migrated = cio.doc_to_state(json.loads(text))
+        assert cio.state_to_doc(migrated) == cio.state_to_doc(state)
+        cfg = PenaltySearchConfig(k_folds=2, grid=(0.01, 0.1, 1.0, 10.0, 100.0))
+        reports = [json.dumps(select_penalty(s, arriving, cfg).to_dict(), sort_keys=True)
+                   for s in (migrated, state)]
+        assert reports[0] == reports[1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(chains())
+    def test_load_and_save_reproduce_the_bytes(self, tmp_path_factory, chain):
+        state = chain[0]
+        directory = tmp_path_factory.mktemp("bytes")
+        first, second = str(directory / "a.json"), str(directory / "b.json")
+        cio.write_state(state, first)
+        cio.write_state(cio.read_state(first), second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+
 class TestCsvIngestion:
     def test_batch_csv_separates_response_from_covariates(self, tmp_path):
         path = str(tmp_path / "d.csv")
@@ -234,6 +408,13 @@ class TestCsvIngestion:
         expect_error("ragged.csv", "a,y\n1,2\n3\n")
         expect_error("text.csv", "a,y\n1,banana\n")
         expect_error("wrong_response.csv", "a,b\n1,2\n")
+
+    def test_undecodable_or_unreadable_data_files_are_rejected(self, tmp_path):
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"a,y\n1,2\n3,\xff4\n")
+        for path in (str(latin), str(tmp_path)):
+            with pytest.raises(ValidationError):
+                cio.read_batch_csv(path, "y", t=1, family="linear")
 
     def test_covariate_csv_aligns_and_zero_fills(self, tmp_path):
         registry = CovariateRegistry(("a", "b", "c"))
@@ -342,7 +523,9 @@ class TestCliInit:
         np.testing.assert_array_equal(
             state.current.as_array(batch.covariates), expected)
         assert report["lam"] == chosen.chosen_lambda
-        assert len(state.retained) == 1 and state.retained[0].t == 0
+        assert state.past.rows == 30
+        np.testing.assert_array_equal(state.past.factor,
+                                      fold_triangular(None, batch.X, batch.y).factor)
 
     def test_exactly_one_source_is_required(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -673,9 +856,11 @@ def target_file_args(tmp_path, doc):
     return ["init", "--state", str(tmp_path / "m.json"), "--target-file", str(target)]
 
 
-def state_file_args(tmp_path, edit):
+def state_file_args(tmp_path, edit, schema=2):
     """``export`` of a one-update state file whose document ``edit`` changed."""
-    doc = cio.state_to_doc(seeded_state())
+    state = seeded_state()
+    doc = (cio.state_to_doc(state) if schema == 2
+           else schema_1_document(state, [seeded_batch()]))
     edit(doc)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
@@ -701,9 +886,29 @@ BAD_JSON_VALUES = {
     "init-target-non-numeric": lambda tmp: state_file_args(
         tmp, lambda doc: doc["init"]["target"].update(a="abc")),
     "ragged-batch-rows": lambda tmp: state_file_args(
-        tmp, lambda doc: doc["batches"][0]["x"][0].pop()),
+        tmp, lambda doc: doc["batches"][0]["x"][0].pop(), schema=1),
     "batch-cell-past-float-range": lambda tmp: state_file_args(
-        tmp, lambda doc: doc["batches"][0]["x"][0].__setitem__(0, 10 ** 400)),
+        tmp, lambda doc: doc["batches"][0]["x"][0].__setitem__(0, 10 ** 400), schema=1),
+    "past-non-object": lambda tmp: state_file_args(
+        tmp, lambda doc: doc.update(past=[1.0])),
+    "past-unknown-field": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"].update(extra=1)),
+    "past-row-count-text": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"].update(rows="12")),
+    "past-base64-garbage": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(base64="not base64!")),
+    "past-short-array": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(shape=[4, 4])),
+    "past-negative-shape": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(shape=[-3, -3])),
+    "past-factor-not-triangular": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(
+            base64=cio._encode_array(np.ones((3, 3)))["base64"])),
+    "past-factor-non-finite": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(
+            base64=cio._encode_array(np.triu(np.full((3, 3), np.nan)))["base64"])),
+    "past-wider-than-registry": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"].update(factor=cio._encode_array(np.eye(4)))),
     "scenario-string-p": lambda tmp: scenario_args(
         tmp, {"study": "regular-vs-updated", "p": "11"}),
     "scenario-list": lambda tmp: scenario_args(tmp, [{"p": 3}]),
@@ -719,6 +924,61 @@ def test_bad_json_values_exit_2(tmp_path, case):
     code, out, err = run_cli(*BAD_JSON_VALUES[case](tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def _latin(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+def _state(tmp_path):
+    path = str(tmp_path / "m.json")
+    cio.write_state(seeded_state(), path)
+    return path
+
+
+def _data(tmp_path):
+    path = str(tmp_path / "b.csv")
+    batch_csv(path, np.random.default_rng(5), n=12, coef=[1.0, 2.0])
+    return path
+
+
+UNREADABLE_INPUTS = {
+    "update-data-not-utf8": lambda tmp: [
+        "update", "--state", _state(tmp),
+        "--data", _latin(tmp, "d.csv", "x1,y\n1,2\n3,\xff\n"), "--response", "y"],
+    "update-state-not-utf8": lambda tmp: [
+        "update", "--state", _latin(tmp, "m.json", '{"schema": "caf\xe9"}'),
+        "--data", _data(tmp), "--response", "y"],
+    "update-state-is-a-directory": lambda tmp: [
+        "update", "--state", ".", "--data", _data(tmp), "--response", "y"],
+    "update-state-in-a-missing-directory": lambda tmp: [
+        "update", "--state", "absent/m.json", "--data", _data(tmp), "--response", "y"],
+    "export-state-not-utf8": lambda tmp: [
+        "export", "--state", _latin(tmp, "m.json", '{"schema": "caf\xe9"}')],
+    "export-state-is-a-directory": lambda tmp: ["export", "--state", "."],
+    "predict-data-is-a-directory": lambda tmp: [
+        "predict", "--state", _state(tmp), "--data", "."],
+    "init-target-not-utf8": lambda tmp: [
+        "init", "--state", "m.json", "--target-file", _latin(tmp, "t.json", '{"\xe9": 1}')],
+    "init-state-is-a-directory": lambda tmp: [
+        "init", "--state", ".", "--covariates", "a", "--force"],
+    "simulate-scenario-not-utf8": lambda tmp: [
+        "simulate", "--scenario", _latin(tmp, "s.json", '{"study": "\xe9"}'),
+        "--out", "out"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_inputs_exit_2(tmp_path, monkeypatch, case):
+    """A file that is not UTF-8, or a directory where a file belongs, is
+    bad input: exit 2 with an error line, never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*UNREADABLE_INPUTS[case](tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(".lock")]
 
 
 class TestCliExport:

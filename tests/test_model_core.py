@@ -9,21 +9,25 @@ from ridge_relay import (
     CovariateRegistry,
     EstimatorState,
     RegistryError,
+    StackedHistory,
     TargetSpec,
+    TriangularHistory,
     UpdateRecord,
     ValidationError,
     align_batch,
     assemble_target,
+    fold_stacked,
+    fold_triangular,
     mixture_target,
 )
 
 
-def make_state(family="linear", names=("a", "b"), init=None, history=(), retained=()):
+def make_state(family="linear", names=("a", "b"), init=None, history=(), past=None):
     registry = CovariateRegistry(tuple(names))
     if init is None:
         init = CoefficientVector({n: 0.0 for n in names})
     return EstimatorState(family=family, registry=registry, init_target=init,
-                          history=tuple(history), retained=tuple(retained))
+                          history=tuple(history), past=past)
 
 
 class TestCovariateRegistry:
@@ -265,27 +269,30 @@ class TestEstimatorState:
         with pytest.raises(ValidationError):
             make_state(history=(record,))
 
-    def test_with_update_appends_record_and_batch(self):
+    def test_with_update_appends_record_and_past(self):
         state = make_state()
-        batch = Batch(t=1, X=np.ones((2, 1)), y=np.ones(2), covariates=("a",))
+        past = fold_triangular(None, np.ones((2, 1)), np.ones(2))
         record = UpdateRecord(t=1, lam=0.5, estimate=CoefficientVector({"a": 1.0}))
-        advanced = state.with_update(state.registry, record, batch)
+        advanced = state.with_update(state.registry, record, past)
         assert advanced.t == 1
-        assert advanced.retained == (batch,)
+        assert advanced.past is past
         wrong = UpdateRecord(t=3, lam=0.5, estimate=CoefficientVector({"a": 1.0}))
         with pytest.raises(ValidationError):
-            advanced.with_update(advanced.registry, wrong, batch)
+            advanced.with_update(advanced.registry, wrong, past)
 
     def test_estimates_must_stay_inside_registry(self):
         record = UpdateRecord(t=1, lam=1.0, estimate=CoefficientVector({"zz": 1.0}))
         with pytest.raises(RegistryError):
             make_state(history=(record,))
 
-    def test_retained_batch_family_must_match(self):
-        batch = Batch(t=1, X=np.ones((2, 1)), y=np.array([0.0, 1.0]),
-                      covariates=("a",), family="logistic")
+    def test_past_form_must_match_the_family(self):
+        X, y = np.ones((2, 1)), np.array([0.0, 1.0])
         with pytest.raises(ValidationError):
-            make_state(family="linear", retained=(batch,))
+            make_state(family="linear", past=fold_stacked(None, X, y))
+        with pytest.raises(ValidationError):
+            make_state(family="logistic", past=fold_triangular(None, X, y))
+        with pytest.raises(RegistryError):
+            make_state(names=("a",), past=fold_triangular(None, np.ones((2, 2)), y))
 
     def test_update_record_validation(self):
         estimate = CoefficientVector({"a": 1.0})
@@ -293,3 +300,45 @@ class TestEstimatorState:
             UpdateRecord(t=0, lam=1.0, estimate=estimate)
         with pytest.raises(ValidationError):
             UpdateRecord(t=1, lam=-0.5, estimate=estimate)
+
+
+class TestPastData:
+    def test_triangular_fold_keeps_the_stacked_cross_products(self):
+        """``factor' factor`` is ``[X | y]'[X | y]`` of every folded row, with
+        a zero row and column for covariates a batch arrived without."""
+        rng = np.random.default_rng(3)
+        X1, y1 = rng.standard_normal((4, 2)), rng.standard_normal(4)
+        X2, y2 = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        past = fold_triangular(fold_triangular(None, X1, y1), X2, y2)
+        stacked = np.vstack([np.column_stack([X1, np.zeros(4), y1]),
+                             np.column_stack([X2, y2])])
+        assert past.rows == 6 and past.covariates == 3
+        np.testing.assert_allclose(past.factor.T @ past.factor, stacked.T @ stacked,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(np.tril(past.factor, -1), 0.0)
+
+    def test_stacked_fold_appends_rows_and_zero_fills(self):
+        X1, y1 = np.ones((2, 1)), np.array([0.0, 1.0])
+        X2, y2 = np.full((1, 2), 2.0), np.array([1.0])
+        past = fold_stacked(fold_stacked(None, X1, y1), X2, y2)
+        np.testing.assert_array_equal(past.X, [[1.0, 0.0], [1.0, 0.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(past.y, [0.0, 1.0, 1.0])
+        assert past.rows == 3 and past.covariates == 2
+
+    def test_folds_reject_batches_narrower_than_the_past(self):
+        for fold in (fold_triangular, fold_stacked):
+            past = fold(None, np.ones((2, 2)), np.array([0.0, 1.0]))
+            with pytest.raises(ValidationError):
+                fold(past, np.ones((2, 1)), np.array([0.0, 1.0]))
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            TriangularHistory(factor=np.ones((2, 2)), rows=3)
+        with pytest.raises(ValidationError):
+            TriangularHistory(factor=np.eye(2), rows=0)
+        with pytest.raises(ValidationError):
+            TriangularHistory(factor=np.ones((2, 3)), rows=3)
+        with pytest.raises(ValidationError):
+            StackedHistory(X=np.ones((2, 1)), y=np.array([0.0, 0.5]))
+        with pytest.raises(ValidationError):
+            StackedHistory(X=np.ones((2, 1)), y=np.array([1.0]))

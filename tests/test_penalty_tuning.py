@@ -52,16 +52,47 @@ def binary_response(rng, eta):
     return (rng.random(eta.shape[0]) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
 
 
-def state_with_history(rng, coef, n_batches=2, n=15, noise_sd=0.1, lam=1.0):
-    """A chain of informative linear batches ending at a useful estimate."""
+def linear_batches(rng, coef, n_batches=2, n=15, noise_sd=0.1):
+    """Informative linear batches over ``x0 .. x{p-1}``."""
     p = coef.shape[0]
     names = tuple(f"x{j}" for j in range(p))
-    state = linear_state(names)
+    batches = []
     for t in range(1, n_batches + 1):
         X = rng.standard_normal((n, p))
         y = X @ coef + noise_sd * rng.standard_normal(n)
-        state = update(state, Batch(t=t, X=X, y=y, covariates=names), lam)
+        batches.append(Batch(t=t, X=X, y=y, covariates=names))
+    return batches
+
+
+def state_with_history(rng, coef, n_batches=2, n=15, noise_sd=0.1, lam=1.0):
+    """A chain of informative linear batches ending at a useful estimate."""
+    batches = linear_batches(rng, coef, n_batches, n, noise_sd)
+    names = batches[0].covariates
+    state = linear_state(names)
+    for batch in batches:
+        state = update(state, batch, lam)
     return state, names
+
+
+def stacked_constraint_terms(batches, state, batch, lam, target, folds):
+    """Both sides of the constraint from the raw batches ``state`` folded in,
+    stacked over the registry: the route the triangular history replaced,
+    kept as its oracle."""
+    registry = state.registry.extended(batch.covariates)
+    names = registry.names
+    hist_X = np.vstack([penalty_tuning.align_batch(b, registry) for b in batches])
+    hist_y = np.concatenate([b.y for b in batches])
+    fam = penalty_tuning.get_family(state.family)
+    prev = penalty_tuning.assemble_target(state, names).as_array(names)
+    rhs = float(fam.loss(hist_X, hist_y, prev[:, None])[0])
+    X_new = penalty_tuning.align_batch(batch, registry)
+    total = 0.0
+    for fold in range(1, folds.k + 1):
+        train, _ = folds.split(fold)
+        coef = fam.fit(X_new[train], batch.y[train], lam, target.as_array(names))
+        total += float(fam.loss(hist_X, hist_y, coef[:, None])[0])
+    f_new = batch.n / (batch.n + hist_y.shape[0])
+    return (1.0 - f_new) * total / folds.k, rhs, f_new
 
 
 class TestMakeFolds:
@@ -241,7 +272,11 @@ class TestConstraintTerms:
         batch, evaluated on the stacked history."""
         rng = np.random.default_rng(86)
         coef = np.array([0.5, 1.5])
-        state, names = state_with_history(rng, coef, n_batches=2, n=12)
+        batches = linear_batches(rng, coef, n_batches=2, n=12)
+        names = batches[0].covariates
+        state = linear_state(names)
+        for b in batches:
+            state = update(state, b, 1.0)
         X = rng.standard_normal((10, 2))
         y = X @ coef + 0.2 * rng.standard_normal(10)
         batch = Batch(t=3, X=X, y=y, covariates=names)
@@ -250,8 +285,8 @@ class TestConstraintTerms:
         target = state.current
         terms = constraint_terms(state, batch, lam, target, folds)
 
-        hist_X = np.vstack([b.X for b in state.retained])
-        hist_y = np.concatenate([b.y for b in state.retained])
+        hist_X = np.vstack([b.X for b in batches])
+        hist_y = np.concatenate([b.y for b in batches])
         prev = state.current.as_array(names)
         rhs = float((hist_y - hist_X @ prev) @ (hist_y - hist_X @ prev))
         target_arr = target.as_array(names)
@@ -725,3 +760,114 @@ class TestLogisticFoldLoopProperties:
             assert report.chosen_lambda == oracle.chosen_lambda
             assert report.chosen_weights == oracle.chosen_weights
             assert report.fallback_used == oracle.fallback_used
+
+
+@st.composite
+def linear_streams(draw):
+    """Raw linear batches, the state ``update`` built from them, and an
+    arriving batch.
+
+    Covariates arrive mid-stream, batches lack some registry covariates
+    and list theirs in shuffled order, and batches often have at least as
+    many covariates as rows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_hist = draw(st.integers(1, 4))
+    pool = [f"x{j}" for j in range(7)]
+    coef = rng.standard_normal(len(pool))
+    known = pool[:int(rng.integers(1, 4))]
+
+    def make_batch(t):
+        names = [n for n in known if rng.random() < 0.7] or known[-1:]
+        new = pool[len(known):len(known) + int(rng.integers(0, 3))]
+        known.extend(new)
+        names = names + new
+        names = [names[i] for i in rng.permutation(len(names))]
+        rows = int(rng.integers(1, 9))
+        X = rng.standard_normal((rows, len(names)))
+        y = X @ coef[[pool.index(n) for n in names]] + 0.5 * rng.standard_normal(rows)
+        return Batch(t=t, X=X, y=y, covariates=tuple(names))
+
+    state = linear_state(tuple(known))
+    batches = []
+    for t in range(1, n_hist + 1):
+        batch = make_batch(t)
+        state = update(state, batch, float(rng.choice([0.1, 1.0, 10.0])))
+        batches.append(batch)
+    arriving = make_batch(n_hist + 1)
+    while arriving.n < 2:
+        arriving = make_batch(n_hist + 1)
+    return batches, state, arriving
+
+
+class TestTriangularHistoryProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(linear_streams(), st.sampled_from([1e-2, 1.0, 1e2, 1e6]))
+    def test_constraint_sides_match_the_stacked_batches(self, stream, lam):
+        batches, state, batch = stream
+        folds = make_folds(batch.n, 2, seed=0)
+        target = penalty_tuning.assemble_target(
+            state, state.registry.extended(batch.covariates).names)
+        terms = constraint_terms(state, batch, lam, target, folds)
+        lhs, rhs, f_new = stacked_constraint_terms(batches, state, batch, lam, target, folds)
+        assert terms.new_fraction == f_new
+        np.testing.assert_allclose(terms.rhs, rhs, rtol=1e-10)
+        np.testing.assert_allclose(terms.lhs, lhs, rtol=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(linear_streams())
+    def test_selection_curve_matches_the_stacked_batches(self, stream):
+        batches, state, batch = stream
+        cfg = PenaltySearchConfig(k_folds=2, grid=(1e-2, 1.0, 1e2, 1e6))
+        report = select_penalty(state, batch, cfg)
+        folds = make_folds(batch.n, 2, cfg.seed)
+        target = penalty_tuning.assemble_target(
+            state, state.registry.extended(batch.covariates).names)
+        for cand in report.cv_curve:
+            lhs, rhs, _ = stacked_constraint_terms(batches, state, batch, cand.lam,
+                                                   target, folds)
+            np.testing.assert_allclose(cand.rhs, rhs, rtol=1e-10)
+            np.testing.assert_allclose(cand.lhs, lhs, rtol=1e-10)
+
+
+def logistic_past(rng, n_batches, n=200, p=20):
+    X = rng.standard_normal((n_batches * n, p))
+    y = (rng.random(n_batches * n) < 0.5).astype(float)
+    return penalty_tuning.fold_stacked(None, X, y)
+
+
+class TestLogisticHistoryLoss:
+    def test_blocked_loss_matches_the_one_shot_loss(self, monkeypatch):
+        """Blocks of 7 columns against the whole array at once; the past
+        covers 3 of the coefficients' 5 covariates."""
+        rng = np.random.default_rng(12)
+        past = logistic_past(rng, 2, n=30, p=3)
+        coefs = rng.standard_normal((5, 40))
+        fam = penalty_tuning.get_family("logistic")
+        whole = fam.loss(past.X, past.y, coefs[:3])
+        monkeypatch.setattr(penalty_tuning, "_BLOCK_ELEMENTS", 7 * past.rows)
+        np.testing.assert_allclose(fam.history_loss(past, coefs), whole, rtol=1e-12)
+
+    def test_peak_memory_does_not_grow_with_the_past(self):
+        """A three-target weight lattice (3,300 candidates, p = 20) on 3 and
+        on 15 past batches of 200 rows: the one-shot loss would hold a
+        (rows x candidates) predictor, 79 MB at 15 batches."""
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        fam = penalty_tuning.get_family("logistic")
+        coefs = rng.standard_normal((20, 3300)) * 0.1
+        peaks = []
+        for n_batches in (3, 15):
+            past = logistic_past(rng, n_batches)
+            tracemalloc.start()
+            try:
+                fam.history_loss(past, coefs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block = 8 * penalty_tuning._BLOCK_ELEMENTS
+        assert peaks[1] <= 4 * block
+        assert peaks[1] <= 1.25 * peaks[0] + block // 4

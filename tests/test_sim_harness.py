@@ -22,6 +22,7 @@ from ridge_relay import (
     check_consistency_trajectory,
     check_moment_formulas,
     covariate_names,
+    fold_triangular,
     generate_batch,
     generate_batches,
     initial_state,
@@ -248,7 +249,7 @@ class TestInitialState:
     def test_zero_mode_starts_at_the_origin(self):
         config = small_config()
         state = initial_state(config, 0)
-        assert state.t == 0 and not state.retained
+        assert state.t == 0 and state.past is None
         assert all(v == 0.0 for v in state.current.values.values())
 
     def test_truth_mode_starts_at_the_generating_vector(self):
@@ -261,10 +262,10 @@ class TestInitialState:
     def test_fit_mode_consumes_a_dedicated_initialization_batch(self):
         config = small_config(init_mode="ridge-on-first-batch")
         state = initial_state(config, 2)
-        assert len(state.retained) == 1
-        assert state.retained[0].t == 0
         init_batch = generate_batch(config, 2, 0)
-        np.testing.assert_array_equal(state.retained[0].X, init_batch.X)
+        assert state.past.rows == init_batch.n
+        np.testing.assert_array_equal(
+            state.past.factor, fold_triangular(None, init_batch.X, init_batch.y).factor)
         coef = state.current.as_array(covariate_names(config.p))
         assert np.linalg.norm(coef) > 0
         residual_gap = []
