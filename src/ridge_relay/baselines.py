@@ -38,7 +38,7 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import Batch
+from .model_core import Batch, _check_nonnegative
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
 
 __all__ = [
@@ -144,13 +144,6 @@ class MixedFit:
     profile_loglik: float
 
 
-def _check_ratio(xi: float) -> float:
-    xi = float(xi)
-    if not np.isfinite(xi) or xi < 0:
-        raise ValidationError(f"variance ratio must be finite and >= 0, got {xi!r}")
-    return xi
-
-
 def _block_spectra(data: StackedData) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per block, the eigenpairs of X'X on its row space and u = V'X'y.
 
@@ -201,7 +194,7 @@ def mixed_fixed_effects(data: StackedData, xi: float) -> np.ndarray:
     The block systems are solved in p-space from each block's
     eigenpairs, the same route ``estimate_xi`` takes at every ratio.
     """
-    xi = _check_ratio(xi)
+    xi = _check_nonnegative(xi, "variance ratio")
     if data.n < data.p:
         raise SingularMatrixError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")
@@ -226,7 +219,7 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     of the sandwich gains sigma_eps_sq H X'X H + sigma_gamma_sq (H X'X)^2
     = V diag(d (sigma_eps_sq + sigma_gamma_sq d) / (1 + xi d)^2) V'.
     """
-    xi = _check_ratio(xi)
+    xi = _check_nonnegative(xi, "variance ratio")
     sigma_eps_sq = float(sigma_eps_sq)
     sigma_gamma_sq = float(sigma_gamma_sq)
     if sigma_eps_sq < 0 or sigma_gamma_sq < 0:
@@ -292,7 +285,7 @@ def estimate_xi(data: StackedData, grid: Sequence[float] | None = None) -> Mixed
     candidates = default_xi_grid() if grid is None else tuple(float(v) for v in grid)
     if not candidates:
         raise ValidationError("the ratio grid must be non-empty")
-    xis = np.array([_check_ratio(xi) for xi in candidates])
+    xis = np.array([_check_nonnegative(xi, "variance ratio") for xi in candidates])
     if data.n < data.p:
         raise EstimationError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")

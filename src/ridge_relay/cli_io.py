@@ -26,13 +26,17 @@ Exit codes, each error class's ``exit_code``: 0 success; 2 invalid
 inputs (schema, CSV, configuration, a file that cannot be read or is not
 UTF-8 text); 3 numerical failure of a fit
 (non-convergence, singular system); 4 penalty-selection or locking
-failure.
+failure. A command whose output pipe closes before it has written
+everything (``ridge-relay predict ... | head -1``) stops quietly with
+``EXIT_BROKEN_PIPE``, 141, the status a shell reports for a process that
+SIGPIPE ended.
 
 Data comes in as headed CSV, strictly numeric; anything unparsable is an
 error rather than a guess. Simulation output is written as small "plot
 dataset" pairs: a flat CSV plus a JSON sidecar with the metadata needed
 to reproduce it. The environment variable ``RIDGE_RELAY_THREADS`` caps
-worker threads package-wide.
+the threads ``simulate`` runs its replicates on; no other command opens
+a thread pool.
 """
 
 from __future__ import annotations
@@ -91,11 +95,13 @@ __all__ = [
     "read_batch_csv",
     "PlotDataset",
     "write_plot_dataset",
+    "EXIT_BROKEN_PIPE",
     "main",
 ]
 
 STATE_SCHEMA = "ridge-relay-state/2"
 _SCHEMA_1 = "ridge-relay-state/1"
+EXIT_BROKEN_PIPE = 141
 # Temporary files of an atomic write: ".tmp-<target basename>-<random>.tmp".
 # The random part has no "-", so the name gives its target back.
 _TEMP_NAME = re.compile(r"\.tmp-(.+)-[a-z0-9_]+\.tmp")
@@ -227,20 +233,26 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
 
 
-def _load_json(path: str, what: str, error: type[RidgeRelayError]):
-    """The JSON document in ``path``; any failure to read it raises ``error``."""
+def _read_text(path: str, what: str, error: type[RidgeRelayError]) -> str:
+    """The UTF-8 text of ``path``, verbatim; any failure to read it raises ``error``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise error(f"{what} {path!r} does not exist") from None
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path!r} is not UTF-8 text "
                     f"(byte {exc.start}: {exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} {path!r} is not valid JSON: {exc}") from None
     except OSError as exc:
         raise error(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
+
+
+def _load_json(path: str, what: str, error: type[RidgeRelayError]):
+    """The JSON document in ``path``; any failure to read or parse it raises ``error``."""
+    try:
+        return json.loads(_read_text(path, what, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
 def read_state(path: str) -> EstimatorState:
@@ -335,16 +347,7 @@ def state_lock(path: str):
 # CSV ingestion
 
 def _read_csv_columns(path: str) -> tuple[list[str], list[list[float]]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ValidationError(f"data file {path!r} does not exist") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"data file {path!r} is not UTF-8 text "
-                              f"(byte {exc.start}: {exc.reason})") from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read data file {path!r}: {exc.strerror or exc}") from None
+    text = _read_text(path, "data file", ValidationError)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -669,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ridge-relay",
         description="Sequentially re-estimate a (generalized) linear model, "
                     "shrinking each batch's fit toward the previous estimate.",
-        epilog="RIDGE_RELAY_THREADS caps worker threads (1 disables pools).")
+        epilog="RIDGE_RELAY_THREADS caps the threads simulate runs its replicates on "
+               "(1 runs them in turn); no other command opens a thread pool.")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("init", help="create a new state file")
@@ -719,10 +723,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
     except RidgeRelayError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader is gone; point stdout at the null device so that the
+        # interpreter's final flush of what is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

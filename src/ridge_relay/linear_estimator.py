@@ -38,6 +38,8 @@ from .model_core import (
     mixture_target,
     _as_float_matrix,
     _as_float_vector,
+    _check_nonnegative,
+    _check_xy,
 )
 
 __all__ = [
@@ -71,36 +73,16 @@ class MomentReport:
     noise_var: float
 
 
-def _check_penalty(lam: float) -> float:
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0:
-        raise ValidationError(f"penalty must be finite and >= 0, got {lam!r}")
-    return lam
-
-
-def _check_xy_target(X, y, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    X = _as_float_matrix(X, "X")
-    y = _as_float_vector(y, "y")
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    t = _as_float_vector(target, "target")
+def _check_xy_target(X, y, target, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fit's design, response and target: one vector (``ndim`` 1), or one
+    target per column (``ndim`` 2) for a grid solve."""
+    X, y = _check_xy(X, y, "", nonempty=False)
+    as_array = _as_float_vector if ndim == 1 else _as_float_matrix
+    t = as_array(target, "target")
     if t.shape[0] != X.shape[1]:
         raise ValidationError(
-            f"target has {t.shape[0]} entries for {X.shape[1]} design columns")
+            f"target covers {t.shape[0]} covariates for {X.shape[1]} design columns")
     return X, y, t
-
-
-def _check_xy_targets(X, y, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A grid solve's design, response and targets (one per column)."""
-    X = _as_float_matrix(X, "X")
-    y = _as_float_vector(y, "y")
-    if X.shape[0] != y.shape[0]:
-        raise ValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    T = _as_float_matrix(targets, "targets")
-    if T.shape[0] != X.shape[1]:
-        raise ValidationError(
-            f"targets have {T.shape[0]} rows for {X.shape[1]} design columns")
-    return X, y, T
 
 
 def _penalized_normal_factor(gram: np.ndarray, lam: float):
@@ -120,8 +102,8 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
     ``lam = 0`` is permitted and reduces to least squares, but then the
     design must have full column rank.
     """
-    X, y, target = _check_xy_target(X, y, target)
-    lam = _check_penalty(lam)
+    X, y, target = _check_xy_target(X, y, target, 1)
+    lam = _check_nonnegative(lam, "penalty")
     gram = X.T @ X
     factor = _penalized_normal_factor(gram, lam)
     coef = cho_solve(factor, X.T @ y + lam * target)
@@ -151,7 +133,7 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     ``d_min = 0``. There ``X'X + lam I`` is numerically singular: the
     coefficients are left at the target and must not be used.
     """
-    X, y, T = _check_xy_targets(X, y, targets)
+    X, y, T = _check_xy_target(X, y, targets, 2)
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams < 0):
         raise ValidationError("penalties must be a sequence of finite values >= 0")
@@ -180,7 +162,7 @@ def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Bat
     """
     if state.family != family or batch.family != family:
         raise ValidationError(f"this update handles the {family} family only")
-    lam = _check_penalty(lam)
+    lam = _check_nonnegative(lam, "penalty")
     if lam == 0:
         raise ValidationError("sequential updates require a strictly positive penalty")
     registry = state.registry.extended(batch.covariates)
@@ -190,8 +172,7 @@ def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Bat
             raise ValidationError("weights were given without a target spec")
         target, used_weights = assemble_target(state, names), None
     else:
-        expanded = TargetSpec(tuple(assemble_target(t, names) for t in target_spec.targets),
-                              target_spec.weights)
+        expanded = target_spec.over(names)
         target = mixture_target(expanded, weights)
         used_weights = tuple(weights) if weights is not None else expanded.weights
     X = align_batch(batch, registry)
@@ -248,12 +229,10 @@ def exact_moments_orthonormal(coef, target, lam: float, steps: int,
     target = _as_float_vector(target, "target")
     if coef.shape != target.shape:
         raise ValidationError("coef and target must have the same length")
-    lam = _check_penalty(lam)
+    lam = _check_nonnegative(lam, "penalty")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    noise_var = float(noise_var)
-    if not np.isfinite(noise_var) or noise_var < 0:
-        raise ValidationError(f"noise variance must be finite and >= 0, got {noise_var!r}")
+    noise_var = _check_nonnegative(noise_var, "noise variance")
     r = lam / (1.0 + lam)
     mean = coef + r ** steps * (target - coef)
     var = noise_var * (1.0 - r ** (2 * steps)) / (1.0 + 2.0 * lam)
@@ -279,9 +258,7 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         raise ValidationError("at least one design is required")
     if len(lams) != len(designs):
         raise ValidationError(f"{len(lams)} penalties for {len(designs)} designs")
-    noise_var = float(noise_var)
-    if not np.isfinite(noise_var) or noise_var < 0:
-        raise ValidationError(f"noise variance must be finite and >= 0, got {noise_var!r}")
+    noise_var = _check_nonnegative(noise_var, "noise variance")
     p = coef.shape[0]
     mean = target.copy()
     cov = np.zeros((p, p))
@@ -291,7 +268,7 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         if X_t.shape[1] != p:
             raise ValidationError(
                 f"design has {X_t.shape[1]} columns, expected {p}")
-        lam_t = _check_penalty(lam_t)
+        lam_t = _check_nonnegative(lam_t, "penalty")
         gram = X_t.T @ X_t
         A = cho_solve(_penalized_normal_factor(gram, lam_t), eye)
         mean = A @ (gram @ coef + lam_t * mean)
@@ -310,7 +287,7 @@ def estimate_noise_variance(X, y, fit: LinearFit) -> float:
     columns as rows leaves exactly zero degrees of freedom, which is an
     error, not a rounding residue divided into the fit's residual.
     """
-    X, y, _ = _check_xy_target(X, y, fit.target)
+    X, y, _ = _check_xy_target(X, y, fit.target, 1)
     d = np.linalg.svd(X, compute_uv=False) ** 2
     d = d[d > 0]
     edf = float(np.sum(d / (d + fit.lam)))

@@ -31,13 +31,15 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve, expit
 from .errors import ConvergenceError, RidgeRelayError, SingularMatrixError, ValidationError
-from .model_core import Batch, EstimatorState, TargetSpec, fold_stacked
-from .linear_estimator import (
-    _check_penalty,
-    _check_xy_target,
-    _check_xy_targets,
-    _sequential_update,
+from .model_core import (
+    Batch,
+    EstimatorState,
+    TargetSpec,
+    fold_stacked,
+    _check_binary,
+    _check_nonnegative,
 )
+from .linear_estimator import _check_xy_target, _sequential_update
 
 __all__ = [
     "LogisticFit",
@@ -76,18 +78,13 @@ class LogisticFit:
     loglik_path: tuple[float, ...]
 
 
-def _check_binary(y: np.ndarray) -> None:
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValidationError("logistic responses must be coded 0/1")
-
-
 def logistic_loglik(X, y, coef) -> float:
     """Bernoulli log-likelihood sum_i [y_i eta_i - log(1 + exp(eta_i))].
 
     Uses log1p-style accumulation so large |eta| saturates instead of
     overflowing.
     """
-    X, y, coef = _check_xy_target(X, y, coef)
+    X, y, coef = _check_xy_target(X, y, coef, 1)
     _check_binary(y)
     eta = X @ coef
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
@@ -103,9 +100,9 @@ def penalized_loglik(X, y, coef, lam: float, target) -> float:
 
 def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     """Gradient of the penalized log-likelihood: X'(y - mu) - lam (coef - target)."""
-    X, y, coef = _check_xy_target(X, y, coef)
+    X, y, coef = _check_xy_target(X, y, coef, 1)
     _check_binary(y)
-    lam = _check_penalty(lam)
+    lam = _check_nonnegative(lam, "penalty")
     target = np.asarray(target, dtype=float)
     if target.shape != coef.shape:
         raise ValidationError("target and coef must have the same length")
@@ -286,9 +283,9 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
 
     This is the one-candidate call of ``irls_fit_grid``'s solver.
     """
-    X, y, target = _check_xy_target(X, y, target)
+    X, y, target = _check_xy_target(X, y, target, 1)
     _check_binary(y)
-    lam = _check_penalty(lam)
+    lam = _check_nonnegative(lam, "penalty")
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
     run = _irls_stack(X, y, np.array([lam]), target[None, :])
@@ -316,7 +313,7 @@ def irls_fit_grid(X, y, lams: Sequence[float],
     rescue, or an exhausted iteration budget. A failed fit is left at its
     target and must not be used; it never affects the other fits.
     """
-    X, y, T = _check_xy_targets(X, y, targets)
+    X, y, T = _check_xy_target(X, y, targets, 2)
     _check_binary(y)
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams <= 0):

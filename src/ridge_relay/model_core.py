@@ -68,6 +68,34 @@ def _as_float_vector(y: Any, name: str) -> np.ndarray:
     return arr
 
 
+def _check_xy(X: Any, y: Any, what: str, nonempty: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A finite design and response with one row per observation.
+
+    ``what`` prefixes the array names in messages; ``nonempty`` also
+    rejects zero rows.
+    """
+    X = _as_float_matrix(X, f"{what}X")
+    y = _as_float_vector(y, f"{what}y")
+    if X.shape[0] != y.shape[0]:
+        raise ValidationError(f"{what}X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    if nonempty and X.shape[0] == 0:
+        raise ValidationError(f"{what}X and y hold no observations")
+    return X, y
+
+
+def _check_binary(y: np.ndarray) -> None:
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValidationError("logistic responses must be coded 0/1")
+
+
+def _check_nonnegative(value: Any, what: str) -> float:
+    """``value`` as a float that is finite and at least 0."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(f"{what} must be finite and >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CovariateRegistry:
     """Ordered, append-only collection of covariate names.
@@ -132,20 +160,16 @@ class Batch:
         if not isinstance(self.t, (int, np.integer)) or self.t < 0:
             raise ValidationError(f"batch index t must be a non-negative integer, got {self.t!r}")
         object.__setattr__(self, "t", int(self.t))
-        X = _as_float_matrix(self.X, "X").copy()
-        y = _as_float_vector(self.y, "y").copy()
-        if X.shape[0] != y.shape[0]:
-            raise ValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-        if X.shape[0] == 0:
-            raise ValidationError("a batch must contain at least one observation")
+        X, y = _check_xy(self.X, self.y, "", nonempty=True)
+        X, y = X.copy(), y.copy()
         names = tuple(str(n) for n in self.covariates)
         if len(names) != X.shape[1]:
             raise ValidationError(
                 f"{len(names)} covariate names for {X.shape[1]} design columns")
         if len(set(names)) != len(names):
             raise ValidationError("batch covariate names must be unique")
-        if self.family == "logistic" and y.size and not np.all(np.isin(y, (0.0, 1.0))):
-            raise ValidationError("logistic responses must be coded 0/1")
+        if self.family == "logistic":
+            _check_binary(y)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -252,6 +276,11 @@ class TargetSpec:
     def size(self) -> int:
         return len(self.targets)
 
+    def over(self, names: Sequence[str]) -> "TargetSpec":
+        """The spec with every target assembled over ``names`` (see
+        ``assemble_target``: a name a target lacks gets 0)."""
+        return TargetSpec(tuple(assemble_target(t, names) for t in self.targets), self.weights)
+
 
 def _check_simplex(weights: Sequence[float], expected: int) -> tuple[float, ...]:
     w = tuple(float(v) for v in weights)
@@ -279,10 +308,7 @@ class UpdateRecord:
     def __post_init__(self) -> None:
         if self.t < 1:
             raise ValidationError("update indices start at 1")
-        lam = float(self.lam)
-        if not np.isfinite(lam) or lam < 0:
-            raise ValidationError(f"penalty must be finite and >= 0, got {lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _check_nonnegative(self.lam, "penalty"))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(v) for v in self.weights))
         object.__setattr__(self, "diagnostics", dict(self.diagnostics))
@@ -334,14 +360,9 @@ class StackedHistory:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        X = _as_float_matrix(self.X, "history X").copy()
-        y = _as_float_vector(self.y, "history y").copy()
-        if X.shape[0] != y.shape[0] or X.shape[0] == 0:
-            raise ValidationError(
-                f"history X has {X.shape[0]} rows and y {y.shape[0]} entries; "
-                "both must match and be positive")
-        if not ((y == 0.0) | (y == 1.0)).all():
-            raise ValidationError("logistic responses must be coded 0/1")
+        X, y = _check_xy(self.X, self.y, "history ", nonempty=True)
+        X, y = X.copy(), y.copy()
+        _check_binary(y)
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -358,11 +379,7 @@ class StackedHistory:
 
 
 def _check_fold(past, X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = _as_float_matrix(X, "X")
-    y = _as_float_vector(y, "y")
-    if X.shape[0] != y.shape[0] or X.shape[0] == 0:
-        raise ValidationError(f"X has {X.shape[0]} rows and y {y.shape[0]} entries; "
-                              "both must match and be positive")
+    X, y = _check_xy(X, y, "", nonempty=True)
     if past is not None and X.shape[1] < past.covariates:
         raise ValidationError(
             f"X has {X.shape[1]} columns but the history covers {past.covariates}; "

@@ -240,27 +240,21 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     """Seeded fold assignment; round-robin within shuffled strata.
 
     With ``strata`` (e.g. a binary response), each stratum is shuffled and
-    dealt round-robin so folds keep roughly the stratum proportions. Fold
-    sizes differ by at most one either way.
+    dealt round-robin so folds keep roughly the stratum proportions; the
+    deal runs on from one stratum to the next, in ascending label order.
+    ``strata=None`` is one stratum. Fold sizes differ by at most one
+    either way.
     """
     if k < 2 or k > n:
         raise ValidationError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+    strata = np.zeros(n) if strata is None else np.asarray(strata)
+    if strata.shape[0] != n:
+        raise ValidationError("strata must have one label per observation")
     rng = np.random.default_rng(seed)
+    groups = [np.flatnonzero(strata == label) for label in sorted(set(strata.tolist()))]
+    dealt = np.concatenate([rows[rng.permutation(rows.size)] for rows in groups])
     assignments = np.empty(n, dtype=int)
-    counter = 0
-    if strata is None:
-        order = rng.permutation(n)
-        for i, row in enumerate(order):
-            assignments[row] = i % k + 1
-    else:
-        strata = np.asarray(strata)
-        if strata.shape[0] != n:
-            raise ValidationError("strata must have one label per observation")
-        for label in sorted(set(strata.tolist())):
-            rows = np.flatnonzero(strata == label)
-            for row in rows[rng.permutation(rows.size)]:
-                assignments[row] = counter % k + 1
-                counter += 1
+    assignments[dealt] = np.arange(dealt.size) % k + 1
     return FoldPlan(assignments=assignments, k=k)
 
 
@@ -506,8 +500,7 @@ def select_penalty(state: EstimatorState, batch: Batch,
         weight_options: list[tuple[float, ...] | None] = [None]
         target_map = {None: assemble_target(state, names)}
     else:
-        expanded = TargetSpec(tuple(assemble_target(t, names) for t in targets.targets),
-                              targets.weights)
+        expanded = targets.over(names)
         if expanded.weights is not None:
             weight_options = [expanded.weights]
         else:

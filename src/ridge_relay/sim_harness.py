@@ -312,15 +312,30 @@ class TrajectoryResult:
         return out
 
 
-def _result(name: str, config: ScenarioConfig, estimates, losses, lambdas) -> TrajectoryResult:
-    return TrajectoryResult(
-        name=name,
-        t_values=np.arange(1, config.n_batches + 1),
-        tracked=tracked_positions(config),
-        estimates=np.asarray(estimates),
-        losses=np.asarray(losses),
-        lambdas=np.asarray(lambdas),
-    )
+def _run_replicates(config: ScenarioConfig, names: Sequence[str],
+                    one_replicate: Callable) -> tuple[TrajectoryResult, ...]:
+    """One ``TrajectoryResult`` per strategy in ``names``, over every replicate.
+
+    ``one_replicate(r, est, loss, lam)`` fills the NaN arrays ``est``
+    (strategies, batches, tracked coordinates), ``loss`` and ``lam``
+    (strategies, batches) of replicate ``r``, strategies in the order of
+    ``names``.
+    """
+    S, T = len(names), config.n_batches
+    tracked = tracked_positions(config)
+
+    def run(r: int):
+        est = np.full((S, T, len(tracked)), np.nan)
+        loss = np.full((S, T), np.nan)
+        lam = np.full((S, T), np.nan)
+        one_replicate(r, est, loss, lam)
+        return est, loss, lam
+
+    rows = parallel_map(run, range(config.n_replicates))
+    est, loss, lam = (np.stack([row[i] for row in rows], axis=1) for i in range(3))
+    return tuple(TrajectoryResult(name=name, t_values=np.arange(1, T + 1), tracked=tracked,
+                                  estimates=est[s], losses=loss[s], lambdas=lam[s])
+                 for s, name in enumerate(names))
 
 
 def _zero_state(config: ScenarioConfig) -> EstimatorState:
@@ -372,16 +387,12 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
     """
     beta = resolve_beta(config)
     cols = np.array(tracked_positions(config)) - 1
-    T, C = config.n_batches, cols.size
     sel_plain = config.selection()
     sel_chain = config.selection()
     init_config = replace(config, init_mode="ridge-on-first-batch")
     family = get_family(config.family)
 
-    def one_replicate(r: int):
-        est = np.full((2, T, C), np.nan)
-        loss = np.full((2, T), np.nan)
-        lam = np.full((2, T), np.nan)
+    def one_replicate(r: int, est, loss, lam):
         state = initial_state(init_config, r)
         for i, batch in enumerate(generate_batches(config, r)):
             rep = select_penalty(_zero_state(config), batch, sel_plain)
@@ -394,15 +405,8 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
             coef = state.current.as_array(batch.covariates)
             est[1, i], loss[1, i] = _record(beta, cols, coef)
             lam[1, i] = rep.chosen_lambda
-        return est, loss, lam
 
-    rows = parallel_map(one_replicate, range(config.n_replicates))
-    est = np.stack([r[0] for r in rows], axis=1)
-    loss = np.stack([r[1] for r in rows], axis=1)
-    lam = np.stack([r[2] for r in rows], axis=1)
-    regular = _result("regular", config, est[0], loss[0], lam[0])
-    updated = _result("updated", config, est[1], loss[1], lam[1])
-    return regular, updated
+    return _run_replicates(config, ("regular", "updated"), one_replicate)
 
 
 def run_study_mixed_vs_updated(config: ScenarioConfig):
@@ -418,15 +422,11 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
     beta = resolve_beta(config)
     names = covariate_names(config.p)
     cols = np.array(tracked_positions(config)) - 1
-    T, C = config.n_batches, cols.size
     sel_chain = config.selection(constrained_default=True)
     ratio_grid = default_xi_grid(config.mixed_ratio_grid_points)
     family = get_family(config.family)
 
-    def one_replicate(r: int):
-        est = np.full((3, T, C), np.nan)
-        loss = np.full((3, T), np.nan)
-        lam = np.full((3, T), np.nan)
+    def one_replicate(r: int, est, loss, lam):
         batches = generate_batches(config, r)
         zero_state = _zero_state(config)
         truth_state = replace(zero_state,
@@ -447,16 +447,9 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
                 coef = states[j].current.as_array(names)
                 est[j + 1, i], loss[j + 1, i] = _record(beta, cols, coef)
                 lam[j + 1, i] = rep.chosen_lambda
-        return est, loss, lam
 
-    rows = parallel_map(one_replicate, range(config.n_replicates))
-    est = np.stack([r[0] for r in rows], axis=1)
-    loss = np.stack([r[1] for r in rows], axis=1)
-    lam = np.stack([r[2] for r in rows], axis=1)
-    mixed = _result("mixed", config, est[0], loss[0], lam[0])
-    upd_zero = _result("updated-zero-init", config, est[1], loss[1], lam[1])
-    upd_truth = _result("updated-truth-init", config, est[2], loss[2], lam[2])
-    return mixed, upd_zero, upd_truth
+    return _run_replicates(config, ("mixed", "updated-zero-init", "updated-truth-init"),
+                           one_replicate)
 
 
 @dataclass

@@ -13,14 +13,14 @@ import numpy as np
 from ridge_relay import logistic_estimator
 from ridge_relay._numerics import cho_factor, cho_solve, expit
 from ridge_relay.errors import ConvergenceError, ValidationError
-from ridge_relay.linear_estimator import _check_penalty, _check_xy_target
+from ridge_relay.linear_estimator import _check_xy_target
 from ridge_relay.logistic_estimator import (
     LogisticFit,
     WEIGHT_FLOOR,
-    _check_binary,
     estimating_equation,
     penalized_loglik,
 )
+from ridge_relay.model_core import _check_binary, _check_nonnegative
 
 
 def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
@@ -30,9 +30,9 @@ def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
     IRLS_MAX_ITER = logistic_estimator.IRLS_MAX_ITER
     IRLS_STEP_HALVING = logistic_estimator.IRLS_STEP_HALVING
 
-    X, y, target = _check_xy_target(X, y, target)
+    X, y, target = _check_xy_target(X, y, target, 1)
     _check_binary(y)
-    lam = _check_penalty(lam)
+    lam = _check_nonnegative(lam, "penalty")
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
     p = X.shape[1]

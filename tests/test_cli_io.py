@@ -1001,6 +1001,45 @@ class TestCliExport:
             assert printed == state.current.values[name]
 
 
+class TestClosedOutputPipe:
+    """A reader that closes the pipe early (``| head -1``) ends the command
+    quietly with ``EXIT_BROKEN_PIPE``, whatever it was still writing."""
+
+    def run_until_first_line(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "ridge_relay", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return first, proc.wait(timeout=120), err.decode()
+
+    def test_predict(self, tmp_path):
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"a": 2.0, "b": -1.0}))
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--target-file", str(target))[0] == 0
+        data = str(tmp_path / "d.csv")
+        write_csv(data, ["a", "b"], np.random.default_rng(5).standard_normal((30000, 2)))
+        first, code, err = self.run_until_first_line("predict", "--state", path,
+                                                     "--data", data)
+        assert first.strip()
+        assert code == cio.EXIT_BROKEN_PIPE
+        assert err == ""  # no traceback, no "Exception ignored" note
+
+    def test_export(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        names = ",".join(f"x{j}" for j in range(20000))
+        assert run_cli("init", "--state", path, "--covariates", names)[0] == 0
+        first, code, err = self.run_until_first_line("export", "--state", path)
+        assert first.startswith(b"family:")
+        assert code == cio.EXIT_BROKEN_PIPE
+        assert err == ""  # no traceback, no "Exception ignored" note
+
+
 def _read_rows(csv_path):
     import csv as csv_mod
     with open(csv_path, encoding="utf-8", newline="") as fh:

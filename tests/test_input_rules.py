@@ -1,0 +1,168 @@
+"""Every public entry point rejects each malformed input it takes.
+
+The package states what a valid design/response pair, a 0/1 response and
+a finite non-negative penalty, variance ratio or noise variance are. This
+table feeds each malformed input to every public entry point that takes
+it and asserts the error class, so a check that one caller drops fails
+here whatever module the check lives in.
+"""
+
+import numpy as np
+import pytest
+
+from ridge_relay import (
+    Batch,
+    CoefficientVector,
+    CovariateRegistry,
+    EstimatorState,
+    StackedHistory,
+    UpdateRecord,
+    ValidationError,
+    estimate_noise_variance,
+    estimate_xi,
+    estimating_equation,
+    exact_moments_general,
+    exact_moments_orthonormal,
+    fit_targeted_ridge,
+    fit_targeted_ridge_grid,
+    fold_stacked,
+    fold_triangular,
+    irls_fit,
+    irls_fit_grid,
+    logistic_loglik,
+    mixed_fixed_effects,
+    mixed_moments,
+    penalized_loglik,
+    stack_batches,
+    update,
+    update_logistic,
+)
+
+RNG = np.random.default_rng(0)
+X = RNG.standard_normal((6, 2))
+Y = {"linear": X @ np.array([1.0, -1.0]) + 0.1 * RNG.standard_normal(6),
+     "logistic": np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])}
+ZERO = np.zeros(2)
+NAMES = ("a", "b")
+
+
+def with_entry(arr, value):
+    out = np.array(arr, dtype=float)
+    out.flat[0] = value
+    return out
+
+
+# name -> a function of the well-formed (X, y) giving the malformed pair
+BAD_DESIGNS = {
+    "1-D X": lambda X, y: (X[:, 0], y),
+    "NaN in X": lambda X, y: (with_entry(X, np.nan), y),
+    "inf in X": lambda X, y: (with_entry(X, np.inf), y),
+}
+BAD_RESPONSES = {
+    "2-D y": lambda X, y: (X, y[:, None]),
+    "NaN in y": lambda X, y: (X, with_entry(y, np.nan)),
+    "inf in y": lambda X, y: (X, with_entry(y, -np.inf)),
+    "row mismatch": lambda X, y: (X, y[:-1]),
+}
+NOT_BINARY = {"a 2 in the response": lambda X, y: (X, with_entry(y, 2.0))}
+
+
+def linear_fit():
+    return fit_targeted_ridge(X, Y["linear"], 1.0, ZERO)
+
+
+def state(family):
+    return EstimatorState(family=family, registry=CovariateRegistry(NAMES),
+                          init_target=CoefficientVector({n: 0.0 for n in NAMES}))
+
+
+# name -> (family of the good response, call(X, y), takes a response)
+DATA_ENTRIES = {
+    "Batch": ("linear", lambda X, y: Batch(t=1, X=X, y=y, covariates=NAMES), True),
+    "Batch(logistic)": ("logistic", lambda X, y: Batch(t=1, X=X, y=y, covariates=NAMES,
+                                                       family="logistic"), True),
+    "StackedHistory": ("logistic", lambda X, y: StackedHistory(X=X, y=y), True),
+    "fold_triangular": ("linear", lambda X, y: fold_triangular(None, X, y), True),
+    "fold_stacked": ("logistic", lambda X, y: fold_stacked(None, X, y), True),
+    "fit_targeted_ridge": ("linear", lambda X, y: fit_targeted_ridge(X, y, 1.0, ZERO), True),
+    "fit_targeted_ridge_grid": ("linear", lambda X, y: fit_targeted_ridge_grid(
+        X, y, [1.0], ZERO[:, None]), True),
+    "estimate_noise_variance": ("linear", lambda X, y: estimate_noise_variance(
+        X, y, linear_fit()), True),
+    "irls_fit": ("logistic", lambda X, y: irls_fit(X, y, 1.0, ZERO), True),
+    "irls_fit_grid": ("logistic", lambda X, y: irls_fit_grid(X, y, [1.0], ZERO[:, None]), True),
+    "logistic_loglik": ("logistic", lambda X, y: logistic_loglik(X, y, ZERO), True),
+    "penalized_loglik": ("logistic", lambda X, y: penalized_loglik(X, y, ZERO, 1.0, ZERO),
+                         True),
+    "estimating_equation": ("logistic", lambda X, y: estimating_equation(
+        X, y, ZERO, 1.0, ZERO), True),
+    "exact_moments_general": ("linear", lambda X, y: exact_moments_general(
+        [X], [1.0], ZERO, ZERO, 1.0), False),
+}
+
+
+def data_cases():
+    for entry, (family, call, takes_response) in DATA_ENTRIES.items():
+        bad = dict(BAD_DESIGNS)
+        if takes_response:
+            bad.update(BAD_RESPONSES)
+            if family == "logistic":
+                bad.update(NOT_BINARY)
+        for name, spoil in bad.items():
+            yield pytest.param(family, call, spoil, id=f"{entry}-{name}")
+
+
+def stacked():
+    return stack_batches([Batch(t=t, X=X, y=Y["linear"], covariates=NAMES) for t in (1, 2)])
+
+
+def one_batch(family):
+    return Batch(t=1, X=X, y=Y[family], covariates=NAMES, family=family)
+
+
+# name -> call(v) for a scalar v that must be finite and >= 0 (a penalty
+# that must be > 0 rejects these too)
+PENALTY_ENTRIES = {
+    "UpdateRecord": lambda v: UpdateRecord(t=1, lam=v, estimate=CoefficientVector({"a": 0.0})),
+    "fit_targeted_ridge": lambda v: fit_targeted_ridge(X, Y["linear"], v, ZERO),
+    "fit_targeted_ridge_grid": lambda v: fit_targeted_ridge_grid(X, Y["linear"], [v],
+                                                                 ZERO[:, None]),
+    "irls_fit": lambda v: irls_fit(X, Y["logistic"], v, ZERO),
+    "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [v], ZERO[:, None]),
+    "estimating_equation": lambda v: estimating_equation(X, Y["logistic"], ZERO, v, ZERO),
+    "exact_moments_orthonormal": lambda v: exact_moments_orthonormal(ZERO, ZERO, v, 1, 1.0),
+    "exact_moments_general": lambda v: exact_moments_general([X], [v], ZERO, ZERO, 1.0),
+    "update": lambda v: update(state("linear"), one_batch("linear"), v),
+    "update_logistic": lambda v: update_logistic(state("logistic"), one_batch("logistic"), v),
+}
+RATIO_ENTRIES = {
+    "estimate_xi": lambda v: estimate_xi(stacked(), grid=[v]),
+    "mixed_fixed_effects": lambda v: mixed_fixed_effects(stacked(), v),
+    "mixed_moments": lambda v: mixed_moments(stacked(), v, 1.0, 1.0, ZERO),
+}
+NOISE_ENTRIES = {
+    "exact_moments_orthonormal": lambda v: exact_moments_orthonormal(ZERO, ZERO, 1.0, 1, v),
+    "exact_moments_general": lambda v: exact_moments_general([X], [1.0], ZERO, ZERO, v),
+}
+
+
+def scalar_cases():
+    for kind, entries in (("penalty", PENALTY_ENTRIES), ("ratio", RATIO_ENTRIES),
+                          ("noise variance", NOISE_ENTRIES)):
+        for entry, call in entries.items():
+            for value in (-1.0, np.nan, np.inf):
+                yield pytest.param(call, value, id=f"{entry}-{kind} {value}")
+
+
+@pytest.mark.parametrize("family, call, spoil", data_cases())
+def test_malformed_data_is_rejected(family, call, spoil):
+    call(X, Y[family])  # the well-formed pair is accepted
+    with pytest.raises(ValidationError):
+        call(*spoil(X, Y[family]))
+
+
+@pytest.mark.parametrize("call, value", scalar_cases())
+def test_negative_or_non_finite_scalars_are_rejected(call, value):
+    call(1.0)  # a finite positive value is accepted
+    with pytest.raises(ValidationError):
+        call(value)

@@ -138,6 +138,43 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             FoldPlan(assignments=np.array([1, 1, 3, 3]), k=3)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_deal_matches_the_reference_loop(self, data):
+        """Random n, k, seed and strata, among them none, one label, binary
+        0/1 floats as a logistic response gives, and several integer
+        labels in any order."""
+        n = data.draw(st.integers(2, 60))
+        k = data.draw(st.integers(2, n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        labels = data.draw(st.sampled_from([None, [0.0], [0.0, 1.0], [3, -1, 7, 2]]))
+        strata = None if labels is None else data.draw(
+            st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+        plan = make_folds(n, k, seed, strata)
+        np.testing.assert_array_equal(plan.assignments, reference_folds(n, k, seed, strata))
+
+
+def reference_folds(n, k, seed, strata=None):
+    """The loop ``make_folds`` dealt with before it was vectorized, kept as
+    its oracle: each stratum (all rows when ``strata`` is None), in
+    ascending label order, is shuffled and dealt round-robin, the count
+    running on across strata."""
+    rng = np.random.default_rng(seed)
+    assignments = np.empty(n, dtype=int)
+    counter = 0
+    if strata is None:
+        order = rng.permutation(n)
+        for i, row in enumerate(order):
+            assignments[row] = i % k + 1
+    else:
+        strata = np.asarray(strata)
+        for label in sorted(set(strata.tolist())):
+            rows = np.flatnonzero(strata == label)
+            for row in rows[rng.permutation(rows.size)]:
+                assignments[row] = counter % k + 1
+                counter += 1
+    return assignments
+
 
 class TestCvScore:
     def test_noiseless_data_with_tiny_penalty_scores_near_zero(self):
@@ -749,9 +786,8 @@ class TestLogisticFoldLoopProperties:
             if spec is None:
                 target = penalty_tuning.assemble_target(state, registry.names)
             else:
-                expanded = TargetSpec(tuple(penalty_tuning.assemble_target(t, registry.names)
-                                            for t in spec.targets), spec.weights)
-                target = penalty_tuning.mixture_target(expanded, cand.weights)
+                target = penalty_tuning.mixture_target(spec.over(registry.names),
+                                                       cand.weights)
             return irls_score_tolerance(batch, registry, cand, folds,
                                         target.as_array(registry.names))
 
@@ -830,6 +866,125 @@ class TestTriangularHistoryProperties:
                                                    target, folds)
             np.testing.assert_allclose(cand.rhs, rhs, rtol=1e-10)
             np.testing.assert_allclose(cand.lhs, lhs, rtol=1e-10)
+
+
+@st.composite
+def registry_variants(draw, family):
+    """Two states that folded the same batches with the same penalties, an
+    arriving batch, a search configuration and an optional target spec.
+
+    The first state's registry lists the covariates in their natural
+    order. The second lists them, with up to two covariates that no batch
+    carries, in a drawn order. Past batches lack some covariates and list
+    theirs in shuffled order, and the arriving batch may bring a new one.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 4))
+    unseen = tuple(f"unseen{j}" for j in range(draw(st.integers(0, 2))))
+    n_hist = draw(st.integers(1, 3))
+    n = draw(st.integers(4, 10))
+    k_folds = draw(st.one_of(st.none(), st.integers(2, min(4, n))))
+    constrained = draw(st.booleans())
+    mixture = draw(st.sampled_from([None, "lattice", "fixed"]))
+    full = default_grid()
+    interior = draw(st.lists(st.sampled_from(full[1:-1]), max_size=3, unique=True))
+    grid = tuple(sorted({full[0], full[-1], *interior}))
+
+    linear = family == "linear"
+    step = update if linear else update_logistic
+    names = tuple(f"x{j}" for j in range(size))
+    coef = dict(zip(names + ("new",), rng.standard_normal(size + 1)))
+    shuffled = names + unseen
+    shuffled = tuple(shuffled[i] for i in rng.permutation(len(shuffled)))
+
+    def make_batch(t, rows, extra=()):
+        covs = [c for c in names if rng.random() < 0.7] or [names[-1]]
+        covs = [covs[i] for i in rng.permutation(len(covs))] + list(extra)
+        X = rng.standard_normal((rows, len(covs)))
+        eta = X @ np.array([coef[c] for c in covs])
+        y = eta + 0.5 * rng.standard_normal(rows) if linear else binary_response(rng, eta)
+        return Batch(t=t, X=X, y=y, covariates=tuple(covs), family=family)
+
+    states = [linear_state(names, family), linear_state(shuffled, family)]
+    for t in range(1, n_hist + 1):
+        batch = make_batch(t, int(rng.integers(2, 12)))
+        lam = float(rng.choice([0.1, 1.0, 10.0]))
+        states = [step(state, batch, lam) for state in states]
+    arriving = make_batch(n_hist + 1, n, ("new",) if rng.random() < 0.5 else ())
+
+    spec = None
+    if mixture is not None:
+        first = CoefficientVector({c: states[0].current[c] for c in names})
+        other = CoefficientVector({c: float(v) for c, v in
+                                   zip(names, rng.standard_normal(size))})
+        weights = None
+        if mixture == "fixed":
+            w = float(rng.uniform())
+            weights = (w, 1.0 - w)
+        spec = TargetSpec(targets=(first, other), weights=weights)
+    cfg = PenaltySearchConfig(k_folds=k_folds, constrained=constrained, grid=grid,
+                              seed=int(rng.integers(1000)), weight_points=3)
+    return states, arriving, cfg, spec
+
+
+def selection_pool(report):
+    """The candidates the selector chose among: the feasible ones, else,
+    in constrained mode, those at the largest penalty."""
+    pool = [c for c in report.cv_curve if c.feasible and np.isfinite(c.score)]
+    if not pool and report.constrained:
+        top = max(c.lam for c in report.cv_curve)
+        pool = [c for c in report.cv_curve if c.lam == top and np.isfinite(c.score)]
+    return pool
+
+
+class TestRegistryInvariance:
+    """A whole selection does not depend on the order in which the state's
+    registry lists the covariates, nor on covariates it carries that no
+    batch has: the curves agree within the rtol of
+    ``TestLinearGridRouteProperties``, and so does the choice whenever the
+    winner leads the rest of the pool by more than that tolerance."""
+
+    RTOL = 1e-10
+
+    def check(self, case):
+        (base, variant), batch, cfg, spec = case
+        want = select_penalty(base, batch, cfg, targets=spec)
+        got = select_penalty(variant, batch, cfg, targets=spec)
+        assert got.new_fraction == want.new_fraction
+        assert len(got.cv_curve) == len(want.cv_curve)
+        settled = True
+        for a, b in zip(got.cv_curve, want.cv_curve):
+            assert (a.lam, a.weights) == (b.lam, b.weights)
+            assert np.isfinite(a.score) == np.isfinite(b.score)
+            if np.isfinite(b.score):
+                np.testing.assert_allclose(a.score, b.score, rtol=self.RTOL)
+            for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    np.testing.assert_allclose(x, y, rtol=self.RTOL)
+            if b.lhs is not None and abs(b.lhs - b.rhs) <= self.RTOL * abs(b.rhs):
+                settled = False  # on the constraint's edge: either verdict is rounding
+            else:
+                assert a.feasible == b.feasible
+        pool = sorted(selection_pool(want), key=lambda c: c.score)
+        if settled and len(pool) > 1:
+            settled = pool[1].score - pool[0].score > self.RTOL * abs(pool[0].score)
+        if settled:
+            assert got.chosen_lambda == want.chosen_lambda
+            assert got.chosen_weights == want.chosen_weights
+            assert got.fallback_used == want.fallback_used
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(registry_variants("linear"))
+    def test_linear_selection(self, case):
+        self.check(case)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(registry_variants("logistic"))
+    def test_logistic_selection(self, case):
+        self.check(case)
 
 
 def logistic_past(rng, n_batches, n=200, p=20):
