@@ -43,6 +43,7 @@ from .linear_estimator import (
     exact_moments_orthonormal,
     fit_targeted_ridge,
     fit_targeted_ridge_grid,
+    loo_ridge_grid,
     update,
 )
 from .logistic_estimator import (

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import Batch, _check_nonnegative
+from .model_core import Batch, _as_float_matrix, _check_nonnegative
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
 
 __all__ = [
@@ -182,10 +182,44 @@ def _woodbury_grid(spectra, xis: np.ndarray):
 
 def _solve_spd(C: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     factor = cho_factor(0.5 * (C + C.T), what)
-    pivots = np.abs(np.diag(factor.lower))
-    if pivots.size and pivots.min() <= 1e-10 * max(pivots.max(), 1e-300):
+    if not _pivots_ok(factor.lower[None])[0]:
         raise SingularMatrixError(f"{what} is numerically singular")
     return cho_solve(factor, rhs)
+
+
+def _pivots_ok(lower: np.ndarray) -> np.ndarray:
+    """Per stacked Cholesky factor, whether its smallest pivot exceeds
+    1e-10 times its largest."""
+    pivots = np.abs(np.diagonal(lower, axis1=1, axis2=2))
+    return pivots.min(axis=1, initial=np.inf) > 1e-10 * np.maximum(
+        pivots.max(axis=1, initial=0.0), 1e-300)
+
+
+def _solve_spd_stack(C: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_solve_spd`` on each of the stacked systems ``C[i] x = b[i]``.
+
+    Returns the solutions and a mask that is False where a system failed
+    (its row of solutions is then zero). One Cholesky factorization and
+    one solve serve the whole stack; if either fails, each system is
+    solved on its own, so every failing one is still found. A non-finite
+    entry either fails the factorization or leaves a NaN or infinite
+    pivot, which fails the pivot check.
+    """
+    out = np.zeros(b.shape)
+    sym = 0.5 * (C + np.swapaxes(C, 1, 2))
+    try:
+        ok = _pivots_ok(np.linalg.cholesky(sym))
+        out[ok] = np.linalg.solve(sym[ok], b[ok][:, :, None])[:, :, 0]
+        return out, ok
+    except np.linalg.LinAlgError:
+        pass
+    ok = np.ones(b.shape[0], dtype=bool)
+    for i in range(b.shape[0]):
+        try:
+            out[i] = _solve_spd(C[i], b[i], what)
+        except SingularMatrixError:
+            ok[i] = False
+    return out, ok
 
 
 def mixed_fixed_effects(data: StackedData, xi: float) -> np.ndarray:
@@ -220,10 +254,8 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     = V diag(d (sigma_eps_sq + sigma_gamma_sq d) / (1 + xi d)^2) V'.
     """
     xi = _check_nonnegative(xi, "variance ratio")
-    sigma_eps_sq = float(sigma_eps_sq)
-    sigma_gamma_sq = float(sigma_gamma_sq)
-    if sigma_eps_sq < 0 or sigma_gamma_sq < 0:
-        raise ValidationError("variances must be >= 0")
+    sigma_eps_sq = _check_nonnegative(sigma_eps_sq, "noise variance")
+    sigma_gamma_sq = _check_nonnegative(sigma_gamma_sq, "deviation variance")
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (data.p,):
         raise ValidationError(f"coef must have length {data.p}")
@@ -252,18 +284,13 @@ def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
 def _woodbury_profile(data: StackedData, xis: np.ndarray) -> list:
     """(fixed effects, GLS quadratic form, log det Omega) at every ratio, or None.
 
-    One eigendecomposition per block serves the whole grid; the GLS
-    normal matrix is still factored, with its pivot check, at each ratio.
+    One eigendecomposition per block serves the whole grid, and one
+    stacked factorization and solve give the fixed effects at every ratio,
+    with each ratio's pivot check.
     """
     spectra = _block_spectra(data)
     C, b, logdet = _woodbury_grid(spectra, xis)
-    betas = np.zeros((xis.shape[0], data.p))
-    ok = np.ones(xis.shape[0], dtype=bool)
-    for i in range(xis.shape[0]):
-        try:
-            betas[i] = _solve_spd(C[i], b[i], "the GLS normal matrix")
-        except SingularMatrixError:
-            ok[i] = False
+    betas, ok = _solve_spd_stack(C, b, "the GLS normal matrix")
     resid = data.y_stack[:, None] - data.x_stack @ betas.T
     quad = np.einsum("ij,ij->j", resid, resid)
     for d, V, u in spectra:
@@ -311,5 +338,5 @@ def estimate_xi(data: StackedData, grid: Sequence[float] | None = None) -> Mixed
 
 def plain_ridge(X, y, lam: float) -> LinearFit:
     """Zero-target ridge on a single batch: the no-memory baseline."""
-    X = np.asarray(X, dtype=float)
+    X = _as_float_matrix(X, "X")
     return fit_targeted_ridge(X, y, lam, np.zeros(X.shape[1]))

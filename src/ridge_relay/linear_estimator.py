@@ -47,6 +47,7 @@ __all__ = [
     "MomentReport",
     "fit_targeted_ridge",
     "fit_targeted_ridge_grid",
+    "loo_ridge_grid",
     "update",
     "exact_moments_orthonormal",
     "exact_moments_general",
@@ -133,21 +134,133 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     ``d_min = 0``. There ``X'X + lam I`` is numerically singular: the
     coefficients are left at the target and must not be used.
     """
+    X, y, T, lams = _check_grid(X, y, lams, targets)
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    d = sv * sv
+    d_min, floor = _singular_rule(d, X.shape[1])
+    solvable = d_min + lams > floor
+    z = sv[:, None] * (U.T @ (y[:, None] - X @ T))
+    shrink = np.zeros((d.shape[0], lams.shape[0]))
+    shrink[:, solvable] = 1.0 / (d[:, None] + lams[solvable])
+    return T[:, None, :] + _through_spectrum(Vt.T, shrink, z), solvable
+
+
+def _check_grid(X, y, lams, targets):
+    """A grid solve's design, response, ``(p, W)`` targets and penalties."""
     X, y, T = _check_xy_target(X, y, targets, 2)
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams < 0):
         raise ValidationError("penalties must be a sequence of finite values >= 0")
+    return X, y, T, lams
+
+
+def _through_spectrum(basis: np.ndarray, scale: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``basis @ diag(scale[:, l]) @ Z`` for every column l of ``scale``,
+    stacked as ``(rows of basis, L, columns of Z)``."""
+    q, L = scale.shape
+    return (basis @ (scale[:, :, None] * Z[:, None, :]).reshape(q, -1)).reshape(
+        basis.shape[0], L, Z.shape[1])
+
+
+def _singular_rule(d: np.ndarray, p: int) -> tuple[float, float]:
+    """``(d_min, floor)`` for the squared singular values ``d`` of a
+    ``p``-column design: ``X'X + lam I`` counts as singular where
+    ``d_min + lam <= floor = p * eps * d_max``. ``d_min = 0`` when the
+    design has fewer than ``p`` singular values."""
+    d_min = d.min(initial=np.inf) if d.shape[0] == p else 0.0
+    return d_min, p * np.finfo(float).eps * d.max(initial=0.0)
+
+
+# The closed-form leave-one-out is trusted only where every fold clears
+# the singular rule by this factor, and where 1 - h_ii, when it is found
+# by cancellation against |u_i|^2, exceeds this bound (see
+# ``loo_ridge_grid``).
+_LOO_FLOOR_MARGIN = 4.0
+_LOO_MIN_OUTSIDE = 1e-4
+
+
+def loo_ridge_grid(X, y, lams: Sequence[float], targets, history=None):
+    """Leave-one-out scores for every penalty and target from one decomposition.
+
+    With the thin SVD ``X = U diag(s) V'`` (``d = s^2``, q columns in U),
+    ``r = y - X t`` and ``keep = lam / (d + lam)``, the fit on every row
+    leaves the residual ``e = (r - UU'r) + U diag(keep) U'r``, and row i
+    has ``1 - h_ii = (1 - |u_i|^2) + sum_q u_iq^2 keep_q``. The fit without
+    row i misses it by ``e_i / (1 - h_ii)`` (Allen's PRESS identity;
+    Golub, Heath & Wahba 1979), and its coefficients are
+    ``b - V diag(s / (d + lam)) u_i' e_i / (1 - h_ii)``. With q = n,
+    ``r - UU'r`` and ``1 - |u_i|^2`` are exactly 0 and are not formed:
+    computing them by subtraction would leave rounding where the other
+    terms are small.
+
+    ``history``, if given, is ``(F, f)``: the historic criterion of
+    coefficients b is ``|F b[:k] - f|^2`` for the k columns of F. For fold
+    i it expands as ``|c|^2 - 2 a_i (D_i . c) + a_i^2 |D_i|^2``, with
+    ``c = F b - f``, ``a_i`` the held-out residual and
+    ``D = F V diag(s / (d + lam)) U'``, so no fold's coefficients are formed.
+
+    Returns ``(score, hist)``, each of shape ``(L, W)``: the mean over rows
+    of the squared held-out residual and of the fold fit's historic
+    criterion (``None`` without ``history``). These are the leave-one-out
+    score and constraint sum of one ``fit_targeted_ridge_grid`` per fold.
+    Returns ``None`` unless the closed form is certified at every penalty:
+    every fold's ``X_{-i}'X_{-i} + lam I``, which is at least ``lam`` and at
+    least ``(1 - h_ii)(d_min + lam)``, must clear the singular rule of
+    ``fit_targeted_ridge_grid`` by ``_LOO_FLOOR_MARGIN``; and where
+    ``1 - h_ii`` comes from cancellation (q < n) it must exceed
+    ``_LOO_MIN_OUTSIDE``, so that its rounding stays far below the score's.
+    """
+    X, y, T, lams = _check_grid(X, y, lams, targets)
+    n, p = X.shape
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
-    p, n_sv = X.shape[1], d.shape[0]
-    d_min = d.min(initial=np.inf) if n_sv == p else 0.0
-    solvable = d_min + lams > p * np.finfo(float).eps * d.max(initial=0.0)
-    z = sv[:, None] * (U.T @ (y[:, None] - X @ T))
-    shrink = np.zeros((n_sv, lams.shape[0]))
-    shrink[:, solvable] = 1.0 / (d[:, None] + lams[solvable])
-    steps = Vt.T @ (shrink[:, :, None] * z[:, None, :]).reshape(n_sv, -1)
-    coefs = T[:, None, :] + steps.reshape(p, lams.shape[0], T.shape[1])
-    return coefs, solvable
+    q = d.shape[0]
+    d_min, floor = _singular_rule(d, p)
+    if not np.all(d_min + lams > floor):
+        return None
+    keep = lams / (d[:, None] + lams)
+    U2 = U * U
+    outside = U2 @ keep
+    if q < n:
+        outside += (1.0 - U2.sum(axis=1))[:, None]
+        if not np.all(outside > _LOO_MIN_OUTSIDE):
+            return None
+    if not np.all(np.maximum(outside * (d_min + lams), lams) > _LOO_FLOOR_MARGIN * floor):
+        return None
+
+    R = y[:, None] - X @ T
+    Z = U.T @ R
+    resid = _through_spectrum(U, keep, Z)
+    if q < n:
+        # Projecting twice keeps the rounding of U'R out of r - UU'r.
+        perp = R - U @ Z
+        resid += (perp - U @ (U.T @ perp))[:, None, :]
+    held = (resid / outside[:, :, None]).transpose(1, 0, 2)
+    score = np.einsum("liw,liw->lw", held, held) / n
+    if history is None:
+        return score, None
+    F, f = _check_history(history, p)
+    V = Vt.T[:F.shape[1]]
+    step = sv[:, None] / (d[:, None] + lams)
+    full = np.tensordot(F, T[:F.shape[1], None, :] + _through_spectrum(V, step, Z), axes=1)
+    full -= f[:, None, None]
+    D = _through_spectrum(F @ V, step, U.T)
+    cross = np.matmul(D.transpose(1, 2, 0), full.transpose(1, 0, 2))
+    sq = np.einsum("mli,mli->li", D, D)
+    hist = (np.einsum("mlw,mlw->lw", full, full)
+            + (held * (held * sq[:, :, None] - 2.0 * cross)).mean(axis=1))
+    return score, hist
+
+
+def _check_history(history, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(F, f)`` of a historic criterion over at most ``p`` covariates."""
+    F = _as_float_matrix(history[0], "history factor")
+    f = _as_float_vector(history[1], "history response")
+    if f.shape[0] != F.shape[0] or F.shape[1] > p:
+        raise ValidationError(
+            f"a history of shape {F.shape} and {f.shape[0]} responses "
+            f"does not fit {p} design columns")
+    return F, f
 
 
 def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Batch,

@@ -92,10 +92,11 @@ def logistic_loglik(X, y, coef) -> float:
 
 def penalized_loglik(X, y, coef, lam: float, target) -> float:
     """Log-likelihood minus the targeted ridge penalty (lam/2)||coef - target||^2."""
+    lam = _check_nonnegative(lam, "penalty")
     coef = np.asarray(coef, dtype=float)
     target = np.asarray(target, dtype=float)
     diff = coef - target
-    return logistic_loglik(X, y, coef) - 0.5 * float(lam) * float(diff @ diff)
+    return logistic_loglik(X, y, coef) - 0.5 * lam * float(diff @ diff)
 
 
 def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:

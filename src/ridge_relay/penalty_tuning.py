@@ -18,11 +18,17 @@ satisfiable for large enough candidates; if no grid point is feasible
 the selector falls back to the largest one and flags it.
 
 Only the fit, the loss and the form of the past data differ between
-families, so each family is one object (``get_family``) and every family
-takes one route: each fold is fitted once for the whole grid
-(``Family.fit_grid``: one decomposition per fold for the linear family,
-one batched IRLS over every candidate for the logistic one), and the same
-fold fits give both the held-out score and the constraint's left side.
+families, so each family is one object (``get_family``). Under K-fold
+cross-validation every family takes one route: each fold is fitted once
+for the whole grid (``Family.fit_grid``: one decomposition per fold for
+the linear family, one batched IRLS over every candidate for the
+logistic one), and the same fold fits give both the held-out score and
+the constraint's left side. Under leave-one-out the linear family fits
+no fold: one decomposition of the whole batch gives every held-out
+residual and every fold's historic criterion in closed form
+(``Family.loo_curve``, ``loo_ridge_grid``). Where that closed form cannot
+certify a candidate, and for the logistic family, the folds are fitted
+as under K-fold.
 The historic criterion comes from the state's past data
 (``Family.history_loss``): for the linear family a product with the
 triangular factor of the stacked history, whose cost does not grow with
@@ -56,7 +62,12 @@ from .model_core import (
     mixture_target,
 )
 from ._numerics import expit
-from .linear_estimator import fit_targeted_ridge, fit_targeted_ridge_grid, update
+from .linear_estimator import (
+    fit_targeted_ridge,
+    fit_targeted_ridge_grid,
+    loo_ridge_grid,
+    update,
+)
 from .logistic_estimator import _BLOCK_ELEMENTS, irls_fit, irls_fit_grid, update_logistic
 
 __all__ = [
@@ -109,15 +120,23 @@ class Family:
     and ``history_loss(past, coefs)`` is the criterion summed over every
     row of that past data, one value per coefficient column; ``coefs``
     may cover more registry covariates than the past data, which then
-    count as zero columns. ``mean`` maps a linear predictor to the
-    expected response, ``sample`` draws responses around it, and
-    ``update`` is the family's sequential step. Methods look the
+    count as zero columns. ``loo_curve(X, y, lams, targets, past)`` gives a
+    leave-one-out selection's mean held-out criterion and mean criterion
+    on ``past`` (``None`` for no constraint), each of shape ``(L, W)``,
+    without fitting the folds; it returns ``None`` where the family has no
+    such closed form or cannot certify it. ``mean`` maps a linear
+    predictor to the expected response, ``sample`` draws responses around
+    it, and ``update`` is the family's sequential step. Methods look the
     estimators up by their module-level names when they run, so a wrapper
     installed over those names sees every fit.
     """
 
     name: str
     stratified: bool
+
+    def loo_curve(self, X, y, lams, targets, past):
+        """No closed form: a leave-one-out selection fits every fold."""
+        return None
 
 
 class _Linear(Family):
@@ -130,6 +149,13 @@ class _Linear(Family):
     def fit_grid(self, X, y, lams, targets):
         coefs, solvable = fit_targeted_ridge_grid(X, y, lams, targets)
         return coefs, np.repeat(solvable[:, None], targets.shape[1], axis=1)
+
+    def loo_curve(self, X, y, lams, targets, past):
+        history = None
+        if past is not None:
+            k = past.covariates
+            history = (past.factor[:, :k], past.factor[:, k])
+        return loo_ridge_grid(X, y, lams, targets, history)
 
     def loss(self, X, y, coefs):
         resid = y[:, None] - X @ coefs
@@ -435,25 +461,45 @@ def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
 def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
                      grid: tuple[float, ...], weight_options: list, target_map: dict,
                      folds: FoldPlan, new_fraction: float | None) -> list[Candidate]:
-    """The selection curve from one ``fit_grid`` per fold.
+    """The selection curve, every fold fit over the registry's columns.
 
-    The fold fits run over the registry's columns. Each gives its held-out
-    criterion (the CV score) and, with ``new_fraction`` set, its criterion
-    on the state's past data (the constraint's left side before the
-    ``1 - f`` factor); the right side is evaluated once per selection. A
-    candidate whose fit is unusable in any fold is infinite in both.
+    Each fold fit gives its held-out criterion (the CV score) and, with
+    ``new_fraction`` set, its criterion on the state's past data (the
+    constraint's left side before the ``1 - f`` factor); the right side is
+    evaluated once per selection. A leave-one-out plan takes the family's
+    ``loo_curve``, which forms no fold fit; otherwise, or where it
+    declines, each fold is fitted once for the whole grid (``fit_grid``).
+    A candidate whose fit is unusable in any fold is infinite in both.
     """
     fam = get_family(state.family)
     names = registry.names
     X, y = align_batch(batch, registry), batch.y
     targets = np.column_stack([target_map[w].as_array(names) for w in weight_options])
-    L, W = len(grid), len(weight_options)
     constrain = new_fraction is not None
-    if constrain:
-        prev = assemble_target(state, names).as_array(names)
-        rhs = float(fam.history_loss(state.past, prev[:, None])[0])
-        hist = np.zeros((L, W))
+    past = state.past if constrain else None
+    means = fam.loo_curve(X, y, grid, targets, past) if folds.k == folds.n else None
+    if means is None:
+        means = _fold_means(fam, X, y, grid, targets, past, folds)
+    score, hist = means
+    if not constrain:
+        return [Candidate(lam=lam, weights=w, score=float(score[i, j]), feasible=True)
+                for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
+    prev = assemble_target(state, names).as_array(names)
+    rhs = float(fam.history_loss(past, prev[:, None])[0])
+    lhs = (1.0 - new_fraction) * hist
+    return [Candidate(lam=lam, weights=w, score=float(score[i, j]),
+                      feasible=bool(lhs[i, j] <= rhs), lhs=float(lhs[i, j]), rhs=rhs)
+            for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
+
+
+def _fold_means(fam: Family, X: np.ndarray, y: np.ndarray, grid: tuple[float, ...],
+                targets: np.ndarray, past, folds: FoldPlan):
+    """Mean over folds of the held-out criterion and, with ``past``, of the
+    criterion on the past data, from one ``fit_grid`` per fold; both are
+    infinite where a candidate's fit is unusable in any fold."""
+    L, W = len(grid), targets.shape[1]
     score = np.zeros((L, W))
+    hist = np.zeros((L, W))
     usable = np.ones((L, W), dtype=bool)
     for fold in range(1, folds.k + 1):
         train, test = folds.split(fold)
@@ -461,16 +507,10 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
         usable &= ok
         flat = coefs.reshape(X.shape[1], L * W)
         score += fam.loss(X[test], y[test], flat).reshape(L, W)
-        if constrain:
-            hist += fam.history_loss(state.past, flat).reshape(L, W)
+        if past is not None:
+            hist += fam.history_loss(past, flat).reshape(L, W)
     score = np.where(usable, score / folds.k, np.inf)
-    if not constrain:
-        return [Candidate(lam=lam, weights=w, score=float(score[i, j]), feasible=True)
-                for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
-    lhs = np.where(usable, (1.0 - new_fraction) * (hist / folds.k), np.inf)
-    return [Candidate(lam=lam, weights=w, score=float(score[i, j]),
-                      feasible=bool(lhs[i, j] <= rhs), lhs=float(lhs[i, j]), rhs=rhs)
-            for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
+    return score, np.where(usable, hist / folds.k, np.inf) if past is not None else None
 
 
 def select_penalty(state: EstimatorState, batch: Batch,

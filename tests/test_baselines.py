@@ -29,7 +29,7 @@ from ridge_relay import (
     stack_batches,
 )
 from ridge_relay._numerics import cho_factor, cho_solve
-from ridge_relay.baselines import _solve_spd
+from ridge_relay.baselines import _block_spectra, _solve_spd, _solve_spd_stack, _woodbury_grid
 
 
 def random_batches(rng, t, n, p, coef, noise_sd=1.0, effect_sd=0.0):
@@ -368,6 +368,44 @@ class TestEstimateXi:
         assert len(grid) == 25
         np.testing.assert_allclose(grid[0], 1e-4)
         np.testing.assert_allclose(grid[-1], 1e4)
+
+
+class TestStackedSolve:
+    """``estimate_xi`` solves every ratio's GLS system with one stacked
+    factorization and solve; the per-ratio ``_solve_spd`` is its oracle."""
+
+    def normal_equations(self):
+        rng = np.random.default_rng(119)
+        data = stack_batches(random_batches(rng, 10, 25, 4, rng.standard_normal(4),
+                                            effect_sd=0.5))
+        C, b, _ = _woodbury_grid(_block_spectra(data), np.array(default_xi_grid()))
+        return C, b
+
+    def test_matches_the_per_ratio_solves_to_the_bit(self):
+        C, b = self.normal_equations()
+        got, ok = _solve_spd_stack(C, b, "the GLS normal matrix")
+        assert ok.all()
+        want = np.array([_solve_spd(C[i], b[i], "the GLS normal matrix")
+                         for i in range(C.shape[0])])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("failure", ["not positive definite", "tiny pivot",
+                                         "non-finite entry"])
+    def test_a_failing_ratio_is_skipped_and_the_rest_solved(self, failure):
+        C, b = self.normal_equations()
+        if failure == "not positive definite":
+            C[3] = -np.eye(C.shape[1])
+        elif failure == "tiny pivot":
+            C[3] = np.diag([1.0, 1.0, 1.0, 1e-30])
+        else:
+            C[3, 0, 0] = np.nan
+        got, ok = _solve_spd_stack(C, b, "the GLS normal matrix")
+        assert ok.tolist() == [i != 3 for i in range(C.shape[0])]
+        with pytest.raises(SingularMatrixError):
+            _solve_spd(C[3], b[3], "the GLS normal matrix")
+        assert not got[3].any()
+        for i in np.flatnonzero(ok):
+            assert np.array_equal(got[i], _solve_spd(C[i], b[i], "the GLS normal matrix"))
 
 
 @st.composite

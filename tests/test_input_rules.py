@@ -30,9 +30,11 @@ from ridge_relay import (
     irls_fit,
     irls_fit_grid,
     logistic_loglik,
+    loo_ridge_grid,
     mixed_fixed_effects,
     mixed_moments,
     penalized_loglik,
+    plain_ridge,
     stack_batches,
     update,
     update_logistic,
@@ -87,6 +89,8 @@ DATA_ENTRIES = {
     "fit_targeted_ridge": ("linear", lambda X, y: fit_targeted_ridge(X, y, 1.0, ZERO), True),
     "fit_targeted_ridge_grid": ("linear", lambda X, y: fit_targeted_ridge_grid(
         X, y, [1.0], ZERO[:, None]), True),
+    "loo_ridge_grid": ("linear", lambda X, y: loo_ridge_grid(X, y, [1.0], ZERO[:, None]), True),
+    "plain_ridge": ("linear", lambda X, y: plain_ridge(X, y, 1.0), True),
     "estimate_noise_variance": ("linear", lambda X, y: estimate_noise_variance(
         X, y, linear_fit()), True),
     "irls_fit": ("logistic", lambda X, y: irls_fit(X, y, 1.0, ZERO), True),
@@ -127,9 +131,12 @@ PENALTY_ENTRIES = {
     "fit_targeted_ridge": lambda v: fit_targeted_ridge(X, Y["linear"], v, ZERO),
     "fit_targeted_ridge_grid": lambda v: fit_targeted_ridge_grid(X, Y["linear"], [v],
                                                                  ZERO[:, None]),
+    "loo_ridge_grid": lambda v: loo_ridge_grid(X, Y["linear"], [v], ZERO[:, None]),
+    "plain_ridge": lambda v: plain_ridge(X, Y["linear"], v),
     "irls_fit": lambda v: irls_fit(X, Y["logistic"], v, ZERO),
     "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [v], ZERO[:, None]),
     "estimating_equation": lambda v: estimating_equation(X, Y["logistic"], ZERO, v, ZERO),
+    "penalized_loglik": lambda v: penalized_loglik(X, Y["logistic"], ZERO, v, ZERO),
     "exact_moments_orthonormal": lambda v: exact_moments_orthonormal(ZERO, ZERO, v, 1, 1.0),
     "exact_moments_general": lambda v: exact_moments_general([X], [v], ZERO, ZERO, 1.0),
     "update": lambda v: update(state("linear"), one_batch("linear"), v),
@@ -143,6 +150,8 @@ RATIO_ENTRIES = {
 NOISE_ENTRIES = {
     "exact_moments_orthonormal": lambda v: exact_moments_orthonormal(ZERO, ZERO, 1.0, 1, v),
     "exact_moments_general": lambda v: exact_moments_general([X], [1.0], ZERO, ZERO, v),
+    "mixed_moments": lambda v: mixed_moments(stacked(), 1.0, v, 1.0, ZERO),
+    "mixed_moments(deviation)": lambda v: mixed_moments(stacked(), 1.0, 1.0, v, ZERO),
 }
 
 

@@ -5,6 +5,8 @@ least-squares objective, and the moment formulas against both a direct
 single-step calculation and Monte Carlo simulation of the update chain.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -23,6 +25,7 @@ from ridge_relay import (
     exact_moments_orthonormal,
     fit_targeted_ridge,
     fit_targeted_ridge_grid,
+    loo_ridge_grid,
     update,
 )
 
@@ -247,6 +250,132 @@ class TestFitTargetedRidgeGrid:
         with pytest.raises(ValidationError):
             fit_targeted_ridge_grid(X, np.array([1.0, np.nan, 0.0]), (1.0,),
                                     np.zeros((2, 1)))
+
+
+def per_fold_loo(X, y, lams, targets, history=None):
+    """Leave-one-out means from one ``fit_targeted_ridge_grid`` per held-out
+    row: the route ``loo_ridge_grid`` replaces."""
+    n = X.shape[0]
+    score = np.zeros((len(lams), targets.shape[1]))
+    hist = np.zeros_like(score)
+    for i in range(n):
+        rest = np.arange(n) != i
+        coefs, solvable = fit_targeted_ridge_grid(X[rest], y[rest], lams, targets)
+        assert solvable.all()
+        score += (y[i] - np.einsum("j,jlw->lw", X[i], coefs)) ** 2
+        if history is not None:
+            F, f = history
+            resid = np.tensordot(F, coefs[:F.shape[1]], axes=1) - f[:, None, None]
+            hist += np.einsum("mlw,mlw->lw", resid, resid)
+    return score / n, hist / n
+
+
+def exact_solve(A, b):
+    """Gaussian elimination on ``Fraction`` entries, no rounding."""
+    n = len(A)
+    M = [row[:] + [rhs] for row, rhs in zip(A, b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if M[r][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(c + 1, n):
+            factor = M[r][c] / M[c][c]
+            M[r] = [a - factor * b for a, b in zip(M[r], M[c])]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (M[r][n] - sum(M[r][j] * x[j] for j in range(r + 1, n))) / M[r][r]
+    return x
+
+
+def exact_loo_score(X, y, lam):
+    """The zero-target leave-one-out score in exact rational arithmetic."""
+    n, p = X.shape
+    Xq = [[Fraction(v) for v in row] for row in X]
+    yq = [Fraction(v) for v in y]
+    total = Fraction(0)
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        A = [[sum(Xq[j][a] * Xq[j][c] for j in rest) + (Fraction(lam) if a == c else 0)
+              for c in range(p)] for a in range(p)]
+        b = [sum(Xq[j][a] * yq[j] for j in rest) for a in range(p)]
+        coef = exact_solve(A, b)
+        total += (yq[i] - sum(Xq[i][a] * coef[a] for a in range(p))) ** 2
+    return float(total / n)
+
+
+class TestLooRidgeGrid:
+    @pytest.mark.parametrize("n, p, k", [(12, 3, 3), (9, 4, 2), (5, 5, 5), (4, 7, 3),
+                                         (2, 1, 1)])
+    def test_matches_one_grid_solve_per_held_out_row(self, n, p, k):
+        """Fewer, as many and more columns than rows, and a history over
+        fewer covariates than the design."""
+        rng = np.random.default_rng(19 + n + p)
+        X = rng.standard_normal((n, p))
+        y = X @ rng.standard_normal(p) + 0.5 * rng.standard_normal(n)
+        targets = rng.standard_normal((p, 3))
+        F = np.triu(rng.standard_normal((k + 1, k)))
+        f = rng.standard_normal(k + 1)
+        lams = (1e-4, 0.3, 7.0, 1e6)
+        score, hist = loo_ridge_grid(X, y, lams, targets, (F, f))
+        want_score, want_hist = per_fold_loo(X, y, lams, targets, (F, f))
+        np.testing.assert_allclose(score, want_score, rtol=1e-10)
+        np.testing.assert_allclose(hist, want_hist, rtol=1e-10)
+        assert loo_ridge_grid(X, y, lams, targets)[1] is None
+
+    def test_square_and_wide_designs_form_no_outside_part(self):
+        """With as many columns as rows every row lies in the column space:
+        a tiny penalty's held-out residuals come only from the shrunk
+        directions and stay accurate."""
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((6, 6))
+        y = rng.standard_normal(6)
+        lams = (1e-4,)
+        score, _ = loo_ridge_grid(X, y, lams, np.zeros((6, 1)))
+        want, _ = per_fold_loo(X, y, lams, np.zeros((6, 1)))
+        np.testing.assert_allclose(score, want, rtol=1e-10)
+
+    def test_nearly_noiseless_fits_keep_their_held_out_residuals(self):
+        """With the response almost in the column space, r - UU'r is a small
+        difference of large terms. Projected twice it stays within 2e-11 of
+        the exact score over these batches; projected once it erred by up
+        to 1.2e-10."""
+        errors = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((8, 5))
+            y = X @ rng.standard_normal(5) + 1e-6 * rng.standard_normal(8)
+            score, _ = loo_ridge_grid(X, y, (1e-4,), np.zeros((5, 1)))
+            exact = exact_loo_score(X, y, 1e-4)
+            errors.append(abs(score[0, 0] - exact) / exact)
+        assert max(errors) <= 2e-11
+
+    @pytest.mark.parametrize("case", ["high-leverage row", "singular penalty",
+                                      "duplicated column"])
+    def test_declines_what_it_cannot_certify(self, case):
+        """A row of leverage near 1 leaves 1 - h_ii to cancellation at
+        every penalty; a penalty that leaves some fold's X'X + lam I
+        singular is declined, and the grid without it is not."""
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((10, 3))
+        if case == "high-leverage row":
+            X[0] *= 1e4
+        elif case == "singular penalty":
+            X = rng.standard_normal((3, 5))
+        else:
+            X[:, 2] = X[:, 0]
+        y = rng.standard_normal(X.shape[0])
+        targets = np.zeros((X.shape[1], 1))
+        assert loo_ridge_grid(X, y, (1e-300, 1.0), targets) is None
+        rest = loo_ridge_grid(X, y, (1.0,), targets)
+        assert (rest is None) == (case == "high-leverage row")
+
+    def test_history_must_fit_the_design(self):
+        X = np.ones((3, 2)) + np.eye(3, 2)
+        with pytest.raises(ValidationError):
+            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros((2, 1)),
+                           (np.ones((4, 3)), np.ones(4)))
+        with pytest.raises(ValidationError):
+            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros((2, 1)),
+                           (np.ones((4, 2)), np.ones(3)))
 
 
 class TestSequentialUpdate:

@@ -10,6 +10,7 @@ a time with ``cv_score`` and ``constraint_terms``, whose logistic fits
 come from the scalar reference IRLS in ``irls_reference.py``.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -544,6 +545,25 @@ class TestSelectPenalty:
             with pytest.raises(SelectionError):
                 select_penalty(state, batch, cfg)
 
+    @pytest.mark.parametrize("design", ["duplicated-column", "more-columns-than-rows"])
+    def test_all_loo_candidates_disqualified_raises(self, design):
+        """Under leave-one-out every penalty here leaves some fold's
+        X'X + lam I singular: the closed form declines, the fold loop marks
+        every candidate unusable, and selection must refuse."""
+        rng = np.random.default_rng(98)
+        p = 3 if design == "duplicated-column" else 6
+        state, names = state_with_history(rng, rng.standard_normal(p), n_batches=1, n=12)
+        n = 10 if design == "duplicated-column" else 4
+        X = rng.standard_normal((n, p))
+        if design == "duplicated-column":
+            X[:, 2] = X[:, 0]
+        batch = Batch(t=2, X=X, y=rng.standard_normal(n), covariates=names)
+        for constrained in (False, True):
+            cfg = PenaltySearchConfig(k_folds=None, constrained=constrained,
+                                      grid=(1e-300, 2e-300))
+            with pytest.raises(SelectionError):
+                select_penalty(state, batch, cfg)
+
     def test_all_logistic_candidates_disqualified_raises(self, monkeypatch):
         """The fold loop fits every logistic candidate of a fold with one
         ``irls_fit_grid``; when it marks them all unusable, selection must
@@ -757,6 +777,96 @@ class TestLinearGridRouteProperties:
         assert report.chosen_lambda == oracle.chosen_lambda
         assert report.chosen_weights == oracle.chosen_weights
         assert report.fallback_used == oracle.fallback_used
+
+
+@st.composite
+def loo_selections(draw):
+    """Leave-one-out linear selections from ``selections``, with the
+    arriving batch optionally given a row of leverage near 1 or scaled by
+    1e6.
+
+    The high-leverage row is the batch's first, design and response
+    multiplied by 1e3. The scaling multiplies design and response alike,
+    so the held-out problem is the unscaled one at penalties 1e-12 times
+    as large and no route meets a cancellation the other escapes; the grid
+    is then either kept, so that its small end is singular, or scaled by
+    1e12 with the data.
+    """
+    state, batch, cfg, spec = draw(selections("linear"))
+    X, y = batch.X.copy(), batch.y.copy()
+    grid = cfg.grid
+    if draw(st.booleans()):
+        X[0] *= 1e3
+        y[0] *= 1e3
+    if draw(st.booleans()):
+        X *= 1e6
+        y *= 1e6
+        if draw(st.booleans()):
+            grid = tuple(lam * 1e12 for lam in grid)
+    batch = Batch(t=batch.t, X=X, y=y, covariates=batch.covariates)
+    return state, batch, replace(cfg, k_folds=None, grid=grid), spec
+
+
+def fold_loop_report(state, batch, cfg, spec):
+    """The selection with the closed form switched off: one
+    ``fit_targeted_ridge_grid`` per held-out row."""
+    with mock.patch.object(penalty_tuning, "loo_ridge_grid", lambda *args: None):
+        return select_penalty(state, batch, cfg, targets=spec)
+
+
+class TestLooClosedFormProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(loo_selections())
+    def test_closed_form_matches_the_fold_loop(self, case):
+        """Scores, constraint sides, feasibility, infinite flags and the
+        choice agree with the fold loop, whether the closed form certifies
+        the grid or the selection falls back to the loop."""
+        state, batch, cfg, spec = case
+        report = select_penalty(state, batch, cfg, targets=spec)
+        oracle = fold_loop_report(state, batch, cfg, spec)
+        assert_curves_agree(report, oracle, lambda cand: 0.0)
+        assert report.chosen_lambda == oracle.chosen_lambda
+        assert report.chosen_weights == oracle.chosen_weights
+        assert report.fallback_used == oracle.fallback_used
+
+    @pytest.mark.parametrize("case", ["ordinary", "high-leverage row", "unscaled design",
+                                      "singular penalty"])
+    def test_fold_loop_runs_only_where_the_closed_form_declines(self, case, monkeypatch):
+        """An ordinary batch takes no fold solve. A row of leverage near 1;
+        a square design whose scale leaves the grid's smallest penalty
+        singular in every fold, though not on the whole batch; and a penalty
+        singular outright each send the selection to one solve per held-out
+        row."""
+        calls = []
+        solve = penalty_tuning.fit_targeted_ridge_grid
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        rng = np.random.default_rng(100)
+        state, names = state_with_history(rng, np.array([1.0, -1.0, 0.5]))
+        X = rng.standard_normal((12, 3))
+        grid = (1e-4, 1.0, 1e4)
+        if case == "high-leverage row":
+            X[0] *= 1e4
+        elif case == "unscaled design":
+            X = 1e6 * rng.standard_normal((3, 3))
+        elif case == "singular penalty":
+            X = rng.standard_normal((2, 3))
+            grid = (1e-300, 1.0)
+        y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.standard_normal(X.shape[0])
+        batch = Batch(t=state.t + 1, X=X, y=y, covariates=names)
+        cfg = PenaltySearchConfig(k_folds=None, grid=grid)
+        monkeypatch.setattr(penalty_tuning, "fit_targeted_ridge_grid", counted)
+        report = select_penalty(state, batch, cfg)
+        assert len(calls) == (0 if case == "ordinary" else batch.n)
+        if case in ("unscaled design", "singular penalty"):
+            assert report.cv_curve[0].score == np.inf and report.cv_curve[0].lhs == np.inf
+        monkeypatch.undo()
+        oracle = fold_loop_report(state, batch, cfg, None)
+        assert_curves_agree(report, oracle, lambda cand: 0.0)
 
 
 class TestLogisticFoldLoopProperties:
