@@ -21,6 +21,14 @@ picks xi by maximizing the Gaussian likelihood profiled over the noise
 variance, using the determinant identity det(I_n + xi XX') =
 det(I_p + xi X'X).
 
+The mixed-vs-updated study refits the pooled model after every batch
+through ``_PooledRefit``. It decomposes each batch once, when the batch
+arrives, and adds that block's Woodbury terms to running sums over the
+ratio grid. These are the additions ``estimate_xi`` makes from zeros, in
+the same block order, so the refit after batch t equals ``estimate_xi``
+on the stack of batches 1..t to the bit, at t SVDs in all instead of
+t(t+1)/2.
+
 A state-space variant in which the coefficients themselves drift from
 batch to batch by a random walk leads to the same maximum likelihood
 fixed-effects estimator as this model, so it gets no separate solver.
@@ -109,16 +117,19 @@ class StackedData:
         return [self.y_stack[a:b] for a, b in self.batch_boundaries]
 
 
+def _check_stackable(batch: Batch, names: tuple[str, ...]) -> None:
+    if batch.family != "linear":
+        raise ValidationError("the mixed baseline handles the linear family only")
+    if batch.covariates != names:
+        raise ValidationError("all stacked batches must share one covariate layout")
+
+
 def stack_batches(batches: Sequence[Batch]) -> StackedData:
     """Stack linear batches that share one covariate layout."""
     if not batches:
         raise ValidationError("need at least one batch")
-    names = batches[0].covariates
     for b in batches:
-        if b.family != "linear":
-            raise ValidationError("the mixed baseline handles the linear family only")
-        if b.covariates != names:
-            raise ValidationError("all stacked batches must share one covariate layout")
+        _check_stackable(b, batches[0].covariates)
     bounds = []
     start = 0
     for b in batches:
@@ -144,40 +155,52 @@ class MixedFit:
     profile_loglik: float
 
 
-def _block_spectra(data: StackedData) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block, the eigenpairs of X'X on its row space and u = V'X'y.
+def _block_spectrum(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenpairs (d, V) of X'X on its row space and u = V'X'y.
 
     They come from the thin SVD X = U diag(s) V' (d = s^2), so the null
     directions of a block with fewer rows than covariates are left out
     exactly instead of carrying rounding noise into every ratio.
     """
-    out = []
-    for X, y in zip(data.blocks, data.y_blocks()):
-        U, sv, Vt = np.linalg.svd(X, full_matrices=False)
-        out.append((sv * sv, Vt.T, sv * (U.T @ y)))
-    return out
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    return sv * sv, Vt.T, sv * (U.T @ y)
 
 
-def _woodbury_grid(spectra, xis: np.ndarray):
-    """Summed X'Omega^{-1}X and X'Omega^{-1}y, and log det Omega, for every ratio.
+def _block_spectra(data: StackedData) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_block_spectrum`` of every block, in block order."""
+    return [_block_spectrum(X, y) for X, y in zip(data.blocks, data.y_blocks())]
+
+
+def _woodbury_zeros(p: int, xis: np.ndarray):
+    """Empty (C, b, logdet) sums for ``_woodbury_add``."""
+    return (np.zeros((xis.shape[0], p, p)), np.zeros((xis.shape[0], p)),
+            np.zeros(xis.shape[0]))
+
+
+def _woodbury_add(sums, spectrum, xis: np.ndarray) -> None:
+    """Add one block's X'Omega^{-1}X, X'Omega^{-1}y and log det Omega, for
+    every ratio, to the running sums (C, b, logdet) in place.
 
     With (I + xi X'X)^{-1} = V diag(1 / (1 + xi d)) V' per block, every
     ratio costs only diagonal scalings of the block's one eigenbasis:
     X'Omega^{-1}X = V diag(d / (1 + xi d)) V', X'Omega^{-1}y =
     V diag(1 / (1 + xi d)) u and log det Omega = sum log(1 + xi d). As
-    d >= 0 and xi >= 0, every 1 + xi d is at least 1. Returns (C, b,
-    logdet) stacked over ``xis``.
+    d >= 0 and xi >= 0, every 1 + xi d is at least 1.
     """
-    p = spectra[0][1].shape[0]
-    C = np.zeros((xis.shape[0], p, p))
-    b = np.zeros((xis.shape[0], p))
-    logdet = np.zeros(xis.shape[0])
-    for d, V, u in spectra:
-        inner = 1.0 + np.outer(xis, d)
-        logdet += np.log(inner).sum(axis=1)
-        C += (V * (d / inner)[:, None, :]) @ V.T
-        b += (u / inner) @ V.T
-    return C, b, logdet
+    C, b, logdet = sums
+    d, V, u = spectrum
+    inner = 1.0 + np.outer(xis, d)
+    logdet += np.log(inner).sum(axis=1)
+    C += (V * (d / inner)[:, None, :]) @ V.T
+    b += (u / inner) @ V.T
+
+
+def _woodbury_grid(spectra, xis: np.ndarray):
+    """(C, b, logdet) summed over the blocks in order, stacked over ``xis``."""
+    sums = _woodbury_zeros(spectra[0][1].shape[0], xis)
+    for spectrum in spectra:
+        _woodbury_add(sums, spectrum, xis)
+    return sums
 
 
 def _solve_spd(C: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -281,23 +304,50 @@ def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
     return tuple(np.geomspace(1e-4, 1e4, points).tolist())
 
 
-def _woodbury_profile(data: StackedData, xis: np.ndarray) -> list:
-    """(fixed effects, GLS quadratic form, log det Omega) at every ratio, or None.
+def _ratio_grid(grid: Sequence[float] | None) -> np.ndarray:
+    candidates = default_xi_grid() if grid is None else tuple(float(v) for v in grid)
+    if not candidates:
+        raise ValidationError("the ratio grid must be non-empty")
+    return np.array([_check_nonnegative(xi, "variance ratio") for xi in candidates])
 
-    One eigendecomposition per block serves the whole grid, and one
-    stacked factorization and solve give the fixed effects at every ratio,
-    with each ratio's pivot check.
+
+def _profile_fit(data: StackedData, xis: np.ndarray, spectra, sums) -> MixedFit:
+    """The likelihood-best ``MixedFit`` over ``xis``, from the blocks'
+    spectra and their summed (C, b, logdet).
+
+    One stacked factorization and solve give the fixed effects at every
+    ratio, with each ratio's pivot check. For each ratio the noise
+    variance has the closed form q(xi)/n with q the GLS quadratic form of
+    the residuals over the stacked rows, leaving a one-dimensional profile
+    likelihood. Ratios whose solve fails are skipped; if all fail this
+    raises.
     """
-    spectra = _block_spectra(data)
-    C, b, logdet = _woodbury_grid(spectra, xis)
+    if data.n < data.p:
+        raise EstimationError(
+            f"{data.n} stacked rows cannot identify {data.p} fixed effects")
+    C, b, logdet = sums
     betas, ok = _solve_spd_stack(C, b, "the GLS normal matrix")
     resid = data.y_stack[:, None] - data.x_stack @ betas.T
     quad = np.einsum("ij,ij->j", resid, resid)
     for d, V, u in spectra:
         g = u[:, None] - d[:, None] * (V.T @ betas.T)
         quad -= xis * (g * g / (1.0 + np.outer(d, xis))).sum(axis=0)
-    return [(betas[i], float(quad[i]), float(logdet[i])) if ok[i] else None
-            for i in range(xis.shape[0])]
+    best: MixedFit | None = None
+    failures = 0
+    for i, xi in enumerate(xis.tolist()):
+        if not ok[i] or quad[i] <= 0:
+            failures += 1
+            continue
+        sigma_sq = float(quad[i]) / data.n
+        loglik = -0.5 * (data.n * np.log(2.0 * np.pi * sigma_sq) + float(logdet[i]) + data.n)
+        if best is None or loglik > best.profile_loglik:
+            best = MixedFit(fixed_effects=betas[i], xi=xi,
+                            sigma_eps_sq=sigma_sq, sigma_gamma_sq=xi * sigma_sq,
+                            profile_loglik=float(loglik))
+    if best is None:
+        raise EstimationError(
+            f"the mixed-model fit failed at all {failures} grid ratios")
+    return best
 
 
 def estimate_xi(data: StackedData, grid: Sequence[float] | None = None) -> MixedFit:
@@ -309,31 +359,40 @@ def estimate_xi(data: StackedData, grid: Sequence[float] | None = None) -> Mixed
     from one eigendecomposition per block. Grid points where the solve
     fails are skipped; if all fail this raises.
     """
-    candidates = default_xi_grid() if grid is None else tuple(float(v) for v in grid)
-    if not candidates:
-        raise ValidationError("the ratio grid must be non-empty")
-    xis = np.array([_check_nonnegative(xi, "variance ratio") for xi in candidates])
-    if data.n < data.p:
-        raise EstimationError(
-            f"{data.n} stacked rows cannot identify {data.p} fixed effects")
-    points = _woodbury_profile(data, xis)
-    best: MixedFit | None = None
-    failures = 0
-    for xi, point in zip(xis.tolist(), points):
-        if point is None or point[1] <= 0:
-            failures += 1
-            continue
-        beta, quad, logdet = point
-        sigma_sq = quad / data.n
-        loglik = -0.5 * (data.n * np.log(2.0 * np.pi * sigma_sq) + logdet + data.n)
-        if best is None or loglik > best.profile_loglik:
-            best = MixedFit(fixed_effects=beta, xi=xi,
-                            sigma_eps_sq=sigma_sq, sigma_gamma_sq=xi * sigma_sq,
-                            profile_loglik=float(loglik))
-    if best is None:
-        raise EstimationError(
-            f"the mixed-model fit failed at all {failures} grid ratios")
-    return best
+    xis = _ratio_grid(grid)
+    spectra = _block_spectra(data)
+    return _profile_fit(data, xis, spectra, _woodbury_grid(spectra, xis))
+
+
+class _PooledRefit:
+    """``estimate_xi`` on a stream of linear batches that grows one at a time.
+
+    ``add`` decomposes the arriving batch and adds its Woodbury terms to
+    running sums, in arrival order; ``fit`` then equals ``estimate_xi(
+    stack_batches(batches added so far), grid)`` to the bit, without
+    decomposing any earlier batch again.
+    """
+
+    def __init__(self, grid: Sequence[float] | None = None) -> None:
+        self.xis = _ratio_grid(grid)
+        self._batches: list[Batch] = []
+        self._spectra: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._sums = None
+
+    def add(self, batch: Batch) -> None:
+        """Take the next batch: one thin SVD, its terms added to the sums."""
+        _check_stackable(batch, (self._batches or [batch])[0].covariates)
+        if self._sums is None:
+            self._sums = _woodbury_zeros(batch.X.shape[1], self.xis)
+        spectrum = _block_spectrum(batch.X, batch.y)
+        _woodbury_add(self._sums, spectrum, self.xis)
+        self._batches.append(batch)
+        self._spectra.append(spectrum)
+
+    def fit(self) -> MixedFit:
+        """The refit on every batch added so far."""
+        data = stack_batches(self._batches)
+        return _profile_fit(data, self.xis, self._spectra, self._sums)
 
 
 def plain_ridge(X, y, lam: float) -> LinearFit:

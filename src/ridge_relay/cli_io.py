@@ -34,9 +34,8 @@ SIGPIPE ended.
 Data comes in as headed CSV, strictly numeric; anything unparsable is an
 error rather than a guess. Simulation output is written as small "plot
 dataset" pairs: a flat CSV plus a JSON sidecar with the metadata needed
-to reproduce it. The environment variable ``RIDGE_RELAY_THREADS`` caps
-the threads ``simulate`` runs its replicates on; no other command opens
-a thread pool.
+to reproduce it. Every command, ``simulate`` included, runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -671,9 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ridge-relay",
         description="Sequentially re-estimate a (generalized) linear model, "
-                    "shrinking each batch's fit toward the previous estimate.",
-        epilog="RIDGE_RELAY_THREADS caps the threads simulate runs its replicates on "
-               "(1 runs them in turn); no other command opens a thread pool.")
+                    "shrinking each batch's fit toward the previous estimate.")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("init", help="create a new state file")

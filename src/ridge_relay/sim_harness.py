@@ -21,7 +21,6 @@ and a Monte Carlo cross-check of the exact moment formulas.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -40,7 +39,7 @@ from .penalty_tuning import (
     get_family,
     select_penalty,
 )
-from .baselines import DEFAULT_XI_GRID_POINTS, default_xi_grid, estimate_xi, stack_batches
+from .baselines import DEFAULT_XI_GRID_POINTS, _PooledRefit, default_xi_grid
 from .parallel import parallel_map
 from ._numerics import cho_solve
 
@@ -291,14 +290,21 @@ class TrajectoryResult:
         return self.estimates.shape[0]
 
     def quantile_bands(self, qs: Sequence[float] = (0.05, 0.5, 0.95)) -> np.ndarray:
-        """(len(qs), T, C) coordinate quantiles across replicates."""
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="All-NaN slice",
-                                    category=RuntimeWarning)
-            return np.nanquantile(self.estimates, qs, axis=0)
+        """(len(qs), T, C) coordinate quantiles across replicates, NaNs ignored.
+
+        Equal to ``np.nanquantile(self.estimates, qs, axis=0)`` (see
+        ``_nan_quantiles``), a single q giving (T, C) as there; a
+        (t, coordinate) with no value gives NaN, without a warning. Each q
+        must lie in [0, 1].
+        """
+        q = _check_quantiles(qs)
+        out = _nan_quantiles(self.estimates, q.reshape(-1))
+        return out.reshape(q.shape + self.estimates.shape[1:])
 
     def band_widths(self, lo: float = 0.05, hi: float = 0.95) -> np.ndarray:
         """(T, C) widths of the central quantile band."""
+        if not lo <= hi:
+            raise ValidationError(f"band needs lo <= hi, got lo={lo!r}, hi={hi!r}")
         bands = self.quantile_bands((lo, hi))
         return bands[1] - bands[0]
 
@@ -310,6 +316,42 @@ class TrajectoryResult:
             if np.any(np.isfinite(col)):
                 out[i] = np.nanmean(col)
         return out
+
+
+def _check_quantiles(qs: Sequence[float]) -> np.ndarray:
+    q = np.asarray(qs, dtype=float)
+    if not np.all((q >= 0.0) & (q <= 1.0)):
+        raise ValidationError(f"quantiles must lie in [0, 1], got {qs!r}")
+    return q
+
+
+def _nan_quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.nanquantile(a, q, axis=0)`` under NumPy's ``linear`` rule, in one pass.
+
+    ``np.nanquantile`` solves every column on its own, and ``np.quantile``
+    imports ``numpy.ma`` on its way. This sorts along axis 0 (NaNs go
+    last) and counts each column's k valid values. With vi = (k - 1) q,
+    lo = floor(vi) and hi = lo + 1, both held at k - 1, it interpolates
+    between a and b, the sorted values at lo and hi, as NumPy does:
+    b - (b - a)(1 - g) where g >= 0.5, else a + (b - a) g. Like NumPy it
+    takes g = vi - lo with lo read as -1 where vi reaches k - 1. The two
+    agree to the bit, except that a tie of 0.0 and -0.0 may come out with
+    the other sign. A column without values gives NaN.
+    """
+    s = np.sort(a, axis=0)
+    k = np.count_nonzero(~np.isnan(a), axis=0)
+    vi = (k - 1) * q.reshape(q.shape + (1,) * (a.ndim - 1))
+    top = np.maximum(k - 1, 0)
+    at_top = vi >= k - 1
+    lo = np.where(at_top, top, np.floor(vi)).astype(np.intp)
+    hi = np.where(at_top, top, lo + 1)
+    g = vi - np.where(at_top, -1, lo)
+    below = np.take_along_axis(s, lo, axis=0)
+    above = np.take_along_axis(s, hi, axis=0)
+    diff = above - below
+    out = below + diff * g
+    np.subtract(above, diff * (1 - g), out=out, where=g >= 0.5)
+    return out
 
 
 def _run_replicates(config: ScenarioConfig, names: Sequence[str],
@@ -413,7 +455,8 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
     """Pooled mixed-model refits vs. two sequential chains (zero / truth init).
 
     The pooled refit stacks batches 1..t and re-estimates the variance
-    ratio each time; it only produces a value once the stacked data
+    ratio each time, decomposing each batch once as it arrives
+    (``_PooledRefit``); it only produces a value once the stacked data
     identify the model (t * n > p). Chain penalties come from constrained
     cross-validation unless the scenario forces constraints off.
     """
@@ -427,16 +470,17 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
     family = get_family(config.family)
 
     def one_replicate(r: int, est, loss, lam):
-        batches = generate_batches(config, r)
         zero_state = _zero_state(config)
         truth_state = replace(zero_state,
                               init_target=CoefficientVector.from_array(names, beta),
                               init_note="truth")
         states = [zero_state, truth_state]
-        for i, batch in enumerate(batches):
+        pooled = _PooledRefit(ratio_grid)
+        for i, batch in enumerate(generate_batches(config, r)):
+            pooled.add(batch)
             if (i + 1) * config.n > config.p:
                 try:
-                    mfit = estimate_xi(stack_batches(batches[:i + 1]), grid=ratio_grid)
+                    mfit = pooled.fit()
                 except (SingularMatrixError, EstimationError):
                     pass
                 else:

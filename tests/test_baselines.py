@@ -6,7 +6,9 @@ weighting matrix, the moment formulas against Monte Carlo simulation of
 the generating mixed model, and the profiler against data simulated at
 known variance ratios and, as a property over generated stacks, against
 a direct block oracle that factors every n_tau-sized block
-Omega = I + xi X X' at every ratio.
+Omega = I + xi X X' at every ratio. The per-batch carried refit of a
+growing stream is checked against the profiler at every prefix, to the
+bit.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy import optimize
 
 from ridge_relay import (
     Batch,
+    EstimationError,
     MixedFit,
     SingularMatrixError,
     StackedData,
@@ -29,7 +32,9 @@ from ridge_relay import (
     stack_batches,
 )
 from ridge_relay._numerics import cho_factor, cho_solve
-from ridge_relay.baselines import _block_spectra, _solve_spd, _solve_spd_stack, _woodbury_grid
+from ridge_relay import baselines
+from ridge_relay.baselines import (
+    _PooledRefit, _block_spectra, _solve_spd, _solve_spd_stack, _woodbury_grid)
 
 
 def random_batches(rng, t, n, p, coef, noise_sd=1.0, effect_sd=0.0):
@@ -440,6 +445,75 @@ class TestEstimateXiRoutes:
         assert fit.xi == xi
         scale = np.linalg.norm(fixed_effects)
         assert np.linalg.norm(fit.fixed_effects - fixed_effects) <= 1e-10 * scale
+
+
+def outcome(fit):
+    """What a refit gave: its fields, or the class and text of its error."""
+    try:
+        got = fit()
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    return (got.fixed_effects.tobytes(), got.xi, got.sigma_eps_sq, got.sigma_gamma_sq,
+            got.profile_loglik)
+
+
+class TestPooledRefit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_prefix_equals_estimate_xi_to_the_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        batches = random_batches(rng, t=7, n=2, p=5, coef=rng.standard_normal(5),
+                                 effect_sd=[0.0, 0.3, 1.0, 5.0][seed])
+        grid = default_xi_grid(9)
+        pooled = _PooledRefit(grid)
+        for t in range(1, len(batches) + 1):
+            pooled.add(batches[t - 1])
+            got = outcome(pooled.fit)
+            assert got == outcome(lambda: estimate_xi(stack_batches(batches[:t]), grid))
+            if t * 2 < 5:  # fewer stacked rows than fixed effects
+                assert got[0] is EstimationError and "cannot identify" in got[1]
+            else:
+                assert isinstance(got[1], float)
+
+    def test_a_prefix_that_fails_at_every_ratio(self):
+        # Zero responses give a zero GLS quadratic form at every ratio, so
+        # the first two prefixes fail everywhere; the third batch has signal.
+        rng = np.random.default_rng(5)
+        batches = [Batch(t=t, X=rng.standard_normal((3, 2)),
+                         y=rng.standard_normal(3) if t == 3 else np.zeros(3),
+                         covariates=("a", "b")) for t in (1, 2, 3)]
+        pooled = _PooledRefit()
+        for t, batch in enumerate(batches, start=1):
+            pooled.add(batch)
+            got = outcome(pooled.fit)
+            assert got == outcome(lambda: estimate_xi(stack_batches(batches[:t])))
+            if t < 3:
+                assert got[0] is EstimationError and "failed at all" in got[1]
+            else:
+                assert isinstance(got[1], float)
+
+    def test_each_batch_is_decomposed_once(self, monkeypatch):
+        calls = []
+        spectrum = baselines._block_spectrum
+        monkeypatch.setattr(baselines, "_block_spectrum",
+                            lambda X, y: calls.append(X.shape) or spectrum(X, y))
+        rng = np.random.default_rng(2)
+        pooled = _PooledRefit(default_xi_grid(5))
+        for batch in random_batches(rng, t=6, n=3, p=2, coef=np.ones(2)):
+            pooled.add(batch)
+            pooled.fit()
+        assert len(calls) == 6
+
+    def test_rejects_what_stack_batches_rejects(self):
+        pooled = _PooledRefit()
+        with pytest.raises(ValidationError):
+            pooled.fit()
+        X = np.eye(3)[:, :2]
+        with pytest.raises(ValidationError):
+            pooled.add(Batch(t=1, X=X, y=np.array([0.0, 1.0, 1.0]), covariates=("a", "b"),
+                             family="logistic"))
+        pooled.add(Batch(t=1, X=X, y=np.ones(3), covariates=("a", "b")))
+        with pytest.raises(ValidationError):
+            pooled.add(Batch(t=2, X=X, y=np.ones(3), covariates=("b", "a")))
 
 
 class TestPlainRidge:

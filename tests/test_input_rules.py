@@ -1,7 +1,8 @@
 """Every public entry point rejects each malformed input it takes.
 
-The package states what a valid design/response pair, a 0/1 response and
-a finite non-negative penalty, variance ratio or noise variance are. This
+The package states what a valid design/response pair, a 0/1 response, a
+finite non-negative penalty, variance ratio or noise variance, and a
+quantile in [0, 1] are. This
 table feeds each malformed input to every public entry point that takes
 it and asserts the error class, so a check that one caller drops fails
 here whatever module the check lives in.
@@ -16,6 +17,7 @@ from ridge_relay import (
     CovariateRegistry,
     EstimatorState,
     StackedHistory,
+    TrajectoryResult,
     UpdateRecord,
     ValidationError,
     estimate_noise_variance,
@@ -155,9 +157,23 @@ NOISE_ENTRIES = {
 }
 
 
+def trajectory():
+    return TrajectoryResult(name="demo", t_values=np.arange(1, 3), tracked=(1,),
+                            estimates=RNG.standard_normal((4, 2, 1)),
+                            losses=np.ones((4, 2)), lambdas=np.ones((4, 2)))
+
+
+# name -> call(v) for a quantile v that must lie in [0, 1] (these values do not)
+QUANTILE_ENTRIES = {
+    "quantile_bands": lambda v: trajectory().quantile_bands((0.5, v)),
+    "band_widths(lo)": lambda v: trajectory().band_widths(v, 1.0),
+    "band_widths(hi)": lambda v: trajectory().band_widths(0.0, v),
+}
+
+
 def scalar_cases():
     for kind, entries in (("penalty", PENALTY_ENTRIES), ("ratio", RATIO_ENTRIES),
-                          ("noise variance", NOISE_ENTRIES)):
+                          ("noise variance", NOISE_ENTRIES), ("quantile", QUANTILE_ENTRIES)):
         for entry, call in entries.items():
             for value in (-1.0, np.nan, np.inf):
                 yield pytest.param(call, value, id=f"{entry}-{kind} {value}")
@@ -175,3 +191,15 @@ def test_negative_or_non_finite_scalars_are_rejected(call, value):
     call(1.0)  # a finite positive value is accepted
     with pytest.raises(ValidationError):
         call(value)
+
+
+@pytest.mark.parametrize("q", [1.5, -0.0001, -np.inf])
+def test_quantiles_outside_the_unit_interval_are_rejected(q):
+    with pytest.raises(ValidationError):
+        trajectory().quantile_bands((q,))
+
+
+def test_a_band_with_lo_above_hi_is_rejected():
+    trajectory().band_widths(0.1, 0.1)  # an empty band is accepted
+    with pytest.raises(ValidationError):
+        trajectory().band_widths(0.9, 0.1)

@@ -6,10 +6,16 @@ band shrinkage, loss ordering) is asserted on small seeded scenarios.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridge_relay import (
     CoefficientVector,
@@ -34,7 +40,9 @@ from ridge_relay import (
     tracked_positions,
     update,
 )
-from ridge_relay import parallel
+from ridge_relay import baselines
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_config(**overrides):
@@ -228,6 +236,48 @@ class TestTrajectoryResult:
         widths = result.band_widths()
         assert np.all(widths >= 0)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_quantile_bands_equal_nanquantile(self, data):
+        R = data.draw(st.integers(1, 7), label="replicates")
+        T, C = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        # few distinct values make ties; NaNs are scattered or fill whole columns
+        values = st.one_of(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
+                           st.floats(-1e3, 1e3, allow_nan=False), st.just(np.nan))
+        estimates = np.array(data.draw(st.lists(values, min_size=R * T * C,
+                                                max_size=R * T * C))).reshape(R, T, C)
+        for t, c in data.draw(st.lists(st.tuples(st.integers(0, T - 1),
+                                                 st.integers(0, C - 1)), max_size=2)):
+            estimates[:, t, c] = np.nan
+        qs = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="All-NaN slice", category=RuntimeWarning)
+            expected = np.nanquantile(estimates, qs, axis=0)
+        got = self.make_result(estimates).quantile_bands(qs)
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_all_nan_column_gives_nan_without_a_warning(self):
+        estimates = np.ones((3, 2, 1))
+        estimates[:, 0, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bands = self.make_result(estimates).quantile_bands()
+        assert np.all(np.isnan(bands[:, 0, 0])) and np.all(bands[:, 1, 0] == 1.0)
+
+    def test_a_lone_negative_zero_keeps_its_sign(self):
+        # NumPy reads the top index as -1 when it forms the weight g, which
+        # decides the sign of a quantile taken from one signed zero.
+        estimates = np.array([-0.0, np.nan]).reshape(2, 1, 1)
+        expected = np.nanquantile(estimates, [0.0, 0.5, 1.0], axis=0)
+        got = self.make_result(estimates).quantile_bands((0.0, 0.5, 1.0))
+        assert np.all(np.signbit(expected)) and np.all(np.signbit(got))
+
+    @pytest.mark.parametrize("q", [0.3, np.float64(0.3), [[0.1, 0.9]]])
+    def test_quantile_shapes_follow_nanquantile(self, q):
+        estimates = np.random.default_rng(7).standard_normal((5, 3, 2))
+        got = self.make_result(estimates).quantile_bands(q)
+        assert np.array_equal(got, np.nanquantile(estimates, q, axis=0))
+
     def test_mean_loss_ignores_missing_entries(self):
         estimates = np.ones((3, 2, 1))
         losses = np.array([[np.nan, 1.0], [np.nan, 3.0], [np.nan, 5.0]])
@@ -334,61 +384,67 @@ class TestRunStudyRegularVsUpdated:
             np.testing.assert_array_equal(regular.estimates[0, i], refit.coef)
 
 
-class PoolRecorder:
-    """Stands in for ``ThreadPoolExecutor``: records each pool it is asked
-    for and runs the items in sequence, so no thread is started."""
-
-    def __init__(self):
-        self.pools = []
-        self.open = 0
-        self.most_open = 0
-
-    def __call__(self, max_workers):
-        recorder = self
-
-        class Pool:
-            def __enter__(self):
-                recorder.pools.append(max_workers)
-                recorder.open += 1
-                recorder.most_open = max(recorder.most_open, recorder.open)
-                return self
-
-            def __exit__(self, *exc):
-                recorder.open -= 1
-
-            def map(self, func, items):
-                return [func(item) for item in items]
-
-        return Pool()
-
-
 class TestThreadBound:
     @pytest.fixture
-    def pools(self, monkeypatch):
-        monkeypatch.setenv("RIDGE_RELAY_THREADS", "4")
-        recorder = PoolRecorder()
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", recorder)
-        return recorder
+    def threads(self, monkeypatch):
+        """Fails any call that starts a thread, and records its thread."""
+        started = []
 
-    def test_logistic_selection_opens_no_pool(self, pools):
+        def refuse(thread):
+            started.append(thread)
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        return started
+
+    def test_logistic_selection_opens_no_pool(self, threads):
         config = ScenarioConfig(p=3, n=20, family="logistic", beta_rule=(0.5, -0.5, 0.0),
                                 grid_points=4, seed=3)
         state = initial_state(config, 0)
         select_penalty(state, generate_batch(config, 0, 1),
                        PenaltySearchConfig(k_folds=3, grid=config.grid()))
-        assert pools.pools == []
+        assert threads == []
 
-    def test_logistic_study_opens_one_flat_pool(self, pools):
+    def test_logistic_study_runs_on_the_calling_thread(self, threads):
         config = ScenarioConfig(p=3, n=20, n_batches=2, n_replicates=3,
                                 family="logistic", beta_rule=(0.5, -0.5, 0.0),
                                 k_folds=3, grid_points=4, seed=3)
         run_study_regular_vs_updated(config)
-        assert len(pools.pools) == 1
-        assert pools.pools[0] <= parallel.worker_count()
-        assert pools.most_open == 1
+        assert threads == []
+
+
+def test_simulate_does_not_import_numpy_ma(tmp_path):
+    """``np.quantile`` and ``np.unique`` import ``numpy.ma``, 12-20 ms of a
+    fresh process that a study's outputs do not need."""
+    script = (
+        "import json, sys\n"
+        "from ridge_relay.cli_io import main\n"
+        "for study in ('regular-vs-updated', 'mixed-vs-updated'):\n"
+        "    path = sys.argv[1] + '/' + study + '.json'\n"
+        "    with open(path, 'w') as fh:\n"
+        "        json.dump({'study': study, 'p': 3, 'n': 10, 'n_batches': 3,\n"
+        "                   'n_replicates': 2, 'grid_points': 8}, fh)\n"
+        "    assert main(['simulate', '--scenario', path,\n"
+        "                 '--out', sys.argv[1] + '/out-' + study]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestRunStudyMixedVsUpdated:
+    def test_pooled_refit_decomposes_each_batch_once(self, monkeypatch):
+        calls = []
+        spectrum = baselines._block_spectrum
+        monkeypatch.setattr(baselines, "_block_spectrum",
+                            lambda X, y: calls.append(X.shape) or spectrum(X, y))
+        config = ScenarioConfig(study="mixed-vs-updated", p=4, n=3, n_batches=6,
+                                n_replicates=2, noise_var=1.0, grid_points=6, seed=3)
+        run_study_mixed_vs_updated(config)
+        assert len(calls) == config.n_replicates * config.n_batches
+
     def test_pooled_fit_appears_only_once_identified(self):
         config = ScenarioConfig(study="mixed-vs-updated", p=4, n=3,
                                 n_batches=6, n_replicates=4, noise_var=1.0,
