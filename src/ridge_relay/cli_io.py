@@ -167,7 +167,7 @@ def _past_from_batches(family: str, registry: CovariateRegistry,
     fam = get_family(family)
     past = None
     for raw in batches:
-        batch = Batch(t=int(raw["t"]), X=np.asarray(raw["x"], dtype=float),
+        batch = Batch(t=raw["t"], X=np.asarray(raw["x"], dtype=float),
                       y=np.asarray(raw["y"], dtype=float),
                       covariates=tuple(raw["covariates"]), family=family)
         width = 1 + max((registry.index_of(n) for n in batch.covariates), default=-1)
@@ -181,7 +181,10 @@ def doc_to_state(doc: dict) -> EstimatorState:
     """Rebuild a state from its document, validating the schema tag.
 
     A ``/1`` document, which retained raw batches, is migrated on read
-    (see ``_past_from_batches``).
+    (see ``_past_from_batches``). A document the model types reject (a
+    ``t`` that is not an integer, a penalty or coefficient that is not a
+    number, an estimate naming an unknown covariate) raises
+    ``StateFileError``, as a missing field does.
     """
     if not isinstance(doc, dict):
         raise StateFileError("state document must be a JSON object")
@@ -198,7 +201,7 @@ def doc_to_state(doc: dict) -> EstimatorState:
         init = doc["init"]
         history = tuple(
             UpdateRecord(
-                t=int(rec["t"]),
+                t=rec["t"],
                 lam=rec["lam"],
                 estimate=CoefficientVector(rec["estimate"]),
                 weights=tuple(rec["weights"]) if rec.get("weights") is not None else None,
@@ -224,7 +227,7 @@ def doc_to_state(doc: dict) -> EstimatorState:
         )
     except KeyError as exc:
         raise StateFileError(f"state document is missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError, ValidationError) as exc:
         raise StateFileError(f"state document is malformed: {exc}") from None
 
 

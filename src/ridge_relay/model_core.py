@@ -88,6 +88,18 @@ def _check_binary(y: np.ndarray) -> None:
         raise ValidationError("logistic responses must be coded 0/1")
 
 
+def _is_index(value: Any) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A real number that is not a bool; a string or ``np.bool_`` is not real."""
+    # The plain-float test first: the ABC check is the slow part of reading a state.
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+
+
 def _check_nonnegative(value: Any, what: str) -> float:
     """``value`` as a float that is finite and at least 0."""
     value = float(value)
@@ -157,7 +169,7 @@ class Batch:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
+        if not _is_index(self.t) or self.t < 0:
             raise ValidationError(f"batch index t must be a non-negative integer, got {self.t!r}")
         object.__setattr__(self, "t", int(self.t))
         X, y = _check_xy(self.X, self.y, "", nonempty=True)
@@ -202,7 +214,7 @@ class CoefficientVector:
             k = str(k)
             if not k:
                 raise ValidationError("coefficient names must be non-empty strings")
-            if not isinstance(v, numbers.Real):
+            if not _is_number(v):
                 raise ValidationError(f"coefficient {k!r} is not a number: {v!r}")
             try:
                 vals[k] = float(v)
@@ -306,11 +318,19 @@ class UpdateRecord:
     diagnostics: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not _is_index(self.t):
+            raise ValidationError(f"update index t must be an integer, got {self.t!r}")
         if self.t < 1:
             raise ValidationError("update indices start at 1")
+        object.__setattr__(self, "t", int(self.t))
+        if not _is_number(self.lam):
+            raise ValidationError(f"penalty is not a number: {self.lam!r}")
         object.__setattr__(self, "lam", _check_nonnegative(self.lam, "penalty"))
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(v) for v in self.weights))
+            weights = tuple(self.weights)
+            if not all(_is_number(v) for v in weights):
+                raise ValidationError(f"weights must be numbers, got {weights!r}")
+            object.__setattr__(self, "weights", tuple(float(v) for v in weights))
         object.__setattr__(self, "diagnostics", dict(self.diagnostics))
 
 
@@ -335,8 +355,7 @@ class TriangularHistory:
             raise ValidationError(f"history factor must be square, got shape {factor.shape}")
         if np.any(np.tril(factor, -1)):
             raise ValidationError("history factor must be upper triangular")
-        if (not isinstance(self.rows, (int, np.integer)) or isinstance(self.rows, bool)
-                or self.rows < 1):
+        if not _is_index(self.rows) or self.rows < 1:
             raise ValidationError(f"history row count must be a positive integer, got {self.rows!r}")
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
@@ -431,6 +450,32 @@ def fold_stacked(past: StackedHistory | None, X, y) -> StackedHistory:
 PAST_FORMS = {"linear": TriangularHistory, "logistic": StackedHistory}
 
 
+def _check_record(rec: UpdateRecord, t: int, registry: CovariateRegistry) -> None:
+    """The history record at position ``t`` (from 1) of a state over ``registry``."""
+    if rec.t != t:
+        raise ValidationError(
+            f"history must have consecutive indices 1..T, found t={rec.t} at position {t}")
+    for name in rec.estimate.values:
+        if name not in registry:
+            raise RegistryError(f"estimate at t={rec.t} names unknown covariate {name!r}")
+
+
+def _check_past(family: str, past: TriangularHistory | StackedHistory | None,
+                registry: CovariateRegistry) -> None:
+    """The past data of a ``family`` state over ``registry`` (``None``: no batch yet)."""
+    if past is None:
+        return
+    form = PAST_FORMS[family]
+    if not isinstance(past, form):
+        raise ValidationError(
+            f"a {family} state keeps its past data as {form.__name__}, "
+            f"got {type(past).__name__}")
+    if past.covariates > registry.size:
+        raise RegistryError(
+            f"past data covers {past.covariates} covariates, "
+            f"the registry has {registry.size}")
+
+
 @dataclass(frozen=True)
 class EstimatorState:
     """Full description of a sequentially updated model.
@@ -460,22 +505,8 @@ class EstimatorState:
             if name not in self.registry:
                 raise RegistryError(f"init target names unknown covariate {name!r}")
         for i, rec in enumerate(self.history, start=1):
-            if rec.t != i:
-                raise ValidationError(
-                    f"history must have consecutive indices 1..T, found t={rec.t} at position {i}")
-            for name in rec.estimate.names():
-                if name not in self.registry:
-                    raise RegistryError(f"estimate at t={rec.t} names unknown covariate {name!r}")
-        if self.past is not None:
-            form = PAST_FORMS[self.family]
-            if not isinstance(self.past, form):
-                raise ValidationError(
-                    f"a {self.family} state keeps its past data as {form.__name__}, "
-                    f"got {type(self.past).__name__}")
-            if self.past.covariates > self.registry.size:
-                raise RegistryError(
-                    f"past data covers {self.past.covariates} covariates, "
-                    f"the registry has {self.registry.size}")
+            _check_record(rec, i, self.registry)
+        _check_past(self.family, self.past, self.registry)
 
     @property
     def t(self) -> int:
@@ -488,10 +519,22 @@ class EstimatorState:
 
     def with_update(self, registry: CovariateRegistry, record: UpdateRecord,
                     past: TriangularHistory | StackedHistory) -> "EstimatorState":
-        """State after one more update, with ``past`` its batch folded in."""
-        if record.t != self.t + 1:
-            raise ValidationError(f"expected update index {self.t + 1}, got {record.t}")
-        return replace(self, registry=registry, history=self.history + (record,), past=past)
+        """State after one more update, with ``past`` its batch folded in.
+
+        The checks cost the same whatever the history length: the old
+        records already passed against a registry that ``registry`` still
+        holds, so only the new record and ``past`` are checked. A registry
+        that drops an old name takes the full check of every record.
+        """
+        if not all(name in registry for name in self.registry.names):
+            return replace(self, registry=registry, history=self.history + (record,),
+                           past=past)
+        _check_record(record, self.t + 1, registry)
+        _check_past(self.family, past, registry)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, registry=registry,
+                            history=self.history + (record,), past=past)
+        return new
 
 
 def align_batch(batch: Batch, registry: CovariateRegistry) -> np.ndarray:
@@ -525,24 +568,30 @@ def assemble_target(source: "EstimatorState | CoefficientVector",
 
     A bare :class:`CoefficientVector` source is used as-is, and names it
     lacks get 0.
+
+    The records are walked newest-first and the walk stops once every name
+    has a value, so a target over the newest estimate's names reads one
+    record whatever the history length.
     """
+    names = [str(raw) for raw in names]
     if isinstance(source, EstimatorState):
-        layers: tuple[CoefficientVector, ...] = tuple(
-            rec.estimate for rec in reversed(source.history)) + (source.init_target,)
+        layers = (rec.estimate.values for rec in reversed(source.history))
+        backstop = source.init_target.values
     elif isinstance(source, CoefficientVector):
-        layers = (source,)
+        layers, backstop = (), source.values
     else:
         raise ValidationError("source must be an EstimatorState or CoefficientVector")
-    out: dict[str, float] = {}
-    for raw in names:
-        name = str(raw)
-        for layer in layers:
-            if name in layer:
-                out[name] = layer[name]
-                break
-        else:
-            out[name] = 0.0
-    return CoefficientVector(out)
+    found: dict[str, float] = {}
+    missing = set(names)
+    for values in layers:
+        if not missing:
+            break
+        for name in [n for n in missing if n in values]:
+            found[name] = values[name]
+            missing.discard(name)
+    for name in missing:
+        found[name] = backstop.get(name, 0.0)
+    return CoefficientVector({name: found[name] for name in names})
 
 
 def mixture_target(spec: TargetSpec, weights: Sequence[float] | None = None) -> CoefficientVector:

@@ -262,6 +262,11 @@ class FoldPlan:
         return ~test, test
 
 
+def _check_fold_count(n: int, k: int) -> None:
+    if k < 2 or k > n:
+        raise ValidationError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+
+
 def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> FoldPlan:
     """Seeded fold assignment; round-robin within shuffled strata.
 
@@ -271,8 +276,7 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     ``strata=None`` is one stratum. Fold sizes differ by at most one
     either way.
     """
-    if k < 2 or k > n:
-        raise ValidationError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+    _check_fold_count(n, k)
     strata = np.zeros(n) if strata is None else np.asarray(strata)
     if strata.shape[0] != n:
         raise ValidationError("strata must have one label per observation")
@@ -460,16 +464,18 @@ def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
 
 def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
                      grid: tuple[float, ...], weight_options: list, target_map: dict,
-                     folds: FoldPlan, new_fraction: float | None) -> list[Candidate]:
+                     k: int, seed: int, new_fraction: float | None) -> list[Candidate]:
     """The selection curve, every fold fit over the registry's columns.
 
     Each fold fit gives its held-out criterion (the CV score) and, with
     ``new_fraction`` set, its criterion on the state's past data (the
     constraint's left side before the ``1 - f`` factor); the right side is
-    evaluated once per selection. A leave-one-out plan takes the family's
-    ``loo_curve``, which forms no fold fit; otherwise, or where it
-    declines, each fold is fitted once for the whole grid (``fit_grid``).
-    A candidate whose fit is unusable in any fold is infinite in both.
+    evaluated once per selection. A leave-one-out selection (``k`` equal
+    to the batch size) takes the family's ``loo_curve``, which forms no
+    fold fit and deals no folds; otherwise, or where it declines, the
+    ``k`` folds are dealt with ``seed`` (``make_folds``) and each is
+    fitted once for the whole grid (``fit_grid``). A candidate whose fit
+    is unusable in any fold is infinite in both.
     """
     fam = get_family(state.family)
     names = registry.names
@@ -477,8 +483,9 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
     targets = np.column_stack([target_map[w].as_array(names) for w in weight_options])
     constrain = new_fraction is not None
     past = state.past if constrain else None
-    means = fam.loo_curve(X, y, grid, targets, past) if folds.k == folds.n else None
+    means = fam.loo_curve(X, y, grid, targets, past) if k == batch.n else None
     if means is None:
+        folds = make_folds(batch.n, k, seed, y if fam.stratified else None)
         means = _fold_means(fam, X, y, grid, targets, past, folds)
     score, hist = means
     if not constrain:
@@ -531,7 +538,7 @@ def select_penalty(state: EstimatorState, batch: Batch,
     k = n if cfg.k_folds is None else cfg.k_folds
     if k > n:
         raise ValidationError(f"k_folds={k} exceeds the batch size {n}")
-    folds = make_folds(n, k, cfg.seed, batch.y if get_family(state.family).stratified else None)
+    _check_fold_count(n, k)
 
     registry = state.registry.extended(batch.covariates)
     names = registry.names
@@ -550,7 +557,7 @@ def select_penalty(state: EstimatorState, batch: Batch,
     constrain = cfg.constrained and state.past is not None
     new_fraction = batch.n / (batch.n + state.past.rows) if constrain else None
     curve = _selection_curve(state, batch, registry, cfg.grid, weight_options,
-                             target_map, folds, new_fraction)
+                             target_map, k, cfg.seed, new_fraction)
 
     def pick(cands: list[Candidate]) -> Candidate | None:
         best = None

@@ -635,6 +635,20 @@ class TestCliUpdate:
                                "--response", "y")
         assert code == 2 and "error:" in err
 
+    def test_a_fractional_record_index_exits_2_and_leaves_the_state(self, tmp_path):
+        path, data, _ = self.init_and_first_batch(tmp_path)
+        assert run_cli("update", "--state", path, "--data", data, "--response", "y")[0] == 0
+        doc = json.loads(open(path, encoding="utf-8").read())
+        doc["history"][0]["t"] = 2.5
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        before = open(path, "rb").read()
+        code, out, err = run_cli("update", "--state", path, "--data", data,
+                                 "--response", "y")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "2.5" in err and "Traceback" not in err
+        assert open(path, "rb").read() == before
+
     def test_negative_seed_exits_2_and_leaves_the_state(self, tmp_path):
         path, data, _ = self.init_and_first_batch(tmp_path)
         before = open(path, "rb").read()

@@ -1,8 +1,9 @@
 """Every public entry point rejects each malformed input it takes.
 
 The package states what a valid design/response pair, a 0/1 response, a
-finite non-negative penalty, variance ratio or noise variance, and a
-quantile in [0, 1] are. This
+finite non-negative penalty, variance ratio or noise variance, a
+quantile in [0, 1], an index (an integer, not a bool) and a number (real,
+not a bool or a string) are. This
 table feeds each malformed input to every public entry point that takes
 it and asserts the error class, so a check that one caller drops fails
 here whatever module the check lives in.
@@ -11,12 +12,14 @@ here whatever module the check lives in.
 import numpy as np
 import pytest
 
+import ridge_relay.cli_io as cio
 from ridge_relay import (
     Batch,
     CoefficientVector,
     CovariateRegistry,
     EstimatorState,
     StackedHistory,
+    StateFileError,
     TrajectoryResult,
     UpdateRecord,
     ValidationError,
@@ -203,3 +206,43 @@ def test_a_band_with_lo_above_hi_is_rejected():
     trajectory().band_widths(0.1, 0.1)  # an empty band is accepted
     with pytest.raises(ValidationError):
         trajectory().band_widths(0.9, 0.1)
+
+
+# name -> (record field, malformed value) of a stored update record; an
+# index must be an integer that is not a bool, a number real but not a
+# bool or a string
+BAD_RECORD_FIELDS = {
+    "t 2.7": ("t", 2.7),
+    "t '2'": ("t", "2"),
+    "t true": ("t", True),
+    "lam true": ("lam", True),
+    "lam '1.5'": ("lam", "1.5"),
+    "coefficient true": ("estimate", {"a": True}),
+    "coefficient '1.5'": ("estimate", {"a": "1.5"}),
+    "weight true": ("weights", [True, 0.0]),
+}
+GOOD_RECORD = {"t": 1, "lam": 1.5, "estimate": {"a": 0.5}, "weights": [0.25, 0.75]}
+
+
+def record_document(**fields):
+    """A linear state document whose one history record has ``fields``."""
+    record = UpdateRecord(t=1, lam=1.5, estimate=CoefficientVector({"a": 0.5}),
+                          weights=(0.25, 0.75))
+    doc = cio.state_to_doc(EstimatorState(
+        family="linear", registry=CovariateRegistry(NAMES),
+        init_target=CoefficientVector({n: 0.0 for n in NAMES}), history=(record,)))
+    doc["history"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("field, value", BAD_RECORD_FIELDS.values(), ids=list(BAD_RECORD_FIELDS))
+def test_malformed_record_fields_are_rejected(field, value):
+    def build(fields):
+        return UpdateRecord(**{**fields, "estimate": CoefficientVector(fields["estimate"])})
+
+    build(GOOD_RECORD)
+    with pytest.raises(ValidationError):
+        build({**GOOD_RECORD, field: value})
+    cio.doc_to_state(record_document())  # the well-formed document reads
+    with pytest.raises(StateFileError):
+        cio.doc_to_state(record_document(**{field: value}))

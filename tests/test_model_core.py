@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ridge_relay.model_core as model_core
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -217,6 +219,143 @@ class TestAssembleTarget:
         vec = CoefficientVector({"a": 4.0})
         target = assemble_target(vec, ("a", "b"))
         assert dict(target.values) == {"a": 4.0, "b": 0.0}
+
+
+def layered_target(state, names):
+    """``assemble_target`` as the walk over every layer it replaced: each
+    name takes the newest record's value, else the initial target's, else 0."""
+    layers = [rec.estimate for rec in reversed(state.history)] + [state.init_target]
+    out = {}
+    for name in names:
+        out[name] = next((layer[name] for layer in layers if name in layer), 0.0)
+    return out
+
+
+NAME_POOL = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def target_cases(draw):
+    """A state whose records carry drawn subsets of the names, and a query
+    that may repeat names, reorder them or ask for names no layer has."""
+    subsets = st.lists(st.sampled_from(NAME_POOL), unique=True)
+    values = st.floats(-5, 5, allow_nan=False)
+    history = tuple(
+        UpdateRecord(t=t, lam=1.0, estimate=CoefficientVector(
+            {n: draw(values) for n in draw(subsets)}))
+        for t in range(1, draw(st.integers(0, 6)) + 1))
+    init = CoefficientVector({n: draw(values) for n in draw(subsets)})
+    state = make_state(names=NAME_POOL, init=init, history=history)
+    query = draw(st.lists(st.sampled_from(NAME_POOL + ("z",)), max_size=8))
+    return state, query
+
+
+class TestAssembleTargetWalk:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(target_cases())
+    def test_equals_the_walk_over_every_layer_in_the_same_key_order(self, case):
+        state, query = case
+        target = assemble_target(state, query)
+        assert list(target.values.items()) == list(layered_target(state, query).items())
+
+    def test_names_first_seen_in_old_records_and_names_no_record_has(self):
+        history = (
+            UpdateRecord(t=1, lam=1.0, estimate=CoefficientVector({"c": 3.0, "a": -1.0})),
+            UpdateRecord(t=2, lam=1.0, estimate=CoefficientVector({"b": 2.0})),
+            UpdateRecord(t=3, lam=1.0, estimate=CoefficientVector({"a": 1.0})),
+        )
+        state = make_state(names=NAME_POOL, init=CoefficientVector({"d": 4.0}),
+                           history=history)
+        query = ("e", "c", "a", "d", "b", "c")
+        target = assemble_target(state, query)
+        assert list(target.values.items()) == [
+            ("e", 0.0), ("c", 3.0), ("a", 1.0), ("d", 4.0), ("b", 2.0)]
+        assert target == CoefficientVector(layered_target(state, query))
+
+
+def chain(T, names=("a", "b")):
+    """A linear state with T records over ``names`` and two past covariates."""
+    history = tuple(UpdateRecord(t=t, lam=1.0, estimate=CoefficientVector(
+        {n: float(t) for n in names})) for t in range(1, T + 1))
+    past = fold_triangular(None, np.ones((3, 2)), np.arange(3.0))
+    return make_state(names=names, history=history, past=past)
+
+
+def appended(record_t=4, estimate=None, registry=("a", "b"), past="triangular"):
+    """(registry, record, past) arguments of one ``with_update`` of ``chain(3)``."""
+    estimate = {"a": 0.5, "b": 1.5} if estimate is None else estimate
+    X, y = np.ones((2, 2)), np.array([0.0, 1.0])
+    pasts = {
+        "triangular": fold_triangular(None, X, y),
+        "stacked": fold_stacked(None, X, y),
+        "too wide": fold_triangular(None, np.ones((2, 3)), y),
+    }
+    return (CovariateRegistry(registry),
+            UpdateRecord(t=record_t, lam=1.0, estimate=CoefficientVector(estimate)),
+            pasts[past])
+
+
+# name -> (registry, record, past) of one update of chain(3) over ("a", "b")
+APPENDS = {
+    "valid": appended(),
+    "valid, new covariate": appended(estimate={"a": 1.0, "c": 2.0}, registry=("a", "b", "c")),
+    "t repeats": appended(record_t=3),
+    "t skips": appended(record_t=5),
+    "unknown covariate": appended(estimate={"a": 1.0, "zz": 2.0}),
+    "wrong past form": appended(past="stacked"),
+    "past wider than the registry": appended(past="too wide"),
+    "registry drops a name the records use": appended(estimate={"a": 1.0},
+                                                      registry=("a", "c")),
+    "registry reordered": appended(registry=("b", "a")),
+}
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc)
+
+
+class TestWithUpdate:
+    @pytest.mark.parametrize("registry, record, past", APPENDS.values(), ids=list(APPENDS))
+    def test_accepts_and_rejects_what_the_full_constructor_does(self, registry, record, past):
+        state = chain(3)
+        fast = outcome(lambda: state.with_update(registry, record, past))
+        full = outcome(lambda: EstimatorState(
+            family=state.family, registry=registry, init_target=state.init_target,
+            init_note=state.init_note, history=state.history + (record,), past=past))
+        assert fast == full
+
+    def test_a_registry_without_an_old_name_takes_the_full_check(self):
+        """Dropping a name no record uses is accepted; dropping one the
+        initial target names is not, as in the full constructor."""
+        state = make_state(names=("a", "b", "c"), init=CoefficientVector({"a": 0.0}))
+        record = UpdateRecord(t=1, lam=1.0, estimate=CoefficientVector({"b": 1.0}))
+        advanced = state.with_update(CovariateRegistry(("a", "b")), record, None)
+        assert advanced.registry.names == ("a", "b")
+        with pytest.raises(RegistryError):
+            state.with_update(CovariateRegistry(("b",)), record, None)
+
+    def test_checks_only_the_added_record_whatever_the_history_length(self, monkeypatch):
+        calls = []
+        check = model_core._check_record
+
+        def counted(*args):
+            calls.append(args[1])
+            check(*args)
+
+        counts = {}
+        for T in (5, 50):
+            state = chain(T)
+            registry, _, past = appended()
+            record = UpdateRecord(t=T + 1, lam=1.0, estimate=CoefficientVector({"a": 1.0}))
+            calls.clear()
+            monkeypatch.setattr(model_core, "_check_record", counted)
+            state.with_update(registry, record, past)
+            monkeypatch.undo()
+            counts[T] = list(calls)
+        assert counts == {5: [6], 50: [51]}
 
 
 class TestMixtureTarget:

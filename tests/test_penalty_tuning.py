@@ -395,6 +395,14 @@ class TestSelectPenalty:
         curve = np.array(scores[False])
         assert np.all(np.diff(curve) <= 1e-12)
 
+    def test_leave_one_out_of_one_row_is_rejected(self):
+        for family in ("linear", "logistic"):
+            batch = Batch(t=1, X=np.ones((1, 2)), y=np.ones(1), covariates=("a", "b"),
+                          family=family)
+            with pytest.raises(ValidationError, match=r"2 <= k <= n, got k=1, n=1"):
+                select_penalty(linear_state(family=family), batch,
+                               PenaltySearchConfig(k_folds=None))
+
     def test_loocv_equals_explicit_leave_one_out(self):
         rng = np.random.default_rng(90)
         n = 9
@@ -694,11 +702,13 @@ def selections(draw, family):
 
 
 def per_candidate_curve(state, batch, registry, grid, weight_options, target_map,
-                        folds, new_fraction):
+                        k, seed, new_fraction):
     """The selection curve scored one candidate at a time: ``cv_score`` fits
-    the batch's own columns, ``constraint_terms`` the registry's. Logistic
-    fits come from the scalar reference IRLS, not the package's batched
-    solver, so the comparison is between two independent solvers."""
+    the batch's own columns, ``constraint_terms`` the registry's, over the
+    ``k`` folds dealt with ``seed``. Logistic fits come from the scalar
+    reference IRLS, not the package's batched solver, so the comparison is
+    between two independent solvers."""
+    folds = make_folds(batch.n, k, seed, batch.y if state.family == "logistic" else None)
     curve = []
     with mock.patch.object(penalty_tuning, "irls_fit", reference_irls_fit):
         for lam in grid:
@@ -837,13 +847,18 @@ class TestLooClosedFormProperties:
         a square design whose scale leaves the grid's smallest penalty
         singular in every fold, though not on the whole batch; and a penalty
         singular outright each send the selection to one solve per held-out
-        row."""
-        calls = []
+        row. Only those deal the folds."""
+        calls, deals = [], []
         solve = penalty_tuning.fit_targeted_ridge_grid
+        deal = penalty_tuning.make_folds
 
         def counted(*args):
             calls.append(1)
             return solve(*args)
+
+        def counted_deal(*args):
+            deals.append(1)
+            return deal(*args)
 
         rng = np.random.default_rng(100)
         state, names = state_with_history(rng, np.array([1.0, -1.0, 0.5]))
@@ -860,8 +875,10 @@ class TestLooClosedFormProperties:
         batch = Batch(t=state.t + 1, X=X, y=y, covariates=names)
         cfg = PenaltySearchConfig(k_folds=None, grid=grid)
         monkeypatch.setattr(penalty_tuning, "fit_targeted_ridge_grid", counted)
+        monkeypatch.setattr(penalty_tuning, "make_folds", counted_deal)
         report = select_penalty(state, batch, cfg)
         assert len(calls) == (0 if case == "ordinary" else batch.n)
+        assert len(deals) == (0 if case == "ordinary" else 1)
         if case in ("unscaled design", "singular penalty"):
             assert report.cv_curve[0].score == np.inf and report.cv_curve[0].lhs == np.inf
         monkeypatch.undo()
