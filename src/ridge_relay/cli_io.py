@@ -470,36 +470,21 @@ def _trajectory_datasets(study: str, config: ScenarioConfig, results) -> list[Pl
         "tracked": list(tracked_positions(config)),
         "quantiles": [0.05, 0.5, 0.95],
     }
-    series, ts, coords, q05, q50, q95 = [], [], [], [], [], []
+    quant = {name: [] for name in ("series", "t", "coordinate", "q05", "q50", "q95")}
+    curves = {name: [] for name in ("series", "t", "mean_squared_error")}
     for r in results:
-        bands = r.quantile_bands()
-        for ci, pos in enumerate(r.tracked):
-            for ti, t in enumerate(r.t_values):
-                series.append(r.name)
-                ts.append(int(t))
-                coords.append(int(pos))
-                q05.append(float(bands[0, ti, ci]))
-                q50.append(float(bands[1, ti, ci]))
-                q95.append(float(bands[2, ti, ci]))
-    quant = PlotDataset(
-        name=f"{study}_quantile_trajectories",
-        columns={"series": series, "t": ts, "coordinate": coords,
-                 "q05": q05, "q50": q50, "q95": q95},
-        metadata=meta,
-    )
-    series2, ts2, mse = [], [], []
-    for r in results:
-        mean = r.mean_loss()
-        for ti, t in enumerate(r.t_values):
-            series2.append(r.name)
-            ts2.append(int(t))
-            mse.append(float(mean[ti]))
-    curves = PlotDataset(
-        name=f"{study}_mse_curves",
-        columns={"series": series2, "t": ts2, "mean_squared_error": mse},
-        metadata=meta,
-    )
-    return [quant, curves]
+        T, C = len(r.t_values), len(r.tracked)
+        # one row per (coordinate, t), t running fastest
+        quant["series"] += [r.name] * (C * T)
+        quant["t"] += np.tile(r.t_values, C).tolist()
+        quant["coordinate"] += np.repeat(r.tracked, T).tolist()
+        for column, band in zip(("q05", "q50", "q95"), r.quantile_bands()):
+            quant[column] += band.T.ravel().tolist()
+        curves["series"] += [r.name] * T
+        curves["t"] += r.t_values.tolist()
+        curves["mean_squared_error"] += r.mean_loss().tolist()
+    return [PlotDataset(name=f"{study}_quantile_trajectories", columns=quant, metadata=meta),
+            PlotDataset(name=f"{study}_mse_curves", columns=curves, metadata=meta)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -521,14 +521,14 @@ class EstimatorState:
                     past: TriangularHistory | StackedHistory) -> "EstimatorState":
         """State after one more update, with ``past`` its batch folded in.
 
-        The checks cost the same whatever the history length: the old
-        records already passed against a registry that ``registry`` still
-        holds, so only the new record and ``past`` are checked. A registry
-        that drops an old name takes the full check of every record.
+        ``registry`` must start with the state's names, in their order: the
+        registry is append-only, and a reordered one would misalign the past
+        data. The old records then hold over ``registry`` as they did, so
+        only the new record and ``past`` are checked, at a cost that does
+        not grow with the history.
         """
-        if not all(name in registry for name in self.registry.names):
-            return replace(self, registry=registry, history=self.history + (record,),
-                           past=past)
+        if registry.names[:self.registry.size] != self.registry.names:
+            raise RegistryError("a new registry must keep the old names first, in their order")
         _check_record(record, self.t + 1, registry)
         _check_past(self.family, past, registry)
         new = object.__new__(type(self))

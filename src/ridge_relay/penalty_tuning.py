@@ -55,11 +55,11 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     TargetSpec,
+    _is_index,
     align_batch,
     assemble_target,
     fold_stacked,
     fold_triangular,
-    mixture_target,
 )
 from ._numerics import expit
 from .linear_estimator import (
@@ -94,13 +94,18 @@ DEFAULT_GRID_MAX = 1e6
 DEFAULT_GRID_POINTS = 50
 
 
+def _check_index(value, least: int, what: str) -> None:
+    if not _is_index(value) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def default_grid(grid_min: float = DEFAULT_GRID_MIN, grid_max: float = DEFAULT_GRID_MAX,
                  points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
     """Log-spaced penalty grid, ascending."""
-    if not (0 < grid_min < grid_max):
-        raise ValidationError("need 0 < grid_min < grid_max")
-    if points < 1:
-        raise ValidationError("points must be >= 1")
+    if not 0 < grid_min < grid_max < np.inf:
+        raise ValidationError(
+            f"need 0 < grid_min < grid_max < inf, got {grid_min!r} and {grid_max!r}")
+    _check_index(points, 1, "points")
     if points == 1:
         return (float(grid_max),)
     return tuple(np.geomspace(grid_min, grid_max, points).tolist())
@@ -263,8 +268,8 @@ class FoldPlan:
 
 
 def _check_fold_count(n: int, k: int) -> None:
-    if k < 2 or k > n:
-        raise ValidationError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+    if not _is_index(k) or k < 2 or k > n:
+        raise ValidationError(f"fold count must be an integer 2 <= k <= n, got k={k!r}, n={n}")
 
 
 def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> FoldPlan:
@@ -277,6 +282,7 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     either way.
     """
     _check_fold_count(n, k)
+    _check_index(seed, 0, "the fold seed")
     strata = np.zeros(n) if strata is None else np.asarray(strata)
     if strata.shape[0] != n:
         raise ValidationError("strata must have one label per observation")
@@ -397,12 +403,10 @@ class PenaltySearchConfig:
         if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
             raise ValidationError("the grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
-        if self.k_folds is not None and self.k_folds < 2:
-            raise ValidationError("k_folds must be >= 2 (or None for leave-one-out)")
-        if self.weight_points < 2:
-            raise ValidationError("weight_points must be >= 2")
-        if self.seed < 0:
-            raise ValidationError(f"the fold seed must be >= 0, got {self.seed!r}")
+        if self.k_folds is not None:
+            _check_index(self.k_folds, 2, "k_folds (None for leave-one-out)")
+        _check_index(self.weight_points, 2, "weight_points")
+        _check_index(self.seed, 0, "the fold seed")
 
 
 @dataclass(frozen=True)
@@ -462,12 +466,24 @@ def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
     return sorted(set(combos), reverse=True)
 
 
+def _target_matrix(spec: TargetSpec, weight_options: list, names: Sequence[str]) -> np.ndarray:
+    """``(p, W)`` mixtures of the spec's targets over ``names``, one column per
+    weight option: the targets summed from zero in their order, as
+    ``mixture_target`` sums them, so each column equals its result to the bit."""
+    weights = np.array(weight_options)
+    out = np.zeros((len(names), weights.shape[0]))
+    for target, w in zip(spec.targets, weights.T):
+        out += target.as_array(names)[:, None] * w
+    return out
+
+
 def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
-                     grid: tuple[float, ...], weight_options: list, target_map: dict,
+                     grid: tuple[float, ...], weight_options: list, targets: np.ndarray,
                      k: int, seed: int, new_fraction: float | None) -> list[Candidate]:
     """The selection curve, every fold fit over the registry's columns.
 
-    Each fold fit gives its held-out criterion (the CV score) and, with
+    ``targets`` holds one column over the registry per weight option. Each
+    fold fit gives its held-out criterion (the CV score) and, with
     ``new_fraction`` set, its criterion on the state's past data (the
     constraint's left side before the ``1 - f`` factor); the right side is
     evaluated once per selection. A leave-one-out selection (``k`` equal
@@ -480,7 +496,6 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
     fam = get_family(state.family)
     names = registry.names
     X, y = align_batch(batch, registry), batch.y
-    targets = np.column_stack([target_map[w].as_array(names) for w in weight_options])
     constrain = new_fraction is not None
     past = state.past if constrain else None
     means = fam.loo_curve(X, y, grid, targets, past) if k == batch.n else None
@@ -488,14 +503,14 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
         folds = make_folds(batch.n, k, seed, y if fam.stratified else None)
         means = _fold_means(fam, X, y, grid, targets, past, folds)
     score, hist = means
-    if not constrain:
-        return [Candidate(lam=lam, weights=w, score=float(score[i, j]), feasible=True)
-                for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
-    prev = assemble_target(state, names).as_array(names)
-    rhs = float(fam.history_loss(past, prev[:, None])[0])
-    lhs = (1.0 - new_fraction) * hist
+    lhs = rhs = None
+    if constrain:
+        prev = assemble_target(state, names).as_array(names)
+        rhs = float(fam.history_loss(past, prev[:, None])[0])
+        lhs = (1.0 - new_fraction) * hist
     return [Candidate(lam=lam, weights=w, score=float(score[i, j]),
-                      feasible=bool(lhs[i, j] <= rhs), lhs=float(lhs[i, j]), rhs=rhs)
+                      feasible=lhs is None or bool(lhs[i, j] <= rhs),
+                      lhs=None if lhs is None else float(lhs[i, j]), rhs=rhs)
             for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
 
 
@@ -545,19 +560,19 @@ def select_penalty(state: EstimatorState, batch: Batch,
 
     if targets is None:
         weight_options: list[tuple[float, ...] | None] = [None]
-        target_map = {None: assemble_target(state, names)}
+        target_matrix = assemble_target(state, names).as_array(names)[:, None]
     else:
         expanded = targets.over(names)
         if expanded.weights is not None:
             weight_options = [expanded.weights]
         else:
             weight_options = _weight_lattice(expanded.size, cfg.weight_points)
-        target_map = {w: mixture_target(expanded, w) for w in weight_options}
+        target_matrix = _target_matrix(expanded, weight_options, names)
 
     constrain = cfg.constrained and state.past is not None
     new_fraction = batch.n / (batch.n + state.past.rows) if constrain else None
     curve = _selection_curve(state, batch, registry, cfg.grid, weight_options,
-                             target_map, k, cfg.seed, new_fraction)
+                             target_matrix, k, cfg.seed, new_fraction)
 
     def pick(cands: list[Candidate]) -> Candidate | None:
         best = None
@@ -590,24 +605,33 @@ def select_penalty(state: EstimatorState, batch: Batch,
     )
 
 
+def _zero_target_fit(batch: Batch,
+                     config: PenaltySearchConfig) -> tuple[np.ndarray, SelectionReport]:
+    """The family's fit of ``batch`` toward zero, over the batch's columns.
+
+    The penalty comes from ``select_penalty`` on a zero-target state over
+    the batch's covariates.
+    """
+    names = batch.covariates
+    blank = EstimatorState(family=batch.family, registry=CovariateRegistry(names),
+                           init_target=CoefficientVector({n: 0.0 for n in names}))
+    report = select_penalty(blank, batch, config)
+    coef = get_family(batch.family).fit(batch.X, batch.y, report.chosen_lambda,
+                                        np.zeros(batch.p))
+    return coef, report
+
+
 def fit_first_batch(batch: Batch,
                     config: PenaltySearchConfig) -> tuple[EstimatorState, SelectionReport]:
     """A state initialized from a zero-target fit of a sacrificed first batch.
 
-    The penalty comes from ``select_penalty`` on a zero-target state over
-    the batch's covariates; the family's fit at that penalty becomes the
-    initial target, and the batch is folded into the state's past data so
-    later constraint evaluations see it as history.
+    The fit (``_zero_target_fit``) becomes the initial target, and the
+    batch is folded into the state's past data so later constraint
+    evaluations see it as history.
     """
-    names = batch.covariates
-    registry = CovariateRegistry(names)
-    blank = EstimatorState(family=batch.family, registry=registry,
-                           init_target=CoefficientVector({n: 0.0 for n in names}))
-    report = select_penalty(blank, batch, config)
-    fam = get_family(batch.family)
-    coef = fam.fit(batch.X, batch.y, report.chosen_lambda, np.zeros(batch.p))
-    state = EstimatorState(family=batch.family, registry=registry,
-                           init_target=CoefficientVector.from_array(names, coef),
+    coef, report = _zero_target_fit(batch, config)
+    state = EstimatorState(family=batch.family, registry=CovariateRegistry(batch.covariates),
+                           init_target=CoefficientVector.from_array(batch.covariates, coef),
                            init_note="fit-first-batch",
-                           past=fam.fold(None, batch.X, batch.y))
+                           past=get_family(batch.family).fold(None, batch.X, batch.y))
     return state, report

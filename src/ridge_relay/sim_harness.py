@@ -34,6 +34,7 @@ from .penalty_tuning import (
     DEFAULT_GRID_MIN,
     DEFAULT_GRID_POINTS,
     PenaltySearchConfig,
+    _zero_target_fit,
     default_grid,
     fit_first_batch,
     get_family,
@@ -380,36 +381,27 @@ def _run_replicates(config: ScenarioConfig, names: Sequence[str],
                  for s, name in enumerate(names))
 
 
-def _zero_state(config: ScenarioConfig) -> EstimatorState:
-    names = covariate_names(config.p)
-    return EstimatorState(
-        family=config.family,
-        registry=CovariateRegistry(names),
-        init_target=CoefficientVector({n: 0.0 for n in names}),
-        init_note="zeros",
-    )
-
-
 def initial_state(config: ScenarioConfig, replicate: int) -> EstimatorState:
     """Chain starting point for one replicate, per the scenario's init mode.
 
-    ``ridge-on-first-batch`` sacrifices the replicate's t = 0 batch to a
-    zero-target fit of the scenario's family (penalty by leave-one-out
-    cross-validation) and uses that fit as the initial target; the
-    sacrificed batch is folded into the state's past data so later
-    constraint evaluations see it as history.
+    ``zero-target`` and ``truth-target`` start from zeros or from the
+    generating coefficients. ``ridge-on-first-batch`` sacrifices the
+    replicate's t = 0 batch to a zero-target fit of the scenario's family
+    (penalty by leave-one-out cross-validation) and uses that fit as the
+    initial target; the sacrificed batch is folded into the state's past
+    data so later constraint evaluations see it as history.
     """
-    zero = _zero_state(config)
-    if config.init_mode == "zero-target":
-        return zero
+    if config.init_mode == "ridge-on-first-batch":
+        sel0 = PenaltySearchConfig(k_folds=None, constrained=False, grid=config.grid(),
+                                   seed=config.seed)
+        return fit_first_batch(generate_batch(config, replicate, 0), sel0)[0]
     names = covariate_names(config.p)
     if config.init_mode == "truth-target":
-        return replace(zero,
-                       init_target=CoefficientVector.from_array(names, resolve_beta(config)),
-                       init_note="truth")
-    sel0 = PenaltySearchConfig(k_folds=None, constrained=False, grid=config.grid(),
-                               seed=config.seed)
-    return fit_first_batch(generate_batch(config, replicate, 0), sel0)[0]
+        init, note = CoefficientVector.from_array(names, resolve_beta(config)), "truth"
+    else:
+        init, note = CoefficientVector({n: 0.0 for n in names}), "zeros"
+    return EstimatorState(family=config.family, registry=CovariateRegistry(names),
+                          init_target=init, init_note=note)
 
 
 def _record(beta: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, float]:
@@ -424,8 +416,8 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
     own sacrificed t = 0 batch (leave-one-out penalty), then both
     strategies see the same batches t = 1..T. The regular strategy
     re-selects a penalty and refits the family's model toward zero on
-    every batch alone; both selections are unconstrained unless the
-    scenario forces constraints on.
+    every batch alone, the fit ``fit_first_batch`` makes; both selections
+    are unconstrained unless the scenario forces constraints on.
     """
     beta = resolve_beta(config)
     cols = np.array(tracked_positions(config)) - 1
@@ -437,8 +429,7 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
     def one_replicate(r: int, est, loss, lam):
         state = initial_state(init_config, r)
         for i, batch in enumerate(generate_batches(config, r)):
-            rep = select_penalty(_zero_state(config), batch, sel_plain)
-            refit = family.fit(batch.X, batch.y, rep.chosen_lambda, np.zeros(config.p))
+            refit, rep = _zero_target_fit(batch, sel_plain)
             est[0, i], loss[0, i] = _record(beta, cols, refit)
             lam[0, i] = rep.chosen_lambda
 
@@ -468,13 +459,10 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
     sel_chain = config.selection(constrained_default=True)
     ratio_grid = default_xi_grid(config.mixed_ratio_grid_points)
     family = get_family(config.family)
+    chain_configs = [replace(config, init_mode=mode) for mode in ("zero-target", "truth-target")]
 
     def one_replicate(r: int, est, loss, lam):
-        zero_state = _zero_state(config)
-        truth_state = replace(zero_state,
-                              init_target=CoefficientVector.from_array(names, beta),
-                              init_note="truth")
-        states = [zero_state, truth_state]
+        states = [initial_state(chain_config, r) for chain_config in chain_configs]
         pooled = _PooledRefit(ratio_grid)
         for i, batch in enumerate(generate_batches(config, r)):
             pooled.add(batch)

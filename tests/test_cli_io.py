@@ -30,8 +30,10 @@ from ridge_relay import (
     EstimatorState,
     PenaltySearchConfig,
     RegistryError,
+    ScenarioConfig,
     SelectionError,
     StateFileError,
+    TrajectoryResult,
     UpdateRecord,
     ValidationError,
     default_grid,
@@ -475,6 +477,65 @@ class TestPlotDataset:
         assert open(csv_path, "rb").read() == b"t\r\n1\r\n2\r\n"
 
 
+def cell_by_cell_tables(results):
+    """Both simulate tables, one Python value appended per cell: a row per
+    (series, coordinate, t) with t running fastest, and a row per (series, t)."""
+    quant = {k: [] for k in ("series", "t", "coordinate", "q05", "q50", "q95")}
+    curves = {k: [] for k in ("series", "t", "mean_squared_error")}
+    for r in results:
+        bands = r.quantile_bands()
+        for ci, pos in enumerate(r.tracked):
+            for ti, t in enumerate(r.t_values):
+                quant["series"].append(r.name)
+                quant["t"].append(int(t))
+                quant["coordinate"].append(int(pos))
+                for qi, column in enumerate(("q05", "q50", "q95")):
+                    quant[column].append(float(bands[qi, ti, ci]))
+        mean = r.mean_loss()
+        for ti, t in enumerate(r.t_values):
+            curves["series"].append(r.name)
+            curves["t"].append(int(t))
+            curves["mean_squared_error"].append(float(mean[ti]))
+    return quant, curves
+
+
+def results_with_gaps(rng, shapes):
+    """One ``TrajectoryResult`` per (replicates, batches, tracked) shape, with
+    scattered NaN cells, a t at which no replicate has a value, and -0.0."""
+    out = []
+    for s, (R, T, C) in enumerate(shapes):
+        est = rng.standard_normal((R, T, C))
+        est[rng.random((R, T, C)) < 0.2] = np.nan
+        est[:, 0] = np.nan
+        est[0, -1, 0] = -0.0
+        loss = rng.random((R, T))
+        loss[:, 0] = np.nan
+        loss[rng.random((R, T)) < 0.2] = np.nan
+        tracked = tuple(sorted(rng.choice(np.arange(1, 9), C, replace=False).tolist()))
+        out.append(TrajectoryResult(name=f"series-{s}", t_values=np.arange(1, T + 1),
+                                    tracked=tracked, estimates=est, losses=loss,
+                                    lambdas=np.ones((R, T))))
+    return out
+
+
+class TestTrajectoryTables:
+    @pytest.mark.parametrize("shapes", [[(1, 1, 1)], [(3, 4, 2), (2, 4, 2)],
+                                        [(5, 3, 4), (1, 3, 4), (4, 3, 4)]])
+    def test_columns_equal_a_cell_by_cell_loop(self, shapes):
+        results = results_with_gaps(np.random.default_rng(len(shapes)), shapes)
+        config = ScenarioConfig(p=8, tracked=results[0].tracked)
+        quant, curves = cio._trajectory_datasets("demo", config, results)
+        want_quant, want_curves = cell_by_cell_tables(results)
+        for got, want in ((quant.columns, want_quant), (curves.columns, want_curves)):
+            assert list(got) == list(want)
+            for name in want:
+                # repr tells int from float, -0.0 from 0.0, and reads NaN as "nan"
+                assert list(map(repr, got[name])) == list(map(repr, want[name])), name
+        assert quant.name == "demo_quantile_trajectories" and curves.name == "demo_mse_curves"
+        assert quant.metadata == curves.metadata
+        assert quant.metadata["series"] == [r.name for r in results]
+
+
 class TestCliInit:
     def test_zero_covariate_mode(self, tmp_path):
         path = str(tmp_path / "m.json")
@@ -714,6 +775,24 @@ class TestCliSelectLambda:
         for cand in report["cv_curve"]:
             assert set(cand) >= {"lam", "score", "feasible"}
         assert open(path, "rb").read() == before
+
+    def test_an_infinite_grid_bound_exits_2_with_one_error_line(self, tmp_path):
+        """The bound is refused before NumPy spaces the grid, so stderr holds
+        the error line and no RuntimeWarning."""
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "x1")[0] == 0
+        data = str(tmp_path / "b.csv")
+        batch_csv(data, np.random.default_rng(31), n=12, coef=[2.0])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "ridge_relay",
+                               "select-lambda", "--state", path, "--data", data,
+                               "--response", "y", "--grid-max", "inf"],
+                              capture_output=True, env=env, timeout=120)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
     def test_unconstrained_flag_is_honored(self, tmp_path):
         rng = np.random.default_rng(29)

@@ -3,7 +3,8 @@
 The package states what a valid design/response pair, a 0/1 response, a
 finite non-negative penalty, variance ratio or noise variance, a
 quantile in [0, 1], an index (an integer, not a bool) and a number (real,
-not a bool or a string) are. This
+not a bool or a string) are. Fold counts, fold seeds, grid sizes and
+weight lattice sizes are indices, and grid bounds are finite. This
 table feeds each malformed input to every public entry point that takes
 it and asserts the error class, so a check that one caller drops fails
 here whatever module the check lives in.
@@ -18,11 +19,13 @@ from ridge_relay import (
     CoefficientVector,
     CovariateRegistry,
     EstimatorState,
+    PenaltySearchConfig,
     StackedHistory,
     StateFileError,
     TrajectoryResult,
     UpdateRecord,
     ValidationError,
+    default_grid,
     estimate_noise_variance,
     estimate_xi,
     estimating_equation,
@@ -36,6 +39,7 @@ from ridge_relay import (
     irls_fit_grid,
     logistic_loglik,
     loo_ridge_grid,
+    make_folds,
     mixed_fixed_effects,
     mixed_moments,
     penalized_loglik,
@@ -246,3 +250,39 @@ def test_malformed_record_fields_are_rejected(field, value):
     cio.doc_to_state(record_document())  # the well-formed document reads
     with pytest.raises(StateFileError):
         cio.doc_to_state(record_document(**{field: value}))
+
+
+# name -> (call, well-formed arguments, malformed arguments) of a selection
+# input: an index that is not an integer (or is a bool), or a bound that is
+# not finite
+BAD_SELECTION_INPUTS = {
+    "PenaltySearchConfig seed 1.5": (PenaltySearchConfig, {"seed": 1}, {"seed": 1.5}),
+    "PenaltySearchConfig seed true": (PenaltySearchConfig, {"seed": 1}, {"seed": True}),
+    "PenaltySearchConfig k_folds 2.5": (PenaltySearchConfig, {"k_folds": 3},
+                                        {"k_folds": 2.5}),
+    "PenaltySearchConfig k_folds '3'": (PenaltySearchConfig, {"k_folds": 3},
+                                        {"k_folds": "3"}),
+    "PenaltySearchConfig weight_points 2.5": (PenaltySearchConfig, {"weight_points": 3},
+                                              {"weight_points": 2.5}),
+    "make_folds k 2.5": (make_folds, {"n": 10, "k": 2, "seed": 0},
+                         {"n": 10, "k": 2.5, "seed": 0}),
+    "make_folds seed -1": (make_folds, {"n": 10, "k": 2, "seed": 0},
+                           {"n": 10, "k": 2, "seed": -1}),
+    "make_folds seed 1.5": (make_folds, {"n": 10, "k": 2, "seed": 0},
+                            {"n": 10, "k": 2, "seed": 1.5}),
+    "make_folds seed true": (make_folds, {"n": 10, "k": 2, "seed": 0},
+                             {"n": 10, "k": 2, "seed": True}),
+    "default_grid points 2.5": (default_grid, {"points": 3}, {"points": 2.5}),
+    "default_grid points true": (default_grid, {"points": 3}, {"points": True}),
+    "default_grid max inf": (default_grid, {"grid_max": 1e6, "points": 3},
+                             {"grid_max": np.inf, "points": 3}),
+    "default_grid min nan": (default_grid, {"grid_min": 1e-4}, {"grid_min": np.nan}),
+}
+
+
+@pytest.mark.parametrize("call, good, bad", BAD_SELECTION_INPUTS.values(),
+                         ids=list(BAD_SELECTION_INPUTS))
+def test_malformed_selection_inputs_are_rejected(call, good, bad):
+    call(**good)
+    with pytest.raises(ValidationError):
+        call(**bad)

@@ -304,9 +304,16 @@ APPENDS = {
     "unknown covariate": appended(estimate={"a": 1.0, "zz": 2.0}),
     "wrong past form": appended(past="stacked"),
     "past wider than the registry": appended(past="too wide"),
-    "registry drops a name the records use": appended(estimate={"a": 1.0},
-                                                      registry=("a", "c")),
-    "registry reordered": appended(registry=("b", "a")),
+}
+
+# name -> a registry that does not keep ("a", "b", "c") first, in order
+NOT_EXTENDING = {
+    "reordered": ("b", "a", "c"),
+    "reordered and extended": ("a", "c", "b", "d"),
+    "drops a name no record uses": ("a", "b"),
+    "swaps a name no record uses for a new one": ("a", "c", "d"),
+    "drops a name the records use": ("b", "c", "d"),
+    "drops every name": ("d",),
 }
 
 
@@ -327,15 +334,20 @@ class TestWithUpdate:
             init_note=state.init_note, history=state.history + (record,), past=past))
         assert fast == full
 
-    def test_a_registry_without_an_old_name_takes_the_full_check(self):
-        """Dropping a name no record uses is accepted; dropping one the
-        initial target names is not, as in the full constructor."""
-        state = make_state(names=("a", "b", "c"), init=CoefficientVector({"a": 0.0}))
-        record = UpdateRecord(t=1, lam=1.0, estimate=CoefficientVector({"b": 1.0}))
-        advanced = state.with_update(CovariateRegistry(("a", "b")), record, None)
-        assert advanced.registry.names == ("a", "b")
+    @pytest.mark.parametrize("names", NOT_EXTENDING.values(), ids=list(NOT_EXTENDING))
+    def test_a_registry_that_does_not_extend_the_old_one_is_rejected(self, names):
+        """The registry is append-only. A reordered one would misalign the
+        past data, whose columns follow the old order, although the full
+        constructor accepts it; a dropped name is refused even where no
+        record or past column uses it."""
+        record = UpdateRecord(t=2, lam=1.0, estimate=CoefficientVector({"a": 2.0}))
+        history = (UpdateRecord(t=1, lam=1.0, estimate=CoefficientVector({"a": 1.0})),)
+        past = fold_triangular(None, np.ones((2, 1)), np.ones(2))
+        state = make_state(names=("a", "b", "c"), init=CoefficientVector({"a": 0.0}),
+                           history=history, past=past)
+        state.with_update(CovariateRegistry(("a", "b", "c", "d")), record, past)
         with pytest.raises(RegistryError):
-            state.with_update(CovariateRegistry(("b",)), record, None)
+            state.with_update(CovariateRegistry(names), record, past)
 
     def test_checks_only_the_added_record_whatever_the_history_length(self, monkeypatch):
         calls = []

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ridge_relay import (
     Batch,
@@ -38,7 +38,7 @@ from ridge_relay import (
 )
 from ridge_relay import logistic_estimator, penalty_tuning
 from ridge_relay.errors import ConvergenceError
-from ridge_relay.model_core import TargetSpec
+from ridge_relay.model_core import TargetSpec, mixture_target
 
 from irls_reference import reference_irls_fit
 
@@ -701,19 +701,20 @@ def selections(draw, family):
     return state, batch, cfg, spec
 
 
-def per_candidate_curve(state, batch, registry, grid, weight_options, target_map,
+def per_candidate_curve(state, batch, registry, grid, weight_options, targets,
                         k, seed, new_fraction):
     """The selection curve scored one candidate at a time: ``cv_score`` fits
     the batch's own columns, ``constraint_terms`` the registry's, over the
-    ``k`` folds dealt with ``seed``. Logistic fits come from the scalar
+    ``k`` folds dealt with ``seed``; ``targets`` holds one column over the
+    registry per weight option. Logistic fits come from the scalar
     reference IRLS, not the package's batched solver, so the comparison is
     between two independent solvers."""
     folds = make_folds(batch.n, k, seed, batch.y if state.family == "logistic" else None)
     curve = []
     with mock.patch.object(penalty_tuning, "irls_fit", reference_irls_fit):
         for lam in grid:
-            for w in weight_options:
-                target = target_map[w]
+            for j, w in enumerate(weight_options):
+                target = CoefficientVector.from_array(registry.names, targets[:, j])
                 score = cv_score(state.family, batch, lam,
                                  target.as_array(batch.covariates), folds)
                 if new_fraction is None:
@@ -913,8 +914,7 @@ class TestLogisticFoldLoopProperties:
             if spec is None:
                 target = penalty_tuning.assemble_target(state, registry.names)
             else:
-                target = penalty_tuning.mixture_target(spec.over(registry.names),
-                                                       cand.weights)
+                target = mixture_target(spec.over(registry.names), cand.weights)
             return irls_score_tolerance(batch, registry, cand, folds,
                                         target.as_array(registry.names))
 
@@ -923,6 +923,47 @@ class TestLogisticFoldLoopProperties:
             assert report.chosen_lambda == oracle.chosen_lambda
             assert report.chosen_weights == oracle.chosen_weights
             assert report.fallback_used == oracle.fallback_used
+
+
+# Entries of a target: signed zeros often, else any moderate value.
+TARGET_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def target_lattices(draw):
+    """A spec of 1-3 targets over up to four names, a weight option list (a
+    lattice, or one fixed weight vector) and a name order to lay them out in."""
+    size = draw(st.integers(1, 3))
+    names = tuple(f"x{j}" for j in range(draw(st.integers(1, 4))))
+    targets = tuple(
+        CoefficientVector(dict(zip(names, draw(st.lists(
+            TARGET_ENTRIES, min_size=len(names), max_size=len(names))))))
+        for _ in range(size))
+    if draw(st.booleans()):
+        options = penalty_tuning._weight_lattice(size, draw(st.integers(2, 6)))
+    else:
+        raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+        options = [tuple((raw / raw.sum()).tolist())]
+    order = draw(st.permutations(names))
+    return TargetSpec(targets), options, tuple(order)
+
+
+class TestTargetMatrixProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(target_lattices())
+    @example((TargetSpec((CoefficientVector({"a": -0.0, "b": -0.0}),)), [(1.0,)], ("b", "a")))
+    @example((TargetSpec((CoefficientVector({"a": -0.0}), CoefficientVector({"a": 2.0}),
+                          CoefficientVector({"a": -0.0}))),
+              penalty_tuning._weight_lattice(3, 3), ("a",)))
+    def test_columns_equal_mixture_target_bitwise(self, case):
+        """Every column is ``mixture_target`` of its weights over the name
+        order, signed zeros included: both sum the targets from zero."""
+        spec, options, names = case
+        got = penalty_tuning._target_matrix(spec, options, names)
+        want = np.column_stack([mixture_target(spec, w).as_array(names) for w in options])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite

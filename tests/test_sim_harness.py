@@ -28,6 +28,7 @@ from ridge_relay import (
     check_consistency_trajectory,
     check_moment_formulas,
     covariate_names,
+    fit_first_batch,
     fold_triangular,
     generate_batch,
     generate_batches,
@@ -382,6 +383,24 @@ class TestRunStudyRegularVsUpdated:
         for i, batch in enumerate(generate_batches(config, 0)):
             refit = irls_fit(batch.X, batch.y, regular.lambdas[0, i], zeros)
             np.testing.assert_array_equal(regular.estimates[0, i], refit.coef)
+
+
+    @pytest.mark.parametrize("family, n", [("linear", 8), ("logistic", 30)])
+    def test_each_refit_is_the_first_batch_fit_of_its_batch(self, family, n):
+        """The regular arm's refit of a batch, and its penalty, are the
+        initial target and penalty ``fit_first_batch`` makes of that batch
+        under the arm's selection, to the bit."""
+        config = ScenarioConfig(p=3, n=n, n_batches=3, n_replicates=2, family=family,
+                                beta_rule=(0.5, -0.5, 0.0), k_folds=3, grid_points=6,
+                                seed=29, tracked=(1, 2, 3))
+        regular, _ = run_study_regular_vs_updated(config)
+        names = covariate_names(config.p)
+        for r in range(config.n_replicates):
+            for i, batch in enumerate(generate_batches(config, r)):
+                state, report = fit_first_batch(batch, config.selection())
+                assert regular.lambdas[r, i] == report.chosen_lambda
+                np.testing.assert_array_equal(regular.estimates[r, i],
+                                              state.init_target.as_array(names))
 
 
 class TestThreadBound:
