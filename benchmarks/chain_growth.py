@@ -24,8 +24,7 @@ import timeit
 
 import numpy as np
 
-from ridge_relay import (Batch, CoefficientVector, CovariateRegistry, EstimatorState,
-                         update, update_logistic)
+from ridge_relay import Batch, start_state, update, update_logistic
 
 REPEATS = 5
 UPDATES_PER_REPEAT = 20
@@ -52,14 +51,9 @@ def batches(family: str, p: int, n: int, count: int, seed: int = 0) -> list[Batc
     return out
 
 
-def blank_state(family: str, names) -> EstimatorState:
-    return EstimatorState(family=family, registry=CovariateRegistry(names),
-                          init_target=CoefficientVector({n: 0.0 for n in names}))
-
-
 def grow(family: str, step, data: list[Batch], lengths) -> tuple[dict, dict]:
     """States at each length in ``lengths``, and the wall time to reach each."""
-    state = blank_state(family, data[0].covariates)
+    state = start_state(family, data[0].covariates)
     states, reached = {}, {}
     start = time.perf_counter()
     for batch in data[:max(lengths)]:

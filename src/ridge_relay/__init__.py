@@ -34,6 +34,7 @@ from .model_core import (
     fold_stacked,
     fold_triangular,
     mixture_target,
+    start_state,
 )
 from .linear_estimator import (
     LinearFit,
@@ -81,12 +82,8 @@ from .baselines import (
     stack_batches,
 )
 from .sim_harness import (
-    ConsistencyReport,
-    MomentCheckReport,
     ScenarioConfig,
     TrajectoryResult,
-    check_consistency_trajectory,
-    check_moment_formulas,
     covariate_names,
     generate_batch,
     generate_batches,

@@ -46,7 +46,7 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import Batch, _as_float_matrix, _check_nonnegative
+from .model_core import Batch, _as_float_matrix, _check_index, _check_nonnegative
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
 
 __all__ = [
@@ -300,7 +300,8 @@ DEFAULT_XI_GRID_POINTS = 25
 
 
 def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
-    """Log-spaced candidate variance ratios for ``estimate_xi``."""
+    """``points`` (an integer >= 1) log-spaced variance ratios for ``estimate_xi``."""
+    _check_index(points, 1, "points")
     return tuple(np.geomspace(1e-4, 1e4, points).tolist())
 
 

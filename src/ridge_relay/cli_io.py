@@ -66,6 +66,7 @@ from .model_core import (
     UpdateRecord,
     align_batch,
     assemble_target,
+    start_state,
 )
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
@@ -512,24 +513,14 @@ def cmd_init(args) -> int:
     report: dict = {"state": args.state, "family": args.family}
     if args.covariates:
         names = tuple(n.strip() for n in args.covariates.split(","))
-        state = EstimatorState(
-            family=args.family,
-            registry=CovariateRegistry(names),
-            init_target=CoefficientVector({n: 0.0 for n in names}),
-            init_note="zeros",
-        )
+        state = start_state(args.family, names)
         report["init"] = "zeros"
     elif args.target_file:
         doc = _load_json(args.target_file, "target file", ValidationError)
         if not isinstance(doc, dict) or not doc:
             raise ValidationError("target file must be a non-empty JSON object")
         target = CoefficientVector(doc)
-        state = EstimatorState(
-            family=args.family,
-            registry=CovariateRegistry(target.names()),
-            init_target=target,
-            init_note="target-file",
-        )
+        state = start_state(args.family, target.names(), target, "target-file")
         report["init"] = "target-file"
     else:
         if not args.response:

@@ -38,6 +38,7 @@ from .model_core import (
     mixture_target,
     _as_float_matrix,
     _as_float_vector,
+    _check_index,
     _check_nonnegative,
     _check_xy,
 )
@@ -343,8 +344,7 @@ def exact_moments_orthonormal(coef, target, lam: float, steps: int,
     if coef.shape != target.shape:
         raise ValidationError("coef and target must have the same length")
     lam = _check_nonnegative(lam, "penalty")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    _check_index(steps, 1, "steps")
     noise_var = _check_nonnegative(noise_var, "noise variance")
     r = lam / (1.0 + lam)
     mean = coef + r ** steps * (target - coef)

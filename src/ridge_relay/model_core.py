@@ -38,6 +38,7 @@ __all__ = [
     "StackedHistory",
     "PAST_FORMS",
     "EstimatorState",
+    "start_state",
     "fold_triangular",
     "fold_stacked",
     "align_batch",
@@ -91,6 +92,11 @@ def _check_binary(y: np.ndarray) -> None:
 def _is_index(value: Any) -> bool:
     """An integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_index(value: Any, least: int, what: str) -> None:
+    if not _is_index(value) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _is_number(value: Any) -> bool:
@@ -535,6 +541,22 @@ class EstimatorState:
         new.__dict__.update(self.__dict__, registry=registry,
                             history=self.history + (record,), past=past)
         return new
+
+
+def start_state(family: str, names: Sequence[str], target: CoefficientVector | None = None,
+                note: str = "zeros",
+                past: TriangularHistory | StackedHistory | None = None) -> EstimatorState:
+    """A state before any update (t = 0), the start of a chain.
+
+    The registry lists ``names`` in their order. The chain starts from
+    ``target``, zeros over ``names`` when none is given; ``note`` records
+    where the start came from, and ``past`` holds data folded in before
+    the first update (``None``: none).
+    """
+    if target is None:
+        target = CoefficientVector({n: 0.0 for n in names})
+    return EstimatorState(family=family, registry=CovariateRegistry(names),
+                          init_target=target, init_note=note, past=past)
 
 
 def align_batch(batch: Batch, registry: CovariateRegistry) -> np.ndarray:

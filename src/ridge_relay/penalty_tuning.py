@@ -55,11 +55,13 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     TargetSpec,
+    _check_index,
     _is_index,
     align_batch,
     assemble_target,
     fold_stacked,
     fold_triangular,
+    start_state,
 )
 from ._numerics import expit
 from .linear_estimator import (
@@ -92,11 +94,6 @@ __all__ = [
 DEFAULT_GRID_MIN = 1e-4
 DEFAULT_GRID_MAX = 1e6
 DEFAULT_GRID_POINTS = 50
-
-
-def _check_index(value, least: int, what: str) -> None:
-    if not _is_index(value) or value < least:
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def default_grid(grid_min: float = DEFAULT_GRID_MIN, grid_max: float = DEFAULT_GRID_MAX,
@@ -612,10 +609,7 @@ def _zero_target_fit(batch: Batch,
     The penalty comes from ``select_penalty`` on a zero-target state over
     the batch's covariates.
     """
-    names = batch.covariates
-    blank = EstimatorState(family=batch.family, registry=CovariateRegistry(names),
-                           init_target=CoefficientVector({n: 0.0 for n in names}))
-    report = select_penalty(blank, batch, config)
+    report = select_penalty(start_state(batch.family, batch.covariates), batch, config)
     coef = get_family(batch.family).fit(batch.X, batch.y, report.chosen_lambda,
                                         np.zeros(batch.p))
     return coef, report
@@ -630,8 +624,7 @@ def fit_first_batch(batch: Batch,
     evaluations see it as history.
     """
     coef, report = _zero_target_fit(batch, config)
-    state = EstimatorState(family=batch.family, registry=CovariateRegistry(batch.covariates),
-                           init_target=CoefficientVector.from_array(batch.covariates, coef),
-                           init_note="fit-first-batch",
-                           past=get_family(batch.family).fold(None, batch.X, batch.y))
+    state = start_state(batch.family, batch.covariates,
+                        CoefficientVector.from_array(batch.covariates, coef), "fit-first-batch",
+                        past=get_family(batch.family).fold(None, batch.X, batch.y))
     return state, report

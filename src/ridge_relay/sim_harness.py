@@ -12,23 +12,23 @@ Two study layouts are provided:
   mixed-model refit on all batches seen so far, under a generating model
   whose coefficients get a fresh per-batch disturbance.
 
+Each study fixes how its chains start (``initial_state``): the regular
+study from a zero-target ridge fit of a sacrificed t = 0 batch, the mixed
+study from zeros and from the generating coefficients, one chain each.
 Both return per-replicate trajectories of a few tracked coordinates plus
-squared-error losses, summarized by quantile bands. The module also has a
-single-trajectory consistency check under a deterministic penalty rule,
-and a Monte Carlo cross-check of the exact moment formulas.
+squared-error losses, summarized by quantile bands.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import FAMILIES, Batch, CoefficientVector, CovariateRegistry, EstimatorState
-from .linear_estimator import MomentReport, exact_moments_general, _penalized_normal_factor
+from .model_core import FAMILIES, Batch, CoefficientVector, EstimatorState, start_state
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -42,7 +42,6 @@ from .penalty_tuning import (
 )
 from .baselines import DEFAULT_XI_GRID_POINTS, _PooledRefit, default_xi_grid
 from .parallel import parallel_map
-from ._numerics import cho_solve
 
 __all__ = [
     "ScenarioConfig",
@@ -55,10 +54,6 @@ __all__ = [
     "TrajectoryResult",
     "run_study_regular_vs_updated",
     "run_study_mixed_vs_updated",
-    "ConsistencyReport",
-    "check_consistency_trajectory",
-    "MomentCheckReport",
-    "check_moment_formulas",
 ]
 
 _BASE_TRACKED = (1, 21, 51, 71, 101)
@@ -91,10 +86,8 @@ class ScenarioConfig:
     for j = 0..p-1, which at p = 101 is (j - 50)/20) or an explicit
     vector of length p. ``batch_effect_var`` adds a fresh Gaussian
     disturbance to the coefficients of every batch; ``empty_every`` makes
-    every k-th batch carry no signal at all. ``init_mode`` sets how a
-    single chain is initialized: a zero target, the generating
-    coefficients, or a zero-target ridge fit of a sacrificed extra batch.
-    ``constrained=None`` defers to each study's own convention.
+    every k-th batch carry no signal at all. ``constrained=None`` defers
+    to each study's own convention.
     """
 
     study: str = "regular-vs-updated"
@@ -108,7 +101,6 @@ class ScenarioConfig:
     batch_effect_var: float = 0.0
     empty_every: int | None = None
     orthonormal: bool = False
-    init_mode: str = "zero-target"
     seed: int = 0
     k_folds: int | None = None
     constrained: bool | None = None
@@ -154,10 +146,10 @@ class ScenarioConfig:
             raise ValidationError("empty_every must be >= 2 (or None)")
         if self.orthonormal and self.n < self.p:
             raise ValidationError("orthonormal designs need n >= p")
-        if self.init_mode not in ("zero-target", "truth-target", "ridge-on-first-batch"):
-            raise ValidationError(f"unknown init mode {self.init_mode!r}")
         if self.tracked is not None:
             tracked = tuple(int(v) for v in self.tracked)
+            if not tracked:
+                raise ValidationError("tracked needs at least one position (or None)")
             if any(v < 1 or v > self.p for v in tracked):
                 raise ValidationError("tracked positions are 1-based in 1..p")
             object.__setattr__(self, "tracked", tracked)
@@ -381,27 +373,27 @@ def _run_replicates(config: ScenarioConfig, names: Sequence[str],
                  for s, name in enumerate(names))
 
 
-def initial_state(config: ScenarioConfig, replicate: int) -> EstimatorState:
-    """Chain starting point for one replicate, per the scenario's init mode.
+def initial_state(config: ScenarioConfig, replicate: int, start: str) -> EstimatorState:
+    """Chain starting point for one replicate.
 
-    ``zero-target`` and ``truth-target`` start from zeros or from the
-    generating coefficients. ``ridge-on-first-batch`` sacrifices the
-    replicate's t = 0 batch to a zero-target fit of the scenario's family
-    (penalty by leave-one-out cross-validation) and uses that fit as the
-    initial target; the sacrificed batch is folded into the state's past
-    data so later constraint evaluations see it as history.
+    ``start`` is ``zero-target`` or ``truth-target``, zeros or the
+    generating coefficients, or ``ridge-on-first-batch``: that sacrifices
+    the replicate's t = 0 batch to a zero-target fit of the scenario's
+    family (penalty by leave-one-out cross-validation) and uses that fit as
+    the initial target; the sacrificed batch is folded into the state's
+    past data so later constraint evaluations see it as history.
     """
-    if config.init_mode == "ridge-on-first-batch":
+    names = covariate_names(config.p)
+    if start == "zero-target":
+        return start_state(config.family, names)
+    if start == "truth-target":
+        return start_state(config.family, names,
+                           CoefficientVector.from_array(names, resolve_beta(config)), "truth")
+    if start == "ridge-on-first-batch":
         sel0 = PenaltySearchConfig(k_folds=None, constrained=False, grid=config.grid(),
                                    seed=config.seed)
         return fit_first_batch(generate_batch(config, replicate, 0), sel0)[0]
-    names = covariate_names(config.p)
-    if config.init_mode == "truth-target":
-        init, note = CoefficientVector.from_array(names, resolve_beta(config)), "truth"
-    else:
-        init, note = CoefficientVector({n: 0.0 for n in names}), "zeros"
-    return EstimatorState(family=config.family, registry=CovariateRegistry(names),
-                          init_target=init, init_note=note)
+    raise ValidationError(f"unknown chain start {start!r}")
 
 
 def _record(beta: np.ndarray, cols: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, float]:
@@ -421,19 +413,17 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
     """
     beta = resolve_beta(config)
     cols = np.array(tracked_positions(config)) - 1
-    sel_plain = config.selection()
-    sel_chain = config.selection()
-    init_config = replace(config, init_mode="ridge-on-first-batch")
+    sel = config.selection()
     family = get_family(config.family)
 
     def one_replicate(r: int, est, loss, lam):
-        state = initial_state(init_config, r)
+        state = initial_state(config, r, "ridge-on-first-batch")
         for i, batch in enumerate(generate_batches(config, r)):
-            refit, rep = _zero_target_fit(batch, sel_plain)
+            refit, rep = _zero_target_fit(batch, sel)
             est[0, i], loss[0, i] = _record(beta, cols, refit)
             lam[0, i] = rep.chosen_lambda
 
-            rep = select_penalty(state, batch, sel_chain)
+            rep = select_penalty(state, batch, sel)
             state = family.update(state, batch, rep.chosen_lambda)
             coef = state.current.as_array(batch.covariates)
             est[1, i], loss[1, i] = _record(beta, cols, coef)
@@ -459,10 +449,9 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
     sel_chain = config.selection(constrained_default=True)
     ratio_grid = default_xi_grid(config.mixed_ratio_grid_points)
     family = get_family(config.family)
-    chain_configs = [replace(config, init_mode=mode) for mode in ("zero-target", "truth-target")]
 
     def one_replicate(r: int, est, loss, lam):
-        states = [initial_state(chain_config, r) for chain_config in chain_configs]
+        states = [initial_state(config, r, start) for start in ("zero-target", "truth-target")]
         pooled = _PooledRefit(ratio_grid)
         for i, batch in enumerate(generate_batches(config, r)):
             pooled.add(batch)
@@ -482,104 +471,3 @@ def run_study_mixed_vs_updated(config: ScenarioConfig):
 
     return _run_replicates(config, ("mixed", "updated-zero-init", "updated-truth-init"),
                            one_replicate)
-
-
-@dataclass
-class ConsistencyReport:
-    """Single-trajectory behaviour under a deterministic penalty rule."""
-
-    t_values: np.ndarray
-    losses: np.ndarray
-    lambdas: np.ndarray
-    condition_met: bool
-    ratio: float
-    trend_ok: bool | None
-
-
-def check_consistency_trajectory(config: ScenarioConfig,
-                                 lambda_rule: Callable[[Batch], float] | None = None
-                                 ) -> ConsistencyReport:
-    """Run replicate 0's chain and report how the estimation error evolves.
-
-    The default penalty rule is 2.2 times the squared largest singular
-    value of the batch design, which keeps each step's shrinkage factor
-    bounded away from 1. ``condition_met`` records whether the rule used
-    stayed at or above twice the squared largest singular value at every
-    step; only then is the error trend asserted-worthy, and ``trend_ok``
-    says whether the last error is below 0.2 times the first. It is None
-    otherwise (diagnostic mode for deliberately bad rules).
-    """
-    if lambda_rule is None:
-        def lambda_rule(batch: Batch) -> float:
-            top = np.linalg.norm(batch.X, 2)
-            return 2.2 * top * top
-    beta = resolve_beta(config)
-    state = initial_state(config, 0)
-    T = config.n_batches
-    losses = np.empty(T)
-    lambdas = np.empty(T)
-    condition_met = True
-    for i, batch in enumerate(generate_batches(config, 0)):
-        lam = float(lambda_rule(batch))
-        top = np.linalg.norm(batch.X, 2)
-        if lam < 2.0 * top * top:
-            condition_met = False
-        state = get_family(config.family).update(state, batch, lam)
-        coef = state.current.as_array(covariate_names(config.p))
-        losses[i] = float(np.linalg.norm(coef - beta))
-        lambdas[i] = lam
-    ratio = float(losses[-1] / losses[0]) if losses[0] > 0 else 0.0
-    trend_ok = (ratio < 0.2) if condition_met else None
-    return ConsistencyReport(t_values=np.arange(1, T + 1), losses=losses,
-                             lambdas=lambdas, condition_met=condition_met,
-                             ratio=ratio, trend_ok=trend_ok)
-
-
-@dataclass
-class MomentCheckReport:
-    """Monte Carlo agreement with the exact moment recursions."""
-
-    exact: MomentReport
-    mc_mean: np.ndarray
-    mc_cov: np.ndarray
-    max_mean_z: float
-    max_cov_z: float
-    n_mc: int
-
-
-def check_moment_formulas(designs: Sequence[np.ndarray], lams: Sequence[float],
-                          coef, target, noise_var: float, n_mc: int = 20000,
-                          seed: int = 0) -> MomentCheckReport:
-    """Simulate the chain n_mc times and standardize against the exact moments.
-
-    Returns the largest mean and covariance discrepancies in standard
-    error units; values of a few are consistent with exact formulas.
-    """
-    coef = np.asarray(coef, dtype=float)
-    target = np.asarray(target, dtype=float)
-    exact = exact_moments_general(designs, lams, coef, target, noise_var)
-    p = coef.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    sd = np.sqrt(float(noise_var))
-    B = np.tile(target, (n_mc, 1))
-    for X_t, lam_t in zip(designs, lams):
-        X_t = np.asarray(X_t, dtype=float)
-        factor = _penalized_normal_factor(X_t.T @ X_t, float(lam_t))
-        signal = X_t @ coef
-        eps = sd * rng.standard_normal((n_mc, X_t.shape[0]))
-        rhs = (signal + eps) @ X_t + lam_t * B
-        B = cho_solve(factor, rhs.T).T
-    mc_mean = B.mean(axis=0)
-    mc_cov = np.atleast_2d(np.cov(B, rowvar=False, ddof=1))
-    sd_mean = np.sqrt(np.diag(exact.covariance) / n_mc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_z = np.abs(mc_mean - exact.mean) / sd_mean
-    mean_z[~np.isfinite(mean_z)] = 0.0
-    v = exact.covariance
-    se_cov = np.sqrt((np.outer(np.diag(v), np.diag(v)) + v ** 2) / max(n_mc - 1, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cov_z = np.abs(mc_cov - v) / se_cov
-    cov_z[~np.isfinite(cov_z)] = 0.0
-    return MomentCheckReport(exact=exact, mc_mean=mc_mean, mc_cov=mc_cov,
-                             max_mean_z=float(mean_z.max() if p else 0.0),
-                             max_cov_z=float(cov_z.max()), n_mc=n_mc)

@@ -10,7 +10,8 @@ bypassing capture) of the form::
 A FAIL line carries the measured quantity that broke the bound. The
 checks are deliberately independent of the unit suites: oracles are
 re-derived here (brute-force minimizers, finite differences, Monte
-Carlo) rather than imported.
+Carlo) rather than imported, except the Monte Carlo moment check and the
+consistency trajectory, which come from ``sim_checks.py``.
 """
 
 import json
@@ -35,8 +36,6 @@ from ridge_relay import (
     PenaltySearchConfig,
     ScenarioConfig,
     assemble_target,
-    check_consistency_trajectory,
-    check_moment_formulas,
     constraint_terms,
     estimate_xi,
     estimating_equation,
@@ -55,6 +54,7 @@ from ridge_relay import (
     update,
     update_logistic,
 )
+from sim_checks import check_consistency_trajectory, check_moment_formulas
 
 
 def verdict(capfd, idx, label, ok, detail=""):

@@ -1007,6 +1007,15 @@ BAD_JSON_VALUES = {
     "scenario-list": lambda tmp: scenario_args(tmp, [{"p": 3}]),
     "scenario-negative-seed": lambda tmp: scenario_args(
         tmp, {"study": "regular-vs-updated", "p": 3, "seed": -1}),
+    "scenario-init-mode": lambda tmp: scenario_args(
+        tmp, {"study": "regular-vs-updated", "p": 3, "n_batches": 2, "n_replicates": 1,
+              "grid_points": 4, "init_mode": "truth-target"}),
+    "scenario-negative-ratio-grid": lambda tmp: scenario_args(
+        tmp, {"study": "mixed-vs-updated", "p": 3, "n": 4, "n_batches": 2, "n_replicates": 1,
+              "grid_points": 4, "mixed_ratio_grid_points": -1}),
+    "scenario-empty-tracked": lambda tmp: scenario_args(
+        tmp, {"study": "regular-vs-updated", "p": 3, "n_batches": 2, "n_replicates": 1,
+              "grid_points": 4, "tracked": []}),
 }
 
 

@@ -3,8 +3,9 @@
 The package states what a valid design/response pair, a 0/1 response, a
 finite non-negative penalty, variance ratio or noise variance, a
 quantile in [0, 1], an index (an integer, not a bool) and a number (real,
-not a bool or a string) are. Fold counts, fold seeds, grid sizes and
-weight lattice sizes are indices, and grid bounds are finite. This
+not a bool or a string) are. Fold counts, fold seeds, grid sizes, weight
+lattice sizes and moment step counts are indices, and grid bounds are
+finite. This
 table feeds each malformed input to every public entry point that takes
 it and asserts the error class, so a check that one caller drops fails
 here whatever module the check lives in.
@@ -26,6 +27,7 @@ from ridge_relay import (
     UpdateRecord,
     ValidationError,
     default_grid,
+    default_xi_grid,
     estimate_noise_variance,
     estimate_xi,
     estimating_equation,
@@ -252,9 +254,13 @@ def test_malformed_record_fields_are_rejected(field, value):
         cio.doc_to_state(record_document(**{field: value}))
 
 
+def moments_after(steps):
+    return exact_moments_orthonormal(ZERO, ZERO, 1.0, steps, 1.0)
+
+
 # name -> (call, well-formed arguments, malformed arguments) of a selection
-# input: an index that is not an integer (or is a bool), or a bound that is
-# not finite
+# or moment input: an index that is not an integer (or is a bool, or is too
+# small), or a bound that is not finite
 BAD_SELECTION_INPUTS = {
     "PenaltySearchConfig seed 1.5": (PenaltySearchConfig, {"seed": 1}, {"seed": 1.5}),
     "PenaltySearchConfig seed true": (PenaltySearchConfig, {"seed": 1}, {"seed": True}),
@@ -277,6 +283,10 @@ BAD_SELECTION_INPUTS = {
     "default_grid max inf": (default_grid, {"grid_max": 1e6, "points": 3},
                              {"grid_max": np.inf, "points": 3}),
     "default_grid min nan": (default_grid, {"grid_min": 1e-4}, {"grid_min": np.nan}),
+    "default_xi_grid points -1": (default_xi_grid, {"points": 3}, {"points": -1}),
+    "default_xi_grid points 2.5": (default_xi_grid, {"points": 3}, {"points": 2.5}),
+    "exact_moments_orthonormal steps 2.5": (moments_after, {"steps": 2}, {"steps": 2.5}),
+    "exact_moments_orthonormal steps true": (moments_after, {"steps": 2}, {"steps": True}),
 }
 
 

@@ -21,6 +21,7 @@ from ridge_relay import (
     fold_stacked,
     fold_triangular,
     mixture_target,
+    start_state,
 )
 
 
@@ -451,6 +452,23 @@ class TestEstimatorState:
             UpdateRecord(t=0, lam=1.0, estimate=estimate)
         with pytest.raises(ValidationError):
             UpdateRecord(t=1, lam=-0.5, estimate=estimate)
+
+
+class TestStartState:
+    def test_a_fresh_state_over_the_names(self):
+        state = start_state("logistic", ("b", "a"))
+        assert state.registry == CovariateRegistry(("b", "a"))
+        assert state.family == "logistic" and state.t == 0 and state.history == ()
+        assert dict(state.current.values) == {"b": 0.0, "a": 0.0}
+        assert state.init_note == "zeros" and state.past is None
+
+    def test_a_given_target_note_and_past_are_kept(self):
+        target = CoefficientVector({"a": 1.5, "b": -2.0})
+        past = fold_triangular(None, np.ones((3, 2)), np.arange(3.0))
+        state = start_state("linear", ("a", "b"), target, "truth", past=past)
+        assert state.t == 0 and state.current is target
+        assert state.init_note == "truth" and state.past is past
+        assert start_state("linear", ("a", "b"), target).past is None
 
 
 class TestPastData:

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +24,6 @@ from ridge_relay import (
     ScenarioConfig,
     TrajectoryResult,
     ValidationError,
-    check_consistency_trajectory,
-    check_moment_formulas,
     covariate_names,
     fit_first_batch,
     fold_triangular,
@@ -42,6 +39,7 @@ from ridge_relay import (
     update,
 )
 from ridge_relay import baselines
+from sim_checks import check_consistency_trajectory, check_moment_formulas
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -60,7 +58,6 @@ class TestScenarioConfig:
         assert config.n_batches == 25 and config.n_replicates == 100
         assert config.noise_var == 0.04
         assert config.beta_rule == "ramp"
-        assert config.init_mode == "zero-target"
 
     def test_validation_rejects_bad_fields(self):
         with pytest.raises(ValidationError):
@@ -82,7 +79,7 @@ class TestScenarioConfig:
         with pytest.raises(ValidationError):
             ScenarioConfig(p=4, tracked=(0, 2))
         with pytest.raises(ValidationError):
-            ScenarioConfig(init_mode="oracle")
+            ScenarioConfig(p=4, tracked=())
 
     @pytest.mark.parametrize("field,value", [("p", "11"), ("seed", 1.5),
                                              ("n_replicates", True), ("seed", -1)])
@@ -299,20 +296,20 @@ class TestTrajectoryResult:
 class TestInitialState:
     def test_zero_mode_starts_at_the_origin(self):
         config = small_config()
-        state = initial_state(config, 0)
+        state = initial_state(config, 0, "zero-target")
         assert state.t == 0 and state.past is None
         assert all(v == 0.0 for v in state.current.values.values())
 
     def test_truth_mode_starts_at_the_generating_vector(self):
-        config = small_config(init_mode="truth-target")
-        state = initial_state(config, 0)
+        config = small_config()
+        state = initial_state(config, 0, "truth-target")
         np.testing.assert_array_equal(
             state.current.as_array(covariate_names(config.p)),
             resolve_beta(config))
 
     def test_fit_mode_consumes_a_dedicated_initialization_batch(self):
-        config = small_config(init_mode="ridge-on-first-batch")
-        state = initial_state(config, 2)
+        config = small_config()
+        state = initial_state(config, 2, "ridge-on-first-batch")
         init_batch = generate_batch(config, 2, 0)
         assert state.past.rows == init_batch.n
         np.testing.assert_array_equal(
@@ -325,6 +322,10 @@ class TestInitialState:
             rhs = init_batch.X.T @ init_batch.y
             residual_gap.append(np.max(np.abs(lhs - rhs)))
         assert min(residual_gap) < 1e-8
+
+    def test_an_unknown_start_is_rejected(self):
+        with pytest.raises(ValidationError, match="unknown chain start"):
+            initial_state(small_config(), 0, "oracle")
 
 
 class TestRunStudyRegularVsUpdated:
@@ -376,7 +377,7 @@ class TestRunStudyRegularVsUpdated:
         sel0 = PenaltySearchConfig(k_folds=None, constrained=False, grid=config.grid(),
                                    seed=config.seed)
         lam0 = select_penalty(blank, batch0, sel0).chosen_lambda
-        init = initial_state(replace(config, init_mode="ridge-on-first-batch"), 0)
+        init = initial_state(config, 0, "ridge-on-first-batch")
         np.testing.assert_array_equal(init.init_target.as_array(names),
                                       irls_fit(batch0.X, batch0.y, lam0, zeros).coef)
         regular, _ = run_study_regular_vs_updated(config)
@@ -419,7 +420,7 @@ class TestThreadBound:
     def test_logistic_selection_opens_no_pool(self, threads):
         config = ScenarioConfig(p=3, n=20, family="logistic", beta_rule=(0.5, -0.5, 0.0),
                                 grid_points=4, seed=3)
-        state = initial_state(config, 0)
+        state = initial_state(config, 0, "zero-target")
         select_penalty(state, generate_batch(config, 0, 1),
                        PenaltySearchConfig(k_folds=3, grid=config.grid()))
         assert threads == []
@@ -564,7 +565,7 @@ class TestGeometricBiasDecay:
         reps, T, lam = 600, 6, 1.0
         estimates = np.empty((reps, T, 3))
         for r in range(reps):
-            state = initial_state(config, r)
+            state = initial_state(config, r, "zero-target")
             for i, batch in enumerate(generate_batches(config, r)):
                 state = update(state, batch, lam)
                 estimates[r, i] = state.current.as_array(names)
