@@ -5,26 +5,35 @@
 Prints one JSON document. For each family a chain is grown in process
 through the public ``update`` (linear, at the stream-linear sizes p = 20,
 n = 50) or ``update_logistic`` (stream-logistic sizes p = 10, n = 100),
-with the fixed penalty the benchmark's pre-grow uses. Two figures per
-history length T, each the median over repeats, in milliseconds:
+with the fixed penalty the benchmark's pre-grow uses. Three figures per
+history length T:
 
-* ``update_ms``: one update of a state that holds T records;
-* ``chain_ms``: growing the chain from no record to T records.
+* ``update_ms``: one update of a state that holds T records (median over
+  repeats, milliseconds);
+* ``chain_ms``: growing the chain from no record to T records (median
+  over repeats, milliseconds);
+* ``state_mb``: the size of that state's file as ``write_state`` writes
+  it (10^6 bytes, as the benchmark's ``state_mb``).
 
 A cost that does not grow with the history keeps ``update_ms`` flat in T
-and ``chain_ms`` linear in T. NumPy is the only requirement.
+and ``chain_ms`` linear in T. A linear state keeps a triangular factor,
+so only its records grow with T; a logistic state keeps every past row.
+NumPy is the only requirement.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
+import tempfile
 import time
 import timeit
 
 import numpy as np
 
 from ridge_relay import Batch, start_state, update, update_logistic
+from ridge_relay.cli_io import write_state
 
 REPEATS = 5
 UPDATES_PER_REPEAT = 20
@@ -64,6 +73,14 @@ def grow(family: str, step, data: list[Batch], lengths) -> tuple[dict, dict]:
     return states, reached
 
 
+def state_mb(state) -> float:
+    """Size of the state file ``write_state`` writes for ``state``, in 10^6 bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        write_state(state, path)
+        return os.path.getsize(path) / 1e6
+
+
 def measure(family: str, step, p: int, n: int, lengths) -> dict:
     data = batches(family, p, n, max(lengths) + 1)
     chain_runs = []
@@ -78,12 +95,14 @@ def measure(family: str, step, p: int, n: int, lengths) -> dict:
         update_ms[str(T)] = round(statistics.median(runs) / UPDATES_PER_REPEAT * 1e3, 4)
     chain_ms = {str(T): round(statistics.median(run[T] for run in chain_runs), 3)
                 for T in lengths}
-    return {"p": p, "n": n, "lam": LAM, "update_ms": update_ms, "chain_ms": chain_ms}
+    sizes = {str(T): round(state_mb(states[T]), 4) for T in lengths}
+    return {"p": p, "n": n, "lam": LAM, "update_ms": update_ms, "chain_ms": chain_ms,
+            "state_mb": sizes}
 
 
 def main() -> None:
     doc = {"repeats": REPEATS, "updates_per_repeat": UPDATES_PER_REPEAT,
-           "statistic": "median ms"}
+           "statistic": "median ms (update_ms, chain_ms)"}
     for family, spec in CHAINS.items():
         doc[family] = measure(family, spec["step"], spec["p"], spec["n"], spec["lengths"])
     print(json.dumps(doc, indent=2))

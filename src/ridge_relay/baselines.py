@@ -39,14 +39,13 @@ no-memory baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import Batch, _as_float_matrix, _check_index, _check_nonnegative
+from .model_core import Batch, _Record, _as_float_matrix, _check_index, _check_nonnegative
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
 
 __all__ = [
@@ -62,27 +61,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StackedData:
+class StackedData(_Record):
     """Batches 1..t stacked for a pooled refit, block structure kept.
 
     ``batch_boundaries`` holds the half-open row range of each batch
     inside the stack, in batch order and covering every row exactly once.
     """
 
-    y_stack: np.ndarray
-    x_stack: np.ndarray
-    batch_boundaries: tuple[tuple[int, int], ...]
+    _fields = ("y_stack", "x_stack", "batch_boundaries")
 
-    def __post_init__(self) -> None:
-        X = np.asarray(self.x_stack, dtype=float)
-        y = np.asarray(self.y_stack, dtype=float)
+    def __init__(self, y_stack: np.ndarray, x_stack: np.ndarray,
+                 batch_boundaries: tuple[tuple[int, int], ...]) -> None:
+        X = np.asarray(x_stack, dtype=float)
+        y = np.asarray(y_stack, dtype=float)
         if X.ndim != 2:
             raise ValidationError("x_stack must be 2-dimensional")
         if y.shape != (X.shape[0],):
             raise ValidationError(
                 f"y_stack has shape {y.shape} for {X.shape[0]} stacked rows")
-        bounds = tuple((int(a), int(b)) for a, b in self.batch_boundaries)
+        bounds = tuple((int(a), int(b)) for a, b in batch_boundaries)
         if not bounds:
             raise ValidationError("stacked data needs at least one batch")
         expect = 0
@@ -93,9 +90,7 @@ class StackedData:
             expect = stop
         if expect != X.shape[0]:
             raise ValidationError("batch boundaries must cover every stacked row")
-        object.__setattr__(self, "y_stack", y)
-        object.__setattr__(self, "x_stack", X)
-        object.__setattr__(self, "batch_boundaries", bounds)
+        self.__dict__.update(y_stack=y, x_stack=X, batch_boundaries=bounds)
 
     @property
     def n(self) -> int:
@@ -140,19 +135,19 @@ def stack_batches(batches: Sequence[Batch]) -> StackedData:
                        batch_boundaries=tuple(bounds))
 
 
-@dataclass(frozen=True)
-class MixedFit:
+class MixedFit(_Record):
     """Mixed-model refit at the likelihood-chosen variance ratio.
 
     ``xi`` is the ratio of the per-batch coefficient-deviation variance
     ``sigma_gamma_sq`` to the noise variance ``sigma_eps_sq``.
     """
 
-    fixed_effects: np.ndarray
-    xi: float
-    sigma_eps_sq: float
-    sigma_gamma_sq: float
-    profile_loglik: float
+    _fields = ("fixed_effects", "xi", "sigma_eps_sq", "sigma_gamma_sq", "profile_loglik")
+
+    def __init__(self, fixed_effects: np.ndarray, xi: float, sigma_eps_sq: float,
+                 sigma_gamma_sq: float, profile_loglik: float) -> None:
+        self.__dict__.update(fixed_effects=fixed_effects, xi=xi, sigma_eps_sq=sigma_eps_sq,
+                             sigma_gamma_sq=sigma_gamma_sq, profile_loglik=profile_loglik)
 
 
 def _block_spectrum(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

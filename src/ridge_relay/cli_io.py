@@ -51,7 +51,6 @@ import re
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,6 +63,7 @@ from .model_core import (
     FAMILIES,
     PAST_FORMS,
     UpdateRecord,
+    _Record,
     align_batch,
     assemble_target,
     start_state,
@@ -132,9 +132,9 @@ def state_to_doc(state: EstimatorState) -> dict:
     past = None
     if state.past is not None:
         past = {}
-        for f in fields(state.past):
-            value = getattr(state.past, f.name)
-            past[f.name] = _encode_array(value) if isinstance(value, np.ndarray) else value
+        for name in state.past._fields:
+            value = getattr(state.past, name)
+            past[name] = _encode_array(value) if isinstance(value, np.ndarray) else value
     return {
         "schema": STATE_SCHEMA,
         "family": state.family,
@@ -424,22 +424,22 @@ def read_covariate_csv(path: str, registry: CovariateRegistry,
 # ---------------------------------------------------------------------------
 # plot datasets
 
-@dataclass(frozen=True)
-class PlotDataset:
-    """A flat table destined for plotting, plus its metadata sidecar."""
+class PlotDataset(_Record):
+    """A flat table destined for plotting, plus its metadata sidecar
+    (``metadata`` defaults to an empty dict)."""
 
-    name: str
-    columns: dict[str, list]
-    metadata: dict = field(default_factory=dict)
+    _fields = ("name", "columns", "metadata")
 
-    def __post_init__(self) -> None:
-        if not self.name or "/" in self.name:
+    def __init__(self, name: str, columns: dict[str, list], metadata: dict | None = None) -> None:
+        if not name or "/" in name:
             raise ValidationError("dataset names must be non-empty and path-free")
-        if not self.columns:
+        if not columns:
             raise ValidationError("a plot dataset needs at least one column")
-        lengths = {len(v) for v in self.columns.values()}
+        lengths = {len(v) for v in columns.values()}
         if len(lengths) != 1:
             raise ValidationError("all columns must have the same length")
+        self.__dict__.update(name=name, columns=columns,
+                             metadata={} if metadata is None else metadata)
 
 
 def write_plot_dataset(dataset: PlotDataset, out_dir: str) -> tuple[str, str]:

@@ -19,7 +19,6 @@ orthonormal designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +31,7 @@ from .model_core import (
     EstimatorState,
     TargetSpec,
     UpdateRecord,
+    _Record,
     align_batch,
     assemble_target,
     fold_triangular,
@@ -56,23 +56,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(_Record):
     """Solution of one targeted ridge problem."""
 
-    coef: np.ndarray
-    lam: float
-    target: np.ndarray
-    residual_sse: float
+    _fields = ("coef", "lam", "target", "residual_sse")
+
+    def __init__(self, coef: np.ndarray, lam: float, target: np.ndarray,
+                 residual_sse: float) -> None:
+        self.__dict__.update(coef=coef, lam=lam, target=target, residual_sse=residual_sse)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """Exact sampling moments of a sequential estimate."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    noise_var: float
+    _fields = ("mean", "covariance", "noise_var")
+
+    def __init__(self, mean: np.ndarray, covariance: np.ndarray, noise_var: float) -> None:
+        self.__dict__.update(mean=mean, covariance=covariance, noise_var=noise_var)
 
 
 def _check_xy_target(X, y, target, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

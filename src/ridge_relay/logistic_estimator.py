@@ -24,7 +24,6 @@ same solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ from .model_core import (
     Batch,
     EstimatorState,
     TargetSpec,
+    _Record,
     fold_stacked,
     _check_binary,
     _check_nonnegative,
@@ -60,8 +60,7 @@ _EPS = float(np.finfo(float).eps)
 _BLOCK_ELEMENTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class LogisticFit:
+class LogisticFit(_Record):
     """Converged IRLS solution.
 
     ``loglik`` is the penalized log-likelihood at the solution and
@@ -69,13 +68,15 @@ class LogisticFit:
     the initial point, so callers can verify monotone ascent.
     """
 
-    coef: np.ndarray
-    lam: float
-    target: np.ndarray
-    iterations: int
-    final_gradient_norm: float
-    loglik: float
-    loglik_path: tuple[float, ...]
+    _fields = ("coef", "lam", "target", "iterations", "final_gradient_norm", "loglik",
+               "loglik_path")
+
+    def __init__(self, coef: np.ndarray, lam: float, target: np.ndarray, iterations: int,
+                 final_gradient_norm: float, loglik: float,
+                 loglik_path: tuple[float, ...]) -> None:
+        self.__dict__.update(coef=coef, lam=lam, target=target, iterations=iterations,
+                             final_gradient_norm=final_gradient_norm, loglik=loglik,
+                             loglik_path=loglik_path)
 
 
 def logistic_loglik(X, y, coef) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -114,24 +113,58 @@ def _check_nonnegative(value: Any, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class CovariateRegistry:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``_fields`` and sets each of them once,
+    in its own ``__init__``, through ``self.__dict__``. Assigning or
+    deleting an attribute afterwards raises ``AttributeError``, and
+    ``repr``, ``==`` and ``hash`` work over the field values in
+    ``_fields`` order, as a frozen dataclass's do. A plain class is built
+    at import without compiling generated methods, which a frozen
+    dataclass does for each class.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class CovariateRegistry(_Record):
     """Ordered, append-only collection of covariate names.
 
     The position of a name in ``names`` is its column index in every
     aligned design matrix and serialized coefficient layout.
     """
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        names = tuple(str(n) for n in self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: tuple[str, ...]) -> None:
+        names = tuple(str(n) for n in names)
         if any(not n for n in names):
             raise RegistryError("covariate names must be non-empty strings")
         if len(set(names)) != len(names):
             raise RegistryError("covariate names must be unique")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        self.__dict__.update(names=names, _index={n: i for i, n in enumerate(names)})
 
     @property
     def size(self) -> int:
@@ -157,8 +190,7 @@ class CovariateRegistry:
         return CovariateRegistry(self.names + tuple(new))
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(_Record):
     """One batch of observations.
 
     ``covariates`` names the columns of ``X``. For the logistic family the
@@ -166,33 +198,27 @@ class Batch:
     can be shared without aliasing surprises.
     """
 
-    t: int
-    X: np.ndarray
-    y: np.ndarray
-    covariates: tuple[str, ...]
-    family: str = "linear"
+    _fields = ("t", "X", "y", "covariates", "family")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not _is_index(self.t) or self.t < 0:
-            raise ValidationError(f"batch index t must be a non-negative integer, got {self.t!r}")
-        object.__setattr__(self, "t", int(self.t))
-        X, y = _check_xy(self.X, self.y, "", nonempty=True)
+    def __init__(self, t: int, X: np.ndarray, y: np.ndarray, covariates: tuple[str, ...],
+                 family: str = "linear") -> None:
+        if family not in FAMILIES:
+            raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
+        if not _is_index(t) or t < 0:
+            raise ValidationError(f"batch index t must be a non-negative integer, got {t!r}")
+        X, y = _check_xy(X, y, "", nonempty=True)
         X, y = X.copy(), y.copy()
-        names = tuple(str(n) for n in self.covariates)
+        names = tuple(str(n) for n in covariates)
         if len(names) != X.shape[1]:
             raise ValidationError(
                 f"{len(names)} covariate names for {X.shape[1]} design columns")
         if len(set(names)) != len(names):
             raise ValidationError("batch covariate names must be unique")
-        if self.family == "logistic":
+        if family == "logistic":
             _check_binary(y)
         X.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "covariates", names)
+        self.__dict__.update(t=int(t), X=X, y=y, covariates=names, family=family)
 
     @property
     def n(self) -> int:
@@ -203,8 +229,7 @@ class Batch:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(_Record):
     """Coefficients keyed by covariate name.
 
     Name-keyed storage is what lets estimates survive the arrival of new
@@ -212,11 +237,11 @@ class CoefficientVector:
     explicit name order.
     """
 
-    values: Mapping[str, float]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: Mapping[str, float]) -> None:
         vals = {}
-        for k, v in dict(self.values).items():
+        for k, v in dict(values).items():
             k = str(k)
             if not k:
                 raise ValidationError("coefficient names must be non-empty strings")
@@ -228,7 +253,7 @@ class CoefficientVector:
                 vals[k] = float("inf")
             if not math.isfinite(vals[k]):
                 raise ValidationError(f"coefficient {k!r} is not finite")
-        object.__setattr__(self, "values", vals)
+        self.__dict__["values"] = vals
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -263,19 +288,18 @@ class CoefficientVector:
         return CoefficientVector(dict(zip(names, arr.tolist())))
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(_Record):
     """A set of candidate shrinkage targets with optional mixing weights.
 
     ``weights=None`` means the weights are to be chosen by the tuner;
     fixed weights must lie on the probability simplex.
     """
 
-    targets: tuple[CoefficientVector, ...]
-    weights: tuple[float, ...] | None = None
+    _fields = ("targets", "weights")
 
-    def __post_init__(self) -> None:
-        targets = tuple(self.targets)
+    def __init__(self, targets: tuple[CoefficientVector, ...],
+                 weights: tuple[float, ...] | None = None) -> None:
+        targets = tuple(targets)
         if not targets:
             raise ValidationError("a target spec needs at least one target")
         if any(not isinstance(t, CoefficientVector) for t in targets):
@@ -284,11 +308,10 @@ class TargetSpec:
         for t in targets[1:]:
             if set(t.names()) != keys:
                 raise ValidationError("all targets must share one covariate set")
-        object.__setattr__(self, "targets", targets)
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            _check_simplex(w, len(targets))
-            object.__setattr__(self, "weights", w)
+        if weights is not None:
+            weights = tuple(float(v) for v in weights)
+            _check_simplex(weights, len(targets))
+        self.__dict__.update(targets=targets, weights=weights)
 
     @property
     def size(self) -> int:
@@ -313,35 +336,31 @@ def _check_simplex(weights: Sequence[float], expected: int) -> tuple[float, ...]
     return w
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
-    """Outcome of one sequential update."""
+class UpdateRecord(_Record):
+    """Outcome of one sequential update; ``diagnostics`` defaults to an empty dict."""
 
-    t: int
-    lam: float
-    estimate: CoefficientVector
-    weights: tuple[float, ...] | None = None
-    diagnostics: Mapping[str, Any] = field(default_factory=dict)
+    _fields = ("t", "lam", "estimate", "weights", "diagnostics")
 
-    def __post_init__(self) -> None:
-        if not _is_index(self.t):
-            raise ValidationError(f"update index t must be an integer, got {self.t!r}")
-        if self.t < 1:
+    def __init__(self, t: int, lam: float, estimate: CoefficientVector,
+                 weights: tuple[float, ...] | None = None,
+                 diagnostics: Mapping[str, Any] | None = None) -> None:
+        if not _is_index(t):
+            raise ValidationError(f"update index t must be an integer, got {t!r}")
+        if t < 1:
             raise ValidationError("update indices start at 1")
-        object.__setattr__(self, "t", int(self.t))
-        if not _is_number(self.lam):
-            raise ValidationError(f"penalty is not a number: {self.lam!r}")
-        object.__setattr__(self, "lam", _check_nonnegative(self.lam, "penalty"))
-        if self.weights is not None:
-            weights = tuple(self.weights)
+        if not _is_number(lam):
+            raise ValidationError(f"penalty is not a number: {lam!r}")
+        lam = _check_nonnegative(lam, "penalty")
+        if weights is not None:
+            weights = tuple(weights)
             if not all(_is_number(v) for v in weights):
                 raise ValidationError(f"weights must be numbers, got {weights!r}")
-            object.__setattr__(self, "weights", tuple(float(v) for v in weights))
-        object.__setattr__(self, "diagnostics", dict(self.diagnostics))
+            weights = tuple(float(v) for v in weights)
+        self.__dict__.update(t=int(t), lam=lam, estimate=estimate, weights=weights,
+                             diagnostics={} if diagnostics is None else dict(diagnostics))
 
 
-@dataclass(frozen=True)
-class TriangularHistory:
+class TriangularHistory(_Record):
     """Past linear data as the upper-triangular factor of the stacked ``[X | y]``.
 
     ``factor`` is ``(k + 1, k + 1)``: the first k columns belong to the
@@ -352,20 +371,18 @@ class TriangularHistory:
     1973; Miller 1992, AS 274).
     """
 
-    factor: np.ndarray
-    rows: int
+    _fields = ("factor", "rows")
 
-    def __post_init__(self) -> None:
-        factor = _as_float_matrix(self.factor, "history factor").copy()
+    def __init__(self, factor: np.ndarray, rows: int) -> None:
+        factor = _as_float_matrix(factor, "history factor").copy()
         if factor.shape[0] != factor.shape[1] or factor.shape[0] < 1:
             raise ValidationError(f"history factor must be square, got shape {factor.shape}")
         if np.any(np.tril(factor, -1)):
             raise ValidationError("history factor must be upper triangular")
-        if not _is_index(self.rows) or self.rows < 1:
-            raise ValidationError(f"history row count must be a positive integer, got {self.rows!r}")
+        if not _is_index(rows) or rows < 1:
+            raise ValidationError(f"history row count must be a positive integer, got {rows!r}")
         factor.setflags(write=False)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "rows", int(self.rows))
+        self.__dict__.update(factor=factor, rows=int(rows))
 
     @property
     def covariates(self) -> int:
@@ -373,25 +390,22 @@ class TriangularHistory:
         return self.factor.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class StackedHistory:
+class StackedHistory(_Record):
     """Past logistic data as every row, laid out over the first k registry covariates.
 
     No finite statistic gives the logistic log-likelihood exactly, so the
     rows themselves are kept.
     """
 
-    X: np.ndarray
-    y: np.ndarray
+    _fields = ("X", "y")
 
-    def __post_init__(self) -> None:
-        X, y = _check_xy(self.X, self.y, "history ", nonempty=True)
+    def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
+        X, y = _check_xy(X, y, "history ", nonempty=True)
         X, y = X.copy(), y.copy()
         _check_binary(y)
         X.setflags(write=False)
         y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        self.__dict__.update(X=X, y=y)
 
     @property
     def rows(self) -> int:
@@ -482,8 +496,7 @@ def _check_past(family: str, past: TriangularHistory | StackedHistory | None,
             f"the registry has {registry.size}")
 
 
-@dataclass(frozen=True)
-class EstimatorState:
+class EstimatorState(_Record):
     """Full description of a sequentially updated model.
 
     ``history`` holds one record per update, with consecutive indices
@@ -496,23 +509,23 @@ class EstimatorState:
     ``init_target`` before any update.
     """
 
-    family: str
-    registry: CovariateRegistry
-    init_target: CoefficientVector
-    init_note: str = "zeros"
-    history: tuple[UpdateRecord, ...] = ()
-    past: TriangularHistory | StackedHistory | None = None
+    _fields = ("family", "registry", "init_target", "init_note", "history", "past")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        object.__setattr__(self, "history", tuple(self.history))
-        for name in self.init_target.names():
-            if name not in self.registry:
+    def __init__(self, family: str, registry: CovariateRegistry,
+                 init_target: CoefficientVector, init_note: str = "zeros",
+                 history: tuple[UpdateRecord, ...] = (),
+                 past: TriangularHistory | StackedHistory | None = None) -> None:
+        if family not in FAMILIES:
+            raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
+        history = tuple(history)
+        for name in init_target.names():
+            if name not in registry:
                 raise RegistryError(f"init target names unknown covariate {name!r}")
-        for i, rec in enumerate(self.history, start=1):
-            _check_record(rec, i, self.registry)
-        _check_past(self.family, self.past, self.registry)
+        for i, rec in enumerate(history, start=1):
+            _check_record(rec, i, registry)
+        _check_past(family, past, registry)
+        self.__dict__.update(family=family, registry=registry, init_target=init_target,
+                             init_note=init_note, history=history, past=past)
 
     @property
     def t(self) -> int:

@@ -42,7 +42,6 @@ the fold seed, so selection is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -55,6 +54,7 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     TargetSpec,
+    _Record,
     _check_index,
     _is_index,
     align_batch,
@@ -64,6 +64,7 @@ from .model_core import (
     start_state,
 )
 from ._numerics import expit
+from ._pcg64 import Pcg64
 from .linear_estimator import (
     fit_targeted_ridge,
     fit_targeted_ridge_grid,
@@ -230,29 +231,27 @@ def get_family(name: str) -> Family:
         raise ValidationError(f"unknown family {name!r}") from None
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(_Record):
     """Assignment of observations to cross-validation folds, labels 1..k."""
 
-    assignments: np.ndarray
-    k: int
+    _fields = ("assignments", "k")
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.assignments, dtype=int)
+    def __init__(self, assignments: np.ndarray, k: int) -> None:
+        arr = np.asarray(assignments, dtype=int)
         if arr.ndim != 1:
             raise ValidationError("fold assignments must be 1-dimensional")
-        if self.k < 2:
+        if k < 2:
             raise ValidationError("need at least 2 folds")
-        if arr.size < self.k:
+        if arr.size < k:
             raise ValidationError("more folds than observations")
         # bincount, not np.unique: NumPy's unique loads numpy.ma on first
         # use, which costs every update process several milliseconds.
-        if (arr.min() < 1 or arr.max() > self.k
-                or np.count_nonzero(np.bincount(arr)) != self.k):
+        if (arr.min() < 1 or arr.max() > k
+                or np.count_nonzero(np.bincount(arr)) != k):
             raise ValidationError("every fold label in 1..k must occur")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "assignments", arr)
+        self.__dict__.update(assignments=arr, k=k)
 
     @property
     def n(self) -> int:
@@ -276,14 +275,16 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     dealt round-robin so folds keep roughly the stratum proportions; the
     deal runs on from one stratum to the next, in ascending label order.
     ``strata=None`` is one stratum. Fold sizes differ by at most one
-    either way.
+    either way. The strata are shuffled, in that order, by successive
+    permutations of one ``Pcg64(seed)``: those of
+    ``np.random.default_rng(seed)``, without loading ``numpy.random``.
     """
     _check_fold_count(n, k)
     _check_index(seed, 0, "the fold seed")
     strata = np.zeros(n) if strata is None else np.asarray(strata)
     if strata.shape[0] != n:
         raise ValidationError("strata must have one label per observation")
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     groups = [np.flatnonzero(strata == label) for label in sorted(set(strata.tolist()))]
     dealt = np.concatenate([rows[rng.permutation(rows.size)] for rows in groups])
     assignments = np.empty(n, dtype=int)
@@ -319,13 +320,13 @@ def cv_score(family: str, batch: Batch, lam: float, target, folds: FoldPlan) -> 
     return total / folds.k
 
 
-@dataclass(frozen=True)
-class ConstraintTerms:
+class ConstraintTerms(_Record):
     """Both sides of the historic-fit feasibility inequality."""
 
-    lhs: float
-    rhs: float
-    new_fraction: float
+    _fields = ("lhs", "rhs", "new_fraction")
+
+    def __init__(self, lhs: float, rhs: float, new_fraction: float) -> None:
+        self.__dict__.update(lhs=lhs, rhs=rhs, new_fraction=new_fraction)
 
     @property
     def feasible(self) -> bool:
@@ -365,60 +366,59 @@ def constraint_terms(state: EstimatorState, batch: Batch, lam: float,
     return ConstraintTerms(lhs=lhs, rhs=rhs, new_fraction=f_new)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(_Record):
     """One evaluated grid point of the selection curve."""
 
-    lam: float
-    weights: tuple[float, ...] | None
-    score: float
-    feasible: bool
-    lhs: float | None = None
-    rhs: float | None = None
+    _fields = ("lam", "weights", "score", "feasible", "lhs", "rhs")
+
+    def __init__(self, lam: float, weights: tuple[float, ...] | None, score: float,
+                 feasible: bool, lhs: float | None = None, rhs: float | None = None) -> None:
+        self.__dict__.update(lam=lam, weights=weights, score=score, feasible=feasible,
+                             lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class PenaltySearchConfig:
+class PenaltySearchConfig(_Record):
     """How to run a selection: folds, grid, constraint mode, seed.
 
-    ``k_folds=None`` means leave-one-out. The weight lattice for mixture
-    tuning uses ``weight_points`` values per coordinate (default step 0.1).
+    ``k_folds=None`` means leave-one-out. ``grid=None`` is ``default_grid()``.
+    The weight lattice for mixture tuning uses ``weight_points`` values per
+    coordinate (default step 0.1).
     """
 
-    k_folds: int | None = 5
-    constrained: bool = True
-    grid: tuple[float, ...] = field(default_factory=default_grid)
-    seed: int = 0
-    weight_points: int = 11
+    _fields = ("k_folds", "constrained", "grid", "seed", "weight_points")
 
-    def __post_init__(self) -> None:
-        grid = tuple(float(v) for v in self.grid)
+    def __init__(self, k_folds: int | None = 5, constrained: bool = True,
+                 grid: tuple[float, ...] | None = None, seed: int = 0,
+                 weight_points: int = 11) -> None:
+        grid = tuple(float(v) for v in (default_grid() if grid is None else grid))
         if not grid:
             raise ValidationError("the penalty grid must be non-empty")
         if any(not np.isfinite(v) or v <= 0 for v in grid):
             raise ValidationError("grid penalties must be finite and positive")
         if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
             raise ValidationError("the grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        if self.k_folds is not None:
-            _check_index(self.k_folds, 2, "k_folds (None for leave-one-out)")
-        _check_index(self.weight_points, 2, "weight_points")
-        _check_index(self.seed, 0, "the fold seed")
+        if k_folds is not None:
+            _check_index(k_folds, 2, "k_folds (None for leave-one-out)")
+        _check_index(weight_points, 2, "weight_points")
+        _check_index(seed, 0, "the fold seed")
+        self.__dict__.update(k_folds=k_folds, constrained=constrained, grid=grid, seed=seed,
+                             weight_points=weight_points)
 
 
-@dataclass(frozen=True)
-class SelectionReport:
+class SelectionReport(_Record):
     """Outcome of a grid selection, with the full evaluated curve."""
 
-    chosen_lambda: float
-    chosen_weights: tuple[float, ...] | None
-    score: float
-    constrained: bool
-    fallback_used: bool
-    new_fraction: float | None
-    k_folds: int
-    seed: int
-    cv_curve: tuple[Candidate, ...]
+    _fields = ("chosen_lambda", "chosen_weights", "score", "constrained", "fallback_used",
+               "new_fraction", "k_folds", "seed", "cv_curve")
+
+    def __init__(self, chosen_lambda: float, chosen_weights: tuple[float, ...] | None,
+                 score: float, constrained: bool, fallback_used: bool,
+                 new_fraction: float | None, k_folds: int, seed: int,
+                 cv_curve: tuple[Candidate, ...]) -> None:
+        self.__dict__.update(chosen_lambda=chosen_lambda, chosen_weights=chosen_weights,
+                             score=score, constrained=constrained,
+                             fallback_used=fallback_used, new_fraction=new_fraction,
+                             k_folds=k_folds, seed=seed, cv_curve=cv_curve)
 
     def to_dict(self) -> dict:
         def num(v):

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import FAMILIES, Batch, CoefficientVector, EstimatorState, start_state
+from .model_core import FAMILIES, Batch, CoefficientVector, EstimatorState, _Record, start_state
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -153,6 +153,10 @@ class ScenarioConfig:
             if any(v < 1 or v > self.p for v in tracked):
                 raise ValidationError("tracked positions are 1-based in 1..p")
             object.__setattr__(self, "tracked", tracked)
+        # Both grids' rules hold for both studies, though each study builds
+        # only the grids it uses.
+        self.grid()
+        default_xi_grid(self.mixed_ratio_grid_points)
 
     def grid(self) -> tuple[float, ...]:
         return default_grid(self.grid_min, self.grid_max, self.grid_points)
@@ -251,8 +255,7 @@ def generate_batches(config: ScenarioConfig, replicate: int) -> list[Batch]:
     return [generate_batch(config, replicate, t) for t in range(1, config.n_batches + 1)]
 
 
-@dataclass
-class TrajectoryResult:
+class TrajectoryResult(_Record):
     """Per-replicate trajectories of one estimation strategy.
 
     ``estimates`` is (replicates, batches, tracked coordinates);
@@ -262,21 +265,19 @@ class TrajectoryResult:
     penalties of a strategy that has none).
     """
 
-    name: str
-    t_values: np.ndarray
-    tracked: tuple[int, ...]
-    estimates: np.ndarray
-    losses: np.ndarray
-    lambdas: np.ndarray
+    _fields = ("name", "t_values", "tracked", "estimates", "losses", "lambdas")
 
-    def __post_init__(self) -> None:
-        R, T, C = self.estimates.shape
-        if self.t_values.shape != (T,) or self.losses.shape != (R, T) \
-                or self.lambdas.shape != (R, T) or len(self.tracked) != C:
+    def __init__(self, name: str, t_values: np.ndarray, tracked: tuple[int, ...],
+                 estimates: np.ndarray, losses: np.ndarray, lambdas: np.ndarray) -> None:
+        R, T, C = estimates.shape
+        if t_values.shape != (T,) or losses.shape != (R, T) \
+                or lambdas.shape != (R, T) or len(tracked) != C:
             raise ValidationError("trajectory arrays have inconsistent shapes")
         with np.errstate(invalid="ignore"):
-            if np.any(self.losses[np.isfinite(self.losses)] < 0):
+            if np.any(losses[np.isfinite(losses)] < 0):
                 raise ValidationError("losses must be >= 0")
+        self.__dict__.update(name=name, t_values=t_values, tracked=tracked,
+                             estimates=estimates, losses=losses, lambdas=lambdas)
 
     @property
     def n_replicates(self) -> int:

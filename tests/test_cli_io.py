@@ -1028,6 +1028,20 @@ def test_bad_json_values_exit_2(tmp_path, case):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("study", ["regular-vs-updated", "mixed-vs-updated"])
+@pytest.mark.parametrize("bad", [{"mixed_ratio_grid_points": -1}, {"grid_points": 0},
+                                 {"grid_min": 10.0, "grid_max": 1.0}],
+                         ids=["ratio-points", "grid-points", "grid-bounds"])
+def test_a_bad_grid_fails_either_study_before_any_output(tmp_path, study, bad):
+    """Each study builds only the grids it uses, but a scenario's grids
+    follow their rules in both: exit 2, and no dataset or sidecar written."""
+    doc = {"study": study, "p": 3, "n": 4, "n_batches": 2, "n_replicates": 1,
+           "grid_points": 4, **bad}
+    code, out, err = run_cli(*scenario_args(tmp_path, doc))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _latin(tmp_path, name, text):
     path = tmp_path / name
     path.write_bytes(text.encode("latin-1"))

@@ -10,7 +10,6 @@ a time with ``cv_score`` and ``constraint_terms``, whose logistic fits
 come from the scalar reference IRLS in ``irls_reference.py``.
 """
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -815,7 +814,9 @@ def loo_selections(draw):
         if draw(st.booleans()):
             grid = tuple(lam * 1e12 for lam in grid)
     batch = Batch(t=batch.t, X=X, y=y, covariates=batch.covariates)
-    return state, batch, replace(cfg, k_folds=None, grid=grid), spec
+    loo = PenaltySearchConfig(k_folds=None, constrained=cfg.constrained, grid=grid,
+                              seed=cfg.seed, weight_points=cfg.weight_points)
+    return state, batch, loo, spec
 
 
 def fold_loop_report(state, batch, cfg, spec):
