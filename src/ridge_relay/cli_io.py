@@ -24,9 +24,9 @@ own state left behind.
 
 Exit codes, each error class's ``exit_code``: 0 success; 2 invalid
 inputs (schema, CSV, configuration, a file that cannot be read or is not
-UTF-8 text); 3 numerical failure of a fit
-(non-convergence, singular system); 4 penalty-selection or locking
-failure. A command whose output pipe closes before it has written
+UTF-8 text, a plot dataset that cannot be written); 3 numerical failure
+of a fit (non-convergence, singular system); 4 penalty-selection or
+locking failure. A command whose output pipe closes before it has written
 everything (``ridge-relay predict ... | head -1``) stops quietly with
 ``EXIT_BROKEN_PIPE``, 141, the status a shell reports for a process that
 SIGPIPE ended.
@@ -350,7 +350,8 @@ def state_lock(path: str):
 # CSV ingestion
 
 def _read_csv_columns(path: str) -> tuple[list[str], list[list[float]]]:
-    text = _read_text(path, "data file", ValidationError)
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    text = _read_text(path, "data file", ValidationError).removeprefix("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -443,8 +444,8 @@ class PlotDataset(_Record):
 
 
 def write_plot_dataset(dataset: PlotDataset, out_dir: str) -> tuple[str, str]:
-    """Write ``<name>.csv`` and ``<name>.meta.json``; returns both paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``<name>.csv`` and ``<name>.meta.json``; returns both paths. An
+    ``out_dir`` that cannot be made or written to raises ``ValidationError``."""
     csv_path = os.path.join(out_dir, dataset.name + ".csv")
     meta_path = os.path.join(out_dir, dataset.name + ".meta.json")
     names = list(dataset.columns)
@@ -454,8 +455,13 @@ def write_plot_dataset(dataset: PlotDataset, out_dir: str) -> tuple[str, str]:
     writer.writerow(names)
     for row in zip(*cols):
         writer.writerow(["" if _is_nan(v) else v for v in row])
-    _atomic_write_text(csv_path, buf.getvalue())
-    _atomic_write_text(meta_path, _dump(dataset.metadata))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _atomic_write_text(csv_path, buf.getvalue())
+        _atomic_write_text(meta_path, _dump(dataset.metadata))
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write plot dataset to {out_dir!r}: {exc.strerror or exc}") from None
     return csv_path, meta_path
 
 

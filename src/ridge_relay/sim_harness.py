@@ -21,14 +21,14 @@ squared-error losses, summarized by quantile bands.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import asdict, dataclass, fields
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import FAMILIES, Batch, CoefficientVector, EstimatorState, _Record, start_state
+from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _Record,
+                         _check_index, _check_nonnegative, _is_index, _is_number, start_state)
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -59,26 +59,24 @@ __all__ = [
 _BASE_TRACKED = (1, 21, 51, 71, 101)
 
 
-_FIELD_TYPES = {"None": type(None), "bool": (bool, np.bool_), "int": numbers.Integral,
-               "float": numbers.Real, "str": str}
+_STUDIES = ("regular-vs-updated", "mixed-vs-updated")
 
 
-def _fits(value, annotation: str) -> bool:
-    """Whether a value fits a field annotation such as ``tuple[int, ...] | None``."""
-    for kind in annotation.split(" | "):
-        if kind.startswith("tuple["):
-            item = kind[len("tuple["):-len(", ...]")]
-            if (isinstance(value, (list, tuple, np.ndarray))
-                    and all(_fits(v, item) for v in value)):
-                return True
-        elif (isinstance(value, _FIELD_TYPES[kind])
-              and (kind == "bool") == isinstance(value, _FIELD_TYPES["bool"])):
-            return True
-    return False
+def _field(name: str) -> str:
+    return f"scenario field {name!r}"
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+def _require(ok: bool, name: str, rule: str, value) -> None:
+    if not ok:
+        raise ValidationError(f"{_field(name)} must be {rule}, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    """A real number that is not a bool and converts to a finite float."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+class ScenarioConfig(_Record):
     """Parameters of one simulation scenario.
 
     ``beta_rule`` is either ``"ramp"`` (generating coefficients follow a
@@ -88,75 +86,68 @@ class ScenarioConfig:
     disturbance to the coefficients of every batch; ``empty_every`` makes
     every k-th batch carry no signal at all. ``constrained=None`` defers
     to each study's own convention.
+
+    Each field is checked here, and a message names the field that breaks
+    its rule. Values are stored as given (a NumPy scalar as its Python
+    value, ``beta_rule`` entries as floats, ``tracked`` entries as ints),
+    so a sidecar writes them back unchanged.
     """
 
-    study: str = "regular-vs-updated"
-    family: str = "linear"
-    p: int = 101
-    n: int = 25
-    n_batches: int = 25
-    n_replicates: int = 100
-    beta_rule: str | tuple[float, ...] = "ramp"
-    noise_var: float = 0.04
-    batch_effect_var: float = 0.0
-    empty_every: int | None = None
-    orthonormal: bool = False
-    seed: int = 0
-    k_folds: int | None = None
-    constrained: bool | None = None
-    grid_min: float = DEFAULT_GRID_MIN
-    grid_max: float = DEFAULT_GRID_MAX
-    grid_points: int = DEFAULT_GRID_POINTS
-    mixed_ratio_grid_points: int = DEFAULT_XI_GRID_POINTS
-    tracked: tuple[int, ...] | None = None
+    _fields = ("study", "family", "p", "n", "n_batches", "n_replicates", "beta_rule",
+               "noise_var", "batch_effect_var", "empty_every", "orthonormal", "seed",
+               "k_folds", "constrained", "grid_min", "grid_max", "grid_points",
+               "mixed_ratio_grid_points", "tracked")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _fits(value, f.type):
-                raise ValidationError(
-                    f"scenario field {f.name!r} must be {f.type}, got {value!r}")
-            if isinstance(value, np.generic):
-                # NumPy scalars pass the type check; store the Python value so
-                # the config serializes as JSON.
-                object.__setattr__(self, f.name, value.item())
-        if self.study not in ("regular-vs-updated", "mixed-vs-updated"):
-            raise ValidationError(f"unknown study {self.study!r}")
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        for name in ("p", "n", "n_batches", "n_replicates"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
-        if isinstance(self.beta_rule, str):
-            if self.beta_rule != "ramp":
-                raise ValidationError(f"unknown beta rule {self.beta_rule!r}")
-        else:
-            rule = tuple(float(v) for v in self.beta_rule)
-            if len(rule) != self.p:
-                raise ValidationError(
-                    f"explicit beta vector has {len(rule)} entries for p={self.p}")
-            if any(not np.isfinite(v) for v in rule):
-                raise ValidationError("explicit beta entries must be finite")
-            object.__setattr__(self, "beta_rule", rule)
-        if self.noise_var < 0 or self.batch_effect_var < 0:
-            raise ValidationError("variances must be >= 0")
-        if self.empty_every is not None and self.empty_every < 2:
-            raise ValidationError("empty_every must be >= 2 (or None)")
-        if self.orthonormal and self.n < self.p:
-            raise ValidationError("orthonormal designs need n >= p")
-        if self.tracked is not None:
-            tracked = tuple(int(v) for v in self.tracked)
-            if not tracked:
-                raise ValidationError("tracked needs at least one position (or None)")
-            if any(v < 1 or v > self.p for v in tracked):
-                raise ValidationError("tracked positions are 1-based in 1..p")
-            object.__setattr__(self, "tracked", tracked)
-        # Both grids' rules hold for both studies, though each study builds
-        # only the grids it uses.
-        self.grid()
-        default_xi_grid(self.mixed_ratio_grid_points)
+    def __init__(self, study: str = "regular-vs-updated", family: str = "linear",
+                 p: int = 101, n: int = 25, n_batches: int = 25, n_replicates: int = 100,
+                 beta_rule: str | tuple[float, ...] = "ramp", noise_var: float = 0.04,
+                 batch_effect_var: float = 0.0, empty_every: int | None = None,
+                 orthonormal: bool = False, seed: int = 0, k_folds: int | None = None,
+                 constrained: bool | None = None, grid_min: float = DEFAULT_GRID_MIN,
+                 grid_max: float = DEFAULT_GRID_MAX, grid_points: int = DEFAULT_GRID_POINTS,
+                 mixed_ratio_grid_points: int = DEFAULT_XI_GRID_POINTS,
+                 tracked: tuple[int, ...] | None = None) -> None:
+        given = locals()
+        v = {name: given[name].item() if isinstance(given[name], np.generic) else given[name]
+             for name in self._fields}
+        for name, allowed in (("study", _STUDIES), ("family", FAMILIES)):
+            _require(isinstance(v[name], str) and v[name] in allowed, name,
+                     f"one of {allowed}", v[name])
+        for name in ("p", "n", "n_batches", "n_replicates", "grid_points",
+                     "mixed_ratio_grid_points"):
+            _check_index(v[name], 1, _field(name))
+        _check_index(v["seed"], 0, _field("seed"))
+        for name in ("empty_every", "k_folds"):
+            if v[name] is not None:
+                _check_index(v[name], 2, _field(name))
+        for name in ("noise_var", "batch_effect_var", "grid_min", "grid_max"):
+            _require(_is_finite(v[name]), name, "a finite number", v[name])
+        for name in ("noise_var", "batch_effect_var"):
+            _check_nonnegative(v[name], _field(name))
+        _require(isinstance(v["orthonormal"], bool), "orthonormal", "true or false",
+                 v["orthonormal"])
+        _require(v["constrained"] is None or isinstance(v["constrained"], bool), "constrained",
+                 "true, false or null", v["constrained"])
+        _require(not v["orthonormal"] or v["n"] >= v["p"], "orthonormal",
+                 f"false when n < p (n={v['n']}, p={v['p']})", v["orthonormal"])
+        rule = v["beta_rule"]
+        _require(rule == "ramp" if isinstance(rule, str) else
+                 isinstance(rule, (list, tuple, np.ndarray)) and len(rule) == v["p"]
+                 and all(_is_finite(b) for b in rule),
+                 "beta_rule", f"'ramp' or a list of p={v['p']} finite numbers", rule)
+        if not isinstance(rule, str):
+            v["beta_rule"] = tuple(float(b) for b in rule)
+        tracked = v["tracked"]
+        if tracked is not None:
+            _require(isinstance(tracked, (list, tuple, np.ndarray)) and len(tracked) > 0
+                     and all(_is_index(pos) and 1 <= pos <= v["p"] for pos in tracked),
+                     "tracked", f"null or a non-empty list of positions in 1..p={v['p']}",
+                     tracked)
+            v["tracked"] = tuple(int(pos) for pos in tracked)
+        _require(v["grid_min"] > 0, "grid_min", "> 0", v["grid_min"])
+        _require(v["grid_max"] > v["grid_min"], "grid_max",
+                 f"above grid_min={v['grid_min']!r}", v["grid_max"])
+        self.__dict__.update(v)
 
     def grid(self) -> tuple[float, ...]:
         return default_grid(self.grid_min, self.grid_max, self.grid_points)
@@ -172,10 +163,10 @@ class ScenarioConfig:
         )
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        if not isinstance(self.beta_rule, str):
-            doc["beta_rule"] = list(self.beta_rule)
-        doc["tracked"] = list(self.tracked) if self.tracked is not None else None
+        doc = {name: getattr(self, name) for name in self._fields}
+        for name in ("beta_rule", "tracked"):
+            if isinstance(doc[name], tuple):
+                doc[name] = list(doc[name])
         return doc
 
     @staticmethod
@@ -183,7 +174,7 @@ class ScenarioConfig:
         """Build a config from a parsed JSON object; the constructor checks the values."""
         if not isinstance(doc, dict):
             raise ValidationError("a scenario must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(ScenarioConfig)}
+        unknown = set(doc) - set(ScenarioConfig._fields)
         if unknown:
             raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
         return ScenarioConfig(**doc)

@@ -15,6 +15,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from ridge_relay import (
     fold_triangular,
     get_family,
     select_penalty,
+    start_state,
     update,
 )
 
@@ -868,6 +870,48 @@ class TestCliPredict:
         assert "no covariate columns" in err
 
 
+class TestByteOrderMark:
+    """A CSV that starts with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+    export writes, reads as the same CSV without it."""
+
+    def csv_pair(self, tmp_path, header, rows):
+        plain, marked = str(tmp_path / "plain.csv"), str(tmp_path / "marked.csv")
+        write_csv(plain, header, rows)
+        with open(plain, "rb") as fh:
+            text = fh.read()
+        with open(marked, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + text)
+        return plain, marked
+
+    def test_update_writes_the_same_state(self, tmp_path):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((16, 2))
+        y = X @ np.array([1.5, -0.5]) + 0.1 * rng.standard_normal(16)
+        csvs = self.csv_pair(tmp_path, ["a", "b", "y"], np.column_stack([X, y]))
+        states = []
+        for i, data in enumerate(csvs):
+            path = str(tmp_path / f"m{i}.json")
+            assert run_cli("init", "--state", path, "--covariates", "a,b")[0] == 0
+            code, _, err = run_cli("update", "--state", path, "--data", data,
+                                   "--response", "y", "--k-folds", "4")
+            assert code == 0 and err == ""
+            with open(path, "rb") as fh:
+                states.append(fh.read())
+        assert states[0] == states[1]
+        assert cio.read_state(str(tmp_path / "m1.json")).registry.names == ("a", "b")
+
+    def test_predict_gives_the_same_output(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        cio.write_state(start_state("linear", ("a", "b"),
+                                    CoefficientVector({"a": 2.0, "b": -1.0})), path)
+        outputs = []
+        for data in self.csv_pair(tmp_path, ["a", "b"], [[1.0, 3.0], [0.5, -2.0]]):
+            code, out, err = run_cli("predict", "--state", path, "--data", data)
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == "-1.0\n3.0\n"
+
+
 class TestCliSimulate:
     def scenario(self, tmp_path, doc, name="scenario.json"):
         path = tmp_path / name
@@ -966,6 +1010,92 @@ def scenario_args(tmp_path, doc):
     return ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]
 
 
+SMALL_SCENARIO = {"study": "regular-vs-updated", "p": 3, "n": 4, "n_batches": 2,
+                  "n_replicates": 1, "grid_points": 4}
+NAN, INF = float("nan"), float("inf")
+# field -> scenario edits breaking its rule: a value of the wrong type first,
+# then values out of range
+BAD_SCENARIO_FIELDS = {
+    "study": [{"study": 3}, {"study": "nope"}],
+    "family": [{"family": ["linear"]}, {"family": "poisson"}],
+    "p": [{"p": "3"}, {"p": 0}],
+    "n": [{"n": 2.5}, {"n": 0}],
+    "n_batches": [{"n_batches": True}, {"n_batches": 0}],
+    "n_replicates": [{"n_replicates": "1"}, {"n_replicates": -1}],
+    "beta_rule": [{"beta_rule": {"x1": 1.0}}, {"beta_rule": "flat"},
+                  {"beta_rule": [1.0, 2.0]}, {"beta_rule": [1.0, NAN, 0.0]}],
+    "noise_var": [{"noise_var": "0.1"}, {"noise_var": -0.5}, {"noise_var": NAN},
+                  {"noise_var": INF}, {"noise_var": -INF}, {"noise_var": 10 ** 400}],
+    "batch_effect_var": [{"batch_effect_var": True}, {"batch_effect_var": -1},
+                         {"batch_effect_var": NAN}, {"batch_effect_var": INF},
+                         {"batch_effect_var": -INF}],
+    "empty_every": [{"empty_every": 2.5}, {"empty_every": 1}],
+    "orthonormal": [{"orthonormal": 1}, {"orthonormal": True, "n": 2}],
+    "seed": [{"seed": 1.5}, {"seed": -1}],
+    "k_folds": [{"k_folds": "3"}, {"k_folds": 1}],
+    "constrained": [{"constrained": "yes"}, {"constrained": 0}],
+    "grid_min": [{"grid_min": "small"}, {"grid_min": 0}, {"grid_min": -INF}],
+    "grid_max": [{"grid_max": [1.0]}, {"grid_max": 1e-5}, {"grid_max": INF},
+                 {"grid_max": 10 ** 400}],
+    "grid_points": [{"grid_points": "4"}, {"grid_points": 0}, {"grid_points": -1}],
+    "mixed_ratio_grid_points": [{"mixed_ratio_grid_points": 2.5},
+                                {"mixed_ratio_grid_points": -1}],
+    "tracked": [{"tracked": 1}, {"tracked": [1.0]}, {"tracked": []}, {"tracked": [0]},
+                {"tracked": [4]}],
+}
+
+
+def test_the_field_table_covers_every_scenario_field():
+    assert list(BAD_SCENARIO_FIELDS) == list(ScenarioConfig._fields)
+
+
+@pytest.mark.parametrize("field, edit", [
+    pytest.param(field, edit, id=f"{field}-{i}")
+    for field, edits in BAD_SCENARIO_FIELDS.items() for i, edit in enumerate(edits)])
+def test_a_bad_scenario_field_is_named_before_any_output(tmp_path, field, edit):
+    """Exit 2 with one error line that names the field, no warning, and no
+    file written."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(*scenario_args(tmp_path, {**SMALL_SCENARIO, **edit}))
+    assert code == 2 and out == "" and caught == []
+    assert err.startswith(f"error: scenario field {field!r} must be ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_variance_prints_only_the_error_line(tmp_path):
+    """In a process of its own, a non-finite variance leaves nothing on
+    stderr but the error line: no NumPy warning."""
+    argv = scenario_args(tmp_path, {**SMALL_SCENARIO, "batch_effect_var": INF})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ridge_relay", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: scenario field 'batch_effect_var' must be a finite "
+                           "number, got inf\n")
+
+
+def test_sidecars_write_numbers_as_the_scenario_gives_them(tmp_path):
+    """An integer given for a float field is written back as that integer."""
+    code, _, _ = run_cli(*scenario_args(tmp_path, {**SMALL_SCENARIO, "noise_var": 1,
+                                                   "grid_min": 1}))
+    assert code == 0
+    expected = (
+        b'{"config":{"batch_effect_var":0.0,"beta_rule":"ramp","constrained":null,'
+        b'"empty_every":null,"family":"linear","grid_max":1000000.0,"grid_min":1,'
+        b'"grid_points":4,"k_folds":null,"mixed_ratio_grid_points":25,"n":4,'
+        b'"n_batches":2,"n_replicates":1,"noise_var":1,"orthonormal":false,"p":3,'
+        b'"seed":0,"study":"regular-vs-updated","tracked":null},'
+        b'"quantiles":[0.05,0.5,0.95],"series":["regular","updated"],'
+        b'"study":"regular-vs-updated","tracked":[1,2,3]}\n')
+    for name in ("quantile_trajectories", "mse_curves"):
+        path = tmp_path / "out" / f"regular-vs-updated_{name}.meta.json"
+        assert path.read_bytes() == expected
+
+
 BAD_JSON_VALUES = {
     "target-non-numeric": lambda tmp: target_file_args(tmp, {"a": "abc"}),
     "target-null": lambda tmp: target_file_args(tmp, {"a": None}),
@@ -1060,6 +1190,22 @@ def _data(tmp_path):
     return path
 
 
+def _file(tmp_path, name):
+    (tmp_path / name).write_text("not a directory\n")
+    return name
+
+
+def _dangling_link(tmp_path):
+    """A link to a directory that does not exist: ``os.makedirs`` cannot make
+    a directory below it."""
+    os.symlink(str(tmp_path / "gone"), str(tmp_path / "link"))
+    return "link"
+
+
+def _simulate_into(tmp_path, out):
+    return scenario_args(tmp_path, SMALL_SCENARIO)[:-1] + [out]
+
+
 UNREADABLE_INPUTS = {
     "update-data-not-utf8": lambda tmp: [
         "update", "--state", _state(tmp),
@@ -1083,6 +1229,10 @@ UNREADABLE_INPUTS = {
     "simulate-scenario-not-utf8": lambda tmp: [
         "simulate", "--scenario", _latin(tmp, "s.json", '{"study": "\xe9"}'),
         "--out", "out"],
+    "simulate-out-is-a-file": lambda tmp: _simulate_into(tmp, _file(tmp, "taken")),
+    "simulate-out-under-a-file": lambda tmp: _simulate_into(tmp, _file(tmp, "taken") + "/out"),
+    "simulate-out-under-a-missing-parent": lambda tmp: _simulate_into(
+        tmp, _dangling_link(tmp) + "/out"),
 }
 
 

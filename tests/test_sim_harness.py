@@ -59,6 +59,15 @@ class TestScenarioConfig:
         assert config.noise_var == 0.04
         assert config.beta_rule == "ramp"
 
+    def test_fields_keep_their_order_and_defaults(self):
+        assert list(ScenarioConfig().to_dict().items()) == [
+            ("study", "regular-vs-updated"), ("family", "linear"), ("p", 101), ("n", 25),
+            ("n_batches", 25), ("n_replicates", 100), ("beta_rule", "ramp"),
+            ("noise_var", 0.04), ("batch_effect_var", 0.0), ("empty_every", None),
+            ("orthonormal", False), ("seed", 0), ("k_folds", None), ("constrained", None),
+            ("grid_min", 1e-4), ("grid_max", 1e6), ("grid_points", 50),
+            ("mixed_ratio_grid_points", 25), ("tracked", None)]
+
     def test_validation_rejects_bad_fields(self):
         with pytest.raises(ValidationError):
             ScenarioConfig(study="nope")
