@@ -45,7 +45,8 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import Batch, _Record, _as_float_matrix, _check_index, _check_nonnegative
+from .model_core import (Batch, _MAX_SIZE, _Record, _as_float_matrix, _check_index,
+                         _check_real, _check_real_vector)
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
 
 __all__ = [
@@ -246,7 +247,7 @@ def mixed_fixed_effects(data: StackedData, xi: float) -> np.ndarray:
     The block systems are solved in p-space from each block's
     eigenpairs, the same route ``estimate_xi`` takes at every ratio.
     """
-    xi = _check_nonnegative(xi, "variance ratio")
+    xi = _check_real(xi, "variance ratio", ">= 0")
     if data.n < data.p:
         raise SingularMatrixError(
             f"{data.n} stacked rows cannot identify {data.p} fixed effects")
@@ -271,9 +272,9 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     of the sandwich gains sigma_eps_sq H X'X H + sigma_gamma_sq (H X'X)^2
     = V diag(d (sigma_eps_sq + sigma_gamma_sq d) / (1 + xi d)^2) V'.
     """
-    xi = _check_nonnegative(xi, "variance ratio")
-    sigma_eps_sq = _check_nonnegative(sigma_eps_sq, "noise variance")
-    sigma_gamma_sq = _check_nonnegative(sigma_gamma_sq, "deviation variance")
+    xi = _check_real(xi, "variance ratio", ">= 0")
+    sigma_eps_sq = _check_real(sigma_eps_sq, "noise variance", ">= 0")
+    sigma_gamma_sq = _check_real(sigma_gamma_sq, "deviation variance", ">= 0")
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (data.p,):
         raise ValidationError(f"coef must have length {data.p}")
@@ -295,16 +296,17 @@ DEFAULT_XI_GRID_POINTS = 25
 
 
 def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
-    """``points`` (an integer >= 1) log-spaced variance ratios for ``estimate_xi``."""
-    _check_index(points, 1, "points")
+    """``points`` (an index up to ``_MAX_SIZE``) log-spaced ratios for ``estimate_xi``."""
+    _check_index(points, 1, "points", _MAX_SIZE)
     return tuple(np.geomspace(1e-4, 1e4, points).tolist())
 
 
 def _ratio_grid(grid: Sequence[float] | None) -> np.ndarray:
-    candidates = default_xi_grid() if grid is None else tuple(float(v) for v in grid)
-    if not candidates:
+    xis = (default_xi_grid() if grid is None
+           else _check_real_vector(grid, "variance ratio", ">= 0"))
+    if not xis:
         raise ValidationError("the ratio grid must be non-empty")
-    return np.array([_check_nonnegative(xi, "variance ratio") for xi in candidates])
+    return np.array(xis)
 
 
 def _profile_fit(data: StackedData, xis: np.ndarray, spectra, sums) -> MixedFit:

@@ -205,7 +205,7 @@ def doc_to_state(doc: dict) -> EstimatorState:
                 t=rec["t"],
                 lam=rec["lam"],
                 estimate=CoefficientVector(rec["estimate"]),
-                weights=tuple(rec["weights"]) if rec.get("weights") is not None else None,
+                weights=rec.get("weights"),
                 diagnostics=rec.get("diagnostics", {}),
             )
             for rec in doc["history"]
@@ -509,9 +509,6 @@ def _selection_config(args) -> PenaltySearchConfig:
 
 
 def cmd_init(args) -> int:
-    if os.path.exists(args.state) and not args.force:
-        raise ValidationError(
-            f"state file {args.state!r} exists; pass --force to overwrite")
     sources = [s for s in (args.covariates, args.target_file, args.data) if s]
     if len(sources) != 1:
         raise ValidationError(
@@ -538,6 +535,10 @@ def cmd_init(args) -> int:
         report["score"] = chosen.score
         report["n"] = batch.n
     with state_lock(args.state):
+        # Checked just before the write: an init that ran meanwhile is kept.
+        if os.path.exists(args.state) and not args.force:
+            raise ValidationError(
+                f"state file {args.state!r} exists; pass --force to overwrite")
         write_state(state, args.state)
     report["covariates"] = state.registry.size
     _print_json(report)

@@ -39,7 +39,8 @@ from .model_core import (
     _as_float_matrix,
     _as_float_vector,
     _check_index,
-    _check_nonnegative,
+    _check_real,
+    _check_real_vector,
     _check_xy,
 )
 
@@ -105,7 +106,7 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
     design must have full column rank.
     """
     X, y, target = _check_xy_target(X, y, target, 1)
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     gram = X.T @ X
     factor = _penalized_normal_factor(gram, lam)
     coef = cho_solve(factor, X.T @ y + lam * target)
@@ -149,10 +150,7 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
 def _check_grid(X, y, lams, targets):
     """A grid solve's design, response, ``(p, W)`` targets and penalties."""
     X, y, T = _check_xy_target(X, y, targets, 2)
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams < 0):
-        raise ValidationError("penalties must be a sequence of finite values >= 0")
-    return X, y, T, lams
+    return X, y, T, np.array(_check_real_vector(lams, "penalty", ">= 0"))
 
 
 def _through_spectrum(basis: np.ndarray, scale: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -276,7 +274,7 @@ def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Bat
     """
     if state.family != family or batch.family != family:
         raise ValidationError(f"this update handles the {family} family only")
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     if lam == 0:
         raise ValidationError("sequential updates require a strictly positive penalty")
     registry = state.registry.extended(batch.covariates)
@@ -343,9 +341,9 @@ def exact_moments_orthonormal(coef, target, lam: float, steps: int,
     target = _as_float_vector(target, "target")
     if coef.shape != target.shape:
         raise ValidationError("coef and target must have the same length")
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     _check_index(steps, 1, "steps")
-    noise_var = _check_nonnegative(noise_var, "noise variance")
+    noise_var = _check_real(noise_var, "noise variance", ">= 0")
     r = lam / (1.0 + lam)
     mean = coef + r ** steps * (target - coef)
     var = noise_var * (1.0 - r ** (2 * steps)) / (1.0 + 2.0 * lam)
@@ -369,9 +367,10 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         raise ValidationError("coef and target must have the same length")
     if len(designs) == 0:
         raise ValidationError("at least one design is required")
+    lams = _check_real_vector(lams, "penalty", ">= 0")
     if len(lams) != len(designs):
         raise ValidationError(f"{len(lams)} penalties for {len(designs)} designs")
-    noise_var = _check_nonnegative(noise_var, "noise variance")
+    noise_var = _check_real(noise_var, "noise variance", ">= 0")
     p = coef.shape[0]
     mean = target.copy()
     cov = np.zeros((p, p))
@@ -381,7 +380,6 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         if X_t.shape[1] != p:
             raise ValidationError(
                 f"design has {X_t.shape[1]} columns, expected {p}")
-        lam_t = _check_nonnegative(lam_t, "penalty")
         gram = X_t.T @ X_t
         A = cho_solve(_penalized_normal_factor(gram, lam_t), eye)
         mean = A @ (gram @ coef + lam_t * mean)

@@ -37,7 +37,8 @@ from .model_core import (
     _Record,
     fold_stacked,
     _check_binary,
-    _check_nonnegative,
+    _check_real,
+    _check_real_vector,
 )
 from .linear_estimator import _check_xy_target, _sequential_update
 
@@ -93,7 +94,7 @@ def logistic_loglik(X, y, coef) -> float:
 
 def penalized_loglik(X, y, coef, lam: float, target) -> float:
     """Log-likelihood minus the targeted ridge penalty (lam/2)||coef - target||^2."""
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     coef = np.asarray(coef, dtype=float)
     target = np.asarray(target, dtype=float)
     diff = coef - target
@@ -104,7 +105,7 @@ def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     """Gradient of the penalized log-likelihood: X'(y - mu) - lam (coef - target)."""
     X, y, coef = _check_xy_target(X, y, coef, 1)
     _check_binary(y)
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     target = np.asarray(target, dtype=float)
     if target.shape != coef.shape:
         raise ValidationError("target and coef must have the same length")
@@ -287,7 +288,7 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
     """
     X, y, target = _check_xy_target(X, y, target, 1)
     _check_binary(y)
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
     run = _irls_stack(X, y, np.array([lam]), target[None, :])
@@ -317,9 +318,7 @@ def irls_fit_grid(X, y, lams: Sequence[float],
     """
     X, y, T = _check_xy_target(X, y, targets, 2)
     _check_binary(y)
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not np.all(np.isfinite(lams)) or np.any(lams <= 0):
-        raise ValidationError("penalties must be a sequence of finite values > 0")
+    lams = np.array(_check_real_vector(lams, "penalty", "> 0"))
     p, L, W = X.shape[1], lams.shape[0], T.shape[1]
     cand_targets = np.tile(T.T, (L, 1))
     run = _irls_stack(X, y, np.repeat(lams, W), cand_targets)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -93,24 +94,51 @@ def _is_index(value: Any) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_index(value: Any, least: int, what: str) -> None:
-    if not _is_index(value) or value < least:
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+def _check_index(value: Any, least: int, what: str, most: int | None = None) -> None:
+    """``value`` is an index (``_is_index``) of at least ``least`` and, if
+    given, at most ``most``."""
+    if not _is_index(value) or value < least or (most is not None and value > most):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
 
 
-def _is_number(value: Any) -> bool:
-    """A real number that is not a bool; a string or ``np.bool_`` is not real."""
-    # The plain-float test first: the ABC check is the slow part of reading a state.
-    return type(value) is float or (isinstance(value, numbers.Real)
-                                    and not isinstance(value, bool))
+# The largest size NumPy can give an array dimension.
+_MAX_SIZE = int(np.iinfo(np.intp).max)
 
 
-def _check_nonnegative(value: Any, what: str) -> float:
-    """``value`` as a float that is finite and at least 0."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValidationError(f"{what} must be finite and >= 0, got {value!r}")
-    return value
+def _real(value: Any) -> float | None:
+    """``value`` as a float if it is a real number, else ``None``: finite, and
+    not a bool, a string or an ``np.bool_``. An integer past the float range
+    counts as not finite, so no conversion overflows."""
+    if type(value) is float:  # first: reading a state runs this for every coefficient
+        return value if math.isfinite(value) else None
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    return None
+
+
+def _check_real(value: Any, what: str, bound: str = "") -> float:
+    """``value`` as a float if it is a real number (``_real``) within
+    ``bound``, one of ``""`` (none), ``">= 0"`` and ``"> 0"``."""
+    real = _real(value)
+    if real is None:
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    if bound and not (real > 0 if bound == "> 0" else real >= 0):
+        raise ValidationError(f"{what} must be {bound}, got {value!r}")
+    return real
+
+
+def _check_real_vector(values: Any, what: str, bound: str = "") -> tuple[float, ...]:
+    """A 1-D sequence of real numbers, each within ``bound`` (``_check_real``;
+    ``what`` names one entry), as a tuple of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # entries as Python scalars: an np.bool_ as a bool
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} values must be a sequence, got {values!r}") from None
+    return tuple([_check_real(v, what, bound) for v in items])
 
 
 class _Record:
@@ -204,8 +232,7 @@ class Batch(_Record):
                  family: str = "linear") -> None:
         if family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
-        if not _is_index(t) or t < 0:
-            raise ValidationError(f"batch index t must be a non-negative integer, got {t!r}")
+        _check_index(t, 0, "batch index t")
         X, y = _check_xy(X, y, "", nonempty=True)
         X, y = X.copy(), y.copy()
         names = tuple(str(n) for n in covariates)
@@ -245,14 +272,10 @@ class CoefficientVector(_Record):
             k = str(k)
             if not k:
                 raise ValidationError("coefficient names must be non-empty strings")
-            if not _is_number(v):
-                raise ValidationError(f"coefficient {k!r} is not a number: {v!r}")
-            try:
-                vals[k] = float(v)
-            except OverflowError:  # an integer beyond the float range
-                vals[k] = float("inf")
-            if not math.isfinite(vals[k]):
-                raise ValidationError(f"coefficient {k!r} is not finite")
+            real = _real(v)
+            if real is None:
+                raise ValidationError(f"coefficient {k!r} must be a finite number, got {v!r}")
+            vals[k] = real
         self.__dict__["values"] = vals
 
     def __getitem__(self, name: str) -> float:
@@ -309,8 +332,7 @@ class TargetSpec(_Record):
             if set(t.names()) != keys:
                 raise ValidationError("all targets must share one covariate set")
         if weights is not None:
-            weights = tuple(float(v) for v in weights)
-            _check_simplex(weights, len(targets))
+            weights = _check_simplex(weights, len(targets))
         self.__dict__.update(targets=targets, weights=weights)
 
     @property
@@ -324,11 +346,9 @@ class TargetSpec(_Record):
 
 
 def _check_simplex(weights: Sequence[float], expected: int) -> tuple[float, ...]:
-    w = tuple(float(v) for v in weights)
+    w = _check_real_vector(weights, "weight")
     if len(w) != expected:
         raise ValidationError(f"expected {expected} weights, got {len(w)}")
-    if any(not np.isfinite(v) for v in w):
-        raise ValidationError("weights must be finite")
     if any(v < -_SIMPLEX_TOL for v in w):
         raise ValidationError("weights must be non-negative")
     if abs(sum(w) - 1.0) > _SIMPLEX_TOL:
@@ -344,18 +364,10 @@ class UpdateRecord(_Record):
     def __init__(self, t: int, lam: float, estimate: CoefficientVector,
                  weights: tuple[float, ...] | None = None,
                  diagnostics: Mapping[str, Any] | None = None) -> None:
-        if not _is_index(t):
-            raise ValidationError(f"update index t must be an integer, got {t!r}")
-        if t < 1:
-            raise ValidationError("update indices start at 1")
-        if not _is_number(lam):
-            raise ValidationError(f"penalty is not a number: {lam!r}")
-        lam = _check_nonnegative(lam, "penalty")
+        _check_index(t, 1, "update index t")
+        lam = _check_real(lam, "penalty", ">= 0")
         if weights is not None:
-            weights = tuple(weights)
-            if not all(_is_number(v) for v in weights):
-                raise ValidationError(f"weights must be numbers, got {weights!r}")
-            weights = tuple(float(v) for v in weights)
+            weights = _check_real_vector(weights, "weight")
         self.__dict__.update(t=int(t), lam=lam, estimate=estimate, weights=weights,
                              diagnostics={} if diagnostics is None else dict(diagnostics))
 
@@ -379,8 +391,7 @@ class TriangularHistory(_Record):
             raise ValidationError(f"history factor must be square, got shape {factor.shape}")
         if np.any(np.tril(factor, -1)):
             raise ValidationError("history factor must be upper triangular")
-        if not _is_index(rows) or rows < 1:
-            raise ValidationError(f"history row count must be a positive integer, got {rows!r}")
+        _check_index(rows, 1, "history row count")
         factor.setflags(write=False)
         self.__dict__.update(factor=factor, rows=int(rows))
 

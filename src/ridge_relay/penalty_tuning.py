@@ -54,13 +54,17 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     TargetSpec,
+    _MAX_SIZE,
     _Record,
     _check_index,
+    _check_real,
+    _check_real_vector,
     _is_index,
     align_batch,
     assemble_target,
     fold_stacked,
     fold_triangular,
+    mixture_target,
     start_state,
 )
 from ._numerics import expit
@@ -99,13 +103,14 @@ DEFAULT_GRID_POINTS = 50
 
 def default_grid(grid_min: float = DEFAULT_GRID_MIN, grid_max: float = DEFAULT_GRID_MAX,
                  points: int = DEFAULT_GRID_POINTS) -> tuple[float, ...]:
-    """Log-spaced penalty grid, ascending."""
-    if not 0 < grid_min < grid_max < np.inf:
-        raise ValidationError(
-            f"need 0 < grid_min < grid_max < inf, got {grid_min!r} and {grid_max!r}")
-    _check_index(points, 1, "points")
+    """``points`` log-spaced penalties from ``grid_min`` to ``grid_max``, ascending."""
+    grid_min = _check_real(grid_min, "grid_min", "> 0")
+    grid_max = _check_real(grid_max, "grid_max", "> 0")
+    if not grid_min < grid_max:
+        raise ValidationError(f"need grid_min < grid_max, got {grid_min!r} and {grid_max!r}")
+    _check_index(points, 1, "points", _MAX_SIZE)
     if points == 1:
-        return (float(grid_max),)
+        return (grid_max,)
     return tuple(np.geomspace(grid_min, grid_max, points).tolist())
 
 
@@ -390,11 +395,10 @@ class PenaltySearchConfig(_Record):
     def __init__(self, k_folds: int | None = 5, constrained: bool = True,
                  grid: tuple[float, ...] | None = None, seed: int = 0,
                  weight_points: int = 11) -> None:
-        grid = tuple(float(v) for v in (default_grid() if grid is None else grid))
+        grid = _check_real_vector(default_grid() if grid is None else grid, "grid penalty",
+                                  "> 0")
         if not grid:
             raise ValidationError("the penalty grid must be non-empty")
-        if any(not np.isfinite(v) or v <= 0 for v in grid):
-            raise ValidationError("grid penalties must be finite and positive")
         if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
             raise ValidationError("the grid must be strictly increasing")
         if k_folds is not None:
@@ -461,17 +465,6 @@ def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
             counts[s] += 1
         combos.append(tuple(c / m for c in counts))
     return sorted(set(combos), reverse=True)
-
-
-def _target_matrix(spec: TargetSpec, weight_options: list, names: Sequence[str]) -> np.ndarray:
-    """``(p, W)`` mixtures of the spec's targets over ``names``, one column per
-    weight option: the targets summed from zero in their order, as
-    ``mixture_target`` sums them, so each column equals its result to the bit."""
-    weights = np.array(weight_options)
-    out = np.zeros((len(names), weights.shape[0]))
-    for target, w in zip(spec.targets, weights.T):
-        out += target.as_array(names)[:, None] * w
-    return out
 
 
 def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
@@ -564,7 +557,8 @@ def select_penalty(state: EstimatorState, batch: Batch,
             weight_options = [expanded.weights]
         else:
             weight_options = _weight_lattice(expanded.size, cfg.weight_points)
-        target_matrix = _target_matrix(expanded, weight_options, names)
+        target_matrix = np.column_stack([mixture_target(expanded, w).as_array(names)
+                                         for w in weight_options])
 
     constrain = cfg.constrained and state.past is not None
     new_fraction = batch.n / (batch.n + state.past.rows) if constrain else None

@@ -21,14 +21,14 @@ squared-error losses, summarized by quantile bands.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _Record,
-                         _check_index, _check_nonnegative, _is_index, _is_number, start_state)
+from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _MAX_SIZE,
+                         _Record, _check_index, _check_real, _check_real_vector, _is_index,
+                         start_state)
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -71,11 +71,6 @@ def _require(ok: bool, name: str, rule: str, value) -> None:
         raise ValidationError(f"{_field(name)} must be {rule}, got {value!r}")
 
 
-def _is_finite(value) -> bool:
-    """A real number that is not a bool and converts to a finite float."""
-    return _is_number(value) and abs(value) <= sys.float_info.max
-
-
 class ScenarioConfig(_Record):
     """Parameters of one simulation scenario.
 
@@ -115,15 +110,17 @@ class ScenarioConfig(_Record):
                      f"one of {allowed}", v[name])
         for name in ("p", "n", "n_batches", "n_replicates", "grid_points",
                      "mixed_ratio_grid_points"):
-            _check_index(v[name], 1, _field(name))
+            _check_index(v[name], 1, _field(name), _MAX_SIZE)
         _check_index(v["seed"], 0, _field("seed"))
         for name in ("empty_every", "k_folds"):
             if v[name] is not None:
                 _check_index(v[name], 2, _field(name))
-        for name in ("noise_var", "batch_effect_var", "grid_min", "grid_max"):
-            _require(_is_finite(v[name]), name, "a finite number", v[name])
         for name in ("noise_var", "batch_effect_var"):
-            _check_nonnegative(v[name], _field(name))
+            _check_real(v[name], _field(name), ">= 0")
+        _check_real(v["grid_min"], _field("grid_min"), "> 0")
+        _check_real(v["grid_max"], _field("grid_max"))
+        _require(v["grid_max"] > v["grid_min"], "grid_max",
+                 f"above grid_min={v['grid_min']!r}", v["grid_max"])
         _require(isinstance(v["orthonormal"], bool), "orthonormal", "true or false",
                  v["orthonormal"])
         _require(v["constrained"] is None or isinstance(v["constrained"], bool), "constrained",
@@ -132,11 +129,10 @@ class ScenarioConfig(_Record):
                  f"false when n < p (n={v['n']}, p={v['p']})", v["orthonormal"])
         rule = v["beta_rule"]
         _require(rule == "ramp" if isinstance(rule, str) else
-                 isinstance(rule, (list, tuple, np.ndarray)) and len(rule) == v["p"]
-                 and all(_is_finite(b) for b in rule),
+                 isinstance(rule, (list, tuple, np.ndarray)) and len(rule) == v["p"],
                  "beta_rule", f"'ramp' or a list of p={v['p']} finite numbers", rule)
         if not isinstance(rule, str):
-            v["beta_rule"] = tuple(float(b) for b in rule)
+            v["beta_rule"] = _check_real_vector(rule, _field("beta_rule"))
         tracked = v["tracked"]
         if tracked is not None:
             _require(isinstance(tracked, (list, tuple, np.ndarray)) and len(tracked) > 0
@@ -144,9 +140,6 @@ class ScenarioConfig(_Record):
                      "tracked", f"null or a non-empty list of positions in 1..p={v['p']}",
                      tracked)
             v["tracked"] = tuple(int(pos) for pos in tracked)
-        _require(v["grid_min"] > 0, "grid_min", "> 0", v["grid_min"])
-        _require(v["grid_max"] > v["grid_min"], "grid_max",
-                 f"above grid_min={v['grid_min']!r}", v["grid_max"])
         self.__dict__.update(v)
 
     def grid(self) -> tuple[float, ...]:

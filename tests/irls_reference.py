@@ -20,7 +20,7 @@ from ridge_relay.logistic_estimator import (
     estimating_equation,
     penalized_loglik,
 )
-from ridge_relay.model_core import _check_binary, _check_nonnegative
+from ridge_relay.model_core import _check_binary, _check_real
 
 
 def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
@@ -32,7 +32,7 @@ def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
 
     X, y, target = _check_xy_target(X, y, target, 1)
     _check_binary(y)
-    lam = _check_nonnegative(lam, "penalty")
+    lam = _check_real(lam, "penalty", ">= 0")
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
     p = X.shape[1]

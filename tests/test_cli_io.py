@@ -2,8 +2,8 @@
 command line interface.
 
 CLI commands run in-process through ``main(argv)`` with redirected
-streams; crash safety of the state writer is exercised with a real
-subprocess that dies mid-write.
+streams; crash safety of the state writer is exercised with real
+subprocesses that die mid-write.
 """
 
 import base64
@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -53,6 +55,14 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cio.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def package_env():
+    """The environment of a child process that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_csv(path, header, rows):
@@ -610,6 +620,27 @@ class TestCliInit:
         assert code == 0
         assert cio.read_state(path).registry.size == 2
 
+    def test_a_state_written_during_the_fit_is_left_as_it_is(self, tmp_path, monkeypatch):
+        """``init`` checks for an existing state under the lock, just before
+        it writes: a state another ``init`` wrote while this one was fitting
+        is refused with exit 2 and keeps its bytes."""
+        data = str(tmp_path / "first.csv")
+        batch_csv(data, np.random.default_rng(17), n=30, coef=[2.0, -1.0])
+        path = str(tmp_path / "m.json")
+        real_fit = cio.fit_first_batch
+        written = []
+
+        def fit_while_another_init_runs(*args):
+            assert run_cli("init", "--state", path, "--covariates", "a")[0] == 0
+            written.append(open(path, "rb").read())
+            return real_fit(*args)
+
+        monkeypatch.setattr(cio, "fit_first_batch", fit_while_another_init_runs)
+        code, out, err = run_cli("init", "--state", path, "--data", data, "--response", "y")
+        assert code == 2 and out == "" and "--force" in err
+        assert open(path, "rb").read() == written[0]
+        assert not os.path.exists(path + ".lock")
+
     def test_bad_target_files_exit_with_validation_code(self, tmp_path):
         path = str(tmp_path / "m.json")
         code, _, _ = run_cli("init", "--state", path,
@@ -726,6 +757,50 @@ class TestCliUpdate:
         assert code == 2 and err.startswith("error: ")
         assert not os.path.exists(fresh) and not os.path.exists(fresh + ".lock")
 
+    @pytest.mark.parametrize("call", ["fsync", "replace", "directory-open"])
+    def test_an_update_killed_in_its_write_leaves_the_old_or_the_new_state(self, tmp_path,
+                                                                            call):
+        """SIGKILL at the file's fsync, at the rename, or at the directory's
+        open for its fsync: the state file holds the old bytes before the
+        rename and the new bytes after it. Once the dead run's lock file is
+        removed by hand, the next update runs and removes the leftover
+        temporary file."""
+        path, data, _ = self.init_and_first_batch(tmp_path)
+        args = ["--data", data, "--response", "y", "--k-folds", "4"]
+        twin = str(tmp_path / "twin.json")
+        shutil.copyfile(path, twin)
+        assert run_cli("update", "--state", twin, *args)[0] == 0
+        old, new = open(path, "rb").read(), open(twin, "rb").read()
+        script = textwrap.dedent("""
+            import os, signal, sys
+            import ridge_relay.cli_io as cio
+
+            def die(*args):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            call, argv = sys.argv[1], sys.argv[2:]
+            if call == "directory-open":
+                directory = os.path.dirname(os.path.abspath(argv[argv.index("--state") + 1]))
+                real_open = os.open
+                os.open = lambda path, *rest: (die() if path == directory
+                                               else real_open(path, *rest))
+            else:
+                setattr(os, call, die)
+            sys.exit(cio.main(argv))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, call, "update", "--state", path,
+                               *args], capture_output=True, env=package_env(), timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        renamed = call == "directory-open"
+        assert open(path, "rb").read() == (new if renamed else old)
+        cio.read_state(path)
+        leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-m.json-")]
+        assert len(leftovers) == (0 if renamed else 1)
+        os.remove(path + ".lock")
+        code, _, err = run_cli("update", "--state", path, *args)
+        assert code == 0, err
+        assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+
     def test_stale_lock_exits_4(self, tmp_path):
         path, data, _ = self.init_and_first_batch(tmp_path)
         with open(path + ".lock", "w") as fh:
@@ -785,13 +860,10 @@ class TestCliSelectLambda:
         assert run_cli("init", "--state", path, "--covariates", "x1")[0] == 0
         data = str(tmp_path / "b.csv")
         batch_csv(data, np.random.default_rng(31), n=12, coef=[2.0])
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-W", "default", "-m", "ridge_relay",
                                "select-lambda", "--state", path, "--data", data,
                                "--response", "y", "--grid-max", "inf"],
-                              capture_output=True, env=env, timeout=120)
+                              capture_output=True, env=package_env(), timeout=120)
         lines = proc.stderr.decode().splitlines()
         assert proc.returncode == 2
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
@@ -1018,8 +1090,8 @@ NAN, INF = float("nan"), float("inf")
 BAD_SCENARIO_FIELDS = {
     "study": [{"study": 3}, {"study": "nope"}],
     "family": [{"family": ["linear"]}, {"family": "poisson"}],
-    "p": [{"p": "3"}, {"p": 0}],
-    "n": [{"n": 2.5}, {"n": 0}],
+    "p": [{"p": "3"}, {"p": 0}, {"p": 10 ** 20}],
+    "n": [{"n": 2.5}, {"n": 0}, {"n": 10 ** 20}],
     "n_batches": [{"n_batches": True}, {"n_batches": 0}],
     "n_replicates": [{"n_replicates": "1"}, {"n_replicates": -1}],
     "beta_rule": [{"beta_rule": {"x1": 1.0}}, {"beta_rule": "flat"},
@@ -1037,9 +1109,11 @@ BAD_SCENARIO_FIELDS = {
     "grid_min": [{"grid_min": "small"}, {"grid_min": 0}, {"grid_min": -INF}],
     "grid_max": [{"grid_max": [1.0]}, {"grid_max": 1e-5}, {"grid_max": INF},
                  {"grid_max": 10 ** 400}],
-    "grid_points": [{"grid_points": "4"}, {"grid_points": 0}, {"grid_points": -1}],
+    "grid_points": [{"grid_points": "4"}, {"grid_points": 0}, {"grid_points": -1},
+                    {"grid_points": 10 ** 20}],
     "mixed_ratio_grid_points": [{"mixed_ratio_grid_points": 2.5},
-                                {"mixed_ratio_grid_points": -1}],
+                                {"mixed_ratio_grid_points": -1},
+                                {"mixed_ratio_grid_points": 10 ** 20}],
     "tracked": [{"tracked": 1}, {"tracked": [1.0]}, {"tracked": []}, {"tracked": [0]},
                 {"tracked": [4]}],
 }
@@ -1068,11 +1142,8 @@ def test_a_non_finite_variance_prints_only_the_error_line(tmp_path):
     """In a process of its own, a non-finite variance leaves nothing on
     stderr but the error line: no NumPy warning."""
     argv = scenario_args(tmp_path, {**SMALL_SCENARIO, "batch_effect_var": INF})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ridge_relay", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=package_env(), timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("error: scenario field 'batch_effect_var' must be a finite "
                            "number, got inf\n")
@@ -1272,11 +1343,9 @@ class TestClosedOutputPipe:
     quietly with ``EXIT_BROKEN_PIPE``, whatever it was still writing."""
 
     def run_until_first_line(self, *argv):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen([sys.executable, "-m", "ridge_relay", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=package_env())
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

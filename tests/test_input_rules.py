@@ -1,14 +1,19 @@
 """Every public entry point rejects each malformed input it takes.
 
 The package states what a valid design/response pair, a 0/1 response, a
-finite non-negative penalty, variance ratio or noise variance, a
-quantile in [0, 1], an index (an integer, not a bool) and a number (real,
-not a bool or a string) are. Fold counts, fold seeds, grid sizes, weight
-lattice sizes and moment step counts are indices, and grid bounds are
-finite. This
-table feeds each malformed input to every public entry point that takes
-it and asserts the error class, so a check that one caller drops fails
-here whatever module the check lives in.
+quantile in [0, 1], an index (an integer, not a bool) and a number are.
+Fold counts, fold seeds, grid sizes, weight lattice sizes and moment step
+counts are indices; a grid size must also be one NumPy can give an array.
+
+One rule says what a number is, and ``model_core._check_real`` holds it:
+a real number, finite, and not a bool, a string or an ``np.bool_``; an
+integer past the float range counts as not finite. Some inputs add a
+bound of >= 0 or > 0. Every penalty, variance ratio, noise variance,
+grid bound, mixture weight and coefficient follows it, and so does every
+entry of a penalty or ratio grid (``_check_real_vector``: a 1-D sequence
+of such numbers). These tables feed each malformed input to every
+public entry point that takes it and assert the error class, so a check
+that one caller drops fails here whatever module the check lives in.
 """
 
 import numpy as np
@@ -23,6 +28,7 @@ from ridge_relay import (
     PenaltySearchConfig,
     StackedHistory,
     StateFileError,
+    TargetSpec,
     TrajectoryResult,
     UpdateRecord,
     ValidationError,
@@ -44,6 +50,7 @@ from ridge_relay import (
     make_folds,
     mixed_fixed_effects,
     mixed_moments,
+    mixture_target,
     penalized_loglik,
     plain_ridge,
     stack_batches,
@@ -166,6 +173,34 @@ NOISE_ENTRIES = {
 }
 
 
+# name -> call(v) for one entry v of a penalty or ratio grid
+GRID_ENTRIES = {
+    "PenaltySearchConfig": lambda v: PenaltySearchConfig(grid=[0.5, v]),
+    "default_grid(min)": lambda v: default_grid(v, 1e6, 3),
+    "default_grid(max)": lambda v: default_grid(1e-4, v, 3),
+    "fit_targeted_ridge_grid": lambda v: fit_targeted_ridge_grid(X, Y["linear"], [0.5, v],
+                                                                 ZERO[:, None]),
+    "loo_ridge_grid": lambda v: loo_ridge_grid(X, Y["linear"], [0.5, v], ZERO[:, None]),
+    "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [0.5, v], ZERO[:, None]),
+    "estimate_xi": lambda v: estimate_xi(stacked(), grid=[0.5, v]),
+}
+
+
+def one_target(v):
+    return TargetSpec((CoefficientVector({"a": 0.0}),), weights=(v,))
+
+
+# name -> call(v) for a value v that must be a real number, with no bound
+# (a weight must also lie on the simplex, which 1.0 alone does)
+NUMBER_ENTRIES = {
+    "CoefficientVector": lambda v: CoefficientVector({"a": v}),
+    "UpdateRecord weights": lambda v: UpdateRecord(
+        t=1, lam=1.0, estimate=CoefficientVector({"a": 0.0}), weights=(v,)),
+    "TargetSpec weights": one_target,
+    "mixture_target weights": lambda v: mixture_target(one_target(1.0), [v]),
+}
+
+
 def trajectory():
     return TrajectoryResult(name="demo", t_values=np.arange(1, 3), tracked=(1,),
                             estimates=RNG.standard_normal((4, 2, 1)),
@@ -180,12 +215,24 @@ QUANTILE_ENTRIES = {
 }
 
 
+# (label, value): values below a bound of >= 0, or not finite
+OUT_OF_RANGE = tuple((str(v), v) for v in (-1.0, np.nan, np.inf))
+NOT_FINITE = tuple((str(v), v) for v in (np.nan, np.inf, -np.inf))
+# values that are not real numbers, whatever the bound
+NOT_REAL = (("'1.5'", "1.5"), ("True", True), ("np.True_", np.True_), ("10**400", 10 ** 400))
+
+
 def scalar_cases():
-    for kind, entries in (("penalty", PENALTY_ENTRIES), ("ratio", RATIO_ENTRIES),
-                          ("noise variance", NOISE_ENTRIES), ("quantile", QUANTILE_ENTRIES)):
+    for kind, entries, values in (
+            ("penalty", PENALTY_ENTRIES, OUT_OF_RANGE + NOT_REAL),
+            ("ratio", RATIO_ENTRIES, OUT_OF_RANGE + NOT_REAL),
+            ("noise variance", NOISE_ENTRIES, OUT_OF_RANGE + NOT_REAL),
+            ("grid value", GRID_ENTRIES, OUT_OF_RANGE + NOT_REAL),
+            ("number", NUMBER_ENTRIES, NOT_FINITE + NOT_REAL),
+            ("quantile", QUANTILE_ENTRIES, OUT_OF_RANGE)):
         for entry, call in entries.items():
-            for value in (-1.0, np.nan, np.inf):
-                yield pytest.param(call, value, id=f"{entry}-{kind} {value}")
+            for label, value in values:
+                yield pytest.param(call, value, id=f"{entry}-{kind} {label}")
 
 
 @pytest.mark.parametrize("family, call, spoil", data_cases())
@@ -223,9 +270,11 @@ BAD_RECORD_FIELDS = {
     "t true": ("t", True),
     "lam true": ("lam", True),
     "lam '1.5'": ("lam", "1.5"),
+    "lam 10**400": ("lam", 10 ** 400),
     "coefficient true": ("estimate", {"a": True}),
     "coefficient '1.5'": ("estimate", {"a": "1.5"}),
     "weight true": ("weights", [True, 0.0]),
+    "weight nan": ("weights", [float("nan"), 0.0]),
 }
 GOOD_RECORD = {"t": 1, "lam": 1.5, "estimate": {"a": 0.5}, "weights": [0.25, 0.75]}
 
@@ -283,7 +332,9 @@ BAD_SELECTION_INPUTS = {
     "default_grid max inf": (default_grid, {"grid_max": 1e6, "points": 3},
                              {"grid_max": np.inf, "points": 3}),
     "default_grid min nan": (default_grid, {"grid_min": 1e-4}, {"grid_min": np.nan}),
+    "default_grid points 10**20": (default_grid, {"points": 3}, {"points": 10 ** 20}),
     "default_xi_grid points -1": (default_xi_grid, {"points": 3}, {"points": -1}),
+    "default_xi_grid points 10**20": (default_xi_grid, {"points": 3}, {"points": 10 ** 20}),
     "default_xi_grid points 2.5": (default_xi_grid, {"points": 3}, {"points": 2.5}),
     "exact_moments_orthonormal steps 2.5": (moments_after, {"steps": 2}, {"steps": 2.5}),
     "exact_moments_orthonormal steps true": (moments_after, {"steps": 2}, {"steps": True}),

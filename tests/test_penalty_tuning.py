@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ridge_relay import (
     Batch,
@@ -924,47 +924,6 @@ class TestLogisticFoldLoopProperties:
             assert report.chosen_lambda == oracle.chosen_lambda
             assert report.chosen_weights == oracle.chosen_weights
             assert report.fallback_used == oracle.fallback_used
-
-
-# Entries of a target: signed zeros often, else any moderate value.
-TARGET_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
-                           st.floats(-1e3, 1e3, allow_nan=False))
-
-
-@st.composite
-def target_lattices(draw):
-    """A spec of 1-3 targets over up to four names, a weight option list (a
-    lattice, or one fixed weight vector) and a name order to lay them out in."""
-    size = draw(st.integers(1, 3))
-    names = tuple(f"x{j}" for j in range(draw(st.integers(1, 4))))
-    targets = tuple(
-        CoefficientVector(dict(zip(names, draw(st.lists(
-            TARGET_ENTRIES, min_size=len(names), max_size=len(names))))))
-        for _ in range(size))
-    if draw(st.booleans()):
-        options = penalty_tuning._weight_lattice(size, draw(st.integers(2, 6)))
-    else:
-        raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
-        options = [tuple((raw / raw.sum()).tolist())]
-    order = draw(st.permutations(names))
-    return TargetSpec(targets), options, tuple(order)
-
-
-class TestTargetMatrixProperties:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(target_lattices())
-    @example((TargetSpec((CoefficientVector({"a": -0.0, "b": -0.0}),)), [(1.0,)], ("b", "a")))
-    @example((TargetSpec((CoefficientVector({"a": -0.0}), CoefficientVector({"a": 2.0}),
-                          CoefficientVector({"a": -0.0}))),
-              penalty_tuning._weight_lattice(3, 3), ("a",)))
-    def test_columns_equal_mixture_target_bitwise(self, case):
-        """Every column is ``mixture_target`` of its weights over the name
-        order, signed zeros included: both sum the targets from zero."""
-        spec, options, names = case
-        got = penalty_tuning._target_matrix(spec, options, names)
-        want = np.column_stack([mixture_target(spec, w).as_array(names) for w in options])
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @st.composite
