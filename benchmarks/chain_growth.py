@@ -18,7 +18,20 @@ history length T:
 A cost that does not grow with the history keeps ``update_ms`` flat in T
 and ``chain_ms`` linear in T. A linear state keeps a triangular factor,
 so only its records grow with T; a logistic state keeps every past row.
-NumPy is the only requirement.
+
+``linear_width`` adds the width axis: ``update_ms`` of a linear state
+that holds T = 10 records, for p = 20, 200 and 1000 covariates (n = 50),
+where the (p + 1) x (p + 1) factor's fold dominates.
+
+``linear_layouts`` times the linear chain (p = 20, n = 50) to T = 100
+for four layouts of the batches' covariates against the registry:
+``registry`` (every batch carries the registry's names in its order, as
+every perfbench workload's batches do), ``reordered`` (the names
+reversed), ``partial`` (batch t lacks one covariate, a different one
+from batch to batch) and ``growing`` (the registry starts with one name
+and gains one every 5 batches, to 20). Only ``registry`` batches skip
+the alignment and target assembly an update otherwise runs. NumPy is the
+only requirement.
 """
 
 from __future__ import annotations
@@ -42,6 +55,10 @@ CHAINS = {
     "linear": {"step": update, "p": 20, "n": 50, "lengths": (10, 100, 400)},
     "logistic": {"step": update_logistic, "p": 10, "n": 100, "lengths": (10, 100)},
 }
+WIDTHS = (20, 200, 1000)
+WIDTH_LENGTH = 10
+LAYOUTS = ("registry", "reordered", "partial", "growing")
+LAYOUT_LENGTH = 100
 
 
 def batches(family: str, p: int, n: int, count: int, seed: int = 0) -> list[Batch]:
@@ -60,9 +77,11 @@ def batches(family: str, p: int, n: int, count: int, seed: int = 0) -> list[Batc
     return out
 
 
-def grow(family: str, step, data: list[Batch], lengths) -> tuple[dict, dict]:
-    """States at each length in ``lengths``, and the wall time to reach each."""
-    state = start_state(family, data[0].covariates)
+def grow(family: str, step, data: list[Batch], lengths,
+         names=None) -> tuple[dict, dict]:
+    """States at each length in ``lengths``, and the wall time to reach each;
+    the registry starts with ``names`` (default: the first batch's)."""
+    state = start_state(family, data[0].covariates if names is None else names)
     states, reached = {}, {}
     start = time.perf_counter()
     for batch in data[:max(lengths)]:
@@ -81,23 +100,62 @@ def state_mb(state) -> float:
         return os.path.getsize(path) / 1e6
 
 
+def update_ms(step, state, batch) -> float:
+    """Median wall time of one ``step`` of ``state`` by ``batch``, in milliseconds."""
+    runs = timeit.repeat(lambda: step(state, batch, LAM),
+                         number=UPDATES_PER_REPEAT, repeat=REPEATS)
+    return round(statistics.median(runs) / UPDATES_PER_REPEAT * 1e3, 4)
+
+
 def measure(family: str, step, p: int, n: int, lengths) -> dict:
     data = batches(family, p, n, max(lengths) + 1)
     chain_runs = []
     for _ in range(REPEATS):
         states, reached = grow(family, step, data, lengths)
         chain_runs.append(reached)
-    update_ms = {}
-    for T in lengths:
-        state, batch = states[T], data[T]
-        runs = timeit.repeat(lambda: step(state, batch, LAM),
-                             number=UPDATES_PER_REPEAT, repeat=REPEATS)
-        update_ms[str(T)] = round(statistics.median(runs) / UPDATES_PER_REPEAT * 1e3, 4)
+    update = {str(T): update_ms(step, states[T], data[T]) for T in lengths}
     chain_ms = {str(T): round(statistics.median(run[T] for run in chain_runs), 3)
                 for T in lengths}
     sizes = {str(T): round(state_mb(states[T]), 4) for T in lengths}
-    return {"p": p, "n": n, "lam": LAM, "update_ms": update_ms, "chain_ms": chain_ms,
+    return {"p": p, "n": n, "lam": LAM, "update_ms": update, "chain_ms": chain_ms,
             "state_mb": sizes}
+
+
+def measure_widths(n: int = 50) -> dict:
+    """Linear ``update_ms`` at T = ``WIDTH_LENGTH`` for each p in ``WIDTHS``."""
+    out = {}
+    for p in WIDTHS:
+        data = batches("linear", p, n, WIDTH_LENGTH + 1)
+        states, _ = grow("linear", update, data, (WIDTH_LENGTH,))
+        out[str(p)] = update_ms(update, states[WIDTH_LENGTH], data[WIDTH_LENGTH])
+    return {"n": n, "T": WIDTH_LENGTH, "lam": LAM, "update_ms": out}
+
+
+def laid_out(batch: Batch, layout: str) -> Batch:
+    """``batch`` with its covariates laid out as ``layout`` says (``LAYOUTS``)."""
+    p, t = batch.p, batch.t
+    cols = list(range(p))
+    if layout == "reordered":
+        cols.reverse()
+    elif layout == "partial":
+        cols.remove(t % p)
+    elif layout == "growing":
+        cols = cols[:min(p, 1 + t // 5)]
+    return Batch(t=t, X=batch.X[:, cols], y=batch.y,
+                 covariates=tuple(batch.covariates[j] for j in cols))
+
+
+def measure_layouts(p: int = 20, n: int = 50) -> dict:
+    """Linear ``chain_ms`` to T = ``LAYOUT_LENGTH`` for each layout in ``LAYOUTS``."""
+    data = batches("linear", p, n, LAYOUT_LENGTH)
+    out = {}
+    for layout in LAYOUTS:
+        laid = [laid_out(batch, layout) for batch in data]
+        names = laid[0].covariates if layout == "growing" else data[0].covariates
+        runs = [grow("linear", update, laid, (LAYOUT_LENGTH,), names)[1][LAYOUT_LENGTH]
+                for _ in range(REPEATS)]
+        out[layout] = round(statistics.median(runs), 3)
+    return {"p": p, "n": n, "T": LAYOUT_LENGTH, "lam": LAM, "chain_ms": out}
 
 
 def main() -> None:
@@ -105,6 +163,8 @@ def main() -> None:
            "statistic": "median ms (update_ms, chain_ms)"}
     for family, spec in CHAINS.items():
         doc[family] = measure(family, spec["step"], spec["p"], spec["n"], spec["lengths"])
+    doc["linear_width"] = measure_widths()
+    doc["linear_layouts"] = measure_layouts()
     print(json.dumps(doc, indent=2))
 
 

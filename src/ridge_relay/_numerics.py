@@ -17,7 +17,16 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-__all__ = ["SpdFactor", "cho_factor", "cho_solve", "expit"]
+__all__ = ["SpdFactor", "all_finite", "cho_factor", "cho_solve", "expit"]
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, in one pass that warns of nothing.
+
+    Counting the finite entries costs less per call than ``.all()`` of
+    the mask, whose method wrapper dominates on small arrays.
+    """
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 class SpdFactor(NamedTuple):
@@ -36,7 +45,7 @@ def cho_factor(a: np.ndarray, what: str = "the matrix") -> SpdFactor:
     returns NaNs for a NaN matrix instead of raising.
     """
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise SingularMatrixError(f"{what} has a non-finite entry")
     try:
         lower = np.linalg.cholesky(a)

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import (Batch, _MAX_SIZE, _Record, _as_float_matrix, _check_index,
+from .model_core import (Batch, _MAX_ELEMENTS, _Record, _real_array, _check_index,
                          _check_real, _check_real_vector)
 from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
 
@@ -296,8 +296,8 @@ DEFAULT_XI_GRID_POINTS = 25
 
 
 def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
-    """``points`` (an index up to ``_MAX_SIZE``) log-spaced ratios for ``estimate_xi``."""
-    _check_index(points, 1, "points", _MAX_SIZE)
+    """``points`` (an index up to ``_MAX_ELEMENTS``) log-spaced ratios for ``estimate_xi``."""
+    _check_index(points, 1, "points", _MAX_ELEMENTS)
     return tuple(np.geomspace(1e-4, 1e4, points).tolist())
 
 
@@ -395,5 +395,5 @@ class _PooledRefit:
 
 def plain_ridge(X, y, lam: float) -> LinearFit:
     """Zero-target ridge on a single batch: the no-memory baseline."""
-    X = _as_float_matrix(X, "X")
+    X = _real_array(X, "X", 2)
     return fit_targeted_ridge(X, y, lam, np.zeros(X.shape[1]))

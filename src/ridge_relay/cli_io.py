@@ -168,8 +168,7 @@ def _past_from_batches(family: str, registry: CovariateRegistry,
     fam = get_family(family)
     past = None
     for raw in batches:
-        batch = Batch(t=raw["t"], X=np.asarray(raw["x"], dtype=float),
-                      y=np.asarray(raw["y"], dtype=float),
+        batch = Batch(t=raw["t"], X=raw["x"], y=raw["y"],
                       covariates=tuple(raw["covariates"]), family=family)
         width = 1 + max((registry.index_of(n) for n in batch.covariates), default=-1)
         if 1 <= batch.t <= len(history):

@@ -34,10 +34,9 @@ from .model_core import (
     _Record,
     align_batch,
     assemble_target,
-    fold_triangular,
+    _fold_triangular,
     mixture_target,
-    _as_float_matrix,
-    _as_float_vector,
+    _real_array,
     _check_index,
     _check_real,
     _check_real_vector,
@@ -80,8 +79,7 @@ def _check_xy_target(X, y, target, ndim: int) -> tuple[np.ndarray, np.ndarray, n
     """A fit's design, response and target: one vector (``ndim`` 1), or one
     target per column (``ndim`` 2) for a grid solve."""
     X, y = _check_xy(X, y, "", nonempty=False)
-    as_array = _as_float_vector if ndim == 1 else _as_float_matrix
-    t = as_array(target, "target")
+    t = _real_array(target, "target", ndim)
     if t.shape[0] != X.shape[1]:
         raise ValidationError(
             f"target covers {t.shape[0]} covariates for {X.shape[1]} design columns")
@@ -253,8 +251,8 @@ def loo_ridge_grid(X, y, lams: Sequence[float], targets, history=None):
 
 def _check_history(history, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(F, f)`` of a historic criterion over at most ``p`` covariates."""
-    F = _as_float_matrix(history[0], "history factor")
-    f = _as_float_vector(history[1], "history response")
+    F = _real_array(history[0], "history factor", 2)
+    f = _real_array(history[1], "history response", 1)
     if f.shape[0] != F.shape[0] or F.shape[1] > p:
         raise ValidationError(
             f"a history of shape {F.shape} and {f.shape[0]} responses "
@@ -270,7 +268,9 @@ def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Bat
 
     ``fit(X, y, lam, target)`` returns the coefficients and the
     diagnostics the fit adds to the record (given ``diagnostics`` win);
-    ``fold(past, X, y)`` folds the batch into the state's past data.
+    ``fold(past, X, y)`` folds the batch into the state's past data
+    without checking it again: ``Batch`` has checked its arrays, and the
+    aligned design covers the state's registry.
     """
     if state.family != family or batch.family != family:
         raise ValidationError(f"this update handles the {family} family only")
@@ -316,7 +316,7 @@ def update(state: EstimatorState, batch: Batch, lam: float, *,
     def fit(X, y, lam, target):
         return fit_targeted_ridge(X, y, lam, target).coef, {}
 
-    return _sequential_update("linear", fit, fold_triangular, state, batch, lam,
+    return _sequential_update("linear", fit, _fold_triangular, state, batch, lam,
                               target_spec, weights, diagnostics)
 
 
@@ -337,8 +337,8 @@ def exact_moments_orthonormal(coef, target, lam: float, steps: int,
     which increases in t toward noise_var / (1 + 2 lam). Both are what the
     first and second moment recursions give for identity gram matrices.
     """
-    coef = _as_float_vector(coef, "coef")
-    target = _as_float_vector(target, "target")
+    coef = _real_array(coef, "coef", 1)
+    target = _real_array(target, "target", 1)
     if coef.shape != target.shape:
         raise ValidationError("coef and target must have the same length")
     lam = _check_real(lam, "penalty", ">= 0")
@@ -361,8 +361,8 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         cov_t  = noise_var A_t X_t'X_t A_t + lam_t^2 A_t cov_{t-1} A_t,
         cov_0 = 0.
     """
-    coef = _as_float_vector(coef, "coef")
-    target = _as_float_vector(target, "target")
+    coef = _real_array(coef, "coef", 1)
+    target = _real_array(target, "target", 1)
     if coef.shape != target.shape:
         raise ValidationError("coef and target must have the same length")
     if len(designs) == 0:
@@ -376,7 +376,7 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
     cov = np.zeros((p, p))
     eye = np.eye(p)
     for X_t, lam_t in zip(designs, lams):
-        X_t = _as_float_matrix(X_t, "design")
+        X_t = _real_array(X_t, "design", 2)
         if X_t.shape[1] != p:
             raise ValidationError(
                 f"design has {X_t.shape[1]} columns, expected {p}")

@@ -35,7 +35,7 @@ from .model_core import (
     EstimatorState,
     TargetSpec,
     _Record,
-    fold_stacked,
+    _fold_stacked,
     _check_binary,
     _check_real,
     _check_real_vector,
@@ -347,5 +347,5 @@ def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
         return res.coef, {"irls_iterations": res.iterations,
                           "irls_gradient_norm": res.final_gradient_norm}
 
-    return _sequential_update("logistic", fit, fold_stacked, state, batch, lam,
+    return _sequential_update("logistic", fit, _fold_stacked, state, batch, lam,
                               target_spec, weights, diagnostics)

@@ -25,6 +25,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._numerics import all_finite
 from .errors import RegistryError, ValidationError
 
 __all__ = [
@@ -51,32 +52,35 @@ FAMILIES = ("linear", "logistic")
 _SIMPLEX_TOL = 1e-12
 
 
-def _as_float_matrix(X: Any, name: str) -> np.ndarray:
-    arr = np.asarray(X, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
+def _real_array(values: Any, what: str, ndim: int | None = None,
+                copy: bool = False) -> np.ndarray:
+    """``values`` as a float array under the number rule (``_real``), judged
+    once for the whole array: its dtype is an integer or a floating type,
+    so not a bool, a string or an object (NumPy gives an integer past the
+    int64 range the object dtype), and every entry is finite. ``ndim``, if
+    given, is the number of dimensions it must have; ``copy`` gives a
+    C-ordered copy the caller owns, else the input itself when it is a
+    float array already."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    arr = np.array(arr, dtype=float, order="C") if copy else arr.astype(float, copy=False)
+    if not all_finite(arr):
+        raise ValidationError(f"{what} contains non-finite entries")
     return arr
 
 
-def _as_float_vector(y: Any, name: str) -> np.ndarray:
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _check_xy(X: Any, y: Any, what: str, nonempty: bool) -> tuple[np.ndarray, np.ndarray]:
+def _check_xy(X: Any, y: Any, what: str, nonempty: bool,
+              copy: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """A finite design and response with one row per observation.
 
     ``what`` prefixes the array names in messages; ``nonempty`` also
-    rejects zero rows.
+    rejects zero rows, and ``copy`` returns copies (``_real_array``).
     """
-    X = _as_float_matrix(X, f"{what}X")
-    y = _as_float_vector(y, f"{what}y")
+    X = _real_array(X, f"{what}X", 2, copy)
+    y = _real_array(y, f"{what}y", 1, copy)
     if X.shape[0] != y.shape[0]:
         raise ValidationError(f"{what}X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if nonempty and X.shape[0] == 0:
@@ -102,8 +106,10 @@ def _check_index(value: Any, least: int, what: str, most: int | None = None) -> 
         raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
 
 
-# The largest size NumPy can give an array dimension.
-_MAX_SIZE = int(np.iinfo(np.intp).max)
+# The most elements an array may hold whose size a caller chooses: a grid
+# size, or a scenario size (see ``sim_harness.ScenarioConfig``). 2**24
+# float64 values take 128 MiB, and no study, test or benchmark comes near.
+_MAX_ELEMENTS = 2 ** 24
 
 
 def _real(value: Any) -> float | None:
@@ -141,6 +147,18 @@ def _check_real_vector(values: Any, what: str, bound: str = "") -> tuple[float, 
     return tuple([_check_real(v, what, bound) for v in items])
 
 
+def _as_names(values: Any) -> tuple[str, ...]:
+    """``values`` as a tuple of names, each converted with ``str``. A join
+    checks in one call that every entry is a string already, so the usual
+    tuple of strings is not converted name by name."""
+    names = tuple(values)
+    try:
+        "".join(names)
+    except TypeError:
+        names = tuple(map(str, names))
+    return names
+
+
 class _Record:
     """Base of the package's immutable records.
 
@@ -176,6 +194,14 @@ class _Record:
     def __hash__(self) -> int:
         return hash(self._values())
 
+    @classmethod
+    def _built(cls, **fields: Any):
+        """An instance holding ``fields`` as given, without ``__init__``'s
+        checks: for values the caller has just checked or built itself."""
+        new = object.__new__(cls)
+        new.__dict__.update(fields)
+        return new
+
 
 class CovariateRegistry(_Record):
     """Ordered, append-only collection of covariate names.
@@ -187,7 +213,7 @@ class CovariateRegistry(_Record):
     _fields = ("names",)
 
     def __init__(self, names: tuple[str, ...]) -> None:
-        names = tuple(str(n) for n in names)
+        names = _as_names(names)
         if any(not n for n in names):
             raise RegistryError("covariate names must be non-empty strings")
         if len(set(names)) != len(names):
@@ -212,6 +238,8 @@ class CovariateRegistry(_Record):
 
     def extended(self, names: Sequence[str]) -> "CovariateRegistry":
         """Registry with any genuinely new names appended, existing order kept."""
+        if names == self.names:
+            return self
         new = [n for n in names if n not in self._index]
         if not new:
             return self
@@ -233,9 +261,8 @@ class Batch(_Record):
         if family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
         _check_index(t, 0, "batch index t")
-        X, y = _check_xy(X, y, "", nonempty=True)
-        X, y = X.copy(), y.copy()
-        names = tuple(str(n) for n in covariates)
+        X, y = _check_xy(X, y, "", nonempty=True, copy=True)
+        names = _as_names(covariates)
         if len(names) != X.shape[1]:
             raise ValidationError(
                 f"{len(names)} covariate names for {X.shape[1]} design columns")
@@ -295,20 +322,23 @@ class CoefficientVector(_Record):
 
     def as_array(self, names: Sequence[str]) -> np.ndarray:
         """Dense layout in the order of ``names``; an absent name is an error."""
-        out = np.empty(len(names))
-        for i, name in enumerate(names):
-            if name not in self.values:
-                raise ValidationError(f"coefficient vector has no entry for {name!r}")
-            out[i] = self.values[name]
-        return out
+        try:
+            return np.array([self.values[name] for name in names], dtype=float)
+        except KeyError as exc:
+            raise ValidationError(
+                f"coefficient vector has no entry for {exc.args[0]!r}") from None
 
     @staticmethod
     def from_array(names: Sequence[str], values: Any) -> "CoefficientVector":
-        arr = _as_float_vector(values, "values")
-        names = tuple(str(n) for n in names)
+        """The vector with ``values[i]`` for ``names[i]``; the values are
+        judged as one array (``_real_array``), not one by one."""
+        arr = _real_array(values, "values", 1)
+        names = _as_names(names)
         if len(names) != arr.shape[0]:
             raise ValidationError(f"{len(names)} names for {arr.shape[0]} values")
-        return CoefficientVector(dict(zip(names, arr.tolist())))
+        if "" in names:
+            raise ValidationError("coefficient names must be non-empty strings")
+        return CoefficientVector._built(values=dict(zip(names, arr.tolist())))
 
 
 class TargetSpec(_Record):
@@ -372,6 +402,24 @@ class UpdateRecord(_Record):
                              diagnostics={} if diagnostics is None else dict(diagnostics))
 
 
+# Masks of ``_below_diagonal`` kept for reuse: one per size up to 64, at
+# most 89 KB in all. A larger mask is built each time it is asked for,
+# where it costs little beside the O(p^3) QR or check that uses it.
+_MASKS: dict[int, np.ndarray] = {}
+
+
+def _below_diagonal(size: int) -> np.ndarray:
+    """The entries below the diagonal of a ``size`` x ``size`` matrix, as a
+    read-only mask."""
+    mask = _MASKS.get(size)
+    if mask is None:
+        mask = np.tri(size, k=-1, dtype=bool)
+        mask.setflags(write=False)
+        if size <= 64:
+            _MASKS[size] = mask
+    return mask
+
+
 class TriangularHistory(_Record):
     """Past linear data as the upper-triangular factor of the stacked ``[X | y]``.
 
@@ -386,10 +434,11 @@ class TriangularHistory(_Record):
     _fields = ("factor", "rows")
 
     def __init__(self, factor: np.ndarray, rows: int) -> None:
-        factor = _as_float_matrix(factor, "history factor").copy()
-        if factor.shape[0] != factor.shape[1] or factor.shape[0] < 1:
+        factor = _real_array(factor, "history factor", 2, copy=True)
+        size = factor.shape[0]
+        if factor.shape[1] != size or size < 1:
             raise ValidationError(f"history factor must be square, got shape {factor.shape}")
-        if np.any(np.tril(factor, -1)):
+        if factor.any(where=_below_diagonal(size)):
             raise ValidationError("history factor must be upper triangular")
         _check_index(rows, 1, "history row count")
         factor.setflags(write=False)
@@ -411,8 +460,7 @@ class StackedHistory(_Record):
     _fields = ("X", "y")
 
     def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
-        X, y = _check_xy(X, y, "history ", nonempty=True)
-        X, y = X.copy(), y.copy()
+        X, y = _check_xy(X, y, "history ", nonempty=True, copy=True)
         _check_binary(y)
         X.setflags(write=False)
         y.setflags(write=False)
@@ -449,32 +497,61 @@ def fold_triangular(past: TriangularHistory | None, X, y) -> TriangularHistory:
     rows already folded.
     """
     X, y = _check_fold(past, X, y)
-    p = X.shape[1]
-    grown = np.zeros((p + 1, p + 1))
-    rows = X.shape[0]
+    return _fold_triangular(past, X, y)
+
+
+def _fold_triangular(past: TriangularHistory | None, X: np.ndarray,
+                     y: np.ndarray) -> TriangularHistory:
+    """``fold_triangular`` of a design and response that are already checked."""
+    n, p = X.shape
+    stack = np.zeros((p + 1 + n, p + 1))
+    rows = n
     if past is not None:
         k, old = past.covariates, past.factor
-        grown[:k, :k] = old[:k, :k]
-        grown[:k, p] = old[:k, k]
-        grown[p, p] = old[k, k]
+        stack[:k, :k] = old[:k, :k]
+        stack[:k, p] = old[:k, k]
+        stack[p, p] = old[k, k]
         rows += past.rows
-    factor = np.linalg.qr(np.vstack([grown, np.column_stack([X, y])]), mode="r")
-    return TriangularHistory(factor=factor, rows=rows)
+    stack[p + 1:, :p] = X
+    stack[p + 1:, p] = y
+    # The raw QR holds R on and above the diagonal and the Householder
+    # vectors below it; zeroing those gives ``qr(stack, mode="r")`` to the
+    # bit without the general ``np.triu`` that mode runs. The copy keeps
+    # the factor alone, not the whole stack, and it is square and upper
+    # triangular by construction, so only its finiteness is checked.
+    factor = np.linalg.qr(stack, mode="raw")[0].T[:p + 1].copy()
+    factor[_below_diagonal(p + 1)] = 0.0
+    if not all_finite(factor):
+        raise ValidationError("history factor contains non-finite entries")
+    factor.setflags(write=False)
+    return TriangularHistory._built(factor=factor, rows=rows)
 
 
 def fold_stacked(past: StackedHistory | None, X, y) -> StackedHistory:
     """``past`` with the rows of ``(X, y)`` appended (``None``: no rows yet).
 
     ``X`` is laid out over the first p registry covariates, p at least the
-    history's k; earlier rows take zeros for the covariates they lack.
+    history's k; earlier rows take zeros for the covariates they lack. Only
+    the arriving rows are checked: the past ones were when they arrived.
     """
     X, y = _check_fold(past, X, y)
+    _check_binary(y)
+    return _fold_stacked(past, X, y)
+
+
+def _fold_stacked(past: StackedHistory | None, X: np.ndarray,
+                  y: np.ndarray) -> StackedHistory:
+    """``fold_stacked`` of a design and 0/1 response that are already checked."""
     if past is None:
-        return StackedHistory(X=X, y=y)
-    old = past.X
-    if X.shape[1] > old.shape[1]:
-        old = np.hstack([old, np.zeros((old.shape[0], X.shape[1] - old.shape[1]))])
-    return StackedHistory(X=np.vstack([old, X]), y=np.concatenate([past.y, y]))
+        X, y = np.array(X, order="C"), y.copy()
+    else:
+        old = past.X
+        if X.shape[1] > old.shape[1]:
+            old = np.hstack([old, np.zeros((old.shape[0], X.shape[1] - old.shape[1]))])
+        X, y = np.vstack([old, X]), np.concatenate([past.y, y])
+    X.setflags(write=False)
+    y.setflags(write=False)
+    return StackedHistory._built(X=X, y=y)
 
 
 # The form of the past data each family keeps.
@@ -486,9 +563,9 @@ def _check_record(rec: UpdateRecord, t: int, registry: CovariateRegistry) -> Non
     if rec.t != t:
         raise ValidationError(
             f"history must have consecutive indices 1..T, found t={rec.t} at position {t}")
-    for name in rec.estimate.values:
-        if name not in registry:
-            raise RegistryError(f"estimate at t={rec.t} names unknown covariate {name!r}")
+    if not registry._index.keys() >= rec.estimate.values.keys():
+        unknown = next(name for name in rec.estimate.values if name not in registry)
+        raise RegistryError(f"estimate at t={rec.t} names unknown covariate {unknown!r}")
 
 
 def _check_past(family: str, past: TriangularHistory | StackedHistory | None,
@@ -589,8 +666,11 @@ def align_batch(batch: Batch, registry: CovariateRegistry) -> np.ndarray:
     Registry covariates the batch does not carry become zero columns, so a
     coefficient vector over the registry applies to any aligned batch. A
     batch covariate missing from the registry is an error: extend the
-    registry first.
+    registry first. A batch over exactly the registry's names, in order,
+    gives its own read-only design.
     """
+    if batch.covariates == registry.names:
+        return batch.X
     for name in batch.covariates:
         if name not in registry:
             raise RegistryError(
@@ -617,16 +697,22 @@ def assemble_target(source: "EstimatorState | CoefficientVector",
 
     The records are walked newest-first and the walk stops once every name
     has a value, so a target over the newest estimate's names reads one
-    record whatever the history length.
+    record whatever the history length. When the newest estimate (or the
+    bare vector) holds exactly ``names``, in order, it is the target and is
+    returned itself.
     """
-    names = [str(raw) for raw in names]
+    names = _as_names(names)
     if isinstance(source, EstimatorState):
+        newest = source.current
         layers = (rec.estimate.values for rec in reversed(source.history))
         backstop = source.init_target.values
     elif isinstance(source, CoefficientVector):
+        newest = source
         layers, backstop = (), source.values
     else:
         raise ValidationError("source must be an EstimatorState or CoefficientVector")
+    if tuple(newest.values) == names:
+        return newest
     found: dict[str, float] = {}
     missing = set(names)
     for values in layers:

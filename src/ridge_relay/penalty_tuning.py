@@ -54,7 +54,7 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     TargetSpec,
-    _MAX_SIZE,
+    _MAX_ELEMENTS,
     _Record,
     _check_index,
     _check_real,
@@ -108,7 +108,7 @@ def default_grid(grid_min: float = DEFAULT_GRID_MIN, grid_max: float = DEFAULT_G
     grid_max = _check_real(grid_max, "grid_max", "> 0")
     if not grid_min < grid_max:
         raise ValidationError(f"need grid_min < grid_max, got {grid_min!r} and {grid_max!r}")
-    _check_index(points, 1, "points", _MAX_SIZE)
+    _check_index(points, 1, "points", _MAX_ELEMENTS)
     if points == 1:
         return (grid_max,)
     return tuple(np.geomspace(grid_min, grid_max, points).tolist())

@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _MAX_SIZE,
+from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _MAX_ELEMENTS,
                          _Record, _check_index, _check_real, _check_real_vector, _is_index,
-                         start_state)
+                         _real_array, start_state)
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -110,7 +110,20 @@ class ScenarioConfig(_Record):
                      f"one of {allowed}", v[name])
         for name in ("p", "n", "n_batches", "n_replicates", "grid_points",
                      "mixed_ratio_grid_points"):
-            _check_index(v[name], 1, _field(name), _MAX_SIZE)
+            _check_index(v[name], 1, _field(name), _MAX_ELEMENTS)
+        p, n, T = v["p"], v["n"], v["n_batches"]
+        sizes = [("p", "a Gram matrix", p * p),
+                 ("n", "a batch's design", n * p),
+                 ("n_batches", "a replicate's batches", T * n * p),
+                 ("n_replicates", "a strategy's trajectories", v["n_replicates"] * T),
+                 ("grid_points", "a grid's fits", v["grid_points"] * (n + p))]
+        if v["study"] == "mixed-vs-updated":  # the one study that builds the ratio grid
+            sizes.append(("mixed_ratio_grid_points", "the pooled refit's sums",
+                          v["mixed_ratio_grid_points"] * p * p))
+        for name, array, elements in sizes:
+            _require(elements <= _MAX_ELEMENTS, name,
+                     f"at most what keeps {array} within {_MAX_ELEMENTS} elements "
+                     f"({elements} asked)", v[name])
         _check_index(v["seed"], 0, _field("seed"))
         for name in ("empty_every", "k_folds"):
             if v[name] is not None:
@@ -297,7 +310,7 @@ class TrajectoryResult(_Record):
 
 
 def _check_quantiles(qs: Sequence[float]) -> np.ndarray:
-    q = np.asarray(qs, dtype=float)
+    q = _real_array(qs, "quantiles")
     if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValidationError(f"quantiles must lie in [0, 1], got {qs!r}")
     return q

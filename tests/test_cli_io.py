@@ -868,6 +868,19 @@ class TestCliSelectLambda:
         assert proc.returncode == 2
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
+    def test_a_grid_past_the_element_cap_exits_2(self, tmp_path):
+        """A grid size NumPy would fail to space, or one past the element
+        cap, is refused by name before anything is allocated."""
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "x1")[0] == 0
+        data = str(tmp_path / "b.csv")
+        batch_csv(data, np.random.default_rng(31), n=12, coef=[2.0])
+        for points in ("9223372036854775807", str(2 ** 24 + 1)):
+            code, out, err = run_cli("select-lambda", "--state", path, "--data", data,
+                                     "--response", "y", "--grid-points", points)
+            assert code == 2 and out == ""
+            assert err == f"error: points must be an integer in 1..{2 ** 24}, got {points}\n"
+
     def test_unconstrained_flag_is_honored(self, tmp_path):
         rng = np.random.default_rng(29)
         path = str(tmp_path / "m.json")

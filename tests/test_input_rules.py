@@ -3,7 +3,7 @@
 The package states what a valid design/response pair, a 0/1 response, a
 quantile in [0, 1], an index (an integer, not a bool) and a number are.
 Fold counts, fold seeds, grid sizes, weight lattice sizes and moment step
-counts are indices; a grid size must also be one NumPy can give an array.
+counts are indices; a grid size must also stay within the element cap.
 
 One rule says what a number is, and ``model_core._check_real`` holds it:
 a real number, finite, and not a bool, a string or an ``np.bool_``; an
@@ -11,7 +11,9 @@ integer past the float range counts as not finite. Some inputs add a
 bound of >= 0 or > 0. Every penalty, variance ratio, noise variance,
 grid bound, mixture weight and coefficient follows it, and so does every
 entry of a penalty or ratio grid (``_check_real_vector``: a 1-D sequence
-of such numbers). These tables feed each malformed input to every
+of such numbers). An array follows it as a whole (``_real_array``): a
+NumPy dtype of integer or float kind, so not bool, string or object, and
+finite entries. These tables feed each malformed input to every
 public entry point that takes it and assert the error class, so a check
 that one caller drops fails here whatever module the check lives in.
 """
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import ridge_relay.cli_io as cio
+from ridge_relay.sim_harness import _check_quantiles
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -72,17 +75,31 @@ def with_entry(arr, value):
     return out
 
 
+def with_list_entry(arr, value):
+    """``arr`` as nested lists with its first entry ``value``."""
+    out = np.asarray(arr).tolist()
+    row = out if np.ndim(arr) == 1 else out[0]
+    row[0] = value
+    return out
+
+
 # name -> a function of the well-formed (X, y) giving the malformed pair
 BAD_DESIGNS = {
     "1-D X": lambda X, y: (X[:, 0], y),
     "NaN in X": lambda X, y: (with_entry(X, np.nan), y),
     "inf in X": lambda X, y: (with_entry(X, np.inf), y),
+    "strings in X": lambda X, y: (X.astype(str), y),
+    "bools in X": lambda X, y: (X > 0, y),
+    "10**400 in X": lambda X, y: (with_list_entry(X, 10 ** 400), y),
 }
 BAD_RESPONSES = {
     "2-D y": lambda X, y: (X, y[:, None]),
     "NaN in y": lambda X, y: (X, with_entry(y, np.nan)),
     "inf in y": lambda X, y: (X, with_entry(y, -np.inf)),
     "row mismatch": lambda X, y: (X, y[:-1]),
+    "strings in y": lambda X, y: (X, y.astype(str)),
+    "bools in y": lambda X, y: (X, y > 0.5),
+    "10**400 in y": lambda X, y: (X, with_list_entry(y, 10 ** 400)),
 }
 NOT_BINARY = {"a 2 in the response": lambda X, y: (X, with_entry(y, 2.0))}
 
@@ -344,6 +361,28 @@ BAD_SELECTION_INPUTS = {
 @pytest.mark.parametrize("call, good, bad", BAD_SELECTION_INPUTS.values(),
                          ids=list(BAD_SELECTION_INPUTS))
 def test_malformed_selection_inputs_are_rejected(call, good, bad):
+    call(**good)
+    with pytest.raises(ValidationError):
+        call(**bad)
+
+
+# name -> (call, well-formed arguments, malformed arguments) of an array
+# that is not numbers: the array rule judges the dtype NumPy gives it
+BAD_ARRAYS = {
+    "Batch X '1.5' y True": (Batch, {"t": 1, "X": [[1.5]], "y": [1.0], "covariates": ("a",)},
+                             {"t": 1, "X": [["1.5"]], "y": [True], "covariates": ("a",)}),
+    "Batch X 10**400": (Batch, {"t": 1, "X": [[1e300]], "y": [1.0], "covariates": ("a",)},
+                        {"t": 1, "X": [[10 ** 400]], "y": [1.0], "covariates": ("a",)}),
+    "_check_quantiles '0.5' True": (_check_quantiles, {"qs": [0.5, 1.0]},
+                                    {"qs": ["0.5", True]}),
+    "CoefficientVector.from_array strings": (CoefficientVector.from_array,
+                                             {"names": NAMES, "values": [1.0, 2.0]},
+                                             {"names": NAMES, "values": ["1.0", "2.0"]}),
+}
+
+
+@pytest.mark.parametrize("call, good, bad", BAD_ARRAYS.values(), ids=list(BAD_ARRAYS))
+def test_arrays_that_are_not_numbers_are_rejected(call, good, bad):
     call(**good)
     with pytest.raises(ValidationError):
         call(**bad)

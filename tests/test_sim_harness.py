@@ -105,6 +105,39 @@ class TestScenarioConfig:
         assert config.p == 3 and config.noise_var == 0.5 and config.seed == 4
         assert config.beta_rule == (0.5, -0.5, 1.0)
 
+    # field -> sizes that put the array the field sizes one element past the
+    # cap (2**24), the other sizes within it
+    PAST_THE_CAP = {
+        "p": {"p": 2 ** 12 + 1, "mixed_ratio_grid_points": 1},
+        "n": {"p": 2 ** 12, "n": 2 ** 12 + 1, "n_batches": 1, "mixed_ratio_grid_points": 1},
+        "n_batches": {"p": 2 ** 6, "n": 2 ** 6, "n_batches": 2 ** 12 + 1},
+        "n_replicates": {"p": 1, "n": 1, "n_batches": 2 ** 12, "n_replicates": 2 ** 12 + 1},
+        "grid_points": {"p": 2 ** 3, "n": 2 ** 3, "grid_points": 2 ** 20 + 1},
+        "mixed_ratio_grid_points": {"study": "mixed-vs-updated", "p": 2 ** 4,
+                                    "mixed_ratio_grid_points": 2 ** 16 + 1},
+    }
+
+    @pytest.mark.parametrize("field", list(PAST_THE_CAP))
+    def test_a_size_past_the_element_cap_is_refused_by_name(self, field):
+        """Read in process: the sizes are refused before anything is
+        allocated, so no study runs on them."""
+        edit = self.PAST_THE_CAP[field]
+        at_cap = {**edit, field: edit[field] - 1}
+        ScenarioConfig.from_dict(at_cap)
+        with pytest.raises(ValidationError, match=f"^scenario field {field!r} must be "):
+            ScenarioConfig.from_dict(edit)
+        with pytest.raises(ValidationError, match=f"^scenario field {field!r} must be "):
+            ScenarioConfig.from_dict({**at_cap, field: 9223372036854775807})
+
+    def test_the_ratio_grid_bounds_only_the_study_that_builds_it(self):
+        """Only mixed-vs-updated refits on the ratio grid, so a wide
+        regular-vs-updated scenario with the default grid is accepted."""
+        wide = {"p": 1000, "n": 25, "n_batches": 25, "n_replicates": 1}
+        assert ScenarioConfig.from_dict(wide).p == 1000
+        with pytest.raises(ValidationError,
+                           match="^scenario field 'mixed_ratio_grid_points' must be "):
+            ScenarioConfig.from_dict({**wide, "study": "mixed-vs-updated"})
+
     def test_numpy_scalars_are_stored_as_python_values(self):
         """A config built from NumPy values writes as JSON, like any other."""
         config = ScenarioConfig(p=np.int64(3), n=np.int32(6), noise_var=np.float64(0.5),
