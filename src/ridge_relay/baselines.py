@@ -73,10 +73,8 @@ class StackedData(_Record):
 
     def __init__(self, y_stack: np.ndarray, x_stack: np.ndarray,
                  batch_boundaries: tuple[tuple[int, int], ...]) -> None:
-        X = np.asarray(x_stack, dtype=float)
-        y = np.asarray(y_stack, dtype=float)
-        if X.ndim != 2:
-            raise ValidationError("x_stack must be 2-dimensional")
+        X = _real_array(x_stack, "x_stack", 2)
+        y = _real_array(y_stack, "y_stack")
         if y.shape != (X.shape[0],):
             raise ValidationError(
                 f"y_stack has shape {y.shape} for {X.shape[0]} stacked rows")
@@ -275,7 +273,7 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     xi = _check_real(xi, "variance ratio", ">= 0")
     sigma_eps_sq = _check_real(sigma_eps_sq, "noise variance", ">= 0")
     sigma_gamma_sq = _check_real(sigma_gamma_sq, "deviation variance", ">= 0")
-    coef = np.asarray(coef, dtype=float)
+    coef = _real_array(coef, "coef")
     if coef.shape != (data.p,):
         raise ValidationError(f"coef must have length {data.p}")
     p = data.p

@@ -39,6 +39,7 @@ from .model_core import (
     _check_binary,
     _check_real,
     _check_real_vector,
+    _real_array,
 )
 from .linear_estimator import _check_xy_target, _sequential_update
 
@@ -95,8 +96,10 @@ def logistic_loglik(X, y, coef) -> float:
 def penalized_loglik(X, y, coef, lam: float, target) -> float:
     """Log-likelihood minus the targeted ridge penalty (lam/2)||coef - target||^2."""
     lam = _check_real(lam, "penalty", ">= 0")
-    coef = np.asarray(coef, dtype=float)
-    target = np.asarray(target, dtype=float)
+    coef = _real_array(coef, "coef", 1)
+    target = _real_array(target, "target", 1)
+    if target.shape != coef.shape:
+        raise ValidationError("target and coef must have the same length")
     diff = coef - target
     return logistic_loglik(X, y, coef) - 0.5 * lam * float(diff @ diff)
 
@@ -106,7 +109,7 @@ def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     X, y, coef = _check_xy_target(X, y, coef, 1)
     _check_binary(y)
     lam = _check_real(lam, "penalty", ">= 0")
-    target = np.asarray(target, dtype=float)
+    target = _real_array(target, "target", 1)
     if target.shape != coef.shape:
         raise ValidationError("target and coef must have the same length")
     mu = expit(X @ coef)

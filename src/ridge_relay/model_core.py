@@ -60,7 +60,11 @@ def _real_array(values: Any, what: str, ndim: int | None = None,
     int64 range the object dtype), and every entry is finite. ``ndim``, if
     given, is the number of dimensions it must have; ``copy`` gives a
     C-ordered copy the caller owns, else the input itself when it is a
-    float array already."""
+    float array already. NumPy turns a list that mixes bools into numbers
+    into floats, so a list or tuple is also searched for a bool at any
+    depth; an ndarray is judged by its dtype alone."""
+    if isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ValidationError(f"{what} must hold real numbers, got a bool")
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must hold real numbers, got dtype {arr.dtype}")
@@ -70,6 +74,19 @@ def _real_array(values: Any, what: str, ndim: int | None = None,
     if not all_finite(arr):
         raise ValidationError(f"{what} contains non-finite entries")
     return arr
+
+
+def _holds_bool(values: list | tuple) -> bool:
+    """Whether a nested list or tuple holds a bool, an ``np.bool_`` or a bool array."""
+    for v in values:
+        if isinstance(v, (bool, np.bool_)):
+            return True
+        if isinstance(v, (list, tuple)):
+            if _holds_bool(v):
+                return True
+        elif isinstance(v, np.ndarray) and v.dtype.kind == "b":
+            return True
+    return False
 
 
 def _check_xy(X: Any, y: Any, what: str, nonempty: bool,

@@ -60,6 +60,7 @@ from .model_core import (
     _check_real,
     _check_real_vector,
     _is_index,
+    _real_array,
     align_batch,
     assemble_target,
     fold_stacked,
@@ -308,7 +309,7 @@ def cv_score(family: str, batch: Batch, lam: float, target, folds: FoldPlan) -> 
     it.
     """
     fam = get_family(family)
-    target = np.asarray(target, dtype=float)
+    target = _real_array(target, "target")
     if target.shape != (batch.p,):
         raise ValidationError(f"target must have length {batch.p}")
     if folds.n != batch.n:

@@ -8,6 +8,8 @@ subprocesses that die mid-write.
 
 import base64
 import contextlib
+import fcntl
+import gc
 import io
 import json
 import os
@@ -18,6 +20,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -280,6 +283,30 @@ class TestStateRoundTrip:
                 cio.read_state(path)
         with pytest.raises(StateFileError):
             cio.write_state(seeded_state(), str(tmp_path))
+
+    def test_a_lock_taken_on_an_unlinked_file_is_taken_again(self, tmp_path, monkeypatch):
+        """A holder that releases between this run's open and its flock has
+        unlinked the file this run opened; the lock that counts is the one
+        on the file the path names, so the run locks that one."""
+        path = str(tmp_path / "model.json")
+        real_flock = fcntl.flock
+        calls = []
+
+        def release_first(fd, op):
+            if not calls:
+                os.unlink(path + ".lock")
+            calls.append(fd)
+            return real_flock(fd, op)
+
+        open(path + ".lock", "w").close()
+        monkeypatch.setattr(cio.fcntl, "flock", release_first)
+        with cio.state_lock(path):
+            monkeypatch.setattr(cio.fcntl, "flock", real_flock)
+            assert len(calls) == 2
+            with open(path + ".lock") as other:
+                with pytest.raises(BlockingIOError):
+                    fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert not os.path.exists(path + ".lock")
 
     def test_lock_holder_removes_its_own_leftover_temporary_files(self, tmp_path):
         """A write killed before its rename leaves ``.tmp-<name>-*.tmp``;
@@ -762,9 +789,9 @@ class TestCliUpdate:
                                                                             call):
         """SIGKILL at the file's fsync, at the rename, or at the directory's
         open for its fsync: the state file holds the old bytes before the
-        rename and the new bytes after it. Once the dead run's lock file is
-        removed by hand, the next update runs and removes the leftover
-        temporary file."""
+        rename and the new bytes after it. The dead run's lock file stays
+        behind with no holder; the next update takes it over and removes
+        the leftover temporary file."""
         path, data, _ = self.init_and_first_batch(tmp_path)
         args = ["--data", data, "--response", "y", "--k-folds", "4"]
         twin = str(tmp_path / "twin.json")
@@ -796,18 +823,35 @@ class TestCliUpdate:
         cio.read_state(path)
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-m.json-")]
         assert len(leftovers) == (0 if renamed else 1)
-        os.remove(path + ".lock")
+        assert os.path.exists(path + ".lock")
         code, _, err = run_cli("update", "--state", path, *args)
         assert code == 0, err
+        assert not os.path.exists(path + ".lock")
         assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
 
-    def test_stale_lock_exits_4(self, tmp_path):
+    def test_a_leftover_lock_file_with_no_holder_is_taken_over(self, tmp_path):
         path, data, _ = self.init_and_first_batch(tmp_path)
         with open(path + ".lock", "w") as fh:
             fh.write("424242\n")
         code, _, err = run_cli("update", "--state", path, "--data", data,
                                "--response", "y")
-        assert code == 4 and "lock" in err
+        assert code == 0, err
+        assert cio.read_state(path).t == 1
+        assert not os.path.exists(path + ".lock")
+
+    def test_a_live_lock_holder_exits_4_and_leaves_the_state(self, tmp_path):
+        """Another open file description holding the flock, as a running
+        update's does, makes an update exit 4; the state and the holder's
+        lock file are left as they are."""
+        path, data, _ = self.init_and_first_batch(tmp_path)
+        before = open(path, "rb").read()
+        with open(path + ".lock", "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            code, out, err = run_cli("update", "--state", path, "--data", data,
+                                     "--response", "y")
+            assert code == 4 and out == "" and "lock" in err
+            assert os.path.exists(path + ".lock")
+        assert open(path, "rb").read() == before
 
     def test_convergence_failures_exit_3(self, tmp_path, monkeypatch):
         path, data, _ = self.init_and_first_batch(tmp_path)
@@ -1386,6 +1430,70 @@ class TestClosedOutputPipe:
         assert first.startswith(b"family:")
         assert code == cio.EXIT_BROKEN_PIPE
         assert err == ""  # no traceback, no "Exception ignored" note
+
+
+class TestFrozenImportHeap:
+    """``main`` first moves every object alive at its call to the
+    collector's permanent generation (``gc.freeze``). The library leaves
+    the collector alone, objects made later are still collected, and a
+    command process, whose frozen cycles are never finalized at exit, has
+    written and closed every file before ``main`` returns."""
+
+    @pytest.mark.parametrize("module", ["ridge_relay", "ridge_relay.cli_io"])
+    def test_importing_the_package_leaves_the_collector_alone(self, module):
+        script = f"import gc, {module}; print(gc.get_freeze_count(), gc.isenabled())"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True"]
+
+    def test_a_cycle_made_after_a_command_is_collected(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        cio.write_state(seeded_state(), path)
+        assert run_cli("export", "--state", path)[0] == 0
+        assert gc.get_freeze_count() > 0 and gc.isenabled()
+
+        class Node:
+            pass
+
+        a, b = Node(), Node()
+        a.other, b.other = b, a
+        alive = weakref.ref(a)
+        del a, b
+        gc.collect()
+        assert alive() is None
+
+    def test_a_predict_process_writes_every_line_to_a_file(self, tmp_path):
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps({"a": 2.0, "b": -1.0}))
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--target-file", str(target))[0] == 0
+        data = str(tmp_path / "d.csv")
+        write_csv(data, ["a", "b"], np.random.default_rng(5).standard_normal((30000, 2)))
+        out = tmp_path / "predictions.txt"
+        with open(out, "wb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "ridge_relay", "predict", "--state",
+                                   path, "--data", data], stdout=fh, stderr=subprocess.PIPE,
+                                  env=package_env(), timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b""
+        code, expected, _ = run_cli("predict", "--state", path, "--data", data)
+        assert code == 0 and len(expected.splitlines()) == 30000
+        assert out.read_text() == expected
+
+    def test_an_update_process_writes_the_state_an_in_process_update_writes(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "x1,x2")[0] == 0
+        data = str(tmp_path / "b.csv")
+        batch_csv(data, np.random.default_rng(23), n=20, coef=[1.0, -0.5])
+        twin = str(tmp_path / "twin.json")
+        shutil.copyfile(path, twin)
+        args = ["--data", data, "--response", "y", "--k-folds", "4"]
+        proc = subprocess.run([sys.executable, "-m", "ridge_relay", "update", "--state", path,
+                               *args], capture_output=True, env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli("update", "--state", twin, *args)[0] == 0
+        assert open(path, "rb").read() == open(twin, "rb").read()
+        assert not os.path.exists(path + ".lock")
 
 
 def _read_rows(csv_path):

@@ -13,7 +13,8 @@ grid bound, mixture weight and coefficient follows it, and so does every
 entry of a penalty or ratio grid (``_check_real_vector``: a 1-D sequence
 of such numbers). An array follows it as a whole (``_real_array``): a
 NumPy dtype of integer or float kind, so not bool, string or object, and
-finite entries. These tables feed each malformed input to every
+finite entries; a list or tuple that holds a bool at any depth is refused
+too, although NumPy would convert it to floats. These tables feed each malformed input to every
 public entry point that takes it and assert the error class, so a check
 that one caller drops fails here whatever module the check lives in.
 """
@@ -29,12 +30,14 @@ from ridge_relay import (
     CovariateRegistry,
     EstimatorState,
     PenaltySearchConfig,
+    StackedData,
     StackedHistory,
     StateFileError,
     TargetSpec,
     TrajectoryResult,
     UpdateRecord,
     ValidationError,
+    cv_score,
     default_grid,
     default_xi_grid,
     estimate_noise_variance,
@@ -366,6 +369,13 @@ def test_malformed_selection_inputs_are_rejected(call, good, bad):
         call(**bad)
 
 
+# well-formed arguments of the array entry points below, but for the array
+LOGLIK = {"X": X, "y": Y["logistic"], "coef": ZERO, "lam": 1.0, "target": ZERO}
+CV_SCORE = {"family": "linear", "batch": one_batch("linear"), "lam": 1.0,
+            "folds": make_folds(n=6, k=2, seed=0)}
+STACKED = {"y_stack": Y["linear"], "x_stack": X, "batch_boundaries": ((0, 3), (3, 6))}
+MOMENTS = {"data": stacked(), "xi": 1.0, "sigma_eps_sq": 1.0, "sigma_gamma_sq": 1.0}
+
 # name -> (call, well-formed arguments, malformed arguments) of an array
 # that is not numbers: the array rule judges the dtype NumPy gives it
 BAD_ARRAYS = {
@@ -378,6 +388,28 @@ BAD_ARRAYS = {
     "CoefficientVector.from_array strings": (CoefficientVector.from_array,
                                              {"names": NAMES, "values": [1.0, 2.0]},
                                              {"names": NAMES, "values": ["1.0", "2.0"]}),
+    # NumPy turns these lists into floats; the bool is found in the list
+    "Batch X [[1.0, True]]": (Batch, {"t": 1, "X": [[1.0, 0.0]], "y": [1.0], "covariates": NAMES},
+                              {"t": 1, "X": [[1.0, True]], "y": [1.0], "covariates": NAMES}),
+    "Batch y (1.0, np.True_)": (Batch, {"t": 1, "X": X[:2], "y": (1.0, 0.0), "covariates": NAMES},
+                                {"t": 1, "X": X[:2], "y": (1.0, np.True_),
+                                 "covariates": NAMES}),
+    "penalized_loglik coef '0.5'": (penalized_loglik, LOGLIK | {"coef": [0.5, 0.5]},
+                                    LOGLIK | {"coef": ["0.5", "0.5"]}),
+    "penalized_loglik target [True, False]": (penalized_loglik, LOGLIK | {"target": [1.0, 0.0]},
+                                              LOGLIK | {"target": [True, False]}),
+    "estimating_equation target [True, False]": (
+        estimating_equation, LOGLIK | {"target": [1.0, 0.0]}, LOGLIK | {"target": [True, False]}),
+    "cv_score target ['0', True]": (cv_score, CV_SCORE | {"target": [0.0, 1.0]},
+                                    CV_SCORE | {"target": ["0", True]}),
+    "cv_score target [0, True]": (cv_score, CV_SCORE | {"target": [0.0, 1.0]},
+                                  CV_SCORE | {"target": [0, True]}),
+    "StackedData x_stack strings": (StackedData, STACKED | {"x_stack": X},
+                                    STACKED | {"x_stack": X.astype(str)}),
+    "StackedData y_stack bools": (StackedData, STACKED | {"y_stack": Y["linear"]},
+                                  STACKED | {"y_stack": Y["linear"] > 0}),
+    "mixed_moments coef [True, False]": (mixed_moments, MOMENTS | {"coef": [1.0, 0.0]},
+                                         MOMENTS | {"coef": [True, False]}),
 }
 
 
