@@ -26,14 +26,12 @@ from .model_core import (
     CovariateRegistry,
     EstimatorState,
     StackedHistory,
-    TargetSpec,
     TriangularHistory,
     UpdateRecord,
     align_batch,
     assemble_target,
     fold_stacked,
     fold_triangular,
-    mixture_target,
     start_state,
 )
 from .linear_estimator import (

@@ -29,13 +29,11 @@ from .model_core import (
     Batch,
     CoefficientVector,
     EstimatorState,
-    TargetSpec,
     UpdateRecord,
     _Record,
     align_batch,
     assemble_target,
     _fold_triangular,
-    mixture_target,
     _real_array,
     _check_index,
     _check_real,
@@ -75,11 +73,10 @@ class MomentReport(_Record):
         self.__dict__.update(mean=mean, covariance=covariance, noise_var=noise_var)
 
 
-def _check_xy_target(X, y, target, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A fit's design, response and target: one vector (``ndim`` 1), or one
-    target per column (``ndim`` 2) for a grid solve."""
+def _check_xy_target(X, y, target) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fit's design, response and target vector."""
     X, y = _check_xy(X, y, "", nonempty=False)
-    t = _real_array(target, "target", ndim)
+    t = _real_array(target, "target", 1)
     if t.shape[0] != X.shape[1]:
         raise ValidationError(
             f"target covers {t.shape[0]} covariates for {X.shape[1]} design columns")
@@ -103,7 +100,7 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
     ``lam = 0`` is permitted and reduces to least squares, but then the
     design must have full column rank.
     """
-    X, y, target = _check_xy_target(X, y, target, 1)
+    X, y, target = _check_xy_target(X, y, target)
     lam = _check_real(lam, "penalty", ">= 0")
     gram = X.T @ X
     factor = _penalized_normal_factor(gram, lam)
@@ -113,50 +110,36 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
 
 
 def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
-                            targets) -> tuple[np.ndarray, np.ndarray]:
-    """Targeted ridge fits for every penalty and target from one decomposition.
+                            target) -> tuple[np.ndarray, np.ndarray]:
+    """Targeted ridge fits toward ``target`` for every penalty from one decomposition.
 
-    ``targets`` holds one target per column (shape ``(p, W)``). With
-    ``X'X = V diag(d) V'`` each fit is, in offset form,
+    With ``X'X = V diag(d) V'`` each fit is, in offset form,
 
-        b(lam, t) = t + V diag(1 / (d + lam)) V' X'(y - X t),
+        b(lam) = t + V diag(1 / (d + lam)) V' X'(y - X t),
 
-    so the whole ``p x L x W`` array of coefficients costs one
-    eigendecomposition and one batched product (Golub, Heath & Wahba
+    so the whole ``p x L`` array of coefficients costs one
+    eigendecomposition and one matrix product (Golub, Heath & Wahba
     1979). The eigenpairs come from the thin SVD ``X = U diag(s) V'``
     (``d = s^2``) rather than from forming ``X'X``, which keeps the error
     of the near-null directions at the level of a Cholesky solve when
     the penalty is small and the design is rank deficient.
 
-    Returns the coefficients, shape ``(p, L, W)``, and a boolean mask of
+    Returns the coefficients, shape ``(p, L)``, and a boolean mask of
     length L that is False where ``d_min + lam`` is not positive beyond
     rounding (``p * eps * d_max``); with more columns than rows
     ``d_min = 0``. There ``X'X + lam I`` is numerically singular: the
     coefficients are left at the target and must not be used.
     """
-    X, y, T, lams = _check_grid(X, y, lams, targets)
+    X, y, t = _check_xy_target(X, y, target)
+    lams = np.array(_check_real_vector(lams, "penalty", ">= 0"))
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
     d_min, floor = _singular_rule(d, X.shape[1])
     solvable = d_min + lams > floor
-    z = sv[:, None] * (U.T @ (y[:, None] - X @ T))
+    z = sv * (U.T @ (y - X @ t))
     shrink = np.zeros((d.shape[0], lams.shape[0]))
     shrink[:, solvable] = 1.0 / (d[:, None] + lams[solvable])
-    return T[:, None, :] + _through_spectrum(Vt.T, shrink, z), solvable
-
-
-def _check_grid(X, y, lams, targets):
-    """A grid solve's design, response, ``(p, W)`` targets and penalties."""
-    X, y, T = _check_xy_target(X, y, targets, 2)
-    return X, y, T, np.array(_check_real_vector(lams, "penalty", ">= 0"))
-
-
-def _through_spectrum(basis: np.ndarray, scale: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``basis @ diag(scale[:, l]) @ Z`` for every column l of ``scale``,
-    stacked as ``(rows of basis, L, columns of Z)``."""
-    q, L = scale.shape
-    return (basis @ (scale[:, :, None] * Z[:, None, :]).reshape(q, -1)).reshape(
-        basis.shape[0], L, Z.shape[1])
+    return t[:, None] + Vt.T @ (shrink * z[:, None]), solvable
 
 
 def _singular_rule(d: np.ndarray, p: int) -> tuple[float, float]:
@@ -176,8 +159,8 @@ _LOO_FLOOR_MARGIN = 4.0
 _LOO_MIN_OUTSIDE = 1e-4
 
 
-def loo_ridge_grid(X, y, lams: Sequence[float], targets, history=None):
-    """Leave-one-out scores for every penalty and target from one decomposition.
+def loo_ridge_grid(X, y, lams: Sequence[float], target, history=None):
+    """Leave-one-out scores toward ``target`` for every penalty from one decomposition.
 
     With the thin SVD ``X = U diag(s) V'`` (``d = s^2``, q columns in U),
     ``r = y - X t`` and ``keep = lam / (d + lam)``, the fit on every row
@@ -196,7 +179,7 @@ def loo_ridge_grid(X, y, lams: Sequence[float], targets, history=None):
     ``c = F b - f``, ``a_i`` the held-out residual and
     ``D = F V diag(s / (d + lam)) U'``, so no fold's coefficients are formed.
 
-    Returns ``(score, hist)``, each of shape ``(L, W)``: the mean over rows
+    Returns ``(score, hist)``, each of length L: the mean over rows
     of the squared held-out residual and of the fold fit's historic
     criterion (``None`` without ``history``). These are the leave-one-out
     score and constraint sum of one ``fit_targeted_ridge_grid`` per fold.
@@ -207,7 +190,8 @@ def loo_ridge_grid(X, y, lams: Sequence[float], targets, history=None):
     ``1 - h_ii`` comes from cancellation (q < n) it must exceed
     ``_LOO_MIN_OUTSIDE``, so that its rounding stays far below the score's.
     """
-    X, y, T, lams = _check_grid(X, y, lams, targets)
+    X, y, t = _check_xy_target(X, y, target)
+    lams = np.array(_check_real_vector(lams, "penalty", ">= 0"))
     n, p = X.shape
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
@@ -225,27 +209,29 @@ def loo_ridge_grid(X, y, lams: Sequence[float], targets, history=None):
     if not np.all(np.maximum(outside * (d_min + lams), lams) > _LOO_FLOOR_MARGIN * floor):
         return None
 
-    R = y[:, None] - X @ T
-    Z = U.T @ R
-    resid = _through_spectrum(U, keep, Z)
+    r = y - X @ t
+    z = U.T @ r
+    resid = U @ (keep * z[:, None])
     if q < n:
-        # Projecting twice keeps the rounding of U'R out of r - UU'r.
-        perp = R - U @ Z
-        resid += (perp - U @ (U.T @ perp))[:, None, :]
-    held = (resid / outside[:, :, None]).transpose(1, 0, 2)
-    score = np.einsum("liw,liw->lw", held, held) / n
+        # Projecting twice keeps the rounding of U'r out of r - UU'r.
+        perp = r - U @ z
+        resid += (perp - U @ (U.T @ perp))[:, None]
+    held = (resid / outside).T
+    score = np.einsum("li,li->l", held, held) / n
     if history is None:
         return score, None
     F, f = _check_history(history, p)
     V = Vt.T[:F.shape[1]]
     step = sv[:, None] / (d[:, None] + lams)
-    full = np.tensordot(F, T[:F.shape[1], None, :] + _through_spectrum(V, step, Z), axes=1)
-    full -= f[:, None, None]
-    D = _through_spectrum(F @ V, step, U.T)
-    cross = np.matmul(D.transpose(1, 2, 0), full.transpose(1, 0, 2))
+    full = F @ (t[:F.shape[1], None] + V @ (step * z[:, None])) - f[:, None]
+    # D[:, l, :] = F V diag(step[:, l]) U', one (m, n) block per penalty.
+    D = ((F @ V) @ (step[:, :, None] * U.T[:, None, :]).reshape(q, -1)).reshape(
+        F.shape[0], lams.shape[0], n)
+    # D_i . c for every row and penalty as a batched matmul: an einsum sums
+    # over m in another order and moves the last bits of the criterion.
+    cross = (D.transpose(1, 2, 0) @ full.T[:, :, None])[:, :, 0]
     sq = np.einsum("mli,mli->li", D, D)
-    hist = (np.einsum("mlw,mlw->lw", full, full)
-            + (held * (held * sq[:, :, None] - 2.0 * cross)).mean(axis=1))
+    hist = np.einsum("ml,ml->l", full, full) + (held * (held * sq - 2.0 * cross)).mean(axis=1)
     return score, hist
 
 
@@ -261,9 +247,7 @@ def _check_history(history, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Batch,
-                       lam: float, target_spec: TargetSpec | None,
-                       weights: Sequence[float] | None,
-                       diagnostics: dict | None) -> EstimatorState:
+                       lam: float, diagnostics: dict | None) -> EstimatorState:
     """The update step of both families.
 
     ``fit(X, y, lam, target)`` returns the coefficients and the
@@ -279,45 +263,32 @@ def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Bat
         raise ValidationError("sequential updates require a strictly positive penalty")
     registry = state.registry.extended(batch.covariates)
     names = registry.names
-    if target_spec is None:
-        if weights is not None:
-            raise ValidationError("weights were given without a target spec")
-        target, used_weights = assemble_target(state, names), None
-    else:
-        expanded = target_spec.over(names)
-        target = mixture_target(expanded, weights)
-        used_weights = tuple(weights) if weights is not None else expanded.weights
     X = align_batch(batch, registry)
-    coef, fit_diagnostics = fit(X, batch.y, lam, target.as_array(names))
+    coef, fit_diagnostics = fit(X, batch.y, lam, assemble_target(state, names).as_array(names))
     record = UpdateRecord(
         t=state.t + 1,
         lam=lam,
         estimate=CoefficientVector.from_array(names, coef),
-        weights=used_weights,
         diagnostics={**fit_diagnostics, **(diagnostics or {})},
     )
     return state.with_update(registry, record, fold(state.past, X, batch.y))
 
 
 def update(state: EstimatorState, batch: Batch, lam: float, *,
-           target_spec: TargetSpec | None = None,
-           weights: Sequence[float] | None = None,
            diagnostics: dict | None = None) -> EstimatorState:
     """One sequential step: shrink the new batch's fit toward the latest estimates.
 
     The target is assembled element-wise: each covariate shrinks toward
     its most recent estimate, and a covariate no estimate covers yet
     (such as one new to this batch, appended to the registry here) toward
-    the state's initial target, else 0. With a ``target_spec`` the target
-    is a weighted mixture of the spec's candidates instead, each candidate
-    taking 0 for a covariate it lacks. The batch is folded into the
+    the state's initial target, else 0. The batch is folded into the
     state's triangular history factor (``fold_triangular``).
     """
     def fit(X, y, lam, target):
         return fit_targeted_ridge(X, y, lam, target).coef, {}
 
     return _sequential_update("linear", fit, _fold_triangular, state, batch, lam,
-                              target_spec, weights, diagnostics)
+                              diagnostics)
 
 
 def exact_moments_orthonormal(coef, target, lam: float, steps: int,
@@ -398,7 +369,7 @@ def estimate_noise_variance(X, y, fit: LinearFit) -> float:
     columns as rows leaves exactly zero degrees of freedom, which is an
     error, not a rounding residue divided into the fit's residual.
     """
-    X, y, _ = _check_xy_target(X, y, fit.target, 1)
+    X, y, _ = _check_xy_target(X, y, fit.target)
     d = np.linalg.svd(X, compute_uv=False) ** 2
     d = d[d > 0]
     edf = float(np.sum(d / (d + fit.lam)))

@@ -14,12 +14,12 @@ response, which makes the sequential update literally a reweighted
 version of the linear one. Step-halving guards every iteration so the
 penalized log-likelihood never decreases along accepted iterates.
 
-Penalty selection needs a fit for every grid penalty and target in every
-fold. ``irls_fit_grid`` runs them as one batched IRLS: the candidates
-share the design, so each Newton step stacks their weighted normal
-matrices and solves them together, while convergence, step-halving and
-failure stay per candidate. ``irls_fit`` is the one-candidate call of the
-same solver.
+Penalty selection needs a fit for every grid penalty in every fold.
+``irls_fit_grid`` runs them as one batched IRLS: the candidates share
+the design, so each Newton step stacks their weighted normal matrices
+and solves them together, while convergence, step-halving and failure
+stay per candidate. ``irls_fit`` is the one-candidate call of the same
+solver.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import ConvergenceError, RidgeRelayError, SingularMatrixError, Vali
 from .model_core import (
     Batch,
     EstimatorState,
-    TargetSpec,
     _Record,
     _fold_stacked,
     _check_binary,
@@ -87,7 +86,7 @@ def logistic_loglik(X, y, coef) -> float:
     Uses log1p-style accumulation so large |eta| saturates instead of
     overflowing.
     """
-    X, y, coef = _check_xy_target(X, y, coef, 1)
+    X, y, coef = _check_xy_target(X, y, coef)
     _check_binary(y)
     eta = X @ coef
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
@@ -106,7 +105,7 @@ def penalized_loglik(X, y, coef, lam: float, target) -> float:
 
 def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     """Gradient of the penalized log-likelihood: X'(y - mu) - lam (coef - target)."""
-    X, y, coef = _check_xy_target(X, y, coef, 1)
+    X, y, coef = _check_xy_target(X, y, coef)
     _check_binary(y)
     lam = _check_real(lam, "penalty", ">= 0")
     target = _real_array(target, "target", 1)
@@ -134,28 +133,28 @@ class _IrlsRun(NamedTuple):
     failures: dict[int, RidgeRelayError]
 
 
-def _penalized_rows(X, y, coefs, lams, targets) -> tuple[np.ndarray, np.ndarray]:
+def _penalized_rows(X, y, coefs, lams, target) -> tuple[np.ndarray, np.ndarray]:
     """Penalized log-likelihood of each row of ``coefs``, and its linear predictors.
 
     The products are matmuls, not ``einsum``: for one row they then round
     exactly as ``penalized_loglik`` does.
     """
     eta = coefs @ X.T
-    diff = (coefs - targets)[:, None, :]
+    diff = (coefs - target)[:, None, :]
     ll = eta @ y - np.logaddexp(0.0, eta).sum(axis=1)
     return ll - 0.5 * lams * (diff @ diff.transpose(0, 2, 1))[:, 0, 0], eta
 
 
-def _gradient_norms(X, y, eta, coefs, lams, targets) -> np.ndarray:
+def _gradient_norms(X, y, eta, coefs, lams, target) -> np.ndarray:
     """Largest absolute entry of each row's estimating equation."""
-    grad = (y - expit(eta)) @ X - lams[:, None] * (coefs - targets)
+    grad = (y - expit(eta)) @ X - lams[:, None] * (coefs - target)
     return np.abs(grad).max(axis=1, initial=0.0)
 
 
-def _tolerances(coefs, lams, targets) -> np.ndarray:
+def _tolerances(coefs, lams, target) -> np.ndarray:
     """Each row's stopping tolerance (see ``irls_fit``)."""
     scale = np.maximum(1.0, np.maximum(np.abs(coefs).max(axis=1, initial=0.0),
-                                       np.abs(targets).max(axis=1, initial=0.0)))
+                                       np.abs(target).max(initial=0.0)))
     return IRLS_TOL + 8.0 * _EPS * lams * scale
 
 
@@ -203,8 +202,9 @@ def _newton_proposals(normal, rhs, rows, failures) -> tuple[np.ndarray, np.ndarr
     return proposal, ok
 
 
-def _irls_stack(X, y, lams, targets) -> _IrlsRun:
-    """IRLS with step-halving for every candidate ``(lams[c], targets[c])`` at once.
+def _irls_stack(X, y, lams, target) -> _IrlsRun:
+    """IRLS with step-halving toward ``target`` for every candidate penalty
+    ``lams[c]`` at once.
 
     Inputs are checked by the caller. Each Newton step builds one
     ``(A, p, p)`` stack of weighted normal matrices for the A candidates
@@ -212,17 +212,17 @@ def _irls_stack(X, y, lams, targets) -> _IrlsRun:
     failure are tracked per candidate, with the rules ``irls_fit``
     documents, so a candidate's iterates do not depend on its neighbours.
     """
-    n_cand, p = targets.shape
+    n_cand, p = lams.shape[0], target.shape[0]
     eye = np.eye(p)
-    coef = targets.copy()
-    loglik, eta = _penalized_rows(X, y, coef, lams, targets)
-    gnorm = _gradient_norms(X, y, eta, coef, lams, targets)
+    coef = np.tile(target, (n_cand, 1))
+    loglik, eta = _penalized_rows(X, y, coef, lams, target)
+    gnorm = _gradient_norms(X, y, eta, coef, lams, target)
     path = [loglik.copy()]
     iterations = np.zeros(n_cand, dtype=int)
     running = np.ones(n_cand, dtype=bool)
     failures: dict[int, RidgeRelayError] = {}
     for iteration in range(1, IRLS_MAX_ITER + 2):
-        running &= ~(gnorm <= _tolerances(coef, lams, targets))
+        running &= ~(gnorm <= _tolerances(coef, lams, target))
         rows = np.flatnonzero(running)
         if not rows.size:
             break
@@ -238,7 +238,7 @@ def _irls_stack(X, y, lams, targets) -> _IrlsRun:
         z = start_eta + (y - mu) / w
         normal, rhs = _weighted_normal(X, w, z)
         normal += lam[:, None, None] * eye
-        rhs += lam[:, None] * targets[rows]
+        rhs += lam[:, None] * target
         proposal, solved = _newton_proposals(normal, rhs, rows, failures)
         direction = proposal - start
         pending = solved.copy()
@@ -248,7 +248,7 @@ def _irls_stack(X, y, lams, targets) -> _IrlsRun:
             if not k.size:
                 break
             cand = start[k] + step[k, None] * direction[k]
-            cand_ll, cand_eta = _penalized_rows(X, y, cand, lam[k], targets[rows[k]])
+            cand_ll, cand_eta = _penalized_rows(X, y, cand, lam[k], target)
             cur = loglik[rows[k]]
             take = cand_ll >= cur - 1e-12 * (1.0 + np.abs(cur))
             moved = rows[k[take]]
@@ -261,8 +261,7 @@ def _irls_stack(X, y, lams, targets) -> _IrlsRun:
                 "step-halving could not improve the penalized log-likelihood")
         running[rows[~solved | pending]] = False
         moved = rows[iterations[rows] == iteration]
-        gnorm[moved] = _gradient_norms(X, y, eta[moved], coef[moved], lams[moved],
-                                       targets[moved])
+        gnorm[moved] = _gradient_norms(X, y, eta[moved], coef[moved], lams[moved], target)
         path.append(loglik.copy())
     return _IrlsRun(coef=coef, iterations=iterations, gradient_norm=gnorm, loglik=loglik,
                     path=np.array(path), failures=failures)
@@ -289,12 +288,12 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
 
     This is the one-candidate call of ``irls_fit_grid``'s solver.
     """
-    X, y, target = _check_xy_target(X, y, target, 1)
+    X, y, target = _check_xy_target(X, y, target)
     _check_binary(y)
     lam = _check_real(lam, "penalty", ">= 0")
     if lam == 0:
         raise ValidationError("irls_fit requires a strictly positive penalty")
-    run = _irls_stack(X, y, np.array([lam]), target[None, :])
+    run = _irls_stack(X, y, np.array([lam]), target)
     if run.failures:
         raise run.failures[0]
     iterations = int(run.iterations[0])
@@ -305,37 +304,32 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
 
 
 def irls_fit_grid(X, y, lams: Sequence[float],
-                  targets) -> tuple[np.ndarray, np.ndarray]:
-    """Penalized logistic fits for every penalty and target in one batched IRLS.
+                  target) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized logistic fits toward ``target`` for every penalty in one batched IRLS.
 
-    ``targets`` holds one target per column (shape ``(p, W)``). The inputs
-    are checked once; every ``(lam, target)`` pair then runs the IRLS of
-    ``irls_fit`` as one stack, so the L * W fits share each Newton step's
+    The inputs are checked once; every penalty then runs the IRLS of
+    ``irls_fit`` as one stack, so the L fits share each Newton step's
     products and factorizations.
 
-    Returns the coefficients, shape ``(p, L, W)``, and a boolean mask of
-    shape ``(L, W)`` that is False where a fit failed: a weighted normal
+    Returns the coefficients, shape ``(p, L)``, and a boolean mask of
+    length L that is False where a fit failed: a weighted normal
     matrix that is not positive definite, a step that halving could not
     rescue, or an exhausted iteration budget. A failed fit is left at its
     target and must not be used; it never affects the other fits.
     """
-    X, y, T = _check_xy_target(X, y, targets, 2)
+    X, y, t = _check_xy_target(X, y, target)
     _check_binary(y)
     lams = np.array(_check_real_vector(lams, "penalty", "> 0"))
-    p, L, W = X.shape[1], lams.shape[0], T.shape[1]
-    cand_targets = np.tile(T.T, (L, 1))
-    run = _irls_stack(X, y, np.repeat(lams, W), cand_targets)
+    run = _irls_stack(X, y, lams, t)
     failed = np.fromiter(run.failures, dtype=int, count=len(run.failures))
     coef = run.coef
-    coef[failed] = cand_targets[failed]
-    ok = np.ones(L * W, dtype=bool)
+    coef[failed] = t
+    ok = np.ones(lams.shape[0], dtype=bool)
     ok[failed] = False
-    return coef.T.reshape(p, L, W), ok.reshape(L, W)
+    return coef.T, ok
 
 
 def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
-                    target_spec: TargetSpec | None = None,
-                    weights: Sequence[float] | None = None,
                     diagnostics: dict | None = None) -> EstimatorState:
     """Sequential logistic step: IRLS shrinking toward the latest estimates.
 
@@ -351,4 +345,4 @@ def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
                           "irls_gradient_norm": res.final_gradient_norm}
 
     return _sequential_update("logistic", fit, _fold_stacked, state, batch, lam,
-                              target_spec, weights, diagnostics)
+                              diagnostics)

@@ -33,7 +33,6 @@ __all__ = [
     "CovariateRegistry",
     "Batch",
     "CoefficientVector",
-    "TargetSpec",
     "UpdateRecord",
     "TriangularHistory",
     "StackedHistory",
@@ -44,12 +43,9 @@ __all__ = [
     "fold_stacked",
     "align_batch",
     "assemble_target",
-    "mixture_target",
 ]
 
 FAMILIES = ("linear", "logistic")
-
-_SIMPLEX_TOL = 1e-12
 
 
 def _real_array(values: Any, what: str, ndim: int | None = None,
@@ -358,53 +354,11 @@ class CoefficientVector(_Record):
         return CoefficientVector._built(values=dict(zip(names, arr.tolist())))
 
 
-class TargetSpec(_Record):
-    """A set of candidate shrinkage targets with optional mixing weights.
-
-    ``weights=None`` means the weights are to be chosen by the tuner;
-    fixed weights must lie on the probability simplex.
-    """
-
-    _fields = ("targets", "weights")
-
-    def __init__(self, targets: tuple[CoefficientVector, ...],
-                 weights: tuple[float, ...] | None = None) -> None:
-        targets = tuple(targets)
-        if not targets:
-            raise ValidationError("a target spec needs at least one target")
-        if any(not isinstance(t, CoefficientVector) for t in targets):
-            raise ValidationError("targets must be CoefficientVector instances")
-        keys = set(targets[0].names())
-        for t in targets[1:]:
-            if set(t.names()) != keys:
-                raise ValidationError("all targets must share one covariate set")
-        if weights is not None:
-            weights = _check_simplex(weights, len(targets))
-        self.__dict__.update(targets=targets, weights=weights)
-
-    @property
-    def size(self) -> int:
-        return len(self.targets)
-
-    def over(self, names: Sequence[str]) -> "TargetSpec":
-        """The spec with every target assembled over ``names`` (see
-        ``assemble_target``: a name a target lacks gets 0)."""
-        return TargetSpec(tuple(assemble_target(t, names) for t in self.targets), self.weights)
-
-
-def _check_simplex(weights: Sequence[float], expected: int) -> tuple[float, ...]:
-    w = _check_real_vector(weights, "weight")
-    if len(w) != expected:
-        raise ValidationError(f"expected {expected} weights, got {len(w)}")
-    if any(v < -_SIMPLEX_TOL for v in w):
-        raise ValidationError("weights must be non-negative")
-    if abs(sum(w) - 1.0) > _SIMPLEX_TOL:
-        raise ValidationError(f"weights must sum to 1, got {sum(w)!r}")
-    return w
-
-
 class UpdateRecord(_Record):
-    """Outcome of one sequential update; ``diagnostics`` defaults to an empty dict."""
+    """Outcome of one sequential update; ``diagnostics`` defaults to an empty dict.
+
+    Updates leave ``weights`` None; it holds the mixing weights a record
+    read from an older state carries."""
 
     _fields = ("t", "lam", "estimate", "weights", "diagnostics")
 
@@ -741,20 +695,3 @@ def assemble_target(source: "EstimatorState | CoefficientVector",
     for name in missing:
         found[name] = backstop.get(name, 0.0)
     return CoefficientVector({name: found[name] for name in names})
-
-
-def mixture_target(spec: TargetSpec, weights: Sequence[float] | None = None) -> CoefficientVector:
-    """Convex combination of the spec's targets.
-
-    Explicit ``weights`` override weights stored on the spec; one of the
-    two must be present and lie on the simplex.
-    """
-    if weights is None:
-        if spec.weights is None:
-            raise ValidationError("no weights: neither stored on the spec nor passed")
-        w = spec.weights
-    else:
-        w = _check_simplex(weights, spec.size)
-    names = spec.targets[0].names()
-    mixed = {name: sum(wg * t[name] for wg, t in zip(w, spec.targets)) for name in names}
-    return CoefficientVector(mixed)

@@ -42,7 +42,6 @@ the fold seed, so selection is reproducible.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +52,6 @@ from .model_core import (
     CoefficientVector,
     CovariateRegistry,
     EstimatorState,
-    TargetSpec,
     _MAX_ELEMENTS,
     _Record,
     _check_index,
@@ -65,7 +63,6 @@ from .model_core import (
     assemble_target,
     fold_stacked,
     fold_triangular,
-    mixture_target,
     start_state,
 )
 from ._numerics import expit
@@ -119,23 +116,23 @@ class Family:
     """What selection and updating need to know about one response family.
 
     ``fit(X, y, lam, target)`` returns the coefficients of one targeted
-    ridge fit. ``fit_grid(X, y, lams, targets)`` fits every penalty and
-    every target column in one solve (``fit_targeted_ridge_grid`` or
-    ``irls_fit_grid``): coefficients of shape ``(p, L, W)`` and a mask of
-    shape ``(L, W)`` that is False where a fit is unusable. ``loss(X, y,
-    coefs)`` is the criterion the selector minimizes, one value per
-    coefficient column. ``fold(past, X, y)`` folds a batch, aligned over
-    the registry, into a state's past data (``None`` before any batch),
-    and ``history_loss(past, coefs)`` is the criterion summed over every
-    row of that past data, one value per coefficient column; ``coefs``
-    may cover more registry covariates than the past data, which then
-    count as zero columns. ``loo_curve(X, y, lams, targets, past)`` gives a
-    leave-one-out selection's mean held-out criterion and mean criterion
-    on ``past`` (``None`` for no constraint), each of shape ``(L, W)``,
-    without fitting the folds; it returns ``None`` where the family has no
-    such closed form or cannot certify it. ``mean`` maps a linear
-    predictor to the expected response, ``sample`` draws responses around
-    it, and ``update`` is the family's sequential step. Methods look the
+    ridge fit. ``fit_grid(X, y, lams, target)`` fits every penalty in one
+    solve (``fit_targeted_ridge_grid`` or ``irls_fit_grid``): coefficients
+    of shape ``(p, L)`` and a mask of length L that is False where a fit
+    is unusable. ``loss(X, y, coefs)`` is the criterion the selector
+    minimizes, one value per coefficient column. ``fold(past, X, y)``
+    folds a batch, aligned over the registry, into a state's past data
+    (``None`` before any batch), and ``history_loss(past, coefs)`` is the
+    criterion summed over every row of that past data, one value per
+    coefficient column; ``coefs`` may cover more registry covariates than
+    the past data, which then count as zero columns. ``loo_curve(X, y,
+    lams, target, past)`` gives a leave-one-out selection's mean held-out
+    criterion and mean criterion on ``past`` (``None`` for no
+    constraint), each of length L, without fitting the folds; it returns
+    ``None`` where the family has no such closed form or cannot certify
+    it. ``mean`` maps a linear predictor to the expected response,
+    ``sample`` draws responses around it, and ``update(state, batch, lam,
+    diagnostics)`` is the family's sequential step. Methods look the
     estimators up by their module-level names when they run, so a wrapper
     installed over those names sees every fit.
     """
@@ -143,7 +140,7 @@ class Family:
     name: str
     stratified: bool
 
-    def loo_curve(self, X, y, lams, targets, past):
+    def loo_curve(self, X, y, lams, target, past):
         """No closed form: a leave-one-out selection fits every fold."""
         return None
 
@@ -155,16 +152,15 @@ class _Linear(Family):
     def fit(self, X, y, lam, target):
         return fit_targeted_ridge(X, y, lam, target).coef
 
-    def fit_grid(self, X, y, lams, targets):
-        coefs, solvable = fit_targeted_ridge_grid(X, y, lams, targets)
-        return coefs, np.repeat(solvable[:, None], targets.shape[1], axis=1)
+    def fit_grid(self, X, y, lams, target):
+        return fit_targeted_ridge_grid(X, y, lams, target)
 
-    def loo_curve(self, X, y, lams, targets, past):
+    def loo_curve(self, X, y, lams, target, past):
         history = None
         if past is not None:
             k = past.covariates
             history = (past.factor[:, :k], past.factor[:, k])
-        return loo_ridge_grid(X, y, lams, targets, history)
+        return loo_ridge_grid(X, y, lams, target, history)
 
     def loss(self, X, y, coefs):
         resid = y[:, None] - X @ coefs
@@ -184,8 +180,8 @@ class _Linear(Family):
     def sample(self, rng, eta, noise_var):
         return eta + np.sqrt(noise_var) * rng.standard_normal(eta.shape[0])
 
-    def update(self, state, batch, lam, **options):
-        return update(state, batch, lam, **options)
+    def update(self, state, batch, lam, diagnostics=None):
+        return update(state, batch, lam, diagnostics=diagnostics)
 
 
 class _Logistic(Family):
@@ -195,8 +191,8 @@ class _Logistic(Family):
     def fit(self, X, y, lam, target):
         return irls_fit(X, y, lam, target).coef
 
-    def fit_grid(self, X, y, lams, targets):
-        return irls_fit_grid(X, y, lams, targets)
+    def fit_grid(self, X, y, lams, target):
+        return irls_fit_grid(X, y, lams, target)
 
     def loss(self, X, y, coefs):
         eta = X @ coefs
@@ -222,8 +218,8 @@ class _Logistic(Family):
     def sample(self, rng, eta, noise_var):
         return (rng.random(eta.shape[0]) < expit(eta)).astype(float)
 
-    def update(self, state, batch, lam, **options):
-        return update_logistic(state, batch, lam, **options)
+    def update(self, state, batch, lam, diagnostics=None):
+        return update_logistic(state, batch, lam, diagnostics=diagnostics)
 
 
 _FAMILIES = {family.name: family for family in (_Linear(), _Logistic())}
@@ -375,27 +371,23 @@ def constraint_terms(state: EstimatorState, batch: Batch, lam: float,
 class Candidate(_Record):
     """One evaluated grid point of the selection curve."""
 
-    _fields = ("lam", "weights", "score", "feasible", "lhs", "rhs")
+    _fields = ("lam", "score", "feasible", "lhs", "rhs")
 
-    def __init__(self, lam: float, weights: tuple[float, ...] | None, score: float,
-                 feasible: bool, lhs: float | None = None, rhs: float | None = None) -> None:
-        self.__dict__.update(lam=lam, weights=weights, score=score, feasible=feasible,
-                             lhs=lhs, rhs=rhs)
+    def __init__(self, lam: float, score: float, feasible: bool, lhs: float | None = None,
+                 rhs: float | None = None) -> None:
+        self.__dict__.update(lam=lam, score=score, feasible=feasible, lhs=lhs, rhs=rhs)
 
 
 class PenaltySearchConfig(_Record):
     """How to run a selection: folds, grid, constraint mode, seed.
 
     ``k_folds=None`` means leave-one-out. ``grid=None`` is ``default_grid()``.
-    The weight lattice for mixture tuning uses ``weight_points`` values per
-    coordinate (default step 0.1).
     """
 
-    _fields = ("k_folds", "constrained", "grid", "seed", "weight_points")
+    _fields = ("k_folds", "constrained", "grid", "seed")
 
     def __init__(self, k_folds: int | None = 5, constrained: bool = True,
-                 grid: tuple[float, ...] | None = None, seed: int = 0,
-                 weight_points: int = 11) -> None:
+                 grid: tuple[float, ...] | None = None, seed: int = 0) -> None:
         grid = _check_real_vector(default_grid() if grid is None else grid, "grid penalty",
                                   "> 0")
         if not grid:
@@ -404,24 +396,25 @@ class PenaltySearchConfig(_Record):
             raise ValidationError("the grid must be strictly increasing")
         if k_folds is not None:
             _check_index(k_folds, 2, "k_folds (None for leave-one-out)")
-        _check_index(weight_points, 2, "weight_points")
         _check_index(seed, 0, "the fold seed")
-        self.__dict__.update(k_folds=k_folds, constrained=constrained, grid=grid, seed=seed,
-                             weight_points=weight_points)
+        self.__dict__.update(k_folds=k_folds, constrained=constrained, grid=grid, seed=seed)
 
 
 class SelectionReport(_Record):
-    """Outcome of a grid selection, with the full evaluated curve."""
+    """Outcome of a grid selection, with the full evaluated curve.
 
-    _fields = ("chosen_lambda", "chosen_weights", "score", "constrained", "fallback_used",
-               "new_fraction", "k_folds", "seed", "cv_curve")
+    ``to_dict`` keeps the ``chosen_weights`` and per-candidate ``weights``
+    keys of the printed report, always null, so the report's layout does
+    not change.
+    """
 
-    def __init__(self, chosen_lambda: float, chosen_weights: tuple[float, ...] | None,
-                 score: float, constrained: bool, fallback_used: bool,
-                 new_fraction: float | None, k_folds: int, seed: int,
+    _fields = ("chosen_lambda", "score", "constrained", "fallback_used", "new_fraction",
+               "k_folds", "seed", "cv_curve")
+
+    def __init__(self, chosen_lambda: float, score: float, constrained: bool,
+                 fallback_used: bool, new_fraction: float | None, k_folds: int, seed: int,
                  cv_curve: tuple[Candidate, ...]) -> None:
-        self.__dict__.update(chosen_lambda=chosen_lambda, chosen_weights=chosen_weights,
-                             score=score, constrained=constrained,
+        self.__dict__.update(chosen_lambda=chosen_lambda, score=score, constrained=constrained,
                              fallback_used=fallback_used, new_fraction=new_fraction,
                              k_folds=k_folds, seed=seed, cv_curve=cv_curve)
 
@@ -434,8 +427,7 @@ class SelectionReport(_Record):
 
         return {
             "chosen_lambda": num(self.chosen_lambda),
-            "chosen_weights": list(self.chosen_weights)
-                if self.chosen_weights is not None else None,
+            "chosen_weights": None,
             "score": num(self.score),
             "constrained": self.constrained,
             "fallback_used": self.fallback_used,
@@ -445,7 +437,7 @@ class SelectionReport(_Record):
             "cv_curve": [
                 {
                     "lam": num(c.lam),
-                    "weights": list(c.weights) if c.weights is not None else None,
+                    "weights": None,
                     "score": num(c.score),
                     "feasible": c.feasible,
                     "lhs": num(c.lhs),
@@ -456,86 +448,71 @@ class SelectionReport(_Record):
         }
 
 
-def _weight_lattice(size: int, points: int) -> list[tuple[float, ...]]:
-    """All simplex weights with entries at multiples of 1/(points-1)."""
-    m = points - 1
-    combos = []
-    for slots in combinations_with_replacement(range(size), m):
-        counts = [0] * size
-        for s in slots:
-            counts[s] += 1
-        combos.append(tuple(c / m for c in counts))
-    return sorted(set(combos), reverse=True)
-
-
 def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
-                     grid: tuple[float, ...], weight_options: list, targets: np.ndarray,
-                     k: int, seed: int, new_fraction: float | None) -> list[Candidate]:
+                     grid: tuple[float, ...], target: np.ndarray, k: int, seed: int,
+                     new_fraction: float | None) -> list[Candidate]:
     """The selection curve, every fold fit over the registry's columns.
 
-    ``targets`` holds one column over the registry per weight option. Each
-    fold fit gives its held-out criterion (the CV score) and, with
-    ``new_fraction`` set, its criterion on the state's past data (the
-    constraint's left side before the ``1 - f`` factor); the right side is
-    evaluated once per selection. A leave-one-out selection (``k`` equal
-    to the batch size) takes the family's ``loo_curve``, which forms no
-    fold fit and deals no folds; otherwise, or where it declines, the
-    ``k`` folds are dealt with ``seed`` (``make_folds``) and each is
-    fitted once for the whole grid (``fit_grid``). A candidate whose fit
-    is unusable in any fold is infinite in both.
+    ``target`` is the shrinkage target over the registry. Each fold fit
+    gives its held-out criterion (the CV score) and, with ``new_fraction``
+    set, its criterion on the state's past data (the constraint's left
+    side before the ``1 - f`` factor); the right side is the target's own
+    criterion on the past data. A leave-one-out selection (``k`` equal to
+    the batch size) takes the family's ``loo_curve``, which forms no fold
+    fit and deals no folds; otherwise, or where it declines, the ``k``
+    folds are dealt with ``seed`` (``make_folds``) and each is fitted once
+    for the whole grid (``fit_grid``). A candidate whose fit is unusable
+    in any fold is infinite in both.
     """
     fam = get_family(state.family)
-    names = registry.names
     X, y = align_batch(batch, registry), batch.y
     constrain = new_fraction is not None
     past = state.past if constrain else None
-    means = fam.loo_curve(X, y, grid, targets, past) if k == batch.n else None
+    means = fam.loo_curve(X, y, grid, target, past) if k == batch.n else None
     if means is None:
         folds = make_folds(batch.n, k, seed, y if fam.stratified else None)
-        means = _fold_means(fam, X, y, grid, targets, past, folds)
+        means = _fold_means(fam, X, y, grid, target, past, folds)
     score, hist = means
     lhs = rhs = None
     if constrain:
-        prev = assemble_target(state, names).as_array(names)
-        rhs = float(fam.history_loss(past, prev[:, None])[0])
+        rhs = float(fam.history_loss(past, target[:, None])[0])
         lhs = (1.0 - new_fraction) * hist
-    return [Candidate(lam=lam, weights=w, score=float(score[i, j]),
-                      feasible=lhs is None or bool(lhs[i, j] <= rhs),
-                      lhs=None if lhs is None else float(lhs[i, j]), rhs=rhs)
-            for i, lam in enumerate(grid) for j, w in enumerate(weight_options)]
+    return [Candidate(lam=lam, score=float(score[i]),
+                      feasible=lhs is None or bool(lhs[i] <= rhs),
+                      lhs=None if lhs is None else float(lhs[i]), rhs=rhs)
+            for i, lam in enumerate(grid)]
 
 
 def _fold_means(fam: Family, X: np.ndarray, y: np.ndarray, grid: tuple[float, ...],
-                targets: np.ndarray, past, folds: FoldPlan):
+                target: np.ndarray, past, folds: FoldPlan):
     """Mean over folds of the held-out criterion and, with ``past``, of the
     criterion on the past data, from one ``fit_grid`` per fold; both are
     infinite where a candidate's fit is unusable in any fold."""
-    L, W = len(grid), targets.shape[1]
-    score = np.zeros((L, W))
-    hist = np.zeros((L, W))
-    usable = np.ones((L, W), dtype=bool)
+    score = np.zeros(len(grid))
+    hist = np.zeros(len(grid))
+    usable = np.ones(len(grid), dtype=bool)
     for fold in range(1, folds.k + 1):
         train, test = folds.split(fold)
-        coefs, ok = fam.fit_grid(X[train], y[train], grid, targets)
+        coefs, ok = fam.fit_grid(X[train], y[train], grid, target)
         usable &= ok
-        flat = coefs.reshape(X.shape[1], L * W)
-        score += fam.loss(X[test], y[test], flat).reshape(L, W)
+        score += fam.loss(X[test], y[test], coefs)
         if past is not None:
-            hist += fam.history_loss(past, flat).reshape(L, W)
+            hist += fam.history_loss(past, coefs)
     score = np.where(usable, score / folds.k, np.inf)
     return score, np.where(usable, hist / folds.k, np.inf) if past is not None else None
 
 
 def select_penalty(state: EstimatorState, batch: Batch,
-                   config: PenaltySearchConfig | None = None,
-                   targets: TargetSpec | None = None) -> SelectionReport:
-    """Pick the update penalty (and mixture weights, if tuning) by grid search.
+                   config: PenaltySearchConfig | None = None) -> SelectionReport:
+    """Pick the update penalty by grid search.
 
-    Every (penalty, weights) pair on the grid is scored; in constrained
-    mode infeasible pairs are excluded before comparison, except at the
-    first update where there is no history to constrain against. Ties in
-    score go to the larger penalty. With no feasible pair the selector
-    falls back to the largest grid penalty and marks ``fallback_used``.
+    The target is the state's assembled target (``assemble_target``) over
+    the registry extended by the batch. Every grid penalty is scored; in
+    constrained mode infeasible penalties are excluded before comparison,
+    except at the first update where there is no history to constrain
+    against. Ties in score go to the larger penalty. With no feasible
+    penalty the selector falls back to the largest grid penalty and marks
+    ``fallback_used``.
     """
     cfg = config or PenaltySearchConfig()
     if batch.family != state.family:
@@ -548,23 +525,11 @@ def select_penalty(state: EstimatorState, batch: Batch,
 
     registry = state.registry.extended(batch.covariates)
     names = registry.names
-
-    if targets is None:
-        weight_options: list[tuple[float, ...] | None] = [None]
-        target_matrix = assemble_target(state, names).as_array(names)[:, None]
-    else:
-        expanded = targets.over(names)
-        if expanded.weights is not None:
-            weight_options = [expanded.weights]
-        else:
-            weight_options = _weight_lattice(expanded.size, cfg.weight_points)
-        target_matrix = np.column_stack([mixture_target(expanded, w).as_array(names)
-                                         for w in weight_options])
-
+    target = assemble_target(state, names).as_array(names)
     constrain = cfg.constrained and state.past is not None
     new_fraction = batch.n / (batch.n + state.past.rows) if constrain else None
-    curve = _selection_curve(state, batch, registry, cfg.grid, weight_options,
-                             target_matrix, k, cfg.seed, new_fraction)
+    curve = _selection_curve(state, batch, registry, cfg.grid, target, k, cfg.seed,
+                             new_fraction)
 
     def pick(cands: list[Candidate]) -> Candidate | None:
         best = None
@@ -579,14 +544,12 @@ def select_penalty(state: EstimatorState, batch: Batch,
     chosen = pick([c for c in curve if c.feasible])
     fallback_used = False
     if chosen is None and constrain:
-        top = cfg.grid[-1]
-        chosen = pick([c for c in curve if c.lam == top])
+        chosen = pick(curve[-1:])
         fallback_used = chosen is not None
     if chosen is None:
         raise SelectionError("no usable penalty: every grid candidate scored infinite")
     return SelectionReport(
         chosen_lambda=chosen.lam,
-        chosen_weights=chosen.weights,
         score=chosen.score,
         constrained=cfg.constrained,
         fallback_used=fallback_used,

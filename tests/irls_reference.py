@@ -30,7 +30,7 @@ def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
     IRLS_MAX_ITER = logistic_estimator.IRLS_MAX_ITER
     IRLS_STEP_HALVING = logistic_estimator.IRLS_STEP_HALVING
 
-    X, y, target = _check_xy_target(X, y, target, 1)
+    X, y, target = _check_xy_target(X, y, target)
     _check_binary(y)
     lam = _check_real(lam, "penalty", ">= 0")
     if lam == 0:

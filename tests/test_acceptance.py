@@ -468,8 +468,7 @@ class TestAcceptance:
                 k_folds=5, constrained=True, grid=grid, seed=i))
             if not report.fallback_used:
                 chosen = next(c for c in report.cv_curve
-                              if c.lam == report.chosen_lambda
-                              and c.weights == report.chosen_weights)
+                              if c.lam == report.chosen_lambda)
                 if not chosen.feasible:
                     choice_ok = False
 

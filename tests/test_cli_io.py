@@ -159,6 +159,9 @@ class TestStateRoundTrip:
         assert open(new, "rb").read() == open(fresh, "rb").read()
 
     def test_mixture_weights_survive_the_round_trip(self, tmp_path):
+        """Updates no longer write weights, but a record an older state holds
+        them in still reads, keeps them through an update and is exported
+        with them."""
         state = seeded_state(with_history=False)
         record = UpdateRecord(t=1, lam=2.0,
                               estimate=CoefficientVector({"a": 1.0, "b": 0.0}),
@@ -171,6 +174,17 @@ class TestStateRoundTrip:
         loaded = cio.read_state(path)
         assert loaded.history[-1].weights == (0.3, 0.7)
         assert loaded.history[-1].diagnostics == {"note": "manual"}
+
+        batch = seeded_batch()
+        data = str(tmp_path / "b.csv")
+        write_csv(data, ["a", "b", "y"], np.column_stack([batch.X, batch.y]))
+        assert run_cli("update", "--state", path, "--data", data, "--response", "y")[0] == 0
+        updated = cio.read_state(path)
+        assert [rec.weights for rec in updated.history] == [(0.3, 0.7), None]
+        assert cio.state_to_doc(updated)["history"][1]["weights"] is None
+        code, out, _ = run_cli("export", "--state", path)
+        assert code == 0
+        assert "  t=1 lam=2.0 weights=[0.3, 0.7]\n  t=2 lam=" in out
 
     def test_schema_tag_is_enforced(self, tmp_path):
         doc = cio.state_to_doc(seeded_state(with_history=False))
@@ -896,6 +910,14 @@ class TestCliSelectLambda:
         for cand in report["cv_curve"]:
             assert set(cand) >= {"lam", "score", "feasible"}
         assert open(path, "rb").read() == before
+        # The printed layout keeps the weight keys, always null.
+        assert set(report) == {"chosen_lambda", "chosen_weights", "score", "constrained",
+                               "fallback_used", "new_fraction", "k_folds", "seed",
+                               "cv_curve"}
+        assert report["chosen_weights"] is None
+        for cand in report["cv_curve"]:
+            assert set(cand) == {"lam", "weights", "score", "feasible", "lhs", "rhs"}
+            assert cand["weights"] is None
 
     def test_an_infinite_grid_bound_exits_2_with_one_error_line(self, tmp_path):
         """The bound is refused before NumPy spaces the grid, so stderr holds

@@ -2,21 +2,23 @@
 
 The package states what a valid design/response pair, a 0/1 response, a
 quantile in [0, 1], an index (an integer, not a bool) and a number are.
-Fold counts, fold seeds, grid sizes, weight lattice sizes and moment step
-counts are indices; a grid size must also stay within the element cap.
+Fold counts, fold seeds, grid sizes and moment step counts are indices;
+a grid size must also stay within the element cap. Every fit shrinks
+toward one target: a 1-D array of p numbers, one per design column.
 
 One rule says what a number is, and ``model_core._check_real`` holds it:
 a real number, finite, and not a bool, a string or an ``np.bool_``; an
 integer past the float range counts as not finite. Some inputs add a
 bound of >= 0 or > 0. Every penalty, variance ratio, noise variance,
-grid bound, mixture weight and coefficient follows it, and so does every
-entry of a penalty or ratio grid (``_check_real_vector``: a 1-D sequence
-of such numbers). An array follows it as a whole (``_real_array``): a
-NumPy dtype of integer or float kind, so not bool, string or object, and
-finite entries; a list or tuple that holds a bool at any depth is refused
-too, although NumPy would convert it to floats. These tables feed each malformed input to every
-public entry point that takes it and assert the error class, so a check
-that one caller drops fails here whatever module the check lives in.
+grid bound, stored update weight and coefficient follows it, and so does
+every entry of a penalty or ratio grid (``_check_real_vector``: a 1-D
+sequence of such numbers). An array follows it as a whole
+(``_real_array``): a NumPy dtype of integer or float kind, so not bool,
+string or object, and finite entries; a list or tuple that holds a bool
+at any depth is refused too, although NumPy would convert it to floats.
+These tables feed each malformed input to every public entry point that
+takes it and assert the error class, so a check that one caller drops
+fails here whatever module the check lives in.
 """
 
 import numpy as np
@@ -33,7 +35,6 @@ from ridge_relay import (
     StackedData,
     StackedHistory,
     StateFileError,
-    TargetSpec,
     TrajectoryResult,
     UpdateRecord,
     ValidationError,
@@ -56,7 +57,6 @@ from ridge_relay import (
     make_folds,
     mixed_fixed_effects,
     mixed_moments,
-    mixture_target,
     penalized_loglik,
     plain_ridge,
     stack_batches,
@@ -126,13 +126,13 @@ DATA_ENTRIES = {
     "fold_stacked": ("logistic", lambda X, y: fold_stacked(None, X, y), True),
     "fit_targeted_ridge": ("linear", lambda X, y: fit_targeted_ridge(X, y, 1.0, ZERO), True),
     "fit_targeted_ridge_grid": ("linear", lambda X, y: fit_targeted_ridge_grid(
-        X, y, [1.0], ZERO[:, None]), True),
-    "loo_ridge_grid": ("linear", lambda X, y: loo_ridge_grid(X, y, [1.0], ZERO[:, None]), True),
+        X, y, [1.0], ZERO), True),
+    "loo_ridge_grid": ("linear", lambda X, y: loo_ridge_grid(X, y, [1.0], ZERO), True),
     "plain_ridge": ("linear", lambda X, y: plain_ridge(X, y, 1.0), True),
     "estimate_noise_variance": ("linear", lambda X, y: estimate_noise_variance(
         X, y, linear_fit()), True),
     "irls_fit": ("logistic", lambda X, y: irls_fit(X, y, 1.0, ZERO), True),
-    "irls_fit_grid": ("logistic", lambda X, y: irls_fit_grid(X, y, [1.0], ZERO[:, None]), True),
+    "irls_fit_grid": ("logistic", lambda X, y: irls_fit_grid(X, y, [1.0], ZERO), True),
     "logistic_loglik": ("logistic", lambda X, y: logistic_loglik(X, y, ZERO), True),
     "penalized_loglik": ("logistic", lambda X, y: penalized_loglik(X, y, ZERO, 1.0, ZERO),
                          True),
@@ -167,12 +167,11 @@ def one_batch(family):
 PENALTY_ENTRIES = {
     "UpdateRecord": lambda v: UpdateRecord(t=1, lam=v, estimate=CoefficientVector({"a": 0.0})),
     "fit_targeted_ridge": lambda v: fit_targeted_ridge(X, Y["linear"], v, ZERO),
-    "fit_targeted_ridge_grid": lambda v: fit_targeted_ridge_grid(X, Y["linear"], [v],
-                                                                 ZERO[:, None]),
-    "loo_ridge_grid": lambda v: loo_ridge_grid(X, Y["linear"], [v], ZERO[:, None]),
+    "fit_targeted_ridge_grid": lambda v: fit_targeted_ridge_grid(X, Y["linear"], [v], ZERO),
+    "loo_ridge_grid": lambda v: loo_ridge_grid(X, Y["linear"], [v], ZERO),
     "plain_ridge": lambda v: plain_ridge(X, Y["linear"], v),
     "irls_fit": lambda v: irls_fit(X, Y["logistic"], v, ZERO),
-    "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [v], ZERO[:, None]),
+    "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [v], ZERO),
     "estimating_equation": lambda v: estimating_equation(X, Y["logistic"], ZERO, v, ZERO),
     "penalized_loglik": lambda v: penalized_loglik(X, Y["logistic"], ZERO, v, ZERO),
     "exact_moments_orthonormal": lambda v: exact_moments_orthonormal(ZERO, ZERO, v, 1, 1.0),
@@ -199,25 +198,18 @@ GRID_ENTRIES = {
     "default_grid(min)": lambda v: default_grid(v, 1e6, 3),
     "default_grid(max)": lambda v: default_grid(1e-4, v, 3),
     "fit_targeted_ridge_grid": lambda v: fit_targeted_ridge_grid(X, Y["linear"], [0.5, v],
-                                                                 ZERO[:, None]),
-    "loo_ridge_grid": lambda v: loo_ridge_grid(X, Y["linear"], [0.5, v], ZERO[:, None]),
-    "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [0.5, v], ZERO[:, None]),
+                                                                 ZERO),
+    "loo_ridge_grid": lambda v: loo_ridge_grid(X, Y["linear"], [0.5, v], ZERO),
+    "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [0.5, v], ZERO),
     "estimate_xi": lambda v: estimate_xi(stacked(), grid=[0.5, v]),
 }
 
 
-def one_target(v):
-    return TargetSpec((CoefficientVector({"a": 0.0}),), weights=(v,))
-
-
 # name -> call(v) for a value v that must be a real number, with no bound
-# (a weight must also lie on the simplex, which 1.0 alone does)
 NUMBER_ENTRIES = {
     "CoefficientVector": lambda v: CoefficientVector({"a": v}),
     "UpdateRecord weights": lambda v: UpdateRecord(
         t=1, lam=1.0, estimate=CoefficientVector({"a": 0.0}), weights=(v,)),
-    "TargetSpec weights": one_target,
-    "mixture_target weights": lambda v: mixture_target(one_target(1.0), [v]),
 }
 
 
@@ -260,6 +252,40 @@ def test_malformed_data_is_rejected(family, call, spoil):
     call(X, Y[family])  # the well-formed pair is accepted
     with pytest.raises(ValidationError):
         call(*spoil(X, Y[family]))
+
+
+# name -> call(target) of a fit that shrinks toward one target vector
+TARGET_ENTRIES = {
+    "fit_targeted_ridge": lambda t: fit_targeted_ridge(X, Y["linear"], 1.0, t),
+    "fit_targeted_ridge_grid": lambda t: fit_targeted_ridge_grid(X, Y["linear"], [1.0], t),
+    "loo_ridge_grid": lambda t: loo_ridge_grid(X, Y["linear"], [1.0], t),
+    "irls_fit": lambda t: irls_fit(X, Y["logistic"], 1.0, t),
+    "irls_fit_grid": lambda t: irls_fit_grid(X, Y["logistic"], [1.0], t),
+}
+# name -> a target that is not one vector of p real numbers; a (p, 1)
+# column of targets is refused, not read as a one-target mixture
+BAD_TARGETS = {
+    "(p, 1) column": ZERO[:, None],
+    "too short": ZERO[:1],
+    "NaN entry": with_entry(ZERO, np.nan),
+    "inf entry": with_entry(ZERO, np.inf),
+    "strings": ZERO.astype(str),
+    "bools": ZERO > 0,
+    "10**400 entry": with_list_entry(ZERO, 10 ** 400),
+}
+
+
+def target_cases():
+    for entry, call in TARGET_ENTRIES.items():
+        for label, target in BAD_TARGETS.items():
+            yield pytest.param(call, target, id=f"{entry}-{label}")
+
+
+@pytest.mark.parametrize("call, target", target_cases())
+def test_a_target_that_is_not_one_real_vector_is_rejected(call, target):
+    call(ZERO)  # one vector of p finite numbers is accepted
+    with pytest.raises(ValidationError):
+        call(target)
 
 
 @pytest.mark.parametrize("call, value", scalar_cases())
@@ -337,8 +363,6 @@ BAD_SELECTION_INPUTS = {
                                         {"k_folds": 2.5}),
     "PenaltySearchConfig k_folds '3'": (PenaltySearchConfig, {"k_folds": 3},
                                         {"k_folds": "3"}),
-    "PenaltySearchConfig weight_points 2.5": (PenaltySearchConfig, {"weight_points": 3},
-                                              {"weight_points": 2.5}),
     "make_folds k 2.5": (make_folds, {"n": 10, "k": 2, "seed": 0},
                          {"n": 10, "k": 2.5, "seed": 0}),
     "make_folds seed -1": (make_folds, {"n": 10, "k": 2, "seed": 0},

@@ -18,7 +18,6 @@ from ridge_relay import (
     EstimationError,
     EstimatorState,
     SingularMatrixError,
-    TargetSpec,
     ValidationError,
     estimate_noise_variance,
     exact_moments_general,
@@ -28,15 +27,6 @@ from ridge_relay import (
     loo_ridge_grid,
     update,
 )
-
-
-def mixture_update_estimate(X, y, lam, spec, weights=None):
-    """The estimate of one update toward the spec's mixture, over columns a, b."""
-    state = EstimatorState(family="linear", registry=CovariateRegistry(("a", "b")),
-                           init_target=CoefficientVector({"a": 0.0, "b": 0.0}))
-    batch = Batch(t=1, X=X, y=y, covariates=("a", "b"))
-    advanced = update(state, batch, lam, target_spec=spec, weights=weights)
-    return advanced.current.as_array(("a", "b"))
 
 
 def brute_force_fit(X, y, lam, target):
@@ -168,59 +158,28 @@ class TestFitTargetedRidge:
         offset = fit_targeted_ridge(X, y - X @ target, lam, np.zeros(3)).coef
         np.testing.assert_allclose(direct, target + offset, atol=1e-10)
 
-    def test_mixture_fit_equals_fit_at_blended_target(self):
-        rng = np.random.default_rng(9)
-        X = rng.standard_normal((9, 2))
-        y = rng.standard_normal(9)
-        spec = TargetSpec(targets=(CoefficientVector({"a": 1.0, "b": 0.0}),
-                                   CoefficientVector({"a": 0.0, "b": 2.0})))
-        mixed = mixture_update_estimate(X, y, 1.2, spec, weights=(0.25, 0.75))
-        direct = fit_targeted_ridge(X, y, 1.2, np.array([0.25, 1.5]))
-        np.testing.assert_allclose(mixed, direct.coef, atol=1e-12)
-
-    def test_single_target_mixture_reduces_to_plain_fit(self):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((7, 2))
-        y = rng.standard_normal(7)
-        spec = TargetSpec(targets=(CoefficientVector({"a": 0.4, "b": -1.0}),),
-                          weights=(1.0,))
-        mixed = mixture_update_estimate(X, y, 0.8, spec)
-        direct = fit_targeted_ridge(X, y, 0.8, np.array([0.4, -1.0]))
-        np.testing.assert_array_equal(mixed, direct.coef)
-
-    def test_identical_targets_make_weights_irrelevant(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((7, 2))
-        y = rng.standard_normal(7)
-        same = CoefficientVector({"a": 1.0, "b": 2.0})
-        spec = TargetSpec(targets=(same, CoefficientVector(dict(same.values))))
-        fit_a = mixture_update_estimate(X, y, 0.8, spec, weights=(0.9, 0.1))
-        fit_b = mixture_update_estimate(X, y, 0.8, spec, weights=(0.2, 0.8))
-        np.testing.assert_allclose(fit_a, fit_b, atol=1e-12)
-
 
 class TestFitTargetedRidgeGrid:
     def test_every_grid_fit_matches_the_single_fit(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((9, 3))
         y = rng.standard_normal(9)
-        targets = rng.standard_normal((3, 2))
         lams = (1e-4, 0.3, 7.0, 1e6)
-        coefs, solvable = fit_targeted_ridge_grid(X, y, lams, targets)
-        assert coefs.shape == (3, 4, 2) and solvable.all()
-        for i, lam in enumerate(lams):
-            for w in range(2):
+        for target in rng.standard_normal((2, 3)):
+            coefs, solvable = fit_targeted_ridge_grid(X, y, lams, target)
+            assert coefs.shape == (3, 4) and solvable.all()
+            for i, lam in enumerate(lams):
                 np.testing.assert_allclose(
-                    coefs[:, i, w], fit_targeted_ridge(X, y, lam, targets[:, w]).coef,
+                    coefs[:, i], fit_targeted_ridge(X, y, lam, target).coef,
                     rtol=1e-10, atol=1e-12)
 
     def test_zero_penalty_is_least_squares_on_full_rank_designs(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((8, 2))
         y = rng.standard_normal(8)
-        coefs, solvable = fit_targeted_ridge_grid(X, y, (0.0,), np.ones((2, 1)))
+        coefs, solvable = fit_targeted_ridge_grid(X, y, (0.0,), np.ones(2))
         assert solvable.all()
-        np.testing.assert_allclose(coefs[:, 0, 0], np.linalg.lstsq(X, y, rcond=None)[0],
+        np.testing.assert_allclose(coefs[:, 0], np.linalg.lstsq(X, y, rcond=None)[0],
                                    rtol=1e-10)
 
     @pytest.mark.parametrize("rows", [6, 2])
@@ -232,41 +191,43 @@ class TestFitTargetedRidgeGrid:
         X = rng.standard_normal((rows, 3))
         X[:, 2] = X[:, 0]
         y = rng.standard_normal(rows)
-        target = np.array([[0.5], [-1.0], [2.0]])
+        target = np.array([0.5, -1.0, 2.0])
         coefs, solvable = fit_targeted_ridge_grid(X, y, (0.0, 1e-300, 1.0), target)
         np.testing.assert_array_equal(solvable, [False, False, True])
         assert np.isfinite(coefs).all()
-        np.testing.assert_array_equal(coefs[:, 0, 0], target[:, 0])
-        np.testing.assert_allclose(coefs[:, 2, 0],
-                                   fit_targeted_ridge(X, y, 1.0, target[:, 0]).coef,
+        np.testing.assert_array_equal(coefs[:, 0], target)
+        np.testing.assert_allclose(coefs[:, 2], fit_targeted_ridge(X, y, 1.0, target).coef,
                                    rtol=1e-10)
 
     def test_input_validation(self):
+        """A negative penalty, a target of the wrong length, a target of
+        one column per candidate (not a vector) and a NaN response."""
         X = np.ones((3, 2))
         with pytest.raises(ValidationError):
-            fit_targeted_ridge_grid(X, np.ones(3), (-1.0,), np.zeros((2, 1)))
+            fit_targeted_ridge_grid(X, np.ones(3), (-1.0,), np.zeros(2))
         with pytest.raises(ValidationError):
-            fit_targeted_ridge_grid(X, np.ones(3), (1.0,), np.zeros((3, 1)))
+            fit_targeted_ridge_grid(X, np.ones(3), (1.0,), np.zeros(3))
         with pytest.raises(ValidationError):
-            fit_targeted_ridge_grid(X, np.array([1.0, np.nan, 0.0]), (1.0,),
-                                    np.zeros((2, 1)))
+            fit_targeted_ridge_grid(X, np.ones(3), (1.0,), np.zeros((2, 1)))
+        with pytest.raises(ValidationError):
+            fit_targeted_ridge_grid(X, np.array([1.0, np.nan, 0.0]), (1.0,), np.zeros(2))
 
 
-def per_fold_loo(X, y, lams, targets, history=None):
+def per_fold_loo(X, y, lams, target, history=None):
     """Leave-one-out means from one ``fit_targeted_ridge_grid`` per held-out
     row: the route ``loo_ridge_grid`` replaces."""
     n = X.shape[0]
-    score = np.zeros((len(lams), targets.shape[1]))
+    score = np.zeros(len(lams))
     hist = np.zeros_like(score)
     for i in range(n):
         rest = np.arange(n) != i
-        coefs, solvable = fit_targeted_ridge_grid(X[rest], y[rest], lams, targets)
+        coefs, solvable = fit_targeted_ridge_grid(X[rest], y[rest], lams, target)
         assert solvable.all()
-        score += (y[i] - np.einsum("j,jlw->lw", X[i], coefs)) ** 2
+        score += (y[i] - X[i] @ coefs) ** 2
         if history is not None:
             F, f = history
-            resid = np.tensordot(F, coefs[:F.shape[1]], axes=1) - f[:, None, None]
-            hist += np.einsum("mlw,mlw->lw", resid, resid)
+            resid = F @ coefs[:F.shape[1]] - f[:, None]
+            hist += np.einsum("ml,ml->l", resid, resid)
     return score / n, hist / n
 
 
@@ -311,15 +272,15 @@ class TestLooRidgeGrid:
         rng = np.random.default_rng(19 + n + p)
         X = rng.standard_normal((n, p))
         y = X @ rng.standard_normal(p) + 0.5 * rng.standard_normal(n)
-        targets = rng.standard_normal((p, 3))
         F = np.triu(rng.standard_normal((k + 1, k)))
         f = rng.standard_normal(k + 1)
         lams = (1e-4, 0.3, 7.0, 1e6)
-        score, hist = loo_ridge_grid(X, y, lams, targets, (F, f))
-        want_score, want_hist = per_fold_loo(X, y, lams, targets, (F, f))
-        np.testing.assert_allclose(score, want_score, rtol=1e-10)
-        np.testing.assert_allclose(hist, want_hist, rtol=1e-10)
-        assert loo_ridge_grid(X, y, lams, targets)[1] is None
+        for target in rng.standard_normal((3, p)):
+            score, hist = loo_ridge_grid(X, y, lams, target, (F, f))
+            want_score, want_hist = per_fold_loo(X, y, lams, target, (F, f))
+            np.testing.assert_allclose(score, want_score, rtol=1e-10)
+            np.testing.assert_allclose(hist, want_hist, rtol=1e-10)
+            assert loo_ridge_grid(X, y, lams, target)[1] is None
 
     def test_square_and_wide_designs_form_no_outside_part(self):
         """With as many columns as rows every row lies in the column space:
@@ -329,8 +290,8 @@ class TestLooRidgeGrid:
         X = rng.standard_normal((6, 6))
         y = rng.standard_normal(6)
         lams = (1e-4,)
-        score, _ = loo_ridge_grid(X, y, lams, np.zeros((6, 1)))
-        want, _ = per_fold_loo(X, y, lams, np.zeros((6, 1)))
+        score, _ = loo_ridge_grid(X, y, lams, np.zeros(6))
+        want, _ = per_fold_loo(X, y, lams, np.zeros(6))
         np.testing.assert_allclose(score, want, rtol=1e-10)
 
     def test_nearly_noiseless_fits_keep_their_held_out_residuals(self):
@@ -343,9 +304,9 @@ class TestLooRidgeGrid:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((8, 5))
             y = X @ rng.standard_normal(5) + 1e-6 * rng.standard_normal(8)
-            score, _ = loo_ridge_grid(X, y, (1e-4,), np.zeros((5, 1)))
+            score, _ = loo_ridge_grid(X, y, (1e-4,), np.zeros(5))
             exact = exact_loo_score(X, y, 1e-4)
-            errors.append(abs(score[0, 0] - exact) / exact)
+            errors.append(abs(score[0] - exact) / exact)
         assert max(errors) <= 2e-11
 
     @pytest.mark.parametrize("case", ["high-leverage row", "singular penalty",
@@ -363,19 +324,17 @@ class TestLooRidgeGrid:
         else:
             X[:, 2] = X[:, 0]
         y = rng.standard_normal(X.shape[0])
-        targets = np.zeros((X.shape[1], 1))
-        assert loo_ridge_grid(X, y, (1e-300, 1.0), targets) is None
-        rest = loo_ridge_grid(X, y, (1.0,), targets)
+        target = np.zeros(X.shape[1])
+        assert loo_ridge_grid(X, y, (1e-300, 1.0), target) is None
+        rest = loo_ridge_grid(X, y, (1.0,), target)
         assert (rest is None) == (case == "high-leverage row")
 
     def test_history_must_fit_the_design(self):
         X = np.ones((3, 2)) + np.eye(3, 2)
         with pytest.raises(ValidationError):
-            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros((2, 1)),
-                           (np.ones((4, 3)), np.ones(4)))
+            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros(2), (np.ones((4, 3)), np.ones(4)))
         with pytest.raises(ValidationError):
-            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros((2, 1)),
-                           (np.ones((4, 2)), np.ones(3)))
+            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros(2), (np.ones((4, 2)), np.ones(3)))
 
 
 class TestSequentialUpdate:
@@ -471,19 +430,6 @@ class TestSequentialUpdate:
         var = (1.0 - 0.5 ** (2 * steps)) / 3.0
         se = np.sqrt(var / reps)
         assert abs(finals.mean() - expected) < 3 * se
-
-    def test_mixture_update_records_weights(self):
-        rng = np.random.default_rng(24)
-        state = fresh_state()
-        batch = Batch(t=1, X=rng.standard_normal((6, 2)), y=rng.standard_normal(6),
-                      covariates=("a", "b"))
-        spec = TargetSpec(targets=(CoefficientVector({"a": 0.0, "b": 0.0}),
-                                   CoefficientVector({"a": 1.0, "b": 1.0})))
-        state = update(state, batch, 1.0, target_spec=spec, weights=(0.5, 0.5))
-        assert state.history[-1].weights == (0.5, 0.5)
-        direct = fit_targeted_ridge(batch.X, batch.y, 1.0, np.array([0.5, 0.5])).coef
-        np.testing.assert_allclose(state.current.as_array(("a", "b")), direct,
-                                   atol=1e-12)
 
 
 def simulate_orthonormal_chain(rng, Q, coef, target, lam, steps, noise_sd):

@@ -23,7 +23,6 @@ from ridge_relay import (
     CovariateRegistry,
     EstimatorState,
     SingularMatrixError,
-    TargetSpec,
     ValidationError,
     default_grid,
     estimating_equation,
@@ -242,18 +241,6 @@ class TestIrlsFit:
         with pytest.raises(ValidationError):
             irls_fit(np.ones((2, 1)), np.array([0.0, 1.0]), 0.0, np.zeros(1))
 
-    def test_mixture_fit_equals_fit_at_blended_target(self):
-        rng = np.random.default_rng(71)
-        X, y = make_data(rng, 22, 2, np.array([0.5, -0.5]))
-        spec = TargetSpec(targets=(CoefficientVector({"a": 1.0, "b": 0.0}),
-                                   CoefficientVector({"a": 0.0, "b": 1.0})))
-        batch = Batch(t=1, X=X, y=y, covariates=("a", "b"), family="logistic")
-        mixed = update_logistic(logistic_state(("a", "b")), batch, 1.1,
-                                target_spec=spec, weights=(0.4, 0.6))
-        direct = irls_fit(X, y, 1.1, np.array([0.4, 0.6]))
-        np.testing.assert_allclose(mixed.current.as_array(("a", "b")), direct.coef,
-                                   atol=1e-10)
-
 
 class TestUpdateLogistic:
     def test_first_update_from_zero_init_is_plain_penalized_fit(self):
@@ -316,7 +303,7 @@ class TestUpdateLogistic:
 
 @st.composite
 def irls_problems(draw):
-    """A design, 0/1 responses, ascending grid penalties and targets (p, W).
+    """A design, 0/1 responses, ascending grid penalties and a target.
 
     Covers designs from well scaled to badly scaled, separable responses
     (no unpenalized maximizer), penalties across the default grid, and
@@ -329,14 +316,13 @@ def irls_problems(draw):
     separable = draw(st.booleans())
     lams = sorted(set(draw(st.lists(st.sampled_from(default_grid()), min_size=1,
                                     max_size=6))))
-    n_targets = draw(st.integers(1, 3))
     target_scale = draw(st.sampled_from([0.0, 1.0, 5.0]))
     rng = np.random.default_rng(seed)
     X = scale * rng.standard_normal((n, p))
     eta = X @ rng.standard_normal(p)
     y = eta > 0 if separable else rng.random(n) < expit(eta)
-    targets = target_scale * rng.standard_normal((p, n_targets))
-    return X, y.astype(float), np.array(lams), targets
+    target = target_scale * rng.standard_normal(p)
+    return X, y.astype(float), np.array(lams), target
 
 
 def stopping_distance(p, lam, *vectors):
@@ -347,11 +333,6 @@ def stopping_distance(p, lam, *vectors):
     size = max(1.0, *(np.abs(v).max(initial=0.0) for v in vectors))
     g = logistic_estimator.IRLS_TOL + 8.0 * np.finfo(float).eps * lam * size
     return 2.0 * np.sqrt(p) * g / lam
-
-
-def stacked(lams, targets):
-    """Per-candidate penalties and targets in ``irls_fit_grid``'s order."""
-    return np.repeat(lams, targets.shape[1]), np.tile(targets.T, (len(lams), 1))
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -365,8 +346,8 @@ class TestBatchedIrlsProperties:
         """Along every candidate's accepted iterates the penalized
         log-likelihood passes the acceptance test, and the recorded path
         ends at the reported value."""
-        X, y, lams, targets = problem
-        run = logistic_estimator._irls_stack(X, y, *stacked(lams, targets))
+        X, y, lams, target = problem
+        run = logistic_estimator._irls_stack(X, y, lams, target)
         for c, steps in enumerate(run.iterations):
             path = run.path[:steps + 1, c]
             assert np.all(np.diff(path) >= -1e-12 * (1.0 + np.abs(path[:-1])))
@@ -378,22 +359,21 @@ class TestBatchedIrlsProperties:
         """Each stacked fit fails exactly when its one-candidate fit and the
         reference fit fail, and otherwise lies within the stopping rule's
         bound of both."""
-        X, y, lams, targets = problem
-        coefs, ok = irls_fit_grid(X, y, lams, targets)
+        X, y, lams, target = problem
+        coefs, ok = irls_fit_grid(X, y, lams, target)
         p = X.shape[1]
         for i, lam in enumerate(lams):
-            for j in range(targets.shape[1]):
-                got = coefs[:, i, j]
-                for solver in (irls_fit, reference_irls_fit):
-                    try:
-                        want = solver(X, y, lam, targets[:, j]).coef
-                    except (ConvergenceError, SingularMatrixError):
-                        assert not ok[i, j]
-                        np.testing.assert_array_equal(got, targets[:, j])
-                        continue
-                    assert ok[i, j]
-                    bound = stopping_distance(p, lam, got, want, targets[:, j])
-                    assert np.linalg.norm(got - want) <= bound
+            got = coefs[:, i]
+            for solver in (irls_fit, reference_irls_fit):
+                try:
+                    want = solver(X, y, lam, target).coef
+                except (ConvergenceError, SingularMatrixError):
+                    assert not ok[i]
+                    np.testing.assert_array_equal(got, target)
+                    continue
+                assert ok[i]
+                bound = stopping_distance(p, lam, got, want, target)
+                assert np.linalg.norm(got - want) <= bound
 
     @PROPERTY_SETTINGS
     @given(irls_problems(), st.data())
@@ -401,17 +381,16 @@ class TestBatchedIrlsProperties:
         """One candidate made to fail, by a step no halving can rescue or by
         a tolerance it can never meet, fails alone with its own error; every
         other candidate keeps its status and its fit."""
-        X, y, lams, targets = problem
-        cand_lams, cand_targets = stacked(lams, targets)
-        victim = data.draw(st.integers(0, len(cand_lams) - 1))
+        X, y, lams, target = problem
+        victim = data.draw(st.integers(0, len(lams) - 1))
         mode = data.draw(st.sampled_from(["step-halving", "budget"]))
-        base = logistic_estimator._irls_stack(X, y, cand_lams, cand_targets)
+        base = logistic_estimator._irls_stack(X, y, lams, target)
 
         tolerances = logistic_estimator._tolerances
         proposals = logistic_estimator._newton_proposals
 
-        def unreachable_for_victim(coefs, lams, targets):
-            tol = tolerances(coefs, lams, targets)
+        def unreachable_for_victim(coefs, lams, target):
+            tol = tolerances(coefs, lams, target)
             tol[victim] = -1.0
             return tol
 
@@ -424,32 +403,31 @@ class TestBatchedIrlsProperties:
         with mock.patch.object(logistic_estimator, "_tolerances", unreachable_for_victim), \
                 mock.patch.object(logistic_estimator, "_newton_proposals",
                                   unusable_for_victim), np.errstate(invalid="ignore"):
-            forced = logistic_estimator._irls_stack(X, y, cand_lams, cand_targets)
-            coefs, ok = irls_fit_grid(X, y, lams, targets)
+            forced = logistic_estimator._irls_stack(X, y, lams, target)
+            coefs, ok = irls_fit_grid(X, y, lams, target)
 
         assert set(forced.failures) == set(base.failures) | {victim}
         error = forced.failures[victim]
         assert isinstance(error, ConvergenceError)
         expected = "step-halving could not" if mode == "step-halving" else "IRLS did not converge"
         assert str(error).startswith(expected)
-        i, j = divmod(victim, targets.shape[1])
-        assert not ok[i, j]
-        np.testing.assert_array_equal(coefs[:, i, j], targets[:, j])
+        assert not ok[victim]
+        np.testing.assert_array_equal(coefs[:, victim], target)
         p = X.shape[1]
-        for c in set(range(len(cand_lams))) - set(forced.failures):
-            bound = stopping_distance(p, cand_lams[c], forced.coef[c], base.coef[c],
-                                      cand_targets[c])
+        for c in set(range(len(lams))) - set(forced.failures):
+            bound = stopping_distance(p, lams[c], forced.coef[c], base.coef[c], target)
             assert np.linalg.norm(forced.coef[c] - base.coef[c]) <= bound
-            assert ok[divmod(c, targets.shape[1])]
+            assert ok[c]
 
 
 class TestIrlsFitGridInputs:
     @pytest.mark.parametrize("change", ["zero penalty", "nan penalty", "half response",
-                                        "nan design", "nan target", "short target"])
+                                        "nan design", "nan target", "short target",
+                                        "target matrix"])
     def test_bad_inputs_rejected(self, change):
         """The fold's inputs are checked once, for every candidate."""
         X, y = np.eye(3), np.array([0.0, 1.0, 1.0])
-        lams, targets = np.array([0.5, 2.0]), np.zeros((3, 2))
+        lams, target = np.array([0.5, 2.0]), np.zeros(3)
         if change == "zero penalty":
             lams[0] = 0.0
         elif change == "nan penalty":
@@ -459,11 +437,13 @@ class TestIrlsFitGridInputs:
         elif change == "nan design":
             X[1, 1] = np.nan
         elif change == "nan target":
-            targets[2, 1] = np.nan
+            target[2] = np.nan
+        elif change == "short target":
+            target = target[:2]
         else:
-            targets = targets[:2]
+            target = np.zeros((3, 1))
         with pytest.raises(ValidationError):
-            irls_fit_grid(X, y, lams, targets)
+            irls_fit_grid(X, y, lams, target)
 
 
 class TestNewtonStep:
@@ -472,10 +452,10 @@ class TestNewtonStep:
         does, gives the same bits as forming it for all at once."""
         rng = np.random.default_rng(75)
         X, y = make_data(rng, 40, 3, np.array([1.0, -1.0, 0.5]))
-        lams, targets = np.geomspace(0.01, 100.0, 7), rng.standard_normal((3, 2))
-        whole = irls_fit_grid(X, y, lams, targets)
+        lams, target = np.geomspace(0.01, 100.0, 7), rng.standard_normal(3)
+        whole = irls_fit_grid(X, y, lams, target)
         monkeypatch.setattr(logistic_estimator, "_BLOCK_ELEMENTS", 3 * X.size)
-        blocked = irls_fit_grid(X, y, lams, targets)
+        blocked = irls_fit_grid(X, y, lams, target)
         for a, b in zip(whole, blocked):
             np.testing.assert_array_equal(a, b)
 

@@ -12,7 +12,6 @@ from ridge_relay import (
     EstimatorState,
     RegistryError,
     StackedHistory,
-    TargetSpec,
     TriangularHistory,
     UpdateRecord,
     ValidationError,
@@ -20,7 +19,6 @@ from ridge_relay import (
     assemble_target,
     fold_stacked,
     fold_triangular,
-    mixture_target,
     start_state,
 )
 
@@ -124,31 +122,6 @@ class TestCoefficientVector:
     def test_non_finite_coefficient_rejected(self):
         with pytest.raises(ValidationError):
             CoefficientVector({"a": np.nan})
-
-
-class TestTargetSpec:
-    def test_needs_at_least_one_target(self):
-        with pytest.raises(ValidationError):
-            TargetSpec(targets=())
-
-    def test_fixed_weights_must_lie_on_simplex(self):
-        targets = (CoefficientVector({"a": 0.0}), CoefficientVector({"a": 1.0}))
-        TargetSpec(targets=targets, weights=(0.25, 0.75))
-        with pytest.raises(ValidationError):
-            TargetSpec(targets=targets, weights=(0.6, 0.6))
-        with pytest.raises(ValidationError):
-            TargetSpec(targets=targets, weights=(-0.2, 1.2))
-
-    def test_simplex_tolerance_is_tight(self):
-        targets = (CoefficientVector({"a": 0.0}), CoefficientVector({"a": 1.0}))
-        TargetSpec(targets=targets, weights=(0.5, 0.5 + 5e-13))
-        with pytest.raises(ValidationError):
-            TargetSpec(targets=targets, weights=(0.5, 0.5 + 5e-12))
-
-    def test_targets_share_one_covariate_set(self):
-        with pytest.raises(ValidationError):
-            TargetSpec(targets=(CoefficientVector({"a": 1.0}),
-                                CoefficientVector({"b": 1.0})))
 
 
 class TestAlignBatch:
@@ -369,35 +342,6 @@ class TestWithUpdate:
             monkeypatch.undo()
             counts[T] = list(calls)
         assert counts == {5: [6], 50: [51]}
-
-
-class TestMixtureTarget:
-    def test_single_target_returned_exactly(self):
-        spec = TargetSpec(targets=(CoefficientVector({"a": 2.0}),), weights=(1.0,))
-        assert dict(mixture_target(spec).values) == {"a": 2.0}
-
-    def test_equal_weights_give_midpoint(self):
-        spec = TargetSpec(targets=(CoefficientVector({"a": 0.0}),
-                                   CoefficientVector({"a": 4.0})),
-                          weights=(0.5, 0.5))
-        assert dict(mixture_target(spec).values) == {"a": 2.0}
-
-    def test_convex_combination_coordinate_wise(self):
-        spec = TargetSpec(targets=(CoefficientVector({"a": 1.0, "b": 0.0}),
-                                   CoefficientVector({"a": 0.0, "b": 1.0})))
-        mixed = mixture_target(spec, weights=(0.25, 0.75))
-        assert dict(mixed.values) == {"a": 0.25, "b": 0.75}
-
-    def test_degenerate_weight_returns_that_target(self):
-        targets = (CoefficientVector({"a": 1.25, "b": -0.5}),
-                   CoefficientVector({"a": 7.0, "b": 3.0}))
-        mixed = mixture_target(TargetSpec(targets=targets), weights=(1.0, 0.0))
-        assert dict(mixed.values) == dict(targets[0].values)
-
-    def test_weights_are_required_somewhere(self):
-        spec = TargetSpec(targets=(CoefficientVector({"a": 1.0}),))
-        with pytest.raises(ValidationError):
-            mixture_target(spec)
 
 
 class TestEstimatorState:

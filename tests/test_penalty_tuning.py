@@ -37,15 +37,17 @@ from ridge_relay import (
 )
 from ridge_relay import logistic_estimator, penalty_tuning
 from ridge_relay.errors import ConvergenceError
-from ridge_relay.model_core import TargetSpec, mixture_target
 
 from irls_reference import reference_irls_fit
 
 
-def linear_state(names=("a", "b"), family="linear"):
+def linear_state(names=("a", "b"), family="linear", init=None):
+    """A state with no history; its initial target is ``init`` (a mapping
+    by name), else 0, for each name."""
+    init = init or {}
     return EstimatorState(family=family,
                           registry=CovariateRegistry(tuple(names)),
-                          init_target=CoefficientVector({n: 0.0 for n in names}))
+                          init_target=CoefficientVector({n: init.get(n, 0.0) for n in names}))
 
 
 def binary_response(rng, eta):
@@ -243,8 +245,8 @@ class TestCvScore:
         irls_fit_grid = penalty_tuning.irls_fit_grid
         failed = []
 
-        def fail_once_at_five(X, y, lams, targets):
-            coefs, ok = irls_fit_grid(X, y, lams, targets)
+        def fail_once_at_five(X, y, lams, target):
+            coefs, ok = irls_fit_grid(X, y, lams, target)
             if not failed:
                 at_five = np.asarray(lams) == 5.0
                 failed.extend(np.asarray(lams)[at_five].tolist())
@@ -500,47 +502,11 @@ class TestSelectPenalty:
             wins += chosen[True] >= chosen[False]
         assert wins >= 90
 
-    def test_mixture_search_walks_the_weight_lattice(self):
-        rng = np.random.default_rng(96)
-        coef = np.array([1.0, -1.0])
-        state, names = state_with_history(rng, coef, n_batches=1,
-                                          noise_sd=0.0)
-        X = rng.standard_normal((15, 2))
-        y = X @ coef + 0.1 * rng.standard_normal(15)
-        batch = Batch(t=2, X=X, y=y, covariates=names)
-        spec = TargetSpec(targets=(
-            CoefficientVector(dict(zip(names, coef))),
-            CoefficientVector({n: 10.0 for n in names}),
-        ))
-        grid = (0.5, 5.0, 50.0)
-        cfg = PenaltySearchConfig(k_folds=5, constrained=False, grid=grid,
-                                  weight_points=5)
-        report = select_penalty(state, batch, cfg, targets=spec)
-        assert len(report.cv_curve) == len(grid) * 5
-        assert report.chosen_weights is not None
-        np.testing.assert_allclose(sum(report.chosen_weights), 1.0, atol=1e-12)
-        assert report.chosen_weights[0] > 0.5
-
-    def test_fixed_mixture_weights_are_respected(self):
-        rng = np.random.default_rng(97)
-        state, names = state_with_history(rng, np.array([1.0, -1.0]),
-                                          n_batches=1)
-        X = rng.standard_normal((10, 2))
-        batch = Batch(t=2, X=X, y=rng.standard_normal(10), covariates=names)
-        spec = TargetSpec(targets=(CoefficientVector({n: 0.0 for n in names}),
-                                   CoefficientVector({n: 1.0 for n in names})),
-                          weights=(0.3, 0.7))
-        cfg = PenaltySearchConfig(k_folds=5, constrained=False, grid=(0.5, 5.0))
-        report = select_penalty(state, batch, cfg, targets=spec)
-        assert report.chosen_weights == (0.3, 0.7)
-        assert len(report.cv_curve) == 2
-
     def test_all_candidates_disqualified_raises(self, monkeypatch):
         """The fold loop solves each linear fold with ``fit_targeted_ridge_grid``;
         when it marks every candidate unusable, selection must refuse."""
-        def all_unusable(X, y, lams, targets):
-            coefs = np.repeat(np.asarray(targets)[:, None, :], len(lams), axis=1)
-            return coefs, np.zeros(len(lams), dtype=bool)
+        def all_unusable(X, y, lams, target):
+            return np.repeat(target[:, None], len(lams), axis=1), np.zeros(len(lams), bool)
 
         monkeypatch.setattr(penalty_tuning, "fit_targeted_ridge_grid", all_unusable)
         rng = np.random.default_rng(98)
@@ -575,9 +541,8 @@ class TestSelectPenalty:
         """The fold loop fits every logistic candidate of a fold with one
         ``irls_fit_grid``; when it marks them all unusable, selection must
         refuse."""
-        def all_unusable(X, y, lams, targets):
-            coefs = np.repeat(np.asarray(targets)[:, None, :], len(lams), axis=1)
-            return coefs, np.zeros((len(lams), np.shape(targets)[1]), dtype=bool)
+        def all_unusable(X, y, lams, target):
+            return np.repeat(target[:, None], len(lams), axis=1), np.zeros(len(lams), bool)
 
         monkeypatch.setattr(penalty_tuning, "irls_fit_grid", all_unusable)
         rng = np.random.default_rng(98)
@@ -639,8 +604,9 @@ def selections(draw, family):
 
     Covers K-fold and leave-one-out, batches with more covariates than
     rows, batches that add covariates or lack some registry covariates,
-    first updates and constrained ones, mixture weight lattices and fixed
-    weights, and grids that always hold both ends of the default grid.
+    first updates and constrained ones, zero and random initial targets
+    (the target of a first update, and of every covariate no update has
+    estimated), and grids that always hold both ends of the default grid.
     Logistic responses are 0/1 draws around the same linear predictor,
     and logistic histories are folded in with the same penalties.
     """
@@ -651,8 +617,7 @@ def selections(draw, family):
     k_folds = draw(st.one_of(st.none(), st.integers(2, min(5, n))))
     carried = draw(st.lists(st.booleans(), min_size=registry_size, max_size=registry_size))
     n_added = draw(st.integers(0 if any(carried) else 1, 3))
-    mixture = draw(st.sampled_from([None, "lattice", "fixed"]))
-    weight_points = draw(st.integers(2, 4))
+    init_scale = draw(st.sampled_from([0.0, 1.0]))
     constrained = draw(st.sampled_from([True, False]))
     full = default_grid()
     interior = draw(st.lists(st.sampled_from(full[1:-1]), max_size=3, unique=True))
@@ -669,7 +634,8 @@ def selections(draw, family):
 
     names = tuple(f"x{j}" for j in range(registry_size))
     coef = rng.standard_normal(registry_size + n_added)
-    state = linear_state(names, family)
+    state = linear_state(names, family,
+                         dict(zip(names, init_scale * rng.standard_normal(registry_size))))
     for t in range(1, n_hist + 1):
         rows = int(rng.integers(2, 12))
         X = rng.standard_normal((rows, registry_size))
@@ -686,50 +652,37 @@ def selections(draw, family):
     batch = Batch(t=state.t + 1, X=X, y=response(X, beta), covariates=batch_names,
                   family=family)
 
-    spec = None
-    if mixture is not None:
-        other = CoefficientVector({c: float(v) for c, v in
-                                   zip(names, rng.standard_normal(registry_size))})
-        weights = None
-        if mixture == "fixed":
-            w = float(rng.uniform())
-            weights = (w, 1.0 - w)
-        spec = TargetSpec(targets=(state.current, other), weights=weights)
     cfg = PenaltySearchConfig(k_folds=k_folds, constrained=constrained, grid=grid,
-                              seed=int(rng.integers(1000)), weight_points=weight_points)
-    return state, batch, cfg, spec
+                              seed=int(rng.integers(1000)))
+    return state, batch, cfg
 
 
-def per_candidate_curve(state, batch, registry, grid, weight_options, targets,
-                        k, seed, new_fraction):
+def per_candidate_curve(state, batch, registry, grid, target, k, seed, new_fraction):
     """The selection curve scored one candidate at a time: ``cv_score`` fits
     the batch's own columns, ``constraint_terms`` the registry's, over the
-    ``k`` folds dealt with ``seed``; ``targets`` holds one column over the
-    registry per weight option. Logistic fits come from the scalar
-    reference IRLS, not the package's batched solver, so the comparison is
-    between two independent solvers."""
+    ``k`` folds dealt with ``seed``; ``target`` is laid out over the
+    registry. Logistic fits come from the scalar reference IRLS, not the
+    package's batched solver, so the comparison is between two independent
+    solvers."""
     folds = make_folds(batch.n, k, seed, batch.y if state.family == "logistic" else None)
+    target = CoefficientVector.from_array(registry.names, target)
     curve = []
     with mock.patch.object(penalty_tuning, "irls_fit", reference_irls_fit):
         for lam in grid:
-            for j, w in enumerate(weight_options):
-                target = CoefficientVector.from_array(registry.names, targets[:, j])
-                score = cv_score(state.family, batch, lam,
-                                 target.as_array(batch.covariates), folds)
-                if new_fraction is None:
-                    curve.append(Candidate(lam=lam, weights=w, score=score,
-                                           feasible=True))
-                else:
-                    terms = constraint_terms(state, batch, lam, target, folds)
-                    curve.append(Candidate(lam=lam, weights=w, score=score,
-                                           feasible=terms.feasible, lhs=terms.lhs,
-                                           rhs=terms.rhs))
+            score = cv_score(state.family, batch, lam, target.as_array(batch.covariates),
+                             folds)
+            if new_fraction is None:
+                curve.append(Candidate(lam=lam, score=score, feasible=True))
+            else:
+                terms = constraint_terms(state, batch, lam, target, folds)
+                curve.append(Candidate(lam=lam, score=score, feasible=terms.feasible,
+                                       lhs=terms.lhs, rhs=terms.rhs))
     return curve
 
 
-def oracle_report(state, batch, cfg, spec):
+def oracle_report(state, batch, cfg):
     with mock.patch.object(penalty_tuning, "_selection_curve", per_candidate_curve):
-        return select_penalty(state, batch, cfg, targets=spec)
+        return select_penalty(state, batch, cfg)
 
 
 def irls_score_tolerance(batch, registry, cand, folds, target):
@@ -762,7 +715,7 @@ def irls_score_tolerance(batch, registry, cand, folds, target):
 def assert_curves_agree(report, oracle, score_tolerance):
     assert len(report.cv_curve) == len(oracle.cv_curve)
     for got, want in zip(report.cv_curve, oracle.cv_curve):
-        assert (got.lam, got.weights) == (want.lam, want.weights)
+        assert got.lam == want.lam
         assert np.isfinite(got.score) == np.isfinite(want.score)
         if np.isfinite(want.score):
             np.testing.assert_allclose(got.score, want.score, rtol=1e-10,
@@ -780,12 +733,11 @@ class TestLinearGridRouteProperties:
               suppress_health_check=[HealthCheck.too_slow])
     @given(selections("linear"))
     def test_grid_route_matches_per_candidate_route(self, case):
-        state, batch, cfg, spec = case
-        report = select_penalty(state, batch, cfg, targets=spec)
-        oracle = oracle_report(state, batch, cfg, spec)
+        state, batch, cfg = case
+        report = select_penalty(state, batch, cfg)
+        oracle = oracle_report(state, batch, cfg)
         assert_curves_agree(report, oracle, lambda cand: 0.0)
         assert report.chosen_lambda == oracle.chosen_lambda
-        assert report.chosen_weights == oracle.chosen_weights
         assert report.fallback_used == oracle.fallback_used
 
 
@@ -802,7 +754,7 @@ def loo_selections(draw):
     is then either kept, so that its small end is singular, or scaled by
     1e12 with the data.
     """
-    state, batch, cfg, spec = draw(selections("linear"))
+    state, batch, cfg = draw(selections("linear"))
     X, y = batch.X.copy(), batch.y.copy()
     grid = cfg.grid
     if draw(st.booleans()):
@@ -815,15 +767,15 @@ def loo_selections(draw):
             grid = tuple(lam * 1e12 for lam in grid)
     batch = Batch(t=batch.t, X=X, y=y, covariates=batch.covariates)
     loo = PenaltySearchConfig(k_folds=None, constrained=cfg.constrained, grid=grid,
-                              seed=cfg.seed, weight_points=cfg.weight_points)
-    return state, batch, loo, spec
+                              seed=cfg.seed)
+    return state, batch, loo
 
 
-def fold_loop_report(state, batch, cfg, spec):
+def fold_loop_report(state, batch, cfg):
     """The selection with the closed form switched off: one
     ``fit_targeted_ridge_grid`` per held-out row."""
     with mock.patch.object(penalty_tuning, "loo_ridge_grid", lambda *args: None):
-        return select_penalty(state, batch, cfg, targets=spec)
+        return select_penalty(state, batch, cfg)
 
 
 class TestLooClosedFormProperties:
@@ -834,12 +786,11 @@ class TestLooClosedFormProperties:
         """Scores, constraint sides, feasibility, infinite flags and the
         choice agree with the fold loop, whether the closed form certifies
         the grid or the selection falls back to the loop."""
-        state, batch, cfg, spec = case
-        report = select_penalty(state, batch, cfg, targets=spec)
-        oracle = fold_loop_report(state, batch, cfg, spec)
+        state, batch, cfg = case
+        report = select_penalty(state, batch, cfg)
+        oracle = fold_loop_report(state, batch, cfg)
         assert_curves_agree(report, oracle, lambda cand: 0.0)
         assert report.chosen_lambda == oracle.chosen_lambda
-        assert report.chosen_weights == oracle.chosen_weights
         assert report.fallback_used == oracle.fallback_used
 
     @pytest.mark.parametrize("case", ["ordinary", "high-leverage row", "unscaled design",
@@ -884,7 +835,7 @@ class TestLooClosedFormProperties:
         if case in ("unscaled design", "singular penalty"):
             assert report.cv_curve[0].score == np.inf and report.cv_curve[0].lhs == np.inf
         monkeypatch.undo()
-        oracle = fold_loop_report(state, batch, cfg, None)
+        oracle = fold_loop_report(state, batch, cfg)
         assert_curves_agree(report, oracle, lambda cand: 0.0)
 
 
@@ -901,28 +852,24 @@ class TestLogisticFoldLoopProperties:
         adds covariates; the score then agrees within the stopping rule's
         bound, and the choice must match exactly only when the columns are
         the registry's in order."""
-        state, batch, cfg, spec = case
-        report = select_penalty(state, batch, cfg, targets=spec)
-        oracle = oracle_report(state, batch, cfg, spec)
+        state, batch, cfg = case
+        report = select_penalty(state, batch, cfg)
+        oracle = oracle_report(state, batch, cfg)
         registry = state.registry.extended(batch.covariates)
         k = batch.n if cfg.k_folds is None else cfg.k_folds
         folds = make_folds(batch.n, k, cfg.seed, strata=batch.y)
         same_columns = batch.covariates == registry.names
 
+        target = penalty_tuning.assemble_target(state, registry.names).as_array(registry.names)
+
         def tolerance(cand):
             if same_columns:
                 return 0.0
-            if spec is None:
-                target = penalty_tuning.assemble_target(state, registry.names)
-            else:
-                target = mixture_target(spec.over(registry.names), cand.weights)
-            return irls_score_tolerance(batch, registry, cand, folds,
-                                        target.as_array(registry.names))
+            return irls_score_tolerance(batch, registry, cand, folds, target)
 
         assert_curves_agree(report, oracle, tolerance)
         if same_columns:
             assert report.chosen_lambda == oracle.chosen_lambda
-            assert report.chosen_weights == oracle.chosen_weights
             assert report.fallback_used == oracle.fallback_used
 
 
@@ -999,11 +946,12 @@ class TestTriangularHistoryProperties:
 @st.composite
 def registry_variants(draw, family):
     """Two states that folded the same batches with the same penalties, an
-    arriving batch, a search configuration and an optional target spec.
+    arriving batch and a search configuration.
 
     The first state's registry lists the covariates in their natural
     order. The second lists them, with up to two covariates that no batch
-    carries, in a drawn order. Past batches lack some covariates and list
+    carries, in a drawn order. Both start from one initial target, zero or
+    random by name. Past batches lack some covariates and list
     theirs in shuffled order, and the arriving batch may bring a new one.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1013,7 +961,7 @@ def registry_variants(draw, family):
     n = draw(st.integers(4, 10))
     k_folds = draw(st.one_of(st.none(), st.integers(2, min(4, n))))
     constrained = draw(st.booleans())
-    mixture = draw(st.sampled_from([None, "lattice", "fixed"]))
+    init_scale = draw(st.sampled_from([0.0, 1.0]))
     full = default_grid()
     interior = draw(st.lists(st.sampled_from(full[1:-1]), max_size=3, unique=True))
     grid = tuple(sorted({full[0], full[-1], *interior}))
@@ -1033,26 +981,17 @@ def registry_variants(draw, family):
         y = eta + 0.5 * rng.standard_normal(rows) if linear else binary_response(rng, eta)
         return Batch(t=t, X=X, y=y, covariates=tuple(covs), family=family)
 
-    states = [linear_state(names, family), linear_state(shuffled, family)]
+    init = dict(zip(names + unseen, init_scale * rng.standard_normal(size + len(unseen))))
+    states = [linear_state(names, family, init), linear_state(shuffled, family, init)]
     for t in range(1, n_hist + 1):
         batch = make_batch(t, int(rng.integers(2, 12)))
         lam = float(rng.choice([0.1, 1.0, 10.0]))
         states = [step(state, batch, lam) for state in states]
     arriving = make_batch(n_hist + 1, n, ("new",) if rng.random() < 0.5 else ())
 
-    spec = None
-    if mixture is not None:
-        first = CoefficientVector({c: states[0].current[c] for c in names})
-        other = CoefficientVector({c: float(v) for c, v in
-                                   zip(names, rng.standard_normal(size))})
-        weights = None
-        if mixture == "fixed":
-            w = float(rng.uniform())
-            weights = (w, 1.0 - w)
-        spec = TargetSpec(targets=(first, other), weights=weights)
     cfg = PenaltySearchConfig(k_folds=k_folds, constrained=constrained, grid=grid,
-                              seed=int(rng.integers(1000)), weight_points=3)
-    return states, arriving, cfg, spec
+                              seed=int(rng.integers(1000)))
+    return states, arriving, cfg
 
 
 def selection_pool(report):
@@ -1075,14 +1014,14 @@ class TestRegistryInvariance:
     RTOL = 1e-10
 
     def check(self, case):
-        (base, variant), batch, cfg, spec = case
-        want = select_penalty(base, batch, cfg, targets=spec)
-        got = select_penalty(variant, batch, cfg, targets=spec)
+        (base, variant), batch, cfg = case
+        want = select_penalty(base, batch, cfg)
+        got = select_penalty(variant, batch, cfg)
         assert got.new_fraction == want.new_fraction
         assert len(got.cv_curve) == len(want.cv_curve)
         settled = True
         for a, b in zip(got.cv_curve, want.cv_curve):
-            assert (a.lam, a.weights) == (b.lam, b.weights)
+            assert a.lam == b.lam
             assert np.isfinite(a.score) == np.isfinite(b.score)
             if np.isfinite(b.score):
                 np.testing.assert_allclose(a.score, b.score, rtol=self.RTOL)
@@ -1099,7 +1038,6 @@ class TestRegistryInvariance:
             settled = pool[1].score - pool[0].score > self.RTOL * abs(pool[0].score)
         if settled:
             assert got.chosen_lambda == want.chosen_lambda
-            assert got.chosen_weights == want.chosen_weights
             assert got.fallback_used == want.fallback_used
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -1134,9 +1072,9 @@ class TestLogisticHistoryLoss:
         np.testing.assert_allclose(fam.history_loss(past, coefs), whole, rtol=1e-12)
 
     def test_peak_memory_does_not_grow_with_the_past(self):
-        """A three-target weight lattice (3,300 candidates, p = 20) on 3 and
-        on 15 past batches of 200 rows: the one-shot loss would hold a
-        (rows x candidates) predictor, 79 MB at 15 batches."""
+        """A grid of 3,300 penalties (p = 20) on 3 and on 15 past batches of
+        200 rows: the one-shot loss would hold a (rows x candidates)
+        predictor, 79 MB at 15 batches."""
         import tracemalloc
 
         rng = np.random.default_rng(13)
