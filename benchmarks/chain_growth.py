@@ -5,7 +5,7 @@
 Prints one JSON document. For each family a chain is grown in process
 through the public ``update`` (linear, at the stream-linear sizes p = 20,
 n = 50) or ``update_logistic`` (stream-logistic sizes p = 10, n = 100),
-with the fixed penalty the benchmark's pre-grow uses. Three figures per
+with the fixed penalty the benchmark's pre-grow uses. Six figures per
 history length T:
 
 * ``update_ms``: one update of a state that holds T records (median over
@@ -13,11 +13,20 @@ history length T:
 * ``chain_ms``: growing the chain from no record to T records (median
   over repeats, milliseconds);
 * ``state_mb``: the size of that state's file as ``write_state`` writes
-  it (10^6 bytes, as the benchmark's ``state_mb``).
+  it (10^6 bytes, as the benchmark's ``state_mb``);
+* ``log_mb``: the size of the history log ``write_state`` writes beside
+  it (0 for a checkout that writes none);
+* ``read_ms``: ``read_state`` of that file (median, milliseconds);
+* ``write_ms``: the ``write_state`` an update of it makes: the state
+  read back from the file, one batch further on, written over the file
+  and its log. Before each run the file is rewritten and fsynced and
+  the log cut back to its length, which an update only appends to
+  (median, milliseconds).
 
-A cost that does not grow with the history keeps ``update_ms`` flat in T
-and ``chain_ms`` linear in T. A linear state keeps a triangular factor,
-so only its records grow with T; a logistic state keeps every past row.
+A cost that does not grow with the history keeps ``update_ms``,
+``read_ms`` and ``write_ms`` flat in T and ``chain_ms`` linear in T. A
+linear state keeps a triangular factor, so only its records grow with T,
+and those only in the log; a logistic state keeps every past row.
 
 ``linear_width`` adds the width axis: ``update_ms`` of a linear state
 that holds T = 10 records, for p = 20, 200 and 1000 covariates (n = 50),
@@ -46,13 +55,16 @@ import timeit
 import numpy as np
 
 from ridge_relay import Batch, start_state, update, update_logistic
-from ridge_relay.cli_io import write_state
+from ridge_relay.cli_io import read_state, write_state
 
 REPEATS = 5
 UPDATES_PER_REPEAT = 20
+# The history log beside a state file (``cli_io.LOG_SUFFIX``), named here
+# so that the script also runs against a checkout that writes none.
+LOG_SUFFIX = ".history"
 LAM = 10.0
 CHAINS = {
-    "linear": {"step": update, "p": 20, "n": 50, "lengths": (10, 100, 400)},
+    "linear": {"step": update, "p": 20, "n": 50, "lengths": (10, 100, 400, 1000)},
     "logistic": {"step": update_logistic, "p": 10, "n": 100, "lengths": (10, 100)},
 }
 WIDTHS = (20, 200, 1000)
@@ -92,12 +104,33 @@ def grow(family: str, step, data: list[Batch], lengths,
     return states, reached
 
 
-def state_mb(state) -> float:
-    """Size of the state file ``write_state`` writes for ``state``, in 10^6 bytes."""
+def file_costs(step, state, batch) -> dict:
+    """``state_mb``, ``log_mb``, ``read_ms`` and ``write_ms`` of ``state``
+    (see the module docstring); ``batch`` is the next one."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
+        log = path + LOG_SUFFIX
         write_state(state, path)
-        return os.path.getsize(path) / 1e6
+        with open(path, "rb") as fh:
+            saved = fh.read()
+        log_size = os.path.getsize(log) if os.path.exists(log) else 0
+        reads = timeit.repeat(lambda: read_state(path), number=UPDATES_PER_REPEAT,
+                              repeat=REPEATS)
+        following = step(read_state(path), batch, LAM)
+        writes = []
+        for _ in range(REPEATS * UPDATES_PER_REPEAT):
+            with open(path, "wb") as fh:
+                fh.write(saved)
+                os.fsync(fh.fileno())  # so the timed write's fsyncs do not flush the restore
+            if log_size:
+                os.truncate(log, log_size)
+            start = time.perf_counter()
+            write_state(following, path)
+            writes.append(time.perf_counter() - start)
+        return {"state_mb": round(len(saved) / 1e6, 4),
+                "log_mb": round(log_size / 1e6, 4),
+                "read_ms": round(statistics.median(reads) / UPDATES_PER_REPEAT * 1e3, 4),
+                "write_ms": round(statistics.median(writes) * 1e3, 4)}
 
 
 def update_ms(step, state, batch) -> float:
@@ -116,9 +149,11 @@ def measure(family: str, step, p: int, n: int, lengths) -> dict:
     update = {str(T): update_ms(step, states[T], data[T]) for T in lengths}
     chain_ms = {str(T): round(statistics.median(run[T] for run in chain_runs), 3)
                 for T in lengths}
-    sizes = {str(T): round(state_mb(states[T]), 4) for T in lengths}
-    return {"p": p, "n": n, "lam": LAM, "update_ms": update, "chain_ms": chain_ms,
-            "state_mb": sizes}
+    files = {T: file_costs(step, states[T], data[T]) for T in lengths}
+    out = {"p": p, "n": n, "lam": LAM, "update_ms": update, "chain_ms": chain_ms}
+    for figure in ("state_mb", "log_mb", "read_ms", "write_ms"):
+        out[figure] = {str(T): files[T][figure] for T in lengths}
+    return out
 
 
 def measure_widths(n: int = 50) -> dict:

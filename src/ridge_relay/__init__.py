@@ -33,6 +33,7 @@ from .model_core import (
     fold_stacked,
     fold_triangular,
     start_state,
+    target_records,
 )
 from .linear_estimator import (
     LinearFit,

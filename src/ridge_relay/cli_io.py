@@ -2,31 +2,52 @@
 
 The unit of persistence is the *state file*: one JSON document holding
 the covariate registry, the shrinkage target the model started from, the
-full update history, and the past data of every batch folded in so far.
-Schema versioning is explicit (``ridge-relay-state/2``). The past data
-takes the form its family needs: for the linear family the
-upper-triangular factor of the stacked ``[X | y]`` and the row count,
-which stay the same size however many batches arrive; for the logistic
-family every past row and response. Each such array is stored as its
-shape plus base64 of its little-endian float64 bytes, an exact round
-trip. The document is written as compact JSON with sorted keys, and the
-remaining floats through JSON's shortest round-trip representation, so a
-load immediately followed by a save reproduces the bytes exactly;
-indented files read the same. A ``ridge-relay-state/1`` file, which kept
-the raw batches, is migrated on read by folding its batches in order
-through the function ``update`` folds with, so it selects exactly as the
-state ``update`` would have built; the next write stores it as ``/2``.
-Writes go to a temporary file ``.tmp-<state basename>-<random>.tmp`` in
-the target directory followed by an atomic rename, and an advisory lock
-(an exclusive ``flock`` on ``<state>.lock``, which dies with its holder)
-guards read-modify-write command runs; a run that holds the lock first
-removes the temporary files a crashed write of its own state left behind.
+past data of every batch folded in so far, and the newest update records
+(``ridge-relay-state/3``). Every update record, 1..t, is also a line of
+the *history log* beside it, ``<state>.history``, in JSON lines. An
+update reads the state file alone, and writes one log line and the state
+file, so its cost does not grow with the number of updates; only
+``export`` reads the log.
+
+The state file keeps the shortest newest part of the history from which
+the shrinkage target assembles the same (``target_records``): the newest
+record alone for every state ``update`` writes. The past data takes the
+form its family needs: for the linear family the upper-triangular factor
+of the stacked ``[X | y]``, stored as its upper triangle only, and the
+row count, which stay the same size however many batches arrive; for
+the logistic family every past row and response. Each such array is
+stored as its shape plus base64 of its little-endian float64 bytes, an
+exact round trip. The document is written as compact JSON with sorted
+keys, and the remaining floats through JSON's shortest round-trip
+representation, so a load immediately followed by a save reproduces the
+bytes exactly; indented files read the same. Each log line is a record
+laid out as in the state file.
+
+A write first brings the log to the state's records (``_extend_log``):
+it cuts the lines at the log's end whose ``t`` is not older than the
+state's newest record, appends the missing records in one write and
+fsyncs the log. Only then is the state file replaced: the text goes to a
+temporary file ``.tmp-<state basename>-<random>.tmp`` in the target
+directory, which is fsynced and renamed over the state. A crash at any
+point leaves the old state or the new one, each with its records 1..t
+in the log; a line past a state's t is a crashed write's, which
+``export`` never reads and the next write cuts. A state with no update writes no log. A
+``ridge-relay-state/2`` file, which kept every record, reads as it is,
+and a ``ridge-relay-state/1`` file, which kept the raw batches, is
+migrated on read by folding its batches in order through the function
+``update`` folds with, so it selects exactly as the state ``update``
+would have built; the next write of either stores ``/3`` and the full
+log. An advisory lock (an exclusive ``flock`` on ``<state>.lock``, which
+dies with its holder) guards read-modify-write command runs; a run that
+holds the lock first removes the temporary files a crashed write of its
+own state left behind.
 
 Exit codes, each error class's ``exit_code``: 0 success; 2 invalid
 inputs (schema, CSV, configuration, a file that cannot be read or is not
-UTF-8 text, a plot dataset that cannot be written); 3 numerical failure
-of a fit (non-convergence, singular system); 4 penalty-selection or
-locking failure. A command whose output pipe closes before it has written
+UTF-8 text, a plot dataset that cannot be written, a history log that
+lacks records ``export`` prints); 3 numerical failure of a fit
+(non-convergence, singular system); 4 penalty-selection or locking
+failure. A command whose output pipe closes before it has written
 everything (``ridge-relay predict ... | head -1``) stops quietly with
 ``EXIT_BROKEN_PIPE``, 141, the status a shell reports for a process that
 SIGPIPE ended.
@@ -65,10 +86,11 @@ from .model_core import (
     FAMILIES,
     PAST_FORMS,
     UpdateRecord,
+    _MAX_ELEMENTS,
     _Record,
-    align_batch,
     assemble_target,
     start_state,
+    target_records,
 )
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
@@ -79,6 +101,7 @@ from .penalty_tuning import (
     fit_first_batch,
     get_family,
     select_penalty,
+    selection_elements,
 )
 from .sim_harness import (
     ScenarioConfig,
@@ -89,6 +112,7 @@ from .sim_harness import (
 
 __all__ = [
     "STATE_SCHEMA",
+    "LOG_SUFFIX",
     "state_to_doc",
     "doc_to_state",
     "read_state",
@@ -101,8 +125,13 @@ __all__ = [
     "main",
 ]
 
-STATE_SCHEMA = "ridge-relay-state/2"
+STATE_SCHEMA = "ridge-relay-state/3"
 _SCHEMA_1 = "ridge-relay-state/1"
+_SCHEMA_2 = "ridge-relay-state/2"
+# The history log of the state file ``path`` is ``path + LOG_SUFFIX``.
+LOG_SUFFIX = ".history"
+# Bytes at the log's end a write reads first to find its last lines.
+_LOG_WINDOW = 8192
 EXIT_BROKEN_PIPE = 141
 # Temporary files of an atomic write: ".tmp-<target basename>-<random>.tmp".
 # The random part has no "-", so the name gives its target back.
@@ -112,86 +141,91 @@ _TEMP_NAME = re.compile(r"\.tmp-(.+)-[a-z0-9_]+\.tmp")
 # ---------------------------------------------------------------------------
 # state file round trip
 
-def _encode_array(arr: np.ndarray) -> dict:
-    """Shape plus base64 of the little-endian float64 bytes: an exact round trip."""
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "base64": base64.b64encode(data).decode("ascii")}
+def _encode_array(arr: np.ndarray, upper: bool = False) -> dict:
+    """Shape plus base64 of the little-endian float64 bytes, an exact round
+    trip; with ``upper``, of a square upper-triangular array's entries on
+    and above the diagonal, row by row, stored as ``"upper"``."""
+    values = arr[np.triu_indices(arr.shape[0])] if upper else arr
+    data = base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+    return {"shape": list(arr.shape), "upper" if upper else "base64": data}
 
 
 def _decode_array(doc: dict) -> np.ndarray:
+    """The array ``_encode_array`` stored."""
     shape = tuple(doc["shape"])
     if any(not isinstance(n, int) or isinstance(n, bool) or n < 0 for n in shape):
         raise StateFileError(f"state array shape {list(shape)!r} is not a list of sizes")
-    flat = np.frombuffer(base64.b64decode(doc["base64"], validate=True), dtype="<f8")
-    if flat.size != math.prod(shape):
+    upper = "upper" in doc
+    if upper and (len(shape) != 2 or shape[0] != shape[1]):
+        raise StateFileError(f"state triangle shape {list(shape)!r} is not square")
+    flat = np.frombuffer(base64.b64decode(doc["upper" if upper else "base64"], validate=True),
+                         dtype="<f8")
+    if flat.size != (shape[0] * (shape[0] + 1) // 2 if upper else math.prod(shape)):
         raise StateFileError(
             f"state array holds {flat.size} values for shape {list(shape)!r}")
-    return flat.astype(float).reshape(shape)
+    if not upper:
+        return flat.astype(float).reshape(shape)
+    out = np.zeros(shape)
+    out[np.triu_indices(shape[0])] = flat
+    return out
+
+
+def _record_doc(rec: UpdateRecord) -> dict:
+    return {
+        "t": rec.t,
+        "lam": rec.lam,
+        "estimate": dict(rec.estimate.values),
+        "weights": list(rec.weights) if rec.weights is not None else None,
+        "diagnostics": dict(rec.diagnostics),
+    }
+
+
+def _doc_record(doc: dict) -> UpdateRecord:
+    return UpdateRecord(
+        t=doc["t"],
+        lam=doc["lam"],
+        estimate=CoefficientVector(doc["estimate"]),
+        weights=doc.get("weights"),
+        diagnostics=doc.get("diagnostics", {}),
+    )
 
 
 def state_to_doc(state: EstimatorState) -> dict:
-    """Plain-JSON document for a state; past-data arrays as base64 float64."""
+    """Plain-JSON document for a state: its ``target_records``, and its
+    past-data arrays as base64 float64, the linear factor's upper triangle
+    only."""
     past = None
     if state.past is not None:
         past = {}
         for name in state.past._fields:
             value = getattr(state.past, name)
-            past[name] = _encode_array(value) if isinstance(value, np.ndarray) else value
+            if isinstance(value, np.ndarray):  # the linear factor is upper triangular
+                value = _encode_array(value, upper=name == "factor")
+            past[name] = value
     return {
         "schema": STATE_SCHEMA,
         "family": state.family,
         "covariates": list(state.registry.names),
         "init": {"note": state.init_note, "target": dict(state.init_target.values)},
-        "history": [
-            {
-                "t": rec.t,
-                "lam": rec.lam,
-                "estimate": dict(rec.estimate.values),
-                "weights": list(rec.weights) if rec.weights is not None else None,
-                "diagnostics": dict(rec.diagnostics),
-            }
-            for rec in state.history
-        ],
+        "history": [_record_doc(rec) for rec in target_records(state)],
         "past": past,
     }
-
-
-def _past_from_batches(family: str, registry: CovariateRegistry,
-                       history: tuple[UpdateRecord, ...], batches: list):
-    """Past data of a ``/1`` document's retained batches.
-
-    The batches are folded in order by the family's ``fold``, the function
-    ``update`` folds with, each over the registry as it stood when it was
-    folded: the covariates the estimate of its update names (registries
-    only grow at the end), and at least its own. A migrated state
-    therefore holds the same past data, to the bit, as the state
-    ``update`` built.
-    """
-    fam = get_family(family)
-    past = None
-    for raw in batches:
-        batch = Batch(t=raw["t"], X=raw["x"], y=raw["y"],
-                      covariates=tuple(raw["covariates"]), family=family)
-        width = 1 + max((registry.index_of(n) for n in batch.covariates), default=-1)
-        if 1 <= batch.t <= len(history):
-            width = max(width, len(history[batch.t - 1].estimate))
-        past = fam.fold(past, align_batch(batch, registry)[:, :width], batch.y)
-    return past
 
 
 def doc_to_state(doc: dict) -> EstimatorState:
     """Rebuild a state from its document, validating the schema tag.
 
-    A ``/1`` document, which retained raw batches, is migrated on read
-    (see ``_past_from_batches``). A document the model types reject (a
-    ``t`` that is not an integer, a penalty or coefficient that is not a
-    number, an estimate naming an unknown covariate) raises
-    ``StateFileError``, as a missing field does.
+    A ``/3`` document's history is its newest records, a ``/2`` or ``/1``
+    document's every record. A ``/1`` document, which retained raw
+    batches, is migrated on read (``state_history.past_from_batches``). A document
+    the model types reject (a ``t`` that is not an integer, a penalty or
+    coefficient that is not a number, an estimate naming an unknown
+    covariate) raises ``StateFileError``, as a missing field does.
     """
     if not isinstance(doc, dict):
         raise StateFileError("state document must be a JSON object")
     schema = doc.get("schema")
-    if schema not in (STATE_SCHEMA, _SCHEMA_1):
+    if schema not in (STATE_SCHEMA, _SCHEMA_2, _SCHEMA_1):
         raise StateFileError(f"unsupported state schema {schema!r}, expected {STATE_SCHEMA!r}")
     try:
         family = doc["family"]
@@ -201,18 +235,10 @@ def doc_to_state(doc: dict) -> EstimatorState:
             raise StateFileError("state field 'covariates' must be a list of names")
         registry = CovariateRegistry(tuple(doc["covariates"]))
         init = doc["init"]
-        history = tuple(
-            UpdateRecord(
-                t=rec["t"],
-                lam=rec["lam"],
-                estimate=CoefficientVector(rec["estimate"]),
-                weights=rec.get("weights"),
-                diagnostics=rec.get("diagnostics", {}),
-            )
-            for rec in doc["history"]
-        )
+        history = tuple(_doc_record(rec) for rec in doc["history"])
         if schema == _SCHEMA_1:
-            past = _past_from_batches(family, registry, history, doc["batches"])
+            from .state_history import past_from_batches  # see state_history's docstring
+            past = past_from_batches(family, registry, history, doc["batches"])
         elif doc["past"] is None:
             past = None
         else:
@@ -260,7 +286,16 @@ def _load_json(path: str, what: str, error: type[RidgeRelayError]):
 
 
 def read_state(path: str) -> EstimatorState:
+    """The state in the state file ``path``, read from that file alone."""
     return doc_to_state(_load_json(path, "state file", StateFileError))
+
+
+def _fsync_directory(directory: str) -> None:
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -283,20 +318,82 @@ def _atomic_write_text(path: str, text: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    dir_fd = os.open(directory, os.O_RDONLY)
+    _fsync_directory(directory)
+
+
+def _log_end(fd: int, size: int, t_new: int) -> tuple[int, int]:
+    """The offset just past the last line of the log open as ``fd`` (of
+    ``size`` bytes) that holds a record older than ``t_new``, and that
+    record's index; (0, 0) if there is none.
+
+    The lines after that one are cut by the writer: a torn line (no
+    newline, a killed append), a line that is not a record, or a record at
+    ``t_new`` or later (a killed write's, or one this write replaces). The
+    lines before it are the older records, kept as they are. The last
+    ``_LOG_WINDOW`` bytes are searched first, so an update reads a line or
+    two however long the log; the whole log only if they do not settle it.
+    """
+    lo = max(0, size - _LOG_WINDOW)
+    while True:
+        data = os.pread(fd, size - lo, lo)
+        end = data.rfind(b"\n") + 1
+        while end:
+            begin = data.rfind(b"\n", 0, end - 1) + 1
+            if lo and not begin:
+                break  # the line may start before the window
+            try:
+                t = json.loads(data[begin:end])["t"]
+            except (ValueError, KeyError, TypeError):
+                t = None
+            if type(t) is int and t < t_new:
+                return lo + end, t
+            end = begin
+        if not lo:
+            return 0, 0
+        lo = 0
+
+
+def _extend_log(log: str, records: tuple[UpdateRecord, ...]) -> None:
+    """Make the log ``log`` end with ``records``, the newest of a state's
+    history, and fsync it: the lines after the last older record are cut
+    (``_log_end``) and the records from the one after it are appended in
+    one write, one line for an update. A record before ``records`` that
+    the log lacks stays missing, and ``export`` names it. The directory is
+    fsynced too when the log is created."""
+    created = not os.path.exists(log)
+    fd = os.open(log, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
     try:
-        os.fsync(dir_fd)
+        size = os.fstat(fd).st_size
+        end, kept = _log_end(fd, size, records[-1].t)
+        if end < size:
+            os.ftruncate(fd, end)
+        skip = max(kept + 1 - records[0].t, 0)
+        data = "".join(_dump(_record_doc(rec)) for rec in records[skip:]).encode()
+        if os.write(fd, data) != len(data):
+            raise OSError(f"wrote part of {len(data)} bytes")
+        os.fsync(fd)
     finally:
-        os.close(dir_fd)
+        os.close(fd)
+    if created:
+        _fsync_directory(os.path.dirname(os.path.abspath(log)))
 
 
 def write_state(state: EstimatorState, path: str) -> None:
-    """Serialize and atomically replace ``path``; readers never see partial writes."""
+    """Write ``state`` to the state file ``path`` and its records to the
+    history log beside it. The log is extended and fsynced first
+    (``_extend_log``); only then is the state file atomically replaced, so
+    readers never see partial writes and a state on disk has its records
+    in the log. A state with no update leaves the log alone."""
     text = _dump(state_to_doc(state))
+    if os.path.isdir(path):
+        raise StateFileError(f"cannot write state file {path!r}: it is a directory")
     try:
+        if state.history:
+            _extend_log(path + LOG_SUFFIX, state.history)
         _atomic_write_text(path, text)
     except OSError as exc:
-        raise StateFileError(f"cannot write state file {path!r}: {exc.strerror or exc}") from None
+        raise StateFileError(
+            f"cannot write {exc.filename or path!r}: {exc.strerror or exc}") from None
 
 
 def _remove_leftovers(path: str) -> None:
@@ -516,9 +613,20 @@ def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _selection_config(args) -> PenaltySearchConfig:
-    grid = default_grid(args.grid_min, args.grid_max, args.grid_points)
+def _selection_config(args, family: str, p: int, n: int) -> PenaltySearchConfig:
+    """The selection the flags ask for, on a batch of ``n`` rows over ``p``
+    covariates. The largest array it would hold (``selection_elements``)
+    is counted before the grid is built, so a grid too large for the data
+    is refused by its flag rather than killed for memory."""
     k_folds = None if (args.loocv or args.k_folds is None) else args.k_folds
+    points = args.grid_points
+    elements = selection_elements(family, p, n, points, k_folds in (None, n))
+    # A grid size outside 1.._MAX_ELEMENTS is refused by default_grid.
+    if 0 < points <= _MAX_ELEMENTS < elements:
+        raise ValidationError(
+            f"--grid-points {points} would make selection hold {elements} values in one "
+            f"array for {n} rows over {p} covariates, past the cap of {_MAX_ELEMENTS}")
+    grid = default_grid(args.grid_min, args.grid_max, points)
     return PenaltySearchConfig(k_folds=k_folds, constrained=args.constrained, grid=grid,
                                seed=args.seed)
 
@@ -544,7 +652,8 @@ def cmd_init(args) -> int:
         if not args.response:
             raise ValidationError("--data requires --response")
         batch = read_batch_csv(args.data, args.response, t=0, family=args.family)
-        state, chosen = fit_first_batch(batch, _selection_config(args))
+        config = _selection_config(args, args.family, batch.p, batch.n)
+        state, chosen = fit_first_batch(batch, config)
         report["init"] = "fit-first-batch"
         report["lam"] = chosen.chosen_lambda
         report["score"] = chosen.score
@@ -565,7 +674,8 @@ def cmd_update(args) -> int:
         state = read_state(args.state)
         batch = read_batch_csv(args.data, args.response, t=state.t + 1,
                                family=state.family)
-        report = select_penalty(state, batch, _selection_config(args))
+        p = state.registry.extended(batch.covariates).size
+        report = select_penalty(state, batch, _selection_config(args, state.family, p, batch.n))
         diagnostics = {
             "lam": report.chosen_lambda,
             "score": report.score,
@@ -590,7 +700,8 @@ def cmd_select_lambda(args) -> int:
     state = read_state(args.state)
     batch = read_batch_csv(args.data, args.response, t=state.t + 1,
                            family=state.family)
-    report = select_penalty(state, batch, _selection_config(args))
+    p = state.registry.extended(batch.covariates).size
+    report = select_penalty(state, batch, _selection_config(args, state.family, p, batch.n))
     _print_json(report.to_dict())
     return 0
 
@@ -623,14 +734,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_export(args) -> int:
     state = read_state(args.state)
+    from .state_history import read_history  # see state_history's docstring
+    history = read_history(args.state, state)
     w = sys.stdout.write
     w(f"family:     {state.family}\n")
     w(f"updates:    {state.t}\n")
     w(f"covariates: {state.registry.size}\n")
     w(f"init:       {state.init_note}\n")
-    if state.history:
+    if history:
         w("history:\n")
-        for rec in state.history:
+        for rec in history:
             w(f"  t={rec.t} lam={rec.lam!r}")
             if rec.weights is not None:
                 w(f" weights={list(rec.weights)}")

@@ -43,6 +43,7 @@ __all__ = [
     "fold_stacked",
     "align_batch",
     "assemble_target",
+    "target_records",
 ]
 
 FAMILIES = ("linear", "logistic")
@@ -530,10 +531,10 @@ PAST_FORMS = {"linear": TriangularHistory, "logistic": StackedHistory}
 
 
 def _check_record(rec: UpdateRecord, t: int, registry: CovariateRegistry) -> None:
-    """The history record at position ``t`` (from 1) of a state over ``registry``."""
+    """The history record that must have index ``t``, of a state over ``registry``."""
     if rec.t != t:
         raise ValidationError(
-            f"history must have consecutive indices 1..T, found t={rec.t} at position {t}")
+            f"history must have consecutive indices, found t={rec.t} where t={t} belongs")
     if not registry._index.keys() >= rec.estimate.values.keys():
         unknown = next(name for name in rec.estimate.values if name not in registry)
         raise RegistryError(f"estimate at t={rec.t} names unknown covariate {unknown!r}")
@@ -558,9 +559,11 @@ def _check_past(family: str, past: TriangularHistory | StackedHistory | None,
 class EstimatorState(_Record):
     """Full description of a sequentially updated model.
 
-    ``history`` holds one record per update, with consecutive indices
-    1..T. ``past`` holds the data of every batch folded in so far, in the
-    form the family's historic-fit constraint needs: a
+    ``history`` holds the records of the updates, with consecutive indices
+    ending at T, the number of updates applied: all of them, 1..T, or a
+    newest part of them, s..T, such as the records a state file keeps
+    (``target_records``). ``past`` holds the data of every batch folded in
+    so far, in the form the family's historic-fit constraint needs: a
     ``TriangularHistory`` for the linear family, whose size does not grow
     with the number of batches, and a ``StackedHistory`` of raw rows for
     the logistic one. It is ``None`` before any batch, where the
@@ -580,7 +583,7 @@ class EstimatorState(_Record):
         for name in init_target.names():
             if name not in registry:
                 raise RegistryError(f"init target names unknown covariate {name!r}")
-        for i, rec in enumerate(history, start=1):
+        for i, rec in enumerate(history, start=history[0].t if history else 1):
             _check_record(rec, i, registry)
         _check_past(family, past, registry)
         self.__dict__.update(family=family, registry=registry, init_target=init_target,
@@ -588,8 +591,8 @@ class EstimatorState(_Record):
 
     @property
     def t(self) -> int:
-        """Number of updates applied so far."""
-        return len(self.history)
+        """Number of updates applied so far: the newest record's index."""
+        return self.history[-1].t if self.history else 0
 
     @property
     def current(self) -> CoefficientVector:
@@ -652,46 +655,60 @@ def align_batch(batch: Batch, registry: CovariateRegistry) -> np.ndarray:
     return out
 
 
-def assemble_target(source: "EstimatorState | CoefficientVector",
-                    names: Sequence[str]) -> CoefficientVector:
-    """Shrinkage target over ``names``, assembled element-wise.
+def assemble_target(state: EstimatorState, names: Sequence[str]) -> CoefficientVector:
+    """Shrinkage target of ``state`` over ``names``, assembled element-wise.
 
-    For an :class:`EstimatorState` source each covariate takes its value
-    from the most recent history estimate that contains it, so covariates
-    observed only in older batches keep their last known coefficient.
-    Covariates no history entry covers take the state's initial target,
-    else 0. The initial target backstop is what makes a state initialized
-    from a sacrificed first batch shrink its first update toward that fit.
-
-    A bare :class:`CoefficientVector` source is used as-is, and names it
-    lacks get 0.
+    Each covariate takes its value from the most recent history estimate
+    that contains it, so covariates observed only in older batches keep
+    their last known coefficient. Covariates no history entry covers take
+    the state's initial target, else 0. The initial target backstop is
+    what makes a state initialized from a sacrificed first batch shrink
+    its first update toward that fit.
 
     The records are walked newest-first and the walk stops once every name
     has a value, so a target over the newest estimate's names reads one
-    record whatever the history length. When the newest estimate (or the
-    bare vector) holds exactly ``names``, in order, it is the target and is
-    returned itself.
+    record whatever the history length. When the newest estimate holds
+    exactly ``names``, in order, it is the target and is returned itself.
     """
+    if not isinstance(state, EstimatorState):
+        raise ValidationError(f"state must be an EstimatorState, got {type(state).__name__}")
     names = _as_names(names)
-    if isinstance(source, EstimatorState):
-        newest = source.current
-        layers = (rec.estimate.values for rec in reversed(source.history))
-        backstop = source.init_target.values
-    elif isinstance(source, CoefficientVector):
-        newest = source
-        layers, backstop = (), source.values
-    else:
-        raise ValidationError("source must be an EstimatorState or CoefficientVector")
+    newest = state.current
     if tuple(newest.values) == names:
         return newest
     found: dict[str, float] = {}
     missing = set(names)
-    for values in layers:
+    for rec in reversed(state.history):
         if not missing:
             break
+        values = rec.estimate.values
         for name in [n for n in missing if n in values]:
             found[name] = values[name]
             missing.discard(name)
+    backstop = state.init_target.values
     for name in missing:
         found[name] = backstop.get(name, 0.0)
     return CoefficientVector({name: found[name] for name in names})
+
+
+def target_records(state: EstimatorState) -> tuple[UpdateRecord, ...]:
+    """The shortest newest part of ``state.history`` from which
+    ``assemble_target`` gives the same target, over any names.
+
+    It reaches back to the oldest record that is the newest to hold some
+    registry covariate, and holds at least the newest record, which gives
+    the state its ``t``. A record the updates write holds every registry
+    covariate, so for the states they build this is the newest record
+    alone, found without walking further.
+    """
+    history = state.history
+    start = len(history) - 1
+    missing = set(state.registry.names)
+    for i in range(start, -1, -1):
+        if not missing:
+            break
+        values = history[i].estimate.values
+        if not missing.isdisjoint(values):
+            missing.difference_update(values)
+            start = i
+    return history[max(start, 0):]

@@ -91,6 +91,7 @@ __all__ = [
     "PenaltySearchConfig",
     "SelectionReport",
     "select_penalty",
+    "selection_elements",
     "fit_first_batch",
 ]
 
@@ -500,6 +501,18 @@ def _fold_means(fam: Family, X: np.ndarray, y: np.ndarray, grid: tuple[float, ..
             hist += fam.history_loss(past, coefs)
     score = np.where(usable, score / folds.k, np.inf)
     return score, np.where(usable, hist / folds.k, np.inf) if past is not None else None
+
+
+def selection_elements(family: str, p: int, n: int, points: int, loo: bool) -> int:
+    """The most values one array of a selection holds, for a batch of ``n``
+    rows over ``p`` covariates and a grid of ``points`` penalties: a fold
+    fit's ``(p, L)`` coefficients and ``(n, L)`` predictors, the linear
+    leave-one-out closed form's ``(p + 1, L, n)`` block (``loo``), and the
+    logistic fit's ``(L, p, p)`` weighted normal matrices. It is counted,
+    not allocated."""
+    per_penalty = max(p, n, (p + 1) * n if loo and family == "linear" else 0,
+                      p * p if family == "logistic" else 0)
+    return per_penalty * points
 
 
 def select_penalty(state: EstimatorState, batch: Batch,

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ridge_relay.cli_io as cio
 import ridge_relay.penalty_tuning as penalty_tuning
+from ridge_relay.state_history import read_history
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -106,12 +107,31 @@ def seeded_state(with_history=True):
     return state
 
 
+def record_docs(state):
+    """Every record of ``state`` as a state document lays records out."""
+    return [{"t": rec.t, "lam": rec.lam, "estimate": dict(rec.estimate.values),
+             "weights": None if rec.weights is None else list(rec.weights),
+             "diagnostics": dict(rec.diagnostics)} for rec in state.history]
+
+
+def schema_2_document(state):
+    """The ``ridge-relay-state/2`` document of ``state``, which kept every
+    record and the whole linear factor."""
+    doc = cio.state_to_doc(state)
+    doc["schema"] = "ridge-relay-state/2"
+    doc["history"] = record_docs(state)
+    if doc["past"] is not None and "factor" in doc["past"]:
+        doc["past"]["factor"] = cio._encode_array(state.past.factor)
+    return doc
+
+
 def schema_1_document(state, batches):
-    """The ``ridge-relay-state/1`` document of ``state``, which kept its
-    batches raw instead of its past data."""
+    """The ``ridge-relay-state/1`` document of ``state``, which kept every
+    record and its batches raw instead of its past data."""
     doc = cio.state_to_doc(state)
     del doc["past"]
     doc["schema"] = "ridge-relay-state/1"
+    doc["history"] = record_docs(state)
     doc["batches"] = [{"t": b.t, "covariates": list(b.covariates), "x": b.X.tolist(),
                        "y": b.y.tolist()} for b in batches]
     return doc
@@ -180,8 +200,9 @@ class TestStateRoundTrip:
         write_csv(data, ["a", "b", "y"], np.column_stack([batch.X, batch.y]))
         assert run_cli("update", "--state", path, "--data", data, "--response", "y")[0] == 0
         updated = cio.read_state(path)
-        assert [rec.weights for rec in updated.history] == [(0.3, 0.7), None]
-        assert cio.state_to_doc(updated)["history"][1]["weights"] is None
+        assert [rec.weights for rec in updated.history] == [None]
+        assert cio.state_to_doc(updated)["history"][0]["weights"] is None
+        assert [rec.weights for rec in read_history(path, updated)] == [(0.3, 0.7), None]
         code, out, _ = run_cli("export", "--state", path)
         assert code == 0
         assert "  t=1 lam=2.0 weights=[0.3, 0.7]\n  t=2 lam=" in out
@@ -259,12 +280,21 @@ class TestStateRoundTrip:
 
 
     def test_past_arrays_are_stored_as_base64_float64(self, tmp_path):
+        """The linear factor as its upper triangle, row by row; logistic rows whole."""
         state = seeded_state()
         past = cio.state_to_doc(state)["past"]
         assert set(past) == {"factor", "rows"} and past["rows"] == 12
-        assert past["factor"]["shape"] == [3, 3]
-        raw = base64.b64decode(past["factor"]["base64"])
-        assert raw == state.past.factor.astype("<f8").tobytes()
+        assert set(past["factor"]) == {"shape", "upper"} and past["factor"]["shape"] == [3, 3]
+        raw = base64.b64decode(past["factor"]["upper"])
+        f = state.past.factor
+        upper = [f[0, 0], f[0, 1], f[0, 2], f[1, 1], f[1, 2], f[2, 2]]
+        assert raw == np.array(upper, dtype="<f8").tobytes()
+        X, y = np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 1.0])
+        logistic = start_state("logistic", ("a", "b"), past=get_family("logistic").fold(
+            None, X, y))
+        past = cio.state_to_doc(logistic)["past"]
+        assert base64.b64decode(past["X"]["base64"]) == X.astype("<f8").tobytes()
+        assert base64.b64decode(past["y"]["base64"]) == y.astype("<f8").tobytes()
 
     def test_linear_state_size_does_not_grow_with_the_rows(self, tmp_path):
         """The past data of a linear state is one (p + 1)^2 factor, so its
@@ -276,9 +306,9 @@ class TestStateRoundTrip:
             X = rng.standard_normal((40, 2))
             batch = Batch(t=t, X=X, y=X @ np.array([1.0, -1.0]), covariates=("a", "b"))
             state = update(state, batch, 1.0)
-            sizes[t] = len(cio.state_to_doc(state)["past"]["factor"]["base64"])
+            sizes[t] = len(cio.state_to_doc(state)["past"]["factor"]["upper"])
         assert state.past.rows == 1200
-        assert sizes[2] == sizes[30] == len(base64.b64encode(bytes(8 * 3 * 3)))
+        assert sizes[2] == sizes[30] == len(base64.b64encode(bytes(8 * 6)))
 
     def test_schema_1_files_are_migrated_on_read(self, tmp_path):
         state = seeded_state()
@@ -287,7 +317,7 @@ class TestStateRoundTrip:
         loaded = cio.read_state(str(path))
         assert cio.state_to_doc(loaded) == cio.state_to_doc(state)
         cio.write_state(loaded, str(path))
-        assert json.loads(path.read_text())["schema"] == "ridge-relay-state/2"
+        assert json.loads(path.read_text())["schema"] == "ridge-relay-state/3"
 
     def test_undecodable_or_unreadable_state_files_are_reported(self, tmp_path):
         latin = tmp_path / "latin.json"
@@ -798,20 +828,37 @@ class TestCliUpdate:
         assert code == 2 and err.startswith("error: ")
         assert not os.path.exists(fresh) and not os.path.exists(fresh + ".lock")
 
-    @pytest.mark.parametrize("call", ["fsync", "replace", "directory-open"])
+    @pytest.mark.parametrize("call", ["ftruncate", "write", "log-fsync", "state-fsync",
+                                      "replace", "directory-open"])
     def test_an_update_killed_in_its_write_leaves_the_old_or_the_new_state(self, tmp_path,
                                                                             call):
-        """SIGKILL at the file's fsync, at the rename, or at the directory's
-        open for its fsync: the state file holds the old bytes before the
-        rename and the new bytes after it. The dead run's lock file stays
-        behind with no holder; the next update takes it over and removes
-        the leftover temporary file."""
-        path, data, _ = self.init_and_first_batch(tmp_path)
-        args = ["--data", data, "--response", "y", "--k-folds", "4"]
+        """SIGKILL at each write point of an update, one child process each:
+        the log's cut-back of a line a crashed write left, its append, its
+        fsync, the state file's fsync, the rename, and the directory's open
+        for its fsync. The state file holds the old bytes before the rename
+        and the new bytes after it; ``export`` prints exactly that state's
+        records; and the next update succeeds, giving the state and log an
+        uninterrupted update gives. The dead run's lock file stays behind
+        with no holder; the next update takes it over and removes the
+        leftover temporary file."""
+        path, data, rng = self.init_and_first_batch(tmp_path)
+        log = path + cio.LOG_SUFFIX
+        assert run_cli("update", "--state", path, "--data", data, "--response", "y",
+                       "--k-folds", "4")[0] == 0
+        second = str(tmp_path / "b2.csv")
+        batch_csv(second, rng, n=20, coef=[1.0, -0.5])
+        args = ["--data", second, "--response", "y", "--k-folds", "4"]
         twin = str(tmp_path / "twin.json")
         shutil.copyfile(path, twin)
+        shutil.copyfile(log, twin + cio.LOG_SUFFIX)
         assert run_cli("update", "--state", twin, *args)[0] == 0
-        old, new = open(path, "rb").read(), open(twin, "rb").read()
+        old, new = read_bytes(path), read_bytes(twin)
+        old_log, new_log = read_bytes(log), read_bytes(twin + cio.LOG_SUFFIX)
+        exports = {"old": run_cli("export", "--state", path),
+                   "new": run_cli("export", "--state", twin)}
+        # A write killed after its log append left record 2 behind; this
+        # update must cut it back before appending its own.
+        shutil.copyfile(twin + cio.LOG_SUFFIX, log)
         script = textwrap.dedent("""
             import os, signal, sys
             import ridge_relay.cli_io as cio
@@ -825,6 +872,15 @@ class TestCliUpdate:
                 real_open = os.open
                 os.open = lambda path, *rest: (die() if path == directory
                                                else real_open(path, *rest))
+            elif call.endswith("fsync"):
+                real_fsync, calls = os.fsync, []
+                nth = 1 if call == "log-fsync" else 2
+
+                def fsync(fd):
+                    calls.append(fd)
+                    return die() if len(calls) == nth else real_fsync(fd)
+
+                os.fsync = fsync
             else:
                 setattr(os, call, die)
             sys.exit(cio.main(argv))
@@ -833,13 +889,18 @@ class TestCliUpdate:
                                *args], capture_output=True, env=package_env(), timeout=120)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         renamed = call == "directory-open"
-        assert open(path, "rb").read() == (new if renamed else old)
+        assert read_bytes(path) == (new if renamed else old)
+        assert read_bytes(log) == (old_log if call == "write" else new_log)
         cio.read_state(path)
+        assert run_cli("export", "--state", path) == exports["new" if renamed else "old"]
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-m.json-")]
-        assert len(leftovers) == (0 if renamed else 1)
+        assert len(leftovers) == (1 if call in ("state-fsync", "replace") else 0)
         assert os.path.exists(path + ".lock")
         code, _, err = run_cli("update", "--state", path, *args)
         assert code == 0, err
+        if not renamed:
+            assert read_bytes(path) == new
+            assert read_bytes(log) == new_log
         assert not os.path.exists(path + ".lock")
         assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
 
@@ -894,12 +955,17 @@ class TestCliUpdate:
 class TestCliSelectLambda:
     def test_reports_the_curve_without_touching_the_state(self, tmp_path):
         rng = np.random.default_rng(23)
-        path = str(tmp_path / "m.json")
-        assert run_cli("init", "--state", path, "--covariates", "x1,x2")[0] == 0
-        before = open(path, "rb").read()
+        path = tmp_path / "m.json"
+        log = tmp_path / ("m.json" + cio.LOG_SUFFIX)
+        assert run_cli("init", "--state", str(path), "--covariates", "x1,x2")[0] == 0
+        first = str(tmp_path / "a.csv")
+        batch_csv(first, rng, n=18, coef=[1.0, 0.5])
+        assert run_cli("update", "--state", str(path), "--data", first, "--response", "y",
+                       "--k-folds", "3")[0] == 0
+        before, log_before = path.read_bytes(), log.read_bytes()
         data = str(tmp_path / "b.csv")
         batch_csv(data, rng, n=18, coef=[1.0, 0.5])
-        code, out, _ = run_cli("select-lambda", "--state", path,
+        code, out, _ = run_cli("select-lambda", "--state", str(path),
                                "--data", data, "--response", "y",
                                "--k-folds", "3", "--grid-points", "7")
         assert code == 0
@@ -909,7 +975,8 @@ class TestCliSelectLambda:
         assert len(report["cv_curve"]) == 7
         for cand in report["cv_curve"]:
             assert set(cand) >= {"lam", "score", "feasible"}
-        assert open(path, "rb").read() == before
+        assert path.read_bytes() == before
+        assert log.read_bytes() == log_before
         # The printed layout keeps the weight keys, always null.
         assert set(report) == {"chosen_lambda", "chosen_weights", "score", "constrained",
                                "fallback_used", "new_fraction", "k_folds", "seed",
@@ -946,6 +1013,54 @@ class TestCliSelectLambda:
                                      "--response", "y", "--grid-points", points)
             assert code == 2 and out == ""
             assert err == f"error: points must be an integer in 1..{2 ** 24}, got {points}\n"
+
+    @pytest.mark.parametrize("command", ["select-lambda", "update", "init"])
+    def test_a_grid_too_large_for_the_batch_exits_2_before_it_is_built(self, tmp_path,
+                                                                      monkeypatch, command):
+        """2**20 penalties pass the grid's own cap, but a fold fit's (n, L)
+        predictors would hold 18 * 2**20 values, past the element cap (and
+        init's leave-one-out block three times that): the command exits 2
+        naming --grid-points before any grid or array is made, and the
+        state is left as it was."""
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "x1,x2")[0] == 0
+        before = read_bytes(path)
+        data = str(tmp_path / "b.csv")
+        batch_csv(data, np.random.default_rng(31), n=18, coef=[2.0, 1.0])
+
+        def no_grid(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(cio, "default_grid", no_grid)
+        argv = ["--data", data, "--response", "y", "--grid-points", str(2 ** 20)]
+        if command == "init":
+            argv = ["--state", path, "--force", *argv]
+        else:
+            argv = ["--state", path, *argv]
+        code, out, err = run_cli(command, *argv)
+        held = (3 if command == "init" else 1) * 18 * 2 ** 20
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --grid-points {2 ** 20} would make selection hold "
+                              f"{held} values in one array for 18 rows over 2 ")
+        assert err.endswith(f"past the cap of {2 ** 24}\n")
+        assert read_bytes(path) == before
+
+    def test_the_selection_count_takes_each_array_at_its_size(self):
+        """The largest array a selection would hold: the (p, L) coefficients
+        or (n, L) predictors, the linear leave-one-out (p + 1, L, n) block,
+        the logistic (L, p, p) normal matrices. A grid that brings it to
+        the cap exactly is admitted and built."""
+        count = penalty_tuning.selection_elements
+        assert count("linear", 30, 20, 50, False) == 30 * 50
+        assert count("linear", 30, 20, 50, True) == 31 * 50 * 20
+        assert count("logistic", 30, 20, 50, True) == 50 * 30 * 30
+        assert count("linear", 3, 200, 7, False) == 200 * 7
+        args = cio.build_parser().parse_args(
+            ["select-lambda", "--state", "m.json", "--data", "d.csv", "--response", "y",
+             "--grid-points", str(2 ** 14)])
+        assert len(cio._selection_config(args, "linear", 2, 2 ** 10).grid) == 2 ** 14
+        with pytest.raises(ValidationError, match="--grid-points"):
+            cio._selection_config(args, "linear", 2, 2 ** 10 + 1)
 
     def test_unconstrained_flag_is_honored(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -1144,11 +1259,16 @@ def target_file_args(tmp_path, doc):
     return ["init", "--state", str(tmp_path / "m.json"), "--target-file", str(target)]
 
 
-def state_file_args(tmp_path, edit, schema=2):
-    """``export`` of a one-update state file whose document ``edit`` changed."""
+def state_file_args(tmp_path, edit, schema=3):
+    """``export`` of a one-update state file whose document, in the layout
+    of ``schema``, ``edit`` changed."""
     state = seeded_state()
-    doc = (cio.state_to_doc(state) if schema == 2
-           else schema_1_document(state, [seeded_batch()]))
+    if schema == 3:
+        doc = cio.state_to_doc(state)
+    elif schema == 2:
+        doc = schema_2_document(state)
+    else:
+        doc = schema_1_document(state, [seeded_batch()])
     edit(doc)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
@@ -1269,17 +1389,21 @@ BAD_JSON_VALUES = {
     "past-row-count-text": lambda tmp: state_file_args(
         tmp, lambda doc: doc["past"].update(rows="12")),
     "past-base64-garbage": lambda tmp: state_file_args(
-        tmp, lambda doc: doc["past"]["factor"].update(base64="not base64!")),
+        tmp, lambda doc: doc["past"]["factor"].update(base64="not base64!"), schema=2),
+    "past-upper-garbage": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(upper="not base64!")),
+    "past-upper-not-square": lambda tmp: state_file_args(
+        tmp, lambda doc: doc["past"]["factor"].update(shape=[3, 2])),
     "past-short-array": lambda tmp: state_file_args(
         tmp, lambda doc: doc["past"]["factor"].update(shape=[4, 4])),
     "past-negative-shape": lambda tmp: state_file_args(
         tmp, lambda doc: doc["past"]["factor"].update(shape=[-3, -3])),
     "past-factor-not-triangular": lambda tmp: state_file_args(
         tmp, lambda doc: doc["past"]["factor"].update(
-            base64=cio._encode_array(np.ones((3, 3)))["base64"])),
+            base64=cio._encode_array(np.ones((3, 3)))["base64"]), schema=2),
     "past-factor-non-finite": lambda tmp: state_file_args(
         tmp, lambda doc: doc["past"]["factor"].update(
-            base64=cio._encode_array(np.triu(np.full((3, 3), np.nan)))["base64"])),
+            upper=cio._encode_array(np.full(6, np.nan))["base64"])),
     "past-wider-than-registry": lambda tmp: state_file_args(
         tmp, lambda doc: doc["past"].update(factor=cio._encode_array(np.eye(4)))),
     "scenario-string-p": lambda tmp: scenario_args(
@@ -1415,6 +1539,196 @@ class TestCliExport:
             line = next(l for l in out.splitlines() if l.strip().startswith(name))
             printed = float(line.split("=")[1])
             assert printed == state.current.values[name]
+
+
+def cli_chain(tmp_path, updates, name="m.json", seed=41):
+    """A linear state built by ``init`` and ``updates`` CLI updates, and the
+    batch files, one per update plus an arriving one."""
+    rng = np.random.default_rng(seed)
+    path = str(tmp_path / name)
+    assert run_cli("init", "--state", path, "--covariates", "x1,x2")[0] == 0
+    batches = []
+    for t in range(updates + 1):
+        data = str(tmp_path / f"{name}-b{t}.csv")
+        batch_csv(data, rng, n=16, coef=[1.0, -0.5], t_shift=0.1 * t)
+        batches.append(data)
+    for data in batches[:-1]:
+        assert run_cli("update", "--state", path, "--data", data, "--response", "y",
+                       "--k-folds", "4")[0] == 0
+    return path, batches
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+class TestHistoryLog:
+    """The state file keeps the newest record; every record 1..t is a line
+    of the history log beside it, which only ``export`` reads."""
+
+    def test_each_update_appends_one_line_and_the_state_keeps_the_newest_record(
+            self, tmp_path):
+        path, batches = cli_chain(tmp_path, 3)
+        log = path + cio.LOG_SUFFIX
+        lines = read_bytes(log).splitlines(keepends=True)
+        assert [json.loads(line)["t"] for line in lines] == [1, 2, 3]
+        doc = json.loads(read_bytes(path))
+        assert doc["schema"] == "ridge-relay-state/3"
+        assert [rec["t"] for rec in doc["history"]] == [3]
+        assert lines[-1] == cio._dump(doc["history"][0]).encode()
+        assert run_cli("update", "--state", path, "--data", batches[-1], "--response", "y",
+                       "--k-folds", "4")[0] == 0
+        grown = read_bytes(log)
+        assert grown.startswith(b"".join(lines)) and grown.count(b"\n") == 4
+        code, out, _ = run_cli("export", "--state", path)
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines() if line.startswith("  t=")] == [
+            "t=1", "t=2", "t=3", "t=4"]
+
+    def test_an_update_reads_no_more_than_a_window_of_a_long_log(self, tmp_path,
+                                                                  monkeypatch):
+        """A 300-record log: the update reads the state file, and of the log
+        only the window at its end that holds its last line; it does not
+        even load the module that reads the log."""
+        rng = np.random.default_rng(8)
+        state = seeded_state(with_history=False)
+        for t in range(1, 301):
+            X = rng.standard_normal((6, 2))
+            state = update(state, Batch(t=t, X=X, y=X @ [1.0, 2.0], covariates=("a", "b")),
+                           1.0)
+        path = str(tmp_path / "long.json")
+        cio.write_state(state, path)
+        assert os.path.getsize(path + cio.LOG_SUFFIX) > 3 * cio._LOG_WINDOW
+        real_pread, read = os.pread, []
+
+        def pread(fd, size, offset):
+            read.append(size)
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(cio.os, "pread", pread)
+        monkeypatch.delitem(sys.modules, "ridge_relay.state_history")
+        data = str(tmp_path / "b.csv")
+        write_csv(data, ["a", "b", "y"], np.column_stack([np.eye(3)[:, :2], [1.0, 2.0, 0.0]]))
+        code, out, err = run_cli("update", "--state", path, "--data", data, "--response", "y",
+                                 "--k-folds", "3")
+        assert code == 0, err
+        assert json.loads(out)["t"] == 301 and sum(read) <= cio._LOG_WINDOW
+        assert "ridge_relay.state_history" not in sys.modules  # the log reader
+        monkeypatch.undo()
+        assert len(read_history(path, cio.read_state(path))) == 301
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_older_schemas_export_the_same_bytes_before_and_after_migration(self, tmp_path,
+                                                                            schema):
+        """A /1 or /2 file holds every record and needs no log; its next
+        write stores /3 and the full log, and ``export`` prints the same."""
+        rng = np.random.default_rng(schema)
+        state = seeded_state(with_history=False)
+        batches = []
+        for t in range(1, 5):
+            names = ("a", "b") if t % 2 else ("b", "a")
+            X = rng.standard_normal((8, 2))
+            batches.append(Batch(t=t, X=X, y=X @ [1.0, -1.0], covariates=names))
+            state = update(state, batches[-1], 0.5 * t)
+        doc = schema_2_document(state) if schema == 2 else schema_1_document(state, batches)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, indent=2))
+        before = run_cli("export", "--state", str(path))
+        assert before[0] == 0 and "  t=4 lam=2.0\n" in before[1]
+        cio.write_state(cio.read_state(str(path)), str(path))
+        assert json.loads(path.read_text())["schema"] == "ridge-relay-state/3"
+        assert len(json.loads(path.read_text())["history"]) == 1
+        assert read_bytes(str(path) + cio.LOG_SUFFIX).count(b"\n") == 4
+        assert run_cli("export", "--state", str(path)) == before
+
+    def test_a_state_copied_without_its_log_updates_but_does_not_export(self, tmp_path):
+        """Update, predict and select-lambda of the copy give the original's
+        outputs; ``export`` of it exits 2 naming the records it lacks."""
+        path, batches = cli_chain(tmp_path, 3)
+        copy = str(tmp_path / "copy.json")
+        shutil.copyfile(path, copy)
+        arriving = ["--data", batches[-1], "--response", "y"]
+        for command in ("select-lambda", "update", "predict"):
+            outs = [run_cli(command, "--state", state, *arriving) for state in (path, copy)]
+            assert outs[0][0] == 0 and outs[0] == outs[1][:1] + (
+                outs[1][1].replace(copy, path),) + outs[1][2:]
+        assert read_bytes(path) == read_bytes(copy)
+        assert [json.loads(line)["t"] for line in
+                read_bytes(copy + cio.LOG_SUFFIX).splitlines()] == [3, 4]
+        code, out, err = run_cli("export", "--state", copy)
+        assert code == 2 and out == ""
+        assert err == (f"error: history log {copy + cio.LOG_SUFFIX!r} does not start with "
+                       "records t=1..3, which the state file does not keep (it holds "
+                       "t=4..4)\n")
+        assert run_cli("export", "--state", path)[0] == 0
+
+    def test_lines_past_the_state_and_a_torn_line_are_skipped_then_cut(self, tmp_path):
+        """What a write killed after its append leaves: ``export`` prints the
+        state's records only, and the next update cuts the rest back before
+        it appends, as if the killed write had never run."""
+        path, batches = cli_chain(tmp_path, 2)
+        log = path + cio.LOG_SUFFIX
+        twin = str(tmp_path / "twin.json")
+        shutil.copyfile(path, twin)
+        shutil.copyfile(log, twin + cio.LOG_SUFFIX)
+        arriving = ["--data", batches[-1], "--response", "y", "--k-folds", "4"]
+        assert run_cli("update", "--state", twin, *arriving)[0] == 0
+        exported = run_cli("export", "--state", path)
+        leftover = read_bytes(twin + cio.LOG_SUFFIX).splitlines(keepends=True)[-1]
+        with open(log, "ab") as fh:
+            fh.write(leftover + leftover[:40])
+        assert run_cli("export", "--state", path) == exported
+        assert run_cli("update", "--state", path, *arriving)[0] == 0
+        assert read_bytes(path) == read_bytes(twin)
+        assert read_bytes(log) == read_bytes(twin + cio.LOG_SUFFIX)
+
+    @pytest.mark.parametrize("log", [b"not a record\n", b'{"t": 1}\n',
+                                     b"", b"\n".join([b"x"] * 3)])
+    def test_a_log_without_the_older_records_exits_2(self, tmp_path, log):
+        """A line that is not a record, a record missing a field, an empty
+        log, or a torn one: exit 2 with one error line, nothing printed."""
+        path, _ = cli_chain(tmp_path, 3)
+        with open(path + cio.LOG_SUFFIX, "wb") as fh:
+            fh.write(log)
+        code, out, err = run_cli("export", "--state", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "history log" in err
+
+    def test_records_out_of_order_exit_2(self, tmp_path):
+        path, _ = cli_chain(tmp_path, 3)
+        lines = read_bytes(path + cio.LOG_SUFFIX).splitlines(keepends=True)
+        with open(path + cio.LOG_SUFFIX, "wb") as fh:
+            fh.write(lines[1] + lines[0] + lines[2])
+        code, out, err = run_cli("export", "--state", path)
+        assert code == 2 and "does not start with records t=1..2," in err
+
+    def test_a_state_whose_newest_record_lacks_a_covariate_keeps_older_ones(self, tmp_path):
+        """The state file keeps every record its target needs, so a record
+        over part of the registry keeps the one before it there too."""
+        state = seeded_state(with_history=False)
+        for t, estimate in enumerate(({"a": 1.0, "b": 2.0}, {"a": 3.0}, {"a": 4.0}), 1):
+            record = UpdateRecord(t=t, lam=1.0, estimate=CoefficientVector(estimate))
+            state = state.with_update(state.registry, record, state.past)
+        path = str(tmp_path / "m.json")
+        cio.write_state(state, path)
+        assert [rec["t"] for rec in json.loads(read_bytes(path))["history"]] == [1, 2, 3]
+        loaded = cio.read_state(path)
+        assert cio.assemble_target(loaded, ("a", "b")).values == {"a": 4.0, "b": 2.0}
+        assert read_history(path, loaded) == state.history
+
+    def test_init_force_leaves_the_log_to_the_next_update(self, tmp_path):
+        """A state with no update writes no log; the old chain's lines are
+        past its t, so ``export`` skips them and the next update cuts them."""
+        path, batches = cli_chain(tmp_path, 2)
+        assert run_cli("init", "--state", path, "--covariates", "x1,x2", "--force")[0] == 0
+        code, out, _ = run_cli("export", "--state", path)
+        assert code == 0 and "history:" not in out
+        assert run_cli("update", "--state", path, "--data", batches[0], "--response", "y",
+                       "--k-folds", "4")[0] == 0
+        assert [json.loads(line)["t"] for line in
+                read_bytes(path + cio.LOG_SUFFIX).splitlines()] == [1]
 
 
 class TestClosedOutputPipe:

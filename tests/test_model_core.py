@@ -21,6 +21,7 @@ from ridge_relay import (
     fold_triangular,
     start_state,
 )
+from ridge_relay.model_core import target_records
 
 
 def make_state(family="linear", names=("a", "b"), init=None, history=(), past=None):
@@ -189,10 +190,9 @@ class TestAssembleTarget:
         second = assemble_target(state, ("a", "b"))
         assert dict(first.values) == dict(second.values)
 
-    def test_plain_vector_source_with_constant_fallback(self):
-        vec = CoefficientVector({"a": 4.0})
-        target = assemble_target(vec, ("a", "b"))
-        assert dict(target.values) == {"a": 4.0, "b": 0.0}
+    def test_a_bare_vector_source_is_refused(self):
+        with pytest.raises(ValidationError):
+            assemble_target(CoefficientVector({"a": 4.0}), ("a", "b"))
 
 
 def layered_target(state, names):
@@ -231,6 +231,36 @@ class TestAssembleTargetWalk:
         state, query = case
         target = assemble_target(state, query)
         assert list(target.values.items()) == list(layered_target(state, query).items())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(target_cases())
+    def test_target_records_are_the_shortest_tail_with_the_same_target(self, case):
+        """A state holding only ``target_records`` assembles the same target
+        over any names, and its oldest record, unless it is the newest, is
+        the newest to hold some name, which a record fewer would lose."""
+        state, query = case
+        tail = target_records(state)
+        assert tail == state.history[len(state.history) - len(tail):]
+        assert bool(tail) == bool(state.history)
+        kept = make_state(names=NAME_POOL, init=state.init_target, history=tail)
+        assert kept.t == state.t
+        for names in (query, NAME_POOL):
+            assert assemble_target(kept, names) == assemble_target(state, names)
+        if len(tail) > 1:
+            newer = set().union(*(rec.estimate.values for rec in tail[1:]))
+            assert set(tail[0].estimate.values) - newer
+
+    def test_a_record_over_every_covariate_is_the_whole_tail(self):
+        history = (
+            UpdateRecord(t=1, lam=1.0, estimate=CoefficientVector({"a": 1.0})),
+            UpdateRecord(t=2, lam=1.0, estimate=CoefficientVector({"a": 2.0, "b": 1.0})),
+            UpdateRecord(t=3, lam=1.0, estimate=CoefficientVector({"b": 3.0})),
+        )
+        state = make_state(names=("a", "b"), history=history)
+        assert target_records(state) == history[1:]
+        assert target_records(make_state(names=("a", "b"), history=history[:2])) == \
+            history[1:2]
+        assert target_records(make_state()) == ()
 
     def test_names_first_seen_in_old_records_and_names_no_record_has(self):
         history = (
@@ -360,10 +390,19 @@ class TestEstimatorState:
         assert state.t == 2
         assert dict(state.current.values) == {"a": 2.0}
 
-    def test_history_indices_must_be_consecutive_from_one(self):
-        record = UpdateRecord(t=2, lam=1.0, estimate=CoefficientVector({"a": 1.0}))
-        with pytest.raises(ValidationError):
-            make_state(history=(record,))
+    def test_history_indices_must_be_consecutive(self):
+        """The records may start after 1, as a state file's newest records
+        do; they must follow one another and end at t."""
+        def record(t):
+            return UpdateRecord(t=t, lam=1.0, estimate=CoefficientVector({"a": float(t)}))
+
+        state = make_state(history=(record(7), record(8)))
+        assert state.t == 8 and dict(state.current.values) == {"a": 8.0}
+        assert state.with_update(state.registry, record(9), None).t == 9
+        for history in ((record(2), record(4)), (record(3), record(2)),
+                        (record(1), record(1))):
+            with pytest.raises(ValidationError):
+                make_state(history=history)
 
     def test_with_update_appends_record_and_past(self):
         state = make_state()
