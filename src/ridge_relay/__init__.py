@@ -38,7 +38,6 @@ from .model_core import (
 from .linear_estimator import (
     LinearFit,
     MomentReport,
-    estimate_noise_variance,
     exact_moments_general,
     exact_moments_orthonormal,
     fit_targeted_ridge,
@@ -48,11 +47,8 @@ from .linear_estimator import (
 )
 from .logistic_estimator import (
     LogisticFit,
-    estimating_equation,
     irls_fit,
     irls_fit_grid,
-    logistic_loglik,
-    penalized_loglik,
     update_logistic,
 )
 from .penalty_tuning import (

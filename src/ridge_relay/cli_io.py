@@ -72,7 +72,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -104,6 +103,7 @@ from .penalty_tuning import (
     selection_elements,
 )
 from .sim_harness import (
+    QUANTILES,
     ScenarioConfig,
     run_study_mixed_vs_updated,
     run_study_regular_vs_updated,
@@ -304,11 +304,13 @@ def _atomic_write_text(path: str, text: str) -> None:
     The text is written verbatim (no newline translation) to a temporary
     file ``.tmp-<basename>-<random>.tmp`` in the same directory, which is
     fsynced and renamed over ``path``; the directory is then fsynced so
-    the rename itself survives a crash.
+    the rename itself survives a crash. The temporary file is created
+    exclusively with mode 0666 less the umask, as ``open`` would create
+    ``path`` itself.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".tmp-{os.path.basename(path)}-",
-                               suffix=".tmp")
+    tmp = os.path.join(directory, f".tmp-{os.path.basename(path)}-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -361,7 +363,7 @@ def _extend_log(log: str, records: tuple[UpdateRecord, ...]) -> None:
     the log lacks stays missing, and ``export`` names it. The directory is
     fsynced too when the log is created."""
     created = not os.path.exists(log)
-    fd = os.open(log, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
+    fd = os.open(log, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         size = os.fstat(fd).st_size
         end, kept = _log_end(fd, size, records[-1].t)
@@ -587,7 +589,7 @@ def _trajectory_datasets(study: str, config: ScenarioConfig, results) -> list[Pl
         "config": config.to_dict(),
         "series": [r.name for r in results],
         "tracked": list(tracked_positions(config)),
-        "quantiles": [0.05, 0.5, 0.95],
+        "quantiles": list(QUANTILES),
     }
     quant = {name: [] for name in ("series", "t", "coordinate", "q05", "q50", "q95")}
     curves = {name: [] for name in ("series", "t", "mean_squared_error")}

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import cho_factor, cho_solve
-from .errors import EstimationError, SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError
 from .model_core import (
     Batch,
     CoefficientVector,
@@ -50,18 +50,16 @@ __all__ = [
     "update",
     "exact_moments_orthonormal",
     "exact_moments_general",
-    "estimate_noise_variance",
 ]
 
 
 class LinearFit(_Record):
     """Solution of one targeted ridge problem."""
 
-    _fields = ("coef", "lam", "target", "residual_sse")
+    _fields = ("coef", "lam", "target")
 
-    def __init__(self, coef: np.ndarray, lam: float, target: np.ndarray,
-                 residual_sse: float) -> None:
-        self.__dict__.update(coef=coef, lam=lam, target=target, residual_sse=residual_sse)
+    def __init__(self, coef: np.ndarray, lam: float, target: np.ndarray) -> None:
+        self.__dict__.update(coef=coef, lam=lam, target=target)
 
 
 class MomentReport(_Record):
@@ -105,8 +103,7 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
     gram = X.T @ X
     factor = _penalized_normal_factor(gram, lam)
     coef = cho_solve(factor, X.T @ y + lam * target)
-    resid = y - X @ coef
-    return LinearFit(coef=coef, lam=lam, target=target, residual_sse=float(resid @ resid))
+    return LinearFit(coef=coef, lam=lam, target=target)
 
 
 def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
@@ -357,24 +354,3 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         cov = noise_var * A @ gram @ A + lam_t ** 2 * A @ cov @ A
         cov = 0.5 * (cov + cov.T)
     return MomentReport(mean=mean, covariance=cov, noise_var=noise_var)
-
-
-def estimate_noise_variance(X, y, fit: LinearFit) -> float:
-    """Residual variance estimate for a targeted ridge fit.
-
-    Divides the residual sum of squares by n minus the effective degrees
-    of freedom trace((X'X + lam I)^{-1} X'X) of the smoother. With the
-    singular values s of X that trace is sum s^2 / (s^2 + lam), whose
-    terms are exactly 1 at lam = 0: a design with as many independent
-    columns as rows leaves exactly zero degrees of freedom, which is an
-    error, not a rounding residue divided into the fit's residual.
-    """
-    X, y, _ = _check_xy_target(X, y, fit.target)
-    d = np.linalg.svd(X, compute_uv=False) ** 2
-    d = d[d > 0]
-    edf = float(np.sum(d / (d + fit.lam)))
-    dof = X.shape[0] - edf
-    if dof <= 0:
-        raise EstimationError(
-            f"no residual degrees of freedom: n={X.shape[0]}, effective df={edf:.3f}")
-    return fit.residual_sse / dof

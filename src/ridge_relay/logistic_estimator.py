@@ -38,15 +38,11 @@ from .model_core import (
     _check_binary,
     _check_real,
     _check_real_vector,
-    _real_array,
 )
 from .linear_estimator import _check_xy_target, _sequential_update
 
 __all__ = [
     "LogisticFit",
-    "logistic_loglik",
-    "penalized_loglik",
-    "estimating_equation",
     "irls_fit",
     "irls_fit_grid",
     "update_logistic",
@@ -80,41 +76,6 @@ class LogisticFit(_Record):
                              loglik_path=loglik_path)
 
 
-def logistic_loglik(X, y, coef) -> float:
-    """Bernoulli log-likelihood sum_i [y_i eta_i - log(1 + exp(eta_i))].
-
-    Uses log1p-style accumulation so large |eta| saturates instead of
-    overflowing.
-    """
-    X, y, coef = _check_xy_target(X, y, coef)
-    _check_binary(y)
-    eta = X @ coef
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
-
-
-def penalized_loglik(X, y, coef, lam: float, target) -> float:
-    """Log-likelihood minus the targeted ridge penalty (lam/2)||coef - target||^2."""
-    lam = _check_real(lam, "penalty", ">= 0")
-    coef = _real_array(coef, "coef", 1)
-    target = _real_array(target, "target", 1)
-    if target.shape != coef.shape:
-        raise ValidationError("target and coef must have the same length")
-    diff = coef - target
-    return logistic_loglik(X, y, coef) - 0.5 * lam * float(diff @ diff)
-
-
-def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
-    """Gradient of the penalized log-likelihood: X'(y - mu) - lam (coef - target)."""
-    X, y, coef = _check_xy_target(X, y, coef)
-    _check_binary(y)
-    lam = _check_real(lam, "penalty", ">= 0")
-    target = _real_array(target, "target", 1)
-    if target.shape != coef.shape:
-        raise ValidationError("target and coef must have the same length")
-    mu = expit(X @ coef)
-    return X.T @ (y - mu) - lam * (coef - target)
-
-
 class _IrlsRun(NamedTuple):
     """One batched IRLS run over C candidates sharing a design.
 
@@ -137,7 +98,8 @@ def _penalized_rows(X, y, coefs, lams, target) -> tuple[np.ndarray, np.ndarray]:
     """Penalized log-likelihood of each row of ``coefs``, and its linear predictors.
 
     The products are matmuls, not ``einsum``: for one row they then round
-    exactly as ``penalized_loglik`` does.
+    exactly as the scalar objective beside the tests' reference IRLS
+    (``tests/irls_reference.py``) does.
     """
     eta = coefs @ X.T
     diff = (coefs - target)[:, None, :]

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EstimationError, SingularMatrixError, ValidationError
 from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _MAX_ELEMENTS,
                          _Record, _check_index, _check_real, _check_real_vector, _is_index,
-                         _real_array, start_state)
+                         start_state)
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
     DEFAULT_GRID_MIN,
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _BASE_TRACKED = (1, 21, 51, 71, 101)
+# The levels of a trajectory's quantile bands: a 90% band and its median.
+QUANTILES = (0.05, 0.5, 0.95)
 
 
 _STUDIES = ("regular-vs-updated", "mixed-vs-updated")
@@ -280,24 +282,15 @@ class TrajectoryResult(_Record):
     def n_replicates(self) -> int:
         return self.estimates.shape[0]
 
-    def quantile_bands(self, qs: Sequence[float] = (0.05, 0.5, 0.95)) -> np.ndarray:
-        """(len(qs), T, C) coordinate quantiles across replicates, NaNs ignored.
+    def quantile_bands(self) -> np.ndarray:
+        """(3, T, C) coordinate quantiles at the ``QUANTILES`` levels across
+        replicates, NaNs ignored.
 
-        Equal to ``np.nanquantile(self.estimates, qs, axis=0)`` (see
-        ``_nan_quantiles``), a single q giving (T, C) as there; a
-        (t, coordinate) with no value gives NaN, without a warning. Each q
-        must lie in [0, 1].
+        Equal to ``np.nanquantile(self.estimates, QUANTILES, axis=0)`` (see
+        ``_nan_quantiles``); a (t, coordinate) with no value gives NaN,
+        without a warning.
         """
-        q = _check_quantiles(qs)
-        out = _nan_quantiles(self.estimates, q.reshape(-1))
-        return out.reshape(q.shape + self.estimates.shape[1:])
-
-    def band_widths(self, lo: float = 0.05, hi: float = 0.95) -> np.ndarray:
-        """(T, C) widths of the central quantile band."""
-        if not lo <= hi:
-            raise ValidationError(f"band needs lo <= hi, got lo={lo!r}, hi={hi!r}")
-        bands = self.quantile_bands((lo, hi))
-        return bands[1] - bands[0]
+        return _nan_quantiles(self.estimates, np.array(QUANTILES))
 
     def mean_loss(self) -> np.ndarray:
         """(T,) mean squared-error loss across replicates (NaN-aware)."""
@@ -307,13 +300,6 @@ class TrajectoryResult(_Record):
             if np.any(np.isfinite(col)):
                 out[i] = np.nanmean(col)
         return out
-
-
-def _check_quantiles(qs: Sequence[float]) -> np.ndarray:
-    q = _real_array(qs, "quantiles")
-    if not np.all((q >= 0.0) & (q <= 1.0)):
-        raise ValidationError(f"quantiles must lie in [0, 1], got {qs!r}")
-    return q
 
 
 def _nan_quantiles(a: np.ndarray, q: np.ndarray) -> np.ndarray:

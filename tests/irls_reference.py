@@ -2,10 +2,14 @@
 
 This is the scalar IRLS loop the package ran before its solver was
 batched over candidates, kept as written so the batched solver can be
-checked against code it shares nothing with but the public objective
-(``penalized_loglik``) and gradient (``estimating_equation``). It reads
-the module limits of ``ridge_relay.logistic_estimator`` when it runs, so
-a test that changes them changes them for both solvers.
+checked against code that shares none of its steps: only the input
+checks (``_check_xy_target`` and the scalar rules), the Cholesky helpers
+and the module limits. The objective (``penalized_loglik``) and its
+gradient (``estimating_equation``) it climbs live here too; the package
+computes them only row-batched inside its solver, so these scalar copies
+are the oracles the tests hold it to. The limits of
+``ridge_relay.logistic_estimator`` are read when the solver runs, so a
+test that changes them changes them for both solvers.
 """
 
 import numpy as np
@@ -14,13 +18,43 @@ from ridge_relay import logistic_estimator
 from ridge_relay._numerics import cho_factor, cho_solve, expit
 from ridge_relay.errors import ConvergenceError, ValidationError
 from ridge_relay.linear_estimator import _check_xy_target
-from ridge_relay.logistic_estimator import (
-    LogisticFit,
-    WEIGHT_FLOOR,
-    estimating_equation,
-    penalized_loglik,
-)
-from ridge_relay.model_core import _check_binary, _check_real
+from ridge_relay.logistic_estimator import LogisticFit, WEIGHT_FLOOR
+from ridge_relay.model_core import _check_binary, _check_real, _real_array
+
+
+def logistic_loglik(X, y, coef) -> float:
+    """Bernoulli log-likelihood sum_i [y_i eta_i - log(1 + exp(eta_i))].
+
+    Uses log1p-style accumulation so large |eta| saturates instead of
+    overflowing.
+    """
+    X, y, coef = _check_xy_target(X, y, coef)
+    _check_binary(y)
+    eta = X @ coef
+    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+
+
+def penalized_loglik(X, y, coef, lam: float, target) -> float:
+    """Log-likelihood minus the targeted ridge penalty (lam/2)||coef - target||^2."""
+    lam = _check_real(lam, "penalty", ">= 0")
+    coef = _real_array(coef, "coef", 1)
+    target = _real_array(target, "target", 1)
+    if target.shape != coef.shape:
+        raise ValidationError("target and coef must have the same length")
+    diff = coef - target
+    return logistic_loglik(X, y, coef) - 0.5 * lam * float(diff @ diff)
+
+
+def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
+    """Gradient of the penalized log-likelihood: X'(y - mu) - lam (coef - target)."""
+    X, y, coef = _check_xy_target(X, y, coef)
+    _check_binary(y)
+    lam = _check_real(lam, "penalty", ">= 0")
+    target = _real_array(target, "target", 1)
+    if target.shape != coef.shape:
+        raise ValidationError("target and coef must have the same length")
+    mu = expit(X @ coef)
+    return X.T @ (y - mu) - lam * (coef - target)
 
 
 def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -38,12 +39,10 @@ from ridge_relay import (
     assemble_target,
     constraint_terms,
     estimate_xi,
-    estimating_equation,
     exact_moments_general,
     exact_moments_orthonormal,
     fit_targeted_ridge,
     irls_fit,
-    logistic_loglik,
     make_folds,
     resolve_beta,
     run_study_mixed_vs_updated,
@@ -54,6 +53,7 @@ from ridge_relay import (
     update,
     update_logistic,
 )
+from irls_reference import estimating_equation, logistic_loglik
 from sim_checks import check_consistency_trajectory, check_moment_formulas
 
 
@@ -263,7 +263,8 @@ class TestAcceptance:
         regular, updated = run_study_regular_vs_updated(config)
         elapsed = perf_counter() - start
 
-        widths_u = updated.band_widths()
+        bands_u = updated.quantile_bands()
+        widths_u = bands_u[2] - bands_u[0]
         band_ok = bool(np.all(widths_u[-1] < widths_u[0]))
         beta = resolve_beta(config)
         tracked = np.array(tracked_positions(config)) - 1
@@ -271,7 +272,8 @@ class TestAcceptance:
         bias_first = np.abs(med[0] - beta[tracked])
         bias_last = np.abs(med[-1] - beta[tracked])
         n_shrink = int(np.sum(bias_last < bias_first))
-        widths_r = regular.band_widths()
+        bands_r = regular.quantile_bands()
+        widths_r = bands_r[2] - bands_r[0]
         ratio = widths_r[-1] / widths_r[0]
         plain_ok = bool(np.all((ratio >= 0.5) & (ratio <= 2.0)))
         ok = band_ok and n_shrink >= 4 and plain_ok and elapsed < 300.0
@@ -551,7 +553,7 @@ class TestAcceptance:
         loaded = cio.read_state(path)
         round_trip_ok = cio.state_to_doc(loaded) == cio.state_to_doc(state)
 
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         script = textwrap.dedent("""
             import os, sys
             import ridge_relay.cli_io as cio
@@ -561,7 +563,7 @@ class TestAcceptance:
         proc = subprocess.run([sys.executable, "-c", script, path],
                               capture_output=True)
         atomic_ok = proc.returncode == 9 \
-            and open(path, "rb").read() == before
+            and Path(path).read_bytes() == before
 
         def run_cli(*argv):
             import contextlib
@@ -586,7 +588,7 @@ class TestAcceptance:
                            "--covariates", "x1,x2")[0] == 0
             assert run_cli("update", "--state", twin, "--data", data,
                            "--response", "y", "--k-folds", "3")[0] == 0
-        update_ok = open(twin_a, "rb").read() == open(twin_b, "rb").read()
+        update_ok = Path(twin_a).read_bytes() == Path(twin_b).read_bytes()
 
         scenario = str(tmp_path / "scenario.json")
         with open(scenario, "w", encoding="utf-8") as fh:
@@ -600,7 +602,7 @@ class TestAcceptance:
             assert code == 0
             sim_files.append(sorted(json.loads(out)["files"]))
         sim_ok = all(
-            open(f1, "rb").read() == open(f2, "rb").read()
+            Path(f1).read_bytes() == Path(f2).read_bytes()
             for f1, f2 in zip(*sim_files))
         ok = round_trip_ok and atomic_ok and update_ok and sim_ok
         verdict(capfd, 10, "round trip, crash safety, seeded reruns", ok)

@@ -524,7 +524,8 @@ class TestPlainRidge:
         a = plain_ridge(X, y, 1.7)
         b = fit_targeted_ridge(X, y, 1.7, np.zeros(3))
         np.testing.assert_array_equal(a.coef, b.coef)
-        assert a.residual_sse == b.residual_sse
+        assert a.lam == b.lam
+        np.testing.assert_array_equal(a.target, b.target)
 
     def test_infinite_penalty_returns_zero(self):
         rng = np.random.default_rng(120)

@@ -21,6 +21,7 @@ import sys
 import textwrap
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,13 +154,13 @@ class TestStateRoundTrip:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         cio.write_state(state, a)
         cio.write_state(cio.read_state(a), b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_state_file_is_compact_json(self, tmp_path):
         state = seeded_state()
         path = str(tmp_path / "model.json")
         cio.write_state(state, path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert text == json.dumps(cio.state_to_doc(state), sort_keys=True,
                                   separators=(",", ":")) + "\n"
 
@@ -176,7 +177,7 @@ class TestStateRoundTrip:
         cio.write_state(loaded, new)
         fresh = str(tmp_path / "fresh.json")
         cio.write_state(state, fresh)
-        assert open(new, "rb").read() == open(fresh, "rb").read()
+        assert Path(new).read_bytes() == Path(fresh).read_bytes()
 
     def test_mixture_weights_survive_the_round_trip(self, tmp_path):
         """Updates no longer write weights, but a record an older state holds
@@ -234,7 +235,7 @@ class TestStateRoundTrip:
         state = seeded_state()
         path = str(tmp_path / "model.json")
         cio.write_state(state, path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         script = textwrap.dedent("""
             import os, sys
             import ridge_relay.cli_io as cio
@@ -246,7 +247,7 @@ class TestStateRoundTrip:
         proc = subprocess.run([sys.executable, "-c", script, path],
                               capture_output=True)
         assert proc.returncode == 9
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert cio.read_state(path).current.values == state.current.values
 
     def test_completed_write_fsyncs_the_directory_after_the_rename(self, tmp_path,
@@ -260,7 +261,7 @@ class TestStateRoundTrip:
 
         def record(fd):
             is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
-            content = open(path, encoding="utf-8").read() if os.path.exists(path) else None
+            content = Path(path).read_text(encoding="utf-8") if os.path.exists(path) else None
             synced.append((is_dir, content))
             real_fsync(fd)
 
@@ -464,7 +465,7 @@ class TestStateFileProperties:
         first, second = str(directory / "a.json"), str(directory / "b.json")
         cio.write_state(state, first)
         cio.write_state(cio.read_state(first), second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 class TestCsvIngestion:
@@ -535,12 +536,12 @@ class TestPlotDataset:
             columns={"t": [1, 2, 3], "value": [0.5, float("nan"), -1.5]},
             metadata={"kind": "demo", "n": 3})
         csv_path, meta_path = cio.write_plot_dataset(dataset, str(tmp_path))
-        lines = open(csv_path, encoding="utf-8").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t,value"
         assert lines[1] == "1,0.5"
         assert lines[2] == "2,"
         assert lines[3] == "3,-1.5"
-        assert json.load(open(meta_path)) == {"kind": "demo", "n": 3}
+        assert json.loads(Path(meta_path).read_text(encoding="utf-8")) == {"kind": "demo", "n": 3}
 
     def test_both_files_are_written_atomically(self, tmp_path, monkeypatch):
         """The CSV, like its sidecar, appears only by rename of a complete
@@ -557,7 +558,7 @@ class TestPlotDataset:
         csv_path, _ = cio.write_plot_dataset(dataset, str(tmp_path))
         assert sorted(renamed) == ["demo.csv", "demo.meta.json"]
         assert sorted(os.listdir(tmp_path)) == ["demo.csv", "demo.meta.json"]
-        assert open(csv_path, "rb").read() == b"t\r\n1\r\n2\r\n"
+        assert Path(csv_path).read_bytes() == b"t\r\n1\r\n2\r\n"
 
 
 def cell_by_cell_tables(results):
@@ -703,13 +704,13 @@ class TestCliInit:
 
         def fit_while_another_init_runs(*args):
             assert run_cli("init", "--state", path, "--covariates", "a")[0] == 0
-            written.append(open(path, "rb").read())
+            written.append(Path(path).read_bytes())
             return real_fit(*args)
 
         monkeypatch.setattr(cio, "fit_first_batch", fit_while_another_init_runs)
         code, out, err = run_cli("init", "--state", path, "--data", data, "--response", "y")
         assert code == 2 and out == "" and "--force" in err
-        assert open(path, "rb").read() == written[0]
+        assert Path(path).read_bytes() == written[0]
         assert not os.path.exists(path + ".lock")
 
     def test_bad_target_files_exit_with_validation_code(self, tmp_path):
@@ -759,7 +760,7 @@ class TestCliUpdate:
         args = ("--data", data, "--response", "y", "--k-folds", "4")
         assert run_cli("update", "--state", path, *args)[0] == 0
         assert run_cli("update", "--state", twin, *args)[0] == 0
-        assert open(path, "rb").read() == open(twin, "rb").read()
+        assert Path(path).read_bytes() == Path(twin).read_bytes()
 
     def test_new_covariates_extend_the_registry(self, tmp_path):
         path, data, rng = self.init_and_first_batch(tmp_path)
@@ -803,24 +804,24 @@ class TestCliUpdate:
     def test_a_fractional_record_index_exits_2_and_leaves_the_state(self, tmp_path):
         path, data, _ = self.init_and_first_batch(tmp_path)
         assert run_cli("update", "--state", path, "--data", data, "--response", "y")[0] == 0
-        doc = json.loads(open(path, encoding="utf-8").read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         doc["history"][0]["t"] = 2.5
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         code, out, err = run_cli("update", "--state", path, "--data", data,
                                  "--response", "y")
         assert code == 2 and out == "" and err.startswith("error: ")
         assert "2.5" in err and "Traceback" not in err
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
 
     def test_negative_seed_exits_2_and_leaves_the_state(self, tmp_path):
         path, data, _ = self.init_and_first_batch(tmp_path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         code, out, err = run_cli("update", "--state", path, "--data", data,
                                  "--response", "y", "--seed", "-1")
         assert code == 2 and out == "" and err.startswith("error: ")
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert not os.path.exists(path + ".lock")
         fresh = str(tmp_path / "fresh.json")
         code, _, err = run_cli("init", "--state", fresh, "--data", data,
@@ -852,8 +853,8 @@ class TestCliUpdate:
         shutil.copyfile(path, twin)
         shutil.copyfile(log, twin + cio.LOG_SUFFIX)
         assert run_cli("update", "--state", twin, *args)[0] == 0
-        old, new = read_bytes(path), read_bytes(twin)
-        old_log, new_log = read_bytes(log), read_bytes(twin + cio.LOG_SUFFIX)
+        old, new = Path(path).read_bytes(), Path(twin).read_bytes()
+        old_log, new_log = Path(log).read_bytes(), Path(twin + cio.LOG_SUFFIX).read_bytes()
         exports = {"old": run_cli("export", "--state", path),
                    "new": run_cli("export", "--state", twin)}
         # A write killed after its log append left record 2 behind; this
@@ -889,8 +890,8 @@ class TestCliUpdate:
                                *args], capture_output=True, env=package_env(), timeout=120)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         renamed = call == "directory-open"
-        assert read_bytes(path) == (new if renamed else old)
-        assert read_bytes(log) == (old_log if call == "write" else new_log)
+        assert Path(path).read_bytes() == (new if renamed else old)
+        assert Path(log).read_bytes() == (old_log if call == "write" else new_log)
         cio.read_state(path)
         assert run_cli("export", "--state", path) == exports["new" if renamed else "old"]
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-m.json-")]
@@ -899,8 +900,8 @@ class TestCliUpdate:
         code, _, err = run_cli("update", "--state", path, *args)
         assert code == 0, err
         if not renamed:
-            assert read_bytes(path) == new
-            assert read_bytes(log) == new_log
+            assert Path(path).read_bytes() == new
+            assert Path(log).read_bytes() == new_log
         assert not os.path.exists(path + ".lock")
         assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
 
@@ -919,14 +920,14 @@ class TestCliUpdate:
         update's does, makes an update exit 4; the state and the holder's
         lock file are left as they are."""
         path, data, _ = self.init_and_first_batch(tmp_path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         with open(path + ".lock", "w") as holder:
             fcntl.flock(holder, fcntl.LOCK_EX)
             code, out, err = run_cli("update", "--state", path, "--data", data,
                                      "--response", "y")
             assert code == 4 and out == "" and "lock" in err
             assert os.path.exists(path + ".lock")
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
 
     def test_convergence_failures_exit_3(self, tmp_path, monkeypatch):
         path, data, _ = self.init_and_first_batch(tmp_path)
@@ -1024,7 +1025,7 @@ class TestCliSelectLambda:
         state is left as it was."""
         path = str(tmp_path / "m.json")
         assert run_cli("init", "--state", path, "--covariates", "x1,x2")[0] == 0
-        before = read_bytes(path)
+        before = Path(path).read_bytes()
         data = str(tmp_path / "b.csv")
         batch_csv(data, np.random.default_rng(31), n=18, coef=[2.0, 1.0])
 
@@ -1043,7 +1044,7 @@ class TestCliSelectLambda:
         assert err.startswith(f"error: --grid-points {2 ** 20} would make selection hold "
                               f"{held} values in one array for 18 rows over 2 ")
         assert err.endswith(f"past the cap of {2 ** 24}\n")
-        assert read_bytes(path) == before
+        assert Path(path).read_bytes() == before
 
     def test_the_selection_count_takes_each_array_at_its_size(self):
         """The largest array a selection would hold: the (p, L) coefficients
@@ -1203,7 +1204,8 @@ class TestCliSimulate:
         assert len(quant) == 1 and len(curves) == 1
         rows = list(_read_rows(curves[0]))
         assert {r["series"] for r in rows} == {"regular", "updated"}
-        meta = json.load(open(quant[0].replace(".csv", ".meta.json")))
+        meta_path = quant[0].replace(".csv", ".meta.json")
+        meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
         assert meta["study"] == "regular-vs-updated"
         assert meta["config"]["p"] == 3
 
@@ -1221,7 +1223,7 @@ class TestCliSimulate:
             outputs.append(sorted(json.loads(out)["files"]))
         for f1, f2 in zip(*outputs):
             assert os.path.basename(f1) == os.path.basename(f2)
-            assert open(f1, "rb").read() == open(f2, "rb").read()
+            assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
     def test_pooled_study_reports_three_series_with_gaps(self, tmp_path):
         scenario = self.scenario(tmp_path, {
@@ -1558,11 +1560,6 @@ def cli_chain(tmp_path, updates, name="m.json", seed=41):
     return path, batches
 
 
-def read_bytes(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 class TestHistoryLog:
     """The state file keeps the newest record; every record 1..t is a line
     of the history log beside it, which only ``export`` reads."""
@@ -1571,15 +1568,15 @@ class TestHistoryLog:
             self, tmp_path):
         path, batches = cli_chain(tmp_path, 3)
         log = path + cio.LOG_SUFFIX
-        lines = read_bytes(log).splitlines(keepends=True)
+        lines = Path(log).read_bytes().splitlines(keepends=True)
         assert [json.loads(line)["t"] for line in lines] == [1, 2, 3]
-        doc = json.loads(read_bytes(path))
+        doc = json.loads(Path(path).read_bytes())
         assert doc["schema"] == "ridge-relay-state/3"
         assert [rec["t"] for rec in doc["history"]] == [3]
         assert lines[-1] == cio._dump(doc["history"][0]).encode()
         assert run_cli("update", "--state", path, "--data", batches[-1], "--response", "y",
                        "--k-folds", "4")[0] == 0
-        grown = read_bytes(log)
+        grown = Path(log).read_bytes()
         assert grown.startswith(b"".join(lines)) and grown.count(b"\n") == 4
         code, out, _ = run_cli("export", "--state", path)
         assert code == 0
@@ -1639,7 +1636,7 @@ class TestHistoryLog:
         cio.write_state(cio.read_state(str(path)), str(path))
         assert json.loads(path.read_text())["schema"] == "ridge-relay-state/3"
         assert len(json.loads(path.read_text())["history"]) == 1
-        assert read_bytes(str(path) + cio.LOG_SUFFIX).count(b"\n") == 4
+        assert Path(str(path) + cio.LOG_SUFFIX).read_bytes().count(b"\n") == 4
         assert run_cli("export", "--state", str(path)) == before
 
     def test_a_state_copied_without_its_log_updates_but_does_not_export(self, tmp_path):
@@ -1653,9 +1650,9 @@ class TestHistoryLog:
             outs = [run_cli(command, "--state", state, *arriving) for state in (path, copy)]
             assert outs[0][0] == 0 and outs[0] == outs[1][:1] + (
                 outs[1][1].replace(copy, path),) + outs[1][2:]
-        assert read_bytes(path) == read_bytes(copy)
+        assert Path(path).read_bytes() == Path(copy).read_bytes()
         assert [json.loads(line)["t"] for line in
-                read_bytes(copy + cio.LOG_SUFFIX).splitlines()] == [3, 4]
+                Path(copy + cio.LOG_SUFFIX).read_bytes().splitlines()] == [3, 4]
         code, out, err = run_cli("export", "--state", copy)
         assert code == 2 and out == ""
         assert err == (f"error: history log {copy + cio.LOG_SUFFIX!r} does not start with "
@@ -1675,13 +1672,13 @@ class TestHistoryLog:
         arriving = ["--data", batches[-1], "--response", "y", "--k-folds", "4"]
         assert run_cli("update", "--state", twin, *arriving)[0] == 0
         exported = run_cli("export", "--state", path)
-        leftover = read_bytes(twin + cio.LOG_SUFFIX).splitlines(keepends=True)[-1]
+        leftover = Path(twin + cio.LOG_SUFFIX).read_bytes().splitlines(keepends=True)[-1]
         with open(log, "ab") as fh:
             fh.write(leftover + leftover[:40])
         assert run_cli("export", "--state", path) == exported
         assert run_cli("update", "--state", path, *arriving)[0] == 0
-        assert read_bytes(path) == read_bytes(twin)
-        assert read_bytes(log) == read_bytes(twin + cio.LOG_SUFFIX)
+        assert Path(path).read_bytes() == Path(twin).read_bytes()
+        assert Path(log).read_bytes() == Path(twin + cio.LOG_SUFFIX).read_bytes()
 
     @pytest.mark.parametrize("log", [b"not a record\n", b'{"t": 1}\n',
                                      b"", b"\n".join([b"x"] * 3)])
@@ -1698,7 +1695,7 @@ class TestHistoryLog:
 
     def test_records_out_of_order_exit_2(self, tmp_path):
         path, _ = cli_chain(tmp_path, 3)
-        lines = read_bytes(path + cio.LOG_SUFFIX).splitlines(keepends=True)
+        lines = Path(path + cio.LOG_SUFFIX).read_bytes().splitlines(keepends=True)
         with open(path + cio.LOG_SUFFIX, "wb") as fh:
             fh.write(lines[1] + lines[0] + lines[2])
         code, out, err = run_cli("export", "--state", path)
@@ -1713,7 +1710,7 @@ class TestHistoryLog:
             state = state.with_update(state.registry, record, state.past)
         path = str(tmp_path / "m.json")
         cio.write_state(state, path)
-        assert [rec["t"] for rec in json.loads(read_bytes(path))["history"]] == [1, 2, 3]
+        assert [rec["t"] for rec in json.loads(Path(path).read_bytes())["history"]] == [1, 2, 3]
         loaded = cio.read_state(path)
         assert cio.assemble_target(loaded, ("a", "b")).values == {"a": 4.0, "b": 2.0}
         assert read_history(path, loaded) == state.history
@@ -1728,7 +1725,7 @@ class TestHistoryLog:
         assert run_cli("update", "--state", path, "--data", batches[0], "--response", "y",
                        "--k-folds", "4")[0] == 0
         assert [json.loads(line)["t"] for line in
-                read_bytes(path + cio.LOG_SUFFIX).splitlines()] == [1]
+                Path(path + cio.LOG_SUFFIX).read_bytes().splitlines()] == [1]
 
 
 class TestClosedOutputPipe:
@@ -1828,8 +1825,44 @@ class TestFrozenImportHeap:
                                *args], capture_output=True, env=package_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert run_cli("update", "--state", twin, *args)[0] == 0
-        assert open(path, "rb").read() == open(twin, "rb").read()
+        assert Path(path).read_bytes() == Path(twin).read_bytes()
         assert not os.path.exists(path + ".lock")
+
+
+class TestFileModes:
+    """Every file a command writes is created as ``open`` would create it:
+    mode 0666 less the process's umask. The state and every dataset go
+    through a temporary file that is renamed into place, so its mode is
+    the mode of the file the reader finds."""
+
+    SCRIPT = textwrap.dedent("""
+        import os, sys
+        os.umask(int(sys.argv[1], 8))
+        from ridge_relay.cli_io import main
+        sys.exit(main(sys.argv[2:]))
+    """)
+
+    @pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        def command(*argv):
+            proc = subprocess.run([sys.executable, "-c", self.SCRIPT, umask, *argv],
+                                  capture_output=True, text=True, env=package_env(),
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+
+        path = str(tmp_path / "m.json")
+        data = str(tmp_path / "b.csv")
+        batch_csv(data, np.random.default_rng(31), n=16, coef=[1.0, -0.5])
+        command("init", "--state", path, "--covariates", "x1,x2")
+        command("update", "--state", path, "--data", data, "--response", "y",
+                "--k-folds", "4")
+        command(*scenario_args(tmp_path, SMALL_SCENARIO))
+        written = [path, path + cio.LOG_SUFFIX, *sorted(
+            str(f) for f in (tmp_path / "out").iterdir())]
+        assert len(written) == 6
+        assert {f: stat.S_IMODE(os.stat(f).st_mode) for f in written} \
+            == dict.fromkeys(written, mode)
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
 
 
 def _read_rows(csv_path):

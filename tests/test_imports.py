@@ -1,8 +1,11 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and the package
+defines nothing that only tests call.
 
 An import nothing reads still costs load time and hides which modules
-depend on which. The package's ``__init__`` is left out, because its
-imports are its public re-exports.
+depend on which. A function or class that no package code references
+serves only the tests, unless it is library API on its own account; such
+oracles belong beside the tests. The package's ``__init__`` is left out
+of both scans, because its imports are its public re-exports.
 """
 
 import ast
@@ -50,3 +53,48 @@ def test_unused_imports_are_found():
 def test_module_uses_every_import(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+# name -> why the package keeps a definition that no package code references
+UNREFERENCED = {
+    "exact_moments_general": "the paper's exact moments of the chain, general designs",
+    "exact_moments_orthonormal": "the paper's exact moments of the chain, orthonormal designs",
+    "estimate_xi": "the pooled mixed-model baseline the paper compares against",
+    "mixed_fixed_effects": "the pooled mixed-model baseline the paper compares against",
+    "mixed_moments": "the pooled mixed-model baseline's sampling moments",
+    "plain_ridge": "the zero-target ridge baseline the paper compares against",
+    "cv_score": "perfbench traces it, until the per-candidate oracle moves to the tests",
+    "constraint_terms": "perfbench traces it, until the per-candidate oracle moves to the tests",
+    "worker_count": "perfbench stamps it into every run, until parallel.py goes",
+}
+
+
+def unreferenced(sources):
+    """Functions and classes (dunder methods aside) that no tree of
+    ``sources`` reads by name or as an attribute."""
+    defined, used = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_unreferenced_definitions_are_found():
+    sources = ("__all__ = ['f', 'g']\ndef f():\n    return h()\ndef g():\n    pass\n",
+               "class C:\n    def __init__(self):\n        pass\n    def m(self):\n"
+               "        pass\ndef h():\n    return C().n\n")
+    assert unreferenced(sources) == ["f", "g", "m"]
+
+
+def test_the_package_defines_nothing_only_tests_call():
+    sources = []
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert unreferenced(sources) == sorted(UNREFERENCED)

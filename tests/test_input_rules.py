@@ -1,10 +1,10 @@
 """Every public entry point rejects each malformed input it takes.
 
-The package states what a valid design/response pair, a 0/1 response, a
-quantile in [0, 1], an index (an integer, not a bool) and a number are.
-Fold counts, fold seeds, grid sizes and moment step counts are indices;
-a grid size must also stay within the element cap. Every fit shrinks
-toward one target: a 1-D array of p numbers, one per design column.
+The package states what a valid design/response pair, a 0/1 response, an
+index (an integer, not a bool) and a number are. Fold counts, fold
+seeds, grid sizes and moment step counts are indices; a grid size must
+also stay within the element cap. Every fit shrinks toward one target: a
+1-D array of p numbers, one per design column.
 
 One rule says what a number is, and ``model_core._check_real`` holds it:
 a real number, finite, and not a bool, a string or an ``np.bool_``; an
@@ -19,13 +19,19 @@ at any depth is refused too, although NumPy would convert it to floats.
 These tables feed each malformed input to every public entry point that
 takes it and assert the error class, so a check that one caller drops
 fails here whatever module the check lives in.
+
+The oracles the tests hold the solvers to live beside the tests: the
+scalar reference IRLS with its objective and gradient
+(``irls_reference.py``) and the residual variance of a linear fit
+(``test_linear_estimator.py``). They take the same inputs under the same
+rules, so the tables feed them too: a comparison with an oracle cannot
+pass on an input the package would refuse.
 """
 
 import numpy as np
 import pytest
 
 import ridge_relay.cli_io as cio
-from ridge_relay.sim_harness import _check_quantiles
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -35,15 +41,12 @@ from ridge_relay import (
     StackedData,
     StackedHistory,
     StateFileError,
-    TrajectoryResult,
     UpdateRecord,
     ValidationError,
     cv_score,
     default_grid,
     default_xi_grid,
-    estimate_noise_variance,
     estimate_xi,
-    estimating_equation,
     exact_moments_general,
     exact_moments_orthonormal,
     fit_targeted_ridge,
@@ -52,17 +55,22 @@ from ridge_relay import (
     fold_triangular,
     irls_fit,
     irls_fit_grid,
-    logistic_loglik,
     loo_ridge_grid,
     make_folds,
     mixed_fixed_effects,
     mixed_moments,
-    penalized_loglik,
     plain_ridge,
     stack_batches,
     update,
     update_logistic,
 )
+from irls_reference import (
+    estimating_equation,
+    logistic_loglik,
+    penalized_loglik,
+    reference_irls_fit,
+)
+from test_linear_estimator import estimate_noise_variance
 
 RNG = np.random.default_rng(0)
 X = RNG.standard_normal((6, 2))
@@ -133,6 +141,7 @@ DATA_ENTRIES = {
         X, y, linear_fit()), True),
     "irls_fit": ("logistic", lambda X, y: irls_fit(X, y, 1.0, ZERO), True),
     "irls_fit_grid": ("logistic", lambda X, y: irls_fit_grid(X, y, [1.0], ZERO), True),
+    "reference_irls_fit": ("logistic", lambda X, y: reference_irls_fit(X, y, 1.0, ZERO), True),
     "logistic_loglik": ("logistic", lambda X, y: logistic_loglik(X, y, ZERO), True),
     "penalized_loglik": ("logistic", lambda X, y: penalized_loglik(X, y, ZERO, 1.0, ZERO),
                          True),
@@ -172,6 +181,7 @@ PENALTY_ENTRIES = {
     "plain_ridge": lambda v: plain_ridge(X, Y["linear"], v),
     "irls_fit": lambda v: irls_fit(X, Y["logistic"], v, ZERO),
     "irls_fit_grid": lambda v: irls_fit_grid(X, Y["logistic"], [v], ZERO),
+    "reference_irls_fit": lambda v: reference_irls_fit(X, Y["logistic"], v, ZERO),
     "estimating_equation": lambda v: estimating_equation(X, Y["logistic"], ZERO, v, ZERO),
     "penalized_loglik": lambda v: penalized_loglik(X, Y["logistic"], ZERO, v, ZERO),
     "exact_moments_orthonormal": lambda v: exact_moments_orthonormal(ZERO, ZERO, v, 1, 1.0),
@@ -213,20 +223,6 @@ NUMBER_ENTRIES = {
 }
 
 
-def trajectory():
-    return TrajectoryResult(name="demo", t_values=np.arange(1, 3), tracked=(1,),
-                            estimates=RNG.standard_normal((4, 2, 1)),
-                            losses=np.ones((4, 2)), lambdas=np.ones((4, 2)))
-
-
-# name -> call(v) for a quantile v that must lie in [0, 1] (these values do not)
-QUANTILE_ENTRIES = {
-    "quantile_bands": lambda v: trajectory().quantile_bands((0.5, v)),
-    "band_widths(lo)": lambda v: trajectory().band_widths(v, 1.0),
-    "band_widths(hi)": lambda v: trajectory().band_widths(0.0, v),
-}
-
-
 # (label, value): values below a bound of >= 0, or not finite
 OUT_OF_RANGE = tuple((str(v), v) for v in (-1.0, np.nan, np.inf))
 NOT_FINITE = tuple((str(v), v) for v in (np.nan, np.inf, -np.inf))
@@ -240,8 +236,7 @@ def scalar_cases():
             ("ratio", RATIO_ENTRIES, OUT_OF_RANGE + NOT_REAL),
             ("noise variance", NOISE_ENTRIES, OUT_OF_RANGE + NOT_REAL),
             ("grid value", GRID_ENTRIES, OUT_OF_RANGE + NOT_REAL),
-            ("number", NUMBER_ENTRIES, NOT_FINITE + NOT_REAL),
-            ("quantile", QUANTILE_ENTRIES, OUT_OF_RANGE)):
+            ("number", NUMBER_ENTRIES, NOT_FINITE + NOT_REAL)):
         for entry, call in entries.items():
             for label, value in values:
                 yield pytest.param(call, value, id=f"{entry}-{kind} {label}")
@@ -261,6 +256,9 @@ TARGET_ENTRIES = {
     "loo_ridge_grid": lambda t: loo_ridge_grid(X, Y["linear"], [1.0], t),
     "irls_fit": lambda t: irls_fit(X, Y["logistic"], 1.0, t),
     "irls_fit_grid": lambda t: irls_fit_grid(X, Y["logistic"], [1.0], t),
+    "reference_irls_fit": lambda t: reference_irls_fit(X, Y["logistic"], 1.0, t),
+    "penalized_loglik": lambda t: penalized_loglik(X, Y["logistic"], ZERO, 1.0, t),
+    "estimating_equation": lambda t: estimating_equation(X, Y["logistic"], ZERO, 1.0, t),
 }
 # name -> a target that is not one vector of p real numbers; a (p, 1)
 # column of targets is refused, not read as a one-target mixture
@@ -293,18 +291,6 @@ def test_negative_or_non_finite_scalars_are_rejected(call, value):
     call(1.0)  # a finite positive value is accepted
     with pytest.raises(ValidationError):
         call(value)
-
-
-@pytest.mark.parametrize("q", [1.5, -0.0001, -np.inf])
-def test_quantiles_outside_the_unit_interval_are_rejected(q):
-    with pytest.raises(ValidationError):
-        trajectory().quantile_bands((q,))
-
-
-def test_a_band_with_lo_above_hi_is_rejected():
-    trajectory().band_widths(0.1, 0.1)  # an empty band is accepted
-    with pytest.raises(ValidationError):
-        trajectory().band_widths(0.9, 0.1)
 
 
 # name -> (record field, malformed value) of a stored update record; an
@@ -407,8 +393,6 @@ BAD_ARRAYS = {
                              {"t": 1, "X": [["1.5"]], "y": [True], "covariates": ("a",)}),
     "Batch X 10**400": (Batch, {"t": 1, "X": [[1e300]], "y": [1.0], "covariates": ("a",)},
                         {"t": 1, "X": [[10 ** 400]], "y": [1.0], "covariates": ("a",)}),
-    "_check_quantiles '0.5' True": (_check_quantiles, {"qs": [0.5, 1.0]},
-                                    {"qs": ["0.5", True]}),
     "CoefficientVector.from_array strings": (CoefficientVector.from_array,
                                              {"names": NAMES, "values": [1.0, 2.0]},
                                              {"names": NAMES, "values": ["1.0", "2.0"]}),

@@ -3,6 +3,9 @@
 The closed form is checked against a numerical minimizer of the penalized
 least-squares objective, and the moment formulas against both a direct
 single-step calculation and Monte Carlo simulation of the update chain.
+The residual variance over a fit's effective degrees of freedom
+(``estimate_noise_variance``) is defined here, beside its checks: no
+command or study of the package needs it.
 """
 
 from fractions import Fraction
@@ -19,7 +22,6 @@ from ridge_relay import (
     EstimatorState,
     SingularMatrixError,
     ValidationError,
-    estimate_noise_variance,
     exact_moments_general,
     exact_moments_orthonormal,
     fit_targeted_ridge,
@@ -27,6 +29,34 @@ from ridge_relay import (
     loo_ridge_grid,
     update,
 )
+from ridge_relay.linear_estimator import _check_xy_target
+
+
+def estimate_noise_variance(X, y, fit):
+    """Residual variance estimate for a targeted ridge fit.
+
+    Divides the residual sum of squares by n minus the effective degrees
+    of freedom trace((X'X + lam I)^{-1} X'X) of the smoother. With the
+    singular values s of X that trace is sum s^2 / (s^2 + lam), whose
+    terms are exactly 1 at lam = 0: a design with as many independent
+    columns as rows leaves exactly zero degrees of freedom, which is an
+    error, not a rounding residue divided into the fit's residual.
+    """
+    X, y, _ = _check_xy_target(X, y, fit.target)
+    d = np.linalg.svd(X, compute_uv=False) ** 2
+    d = d[d > 0]
+    edf = float(np.sum(d / (d + fit.lam)))
+    dof = X.shape[0] - edf
+    if dof <= 0:
+        raise EstimationError(
+            f"no residual degrees of freedom: n={X.shape[0]}, effective df={edf:.3f}")
+    return residual_sse(X, y, fit) / dof
+
+
+def residual_sse(X, y, fit):
+    """Residual sum of squares of ``fit`` on (X, y)."""
+    resid = y - X @ fit.coef
+    return float(resid @ resid)
 
 
 def brute_force_fit(X, y, lam, target):
@@ -99,14 +129,6 @@ class TestFitTargetedRidge:
             fit_targeted_ridge(X, y, 0.0, np.zeros(2))
         fit = fit_targeted_ridge(X, y, 0.5, np.zeros(2))
         assert np.all(np.isfinite(fit.coef))
-
-    def test_residual_sse_matches_definition(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((10, 3))
-        y = rng.standard_normal(10)
-        fit = fit_targeted_ridge(X, y, 1.0, np.zeros(3))
-        resid = y - X @ fit.coef
-        np.testing.assert_allclose(fit.residual_sse, resid @ resid, rtol=1e-12)
 
     def test_negative_or_nonfinite_penalty_rejected(self):
         X, y = np.ones((2, 1)), np.ones(2)
@@ -577,7 +599,7 @@ class TestEstimateNoiseVariance:
         X = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
         fit = fit_targeted_ridge(X, y, 0.0, np.zeros(p))
-        classic = fit.residual_sse / (n - p)
+        classic = residual_sse(X, y, fit) / (n - p)
         np.testing.assert_allclose(estimate_noise_variance(X, y, fit), classic,
                                    rtol=1e-12)
 
@@ -591,7 +613,7 @@ class TestEstimateNoiseVariance:
         edf = np.trace(np.linalg.inv(gram + lam * np.eye(p)) @ gram)
         assert edf < p
         np.testing.assert_allclose(estimate_noise_variance(X, y, fit),
-                                   fit.residual_sse / (n - edf), rtol=1e-10)
+                                   residual_sse(X, y, fit) / (n - edf), rtol=1e-10)
 
     def test_no_remaining_dof_is_an_error(self):
         # An unpenalized fit of a square design interpolates the data. The

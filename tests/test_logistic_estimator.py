@@ -1,8 +1,10 @@
 """Tests for penalized logistic regression solved by re-weighted least squares.
 
-The analytic gradient is checked against central finite differences, and the
-solver against independent numerical optimizers (multivariate quasi-Newton and
-one-dimensional golden-section search) of the same penalized log-likelihood.
+The scalar penalized log-likelihood and its analytic gradient live in
+``irls_reference.py``. The gradient is checked against central finite
+differences, and the solver against independent numerical optimizers
+(multivariate quasi-Newton and one-dimensional golden-section search) of
+that penalized log-likelihood.
 The batched solver behind ``irls_fit_grid`` is checked, as a property over
 generated problems, against its one-candidate call and against the scalar
 reference IRLS in ``irls_reference.py``.
@@ -25,16 +27,18 @@ from ridge_relay import (
     SingularMatrixError,
     ValidationError,
     default_grid,
-    estimating_equation,
     irls_fit,
     irls_fit_grid,
-    logistic_loglik,
-    penalized_loglik,
     update_logistic,
 )
 from ridge_relay import logistic_estimator
 
-from irls_reference import reference_irls_fit
+from irls_reference import (
+    estimating_equation,
+    logistic_loglik,
+    penalized_loglik,
+    reference_irls_fit,
+)
 
 
 def make_data(rng, n, p, coef):
