@@ -5,11 +5,14 @@
 Prints one JSON document. For each family a chain is grown in process
 through the public ``update`` (linear, at the stream-linear sizes p = 20,
 n = 50) or ``update_logistic`` (stream-logistic sizes p = 10, n = 100),
-with the fixed penalty the benchmark's pre-grow uses. Six figures per
+with the fixed penalty the benchmark's pre-grow uses. Seven figures per
 history length T:
 
 * ``update_ms``: one update of a state that holds T records (median over
   repeats, milliseconds);
+* ``select_ms``: ``select_penalty`` of that state for the next batch,
+  with the CLI's defaults: 5 folds, the historic-fit constraint and the
+  50-point default grid (median over repeats, milliseconds);
 * ``chain_ms``: growing the chain from no record to T records (median
   over repeats, milliseconds);
 * ``state_mb``: the size of that state's file as ``write_state`` writes
@@ -24,9 +27,10 @@ history length T:
   (median, milliseconds).
 
 A cost that does not grow with the history keeps ``update_ms``,
-``read_ms`` and ``write_ms`` flat in T and ``chain_ms`` linear in T. A
-linear state keeps a triangular factor, so only its records grow with T,
-and those only in the log; a logistic state keeps every past row.
+``select_ms``, ``read_ms`` and ``write_ms`` flat in T and ``chain_ms``
+linear in T. A linear state keeps a triangular factor, so only its
+records grow with T, and those only in the log; a logistic state keeps
+every past row, and its historic constraint sums over all of them.
 
 ``linear_width`` adds the width axis: ``update_ms`` of a linear state
 that holds T = 10 records, for p = 20, 200 and 1000 covariates (n = 50),
@@ -54,11 +58,15 @@ import timeit
 
 import numpy as np
 
-from ridge_relay import Batch, start_state, update, update_logistic
+from ridge_relay import (Batch, PenaltySearchConfig, default_grid, select_penalty,
+                         start_state, update, update_logistic)
 from ridge_relay.cli_io import read_state, write_state
 
 REPEATS = 5
 UPDATES_PER_REPEAT = 20
+SELECTS_PER_REPEAT = 4
+# The selection ``ridge-relay update`` runs when no selection flag is given.
+CLI_SELECTION = PenaltySearchConfig(k_folds=5, constrained=True, grid=default_grid(), seed=0)
 # The history log beside a state file (``cli_io.LOG_SUFFIX``), named here
 # so that the script also runs against a checkout that writes none.
 LOG_SUFFIX = ".history"
@@ -140,6 +148,14 @@ def update_ms(step, state, batch) -> float:
     return round(statistics.median(runs) / UPDATES_PER_REPEAT * 1e3, 4)
 
 
+def select_ms(state, batch) -> float:
+    """Median wall time of one ``select_penalty`` of ``state`` for ``batch``
+    under ``CLI_SELECTION``, in milliseconds."""
+    runs = timeit.repeat(lambda: select_penalty(state, batch, CLI_SELECTION),
+                         number=SELECTS_PER_REPEAT, repeat=REPEATS)
+    return round(statistics.median(runs) / SELECTS_PER_REPEAT * 1e3, 4)
+
+
 def measure(family: str, step, p: int, n: int, lengths) -> dict:
     data = batches(family, p, n, max(lengths) + 1)
     chain_runs = []
@@ -147,10 +163,12 @@ def measure(family: str, step, p: int, n: int, lengths) -> dict:
         states, reached = grow(family, step, data, lengths)
         chain_runs.append(reached)
     update = {str(T): update_ms(step, states[T], data[T]) for T in lengths}
+    select = {str(T): select_ms(states[T], data[T]) for T in lengths}
     chain_ms = {str(T): round(statistics.median(run[T] for run in chain_runs), 3)
                 for T in lengths}
     files = {T: file_costs(step, states[T], data[T]) for T in lengths}
-    out = {"p": p, "n": n, "lam": LAM, "update_ms": update, "chain_ms": chain_ms}
+    out = {"p": p, "n": n, "lam": LAM, "update_ms": update, "select_ms": select,
+           "chain_ms": chain_ms}
     for figure in ("state_mb", "log_mb", "read_ms", "write_ms"):
         out[figure] = {str(T): files[T][figure] for T in lengths}
     return out
@@ -195,7 +213,8 @@ def measure_layouts(p: int = 20, n: int = 50) -> dict:
 
 def main() -> None:
     doc = {"repeats": REPEATS, "updates_per_repeat": UPDATES_PER_REPEAT,
-           "statistic": "median ms (update_ms, chain_ms)"}
+           "selects_per_repeat": SELECTS_PER_REPEAT,
+           "statistic": "median ms (update_ms, select_ms, chain_ms)"}
     for family, spec in CHAINS.items():
         doc[family] = measure(family, spec["step"], spec["p"], spec["n"], spec["lengths"])
     doc["linear_width"] = measure_widths()

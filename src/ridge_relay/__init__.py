@@ -36,7 +36,6 @@ from .model_core import (
     target_records,
 )
 from .linear_estimator import (
-    LinearFit,
     MomentReport,
     exact_moments_general,
     exact_moments_orthonormal,

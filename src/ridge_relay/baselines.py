@@ -47,7 +47,7 @@ from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
 from .model_core import (Batch, _MAX_ELEMENTS, _Record, _real_array, _check_index,
                          _check_real, _check_real_vector)
-from .linear_estimator import LinearFit, MomentReport, fit_targeted_ridge
+from .linear_estimator import MomentReport, fit_targeted_ridge
 
 __all__ = [
     "StackedData",
@@ -391,7 +391,7 @@ class _PooledRefit:
         return _profile_fit(data, self.xis, self._spectra, self._sums)
 
 
-def plain_ridge(X, y, lam: float) -> LinearFit:
-    """Zero-target ridge on a single batch: the no-memory baseline."""
+def plain_ridge(X, y, lam: float) -> np.ndarray:
+    """Zero-target ridge coefficients on a single batch: the no-memory baseline."""
     X = _real_array(X, "X", 2)
     return fit_targeted_ridge(X, y, lam, np.zeros(X.shape[1]))

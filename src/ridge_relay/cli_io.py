@@ -503,9 +503,11 @@ def read_batch_csv(path: str, response: str, t: int, family: str) -> Batch:
     header, rows = _read_csv_columns(path)
     if response not in header:
         raise ValidationError(f"{path!r} has no column {response!r}")
+    covariates = tuple(h for h in header if h != response)
+    if not covariates:
+        raise ValidationError(f"{path!r} has no covariate columns")
     data = np.asarray(rows)
     y_col = header.index(response)
-    covariates = tuple(h for h in header if h != response)
     x_cols = [i for i in range(len(header)) if i != y_col]
     return Batch(t=t, X=data[:, x_cols], y=data[:, y_col],
                  covariates=covariates, family=family)

@@ -42,7 +42,6 @@ from .model_core import (
 )
 
 __all__ = [
-    "LinearFit",
     "MomentReport",
     "fit_targeted_ridge",
     "fit_targeted_ridge_grid",
@@ -51,15 +50,6 @@ __all__ = [
     "exact_moments_orthonormal",
     "exact_moments_general",
 ]
-
-
-class LinearFit(_Record):
-    """Solution of one targeted ridge problem."""
-
-    _fields = ("coef", "lam", "target")
-
-    def __init__(self, coef: np.ndarray, lam: float, target: np.ndarray) -> None:
-        self.__dict__.update(coef=coef, lam=lam, target=target)
 
 
 class MomentReport(_Record):
@@ -92,8 +82,9 @@ def _penalized_normal_factor(gram: np.ndarray, lam: float):
             "a positive penalty or full-rank design is required") from exc
 
 
-def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
-    """Minimize ||y - Xb||^2 + lam ||b - target||^2 in closed form.
+def fit_targeted_ridge(X, y, lam: float, target) -> np.ndarray:
+    """Minimize ||y - Xb||^2 + lam ||b - target||^2 in closed form and
+    return the minimizing coefficients.
 
     ``lam = 0`` is permitted and reduces to least squares, but then the
     design must have full column rank.
@@ -102,8 +93,7 @@ def fit_targeted_ridge(X, y, lam: float, target) -> LinearFit:
     lam = _check_real(lam, "penalty", ">= 0")
     gram = X.T @ X
     factor = _penalized_normal_factor(gram, lam)
-    coef = cho_solve(factor, X.T @ y + lam * target)
-    return LinearFit(coef=coef, lam=lam, target=target)
+    return cho_solve(factor, X.T @ y + lam * target)
 
 
 def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
@@ -282,7 +272,7 @@ def update(state: EstimatorState, batch: Batch, lam: float, *,
     state's triangular history factor (``fold_triangular``).
     """
     def fit(X, y, lam, target):
-        return fit_targeted_ridge(X, y, lam, target).coef, {}
+        return fit_targeted_ridge(X, y, lam, target), {}
 
     return _sequential_update("linear", fit, _fold_triangular, state, batch, lam,
                               diagnostics)

@@ -58,39 +58,27 @@ _BLOCK_ELEMENTS = 1 << 20
 
 
 class LogisticFit(_Record):
-    """Converged IRLS solution.
+    """Converged IRLS solution: the coefficients, the accepted Newton steps
+    taken, and the estimating equation's largest entry at the solution."""
 
-    ``loglik`` is the penalized log-likelihood at the solution and
-    ``loglik_path`` records it at every accepted iterate, starting from
-    the initial point, so callers can verify monotone ascent.
-    """
+    _fields = ("coef", "iterations", "final_gradient_norm")
 
-    _fields = ("coef", "lam", "target", "iterations", "final_gradient_norm", "loglik",
-               "loglik_path")
-
-    def __init__(self, coef: np.ndarray, lam: float, target: np.ndarray, iterations: int,
-                 final_gradient_norm: float, loglik: float,
-                 loglik_path: tuple[float, ...]) -> None:
-        self.__dict__.update(coef=coef, lam=lam, target=target, iterations=iterations,
-                             final_gradient_norm=final_gradient_norm, loglik=loglik,
-                             loglik_path=loglik_path)
+    def __init__(self, coef: np.ndarray, iterations: int, final_gradient_norm: float) -> None:
+        self.__dict__.update(coef=coef, iterations=iterations,
+                             final_gradient_norm=final_gradient_norm)
 
 
 class _IrlsRun(NamedTuple):
     """One batched IRLS run over C candidates sharing a design.
 
-    Row ``c`` of ``coef``, ``gradient_norm`` and ``loglik`` belongs to
-    candidate ``c``; ``iterations[c]`` counts its accepted steps, and
-    ``path[:iterations[c] + 1, c]`` is its penalized log-likelihood at
-    every accepted iterate, starting from the target. ``failures`` maps
-    each candidate that did not converge to the error that stopped it.
+    Row ``c`` of ``coef`` and ``gradient_norm`` belongs to candidate ``c``;
+    ``iterations[c]`` counts its accepted steps. ``failures`` maps each
+    candidate that did not converge to the error that stopped it.
     """
 
     coef: np.ndarray
     iterations: np.ndarray
     gradient_norm: np.ndarray
-    loglik: np.ndarray
-    path: np.ndarray
     failures: dict[int, RidgeRelayError]
 
 
@@ -179,7 +167,6 @@ def _irls_stack(X, y, lams, target) -> _IrlsRun:
     coef = np.tile(target, (n_cand, 1))
     loglik, eta = _penalized_rows(X, y, coef, lams, target)
     gnorm = _gradient_norms(X, y, eta, coef, lams, target)
-    path = [loglik.copy()]
     iterations = np.zeros(n_cand, dtype=int)
     running = np.ones(n_cand, dtype=bool)
     failures: dict[int, RidgeRelayError] = {}
@@ -224,9 +211,7 @@ def _irls_stack(X, y, lams, target) -> _IrlsRun:
         running[rows[~solved | pending]] = False
         moved = rows[iterations[rows] == iteration]
         gnorm[moved] = _gradient_norms(X, y, eta[moved], coef[moved], lams[moved], target)
-        path.append(loglik.copy())
-    return _IrlsRun(coef=coef, iterations=iterations, gradient_norm=gnorm, loglik=loglik,
-                    path=np.array(path), failures=failures)
+    return _IrlsRun(coef=coef, iterations=iterations, gradient_norm=gnorm, failures=failures)
 
 
 def irls_fit(X, y, lam: float, target) -> LogisticFit:
@@ -258,11 +243,8 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
     run = _irls_stack(X, y, np.array([lam]), target)
     if run.failures:
         raise run.failures[0]
-    iterations = int(run.iterations[0])
-    return LogisticFit(coef=run.coef[0], lam=lam, target=target, iterations=iterations,
-                       final_gradient_norm=float(run.gradient_norm[0]),
-                       loglik=float(run.loglik[0]),
-                       loglik_path=tuple(run.path[:iterations + 1, 0].tolist()))
+    return LogisticFit(coef=run.coef[0], iterations=int(run.iterations[0]),
+                       final_gradient_norm=float(run.gradient_norm[0]))
 
 
 def irls_fit_grid(X, y, lams: Sequence[float],

@@ -151,7 +151,7 @@ class _Linear(Family):
     stratified = False
 
     def fit(self, X, y, lam, target):
-        return fit_targeted_ridge(X, y, lam, target).coef
+        return fit_targeted_ridge(X, y, lam, target)
 
     def fit_grid(self, X, y, lams, target):
         return fit_targeted_ridge_grid(X, y, lams, target)

@@ -12,14 +12,31 @@ are the oracles the tests hold it to. The limits of
 test that changes them changes them for both solvers.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ridge_relay import logistic_estimator
 from ridge_relay._numerics import cho_factor, cho_solve, expit
 from ridge_relay.errors import ConvergenceError, ValidationError
 from ridge_relay.linear_estimator import _check_xy_target
-from ridge_relay.logistic_estimator import LogisticFit, WEIGHT_FLOOR
+from ridge_relay.logistic_estimator import WEIGHT_FLOOR
 from ridge_relay.model_core import _check_binary, _check_real, _real_array
+
+
+class ReferenceFit(NamedTuple):
+    """A converged reference fit: the solution, the penalty and target it
+    was fitted with, the accepted steps, the final gradient norm, and the
+    penalized log-likelihood at the solution and at every accepted iterate
+    from the target on."""
+
+    coef: np.ndarray
+    lam: float
+    target: np.ndarray
+    iterations: int
+    final_gradient_norm: float
+    loglik: float
+    path: tuple[float, ...]
 
 
 def logistic_loglik(X, y, coef) -> float:
@@ -57,7 +74,7 @@ def estimating_equation(X, y, coef, lam: float, target) -> np.ndarray:
     return X.T @ (y - mu) - lam * (coef - target)
 
 
-def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
+def reference_irls_fit(X, y, lam: float, target) -> ReferenceFit:
     """Maximize the penalized log-likelihood by IRLS with step-halving,
     with the stopping rule, acceptance test and limits of ``irls_fit``."""
     IRLS_TOL = logistic_estimator.IRLS_TOL
@@ -86,9 +103,9 @@ def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
 
     for iteration in range(1, IRLS_MAX_ITER + 1):
         if gnorm <= tol_now():
-            return LogisticFit(coef=coef, lam=lam, target=target,
-                               iterations=iteration - 1, final_gradient_norm=gnorm,
-                               loglik=cur_ll, loglik_path=tuple(path))
+            return ReferenceFit(coef=coef, lam=lam, target=target,
+                                iterations=iteration - 1, final_gradient_norm=gnorm,
+                                loglik=cur_ll, path=tuple(path))
         eta = X @ coef
         mu = expit(eta)
         w = np.maximum(mu * (1.0 - mu), WEIGHT_FLOOR)
@@ -115,9 +132,9 @@ def reference_irls_fit(X, y, lam: float, target) -> LogisticFit:
         gnorm = float(np.max(np.abs(grad))) if p else 0.0
 
     if gnorm <= tol_now():
-        return LogisticFit(coef=coef, lam=lam, target=target,
-                           iterations=IRLS_MAX_ITER, final_gradient_norm=gnorm,
-                           loglik=cur_ll, loglik_path=tuple(path))
+        return ReferenceFit(coef=coef, lam=lam, target=target,
+                            iterations=IRLS_MAX_ITER, final_gradient_norm=gnorm,
+                            loglik=cur_ll, path=tuple(path))
     raise ConvergenceError(
         f"IRLS did not converge in {IRLS_MAX_ITER} iterations "
         f"(gradient norm {gnorm:.3e} > tol {IRLS_TOL:.3e})")

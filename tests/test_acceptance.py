@@ -79,7 +79,7 @@ class TestAcceptance:
             y = X @ rng.standard_normal(p) + rng.standard_normal(n)
             target = rng.standard_normal(p)
             lam = lams[i % 3]
-            fit = fit_targeted_ridge(X, y, lam, target)
+            coef = fit_targeted_ridge(X, y, lam, target)
 
             def loss(b):
                 r = y - X @ b
@@ -90,7 +90,7 @@ class TestAcceptance:
 
             res = minimize(loss, np.zeros(p), jac=grad, method="BFGS",
                            options={"gtol": 1e-12, "maxiter": 500})
-            worst = max(worst, float(np.max(np.abs(fit.coef - res.x))))
+            worst = max(worst, float(np.max(np.abs(coef - res.x))))
         elapsed = perf_counter() - start
         ok = worst < 1e-6 and elapsed < 10.0
         verdict(capfd, 1, "closed-form solver vs brute-force minimizer", ok,

@@ -663,7 +663,7 @@ class TestCliInit:
                                   grid=default_grid(), seed=0)
         chosen = select_penalty(blank, batch, sel)
         expected = fit_targeted_ridge(batch.X, batch.y, chosen.chosen_lambda,
-                                      np.zeros(batch.p)).coef
+                                      np.zeros(batch.p))
         state = cio.read_state(path)
         np.testing.assert_array_equal(
             state.current.as_array(batch.covariates), expected)
@@ -1135,6 +1135,45 @@ class TestCliPredict:
                                  "--response", "y")
         assert code == 2 and out == ""
         assert "no covariate columns" in err
+
+
+class TestResponseOnlyCsv:
+    """A CSV with no covariate column is refused by both readers, with one
+    message, before any command writes."""
+
+    def test_both_readers_refuse_it_with_one_message(self, tmp_path):
+        data = str(tmp_path / "only_y.csv")
+        write_csv(data, ["y"], [[1.0], [0.0]])
+        messages = []
+        for read in (lambda: cio.read_batch_csv(data, "y", t=1, family="linear"),
+                     lambda: cio.read_covariate_csv(data, CovariateRegistry(("a",)), drop="y")):
+            with pytest.raises(ValidationError) as info:
+                read()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"{data!r} has no covariate columns"
+
+    def test_init_update_and_select_lambda_exit_2_and_write_nothing(self, tmp_path):
+        rng = np.random.default_rng(23)
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "a,b")[0] == 0
+        first = str(tmp_path / "b1.csv")
+        write_csv(first, ["a", "b", "y"], rng.standard_normal((12, 3)))
+        assert run_cli("update", "--state", path, "--data", first, "--response", "y",
+                       "--k-folds", "3")[0] == 0
+        data = str(tmp_path / "only_y.csv")
+        write_csv(data, ["y"], [[1.0], [2.0], [0.5], [3.0], [-1.0], [0.25]])
+        log = path + cio.LOG_SUFFIX
+        before = Path(path).read_bytes(), Path(log).read_bytes()
+        fresh = str(tmp_path / "fresh.json")
+        for argv in (("init", "--state", fresh, "--data", data, "--response", "y"),
+                     ("init", "--state", path, "--data", data, "--response", "y", "--force"),
+                     ("update", "--state", path, "--data", data, "--response", "y"),
+                     ("select-lambda", "--state", path, "--data", data, "--response", "y")):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == ""
+            assert "no covariate columns" in err and "Traceback" not in err
+        assert (Path(path).read_bytes(), Path(log).read_bytes()) == before
+        assert not os.path.exists(fresh) and not os.path.exists(fresh + cio.LOG_SUFFIX)
 
 
 class TestByteOrderMark:

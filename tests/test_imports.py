@@ -1,11 +1,13 @@
 """Every package module uses each name it imports, and the package
-defines nothing that only tests call.
+defines nothing, and records no field, that only tests read.
 
 An import nothing reads still costs load time and hides which modules
 depend on which. A function or class that no package code references
 serves only the tests, unless it is library API on its own account; such
-oracles belong beside the tests. The package's ``__init__`` is left out
-of both scans, because its imports are its public re-exports.
+oracles belong beside the tests. The same holds for a record's field
+that no package code reads: every call computes and stores it for
+nothing. The package's ``__init__`` is left out of every scan, because
+its imports are its public re-exports.
 """
 
 import ast
@@ -65,7 +67,8 @@ UNREFERENCED = {
     "plain_ridge": "the zero-target ridge baseline the paper compares against",
     "cv_score": "perfbench traces it, until the per-candidate oracle moves to the tests",
     "constraint_terms": "perfbench traces it, until the per-candidate oracle moves to the tests",
-    "worker_count": "perfbench stamps it into every run, until parallel.py goes",
+    "worker_count": "perfbench's tracer reads it for parallel.planned_workers_max, "
+                    "until parallel.py goes",
 }
 
 
@@ -92,9 +95,56 @@ def test_unreferenced_definitions_are_found():
     assert unreferenced(sources) == ["f", "g", "m"]
 
 
-def test_the_package_defines_nothing_only_tests_call():
+def package_sources():
     sources = []
     for module in MODULES:
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             sources.append(fh.read())
-    assert unreferenced(sources) == sorted(UNREFERENCED)
+    return sources
+
+
+def test_the_package_defines_nothing_only_tests_call():
+    assert unreferenced(package_sources()) == sorted(UNREFERENCED)
+
+
+# Class.field -> why the package keeps a field that no package code reads
+UNREAD_FIELDS = {
+    "MomentReport.covariance": "the paper's exact moments of the chain",
+    "MixedFit.xi": "the pooled baseline's variance estimates",
+    "MixedFit.sigma_eps_sq": "the pooled baseline's variance estimates",
+    "MixedFit.sigma_gamma_sq": "the pooled baseline's variance estimates",
+    "TrajectoryResult.lambdas": "a study's chosen penalties, returned to library callers",
+}
+
+
+def unread_fields(sources):
+    """``Class.field`` for every entry of a class's ``_fields`` tuple, and
+    every field of a ``NamedTuple`` class, that no tree of ``sources``
+    reads as an attribute."""
+    fields, read = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                named = any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                            for base in node.bases)
+                for stmt in node.body:
+                    if named and isinstance(stmt, ast.AnnAssign):
+                        fields.append(f"{node.name}.{stmt.target.id}")
+                    elif (isinstance(stmt, ast.Assign)
+                          and [getattr(t, "id", None) for t in stmt.targets] == ["_fields"]):
+                        fields += [f"{node.name}.{elt.value}" for elt in stmt.value.elts]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(field for field in fields if field.split(".")[1] not in read)
+
+
+def test_unread_fields_are_found():
+    sources = ("import typing\nclass R:\n    _fields = ('a', 'b', 'c')\n"
+               "    def __init__(self):\n        self.c = 1\n",
+               "class T(typing.NamedTuple):\n    x: int\n    y: int\n"
+               "def f(r, t):\n    return r.a + t.y\n")
+    assert unread_fields(sources) == ["R.b", "R.c", "T.x"]
+
+
+def test_the_package_records_no_field_only_tests_read():
+    assert unread_fields(package_sources()) == sorted(UNREAD_FIELDS)

@@ -115,7 +115,7 @@ BAD_RESPONSES = {
 NOT_BINARY = {"a 2 in the response": lambda X, y: (X, with_entry(y, 2.0))}
 
 
-def linear_fit():
+def linear_coef():
     return fit_targeted_ridge(X, Y["linear"], 1.0, ZERO)
 
 
@@ -138,7 +138,7 @@ DATA_ENTRIES = {
     "loo_ridge_grid": ("linear", lambda X, y: loo_ridge_grid(X, y, [1.0], ZERO), True),
     "plain_ridge": ("linear", lambda X, y: plain_ridge(X, y, 1.0), True),
     "estimate_noise_variance": ("linear", lambda X, y: estimate_noise_variance(
-        X, y, linear_fit()), True),
+        X, y, linear_coef(), 1.0), True),
     "irls_fit": ("logistic", lambda X, y: irls_fit(X, y, 1.0, ZERO), True),
     "irls_fit_grid": ("logistic", lambda X, y: irls_fit_grid(X, y, [1.0], ZERO), True),
     "reference_irls_fit": ("logistic", lambda X, y: reference_irls_fit(X, y, 1.0, ZERO), True),

@@ -32,8 +32,9 @@ from ridge_relay import (
 from ridge_relay.linear_estimator import _check_xy_target
 
 
-def estimate_noise_variance(X, y, fit):
-    """Residual variance estimate for a targeted ridge fit.
+def estimate_noise_variance(X, y, coef, lam):
+    """Residual variance estimate for the targeted ridge coefficients
+    ``coef`` fitted at penalty ``lam``.
 
     Divides the residual sum of squares by n minus the effective degrees
     of freedom trace((X'X + lam I)^{-1} X'X) of the smoother. With the
@@ -42,20 +43,20 @@ def estimate_noise_variance(X, y, fit):
     columns as rows leaves exactly zero degrees of freedom, which is an
     error, not a rounding residue divided into the fit's residual.
     """
-    X, y, _ = _check_xy_target(X, y, fit.target)
+    X, y, coef = _check_xy_target(X, y, coef)
     d = np.linalg.svd(X, compute_uv=False) ** 2
     d = d[d > 0]
-    edf = float(np.sum(d / (d + fit.lam)))
+    edf = float(np.sum(d / (d + lam)))
     dof = X.shape[0] - edf
     if dof <= 0:
         raise EstimationError(
             f"no residual degrees of freedom: n={X.shape[0]}, effective df={edf:.3f}")
-    return residual_sse(X, y, fit) / dof
+    return residual_sse(X, y, coef) / dof
 
 
-def residual_sse(X, y, fit):
-    """Residual sum of squares of ``fit`` on (X, y)."""
-    resid = y - X @ fit.coef
+def residual_sse(X, y, coef):
+    """Residual sum of squares of the coefficients ``coef`` on (X, y)."""
+    resid = y - X @ coef
     return float(resid @ resid)
 
 
@@ -91,9 +92,9 @@ class TestFitTargetedRidge:
             y = rng.standard_normal(n)
             target = rng.standard_normal(p)
             lam = float(rng.choice([0.1, 1.0, 10.0]))
-            fit = fit_targeted_ridge(X, y, lam, target)
+            coef = fit_targeted_ridge(X, y, lam, target)
             expected = brute_force_fit(X, y, lam, target)
-            np.testing.assert_allclose(fit.coef, expected, atol=1e-6)
+            np.testing.assert_allclose(coef, expected, atol=1e-6)
 
     def test_normal_equations_hold_exactly(self):
         rng = np.random.default_rng(11)
@@ -101,8 +102,8 @@ class TestFitTargetedRidge:
         y = rng.standard_normal(12)
         target = rng.standard_normal(4)
         lam = 2.5
-        fit = fit_targeted_ridge(X, y, lam, target)
-        lhs = (X.T @ X + lam * np.eye(4)) @ fit.coef
+        coef = fit_targeted_ridge(X, y, lam, target)
+        lhs = (X.T @ X + lam * np.eye(4)) @ coef
         rhs = X.T @ y + lam * target
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -110,25 +111,25 @@ class TestFitTargetedRidge:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((15, 3))
         y = rng.standard_normal(15)
-        fit = fit_targeted_ridge(X, y, 0.0, np.array([5.0, -5.0, 5.0]))
+        coef = fit_targeted_ridge(X, y, 0.0, np.array([5.0, -5.0, 5.0]))
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
-        np.testing.assert_allclose(fit.coef, ols, atol=1e-10)
+        np.testing.assert_allclose(coef, ols, atol=1e-10)
 
     def test_huge_penalty_pins_to_target(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((8, 2))
         y = rng.standard_normal(8)
         target = np.array([1.5, -0.5])
-        fit = fit_targeted_ridge(X, y, 1e12, target)
-        np.testing.assert_allclose(fit.coef, target, atol=1e-9)
+        coef = fit_targeted_ridge(X, y, 1e12, target)
+        np.testing.assert_allclose(coef, target, atol=1e-9)
 
     def test_zero_penalty_needs_full_rank(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([1.0, 2.0, 3.0])
         with pytest.raises(SingularMatrixError):
             fit_targeted_ridge(X, y, 0.0, np.zeros(2))
-        fit = fit_targeted_ridge(X, y, 0.5, np.zeros(2))
-        assert np.all(np.isfinite(fit.coef))
+        coef = fit_targeted_ridge(X, y, 0.5, np.zeros(2))
+        assert np.all(np.isfinite(coef))
 
     def test_negative_or_nonfinite_penalty_rejected(self):
         X, y = np.ones((2, 1)), np.ones(2)
@@ -137,13 +138,13 @@ class TestFitTargetedRidge:
                 fit_targeted_ridge(X, y, bad, np.zeros(1))
 
     def test_scalar_least_squares_example(self):
-        fit = fit_targeted_ridge(np.array([[2.0]]), np.array([4.0]), 0.0,
-                                 np.array([123.0]))
-        np.testing.assert_allclose(fit.coef, [2.0], atol=1e-12)
+        coef = fit_targeted_ridge(np.array([[2.0]]), np.array([4.0]), 0.0,
+                                  np.array([123.0]))
+        np.testing.assert_allclose(coef, [2.0], atol=1e-12)
 
     def test_orthonormal_half_shrink_example(self):
-        fit = fit_targeted_ridge(np.eye(2), np.array([1.0, 2.0]), 1.0, np.zeros(2))
-        np.testing.assert_allclose(fit.coef, [0.5, 1.0], atol=1e-12)
+        coef = fit_targeted_ridge(np.eye(2), np.array([1.0, 2.0]), 1.0, np.zeros(2))
+        np.testing.assert_allclose(coef, [0.5, 1.0], atol=1e-12)
 
     def test_estimate_is_linear_in_the_target(self):
         """Blending two targets blends the two fits with the same weights."""
@@ -153,9 +154,9 @@ class TestFitTargetedRidge:
         t1 = rng.standard_normal(3)
         t2 = rng.standard_normal(3)
         for a in (0.0, 0.3, 0.5, 1.0):
-            blended = fit_targeted_ridge(X, y, 1.7, a * t1 + (1 - a) * t2).coef
-            separate = (a * fit_targeted_ridge(X, y, 1.7, t1).coef
-                        + (1 - a) * fit_targeted_ridge(X, y, 1.7, t2).coef)
+            blended = fit_targeted_ridge(X, y, 1.7, a * t1 + (1 - a) * t2)
+            separate = (a * fit_targeted_ridge(X, y, 1.7, t1)
+                        + (1 - a) * fit_targeted_ridge(X, y, 1.7, t2))
             np.testing.assert_allclose(blended, separate, atol=1e-10)
 
     def test_distance_to_target_shrinks_as_penalty_grows(self):
@@ -164,7 +165,7 @@ class TestFitTargetedRidge:
         y = rng.standard_normal(12)
         target = rng.standard_normal(3)
         grid = np.geomspace(1e-3, 1e3, 13)
-        gaps = [np.linalg.norm(fit_targeted_ridge(X, y, lam, target).coef - target)
+        gaps = [np.linalg.norm(fit_targeted_ridge(X, y, lam, target) - target)
                 for lam in grid]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -176,8 +177,8 @@ class TestFitTargetedRidge:
         y = rng.standard_normal(9)
         target = rng.standard_normal(3)
         lam = 0.9
-        direct = fit_targeted_ridge(X, y, lam, target).coef
-        offset = fit_targeted_ridge(X, y - X @ target, lam, np.zeros(3)).coef
+        direct = fit_targeted_ridge(X, y, lam, target)
+        offset = fit_targeted_ridge(X, y - X @ target, lam, np.zeros(3))
         np.testing.assert_allclose(direct, target + offset, atol=1e-10)
 
 
@@ -192,7 +193,7 @@ class TestFitTargetedRidgeGrid:
             assert coefs.shape == (3, 4) and solvable.all()
             for i, lam in enumerate(lams):
                 np.testing.assert_allclose(
-                    coefs[:, i], fit_targeted_ridge(X, y, lam, target).coef,
+                    coefs[:, i], fit_targeted_ridge(X, y, lam, target),
                     rtol=1e-10, atol=1e-12)
 
     def test_zero_penalty_is_least_squares_on_full_rank_designs(self):
@@ -218,7 +219,7 @@ class TestFitTargetedRidgeGrid:
         np.testing.assert_array_equal(solvable, [False, False, True])
         assert np.isfinite(coefs).all()
         np.testing.assert_array_equal(coefs[:, 0], target)
-        np.testing.assert_allclose(coefs[:, 2], fit_targeted_ridge(X, y, 1.0, target).coef,
+        np.testing.assert_allclose(coefs[:, 2], fit_targeted_ridge(X, y, 1.0, target),
                                    rtol=1e-10)
 
     def test_input_validation(self):
@@ -373,7 +374,7 @@ class TestSequentialUpdate:
         state = update(state, batches[0], 0.7)
         first = state.current.as_array(("a", "b"))
         state = update(state, batches[1], 1.3)
-        expected = fit_targeted_ridge(batches[1].X, batches[1].y, 1.3, first).coef
+        expected = fit_targeted_ridge(batches[1].X, batches[1].y, 1.3, first)
         np.testing.assert_allclose(state.current.as_array(("a", "b")), expected,
                                    atol=1e-12)
 
@@ -388,7 +389,7 @@ class TestSequentialUpdate:
         b2 = Batch(t=2, X=X2, y=rng.standard_normal(5), covariates=("a", "c"))
         state = update(state, b2, 2.0)
         assert state.registry.names == ("a", "c")
-        expected = fit_targeted_ridge(X2, b2.y, 2.0, np.array([a_hat, 0.0])).coef
+        expected = fit_targeted_ridge(X2, b2.y, 2.0, np.array([a_hat, 0.0]))
         np.testing.assert_allclose(state.current.as_array(("a", "c")), expected,
                                    atol=1e-12)
 
@@ -598,9 +599,9 @@ class TestEstimateNoiseVariance:
         n, p = 20, 3
         X = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        fit = fit_targeted_ridge(X, y, 0.0, np.zeros(p))
-        classic = residual_sse(X, y, fit) / (n - p)
-        np.testing.assert_allclose(estimate_noise_variance(X, y, fit), classic,
+        coef = fit_targeted_ridge(X, y, 0.0, np.zeros(p))
+        classic = residual_sse(X, y, coef) / (n - p)
+        np.testing.assert_allclose(estimate_noise_variance(X, y, coef, 0.0), classic,
                                    rtol=1e-12)
 
     def test_penalty_shrinks_effective_dof(self):
@@ -608,12 +609,12 @@ class TestEstimateNoiseVariance:
         n, p, lam = 15, 4, 3.0
         X = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
-        fit = fit_targeted_ridge(X, y, lam, np.zeros(p))
+        coef = fit_targeted_ridge(X, y, lam, np.zeros(p))
         gram = X.T @ X
         edf = np.trace(np.linalg.inv(gram + lam * np.eye(p)) @ gram)
         assert edf < p
-        np.testing.assert_allclose(estimate_noise_variance(X, y, fit),
-                                   residual_sse(X, y, fit) / (n - edf), rtol=1e-10)
+        np.testing.assert_allclose(estimate_noise_variance(X, y, coef, lam),
+                                   residual_sse(X, y, coef) / (n - edf), rtol=1e-10)
 
     def test_no_remaining_dof_is_an_error(self):
         # An unpenalized fit of a square design interpolates the data. The
@@ -624,6 +625,6 @@ class TestEstimateNoiseVariance:
             for p in range(2, 12):
                 X = rng.standard_normal((p, p))
                 y = rng.standard_normal(p)
-                fit = fit_targeted_ridge(X, y, 0.0, np.zeros(p))
+                coef = fit_targeted_ridge(X, y, 0.0, np.zeros(p))
                 with pytest.raises(EstimationError):
-                    estimate_noise_variance(X, y, fit)
+                    estimate_noise_variance(X, y, coef, 0.0)

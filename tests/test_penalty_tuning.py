@@ -332,7 +332,7 @@ class TestConstraintTerms:
         lhs_sum = 0.0
         for fold in range(1, 6):
             train, _ = folds.split(fold)
-            beta = fit_targeted_ridge(X[train], y[train], lam, target_arr).coef
+            beta = fit_targeted_ridge(X[train], y[train], lam, target_arr)
             resid = hist_y - hist_X @ beta
             lhs_sum += resid @ resid
         f = 10.0 / (10.0 + hist_y.shape[0])
