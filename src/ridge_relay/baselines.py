@@ -45,8 +45,7 @@ import numpy as np
 
 from ._numerics import cho_factor, cho_solve
 from .errors import EstimationError, SingularMatrixError, ValidationError
-from .model_core import (Batch, _MAX_ELEMENTS, _Record, _real_array, _check_index,
-                         _check_real, _check_real_vector)
+from .model_core import Batch, _MAX_ELEMENTS, _Record, _real_array, _check_index, _check_real
 from .linear_estimator import MomentReport, fit_targeted_ridge
 
 __all__ = [
@@ -300,11 +299,11 @@ def default_xi_grid(points: int = DEFAULT_XI_GRID_POINTS) -> tuple[float, ...]:
 
 
 def _ratio_grid(grid: Sequence[float] | None) -> np.ndarray:
-    xis = (default_xi_grid() if grid is None
-           else _check_real_vector(grid, "variance ratio", ">= 0"))
-    if not xis:
+    xis = _real_array(default_xi_grid() if grid is None else grid, "variance ratios", 1,
+                      copy=True, bound=">= 0")
+    if not xis.size:
         raise ValidationError("the ratio grid must be non-empty")
-    return np.array(xis)
+    return xis
 
 
 def _profile_fit(data: StackedData, xis: np.ndarray, spectra, sums) -> MixedFit:

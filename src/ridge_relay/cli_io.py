@@ -685,7 +685,7 @@ def cmd_update(args) -> int:
             "score": report.score,
             "constrained": report.constrained,
             "fallback_used": report.fallback_used,
-            "n_feasible": sum(1 for c in report.cv_curve if c.feasible),
+            "n_feasible": int(np.count_nonzero(report.feasible)),
             "k_folds": report.k_folds,
             "seed": report.seed,
             "n": batch.n,

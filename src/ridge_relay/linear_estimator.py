@@ -37,7 +37,6 @@ from .model_core import (
     _real_array,
     _check_index,
     _check_real,
-    _check_real_vector,
     _check_xy,
 )
 
@@ -118,7 +117,7 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     coefficients are left at the target and must not be used.
     """
     X, y, t = _check_xy_target(X, y, target)
-    lams = np.array(_check_real_vector(lams, "penalty", ">= 0"))
+    lams = _real_array(lams, "penalties", 1, bound=">= 0")
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
     d_min, floor = _singular_rule(d, X.shape[1])
@@ -178,7 +177,7 @@ def loo_ridge_grid(X, y, lams: Sequence[float], target, history=None):
     ``_LOO_MIN_OUTSIDE``, so that its rounding stays far below the score's.
     """
     X, y, t = _check_xy_target(X, y, target)
-    lams = np.array(_check_real_vector(lams, "penalty", ">= 0"))
+    lams = _real_array(lams, "penalties", 1, bound=">= 0")
     n, p = X.shape
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
@@ -325,7 +324,7 @@ def exact_moments_general(designs: Sequence[np.ndarray], lams: Sequence[float],
         raise ValidationError("coef and target must have the same length")
     if len(designs) == 0:
         raise ValidationError("at least one design is required")
-    lams = _check_real_vector(lams, "penalty", ">= 0")
+    lams = _real_array(lams, "penalties", 1, bound=">= 0").tolist()
     if len(lams) != len(designs):
         raise ValidationError(f"{len(lams)} penalties for {len(designs)} designs")
     noise_var = _check_real(noise_var, "noise variance", ">= 0")

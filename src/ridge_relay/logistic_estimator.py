@@ -37,7 +37,7 @@ from .model_core import (
     _fold_stacked,
     _check_binary,
     _check_real,
-    _check_real_vector,
+    _real_array,
 )
 from .linear_estimator import _check_xy_target, _sequential_update
 
@@ -263,7 +263,7 @@ def irls_fit_grid(X, y, lams: Sequence[float],
     """
     X, y, t = _check_xy_target(X, y, target)
     _check_binary(y)
-    lams = np.array(_check_real_vector(lams, "penalty", "> 0"))
+    lams = _real_array(lams, "penalties", 1, bound="> 0")
     run = _irls_stack(X, y, lams, t)
     failed = np.fromiter(run.failures, dtype=int, count=len(run.failures))
     coef = run.coef

@@ -50,26 +50,32 @@ FAMILIES = ("linear", "logistic")
 
 
 def _real_array(values: Any, what: str, ndim: int | None = None,
-                copy: bool = False) -> np.ndarray:
+                copy: bool = False, bound: str = "") -> np.ndarray:
     """``values`` as a float array under the number rule (``_real``), judged
     once for the whole array: its dtype is an integer or a floating type,
     so not a bool, a string or an object (NumPy gives an integer past the
-    int64 range the object dtype), and every entry is finite. ``ndim``, if
-    given, is the number of dimensions it must have; ``copy`` gives a
-    C-ordered copy the caller owns, else the input itself when it is a
-    float array already. NumPy turns a list that mixes bools into numbers
-    into floats, so a list or tuple is also searched for a bool at any
-    depth; an ndarray is judged by its dtype alone."""
+    int64 range the object dtype), every entry is finite, and every entry
+    is within ``bound`` (``_check_real``'s ``""``, ``">= 0"`` or ``"> 0"``).
+    ``ndim``, if given, is the number of dimensions it must have; ``copy``
+    gives a C-ordered copy the caller owns, else the input itself when it
+    is a float array already. NumPy turns a list that mixes bools into
+    numbers into floats, so a list or tuple is also searched for a bool at
+    any depth; an ndarray is judged by its dtype alone. This is the one
+    rule for a sequence of numbers, a penalty grid's included."""
     if isinstance(values, (list, tuple)) and _holds_bool(values):
-        raise ValidationError(f"{what} must hold real numbers, got a bool")
+        raise ValidationError(f"{what} must be real numbers, got a bool")
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
-        raise ValidationError(f"{what} must hold real numbers, got dtype {arr.dtype}")
+        raise ValidationError(f"{what} must be real numbers, got dtype {arr.dtype}")
     if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     arr = np.array(arr, dtype=float, order="C") if copy else arr.astype(float, copy=False)
     if not all_finite(arr):
-        raise ValidationError(f"{what} contains non-finite entries")
+        raise ValidationError(f"{what} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    if bound:
+        outside = arr <= 0.0 if bound == "> 0" else arr < 0.0
+        if np.count_nonzero(outside):
+            raise ValidationError(f"{what} must be {bound}, got {float(arr[outside][0])!r}")
     return arr
 
 
@@ -147,18 +153,6 @@ def _check_real(value: Any, what: str, bound: str = "") -> float:
     if bound and not (real > 0 if bound == "> 0" else real >= 0):
         raise ValidationError(f"{what} must be {bound}, got {value!r}")
     return real
-
-
-def _check_real_vector(values: Any, what: str, bound: str = "") -> tuple[float, ...]:
-    """A 1-D sequence of real numbers, each within ``bound`` (``_check_real``;
-    ``what`` names one entry), as a tuple of floats."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()  # entries as Python scalars: an np.bool_ as a bool
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise ValidationError(f"{what} values must be a sequence, got {values!r}") from None
-    return tuple([_check_real(v, what, bound) for v in items])
 
 
 def _as_names(values: Any) -> tuple[str, ...]:
@@ -369,7 +363,7 @@ class UpdateRecord(_Record):
         _check_index(t, 1, "update index t")
         lam = _check_real(lam, "penalty", ">= 0")
         if weights is not None:
-            weights = _check_real_vector(weights, "weight")
+            weights = tuple(_real_array(weights, "weights", 1).tolist())
         self.__dict__.update(t=int(t), lam=lam, estimate=estimate, weights=weights,
                              diagnostics={} if diagnostics is None else dict(diagnostics))
 

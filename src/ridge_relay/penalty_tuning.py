@@ -56,7 +56,6 @@ from .model_core import (
     _Record,
     _check_index,
     _check_real,
-    _check_real_vector,
     _is_index,
     _real_array,
     align_batch,
@@ -131,9 +130,11 @@ class Family:
     criterion and mean criterion on ``past`` (``None`` for no
     constraint), each of length L, without fitting the folds; it returns
     ``None`` where the family has no such closed form or cannot certify
-    it. ``mean`` maps a linear predictor to the expected response,
-    ``sample`` draws responses around it, and ``update(state, batch, lam,
-    diagnostics)`` is the family's sequential step. Methods look the
+    it. ``penalty_elements(p, n, loo)`` is what one penalty adds to the
+    family's largest solver array (``selection_elements``). ``mean`` maps a
+    linear predictor to the expected response, ``sample`` draws responses
+    around it, and ``update(state, batch, lam, diagnostics)`` is the
+    family's sequential step. Methods look the
     estimators up by their module-level names when they run, so a wrapper
     installed over those names sees every fit.
     """
@@ -162,6 +163,9 @@ class _Linear(Family):
             k = past.covariates
             history = (past.factor[:, :k], past.factor[:, k])
         return loo_ridge_grid(X, y, lams, target, history)
+
+    def penalty_elements(self, p, n, loo):
+        return (p + 1) * n if loo else 0
 
     def loss(self, X, y, coefs):
         resid = y[:, None] - X @ coefs
@@ -194,6 +198,9 @@ class _Logistic(Family):
 
     def fit_grid(self, X, y, lams, target):
         return irls_fit_grid(X, y, lams, target)
+
+    def penalty_elements(self, p, n, loo):
+        return p * p
 
     def loss(self, X, y, coefs):
         eta = X @ coefs
@@ -281,6 +288,8 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     either way. The strata are shuffled, in that order, by successive
     permutations of one ``Pcg64(seed)``: those of
     ``np.random.default_rng(seed)``, without loading ``numpy.random``.
+    A label that equals no label, as NaN does not, puts its rows in no
+    stratum and is refused.
     """
     _check_fold_count(n, k)
     _check_index(seed, 0, "the fold seed")
@@ -290,6 +299,8 @@ def make_folds(n: int, k: int, seed: int, strata: Sequence | None = None) -> Fol
     rng = Pcg64(seed)
     groups = [np.flatnonzero(strata == label) for label in sorted(set(strata.tolist()))]
     dealt = np.concatenate([rows[rng.permutation(rows.size)] for rows in groups])
+    if dealt.size != n:  # a NaN label equals no label, itself included
+        raise ValidationError(f"{n - dealt.size} of {n} rows fall in no stratum (NaN label)")
     assignments = np.empty(n, dtype=int)
     assignments[dealt] = np.arange(dealt.size) % k + 1
     return FoldPlan(assignments=assignments, k=k)
@@ -370,7 +381,7 @@ def constraint_terms(state: EstimatorState, batch: Batch, lam: float,
 
 
 class Candidate(_Record):
-    """One evaluated grid point of the selection curve."""
+    """One evaluated grid point of the selection curve (``SelectionReport.cv_curve``)."""
 
     _fields = ("lam", "score", "feasible", "lhs", "rhs")
 
@@ -382,49 +393,67 @@ class Candidate(_Record):
 class PenaltySearchConfig(_Record):
     """How to run a selection: folds, grid, constraint mode, seed.
 
-    ``k_folds=None`` means leave-one-out. ``grid=None`` is ``default_grid()``.
+    ``k_folds=None`` means leave-one-out. ``grid=None`` is ``default_grid()``;
+    a grid is a strictly increasing sequence of penalties > 0, kept as a
+    tuple of floats.
     """
 
     _fields = ("k_folds", "constrained", "grid", "seed")
 
     def __init__(self, k_folds: int | None = 5, constrained: bool = True,
                  grid: tuple[float, ...] | None = None, seed: int = 0) -> None:
-        grid = _check_real_vector(default_grid() if grid is None else grid, "grid penalty",
-                                  "> 0")
-        if not grid:
-            raise ValidationError("the penalty grid must be non-empty")
-        if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
-            raise ValidationError("the grid must be strictly increasing")
+        lams = _real_array(default_grid() if grid is None else grid, "the penalty grid", 1,
+                           bound="> 0")
+        if not lams.size or not np.all(lams[1:] > lams[:-1]):
+            raise ValidationError("the penalty grid must be non-empty and strictly increasing")
+        if not isinstance(constrained, bool):
+            raise ValidationError(f"constrained must be True or False, got {constrained!r}")
         if k_folds is not None:
             _check_index(k_folds, 2, "k_folds (None for leave-one-out)")
         _check_index(seed, 0, "the fold seed")
-        self.__dict__.update(k_folds=k_folds, constrained=constrained, grid=grid, seed=seed)
+        self.__dict__.update(k_folds=k_folds, constrained=constrained,
+                             grid=tuple(lams.tolist()), seed=seed)
 
 
 class SelectionReport(_Record):
     """Outcome of a grid selection, with the full evaluated curve.
 
-    ``to_dict`` keeps the ``chosen_weights`` and per-candidate ``weights``
-    keys of the printed report, always null, so the report's layout does
-    not change.
+    The curve is five read-only arrays over the grid: the penalties
+    (``grid``), their CV scores (``scores``), the feasibility mask
+    (``feasible``) and both sides of the historic-fit constraint (``lhs``
+    and ``rhs``, each ``None`` when no constraint applied). ``cv_curve``
+    views it as one ``Candidate`` per grid point. ``to_dict`` keeps the
+    ``chosen_weights`` and per-candidate ``weights`` keys of the printed
+    report, always null, so the report's layout does not change.
     """
 
     _fields = ("chosen_lambda", "score", "constrained", "fallback_used", "new_fraction",
-               "k_folds", "seed", "cv_curve")
+               "k_folds", "seed", "grid", "scores", "feasible", "lhs", "rhs")
 
     def __init__(self, chosen_lambda: float, score: float, constrained: bool,
                  fallback_used: bool, new_fraction: float | None, k_folds: int, seed: int,
-                 cv_curve: tuple[Candidate, ...]) -> None:
+                 grid: np.ndarray, scores: np.ndarray, feasible: np.ndarray,
+                 lhs: np.ndarray | None, rhs: np.ndarray | None) -> None:
+        for arr in (grid, scores, feasible, lhs, rhs):
+            if arr is not None:
+                arr.setflags(write=False)
         self.__dict__.update(chosen_lambda=chosen_lambda, score=score, constrained=constrained,
                              fallback_used=fallback_used, new_fraction=new_fraction,
-                             k_folds=k_folds, seed=seed, cv_curve=cv_curve)
+                             k_folds=k_folds, seed=seed, grid=grid, scores=scores,
+                             feasible=feasible, lhs=lhs, rhs=rhs)
+
+    @property
+    def cv_curve(self) -> tuple[Candidate, ...]:
+        """The curve as one ``Candidate`` per grid point, built on each call."""
+        sides = [None] * self.grid.shape[0]
+        lhs = sides if self.lhs is None else self.lhs.tolist()
+        rhs = sides if self.rhs is None else self.rhs.tolist()
+        return tuple([Candidate(*c) for c in zip(self.grid.tolist(), self.scores.tolist(),
+                                                  self.feasible.tolist(), lhs, rhs)])
 
     def to_dict(self) -> dict:
         def num(v):
-            if v is None:
-                return None
-            v = float(v)
-            return v if np.isfinite(v) else repr(v)
+            return None if v is None else float(v) if np.isfinite(v) else repr(float(v))
 
         return {
             "chosen_lambda": num(self.chosen_lambda),
@@ -435,35 +464,31 @@ class SelectionReport(_Record):
             "new_fraction": num(self.new_fraction),
             "k_folds": self.k_folds,
             "seed": self.seed,
-            "cv_curve": [
-                {
-                    "lam": num(c.lam),
-                    "weights": None,
-                    "score": num(c.score),
-                    "feasible": c.feasible,
-                    "lhs": num(c.lhs),
-                    "rhs": num(c.rhs),
-                }
-                for c in self.cv_curve
-            ],
+            "cv_curve": [{"lam": num(c.lam), "weights": None, "score": num(c.score),
+                          "feasible": c.feasible, "lhs": num(c.lhs), "rhs": num(c.rhs)}
+                         for c in self.cv_curve],
         }
 
 
 def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateRegistry,
-                     grid: tuple[float, ...], target: np.ndarray, k: int, seed: int,
-                     new_fraction: float | None) -> list[Candidate]:
-    """The selection curve, every fold fit over the registry's columns.
+                     grid: np.ndarray, target: np.ndarray, k: int, seed: int,
+                     new_fraction: float | None):
+    """The selection curve as arrays over ``grid``: ``(score, feasible, lhs,
+    rhs)``, ``lhs`` and ``rhs`` ``None`` (and ``feasible`` all True) when
+    ``new_fraction`` is.
 
-    ``target`` is the shrinkage target over the registry. Each fold fit
-    gives its held-out criterion (the CV score) and, with ``new_fraction``
-    set, its criterion on the state's past data (the constraint's left
-    side before the ``1 - f`` factor); the right side is the target's own
-    criterion on the past data. A leave-one-out selection (``k`` equal to
-    the batch size) takes the family's ``loo_curve``, which forms no fold
-    fit and deals no folds; otherwise, or where it declines, the ``k``
-    folds are dealt with ``seed`` (``make_folds``) and each is fitted once
-    for the whole grid (``fit_grid``). A candidate whose fit is unusable
-    in any fold is infinite in both.
+    Every fold fit runs over the registry's columns, toward ``target``
+    laid out over the registry. Each gives its held-out criterion (the CV
+    score) and, with ``new_fraction`` set, its criterion on the state's
+    past data (``lhs`` before the ``1 - f`` factor); ``rhs`` is the
+    target's own criterion on the past data, the same at every penalty,
+    and a penalty is feasible where ``lhs <= rhs``. A leave-one-out
+    selection (``k`` equal to the batch size) takes the family's
+    ``loo_curve``, which forms no fold fit and deals no folds; otherwise,
+    or where it declines, the ``k`` folds are dealt with ``seed``
+    (``make_folds``) and each is fitted once for the whole grid
+    (``fit_grid``). A candidate whose fit is unusable in any fold is
+    infinite in both, and so infeasible.
     """
     fam = get_family(state.family)
     X, y = align_batch(batch, registry), batch.y
@@ -474,17 +499,14 @@ def _selection_curve(state: EstimatorState, batch: Batch, registry: CovariateReg
         folds = make_folds(batch.n, k, seed, y if fam.stratified else None)
         means = _fold_means(fam, X, y, grid, target, past, folds)
     score, hist = means
-    lhs = rhs = None
-    if constrain:
-        rhs = float(fam.history_loss(past, target[:, None])[0])
-        lhs = (1.0 - new_fraction) * hist
-    return [Candidate(lam=lam, score=float(score[i]),
-                      feasible=lhs is None or bool(lhs[i] <= rhs),
-                      lhs=None if lhs is None else float(lhs[i]), rhs=rhs)
-            for i, lam in enumerate(grid)]
+    if not constrain:
+        return score, np.ones(grid.shape[0], dtype=bool), None, None
+    lhs = (1.0 - new_fraction) * hist
+    rhs = np.full(grid.shape[0], float(fam.history_loss(past, target[:, None])[0]))
+    return score, lhs <= rhs, lhs, rhs
 
 
-def _fold_means(fam: Family, X: np.ndarray, y: np.ndarray, grid: tuple[float, ...],
+def _fold_means(fam: Family, X: np.ndarray, y: np.ndarray, grid: np.ndarray,
                 target: np.ndarray, past, folds: FoldPlan):
     """Mean over folds of the held-out criterion and, with ``past``, of the
     criterion on the past data, from one ``fit_grid`` per fold; both are
@@ -506,13 +528,12 @@ def _fold_means(fam: Family, X: np.ndarray, y: np.ndarray, grid: tuple[float, ..
 def selection_elements(family: str, p: int, n: int, points: int, loo: bool) -> int:
     """The most values one array of a selection holds, for a batch of ``n``
     rows over ``p`` covariates and a grid of ``points`` penalties: a fold
-    fit's ``(p, L)`` coefficients and ``(n, L)`` predictors, the linear
-    leave-one-out closed form's ``(p + 1, L, n)`` block (``loo``), and the
+    fit's ``(p, L)`` coefficients and ``(n, L)`` predictors, or the
+    family's own solver array (``Family.penalty_elements``): the linear
+    leave-one-out closed form's ``(p + 1, L, n)`` block (``loo``), the
     logistic fit's ``(L, p, p)`` weighted normal matrices. It is counted,
     not allocated."""
-    per_penalty = max(p, n, (p + 1) * n if loo and family == "linear" else 0,
-                      p * p if family == "logistic" else 0)
-    return per_penalty * points
+    return max(p, n, get_family(family).penalty_elements(p, n, loo)) * points
 
 
 def select_penalty(state: EstimatorState, batch: Batch,
@@ -523,9 +544,10 @@ def select_penalty(state: EstimatorState, batch: Batch,
     the registry extended by the batch. Every grid penalty is scored; in
     constrained mode infeasible penalties are excluded before comparison,
     except at the first update where there is no history to constrain
-    against. Ties in score go to the larger penalty. With no feasible
-    penalty the selector falls back to the largest grid penalty and marks
-    ``fallback_used``.
+    against. The choice is one masked ``argmin`` over the penalties that
+    are feasible and score finite, ties going to the larger penalty. With
+    none such in constrained mode the selector falls back to the largest
+    grid penalty, if its score is finite, and marks ``fallback_used``.
     """
     cfg = config or PenaltySearchConfig()
     if batch.family != state.family:
@@ -541,36 +563,21 @@ def select_penalty(state: EstimatorState, batch: Batch,
     target = assemble_target(state, names).as_array(names)
     constrain = cfg.constrained and state.past is not None
     new_fraction = batch.n / (batch.n + state.past.rows) if constrain else None
-    curve = _selection_curve(state, batch, registry, cfg.grid, target, k, cfg.seed,
-                             new_fraction)
-
-    def pick(cands: list[Candidate]) -> Candidate | None:
-        best = None
-        for c in cands:
-            if not np.isfinite(c.score):
-                continue
-            if best is None or c.score < best.score or (c.score == best.score
-                                                        and c.lam > best.lam):
-                best = c
-        return best
-
-    chosen = pick([c for c in curve if c.feasible])
-    fallback_used = False
-    if chosen is None and constrain:
-        chosen = pick(curve[-1:])
-        fallback_used = chosen is not None
-    if chosen is None:
+    grid = np.array(cfg.grid)
+    score, feasible, lhs, rhs = _selection_curve(state, batch, registry, grid, target, k,
+                                                 cfg.seed, new_fraction)
+    usable = feasible & np.isfinite(score)
+    fallback_used = bool(constrain and not usable.any() and np.isfinite(score[-1]))
+    if fallback_used:
+        usable[-1] = True
+    if not usable.any():
         raise SelectionError("no usable penalty: every grid candidate scored infinite")
-    return SelectionReport(
-        chosen_lambda=chosen.lam,
-        score=chosen.score,
-        constrained=cfg.constrained,
-        fallback_used=fallback_used,
-        new_fraction=new_fraction,
-        k_folds=k,
-        seed=cfg.seed,
-        cv_curve=tuple(curve),
-    )
+    # The last minimum: ties go to the larger penalty on the ascending grid.
+    best = grid.shape[0] - 1 - int(np.argmin(np.where(usable, score, np.inf)[::-1]))
+    return SelectionReport(chosen_lambda=cfg.grid[best], score=float(score[best]),
+                           constrained=cfg.constrained, fallback_used=fallback_used,
+                           new_fraction=new_fraction, k_folds=k, seed=cfg.seed, grid=grid,
+                           scores=score, feasible=feasible, lhs=lhs, rhs=rhs)
 
 
 def _zero_target_fit(batch: Batch,

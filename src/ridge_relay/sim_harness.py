@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EstimationError, SingularMatrixError, ValidationError
 from .model_core import (FAMILIES, Batch, CoefficientVector, EstimatorState, _MAX_ELEMENTS,
-                         _Record, _check_index, _check_real, _check_real_vector, _is_index,
+                         _Record, _check_index, _check_real, _is_index, _real_array,
                          start_state)
 from .penalty_tuning import (
     DEFAULT_GRID_MAX,
@@ -147,7 +147,7 @@ class ScenarioConfig(_Record):
                  isinstance(rule, (list, tuple, np.ndarray)) and len(rule) == v["p"],
                  "beta_rule", f"'ramp' or a list of p={v['p']} finite numbers", rule)
         if not isinstance(rule, str):
-            v["beta_rule"] = _check_real_vector(rule, _field("beta_rule"))
+            v["beta_rule"] = tuple(_real_array(rule, _field("beta_rule"), 1).tolist())
         tracked = v["tracked"]
         if tracked is not None:
             _require(isinstance(tracked, (list, tuple, np.ndarray)) and len(tracked) > 0

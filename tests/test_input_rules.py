@@ -10,12 +10,13 @@ One rule says what a number is, and ``model_core._check_real`` holds it:
 a real number, finite, and not a bool, a string or an ``np.bool_``; an
 integer past the float range counts as not finite. Some inputs add a
 bound of >= 0 or > 0. Every penalty, variance ratio, noise variance,
-grid bound, stored update weight and coefficient follows it, and so does
-every entry of a penalty or ratio grid (``_check_real_vector``: a 1-D
-sequence of such numbers). An array follows it as a whole
+grid bound and coefficient follows it. An array follows it as a whole
 (``_real_array``): a NumPy dtype of integer or float kind, so not bool,
 string or object, and finite entries; a list or tuple that holds a bool
 at any depth is refused too, although NumPy would convert it to floats.
+Every sequence of numbers is such an array, 1-D, with its bound checked
+on the whole array: a penalty or ratio grid, the penalties of
+``exact_moments_general`` and a stored update's weights.
 These tables feed each malformed input to every public entry point that
 takes it and assert the error class, so a check that one caller drops
 fails here whatever module the check lives in.
@@ -349,6 +350,12 @@ BAD_SELECTION_INPUTS = {
                                         {"k_folds": 2.5}),
     "PenaltySearchConfig k_folds '3'": (PenaltySearchConfig, {"k_folds": 3},
                                         {"k_folds": "3"}),
+    "PenaltySearchConfig constrained 'no'": (PenaltySearchConfig, {"constrained": False},
+                                             {"constrained": "no"}),
+    "PenaltySearchConfig constrained None": (PenaltySearchConfig, {"constrained": False},
+                                             {"constrained": None}),
+    "PenaltySearchConfig constrained 1": (PenaltySearchConfig, {"constrained": True},
+                                          {"constrained": 1}),
     "make_folds k 2.5": (make_folds, {"n": 10, "k": 2, "seed": 0},
                          {"n": 10, "k": 2.5, "seed": 0}),
     "make_folds seed -1": (make_folds, {"n": 10, "k": 2, "seed": 0},

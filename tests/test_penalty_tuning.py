@@ -140,6 +140,16 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             FoldPlan(assignments=np.array([1, 1, 3, 3]), k=3)
 
+    @pytest.mark.parametrize("n", [3, 9, 40])
+    def test_a_nan_stratum_is_refused(self, n):
+        """NaN equals no label, so its rows fall in no stratum and would be
+        dealt to no fold. A freed array of valid labels, left where the
+        plan's assignments are allocated, must not pass for their folds."""
+        strata = ([np.nan, 1.0, 1.0] * n)[:n]
+        np.full(n, 2)  # freed at once: leftovers that look like fold labels
+        with pytest.raises(ValidationError, match="fall in no stratum"):
+            make_folds(n, 2, 0, strata=strata)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_deal_matches_the_reference_loop(self, data):
@@ -598,6 +608,74 @@ class TestSelectPenalty:
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
+def candidate_loop_choice(grid, score, feasible, constrain):
+    """The choice as the selector made it with one ``Candidate`` per grid
+    point and a loop over them: the chosen index and whether it is the
+    fallback, or ``None`` where no penalty is usable."""
+    curve = [Candidate(lam=lam, score=s, feasible=f)
+             for lam, s, f in zip(grid, score, feasible)]
+
+    def pick(cands):
+        best = None
+        for c in cands:
+            if not np.isfinite(c.score):
+                continue
+            if best is None or c.score < best.score or (c.score == best.score
+                                                        and c.lam > best.lam):
+                best = c
+        return best
+
+    chosen = pick([c for c in curve if c.feasible])
+    fallback_used = False
+    if chosen is None and constrain:
+        chosen = pick(curve[-1:])
+        fallback_used = chosen is not None
+    if chosen is None:
+        return None
+    return next(i for i, c in enumerate(curve) if c is chosen), fallback_used
+
+
+# mostly a few values, so that curves hold exact ties, infinities and NaN
+CURVE_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]),
+                         st.floats())
+
+
+@st.composite
+def random_curves(draw):
+    """Scores and a feasibility mask over a grid of 1 to 8 penalties (the
+    mask all False in about half the draws), and a constraint mode."""
+    size = draw(st.integers(1, 8))
+    score = draw(st.lists(CURVE_SCORES, min_size=size, max_size=size))
+    feasible = draw(st.one_of(st.just([False] * size),
+                              st.lists(st.booleans(), min_size=size, max_size=size)))
+    return score, feasible, draw(st.booleans())
+
+
+class TestChoiceProperties:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(random_curves())
+    def test_masked_argmin_matches_the_candidate_loop(self, curve):
+        """``select_penalty`` on a given curve chooses the index, sets the
+        fallback flag and refuses exactly as the loop over candidates did."""
+        score, feasible, constrained = curve
+        state, names = state_with_history(np.random.default_rng(100), np.array([1.0, -1.0]),
+                                          n_batches=1, n=4)
+        batch = Batch(t=2, X=np.eye(4, 2), y=np.ones(4), covariates=names)
+        grid = tuple(float(v) for v in range(1, len(score) + 1))
+        want = candidate_loop_choice(grid, score, feasible, constrained)
+        cfg = PenaltySearchConfig(k_folds=2, constrained=constrained, grid=grid)
+        arrays = (np.array(score), np.array(feasible), None, None)
+        with mock.patch.object(penalty_tuning, "_selection_curve", lambda *args: arrays):
+            if want is None:
+                with pytest.raises(SelectionError, match="every grid candidate scored infinite"):
+                    select_penalty(state, batch, cfg)
+                return
+            report = select_penalty(state, batch, cfg)
+        index, fallback_used = want
+        assert (report.chosen_lambda, report.fallback_used) == (grid[index], fallback_used)
+        assert report.score == score[index]
+
+
 @st.composite
 def selections(draw, family):
     """A state, an arriving batch and a search configuration.
@@ -663,21 +741,21 @@ def per_candidate_curve(state, batch, registry, grid, target, k, seed, new_fract
     ``k`` folds dealt with ``seed``; ``target`` is laid out over the
     registry. Logistic fits come from the scalar reference IRLS, not the
     package's batched solver, so the comparison is between two independent
-    solvers."""
+    solvers. Returns the ``(score, feasible, lhs, rhs)`` arrays of
+    ``_selection_curve``."""
     folds = make_folds(batch.n, k, seed, batch.y if state.family == "logistic" else None)
     target = CoefficientVector.from_array(registry.names, target)
-    curve = []
+    scores, terms = [], []
     with mock.patch.object(penalty_tuning, "irls_fit", reference_irls_fit):
-        for lam in grid:
-            score = cv_score(state.family, batch, lam, target.as_array(batch.covariates),
-                             folds)
-            if new_fraction is None:
-                curve.append(Candidate(lam=lam, score=score, feasible=True))
-            else:
-                terms = constraint_terms(state, batch, lam, target, folds)
-                curve.append(Candidate(lam=lam, score=score, feasible=terms.feasible,
-                                       lhs=terms.lhs, rhs=terms.rhs))
-    return curve
+        for lam in grid.tolist():
+            scores.append(cv_score(state.family, batch, lam,
+                                   target.as_array(batch.covariates), folds))
+            if new_fraction is not None:
+                terms.append(constraint_terms(state, batch, lam, target, folds))
+    if new_fraction is None:
+        return np.array(scores), np.ones(len(scores), dtype=bool), None, None
+    return (np.array(scores), np.array([t.feasible for t in terms]),
+            np.array([t.lhs for t in terms]), np.array([t.rhs for t in terms]))
 
 
 def oracle_report(state, batch, cfg):
