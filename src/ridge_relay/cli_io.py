@@ -498,15 +498,26 @@ def _read_csv_columns(path: str) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
+def _finite_cells(path: str, header: list[str], rows: list[list[float]]) -> np.ndarray:
+    """``rows`` as an array; a cell that is not finite is named and refused."""
+    data = np.asarray(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValidationError(
+            f"{path!r} data row {row + 1}: column {header[col]!r} is not finite")
+    return data
+
+
 def read_batch_csv(path: str, response: str, t: int, family: str) -> Batch:
-    """Load one batch from headed CSV; every cell must parse as a number."""
+    """Load one batch from headed CSV; every cell must be a finite number."""
     header, rows = _read_csv_columns(path)
     if response not in header:
         raise ValidationError(f"{path!r} has no column {response!r}")
     covariates = tuple(h for h in header if h != response)
     if not covariates:
         raise ValidationError(f"{path!r} has no covariate columns")
-    data = np.asarray(rows)
+    data = _finite_cells(path, header, rows)
     y_col = header.index(response)
     x_cols = [i for i in range(len(header)) if i != y_col]
     return Batch(t=t, X=data[:, x_cols], y=data[:, y_col],
@@ -526,12 +537,7 @@ def read_covariate_csv(path: str, registry: CovariateRegistry,
     for name in header:
         if name not in registry:
             raise RegistryError(f"{path!r} column {name!r} is not a model covariate")
-    data = np.asarray(rows)
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValidationError(
-            f"{path!r} data row {row + 1}: column {header[col]!r} is not finite")
+    data = _finite_cells(path, header, rows)
     out = np.zeros((data.shape[0], registry.size))
     for j, name in enumerate(header):
         out[:, registry.index_of(name)] = data[:, j]

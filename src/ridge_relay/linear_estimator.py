@@ -251,10 +251,12 @@ def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Bat
     names = registry.names
     X = align_batch(batch, registry)
     coef, fit_diagnostics = fit(X, batch.y, lam, assemble_target(state, names).as_array(names))
-    record = UpdateRecord(
+    # Every field is checked or built just above, so the record skips its checks.
+    record = UpdateRecord._built(
         t=state.t + 1,
         lam=lam,
         estimate=CoefficientVector.from_array(names, coef),
+        weights=None,
         diagnostics={**fit_diagnostics, **(diagnostics or {})},
     )
     return state.with_update(registry, record, fold(state.past, X, batch.y))

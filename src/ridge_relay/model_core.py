@@ -18,10 +18,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
-import numbers
-import sys
-from typing import Any, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -51,31 +49,37 @@ FAMILIES = ("linear", "logistic")
 
 def _real_array(values: Any, what: str, ndim: int | None = None,
                 copy: bool = False, bound: str = "") -> np.ndarray:
-    """``values`` as a float array under the number rule (``_real``), judged
-    once for the whole array: its dtype is an integer or a floating type,
-    so not a bool, a string or an object (NumPy gives an integer past the
-    int64 range the object dtype), every entry is finite, and every entry
-    is within ``bound`` (``_check_real``'s ``""``, ``">= 0"`` or ``"> 0"``).
-    ``ndim``, if given, is the number of dimensions it must have; ``copy``
-    gives a C-ordered copy the caller owns, else the input itself when it
-    is a float array already. NumPy turns a list that mixes bools into
-    numbers into floats, so a list or tuple is also searched for a bool at
-    any depth; an ndarray is judged by its dtype alone. This is the one
-    rule for a sequence of numbers, a penalty grid's included."""
-    if isinstance(values, (list, tuple)) and _holds_bool(values):
-        raise ValidationError(f"{what} must be real numbers, got a bool")
+    """``values`` as a float array under the one number rule, judged once
+    for the whole array: its dtype is an integer or a floating type, so not
+    a bool, a string or an object (NumPy gives an integer that fits no
+    64-bit type, ``2**70`` say, or a ``Fraction`` the object dtype), every
+    entry is finite, and every entry is within ``bound``: ``""``, ``">= 0"``
+    or ``"> 0"``. ``ndim``, if given, is the number of dimensions it must
+    have, 0 for one number (``_check_real``), whose messages quote it as
+    given; ``copy`` gives a C-ordered copy the caller owns, else the input
+    itself when it is a float array already. NumPy turns a list that mixes
+    bools into numbers into floats, so a list or tuple is also searched for
+    a bool at any depth; an ndarray is judged by its dtype alone."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
+    if ndim == 0:
+        if arr.ndim or arr.dtype.kind not in "iuf":
+            raise ValidationError(f"{what} must be a finite number, got {values!r}")
+    elif isinstance(values, (list, tuple)) and _holds_bool(values):
+        raise ValidationError(f"{what} must be real numbers, got a bool")
+    elif arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} must be real numbers, got dtype {arr.dtype}")
-    if ndim is not None and arr.ndim != ndim:
+    elif ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     arr = np.array(arr, dtype=float, order="C") if copy else arr.astype(float, copy=False)
     if not all_finite(arr):
+        if ndim == 0:
+            raise ValidationError(f"{what} must be a finite number, got {values!r}")
         raise ValidationError(f"{what} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
     if bound:
         outside = arr <= 0.0 if bound == "> 0" else arr < 0.0
         if np.count_nonzero(outside):
-            raise ValidationError(f"{what} must be {bound}, got {float(arr[outside][0])!r}")
+            got = values if ndim == 0 else float(arr[outside][0])
+            raise ValidationError(f"{what} must be {bound}, got {got!r}")
     return arr
 
 
@@ -132,38 +136,30 @@ def _check_index(value: Any, least: int, what: str, most: int | None = None) -> 
 _MAX_ELEMENTS = 2 ** 24
 
 
-def _real(value: Any) -> float | None:
-    """``value`` as a float if it is a real number, else ``None``: finite, and
-    not a bool, a string or an ``np.bool_``. An integer past the float range
-    counts as not finite, so no conversion overflows."""
-    if type(value) is float:  # first: reading a state runs this for every coefficient
-        return value if math.isfinite(value) else None
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):
-        return float(value)
-    return None
-
-
 def _check_real(value: Any, what: str, bound: str = "") -> float:
-    """``value`` as a float if it is a real number (``_real``) within
-    ``bound``, one of ``""`` (none), ``">= 0"`` and ``"> 0"``."""
-    real = _real(value)
-    if real is None:
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    if bound and not (real > 0 if bound == "> 0" else real >= 0):
-        raise ValidationError(f"{what} must be {bound}, got {value!r}")
-    return real
+    """``value`` as a float if it is one number under the number rule
+    (``_real_array`` with ``ndim`` 0) within ``bound``."""
+    return float(_real_array(value, what, 0, bound=bound))
 
 
-def _as_names(values: Any) -> tuple[str, ...]:
-    """``values`` as a tuple of names, each converted with ``str``. A join
-    checks in one call that every entry is a string already, so the usual
-    tuple of strings is not converted name by name."""
+def _as_names(values: Any, what: str,
+              error: type[ValidationError] = ValidationError) -> tuple[str, ...]:
+    """``values`` as a tuple of names, the one rule for a list of names: not
+    a bare string or bytes, each entry converted with ``str``, and the names
+    then non-empty and unique, else ``error`` is raised over ``what``. A
+    join checks in one call that every entry is a string already, so the
+    usual tuple of strings is not converted name by name."""
+    if isinstance(values, (str, bytes)):
+        raise error(f"{what} must be a list of names, got the string {values!r}")
     names = tuple(values)
     try:
         "".join(names)
     except TypeError:
         names = tuple(map(str, names))
+    if "" in names:
+        raise error(f"{what} must be non-empty strings")
+    if len(set(names)) != len(names):
+        raise error(f"{what} must be unique")
     return names
 
 
@@ -174,9 +170,11 @@ class _Record:
     in its own ``__init__``, through ``self.__dict__``. Assigning or
     deleting an attribute afterwards raises ``AttributeError``, and
     ``repr``, ``==`` and ``hash`` work over the field values in
-    ``_fields`` order, as a frozen dataclass's do. A plain class is built
-    at import without compiling generated methods, which a frozen
-    dataclass does for each class.
+    ``_fields`` order, as a frozen dataclass's do, except that ``==``
+    compares an ndarray field with ``np.array_equal``, NaN equal to NaN,
+    where a dataclass's raises; ``hash`` of an array or a dict field raises
+    ``TypeError``. A plain class is built at import without compiling
+    generated methods, which a frozen dataclass does for each class.
     """
 
     _fields: tuple[str, ...] = ()
@@ -195,9 +193,12 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other: Any) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b, equal_nan=True)
+                   if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a is b or a == b
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -221,11 +222,7 @@ class CovariateRegistry(_Record):
     _fields = ("names",)
 
     def __init__(self, names: tuple[str, ...]) -> None:
-        names = _as_names(names)
-        if any(not n for n in names):
-            raise RegistryError("covariate names must be non-empty strings")
-        if len(set(names)) != len(names):
-            raise RegistryError("covariate names must be unique")
+        names = _as_names(names, "covariate names", RegistryError)
         self.__dict__.update(names=names, _index={n: i for i, n in enumerate(names)})
 
     @property
@@ -270,12 +267,10 @@ class Batch(_Record):
             raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
         _check_index(t, 0, "batch index t")
         X, y = _check_xy(X, y, "", nonempty=True, copy=True)
-        names = _as_names(covariates)
+        names = _as_names(covariates, "batch covariate names")
         if len(names) != X.shape[1]:
             raise ValidationError(
                 f"{len(names)} covariate names for {X.shape[1]} design columns")
-        if len(set(names)) != len(names):
-            raise ValidationError("batch covariate names must be unique")
         if family == "logistic":
             _check_binary(y)
         X.setflags(write=False)
@@ -302,16 +297,9 @@ class CoefficientVector(_Record):
     _fields = ("values",)
 
     def __init__(self, values: Mapping[str, float]) -> None:
-        vals = {}
-        for k, v in dict(values).items():
-            k = str(k)
-            if not k:
-                raise ValidationError("coefficient names must be non-empty strings")
-            real = _real(v)
-            if real is None:
-                raise ValidationError(f"coefficient {k!r} must be a finite number, got {v!r}")
-            vals[k] = real
-        self.__dict__["values"] = vals
+        if not isinstance(values, Mapping):  # pairs could repeat a name unseen
+            raise ValidationError(f"coefficients must be a mapping, got {type(values).__name__}")
+        self.__dict__["values"] = self.from_array(values, list(values.values())).values
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -338,14 +326,12 @@ class CoefficientVector(_Record):
 
     @staticmethod
     def from_array(names: Sequence[str], values: Any) -> "CoefficientVector":
-        """The vector with ``values[i]`` for ``names[i]``; the values are
-        judged as one array (``_real_array``), not one by one."""
-        arr = _real_array(values, "values", 1)
-        names = _as_names(names)
+        """The vector with ``values[i]`` for ``names[i]``, the names under
+        the names rule and the values judged as one array."""
+        names = _as_names(names, "coefficient names")
+        arr = _real_array(values, "coefficients", 1)
         if len(names) != arr.shape[0]:
             raise ValidationError(f"{len(names)} names for {arr.shape[0]} values")
-        if "" in names:
-            raise ValidationError("coefficient names must be non-empty strings")
         return CoefficientVector._built(values=dict(zip(names, arr.tolist())))
 
 
@@ -622,9 +608,10 @@ def start_state(family: str, names: Sequence[str], target: CoefficientVector | N
     where the start came from, and ``past`` holds data folded in before
     the first update (``None``: none).
     """
+    registry = CovariateRegistry(names)
     if target is None:
-        target = CoefficientVector({n: 0.0 for n in names})
-    return EstimatorState(family=family, registry=CovariateRegistry(names),
+        target = CoefficientVector(dict.fromkeys(registry.names, 0.0))
+    return EstimatorState(family=family, registry=registry,
                           init_target=target, init_note=note, past=past)
 
 
@@ -666,7 +653,7 @@ def assemble_target(state: EstimatorState, names: Sequence[str]) -> CoefficientV
     """
     if not isinstance(state, EstimatorState):
         raise ValidationError(f"state must be an EstimatorState, got {type(state).__name__}")
-    names = _as_names(names)
+    names = tuple(map(str, names))  # read, not defined here: a repeat is allowed
     newest = state.current
     if tuple(newest.values) == names:
         return newest

@@ -1176,6 +1176,42 @@ class TestResponseOnlyCsv:
         assert not os.path.exists(fresh) and not os.path.exists(fresh + cio.LOG_SUFFIX)
 
 
+class TestNonFiniteCells:
+    """``init --data``, ``update`` and ``select-lambda`` refuse a cell that is
+    not finite with ``predict``'s message, naming the file, data row and
+    column, and write nothing; ``predict`` ignores the column it drops."""
+
+    def state_and_data(self, tmp_path):
+        rng = np.random.default_rng(31)
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "a,b")[0] == 0
+        data = str(tmp_path / "b2.csv")
+        rows = rng.standard_normal((8, 3))
+        rows[1, 1] = np.inf
+        write_csv(data, ["a", "b", "y"], rows)
+        return path, data
+
+    @pytest.mark.parametrize("command", ["init", "update", "select-lambda"])
+    def test_the_command_names_the_cell(self, tmp_path, command):
+        path, data = self.state_and_data(tmp_path)
+        before = Path(path).read_bytes()
+        target = str(tmp_path / "fresh.json") if command == "init" else path
+        code, out, err = run_cli(command, "--state", target, "--data", data,
+                                 "--response", "y")
+        assert (code, out) == (2, "")
+        assert err == f"error: {data!r} data row 2: column 'b' is not finite\n"
+        assert Path(path).read_bytes() == before
+        assert not os.path.exists(str(tmp_path / "fresh.json"))
+
+    def test_predict_accepts_a_nan_in_the_dropped_response(self, tmp_path):
+        path = str(tmp_path / "m.json")
+        assert run_cli("init", "--state", path, "--covariates", "a")[0] == 0
+        data = str(tmp_path / "d.csv")
+        write_csv(data, ["a", "y"], [[3.0, float("nan")]])
+        code, out, _ = run_cli("predict", "--state", path, "--data", data, "--response", "y")
+        assert (code, out) == (0, "0.0\n")
+
+
 class TestByteOrderMark:
     """A CSV that starts with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
     export writes, reads as the same CSV without it."""

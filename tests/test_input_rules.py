@@ -6,17 +6,24 @@ seeds, grid sizes and moment step counts are indices; a grid size must
 also stay within the element cap. Every fit shrinks toward one target: a
 1-D array of p numbers, one per design column.
 
-One rule says what a number is, and ``model_core._check_real`` holds it:
-a real number, finite, and not a bool, a string or an ``np.bool_``; an
-integer past the float range counts as not finite. Some inputs add a
-bound of >= 0 or > 0. Every penalty, variance ratio, noise variance,
-grid bound and coefficient follows it. An array follows it as a whole
-(``_real_array``): a NumPy dtype of integer or float kind, so not bool,
-string or object, and finite entries; a list or tuple that holds a bool
-at any depth is refused too, although NumPy would convert it to floats.
-Every sequence of numbers is such an array, 1-D, with its bound checked
-on the whole array: a penalty or ratio grid, the penalties of
-``exact_moments_general`` and a stored update's weights.
+One rule says what a number is, and ``model_core._real_array`` holds it
+for a single number and an array alike: a NumPy dtype of integer or
+float kind, so not bool, string or object, and finite entries. NumPy
+gives an integer that fits no 64-bit type (``2**70``, ``10**400``) and
+a ``Fraction`` the object dtype, so they are refused; a list or tuple
+that holds a bool at any depth is refused too, although NumPy would
+convert it to floats. Some inputs add a bound of >= 0 or > 0. Every
+penalty, variance ratio, noise variance and grid bound is such a number
+(``_check_real``, the 0-d case). Every sequence of numbers is such an
+array, 1-D, with its bound checked on the whole array: a penalty or
+ratio grid, the penalties of ``exact_moments_general``, a stored
+update's weights and the coefficients of a ``CoefficientVector``.
+
+One rule says what a list of names is, and ``model_core._as_names``
+holds it: not a bare string, each entry converted with ``str``, and the
+names non-empty and unique after conversion. Every registry, batch,
+coefficient vector and start of a chain follows it.
+
 These tables feed each malformed input to every public entry point that
 takes it and assert the error class, so a check that one caller drops
 fails here whatever module the check lives in.
@@ -29,6 +36,8 @@ rules, so the tables feed them too: a comparison with an oracle cannot
 pass on an input the package would refuse.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -39,6 +48,7 @@ from ridge_relay import (
     CovariateRegistry,
     EstimatorState,
     PenaltySearchConfig,
+    RegistryError,
     StackedData,
     StackedHistory,
     StateFileError,
@@ -62,6 +72,7 @@ from ridge_relay import (
     mixed_moments,
     plain_ridge,
     stack_batches,
+    start_state,
     update,
     update_logistic,
 )
@@ -228,7 +239,8 @@ NUMBER_ENTRIES = {
 OUT_OF_RANGE = tuple((str(v), v) for v in (-1.0, np.nan, np.inf))
 NOT_FINITE = tuple((str(v), v) for v in (np.nan, np.inf, -np.inf))
 # values that are not real numbers, whatever the bound
-NOT_REAL = (("'1.5'", "1.5"), ("True", True), ("np.True_", np.True_), ("10**400", 10 ** 400))
+NOT_REAL = (("'1.5'", "1.5"), ("True", True), ("np.True_", np.True_), ("10**400", 10 ** 400),
+            ("2**70", 2 ** 70), ("Fraction(1, 2)", Fraction(1, 2)))
 
 
 def scalar_cases():
@@ -433,3 +445,46 @@ def test_arrays_that_are_not_numbers_are_rejected(call, good, bad):
     call(**good)
     with pytest.raises(ValidationError):
         call(**bad)
+
+
+# label -> a list of two names that breaks the names rule
+BAD_NAMES = {
+    "bare string": "ab",
+    "empty name": ("a", ""),
+    "duplicate": ("a", "a"),
+    "duplicate after str": (1, "1"),
+}
+# name -> (call(names) for a list of two names, the error, the rows it
+# cannot take): a mapping's keys are never one string and never repeat,
+# and a ``CoefficientVector`` takes nothing but a mapping (below)
+NAME_ENTRIES = {
+    "CovariateRegistry": (CovariateRegistry, RegistryError, ()),
+    "Batch": (lambda names: Batch(t=1, X=X, y=Y["linear"], covariates=names),
+              ValidationError, ()),
+    "CoefficientVector": (lambda names: CoefficientVector({n: 0.0 for n in names}),
+                          ValidationError, ("bare string", "duplicate")),
+    "CoefficientVector.from_array": (lambda names: CoefficientVector.from_array(
+        names, [1.0, 2.0]), ValidationError, ()),
+    "start_state": (lambda names: start_state("linear", names), RegistryError, ()),
+}
+
+
+def name_cases():
+    for entry, (call, error, cannot_take) in NAME_ENTRIES.items():
+        for label, names in BAD_NAMES.items():
+            if label not in cannot_take:
+                yield pytest.param(call, error, names, id=f"{entry}-{label}")
+
+
+@pytest.mark.parametrize("call, error, names", name_cases())
+def test_lists_of_names_that_break_the_names_rule_are_rejected(call, error, names):
+    call(NAMES)  # two distinct non-empty names are accepted
+    with pytest.raises(error):
+        call(names)
+
+
+@pytest.mark.parametrize("values", ["ab", [("a", 1.0), ("a", 2.0)]], ids=["string", "pairs"])
+def test_coefficients_that_are_not_a_mapping_are_rejected(values):
+    """Pairs could name one coefficient twice, and ``dict`` would keep the last."""
+    with pytest.raises(ValidationError):
+        CoefficientVector(values)

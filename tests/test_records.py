@@ -1,4 +1,6 @@
-"""The package's records: plain classes that behave as frozen dataclasses did.
+"""The package's records: plain classes that behave as frozen dataclasses did,
+except that a record holding an ndarray compares it by value where a
+frozen dataclass raises.
 
 Every record, ``ScenarioConfig`` included, derives from
 ``model_core._Record``; no module of the package defines a dataclass.
@@ -12,11 +14,22 @@ import numpy as np
 import pytest
 
 from ridge_relay import (
+    Batch,
     CoefficientVector,
     CovariateRegistry,
+    MixedFit,
     PenaltySearchConfig,
     ScenarioConfig,
+    TrajectoryResult,
     UpdateRecord,
+    exact_moments_orthonormal,
+    fold_stacked,
+    fold_triangular,
+    irls_fit,
+    make_folds,
+    select_penalty,
+    stack_batches,
+    start_state,
 )
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -109,6 +122,59 @@ class TestRecordSemantics:
         assert hash_or_error(a) == hash_or_error(twin(a))
         if not isinstance(hash_or_error(a), type):
             assert hash(a) == hash(b)
+
+
+X = np.random.default_rng(0).standard_normal((8, 2))
+Y_LINEAR = X @ np.array([1.0, -1.0]) + np.linspace(-0.2, 0.2, 8)
+Y_BINARY = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+
+
+def batch(y=Y_LINEAR, t=1):
+    return Batch(t=t, X=X, y=y, covariates=("a", "b"))
+
+
+def trajectories(lambdas):
+    return TrajectoryResult("updated", np.arange(1, 3), (1,), np.zeros((1, 2, 1)),
+                            np.zeros((1, 2)), np.array([lambdas]))
+
+
+def selection(grid):
+    return select_penalty(start_state("linear", ("a", "b")), batch(),
+                          PenaltySearchConfig(k_folds=2, grid=grid, seed=0))
+
+
+# name -> (build a record that holds an ndarray, build one whose arrays differ)
+ARRAY_RECORDS = {
+    "Batch": (batch, lambda: batch(Y_LINEAR + 1.0)),
+    "FoldPlan": (lambda: make_folds(n=8, k=2, seed=0), lambda: make_folds(n=8, k=4, seed=0)),
+    "TriangularHistory": (lambda: fold_triangular(None, X, Y_LINEAR),
+                          lambda: fold_triangular(None, X, Y_LINEAR + 1.0)),
+    "StackedHistory": (lambda: fold_stacked(None, X, Y_BINARY),
+                       lambda: fold_stacked(None, X, 1.0 - Y_BINARY)),
+    "SelectionReport": (lambda: selection((0.5, 5.0)), lambda: selection((0.5, 50.0))),
+    "LogisticFit": (lambda: irls_fit(X, Y_BINARY, 1.0, np.zeros(2)),
+                    lambda: irls_fit(X, 1.0 - Y_BINARY, 1.0, np.zeros(2))),
+    "MomentReport": (lambda: exact_moments_orthonormal(np.ones(2), np.zeros(2), 1.0, 2, 1.0),
+                     lambda: exact_moments_orthonormal(np.ones(2), np.ones(2), 1.0, 2, 1.0)),
+    "StackedData": (lambda: stack_batches([batch(), batch(t=2)]),
+                    lambda: stack_batches([batch(), batch(Y_LINEAR + 1.0, t=2)])),
+    "MixedFit": (lambda: MixedFit(np.array([1.0, np.nan]), 0.5, 1.0, 0.5, -3.0),
+                 lambda: MixedFit(np.array([1.0, 2.0]), 0.5, 1.0, 0.5, -3.0)),
+    "TrajectoryResult": (lambda: trajectories([np.nan, 0.5]),
+                         lambda: trajectories([np.nan, 0.25])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_RECORDS))
+def test_records_that_hold_arrays_compare_by_value(case):
+    """``==`` compares an ndarray field by its entries, NaN equal to NaN,
+    where a frozen dataclass raises; ``hash`` still raises TypeError."""
+    make, make_other = ARRAY_RECORDS[case]
+    a, b, other = make(), make(), make_other()
+    assert any(isinstance(getattr(a, name), np.ndarray) for name in type(a)._fields)
+    assert (a == b, a != b, a == other, a != other) == (True, False, False, True)
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_defaults_are_fresh():
