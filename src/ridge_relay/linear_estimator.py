@@ -29,6 +29,7 @@ from .model_core import (
     Batch,
     CoefficientVector,
     EstimatorState,
+    TriangularHistory,
     UpdateRecord,
     _Record,
     align_batch,
@@ -89,10 +90,12 @@ def fit_targeted_ridge(X, y, lam: float, target) -> np.ndarray:
     design must have full column rank.
     """
     X, y, target = _check_xy_target(X, y, target)
-    lam = _check_real(lam, "penalty", ">= 0")
-    gram = X.T @ X
-    factor = _penalized_normal_factor(gram, lam)
-    return cho_solve(factor, X.T @ y + lam * target)
+    return _fit_targeted_ridge(X, y, _check_real(lam, "penalty", ">= 0"), target)
+
+
+def _fit_targeted_ridge(X, y, lam, target) -> np.ndarray:
+    """``fit_targeted_ridge`` of checked float arrays and a checked penalty."""
+    return cho_solve(_penalized_normal_factor(X.T @ X, lam), X.T @ y + lam * target)
 
 
 def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
@@ -117,7 +120,11 @@ def fit_targeted_ridge_grid(X, y, lams: Sequence[float],
     coefficients are left at the target and must not be used.
     """
     X, y, t = _check_xy_target(X, y, target)
-    lams = _real_array(lams, "penalties", 1, bound=">= 0")
+    return _fit_targeted_ridge_grid(X, y, _real_array(lams, "penalties", 1, bound=">= 0"), t)
+
+
+def _fit_targeted_ridge_grid(X, y, lams, t) -> tuple[np.ndarray, np.ndarray]:
+    """``fit_targeted_ridge_grid`` of checked float arrays."""
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
     d_min, floor = _singular_rule(d, X.shape[1])
@@ -159,11 +166,12 @@ def loo_ridge_grid(X, y, lams: Sequence[float], target, history=None):
     computing them by subtraction would leave rounding where the other
     terms are small.
 
-    ``history``, if given, is ``(F, f)``: the historic criterion of
-    coefficients b is ``|F b[:k] - f|^2`` for the k columns of F. For fold
-    i it expands as ``|c|^2 - 2 a_i (D_i . c) + a_i^2 |D_i|^2``, with
-    ``c = F b - f``, ``a_i`` the held-out residual and
-    ``D = F V diag(s / (d + lam)) U'``, so no fold's coefficients are formed.
+    ``history``, if given, is a ``TriangularHistory`` over k <= p covariates;
+    with F and f its factor's first k columns and its last, the historic
+    criterion of coefficients b is ``|F b[:k] - f|^2``. For fold i it expands
+    as ``|c|^2 - 2 a_i (D_i . c) + a_i^2 |D_i|^2``, with ``c = F b - f``,
+    ``a_i`` the held-out residual and ``D = F V diag(s / (d + lam)) U'``, so
+    no fold's coefficients are formed.
 
     Returns ``(score, hist)``, each of length L: the mean over rows
     of the squared held-out residual and of the fold fit's historic
@@ -178,6 +186,14 @@ def loo_ridge_grid(X, y, lams: Sequence[float], target, history=None):
     """
     X, y, t = _check_xy_target(X, y, target)
     lams = _real_array(lams, "penalties", 1, bound=">= 0")
+    if history is not None and not (isinstance(history, TriangularHistory)
+                                    and history.covariates <= X.shape[1]):
+        raise ValidationError(f"history must be a TriangularHistory over <= {X.shape[1]} columns")
+    return _loo_ridge_grid(X, y, lams, t, history)
+
+
+def _loo_ridge_grid(X, y, lams, t, history):
+    """``loo_ridge_grid`` of checked float arrays and history."""
     n, p = X.shape
     U, sv, Vt = np.linalg.svd(X, full_matrices=False)
     d = sv * sv
@@ -206,7 +222,7 @@ def loo_ridge_grid(X, y, lams: Sequence[float], target, history=None):
     score = np.einsum("li,li->l", held, held) / n
     if history is None:
         return score, None
-    F, f = _check_history(history, p)
+    F, f = history.factor[:, :-1], history.factor[:, -1]
     V = Vt.T[:F.shape[1]]
     step = sv[:, None] / (d[:, None] + lams)
     full = F @ (t[:F.shape[1], None] + V @ (step * z[:, None])) - f[:, None]
@@ -221,32 +237,20 @@ def loo_ridge_grid(X, y, lams: Sequence[float], target, history=None):
     return score, hist
 
 
-def _check_history(history, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(F, f)`` of a historic criterion over at most ``p`` covariates."""
-    F = _real_array(history[0], "history factor", 2)
-    f = _real_array(history[1], "history response", 1)
-    if f.shape[0] != F.shape[0] or F.shape[1] > p:
-        raise ValidationError(
-            f"a history of shape {F.shape} and {f.shape[0]} responses "
-            f"does not fit {p} design columns")
-    return F, f
-
-
 def _sequential_update(family: str, fit, fold, state: EstimatorState, batch: Batch,
                        lam: float, diagnostics: dict | None) -> EstimatorState:
     """The update step of both families.
 
     ``fit(X, y, lam, target)`` returns the coefficients and the
     diagnostics the fit adds to the record (given ``diagnostics`` win);
-    ``fold(past, X, y)`` folds the batch into the state's past data
-    without checking it again: ``Batch`` has checked its arrays, and the
-    aligned design covers the state's registry.
+    ``fold(past, X, y)`` folds the batch into the state's past data. Both
+    run bodies that judge no array again (``_fit_targeted_ridge``, ``_irls_fit``,
+    ``_fold_triangular``, ``_fold_stacked``): ``Batch`` has checked its arrays,
+    the aligned design covers the registry, and the target is the state's.
     """
     if state.family != family or batch.family != family:
         raise ValidationError(f"this update handles the {family} family only")
-    lam = _check_real(lam, "penalty", ">= 0")
-    if lam == 0:
-        raise ValidationError("sequential updates require a strictly positive penalty")
+    lam = _check_real(lam, "penalty", "> 0")
     registry = state.registry.extended(batch.covariates)
     names = registry.names
     X = align_batch(batch, registry)
@@ -273,7 +277,7 @@ def update(state: EstimatorState, batch: Batch, lam: float, *,
     state's triangular history factor (``fold_triangular``).
     """
     def fit(X, y, lam, target):
-        return fit_targeted_ridge(X, y, lam, target), {}
+        return _fit_targeted_ridge(X, y, lam, target), {}
 
     return _sequential_update("linear", fit, _fold_triangular, state, batch, lam,
                               diagnostics)

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._numerics import cho_factor, cho_solve, expit
-from .errors import ConvergenceError, RidgeRelayError, SingularMatrixError, ValidationError
+from .errors import ConvergenceError, RidgeRelayError, SingularMatrixError
 from .model_core import (
     Batch,
     EstimatorState,
@@ -237,9 +237,11 @@ def irls_fit(X, y, lam: float, target) -> LogisticFit:
     """
     X, y, target = _check_xy_target(X, y, target)
     _check_binary(y)
-    lam = _check_real(lam, "penalty", ">= 0")
-    if lam == 0:
-        raise ValidationError("irls_fit requires a strictly positive penalty")
+    return _irls_fit(X, y, _check_real(lam, "penalty", "> 0"), target)
+
+
+def _irls_fit(X, y, lam, target) -> LogisticFit:
+    """``irls_fit`` of checked float arrays, 0/1 response and penalty."""
     run = _irls_stack(X, y, np.array([lam]), target)
     if run.failures:
         raise run.failures[0]
@@ -263,14 +265,17 @@ def irls_fit_grid(X, y, lams: Sequence[float],
     """
     X, y, t = _check_xy_target(X, y, target)
     _check_binary(y)
-    lams = _real_array(lams, "penalties", 1, bound="> 0")
+    return _irls_fit_grid(X, y, _real_array(lams, "penalties", 1, bound="> 0"), t)
+
+
+def _irls_fit_grid(X, y, lams, t) -> tuple[np.ndarray, np.ndarray]:
+    """``irls_fit_grid`` of checked float arrays and 0/1 response."""
     run = _irls_stack(X, y, lams, t)
     failed = np.fromiter(run.failures, dtype=int, count=len(run.failures))
-    coef = run.coef
-    coef[failed] = t
+    run.coef[failed] = t
     ok = np.ones(lams.shape[0], dtype=bool)
     ok[failed] = False
-    return coef.T, ok
+    return run.coef.T, ok
 
 
 def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
@@ -284,7 +289,7 @@ def update_logistic(state: EstimatorState, batch: Batch, lam: float, *,
     rows join the state's stacked history (``fold_stacked``).
     """
     def fit(X, y, lam, target):
-        res = irls_fit(X, y, lam, target)
+        res = _irls_fit(X, y, lam, target)
         return res.coef, {"irls_iterations": res.iterations,
                           "irls_gradient_norm": res.final_gradient_norm}
 

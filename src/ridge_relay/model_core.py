@@ -57,10 +57,13 @@ def _real_array(values: Any, what: str, ndim: int | None = None,
     or ``"> 0"``. ``ndim``, if given, is the number of dimensions it must
     have, 0 for one number (``_check_real``), whose messages quote it as
     given; ``copy`` gives a C-ordered copy the caller owns, else the input
-    itself when it is a float array already. NumPy turns a list that mixes
-    bools into numbers into floats, so a list or tuple is also searched for
-    a bool at any depth; an ndarray is judged by its dtype alone."""
-    arr = np.asarray(values)
+    itself when it is a float array already. A ragged list is refused, and
+    as NumPy turns bools mixed into numbers into floats, a list or tuple is
+    searched for a bool at any depth; an ndarray is judged by its dtype."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{what} must be real numbers, got a ragged list") from None
     if ndim == 0:
         if arr.ndim or arr.dtype.kind not in "iuf":
             raise ValidationError(f"{what} must be a finite number, got {values!r}")
@@ -84,16 +87,12 @@ def _real_array(values: Any, what: str, ndim: int | None = None,
 
 
 def _holds_bool(values: list | tuple) -> bool:
-    """Whether a nested list or tuple holds a bool, an ``np.bool_`` or a bool array."""
-    for v in values:
-        if isinstance(v, (bool, np.bool_)):
-            return True
-        if isinstance(v, (list, tuple)):
-            if _holds_bool(v):
-                return True
-        elif isinstance(v, np.ndarray) and v.dtype.kind == "b":
-            return True
-    return False
+    """Whether nested lists hold a bool, an ``np.bool_`` or a bool array, 0-d or not."""
+    entries = np.array(values, dtype=object).ravel().tolist()
+    kinds = set(map(type, entries))
+    if np.ndarray in kinds:
+        kinds.update(v.dtype.type for v in entries if isinstance(v, np.ndarray))
+    return not kinds.isdisjoint((bool, np.bool_))
 
 
 def _check_xy(X: Any, y: Any, what: str, nonempty: bool,

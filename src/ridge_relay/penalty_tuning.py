@@ -26,9 +26,9 @@ logistic one), and the same fold fits give both the held-out score and
 the constraint's left side. Under leave-one-out the linear family fits
 no fold: one decomposition of the whole batch gives every held-out
 residual and every fold's historic criterion in closed form
-(``Family.loo_curve``, ``loo_ridge_grid``). Where that closed form cannot
-certify a candidate, and for the logistic family, the folds are fitted
-as under K-fold.
+(``Family.loo_curve``, the body of ``loo_ridge_grid``). Where that closed
+form cannot certify a candidate, and for the logistic family, the folds
+are fitted as under K-fold.
 The historic criterion comes from the state's past data
 (``Family.history_loss``): for the linear family a product with the
 triangular factor of the stacked history, whose cost does not grow with
@@ -66,13 +66,9 @@ from .model_core import (
 )
 from ._numerics import expit
 from ._pcg64 import Pcg64
-from .linear_estimator import (
-    fit_targeted_ridge,
-    fit_targeted_ridge_grid,
-    loo_ridge_grid,
-    update,
-)
-from .logistic_estimator import _BLOCK_ELEMENTS, irls_fit, irls_fit_grid, update_logistic
+from .linear_estimator import (_fit_targeted_ridge_grid, _loo_ridge_grid, fit_targeted_ridge,
+                               update)
+from .logistic_estimator import _BLOCK_ELEMENTS, _irls_fit_grid, irls_fit, update_logistic
 
 __all__ = [
     "DEFAULT_GRID_MIN",
@@ -116,27 +112,29 @@ class Family:
     """What selection and updating need to know about one response family.
 
     ``fit(X, y, lam, target)`` returns the coefficients of one targeted
-    ridge fit. ``fit_grid(X, y, lams, target)`` fits every penalty in one
-    solve (``fit_targeted_ridge_grid`` or ``irls_fit_grid``): coefficients
-    of shape ``(p, L)`` and a mask of length L that is False where a fit
-    is unusable. ``loss(X, y, coefs)`` is the criterion the selector
-    minimizes, one value per coefficient column. ``fold(past, X, y)``
-    folds a batch, aligned over the registry, into a state's past data
-    (``None`` before any batch), and ``history_loss(past, coefs)`` is the
-    criterion summed over every row of that past data, one value per
-    coefficient column; ``coefs`` may cover more registry covariates than
-    the past data, which then count as zero columns. ``loo_curve(X, y,
-    lams, target, past)`` gives a leave-one-out selection's mean held-out
-    criterion and mean criterion on ``past`` (``None`` for no
-    constraint), each of length L, without fitting the folds; it returns
-    ``None`` where the family has no such closed form or cannot certify
-    it. ``penalty_elements(p, n, loo)`` is what one penalty adds to the
-    family's largest solver array (``selection_elements``). ``mean`` maps a
-    linear predictor to the expected response, ``sample`` draws responses
-    around it, and ``update(state, batch, lam, diagnostics)`` is the
-    family's sequential step. Methods look the
-    estimators up by their module-level names when they run, so a wrapper
-    installed over those names sees every fit.
+    ridge fit (``fit_targeted_ridge`` or ``irls_fit``). ``fit_grid(X, y,
+    lams, target)`` fits every penalty in one solve (``fit_targeted_ridge_grid``
+    or ``irls_fit_grid``): coefficients of shape ``(p, L)`` and a mask of
+    length L that is False where a fit is unusable. ``loss(X, y, coefs)``
+    is the criterion the selector minimizes, one value per coefficient
+    column. ``fold(past, X, y)`` folds a batch, aligned over the registry,
+    into a state's past data (``None`` before any batch), and
+    ``history_loss(past, coefs)`` is the criterion summed over every row
+    of that past data, one value per coefficient column; ``coefs`` may
+    cover more registry covariates than the past data, which then count
+    as zero columns. ``loo_curve(X, y, lams, target, past)`` gives a
+    leave-one-out selection's mean held-out criterion and mean criterion
+    on ``past`` (``None`` for no constraint), each of length L, without
+    fitting the folds (``loo_ridge_grid``); it returns ``None`` where the
+    family has no such closed form or cannot certify it.
+    ``penalty_elements(p, n, loo)`` is what one penalty adds to the
+    family's largest solver array (``selection_elements``). ``mean`` maps
+    a linear predictor to the expected response, ``sample`` draws
+    responses around it, and ``update(state, batch, lam, diagnostics)`` is
+    the family's sequential step. ``fit_grid`` and ``loo_curve`` call the
+    bodies ``_fit_targeted_ridge_grid``, ``_irls_fit_grid`` and
+    ``_loo_ridge_grid``, which judge no checked array again. Methods look
+    every solver up here by name when they run, so a wrapper sees every fit.
     """
 
     name: str
@@ -155,14 +153,10 @@ class _Linear(Family):
         return fit_targeted_ridge(X, y, lam, target)
 
     def fit_grid(self, X, y, lams, target):
-        return fit_targeted_ridge_grid(X, y, lams, target)
+        return _fit_targeted_ridge_grid(X, y, lams, target)
 
     def loo_curve(self, X, y, lams, target, past):
-        history = None
-        if past is not None:
-            k = past.covariates
-            history = (past.factor[:, :k], past.factor[:, k])
-        return loo_ridge_grid(X, y, lams, target, history)
+        return _loo_ridge_grid(X, y, lams, target, past)
 
     def penalty_elements(self, p, n, loo):
         return (p + 1) * n if loo else 0
@@ -197,7 +191,7 @@ class _Logistic(Family):
         return irls_fit(X, y, lam, target).coef
 
     def fit_grid(self, X, y, lams, target):
-        return irls_fit_grid(X, y, lams, target)
+        return _irls_fit_grid(X, y, lams, target)
 
     def penalty_elements(self, p, n, loo):
         return p * p
@@ -554,8 +548,6 @@ def select_penalty(state: EstimatorState, batch: Batch,
         raise ValidationError("batch family differs from state family")
     n = batch.n
     k = n if cfg.k_folds is None else cfg.k_folds
-    if k > n:
-        raise ValidationError(f"k_folds={k} exceeds the batch size {n}")
     _check_fold_count(n, k)
 
     registry = state.registry.extended(batch.covariates)

@@ -1509,6 +1509,20 @@ def test_bad_json_values_exit_2(tmp_path, case):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    lambda tmp: scenario_args(tmp, {"study": "regular-vs-updated", "p": 2, "n": 5,
+                                    "n_batches": 2, "n_replicates": 1,
+                                    "beta_rule": [1.0, [2.0]]}),
+    lambda tmp: target_file_args(tmp, {"a": 1.0, "b": [1.0]}),
+], ids=["simulate-beta-rule", "init-target-file"])
+def test_a_ragged_number_list_exits_2_with_one_error_line(tmp_path, args):
+    """A list NumPy cannot make an array of, a number beside a list of
+    one, is refused as bad input, not raised as NumPy's ``ValueError``."""
+    code, out, err = run_cli(*args(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "ragged" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("study", ["regular-vs-updated", "mixed-vs-updated"])
 @pytest.mark.parametrize("bad", [{"mixed_ratio_grid_points": -1}, {"grid_points": 0},
                                  {"grid_min": 10.0, "grid_max": 1.0}],
@@ -1616,6 +1630,116 @@ class TestCliExport:
             line = next(l for l in out.splitlines() if l.strip().startswith(name))
             printed = float(line.split("=")[1])
             assert printed == state.current.values[name]
+
+
+# The general covariate path: batches over rotating and growing covariate
+# sets, aligned over a registry that grows to (a, b, c, d). Each response
+# follows all four covariates, of which a batch carries only its own.
+OVERLAP_SETS = (("a", "b"), ("a", "b", "c"), ("b", "c", "d"), ("a", "d"))
+OVERLAP_COEF = np.array([1.0, -0.5, 0.8, 0.3])
+
+
+def overlap_batches(tmp_path, family):
+    """One CSV per covariate set, in ``OVERLAP_SETS`` order. The linear
+    (a, d) batch is noise-dominated (sd 10), so shrinking toward the
+    previous estimate wins there."""
+    rng = np.random.default_rng(0)
+    paths = []
+    for t, names in enumerate(OVERLAP_SETS):
+        n = 30 if family == "linear" else 40
+        full = rng.standard_normal((n, 4))
+        eta = full @ OVERLAP_COEF
+        if family == "linear":
+            y = eta + (10.0 if names == ("a", "d") else 0.5) * rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        path = tmp_path / f"{family}-{t}.csv"
+        write_csv(path, list(names) + ["y"],
+                  np.column_stack([full[:, ["abcd".index(c) for c in names]], y]))
+        paths.append(str(path))
+    return paths
+
+
+def overlap_chain(tmp_path, family):
+    """What each command prints along the chain: ``init`` on the first
+    batch (leave-one-out, its default); ``select-lambda`` with
+    leave-one-out and then ``update`` with its default 5 folds on each
+    later one; ``predict`` from a file whose columns run (d, c, b, a); and
+    ``export``. Choices are ``(lam, fallback_used, feasible count)``."""
+    def run(*argv):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, ""), err
+        return out
+
+    state = str(tmp_path / f"{family}.json")
+    first, *rest = overlap_batches(tmp_path, family)
+    answers = {"init": json.loads(run("init", "--state", state, "--family", family,
+                                      "--data", first, "--response", "y"))["lam"],
+               "select": [], "update": [], "score": []}
+    for data in rest:
+        report = json.loads(run("select-lambda", "--state", state, "--data", data,
+                                "--response", "y", "--loocv"))
+        answers["select"].append((report["chosen_lambda"], report["fallback_used"],
+                                  sum(c["feasible"] for c in report["cv_curve"])))
+        done = json.loads(run("update", "--state", state, "--data", data, "--response", "y"))
+        answers["update"].append((done["lam"], done["fallback_used"], done["n_feasible"]))
+        answers["score"].append(done["score"])
+    rows = np.random.default_rng(8).standard_normal((3, 4))
+    write_csv(tmp_path / "new.csv", ["d", "c", "b", "a"], rows)
+    answers["predict"] = [float(v) for v in run("predict", "--state", state,
+                                                 "--data", str(tmp_path / "new.csv")).split()]
+    history, estimate = run("export", "--state", state).split("estimate:\n")
+    answers["history"] = [float(line.split("lam=")[1]) for line in history.splitlines()
+                          if "lam=" in line]
+    answers["estimate"] = [float(line.split("=")[1]) for line in estimate.splitlines()]
+    return answers
+
+
+# What ``overlap_chain`` printed when this test was written: each choice
+# ``(lam, fallback_used, feasible count)`` and the history's penalties
+# exactly, the scores, predictions and estimates (a, b, c, d) to rtol 1e-7.
+OVERLAP_ANSWERS = {
+    "linear": {
+        "init": 0.7543120063354622,
+        "select": [(0.47148663634573945, False, 50), (32.37457542817646, False, 50),
+                   (1000000.0, False, 21)],
+        "update": [(0.0001, False, 50), (20.235896477251554, False, 50),
+                   (1000000.0, False, 21)],
+        "score": [3.0272687396361873, 5.105002158491317, 456.90590830292905],
+        "predict": [-1.1092655678616914, 0.8478234385167607, 0.8140914501511514],
+        "estimate": [1.1557713618074419, -0.5342925867447044, 0.7589135706773068,
+                     0.2391517357927797],
+    },
+    "logistic": {
+        "init": 1000000.0,
+        "select": [(4.941713361323838, False, 50), (132.57113655901108, False, 50),
+                   (4.941713361323838, False, 50)],
+        "update": [(1.9306977288832496, False, 50), (1000000.0, False, 50),
+                   (4.941713361323838, False, 50)],
+        "score": [4.8844181548493575, 4.574945616988307, 4.866199610077443],
+        "predict": [0.24089625063140496, 0.40074386593281036, 0.6812335197143399],
+        "estimate": [0.6079113993940514, -0.463179154163872, 0.4356330534875165,
+                     0.5650287699578238],
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERLAP_ANSWERS))
+def test_the_general_covariate_path_gives_its_recorded_answers(tmp_path, family):
+    """Registry growth, targets assembled over older records, zero-padded
+    designs and past data that lacks a batch's columns, through every
+    command. The linear chain's (a, d) batch chooses the grid's upper
+    bound, 1e6, under both leave-one-out and 5 folds, with the constraint
+    leaving 21 of the 50 penalties feasible."""
+    got = overlap_chain(tmp_path, family)
+    want = OVERLAP_ANSWERS[family]
+    assert got["init"] == want["init"]
+    assert got["select"] == want["select"] and got["update"] == want["update"]
+    assert got["history"] == [lam for lam, _, _ in want["update"]]
+    for key in ("score", "predict", "estimate"):
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-7, err_msg=key)
+    if family == "linear":
+        assert got["select"][-1][0] == got["update"][-1][0] == default_grid()[-1]
 
 
 def cli_chain(tmp_path, updates, name="m.json", seed=41):

@@ -65,6 +65,10 @@ UNREFERENCED = {
     "mixed_fixed_effects": "the pooled mixed-model baseline the paper compares against",
     "mixed_moments": "the pooled mixed-model baseline's sampling moments",
     "plain_ridge": "the zero-target ridge baseline the paper compares against",
+    "fit_targeted_ridge_grid": "exported library API; its checked entry, the package calls "
+                               "the body",
+    "loo_ridge_grid": "exported library API; its checked entry, the package calls the body",
+    "irls_fit_grid": "exported library API; its checked entry, the package calls the body",
     "cv_score": "perfbench traces it, until the per-candidate oracle moves to the tests",
     "constraint_terms": "perfbench traces it, until the per-candidate oracle moves to the tests",
     "worker_count": "perfbench's tracer reads it for parallel.planned_workers_max, "

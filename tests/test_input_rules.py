@@ -12,7 +12,8 @@ float kind, so not bool, string or object, and finite entries. NumPy
 gives an integer that fits no 64-bit type (``2**70``, ``10**400``) and
 a ``Fraction`` the object dtype, so they are refused; a list or tuple
 that holds a bool at any depth is refused too, although NumPy would
-convert it to floats. Some inputs add a bound of >= 0 or > 0. Every
+convert it to floats, and so is a ragged list, which NumPy cannot
+convert at all. Some inputs add a bound of >= 0 or > 0. Every
 penalty, variance ratio, noise variance and grid bound is such a number
 (``_check_real``, the 0-d case). Every sequence of numbers is such an
 array, 1-D, with its bound checked on the whole array: a penalty or
@@ -28,6 +29,11 @@ These tables feed each malformed input to every public entry point that
 takes it and assert the error class, so a check that one caller drops
 fails here whatever module the check lives in.
 
+Each input is judged once, where it enters. The package's own calls run
+the solvers' bodies, which take checked float arrays, so a selection
+judges no array again and an update judges only its penalty and the
+estimate it records (the ``_real_array`` counts at the end).
+
 The oracles the tests hold the solvers to live beside the tests: the
 scalar reference IRLS with its objective and gradient
 (``irls_reference.py``) and the residual variance of a linear fit
@@ -36,12 +42,16 @@ rules, so the tables feed them too: a comparison with an oracle cannot
 pass on an input the package would refuse.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ridge_relay
 import ridge_relay.cli_io as cio
+from ridge_relay import model_core
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -64,6 +74,7 @@ from ridge_relay import (
     fit_targeted_ridge_grid,
     fold_stacked,
     fold_triangular,
+    get_family,
     irls_fit,
     irls_fit_grid,
     loo_ridge_grid,
@@ -71,6 +82,7 @@ from ridge_relay import (
     mixed_fixed_effects,
     mixed_moments,
     plain_ridge,
+    select_penalty,
     stack_batches,
     start_state,
     update,
@@ -437,6 +449,29 @@ BAD_ARRAYS = {
                                   STACKED | {"y_stack": Y["linear"] > 0}),
     "mixed_moments coef [True, False]": (mixed_moments, MOMENTS | {"coef": [1.0, 0.0]},
                                          MOMENTS | {"coef": [True, False]}),
+    # NumPy spreads a nested bool array into entries; a 0-d one stays whole
+    "Batch X [bool array, list]": (
+        Batch, {"t": 1, "X": [np.array([1.0, 0.0]), [1.0, 2.0]], "y": [1.0, 2.0],
+                "covariates": NAMES},
+        {"t": 1, "X": [np.array([True, False]), [1.0, 2.0]], "y": [1.0, 2.0],
+         "covariates": NAMES}),
+    "Batch y [1.0, 0-d bool array]": (
+        Batch, {"t": 1, "X": X[:2], "y": [1.0, np.array(0.0)], "covariates": NAMES},
+        {"t": 1, "X": X[:2], "y": [1.0, np.array(True)], "covariates": NAMES}),
+    # NumPy cannot make an array of a ragged list at all
+    "Batch X ragged rows": (Batch, {"t": 1, "X": [[1.0], [2.0]], "y": [1.0, 2.0],
+                                    "covariates": ("a",)},
+                            {"t": 1, "X": [[1.0], [1.0, 2.0]], "y": [1.0, 2.0],
+                             "covariates": ("a",)}),
+    "PenaltySearchConfig grid ragged": (PenaltySearchConfig, {"grid": [1.0, 2.0]},
+                                        {"grid": [1.0, [2.0, 3.0]]}),
+    "CoefficientVector.from_array ragged": (CoefficientVector.from_array,
+                                            {"names": NAMES, "values": [1.0, 2.0]},
+                                            {"names": NAMES, "values": [1.0, [2.0]]}),
+    "fit_targeted_ridge lam ragged": (fit_targeted_ridge, {"X": X, "y": Y["linear"],
+                                                           "lam": 1.0, "target": ZERO},
+                                      {"X": X, "y": Y["linear"], "lam": [1.0, [2.0]],
+                                       "target": ZERO}),
 }
 
 
@@ -488,3 +523,54 @@ def test_coefficients_that_are_not_a_mapping_are_rejected(values):
     """Pairs could name one coefficient twice, and ``dict`` would keep the last."""
     with pytest.raises(ValidationError):
         CoefficientVector(values)
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """The ``what`` of every ``_real_array`` call, counted at every package
+    module that imports the function."""
+    calls = []
+    real = model_core._real_array
+
+    def counted(values, what, *args, **kwargs):
+        calls.append(what)
+        return real(values, what, *args, **kwargs)
+
+    for info in pkgutil.iter_modules(ridge_relay.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"ridge_relay.{info.name}")
+            if getattr(module, "_real_array", None) is real:
+                monkeypatch.setattr(module, "_real_array", counted)
+    return calls
+
+
+def chain_and_batch(family, p=20, n=50, updates=10):
+    """A state after ``updates`` updates over p covariates, and the next batch."""
+    rng = np.random.default_rng(5)
+    names = tuple(f"x{j}" for j in range(p))
+    fam = get_family(family)
+    state = start_state(family, names)
+    for t in range(1, updates + 2):
+        X = rng.standard_normal((n, p))
+        batch = Batch(t, X, fam.sample(rng, X @ np.full(p, 0.3), 1.0), names, family)
+        if t <= updates:
+            state = fam.update(state, batch, 1.0)
+    return state, batch
+
+
+@pytest.mark.parametrize("k_folds", [5, None], ids=["5-fold", "leave-one-out"])
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+def test_a_selection_judges_no_array_again(judged, family, k_folds):
+    state, batch = chain_and_batch(family)
+    config = PenaltySearchConfig(k_folds=k_folds, grid=default_grid(points=8))
+    judged.clear()
+    select_penalty(state, batch, config)
+    assert judged == []
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+def test_an_update_judges_its_penalty_and_its_estimate_only(judged, family):
+    state, batch = chain_and_batch(family)
+    judged.clear()
+    get_family(family).update(state, batch, 1.0)
+    assert judged == ["penalty", "coefficients"]

@@ -21,6 +21,7 @@ from ridge_relay import (
     EstimationError,
     EstimatorState,
     SingularMatrixError,
+    TriangularHistory,
     ValidationError,
     exact_moments_general,
     exact_moments_orthonormal,
@@ -297,9 +298,10 @@ class TestLooRidgeGrid:
         y = X @ rng.standard_normal(p) + 0.5 * rng.standard_normal(n)
         F = np.triu(rng.standard_normal((k + 1, k)))
         f = rng.standard_normal(k + 1)
+        history = TriangularHistory(np.column_stack([F, f]), rows=k + 1)
         lams = (1e-4, 0.3, 7.0, 1e6)
         for target in rng.standard_normal((3, p)):
-            score, hist = loo_ridge_grid(X, y, lams, target, (F, f))
+            score, hist = loo_ridge_grid(X, y, lams, target, history)
             want_score, want_hist = per_fold_loo(X, y, lams, target, (F, f))
             np.testing.assert_allclose(score, want_score, rtol=1e-10)
             np.testing.assert_allclose(hist, want_hist, rtol=1e-10)
@@ -353,11 +355,12 @@ class TestLooRidgeGrid:
         assert (rest is None) == (case == "high-leverage row")
 
     def test_history_must_fit_the_design(self):
+        """A history over more covariates than the design has columns is
+        refused, and so is past data in any form but a ``TriangularHistory``."""
         X = np.ones((3, 2)) + np.eye(3, 2)
-        with pytest.raises(ValidationError):
-            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros(2), (np.ones((4, 3)), np.ones(4)))
-        with pytest.raises(ValidationError):
-            loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros(2), (np.ones((4, 2)), np.ones(3)))
+        for history in (TriangularHistory(np.eye(4), rows=4), (np.eye(3, 2), np.ones(3))):
+            with pytest.raises(ValidationError):
+                loo_ridge_grid(X, np.ones(3), (1.0,), np.zeros(2), history)
 
 
 class TestSequentialUpdate:

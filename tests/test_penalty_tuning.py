@@ -252,7 +252,7 @@ class TestCvScore:
             score = cv_score("linear", batch, 1.0, np.zeros(4), folds)
         assert score == np.inf
 
-        irls_fit_grid = penalty_tuning.irls_fit_grid
+        irls_fit_grid = penalty_tuning._irls_fit_grid
         failed = []
 
         def fail_once_at_five(X, y, lams, target):
@@ -263,7 +263,7 @@ class TestCvScore:
                 ok[at_five] = False
             return coefs, ok
 
-        monkeypatch.setattr(penalty_tuning, "irls_fit_grid", fail_once_at_five)
+        monkeypatch.setattr(penalty_tuning, "_irls_fit_grid", fail_once_at_five)
         rng = np.random.default_rng(80)
         names = ("a", "b")
         X = rng.standard_normal((12, 2))
@@ -513,12 +513,12 @@ class TestSelectPenalty:
         assert wins >= 90
 
     def test_all_candidates_disqualified_raises(self, monkeypatch):
-        """The fold loop solves each linear fold with ``fit_targeted_ridge_grid``;
+        """The fold loop solves each linear fold with ``_fit_targeted_ridge_grid``;
         when it marks every candidate unusable, selection must refuse."""
         def all_unusable(X, y, lams, target):
             return np.repeat(target[:, None], len(lams), axis=1), np.zeros(len(lams), bool)
 
-        monkeypatch.setattr(penalty_tuning, "fit_targeted_ridge_grid", all_unusable)
+        monkeypatch.setattr(penalty_tuning, "_fit_targeted_ridge_grid", all_unusable)
         rng = np.random.default_rng(98)
         state, names = state_with_history(rng, np.array([1.0, -1.0]))
         X = rng.standard_normal((10, 2))
@@ -549,12 +549,12 @@ class TestSelectPenalty:
 
     def test_all_logistic_candidates_disqualified_raises(self, monkeypatch):
         """The fold loop fits every logistic candidate of a fold with one
-        ``irls_fit_grid``; when it marks them all unusable, selection must
+        ``_irls_fit_grid``; when it marks them all unusable, selection must
         refuse."""
         def all_unusable(X, y, lams, target):
             return np.repeat(target[:, None], len(lams), axis=1), np.zeros(len(lams), bool)
 
-        monkeypatch.setattr(penalty_tuning, "irls_fit_grid", all_unusable)
+        monkeypatch.setattr(penalty_tuning, "_irls_fit_grid", all_unusable)
         rng = np.random.default_rng(98)
         names = ("a", "b")
         state = linear_state(names, "logistic")
@@ -851,8 +851,8 @@ def loo_selections(draw):
 
 def fold_loop_report(state, batch, cfg):
     """The selection with the closed form switched off: one
-    ``fit_targeted_ridge_grid`` per held-out row."""
-    with mock.patch.object(penalty_tuning, "loo_ridge_grid", lambda *args: None):
+    ``_fit_targeted_ridge_grid`` per held-out row."""
+    with mock.patch.object(penalty_tuning, "_loo_ridge_grid", lambda *args: None):
         return select_penalty(state, batch, cfg)
 
 
@@ -880,7 +880,7 @@ class TestLooClosedFormProperties:
         singular outright each send the selection to one solve per held-out
         row. Only those deal the folds."""
         calls, deals = [], []
-        solve = penalty_tuning.fit_targeted_ridge_grid
+        solve = penalty_tuning._fit_targeted_ridge_grid
         deal = penalty_tuning.make_folds
 
         def counted(*args):
@@ -905,7 +905,7 @@ class TestLooClosedFormProperties:
         y = X @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.standard_normal(X.shape[0])
         batch = Batch(t=state.t + 1, X=X, y=y, covariates=names)
         cfg = PenaltySearchConfig(k_folds=None, grid=grid)
-        monkeypatch.setattr(penalty_tuning, "fit_targeted_ridge_grid", counted)
+        monkeypatch.setattr(penalty_tuning, "_fit_targeted_ridge_grid", counted)
         monkeypatch.setattr(penalty_tuning, "make_folds", counted_deal)
         report = select_penalty(state, batch, cfg)
         assert len(calls) == (0 if case == "ordinary" else batch.n)
