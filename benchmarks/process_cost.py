@@ -4,7 +4,8 @@
 
 Spawns four commands in alternation, one process at a time, and prints
 one JSON document with the median and quartiles of each command's wall
-time from spawn to exit, in milliseconds:
+time from spawn to exit and, next to them, of the child's CPU time (user
+plus system, from ``os.wait4``), in milliseconds:
 
 * ``pass``: ``python -c pass``, the interpreter alone;
 * ``import``: ``import ridge_relay.cli_io``, which loads NumPy and the
@@ -15,7 +16,9 @@ time from spawn to exit, in milliseconds:
 * ``export``: ``python -m ridge_relay export`` of a small linear state.
 
 ``import`` minus ``import+freeze`` is what the freeze saves a process;
-``export`` minus ``import+freeze`` is the work of a small command. Every
+``export`` minus ``import+freeze`` is the work of a small command. CPU
+time above wall time is work done on more than one thread, such as a
+BLAS thread pool's start-up. Every
 process runs the package under ``src/`` of this checkout, with the
 environment this tool was started with (so ``PYTHONDONTWRITEBYTECODE``,
 if set, makes each process compile the package from source). One
@@ -68,10 +71,22 @@ def commands(state_path: str) -> dict[str, list[str]]:
     }
 
 
-def spawn_ms(argv: list[str], env: dict[str, str]) -> float:
+def spawn_ms(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
+    """Wall and CPU milliseconds of one run of ``argv``, from spawn to exit."""
     start = time.perf_counter()
-    subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
-    return (time.perf_counter() - start) * 1000.0
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = (time.perf_counter() - start) * 1000.0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return wall, (usage.ru_utime + usage.ru_stime) * 1000.0
+
+
+def summary(values: list[float]) -> dict[str, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(statistics.median(values), 2), "q1": round(q1, 2),
+            "q3": round(q3, 2)}
 
 
 def main() -> None:
@@ -85,18 +100,18 @@ def main() -> None:
         state_path = os.path.join(workdir, "state.json")
         small_state(state_path)
         cmds = commands(state_path)
-        times: dict[str, list[float]] = {name: [] for name in cmds}
+        times: dict[str, list[tuple[float, float]]] = {name: [] for name in cmds}
         for round_ in range(rounds + 1):
             for name, argv in cmds.items():
                 ms = spawn_ms(argv, env)
                 if round_:
                     times[name].append(ms)
     doc = {"rounds": rounds, "python": sys.version.split()[0],
-           "statistic": "ms from spawn to exit: median and quartiles"}
+           "statistic": "ms from spawn to exit: median and quartiles of wall time, "
+                        "and under cpu of the child's user plus system time"}
     for name, values in times.items():
-        q1, _, q3 = statistics.quantiles(values, n=4)
-        doc[name] = {"median": round(statistics.median(values), 2),
-                     "q1": round(q1, 2), "q3": round(q3, 2)}
+        wall, cpu = zip(*values)
+        doc[name] = {**summary(list(wall)), "cpu": summary(list(cpu))}
     print(json.dumps(doc, indent=2))
 
 

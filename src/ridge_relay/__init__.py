@@ -9,6 +9,12 @@ baselines to compare against, simulation studies, and a state-file based
 command line driver.
 """
 
+import os
+
+# NumPy's BLAS reads these as it loads: one thread per process, unless set
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     ConvergenceError,
     EstimationError,

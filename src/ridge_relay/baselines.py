@@ -22,12 +22,11 @@ variance, using the determinant identity det(I_n + xi XX') =
 det(I_p + xi X'X).
 
 The mixed-vs-updated study refits the pooled model after every batch
-through ``_PooledRefit``. It decomposes each batch once, when the batch
-arrives, and adds that block's Woodbury terms to running sums over the
-ratio grid. These are the additions ``estimate_xi`` makes from zeros, in
-the same block order, so the refit after batch t equals ``estimate_xi``
-on the stack of batches 1..t to the bit, at t SVDs in all instead of
-t(t+1)/2.
+through ``_PooledRefit``, which keeps one spectrum per batch and no
+rows. It adds each arriving block's Woodbury terms to running sums over
+the ratio grid, as ``estimate_xi`` does from zeros in the same block
+order, and both finish in one ``_profile_fit``, so the refit after
+batch t equals ``estimate_xi`` on the stack of batches 1..t to the bit.
 
 A state-space variant in which the coefficients themselves drift from
 batch to batch by a random walk leads to the same maximum likelihood
@@ -148,18 +147,19 @@ class MixedFit(_Record):
                              sigma_gamma_sq=sigma_gamma_sq, profile_loglik=profile_loglik)
 
 
-def _block_spectrum(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eigenpairs (d, V) of X'X on its row space and u = V'X'y.
-
-    They come from the thin SVD X = U diag(s) V' (d = s^2), so the null
+def _block_spectrum(X: np.ndarray, y: np.ndarray) -> tuple:
+    """(s, V, c, off) of the thin SVD X = U diag(s) V', with c = U'y and
+    off = ||y - U c||^2: all a pooled fit reads from the block. The null
     directions of a block with fewer rows than covariates are left out
-    exactly instead of carrying rounding noise into every ratio.
+    exactly. c is kept as U'y, since a zero column gives an s near 1e-17.
     """
-    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    return sv * sv, Vt.T, sv * (U.T @ y)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    c = U.T @ y
+    rest = y - U @ c
+    return s, Vt.T, c, float(rest @ rest)
 
 
-def _block_spectra(data: StackedData) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_spectra(data: StackedData) -> list:
     """``_block_spectrum`` of every block, in block order."""
     return [_block_spectrum(X, y) for X, y in zip(data.blocks, data.y_blocks())]
 
@@ -172,20 +172,18 @@ def _woodbury_zeros(p: int, xis: np.ndarray):
 
 def _woodbury_add(sums, spectrum, xis: np.ndarray) -> None:
     """Add one block's X'Omega^{-1}X, X'Omega^{-1}y and log det Omega, for
-    every ratio, to the running sums (C, b, logdet) in place.
-
-    With (I + xi X'X)^{-1} = V diag(1 / (1 + xi d)) V' per block, every
-    ratio costs only diagonal scalings of the block's one eigenbasis:
-    X'Omega^{-1}X = V diag(d / (1 + xi d)) V', X'Omega^{-1}y =
-    V diag(1 / (1 + xi d)) u and log det Omega = sum log(1 + xi d). As
-    d >= 0 and xi >= 0, every 1 + xi d is at least 1.
+    every ratio, to the running sums (C, b, logdet) in place: with d = s^2
+    they are V diag(d / (1 + xi d)) V', V (s c / (1 + xi d)) and
+    sum log(1 + xi d), diagonal scalings of the block's one eigenbasis.
+    Every 1 + xi d is at least 1, as d >= 0 and xi >= 0.
     """
     C, b, logdet = sums
-    d, V, u = spectrum
+    s, V, c, _ = spectrum
+    d = s * s
     inner = 1.0 + np.outer(xis, d)
     logdet += np.log(inner).sum(axis=1)
     C += (V * (d / inner)[:, None, :]) @ V.T
-    b += (u / inner) @ V.T
+    b += (s * c / inner) @ V.T
 
 
 def _woodbury_grid(spectra, xis: np.ndarray):
@@ -278,7 +276,8 @@ def mixed_moments(data: StackedData, xi: float, sigma_eps_sq: float,
     p = data.p
     C = np.zeros((p, p))
     M = np.zeros((p, p))
-    for d, V, _ in _block_spectra(data):
+    for s, V, _, _ in _block_spectra(data):
+        d = s * s
         inner = 1.0 + xi * d
         C += (V * (d / inner)) @ V.T
         M += (V * (d * (sigma_eps_sq + sigma_gamma_sq * d) / inner ** 2)) @ V.T
@@ -306,35 +305,32 @@ def _ratio_grid(grid: Sequence[float] | None) -> np.ndarray:
     return xis
 
 
-def _profile_fit(data: StackedData, xis: np.ndarray, spectra, sums) -> MixedFit:
-    """The likelihood-best ``MixedFit`` over ``xis``, from the blocks'
-    spectra and their summed (C, b, logdet).
+def _profile_fit(n: int, p: int, xis: np.ndarray, spectra, sums) -> MixedFit:
+    """The likelihood-best ``MixedFit`` over ``xis`` of ``n`` rows and
+    ``p`` fixed effects, from the blocks' spectra and summed (C, b, logdet).
 
-    One stacked factorization and solve give the fixed effects at every
-    ratio, with each ratio's pivot check. For each ratio the noise
-    variance has the closed form q(xi)/n with q the GLS quadratic form of
-    the residuals over the stacked rows, leaving a one-dimensional profile
-    likelihood. Ratios whose solve fails are skipped; if all fail this
-    raises.
+    One stacked solve gives the fixed effects at every ratio, each with
+    its pivot check. The noise variance is q(xi)/n, where the GLS
+    quadratic form q = sum_blocks [off + sum_i h_i^2 / (1 + xi s_i^2)],
+    h = c - s * (V' beta), sums non-negative terms. Ratios whose solve
+    fails are skipped; if all do, this raises.
     """
-    if data.n < data.p:
-        raise EstimationError(
-            f"{data.n} stacked rows cannot identify {data.p} fixed effects")
+    if n < p:
+        raise EstimationError(f"{n} stacked rows cannot identify {p} fixed effects")
     C, b, logdet = sums
     betas, ok = _solve_spd_stack(C, b, "the GLS normal matrix")
-    resid = data.y_stack[:, None] - data.x_stack @ betas.T
-    quad = np.einsum("ij,ij->j", resid, resid)
-    for d, V, u in spectra:
-        g = u[:, None] - d[:, None] * (V.T @ betas.T)
-        quad -= xis * (g * g / (1.0 + np.outer(d, xis))).sum(axis=0)
+    quad = np.zeros(xis.shape[0])
+    for s, V, c, off in spectra:
+        h = c[:, None] - s[:, None] * (V.T @ betas.T)
+        quad += off + (h * h / (1.0 + np.outer(s * s, xis))).sum(axis=0)
     best: MixedFit | None = None
     failures = 0
     for i, xi in enumerate(xis.tolist()):
         if not ok[i] or quad[i] <= 0:
             failures += 1
             continue
-        sigma_sq = float(quad[i]) / data.n
-        loglik = -0.5 * (data.n * np.log(2.0 * np.pi * sigma_sq) + float(logdet[i]) + data.n)
+        sigma_sq = float(quad[i]) / n
+        loglik = -0.5 * (n * np.log(2.0 * np.pi * sigma_sq) + float(logdet[i]) + n)
         if best is None or loglik > best.profile_loglik:
             best = MixedFit(fixed_effects=betas[i], xi=xi,
                             sigma_eps_sq=sigma_sq, sigma_gamma_sq=xi * sigma_sq,
@@ -348,46 +344,47 @@ def _profile_fit(data: StackedData, xis: np.ndarray, spectra, sums) -> MixedFit:
 def estimate_xi(data: StackedData, grid: Sequence[float] | None = None) -> MixedFit:
     """Choose the variance ratio by profiled Gaussian maximum likelihood.
 
-    For each candidate xi the noise variance has the closed form
-    q(xi)/n with q the GLS quadratic form of the residuals, leaving a
-    one-dimensional profile likelihood evaluated over the grid, all of it
-    from one eigendecomposition per block. Grid points where the solve
-    fails are skipped; if all fail this raises.
+    Each block is decomposed once; the fixed effects, noise variance and
+    profile likelihood at every grid ratio come from those spectra alone
+    (``_profile_fit``). Grid points where the solve fails are skipped; if
+    all fail this raises.
     """
     xis = _ratio_grid(grid)
     spectra = _block_spectra(data)
-    return _profile_fit(data, xis, spectra, _woodbury_grid(spectra, xis))
+    return _profile_fit(data.n, data.p, xis, spectra, _woodbury_grid(spectra, xis))
 
 
 class _PooledRefit:
     """``estimate_xi`` on a stream of linear batches that grows one at a time.
 
-    ``add`` decomposes the arriving batch and adds its Woodbury terms to
-    running sums, in arrival order; ``fit`` then equals ``estimate_xi(
-    stack_batches(batches added so far), grid)`` to the bit, without
-    decomposing any earlier batch again.
+    Each batch is kept as its block spectrum alone, its Woodbury terms
+    added to running sums in arrival order; ``fit`` then equals
+    ``estimate_xi(stack_batches(batches so far), grid)`` to the bit, as
+    both run ``_profile_fit``, with no batch stacked or checked again.
     """
 
     def __init__(self, grid: Sequence[float] | None = None) -> None:
         self.xis = _ratio_grid(grid)
-        self._batches: list[Batch] = []
-        self._spectra: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._names: tuple[str, ...] = ()
+        self._rows = 0
+        self._spectra: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
         self._sums = None
 
     def add(self, batch: Batch) -> None:
         """Take the next batch: one thin SVD, its terms added to the sums."""
-        _check_stackable(batch, (self._batches or [batch])[0].covariates)
-        if self._sums is None:
-            self._sums = _woodbury_zeros(batch.X.shape[1], self.xis)
+        _check_stackable(batch, self._names or batch.covariates)
         spectrum = _block_spectrum(batch.X, batch.y)
+        if not self._names:
+            self._names, self._sums = batch.covariates, _woodbury_zeros(batch.p, self.xis)
         _woodbury_add(self._sums, spectrum, self.xis)
-        self._batches.append(batch)
+        self._rows += batch.n
         self._spectra.append(spectrum)
 
     def fit(self) -> MixedFit:
         """The refit on every batch added so far."""
-        data = stack_batches(self._batches)
-        return _profile_fit(data, self.xis, self._spectra, self._sums)
+        if not self._names:
+            raise ValidationError("need at least one batch")
+        return _profile_fit(self._rows, len(self._names), self.xis, self._spectra, self._sums)
 
 
 def plain_ridge(X, y, lam: float) -> np.ndarray:

@@ -668,7 +668,7 @@ def assemble_target(state: EstimatorState, names: Sequence[str]) -> CoefficientV
     backstop = state.init_target.values
     for name in missing:
         found[name] = backstop.get(name, 0.0)
-    return CoefficientVector({name: found[name] for name in names})
+    return CoefficientVector._built(values={name: found[name] for name in names})
 
 
 def target_records(state: EstimatorState) -> tuple[UpdateRecord, ...]:

@@ -419,9 +419,9 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
 def run_study_mixed_vs_updated(config: ScenarioConfig):
     """Pooled mixed-model refits vs. two sequential chains (zero / truth init).
 
-    The pooled refit stacks batches 1..t and re-estimates the variance
-    ratio each time, decomposing each batch once as it arrives
-    (``_PooledRefit``); it only produces a value once the stacked data
+    The pooled refit fits batches 1..t and re-estimates the variance
+    ratio each time from one spectrum per batch, taken as it arrives
+    (``_PooledRefit``); it only produces a value once the pooled rows
     identify the model (t * n > p). Chain penalties come from constrained
     cross-validation unless the scenario forces constraints off.
     """

@@ -6,10 +6,13 @@ weighting matrix, the moment formulas against Monte Carlo simulation of
 the generating mixed model, and the profiler against data simulated at
 known variance ratios and, as a property over generated stacks, against
 a direct block oracle that factors every n_tau-sized block
-Omega = I + xi X X' at every ratio. The per-batch carried refit of a
-growing stream is checked against the profiler at every prefix, to the
-bit.
+Omega = I + xi X X' at every ratio. The profile's quadratic form, which
+sets the noise variance, is held to exact rational arithmetic on small
+stacks. The per-batch carried refit of a growing stream is checked
+against the profiler at every prefix, to the bit.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,16 +96,50 @@ def direct_profile_point(data, xi):
     try:
         C, b, logdet = direct_blocks(data, xi)
         beta = _solve_spd(C, b, "the GLS normal matrix")
-        quad = 0.0
-        for X, y in zip(data.blocks, data.y_blocks()):
-            r = y - X @ beta
-            gram_r = X.T @ r
-            inner = np.eye(data.p) + xi * (X.T @ X)
-            quad += float(r @ r) - xi * float(gram_r @ cho_solve(
-                cho_factor(inner, "I + xi X'X"), gram_r))
+        quad = stacked_quadratic_form(data, xi, beta)
     except SingularMatrixError:
         return None
     return beta, quad, logdet
+
+
+def stacked_quadratic_form(data, xi, beta):
+    """The GLS quadratic form r'Omega^{-1}r of the residuals at ``beta``,
+    block by block as r'r less xi g'(I + xi X'X)^{-1}g with g = X'r (the
+    Woodbury identity). It is a difference of two large terms once
+    xi X'X is large, so it is a reference at moderate ratios only."""
+    quad = 0.0
+    for X, y in zip(data.blocks, data.y_blocks()):
+        r = y - X @ beta
+        gram_r = X.T @ r
+        inner = np.eye(data.p) + xi * (X.T @ X)
+        quad += float(r @ r) - xi * float(gram_r @ cho_solve(
+            cho_factor(inner, "I + xi X'X"), gram_r))
+    return quad
+
+
+def exact_quadratic_form(data, xi, beta):
+    """r'Omega^{-1}r at ``beta`` in exact rational arithmetic: every float
+    taken as the rational it is, and each block's system
+    (I + xi X X') z = r solved by Gaussian elimination. The matrix is
+    symmetric positive definite, so no pivot is zero and none is chosen."""
+    xi, beta = Fraction(xi), [Fraction(v) for v in beta.tolist()]
+    quad = Fraction(0)
+    for X, y in zip(data.blocks, data.y_blocks()):
+        rows = [[Fraction(v) for v in row] for row in X.tolist()]
+        r = [Fraction(v) - sum(a * b for a, b in zip(row, beta))
+             for row, v in zip(rows, y.tolist())]
+        n = len(rows)
+        A = [[int(i == j) + xi * sum(a * b for a, b in zip(rows[i], rows[j]))
+              for j in range(n)] + [r[i]] for i in range(n)]
+        for k in range(n):
+            for i in range(k + 1, n):
+                f = A[i][k] / A[k][k]
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+        z = [Fraction(0)] * n
+        for i in reversed(range(n)):
+            z[i] = (A[i][n] - sum(A[i][j] * z[j] for j in range(i + 1, n))) / A[i][i]
+        quad += sum(a * b for a, b in zip(r, z))
+    return quad
 
 
 def direct_estimate_xi(data, grid):
@@ -445,6 +482,38 @@ class TestEstimateXiRoutes:
         assert fit.xi == xi
         scale = np.linalg.norm(fixed_effects)
         assert np.linalg.norm(fit.fixed_effects - fixed_effects) <= 1e-10 * scale
+
+
+class TestQuadraticForm:
+    """The noise variance of a fit is q(xi)/n; q is held to exact rational
+    arithmetic on small stacks whose blocks have up to 5 rows, up to 3
+    covariates scaled by up to 1e3, at ratios from 1e-4 to 1e4."""
+
+    @staticmethod
+    def small_stack(seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 4))
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 4))).tolist()
+        sizes[-1] = max(sizes[-1], p + 1 - sum(sizes[:-1]))
+        scale = 10.0 ** rng.uniform(0.0, 3.0)
+        names = tuple(f"x{j}" for j in range(p))
+        batches = []
+        for t, n in enumerate(sizes, start=1):
+            X = scale * rng.standard_normal((n, p))
+            y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+            batches.append(Batch(t=t, X=X, y=y, covariates=names))
+        return stack_batches(batches), 10.0 ** rng.uniform(-4.0, 4.0)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_q_matches_exact_arithmetic(self, seed):
+        data, xi = self.small_stack(seed)
+        fit = estimate_xi(data, [xi])
+        quad = fit.sigma_eps_sq * data.n
+        exact = exact_quadratic_form(data, xi, fit.fixed_effects)
+        assert float(abs(Fraction(quad) - exact) / exact) <= 1e-9
+        if xi * max(float(np.sum(X * X)) for X in data.blocks) <= 10.0:
+            assert quad == pytest.approx(stacked_quadratic_form(data, xi, fit.fixed_effects),
+                                         rel=1e-9)
 
 
 def outcome(fit):

@@ -2028,6 +2028,26 @@ class TestFrozenImportHeap:
         assert not os.path.exists(path + ".lock")
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# OpenBLAS sizes its pool by the CPUs this process may run on
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((USABLE_CPUS or 1) < 2 or not os.path.isdir("/proc/self/task"),
+                    reason="needs two usable CPUs and Linux's /proc/self/task")
+@pytest.mark.parametrize("user_setting, threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["default", "user-set"])
+def test_a_command_process_holds_one_blas_thread_unless_the_user_asks(user_setting, threads):
+    """OpenBLAS starts a thread per usable CPU when NumPy loads unless told
+    otherwise; the package defaults it to one, and a user's value wins."""
+    env = {k: v for k, v in package_env().items() if k not in BLAS_THREADS}
+    script = "import os, ridge_relay.cli_io; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**env, **user_setting}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == threads
+
+
 class TestFileModes:
     """Every file a command writes is created as ``open`` would create it:
     mode 0666 less the process's umask. The state and every dataset go

@@ -65,6 +65,7 @@ UNREFERENCED = {
     "mixed_fixed_effects": "the pooled mixed-model baseline the paper compares against",
     "mixed_moments": "the pooled mixed-model baseline's sampling moments",
     "plain_ridge": "the zero-target ridge baseline the paper compares against",
+    "stack_batches": "the pooled baseline's stacked input, exported library API",
     "fit_targeted_ridge_grid": "exported library API; its checked entry, the package calls "
                                "the body",
     "loo_ridge_grid": "exported library API; its checked entry, the package calls the body",

@@ -32,7 +32,10 @@ fails here whatever module the check lives in.
 Each input is judged once, where it enters. The package's own calls run
 the solvers' bodies, which take checked float arrays, so a selection
 judges no array again and an update judges only its penalty and the
-estimate it records (the ``_real_array`` counts at the end).
+estimate it records. The pooled baseline keeps each checked batch as its
+block spectrum, so a refit judges nothing, and a target assembled over a
+grown registry is built from checked records (the ``_real_array`` counts
+at the end).
 
 The oracles the tests hold the solvers to live beside the tests: the
 scalar reference IRLS with its objective and gradient
@@ -51,7 +54,7 @@ import pytest
 
 import ridge_relay
 import ridge_relay.cli_io as cio
-from ridge_relay import model_core
+from ridge_relay import baselines, model_core
 from ridge_relay import (
     Batch,
     CoefficientVector,
@@ -59,11 +62,13 @@ from ridge_relay import (
     EstimatorState,
     PenaltySearchConfig,
     RegistryError,
+    ScenarioConfig,
     StackedData,
     StackedHistory,
     StateFileError,
     UpdateRecord,
     ValidationError,
+    assemble_target,
     cv_score,
     default_grid,
     default_xi_grid,
@@ -82,6 +87,7 @@ from ridge_relay import (
     mixed_fixed_effects,
     mixed_moments,
     plain_ridge,
+    run_study_mixed_vs_updated,
     select_penalty,
     stack_batches,
     start_state,
@@ -574,3 +580,39 @@ def test_an_update_judges_its_penalty_and_its_estimate_only(judged, family):
     judged.clear()
     get_family(family).update(state, batch, 1.0)
     assert judged == ["penalty", "coefficients"]
+
+
+def test_assembling_a_target_over_a_grown_registry_judges_nothing(judged):
+    state, batch = chain_and_batch("linear", p=3, updates=2)
+    names = state.registry.extended(batch.covariates + ("new",)).names
+    judged.clear()
+    target = assemble_target(state, names)
+    assert judged == []
+    assert target.values == {**state.current.values, "new": 0.0}
+
+
+def test_a_pooled_refit_judges_nothing_and_stacks_nothing(judged, monkeypatch):
+    stacked, stack = [], baselines.stack_batches
+    monkeypatch.setattr(baselines, "stack_batches",
+                        lambda batches: stacked.append(batches) or stack(batches))
+    rng = np.random.default_rng(3)
+    pooled = baselines._PooledRefit(default_xi_grid(5))
+    for t in (1, 2, 3):
+        pooled.add(Batch(t, rng.standard_normal((4, 2)), rng.standard_normal(4), NAMES))
+    judged.clear()
+    pooled.fit()
+    assert judged == [] and stacked == []
+
+
+def test_a_mixed_study_judges_each_batch_once(judged):
+    """The criterion-06 regime A layout at seed 0 makes 133 checks: 4 of
+    the scenario, 3 of the penalty grid and its bounds, 1 of each
+    replicate's ratio grid, 2 per generated batch, 1 per chain's start,
+    and per chain update its penalty and its estimate. No pooled refit
+    adds any."""
+    config = ScenarioConfig.from_dict({
+        "study": "mixed-vs-updated", "family": "linear", "p": 11, "n": 25,
+        "n_batches": 10, "n_replicates": 2, "noise_var": 1.0, "empty_every": 10,
+        "k_folds": None, "constrained": True, "seed": 0})
+    run_study_mixed_vs_updated(config)
+    assert len(judged) <= 133
