@@ -2,10 +2,11 @@
 
     python3 benchmarks/process_cost.py [--quick]
 
-Spawns four commands in alternation, one process at a time, and prints
+Spawns six commands in alternation, one process at a time, and prints
 one JSON document with the median and quartiles of each command's wall
 time from spawn to exit and, next to them, of the child's CPU time (user
-plus system, from ``os.wait4``), in milliseconds:
+plus system) in milliseconds and of its peak resident size
+(``ru_maxrss``) in MB of 2^20 bytes, both from ``os.wait4``:
 
 * ``pass``: ``python -c pass``, the interpreter alone;
 * ``import``: ``import ridge_relay.cli_io``, which loads NumPy and the
@@ -13,12 +14,20 @@ plus system, from ``os.wait4``), in milliseconds:
 * ``import+freeze``: the same import followed by ``gc.freeze()``, which
   is what every command does first, so the exit skips collecting the
   import-time heap;
-* ``export``: ``python -m ridge_relay export`` of a small linear state.
+* ``import+random``: ``import ridge_relay.cli_io, numpy.random``, the
+  import a study process makes before it draws a batch;
+* ``export``: ``python -m ridge_relay export`` of a small linear state;
+* ``simulate``: ``python -m ridge_relay simulate`` of a tiny study, the
+  benchmark's ``study-mixed`` layout with one replicate of two batches.
 
 ``import`` minus ``import+freeze`` is what the freeze saves a process;
-``export`` minus ``import+freeze`` is the work of a small command. CPU
-time above wall time is work done on more than one thread, such as a
-BLAS thread pool's start-up. Every
+``import+random`` minus ``import`` is what loading ``numpy.random``
+costs; ``export`` and ``simulate`` minus ``import+freeze`` are the work
+of a small command. CPU time above wall time is work done on more than
+one thread, such as a BLAS thread pool's start-up. A child spawned from
+a process starts its peak resident size at that process's, so this tool
+imports only the standard library and writes the state in a child of
+its own; ``pass`` reads no lower than this tool's own size. Every
 process runs the package under ``src/`` of this checkout, with the
 environment this tool was started with (so ``PYTHONDONTWRITEBYTECODE``,
 if set, makes each process compile the package from source). One
@@ -39,19 +48,24 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-sys.path.insert(0, SRC)
-
-import numpy as np  # noqa: E402
-
-from ridge_relay import Batch, start_state, update  # noqa: E402
-from ridge_relay.cli_io import write_state  # noqa: E402
 
 ROUNDS = 21
 QUICK_ROUNDS = 3
+# perfbench's study-mixed scenario, cut to one replicate of two batches
+TINY_STUDY = {"study": "mixed-vs-updated", "family": "linear", "p": 11, "n": 25,
+              "n_batches": 2, "n_replicates": 1, "noise_var": 1.0, "empty_every": 10,
+              "k_folds": None, "constrained": True, "seed": 0}
 
 
 def small_state(path: str, p: int = 5, n: int = 20, updates: int = 3) -> None:
-    """A linear state over ``p`` covariates after ``updates`` updates at a fixed penalty."""
+    """A linear state over ``p`` covariates after ``updates`` updates at a
+    fixed penalty. Run in a child (``--write-state``), so that this tool
+    stays small."""
+    import numpy as np
+
+    from ridge_relay import Batch, start_state, update
+    from ridge_relay.cli_io import write_state
+
     names = tuple(f"x{j}" for j in range(1, p + 1))
     state = start_state("linear", names)
     grid = np.arange(n * p, dtype=float).reshape(n, p)
@@ -61,18 +75,24 @@ def small_state(path: str, p: int = 5, n: int = 20, updates: int = 3) -> None:
     write_state(state, path)
 
 
-def commands(state_path: str) -> dict[str, list[str]]:
+def commands(workdir: str) -> dict[str, list[str]]:
     python = sys.executable
+    ridge_relay = [python, "-m", "ridge_relay"]
     return {
         "pass": [python, "-c", "pass"],
         "import": [python, "-c", "import ridge_relay.cli_io"],
         "import+freeze": [python, "-c", "import gc, ridge_relay.cli_io; gc.freeze()"],
-        "export": [python, "-m", "ridge_relay", "export", "--state", state_path],
+        "import+random": [python, "-c", "import ridge_relay.cli_io, numpy.random"],
+        "export": ridge_relay + ["export", "--state", os.path.join(workdir, "state.json")],
+        "simulate": ridge_relay + ["simulate", "--scenario",
+                                   os.path.join(workdir, "scenario.json"),
+                                   "--out", os.path.join(workdir, "out")],
     }
 
 
-def spawn_ms(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
-    """Wall and CPU milliseconds of one run of ``argv``, from spawn to exit."""
+def spawn(argv: list[str], env: dict[str, str]) -> tuple[float, float, float]:
+    """Wall and CPU milliseconds and peak resident MB of one run of
+    ``argv``, from spawn to exit."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -80,7 +100,7 @@ def spawn_ms(argv: list[str], env: dict[str, str]) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, argv)
-    return wall, (usage.ru_utime + usage.ru_stime) * 1000.0
+    return wall, (usage.ru_utime + usage.ru_stime) * 1000.0, usage.ru_maxrss / 1024.0
 
 
 def summary(values: list[float]) -> dict[str, float]:
@@ -93,25 +113,34 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
                         help=f"{QUICK_ROUNDS} rounds instead of {ROUNDS}")
-    rounds = QUICK_ROUNDS if parser.parse_args().quick else ROUNDS
+    parser.add_argument("--write-state", metavar="PATH", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.write_state:
+        small_state(args.write_state)
+        return
+    rounds = QUICK_ROUNDS if args.quick else ROUNDS
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory(prefix="process-cost-") as workdir:
-        state_path = os.path.join(workdir, "state.json")
-        small_state(state_path)
-        cmds = commands(state_path)
-        times: dict[str, list[tuple[float, float]]] = {name: [] for name in cmds}
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--write-state",
+                        os.path.join(workdir, "state.json")], env=env, check=True)
+        with open(os.path.join(workdir, "scenario.json"), "w", encoding="utf-8") as fh:
+            json.dump(TINY_STUDY, fh)
+        cmds = commands(workdir)
+        runs: dict[str, list[tuple[float, float, float]]] = {name: [] for name in cmds}
         for round_ in range(rounds + 1):
             for name, argv in cmds.items():
-                ms = spawn_ms(argv, env)
+                run = spawn(argv, env)
                 if round_:
-                    times[name].append(ms)
+                    runs[name].append(run)
     doc = {"rounds": rounds, "python": sys.version.split()[0],
-           "statistic": "ms from spawn to exit: median and quartiles of wall time, "
-                        "and under cpu of the child's user plus system time"}
-    for name, values in times.items():
-        wall, cpu = zip(*values)
-        doc[name] = {**summary(list(wall)), "cpu": summary(list(cpu))}
+           "statistic": "median and quartiles of ms from spawn to exit (wall), of the "
+                        "child's user plus system ms (cpu) and of its peak resident MB "
+                        "(rss_mb)"}
+    for name, values in runs.items():
+        wall, cpu, rss = zip(*values)
+        doc[name] = {**summary(list(wall)), "cpu": summary(list(cpu)),
+                     "rss_mb": summary(list(rss))}
     print(json.dumps(doc, indent=2))
 
 

@@ -98,10 +98,6 @@ class StackedData(_Record):
         return self.x_stack.shape[1]
 
     @property
-    def n_batches(self) -> int:
-        return len(self.batch_boundaries)
-
-    @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         return tuple(self.x_stack[a:b] for a, b in self.batch_boundaries)
 

@@ -329,16 +329,13 @@ def cv_score(family: str, batch: Batch, lam: float, target, folds: FoldPlan) -> 
 
 
 class ConstraintTerms(_Record):
-    """Both sides of the historic-fit feasibility inequality."""
+    """Both sides of the historic-fit feasibility inequality, which holds
+    where ``lhs <= rhs``."""
 
     _fields = ("lhs", "rhs", "new_fraction")
 
     def __init__(self, lhs: float, rhs: float, new_fraction: float) -> None:
         self.__dict__.update(lhs=lhs, rhs=rhs, new_fraction=new_fraction)
-
-    @property
-    def feasible(self) -> bool:
-        return self.lhs <= self.rhs
 
 
 def constraint_terms(state: EstimatorState, batch: Batch, lam: float,

@@ -39,6 +39,7 @@ from .penalty_tuning import (
     fit_first_batch,
     get_family,
     select_penalty,
+    selection_elements,
 )
 from .baselines import DEFAULT_XI_GRID_POINTS, _PooledRefit, default_xi_grid
 from .parallel import parallel_map
@@ -113,12 +114,17 @@ class ScenarioConfig(_Record):
         for name in ("p", "n", "n_batches", "n_replicates", "grid_points",
                      "mixed_ratio_grid_points"):
             _check_index(v[name], 1, _field(name), _MAX_ELEMENTS)
-        p, n, T = v["p"], v["n"], v["n_batches"]
+        p, n, T, k = v["p"], v["n"], v["n_batches"], v["k_folds"]
+        if k is not None:
+            _check_index(k, 2, _field("k_folds"), n)
+        # The regular study's first-batch fit always selects by leave-one-out.
+        loo = v["study"] == "regular-vs-updated" or k in (None, n)
         sizes = [("p", "a Gram matrix", p * p),
                  ("n", "a batch's design", n * p),
                  ("n_batches", "a replicate's batches", T * n * p),
                  ("n_replicates", "a strategy's trajectories", v["n_replicates"] * T),
-                 ("grid_points", "a grid's fits", v["grid_points"] * (n + p))]
+                 ("grid_points", "a selection's largest array",
+                  selection_elements(v["family"], p, n, v["grid_points"], loo))]
         if v["study"] == "mixed-vs-updated":  # the one study that builds the ratio grid
             sizes.append(("mixed_ratio_grid_points", "the pooled refit's sums",
                           v["mixed_ratio_grid_points"] * p * p))
@@ -127,9 +133,8 @@ class ScenarioConfig(_Record):
                      f"at most what keeps {array} within {_MAX_ELEMENTS} elements "
                      f"({elements} asked)", v[name])
         _check_index(v["seed"], 0, _field("seed"))
-        for name in ("empty_every", "k_folds"):
-            if v[name] is not None:
-                _check_index(v[name], 2, _field(name))
+        if v["empty_every"] is not None:
+            _check_index(v["empty_every"], 2, _field("empty_every"))
         for name in ("noise_var", "batch_effect_var"):
             _check_real(v[name], _field(name), ">= 0")
         _check_real(v["grid_min"], _field("grid_min"), "> 0")
@@ -277,10 +282,6 @@ class TrajectoryResult(_Record):
                 raise ValidationError("losses must be >= 0")
         self.__dict__.update(name=name, t_values=t_values, tracked=tracked,
                              estimates=estimates, losses=losses, lambdas=lambdas)
-
-    @property
-    def n_replicates(self) -> int:
-        return self.estimates.shape[0]
 
     def quantile_bands(self) -> np.ndarray:
         """(3, T, C) coordinate quantiles at the ``QUANTILES`` levels across

@@ -54,7 +54,7 @@ def random_batches(rng, t, n, p, coef, noise_sd=1.0, effect_sd=0.0):
 def z_block(data):
     """Dense random-effect design: batch tau's rows hit coefficient block tau."""
     p = data.p
-    Z = np.zeros((data.n, data.n_batches * p))
+    Z = np.zeros((data.n, len(data.batch_boundaries) * p))
     for tau, (a, b) in enumerate(data.batch_boundaries):
         Z[a:b, tau * p:(tau + 1) * p] = data.x_stack[a:b]
     return Z
@@ -179,7 +179,7 @@ class TestStackedData:
         np.testing.assert_array_equal(data.x_stack, np.vstack([b.X for b in batches]))
         np.testing.assert_array_equal(data.y_stack,
                                       np.concatenate([b.y for b in batches]))
-        assert data.n == 6 and data.p == 2 and data.n_batches == 2
+        assert data.n == 6 and data.p == 2 and len(data.batch_boundaries) == 2
 
     def test_boundaries_must_tile_the_rows(self):
         rng = np.random.default_rng(103)

@@ -1380,7 +1380,7 @@ BAD_SCENARIO_FIELDS = {
     "empty_every": [{"empty_every": 2.5}, {"empty_every": 1}],
     "orthonormal": [{"orthonormal": 1}, {"orthonormal": True, "n": 2}],
     "seed": [{"seed": 1.5}, {"seed": -1}],
-    "k_folds": [{"k_folds": "3"}, {"k_folds": 1}],
+    "k_folds": [{"k_folds": "3"}, {"k_folds": 1}, {"k_folds": 5}],
     "constrained": [{"constrained": "yes"}, {"constrained": 0}],
     "grid_min": [{"grid_min": "small"}, {"grid_min": 0}, {"grid_min": -INF}],
     "grid_max": [{"grid_max": [1.0]}, {"grid_max": 1e-5}, {"grid_max": INF},

@@ -6,8 +6,11 @@ depend on which. A function or class that no package code references
 serves only the tests, unless it is library API on its own account; such
 oracles belong beside the tests. The same holds for a record's field
 that no package code reads: every call computes and stores it for
-nothing. The package's ``__init__`` is left out of every scan, because
-its imports are its public re-exports.
+nothing. A read by name cannot tell two classes' members of one name
+apart, so a property or method whose name another class also defines is
+listed with the function that reads it on its own class. The package's
+``__init__`` is left out of every scan, because its imports are its
+public re-exports.
 """
 
 import ast
@@ -153,3 +156,92 @@ def test_unread_fields_are_found():
 
 def test_the_package_records_no_field_only_tests_read():
     assert unread_fields(package_sources()) == sorted(UNREAD_FIELDS)
+
+
+# Class.member -> the package function that reads the member on that class,
+# for a property or method whose name another package class also defines:
+# there a read by name alone does not show which class's member it is
+SHARED_NAMES = {
+    "Batch.n": "penalty_tuning.select_penalty",
+    "Batch.p": "penalty_tuning._zero_target_fit",
+    "CoefficientVector.names": "model_core.EstimatorState.__init__",
+    "EstimatorState.t": "cli_io.cmd_select_lambda",
+    "FoldPlan.n": "penalty_tuning.cv_score",
+    "ScenarioConfig.grid": "sim_harness.ScenarioConfig.selection",
+    "ScenarioConfig.to_dict": "cli_io._trajectory_datasets",
+    "SelectionReport.to_dict": "cli_io.cmd_select_lambda",
+    "StackedData.n": "baselines.mixed_fixed_effects",
+    "StackedData.p": "baselines.mixed_fixed_effects",
+    "StackedHistory.covariates": "penalty_tuning._Logistic.history_loss",
+    "StackedHistory.rows": "penalty_tuning._Logistic.history_loss",
+    "TriangularHistory.covariates": "penalty_tuning._Linear.history_loss",
+    "_Linear.fit": "penalty_tuning._zero_target_fit",
+    "_Linear.mean": "cli_io.cmd_predict",
+    "_Logistic.fit": "penalty_tuning._zero_target_fit",
+    "_Logistic.mean": "cli_io.cmd_predict",
+    "_PooledRefit.fit": "sim_harness.run_study_mixed_vs_updated",
+}
+
+
+def shared_members(sources):
+    """``Class.member`` for every property or method (dunder methods aside)
+    whose name another class of ``sources`` also defines: as a method, a
+    class attribute, an entry of ``_fields`` or a ``NamedTuple`` field.
+    Classes under one base, the record base ``_Record`` aside, count as one
+    class, since the package calls their methods through that base."""
+    classes = {node.name: node for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)}
+
+    def root(name):
+        bases = [getattr(base, "id", None) for base in classes[name].bases]
+        return next((root(base) for base in bases if base in classes and base != "_Record"),
+                    name)
+
+    owners, methods = {}, []
+    for name, node in classes.items():
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if stmt.name.startswith("__") and stmt.name.endswith("__"):
+                    continue
+                methods.append((name, stmt.name))
+                defined = [stmt.name]
+            elif isinstance(stmt, ast.AnnAssign):
+                defined = [stmt.target.id]
+            elif isinstance(stmt, ast.Assign):
+                defined = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                if defined == ["_fields"]:
+                    defined = [elt.value for elt in stmt.value.elts]
+            else:
+                continue
+            for member in defined:
+                owners.setdefault(member, set()).add(root(name))
+    return sorted(f"{name}.{member}" for name, member in methods
+                  if owners[member] - {root(name)})
+
+
+def test_shared_members_are_found():
+    sources = ("class A:\n    _fields = ('n',)\n    def size(self):\n        pass\n",
+               "class B:\n    x = 1\n    @property\n    def n(self):\n        pass\n"
+               "    def m(self):\n        pass\n    def x(self):\n        pass\n",
+               "class C(B):\n    def m(self):\n        pass\n"
+               "class D:\n    def size(self):\n        pass\n")
+    assert shared_members(sources) == ["A.size", "B.n", "D.size"]
+
+
+def reads_attribute(module, qualname, attr):
+    """Whether the function ``qualname`` of ``module`` reads ``.attr``."""
+    with open(os.path.join(PACKAGE, f"{module}.py"), encoding="utf-8") as fh:
+        node = ast.parse(fh.read())
+    for part in qualname.split("."):
+        node = next(stmt for stmt in node.body
+                    if isinstance(stmt, (ast.ClassDef, ast.FunctionDef)) and stmt.name == part)
+    return any(isinstance(sub, ast.Attribute) and sub.attr == attr for sub in ast.walk(node))
+
+
+def test_a_member_sharing_its_name_is_read_by_the_function_listed():
+    """A property or method whose name another class also defines counts
+    as read only where ``SHARED_NAMES`` names the function that reads it."""
+    assert shared_members(package_sources()) == sorted(SHARED_NAMES)
+    for member, function in SHARED_NAMES.items():
+        module, qualname = function.split(".", 1)
+        assert reads_attribute(module, qualname, member.split(".")[1]), (member, function)

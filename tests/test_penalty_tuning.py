@@ -312,7 +312,7 @@ class TestConstraintTerms:
             folds = make_folds(n_new, 3, seed=trial)
             target = state.current
             terms = constraint_terms(state, batch, 1e12, target, folds)
-            assert terms.feasible
+            assert terms.lhs <= terms.rhs
             np.testing.assert_allclose(
                 terms.lhs, (1.0 - terms.new_fraction) * terms.rhs, rtol=1e-4)
 
@@ -754,7 +754,7 @@ def per_candidate_curve(state, batch, registry, grid, target, k, seed, new_fract
                 terms.append(constraint_terms(state, batch, lam, target, folds))
     if new_fraction is None:
         return np.array(scores), np.ones(len(scores), dtype=bool), None, None
-    return (np.array(scores), np.array([t.feasible for t in terms]),
+    return (np.array(scores), np.array([t.lhs <= t.rhs for t in terms]),
             np.array([t.lhs for t in terms]), np.array([t.rhs for t in terms]))
 
 

@@ -39,6 +39,8 @@ from ridge_relay import (
     update,
 )
 from ridge_relay import baselines
+from ridge_relay.model_core import _MAX_ELEMENTS
+from ridge_relay.penalty_tuning import selection_elements
 from ridge_relay.sim_harness import QUANTILES, _nan_quantiles
 from sim_checks import check_consistency_trajectory, check_moment_formulas
 
@@ -107,13 +109,15 @@ class TestScenarioConfig:
         assert config.beta_rule == (0.5, -0.5, 1.0)
 
     # field -> sizes that put the array the field sizes one element past the
-    # cap (2**24), the other sizes within it
+    # cap (2**24), the other sizes within it; a grid is counted by
+    # selection_elements, here the (p + 1, L, n) leave-one-out block
     PAST_THE_CAP = {
         "p": {"p": 2 ** 12 + 1, "mixed_ratio_grid_points": 1},
-        "n": {"p": 2 ** 12, "n": 2 ** 12 + 1, "n_batches": 1, "mixed_ratio_grid_points": 1},
+        "n": {"study": "mixed-vs-updated", "p": 2 ** 12, "n": 2 ** 12 + 1, "n_batches": 1,
+              "k_folds": 2, "mixed_ratio_grid_points": 1},
         "n_batches": {"p": 2 ** 6, "n": 2 ** 6, "n_batches": 2 ** 12 + 1},
         "n_replicates": {"p": 1, "n": 1, "n_batches": 2 ** 12, "n_replicates": 2 ** 12 + 1},
-        "grid_points": {"p": 2 ** 3, "n": 2 ** 3, "grid_points": 2 ** 20 + 1},
+        "grid_points": {"p": 7, "n": 8, "grid_points": 2 ** 18 + 1},
         "mixed_ratio_grid_points": {"study": "mixed-vs-updated", "p": 2 ** 4,
                                     "mixed_ratio_grid_points": 2 ** 16 + 1},
     }
@@ -129,6 +133,44 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(edit)
         with pytest.raises(ValidationError, match=f"^scenario field {field!r} must be "):
             ScenarioConfig.from_dict({**at_cap, field: 9223372036854775807})
+
+    # (study, family, k_folds, p, n, grid points, accepted): each pair sits on
+    # both sides of the cap, by the largest array of the run's selections; the
+    # last two hold 8.0e8 and 2.0e7 values, though the grid's fits alone,
+    # points * (n + p), are within it
+    SELECTIONS = [
+        ("regular-vs-updated", "linear", 2, 100, 50, 3322, True),
+        ("regular-vs-updated", "linear", 2, 100, 50, 3323, False),
+        ("mixed-vs-updated", "linear", 2, 100, 50, 3323, True),
+        ("mixed-vs-updated", "linear", 2, 100, 50, 2 ** 24 // 100 + 1, False),
+        ("mixed-vs-updated", "linear", None, 100, 50, 3322, True),
+        ("mixed-vs-updated", "linear", 50, 100, 50, 3323, False),
+        ("mixed-vs-updated", "linear", 2, 2 ** 12, 2 ** 12, 2 ** 12, True),
+        ("regular-vs-updated", "logistic", 5, 64, 10, 2 ** 12, True),
+        ("regular-vs-updated", "logistic", 5, 64, 10, 2 ** 12 + 1, False),
+        ("regular-vs-updated", "logistic", None, 10, 2 ** 10, 2 ** 14, True),
+        ("regular-vs-updated", "logistic", None, 10, 2 ** 10, 2 ** 14 + 1, False),
+        ("regular-vs-updated", "logistic", 2, 4000, 10, 50, False),
+        ("regular-vs-updated", "linear", None, 1000, 1000, 20, False),
+    ]
+
+    @pytest.mark.parametrize("study, family, k_folds, p, n, points, accepted", SELECTIONS)
+    def test_a_scenario_counts_its_selections_as_the_command_line_does(
+            self, study, family, k_folds, p, n, points, accepted):
+        """Accepted exactly when selection_elements, with leave-one-out
+        where the run uses it, stays within the cap; the regular study's
+        first-batch fit always selects by leave-one-out."""
+        loo = study == "regular-vs-updated" or k_folds in (None, n)
+        assert (selection_elements(family, p, n, points, loo) <= _MAX_ELEMENTS) == accepted
+        doc = {"study": study, "family": family, "k_folds": k_folds, "p": p, "n": n,
+               "n_batches": 1, "n_replicates": 1, "grid_points": points,
+               "mixed_ratio_grid_points": 1}
+        if accepted:
+            assert ScenarioConfig.from_dict(doc).grid_points == points
+        else:
+            with pytest.raises(ValidationError, match="^scenario field 'grid_points' must be at "
+                               "most what keeps a selection's largest array within 16777216 "):
+                ScenarioConfig.from_dict(doc)
 
     def test_the_ratio_grid_bounds_only_the_study_that_builds_it(self):
         """Only mixed-vs-updated refits on the ratio grid, so a wide
