@@ -111,9 +111,11 @@ class ScenarioConfig(_Record):
         for name, allowed in (("study", _STUDIES), ("family", FAMILIES)):
             _require(isinstance(v[name], str) and v[name] in allowed, name,
                      f"one of {allowed}", v[name])
+        _require(v["study"] != "mixed-vs-updated" or v["family"] == "linear", "family",
+                 "'linear' in a mixed-vs-updated study", v["family"])
         for name in ("p", "n", "n_batches", "n_replicates", "grid_points",
-                     "mixed_ratio_grid_points"):
-            _check_index(v[name], 1, _field(name), _MAX_ELEMENTS)
+                     "mixed_ratio_grid_points"):  # n >= 2: a fold plan needs two rows
+            _check_index(v[name], 2 if name == "n" else 1, _field(name), _MAX_ELEMENTS)
         p, n, T, k = v["p"], v["n"], v["n_batches"], v["k_folds"]
         if k is not None:
             _check_index(k, 2, _field("k_folds"), n)
@@ -420,14 +422,12 @@ def run_study_regular_vs_updated(config: ScenarioConfig):
 def run_study_mixed_vs_updated(config: ScenarioConfig):
     """Pooled mixed-model refits vs. two sequential chains (zero / truth init).
 
-    The pooled refit fits batches 1..t and re-estimates the variance
-    ratio each time from one spectrum per batch, taken as it arrives
-    (``_PooledRefit``); it only produces a value once the pooled rows
-    identify the model (t * n > p). Chain penalties come from constrained
-    cross-validation unless the scenario forces constraints off.
+    The pooled refit of batches 1..t re-estimates the variance ratio each
+    time from one spectrum per batch, taken as it arrives (``_PooledRefit``),
+    and has a value once the pooled rows identify the model (t * n > p); the
+    scenario holds this study to the linear family. Chain penalties come
+    from cross-validation, constrained unless the scenario says otherwise.
     """
-    if config.family != "linear":
-        raise ValidationError("the pooled mixed baseline handles the linear family only")
     beta = resolve_beta(config)
     names = covariate_names(config.p)
     cols = np.array(tracked_positions(config)) - 1

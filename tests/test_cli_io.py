@@ -13,6 +13,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import stat
@@ -25,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ridge_relay.cli_io as cio
 import ridge_relay.penalty_tuning as penalty_tuning
+import ridge_relay.sim_harness as sim_harness
 from ridge_relay.state_history import read_history
 from ridge_relay import (
     Batch,
@@ -1365,9 +1367,10 @@ NAN, INF = float("nan"), float("inf")
 # then values out of range
 BAD_SCENARIO_FIELDS = {
     "study": [{"study": 3}, {"study": "nope"}],
-    "family": [{"family": ["linear"]}, {"family": "poisson"}],
+    "family": [{"family": ["linear"]}, {"family": "poisson"},
+               {"study": "mixed-vs-updated", "family": "logistic"}],
     "p": [{"p": "3"}, {"p": 0}, {"p": 10 ** 20}],
-    "n": [{"n": 2.5}, {"n": 0}, {"n": 10 ** 20}],
+    "n": [{"n": 2.5}, {"n": 0}, {"n": 1}, {"n": 10 ** 20}],
     "n_batches": [{"n_batches": True}, {"n_batches": 0}],
     "n_replicates": [{"n_replicates": "1"}, {"n_replicates": -1}],
     "beta_rule": [{"beta_rule": {"x1": 1.0}}, {"beta_rule": "flat"},
@@ -1412,6 +1415,43 @@ def test_a_bad_scenario_field_is_named_before_any_output(tmp_path, field, edit):
     assert err.startswith(f"error: scenario field {field!r} must be ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
+
+
+TINY_SCENARIOS = st.fixed_dictionaries({
+    "study": st.sampled_from(["regular-vs-updated", "mixed-vs-updated"]),
+    "family": st.sampled_from(["linear", "logistic"]),
+    "p": st.integers(1, 3), "n": st.integers(1, 6), "n_batches": st.integers(1, 3),
+    "n_replicates": st.just(1), "grid_points": st.integers(1, 4),
+    "mixed_ratio_grid_points": st.integers(1, 3),
+    "k_folds": st.none() | st.integers(1, 7), "constrained": st.sampled_from([None, True, False]),
+    "orthonormal": st.booleans(), "empty_every": st.sampled_from([None, 2])})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(TINY_SCENARIOS)
+@example({**SMALL_SCENARIO, "n": 1})
+@example({**SMALL_SCENARIO, "study": "mixed-vs-updated", "family": "logistic"})
+def test_a_scenario_the_read_accepts_is_one_its_study_can_run(tmp_path_factory, scenario):
+    """A scenario either exits 2 naming a field, before any batch is
+    generated or any file written, or its study runs: exit 0, or 3 or 4 for
+    a fit or a selection that fails on the generated data."""
+    tmp = tmp_path_factory.mktemp("scenario")
+    generate_batch, calls = sim_harness.generate_batch, []
+
+    def counted(*args):
+        calls.append(args)
+        return generate_batch(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_harness, "generate_batch", counted)
+        code, out, err = run_cli(*scenario_args(tmp, scenario))
+    if code == 2:
+        named = re.fullmatch(r"error: scenario field '(\w+)' must be .*\n", err)
+        assert named and named[1] in ScenarioConfig._fields and out == "", err
+        assert not (tmp / "out").exists() and calls == []
+    else:
+        assert code in (0, 3, 4), err
 
 
 def test_a_non_finite_variance_prints_only_the_error_line(tmp_path):

@@ -116,7 +116,7 @@ class TestScenarioConfig:
         "n": {"study": "mixed-vs-updated", "p": 2 ** 12, "n": 2 ** 12 + 1, "n_batches": 1,
               "k_folds": 2, "mixed_ratio_grid_points": 1},
         "n_batches": {"p": 2 ** 6, "n": 2 ** 6, "n_batches": 2 ** 12 + 1},
-        "n_replicates": {"p": 1, "n": 1, "n_batches": 2 ** 12, "n_replicates": 2 ** 12 + 1},
+        "n_replicates": {"p": 1, "n": 2, "n_batches": 2 ** 12, "n_replicates": 2 ** 12 + 1},
         "grid_points": {"p": 7, "n": 8, "grid_points": 2 ** 18 + 1},
         "mixed_ratio_grid_points": {"study": "mixed-vs-updated", "p": 2 ** 4,
                                     "mixed_ratio_grid_points": 2 ** 16 + 1},
@@ -573,10 +573,10 @@ class TestRunStudyMixedVsUpdated:
             np.testing.assert_array_equal(a.estimates, b.estimates)
 
     def test_requires_linear_family(self):
-        config = ScenarioConfig(study="mixed-vs-updated", family="logistic",
-                                p=3, n=4, n_batches=3, n_replicates=2)
-        with pytest.raises(ValidationError):
-            run_study_mixed_vs_updated(config)
+        """The scenario refuses the pair, so no study is ever given it."""
+        with pytest.raises(ValidationError, match="^scenario field 'family' must be "):
+            ScenarioConfig(study="mixed-vs-updated", family="logistic",
+                           p=3, n=4, n_batches=3, n_replicates=2)
 
 
 class TestCheckConsistencyTrajectory:
